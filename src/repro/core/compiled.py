@@ -25,9 +25,11 @@ sweep point.
 * ``in_degree`` -- the initial in-degree of every node.
 
 Compilation is cached on the owning graph's ``(structure, weights)``
-generation stamp: re-compiling an unmutated task is a dictionary lookup, and
-the paired ``C_off`` sweeps (which only call :meth:`set_wcet`) rebuild the
-weight vector but share the kernel's structural arrays.
+generation stamp: re-compiling an unmutated task is a dictionary lookup.
+The structural arrays are the kernel's, which every copy of a graph shares
+(see :meth:`~repro.core.graph.DirectedAcyclicGraph.copy`), so the paired
+``C_off`` sweeps, whose tasks are re-weighted copies of one structure, only
+build a new weight vector per task.
 
 The view is immutable by convention -- mutate neither the lists nor the
 arrays -- and picklable (unlike the graph's caches, which are dropped on
@@ -222,8 +224,10 @@ def compile_graph(graph: DirectedAcyclicGraph) -> CompiledTask:
 
     def build() -> CompiledTask:
         kernel = graph._kernel()
-        wcet = np.array(
-            [graph.wcet(node) for node in kernel.nodes], dtype=np.float64
+        wcet = np.fromiter(
+            map(graph._wcet.__getitem__, kernel.nodes),
+            dtype=np.float64,
+            count=len(kernel.nodes),
         )
         return CompiledTask(
             kernel.nodes,

@@ -20,22 +20,24 @@ Performance architecture
 ------------------------
 Every analysis and experiment of the reproduction bottoms out in the same
 handful of structural queries, repeated thousands of times over large DAG
-ensembles.  The graph therefore maintains a *dense-index kernel* and a
-generation-stamped metric cache (see ``docs/performance.md``):
+ensembles, and the paired ``C_off`` sweeps of the experiments ask them of
+many copies of one structure that differ only in WCETs.  The graph therefore
+splits its state in two (see ``docs/performance.md``):
 
-* node identifiers are interned into dense integer indices ``0..n-1`` (in
-  insertion order) with CSR-style adjacency arrays, rebuilt lazily at most
-  once per *structural generation*;
-* reachability (``descendants``/``ancestors``/``has_path``/``are_parallel``)
-  is answered from per-node bitmasks (Python integers used as bitsets)
-  computed once per structural generation instead of one BFS per query;
-* the derived metrics (``topological_order``, ``volume``,
-  ``critical_path_length``, ``earliest_finish_times``,
-  ``longest_tail_lengths``, ``transitive_closure``, ...) are cached and
-  invalidated by two generation counters: one bumped by structural mutation
+* the *structure* -- node order and adjacency -- is shared copy-on-write by
+  :meth:`DirectedAcyclicGraph.copy`, together with the caches that depend on
+  it alone: the dense-index kernel (node identifiers interned into indices
+  ``0..n-1`` in insertion order, CSR-style adjacency arrays, topological
+  order), the per-node reachability bitmasks (Python integers used as
+  bitsets, one sweep instead of one BFS per query) and memoised structural
+  results (``transitive_closure``, Algorithm 1's weight-independent part).
+  Whichever copy builds them first serves every copy; a structural mutation
+  first takes a private copy of a shared structure;
+* the WCETs and the weight-dependent metrics (``volume``,
+  ``critical_path_length``, ``earliest_finish_times``, ...) stay per graph,
+  stamped with two generation counters: one bumped by structural mutation
   (nodes/edges) and one bumped by weight mutation (:meth:`set_wcet`), so that
-  re-weighting a node -- the hot path of the paired ``C_off`` sweeps --
-  preserves the reachability tables.
+  re-weighting a node preserves the structural caches.
 
 All cached state is an implementation detail: mutating a returned container
 never corrupts the cache (mutable results are copied on return), pickling
@@ -45,6 +47,7 @@ breadth-first algorithms.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from collections.abc import Hashable, Iterable, Iterator, Mapping
 from typing import Optional
@@ -146,19 +149,65 @@ class _DenseKernel:
             mask ^= low
 
 
+class _Structure:
+    """Node order and adjacency of a graph, with the caches derived from them.
+
+    ``succ`` and ``pred`` list the nodes in insertion order, the order of the
+    WCET map of every graph that holds the structure.  Graphs share one
+    structure copy-on-write: it is mutated only through a graph that holds it
+    alone, which drops ``kernel`` and ``memo`` as it does.
+    """
+
+    __slots__ = ("succ", "pred", "kernel", "memo")
+
+    def __init__(
+        self,
+        succ: dict[NodeId, set[NodeId]],
+        pred: dict[NodeId, set[NodeId]],
+    ) -> None:
+        self.succ = succ
+        self.pred = pred
+        self.kernel: Optional[_DenseKernel] = None
+        #: Weight-independent results, memoised under any hashable key.
+        self.memo: dict[Hashable, object] = {}
+
+    def clone(self) -> "_Structure":
+        """A private copy of the adjacency, with empty caches."""
+        return _Structure(
+            {node: set(nbrs) for node, nbrs in self.succ.items()},
+            {node: set(nbrs) for node, nbrs in self.pred.items()},
+        )
+
+    def __getstate__(self) -> tuple:
+        # Caches are cheap to rebuild and may be large; never pickle them
+        # (the parallel experiment runner ships graphs between processes).
+        return (self.succ, self.pred)
+
+    def __setstate__(self, state: tuple) -> None:
+        self.__init__(*state)
+
+
+def _check_wcet(node_id: NodeId, wcet: float) -> None:
+    # ``nan < 0`` is false, so a plain sign test would let NaN through.
+    if not 0 <= wcet < math.inf:
+        raise ValueError(
+            f"WCET of node {node_id!r} must be finite and >= 0, got {wcet}"
+        )
+
+
 class DirectedAcyclicGraph:
     """A weighted directed acyclic graph.
 
-    Nodes are identified by arbitrary hashable values and carry a
+    Nodes are identified by arbitrary hashable values and carry a finite
     non-negative weight, interpreted throughout the library as the node's
     WCET.  Edges are ordered pairs ``(src, dst)`` meaning that ``src`` must
     complete before ``dst`` may start.
 
     The class maintains adjacency in both directions so that predecessor and
-    successor queries are O(out-degree)/O(in-degree), and a generation-stamped
-    cache of the derived metrics (see the module docstring) so that repeated
-    queries between mutations cost a dictionary lookup.  Acyclicity is *not*
-    enforced on every mutation (generators build graphs incrementally); call
+    successor queries are O(out-degree)/O(in-degree), and caches the derived
+    metrics (see the module docstring) so that repeated queries between
+    mutations cost a dictionary lookup.  Acyclicity is *not* enforced on
+    every mutation (generators build graphs incrementally); call
     :meth:`check_acyclic` or :meth:`topological_order` to verify it.
 
     Examples
@@ -175,8 +224,10 @@ class DirectedAcyclicGraph:
 
     def __init__(self) -> None:
         self._wcet: dict[NodeId, float] = {}
-        self._succ: dict[NodeId, set[NodeId]] = {}
-        self._pred: dict[NodeId, set[NodeId]] = {}
+        self._structure = _Structure({}, {})
+        #: ``False`` while another graph may hold ``_structure`` too; the
+        #: next structural mutation then takes a private copy first.
+        self._owns_structure = True
         self._init_caches()
 
     # ------------------------------------------------------------------
@@ -187,18 +238,24 @@ class DirectedAcyclicGraph:
         self._structure_generation: int = 0
         #: Bumped by every WCET update (and by node addition/removal).
         self._weights_generation: int = 0
-        self._kernel_cache: Optional[_DenseKernel] = None
-        self._kernel_generation: int = -1
-        #: ``key -> (stamp, value)``; the stamp is the structure generation
-        #: for purely structural results and the ``(structure, weights)``
-        #: pair for weight-dependent ones.
+        #: ``key -> ((structure, weights) generations, value)``.
         self._metric_cache: dict[str, tuple[object, object]] = {}
 
-    def _touch_structure(self) -> None:
-        self._structure_generation += 1
+    def _mutable_structure(self) -> _Structure:
+        """The structure, held by this graph alone, for a structural mutation.
 
-    def _touch_weights(self) -> None:
-        self._weights_generation += 1
+        Copies a structure that other graphs may share and drops the
+        structure's caches; the caller mutates it next.
+        """
+        structure = self._structure
+        if not self._owns_structure:
+            structure = self._structure = structure.clone()
+            self._owns_structure = True
+        elif structure.kernel is not None or structure.memo:
+            structure.kernel = None
+            structure.memo.clear()
+        self._structure_generation += 1
+        return structure
 
     @property
     def cache_generation(self) -> tuple[int, int]:
@@ -212,23 +269,26 @@ class DirectedAcyclicGraph:
     def invalidate_caches(self) -> None:
         """Drop every cached kernel and metric (results are unaffected).
 
-        Normal code never needs this -- mutations invalidate automatically
-        via the generation counters.  The micro-benchmarks call it to measure
-        the uncached baseline.
+        Normal code never needs this -- mutations invalidate automatically.
+        The micro-benchmarks call it to measure the uncached baseline.  The
+        structural caches are dropped for every copy sharing the structure.
         """
         self._structure_generation += 1
         self._weights_generation += 1
-        self._kernel_cache = None
+        self._structure.kernel = None
+        self._structure.memo.clear()
         self._metric_cache.clear()
 
-    def _structural(self, key: str, compute):
-        """Memoise ``compute()`` until the next structural mutation."""
-        stamp = self._structure_generation
-        entry = self._metric_cache.get(key)
-        if entry is not None and entry[0] == stamp:
-            return entry[1]
-        value = compute()
-        self._metric_cache[key] = (stamp, value)
+    def _structural(self, key: Hashable, compute):
+        """Memoise ``compute()`` on the structure until its next mutation.
+
+        The value serves every graph sharing the structure, so ``compute``
+        must not depend on the WCETs.
+        """
+        memo = self._structure.memo
+        if key in memo:
+            return memo[key]
+        value = memo[key] = compute()
         return value
 
     def _weighted(self, key: str, compute):
@@ -249,22 +309,21 @@ class DirectedAcyclicGraph:
         CycleError
             If the graph contains a cycle (nothing is cached in that case).
         """
-        if (
-            self._kernel_cache is not None
-            and self._kernel_generation == self._structure_generation
-        ):
-            return self._kernel_cache
+        structure = self._structure
+        kernel = structure.kernel
+        if kernel is not None:
+            return kernel
 
-        nodes = list(self._wcet)
+        nodes = list(structure.succ)
         index = {node: i for i, node in enumerate(nodes)}
         succ_ptr = [0]
         succ_idx: list[int] = []
         pred_ptr = [0]
         pred_idx: list[int] = []
         for node in nodes:
-            succ_idx.extend(sorted(index[s] for s in self._succ[node]))
+            succ_idx.extend(sorted(index[s] for s in structure.succ[node]))
             succ_ptr.append(len(succ_idx))
-            pred_idx.extend(sorted(index[p] for p in self._pred[node]))
+            pred_idx.extend(sorted(index[p] for p in structure.pred[node]))
             pred_ptr.append(len(pred_idx))
 
         # Kahn's algorithm with insertion-order tie-breaking; dense indices
@@ -286,11 +345,9 @@ class DirectedAcyclicGraph:
         if len(topo) != len(nodes):
             raise CycleError("graph contains a cycle", cycle=self.find_cycle())
 
-        kernel = _DenseKernel(
+        kernel = structure.kernel = _DenseKernel(
             nodes, index, succ_ptr, succ_idx, pred_ptr, pred_idx, topo
         )
-        self._kernel_cache = kernel
-        self._kernel_generation = self._structure_generation
         return kernel
 
     def _acyclic_kernel(self) -> Optional[_DenseKernel]:
@@ -301,14 +358,15 @@ class DirectedAcyclicGraph:
             return None
 
     def __getstate__(self) -> dict:
-        # Caches are cheap to rebuild and may be large; never pickle them
-        # (the parallel experiment runner ships graphs between processes).
-        return {"_wcet": self._wcet, "_succ": self._succ, "_pred": self._pred}
+        # Copies pickled together keep sharing one structure: pickle
+        # memoises the structure object, and it pickles without its caches.
+        return {"_wcet": self._wcet, "_structure": self._structure}
 
     def __setstate__(self, state: dict) -> None:
         self._wcet = state["_wcet"]
-        self._succ = state["_succ"]
-        self._pred = state["_pred"]
+        self._structure = state["_structure"]
+        # A graph unpickled from the same stream may hold the structure too.
+        self._owns_structure = False
         self._init_caches()
 
     # ------------------------------------------------------------------
@@ -337,23 +395,36 @@ class DirectedAcyclicGraph:
             graph.add_edge(src, dst)
         return graph
 
-    def copy(self) -> "DirectedAcyclicGraph":
-        """Return a deep (structural) copy of the graph.
+    def _sharing(self, wcet: dict[NodeId, float]) -> "DirectedAcyclicGraph":
+        """A graph with WCET map ``wcet`` (in this graph's node order) that
+        shares this graph's structure, with empty weighted caches."""
+        clone = DirectedAcyclicGraph.__new__(DirectedAcyclicGraph)
+        clone._wcet = wcet
+        clone._structure = self._structure
+        clone._owns_structure = self._owns_structure = False
+        clone._init_caches()
+        return clone
 
-        Valid cache entries are shared with the copy: cached values are never
-        mutated in place (public accessors return fresh containers), so the
-        clone can keep serving them until its first own mutation.
+    def copy(self) -> "DirectedAcyclicGraph":
+        """Return a copy of the graph, sharing its structure copy-on-write.
+
+        The copy has its own WCETs.  It shares the adjacency, the dense
+        kernel and the memoised structural results with this graph until
+        either of them mutates its node or edge set, which first gives that
+        graph a private copy of the adjacency.  Valid weighted cache entries
+        are shared too: cached values are never mutated in place (public
+        accessors return fresh containers).
         """
-        clone = DirectedAcyclicGraph()
-        clone._wcet = dict(self._wcet)
-        clone._succ = {node: set(nbrs) for node, nbrs in self._succ.items()}
-        clone._pred = {node: set(nbrs) for node, nbrs in self._pred.items()}
+        clone = self._sharing(dict(self._wcet))
         clone._structure_generation = self._structure_generation
         clone._weights_generation = self._weights_generation
-        clone._kernel_cache = self._kernel_cache
-        clone._kernel_generation = self._kernel_generation
         clone._metric_cache = dict(self._metric_cache)
         return clone
+
+    def _reweighted(self, wcets: Mapping[NodeId, float]) -> "DirectedAcyclicGraph":
+        """A copy sharing this graph's structure, its WCETs read from
+        ``wcets`` (which must map every node to a valid WCET)."""
+        return self._sharing({node: wcets[node] for node in self._wcet})
 
     # ------------------------------------------------------------------
     # Basic mutation
@@ -366,30 +437,27 @@ class DirectedAcyclicGraph:
         DuplicateNodeError
             If the node already exists.
         ValueError
-            If the WCET is negative.
+            If the WCET is negative, infinite or NaN.
         """
         if node_id in self._wcet:
             raise DuplicateNodeError(node_id)
-        if wcet < 0:
-            raise ValueError(f"WCET of node {node_id!r} must be >= 0, got {wcet}")
+        _check_wcet(node_id, wcet)
+        structure = self._mutable_structure()
         self._wcet[node_id] = wcet
-        self._succ[node_id] = set()
-        self._pred[node_id] = set()
-        self._touch_structure()
-        self._touch_weights()
+        structure.succ[node_id] = set()
+        structure.pred[node_id] = set()
+        self._weights_generation += 1
 
     def remove_node(self, node_id: NodeId) -> None:
         """Remove a node together with all its incident edges."""
         self._require(node_id)
-        for succ in list(self._succ[node_id]):
-            self._pred[succ].discard(node_id)
-        for pred in list(self._pred[node_id]):
-            self._succ[pred].discard(node_id)
-        del self._succ[node_id]
-        del self._pred[node_id]
+        structure = self._mutable_structure()
+        for succ in structure.succ.pop(node_id):
+            structure.pred[succ].discard(node_id)
+        for pred in structure.pred.pop(node_id):
+            structure.succ[pred].discard(node_id)
         del self._wcet[node_id]
-        self._touch_structure()
-        self._touch_weights()
+        self._weights_generation += 1
 
     def add_edge(self, src: NodeId, dst: NodeId) -> None:
         """Add the precedence edge ``src -> dst``.
@@ -401,38 +469,45 @@ class DirectedAcyclicGraph:
         EdgeError
             If the edge is a self loop or already present.
         """
-        self._require(src)
-        self._require(dst)
+        succ = self._structure.succ
+        if src not in succ:
+            raise NodeNotFoundError(src)
+        if dst not in succ:
+            raise NodeNotFoundError(dst)
         if src == dst:
             raise EdgeError(f"self loop on node {src!r} is not allowed")
-        if dst in self._succ[src]:
+        if dst in succ[src]:
             raise EdgeError(f"edge ({src!r}, {dst!r}) already exists")
-        self._succ[src].add(dst)
-        self._pred[dst].add(src)
-        self._touch_structure()
+        structure = self._mutable_structure()
+        structure.succ[src].add(dst)
+        structure.pred[dst].add(src)
 
     def remove_edge(self, src: NodeId, dst: NodeId) -> None:
         """Remove the edge ``src -> dst``."""
         self._require(src)
         self._require(dst)
-        if dst not in self._succ[src]:
+        if dst not in self._structure.succ[src]:
             raise EdgeError(f"edge ({src!r}, {dst!r}) does not exist")
-        self._succ[src].discard(dst)
-        self._pred[dst].discard(src)
-        self._touch_structure()
+        structure = self._mutable_structure()
+        structure.succ[src].discard(dst)
+        structure.pred[dst].discard(src)
 
     def set_wcet(self, node_id: NodeId, wcet: float) -> None:
         """Update the WCET of an existing node.
 
-        This invalidates only the weight-dependent caches; the dense kernel
-        and the reachability tables survive (re-weighting is the hot path of
-        the paired ``C_off`` sweeps).
+        This invalidates only the weight-dependent caches; the structure and
+        its caches stay shared (re-weighting is the hot path of the paired
+        ``C_off`` sweeps).
+
+        Raises
+        ------
+        ValueError
+            If the WCET is negative, infinite or NaN.
         """
         self._require(node_id)
-        if wcet < 0:
-            raise ValueError(f"WCET of node {node_id!r} must be >= 0, got {wcet}")
+        _check_wcet(node_id, wcet)
         self._wcet[node_id] = wcet
-        self._touch_weights()
+        self._weights_generation += 1
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -458,7 +533,7 @@ class DirectedAcyclicGraph:
     @property
     def edge_count(self) -> int:
         """Number of edges in the graph."""
-        return sum(len(nbrs) for nbrs in self._succ.values())
+        return sum(len(nbrs) for nbrs in self._structure.succ.values())
 
     def nodes(self) -> list[NodeId]:
         """Return the node identifiers in insertion order."""
@@ -466,9 +541,8 @@ class DirectedAcyclicGraph:
 
     def edges(self) -> list[tuple[NodeId, NodeId]]:
         """Return all edges as ``(src, dst)`` pairs."""
-        return [
-            (src, dst) for src in self._wcet for dst in sorted(self._succ[src], key=repr)
-        ]
+        succ = self._structure.succ
+        return [(src, dst) for src in self._wcet for dst in sorted(succ[src], key=repr)]
 
     def wcet(self, node_id: NodeId) -> float:
         """Return the WCET of a node."""
@@ -481,35 +555,36 @@ class DirectedAcyclicGraph:
 
     def has_edge(self, src: NodeId, dst: NodeId) -> bool:
         """Return ``True`` if the edge ``src -> dst`` exists."""
-        return src in self._succ and dst in self._succ[src]
+        succ = self._structure.succ
+        return src in succ and dst in succ[src]
 
     def successors(self, node_id: NodeId) -> set[NodeId]:
         """Direct successors of a node (nodes ``v`` with an edge ``node -> v``)."""
         self._require(node_id)
-        return set(self._succ[node_id])
+        return set(self._structure.succ[node_id])
 
     def predecessors(self, node_id: NodeId) -> set[NodeId]:
         """Direct predecessors of a node (nodes ``v`` with an edge ``v -> node``)."""
         self._require(node_id)
-        return set(self._pred[node_id])
+        return set(self._structure.pred[node_id])
 
     def out_degree(self, node_id: NodeId) -> int:
         """Number of outgoing edges of a node."""
         self._require(node_id)
-        return len(self._succ[node_id])
+        return len(self._structure.succ[node_id])
 
     def in_degree(self, node_id: NodeId) -> int:
         """Number of incoming edges of a node."""
         self._require(node_id)
-        return len(self._pred[node_id])
+        return len(self._structure.pred[node_id])
 
     def sources(self) -> list[NodeId]:
         """Nodes without incoming edges, in insertion order."""
-        return [node for node in self._wcet if not self._pred[node]]
+        return [node for node in self._wcet if not self._structure.pred[node]]
 
     def sinks(self) -> list[NodeId]:
         """Nodes without outgoing edges, in insertion order."""
-        return [node for node in self._wcet if not self._succ[node]]
+        return [node for node in self._wcet if not self._structure.succ[node]]
 
     # ------------------------------------------------------------------
     # Ordering and reachability
@@ -563,12 +638,13 @@ class DirectedAcyclicGraph:
         WHITE, GREY, BLACK = 0, 1, 2
         colour = {node: WHITE for node in self._wcet}
         parent: dict[NodeId, NodeId] = {}
+        adjacency = self._structure.succ
 
         for start in self._wcet:
             if colour[start] != WHITE:
                 continue
             stack: list[tuple[NodeId, Iterator[NodeId]]] = [
-                (start, iter(sorted(self._succ[start], key=repr)))
+                (start, iter(sorted(adjacency[start], key=repr)))
             ]
             colour[start] = GREY
             while stack:
@@ -578,7 +654,7 @@ class DirectedAcyclicGraph:
                     if colour[succ] == WHITE:
                         colour[succ] = GREY
                         parent[succ] = node
-                        stack.append((succ, iter(sorted(self._succ[succ], key=repr))))
+                        stack.append((succ, iter(sorted(adjacency[succ], key=repr))))
                         advanced = True
                         break
                     if colour[succ] == GREY:
@@ -603,7 +679,7 @@ class DirectedAcyclicGraph:
         self._require(node_id)
         kernel = self._acyclic_kernel()
         if kernel is None:
-            return self._reach(node_id, self._succ)
+            return self._reach(node_id, self._structure.succ)
         mask = kernel.descendant_masks()[kernel.index[node_id]]
         return {kernel.nodes[i] for i in _DenseKernel.bits(mask)}
 
@@ -615,7 +691,7 @@ class DirectedAcyclicGraph:
         self._require(node_id)
         kernel = self._acyclic_kernel()
         if kernel is None:
-            return self._reach(node_id, self._pred)
+            return self._reach(node_id, self._structure.pred)
         mask = kernel.ancestor_masks()[kernel.index[node_id]]
         return {kernel.nodes[i] for i in _DenseKernel.bits(mask)}
 
@@ -641,7 +717,7 @@ class DirectedAcyclicGraph:
             return True
         kernel = self._acyclic_kernel()
         if kernel is None:
-            return dst in self._reach(src, self._succ)
+            return dst in self._reach(src, self._structure.succ)
         masks = kernel.descendant_masks()
         return bool(masks[kernel.index[src]] >> kernel.index[dst] & 1)
 
@@ -823,13 +899,14 @@ class DirectedAcyclicGraph:
 
     def _transitive_edges_bfs(self) -> list[tuple[NodeId, NodeId]]:
         redundant: list[tuple[NodeId, NodeId]] = []
+        succ = self._structure.succ
         for src in self._wcet:
-            direct = self._succ[src]
+            direct = succ[src]
             if len(direct) < 2:
                 continue
             reachable_via_others: set[NodeId] = set()
             for mid in direct:
-                reachable_via_others |= self._reach(mid, self._succ)
+                reachable_via_others |= self._reach(mid, succ)
             for dst in direct:
                 if dst in reachable_via_others:
                     redundant.append((src, dst))
@@ -856,7 +933,7 @@ class DirectedAcyclicGraph:
         kernel = self._acyclic_kernel()
         if kernel is None:
             return {
-                node: frozenset(self._reach(node, self._succ))
+                node: frozenset(self._reach(node, self._structure.succ))
                 for node in self._wcet
             }
         masks = kernel.descendant_masks()
@@ -882,7 +959,7 @@ class DirectedAcyclicGraph:
         for src in self._wcet:
             if src not in selected:
                 continue
-            for dst in self._succ[src]:
+            for dst in self._structure.succ[src]:
                 if dst in selected:
                     sub.add_edge(src, dst)
         return sub
@@ -900,7 +977,7 @@ class DirectedAcyclicGraph:
         for node in self._wcet:
             renamed.add_node(mapping.get(node, node), self._wcet[node])
         for src in self._wcet:
-            for dst in self._succ[src]:
+            for dst in self._structure.succ[src]:
                 renamed.add_edge(mapping.get(src, src), mapping.get(dst, dst))
         return renamed
 
@@ -934,7 +1011,7 @@ class DirectedAcyclicGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DirectedAcyclicGraph):
             return NotImplemented
-        return self._wcet == other._wcet and self._succ == other._succ
+        return self._wcet == other._wcet and self._structure.succ == other._structure.succ
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

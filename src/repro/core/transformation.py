@@ -16,11 +16,11 @@ As a consequence, once ``v_sync`` completes, ``v_off`` and the whole of
 ``G_par`` become ready simultaneously, which is exactly the property the
 response-time analysis of Theorem 1 builds upon.
 
-This module implements the algorithm faithfully (the docstring of
-:func:`transform` maps each step to the pseudo-code line numbers) and returns
-a :class:`TransformedTask` carrying the transformed task ``tau'``, the
-parallel sub-DAG ``G_par`` and all intermediate sets, so that analyses, tests
-and experiments can introspect every aspect of the transformation.
+This module implements the algorithm faithfully (the comments of
+:func:`_algorithm1` map each step to the pseudo-code line numbers) and
+returns a :class:`TransformedTask` carrying the transformed task ``tau'``,
+the parallel sub-DAG ``G_par`` and all intermediate sets, so that analyses,
+tests and experiments can introspect every aspect of the transformation.
 """
 
 from __future__ import annotations
@@ -148,6 +148,13 @@ def transform(
 ) -> TransformedTask:
     """Apply Algorithm 1 of the paper to a heterogeneous DAG task.
 
+    Algorithm 1 does not read the WCETs, so its result is memoised on the
+    graph's structure: every copy of one structure (the paired ``C_off``
+    sweeps re-weight copies of each DAG) runs it once, and each call
+    re-weights the memoised ``tau'`` and ``G_par`` from the caller's WCETs.
+    The returned graphs share their structure copy-on-write and the
+    provenance containers are fresh, so callers may mutate both.
+
     Parameters
     ----------
     task:
@@ -185,7 +192,57 @@ def transform(
 
     graph = task.graph
     v_off = task.offloaded_node
+    shape = graph._structural(
+        ("transform", v_off, sync_node, reduce_transitive),
+        lambda: _algorithm1(graph, v_off, sync_node, reduce_transitive),
+    )
+    wcets = graph.wcets()
+    gpar = shape.gpar._reweighted(wcets)
+    wcets[sync_node] = 0
+    transformed_task = DagTask(
+        graph=shape.graph._reweighted(wcets),
+        offloaded_node=v_off,
+        period=task.period,
+        deadline=task.deadline,
+        name=f"{task.name}'",
+        metadata={**task.metadata, "sync_node": sync_node, "transformed_from": task.name},
+    )
 
+    return TransformedTask(
+        original=task,
+        task=transformed_task,
+        gpar=gpar,
+        sync_node=sync_node,
+        direct_predecessors=set(shape.direct_predecessors),
+        predecessors=set(shape.predecessors),
+        successors=set(shape.successors),
+        rerouted_edges=list(shape.rerouted_edges),
+    )
+
+
+@dataclass(frozen=True)
+class _Shape:
+    """Algorithm 1's result for one structure, before weighting.
+
+    ``graph`` (``G'``) and ``gpar`` carry the WCETs of the task that first
+    computed the shape; :func:`transform` only ever reads their structure.
+    """
+
+    graph: DirectedAcyclicGraph
+    gpar: DirectedAcyclicGraph
+    direct_predecessors: frozenset
+    predecessors: frozenset
+    successors: frozenset
+    rerouted_edges: tuple
+
+
+def _algorithm1(
+    graph: DirectedAcyclicGraph,
+    v_off: NodeId,
+    sync_node: NodeId,
+    reduce_transitive: bool,
+) -> _Shape:
+    """Run Algorithm 1 edge by edge on a copy of ``graph``."""
     # Line 1: compute Pred(v_off) and Succ(v_off).
     predecessors = graph.ancestors(v_off)
     successors = graph.descendants(v_off)
@@ -233,31 +290,17 @@ def transform(
     if reduce_transitive:
         # Remove the redundant edges in place rather than via
         # ``transitive_reduction()``, which would build a second full copy of
-        # the graph for every transformation of an experiment sweep.
-        # ``transitive_edges()`` lists each redundant edge exactly once.
+        # the graph.  ``transitive_edges()`` lists each redundant edge once.
         for src, dst in transformed.transitive_edges():
             transformed.remove_edge(src, dst)
 
     # Lines 14-17: build G_par from the *original* node and edge sets.
     parallel_nodes = set(graph.nodes()) - predecessors - successors - {v_off}
-    gpar = graph.subgraph(parallel_nodes)
-
-    transformed_task = DagTask(
+    return _Shape(
         graph=transformed,
-        offloaded_node=v_off,
-        period=task.period,
-        deadline=task.deadline,
-        name=f"{task.name}'",
-        metadata={**task.metadata, "sync_node": sync_node, "transformed_from": task.name},
-    )
-
-    return TransformedTask(
-        original=task,
-        task=transformed_task,
-        gpar=gpar,
-        sync_node=sync_node,
-        direct_predecessors=direct_predecessors,
-        predecessors=predecessors,
-        successors=successors,
-        rerouted_edges=rerouted,
+        gpar=graph.subgraph(parallel_nodes),
+        direct_predecessors=frozenset(direct_predecessors),
+        predecessors=frozenset(predecessors),
+        successors=frozenset(successors),
+        rerouted_edges=tuple(rerouted),
     )

@@ -46,12 +46,14 @@ def _evaluate_point(
     """Worker: simulate one sweep point for every host size.
 
     The tasks are transformed once (Algorithm 1 does not depend on ``m``)
-    and both variants run through the batched simulator (the vectorised
-    lockstep kernel behind :func:`~repro.simulation.batch.simulate_many`):
-    each variant is compiled once and that single compile serves every
-    ``(cores, variant)`` cell of the point, all cells advancing as lanes
-    of one numpy batch.  Returns one ``(average original, average
-    transformed)`` makespan pair per core count.
+    and both variants run through
+    :func:`~repro.simulation.batch.simulate_many` with its default engine:
+    the compiled C lockstep kernel where a C compiler is available, the
+    numpy lockstep kernel otherwise.  Each variant is compiled once and that
+    single compile serves every ``(cores, variant)`` cell of the point, all
+    cells advancing as lanes of one lockstep batch.  Returns one
+    ``(average original, average transformed)`` makespan pair per core
+    count.
     """
     tasks, core_counts, policy, policy_seed = args
     transformed_tasks = [transform(task).task for task in tasks]

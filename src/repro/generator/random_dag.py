@@ -37,17 +37,27 @@ __all__ = ["DagStructureGenerator", "generate_graph", "generate_host_task"]
 
 
 @dataclass
-class _Builder:
-    """Mutable state shared by the recursive expansion."""
+class _Draw:
+    """One recursive expansion, recorded as node numbers in creation order.
 
-    graph: DirectedAcyclicGraph = field(default_factory=DirectedAcyclicGraph)
-    counter: int = 0
+    A draw whose node count falls outside ``[n_min, n_max]`` is thrown away,
+    so only the accepted draw is turned into a graph (:meth:`graph`).
+    """
 
-    def new_node(self) -> str:
-        self.counter += 1
-        node_id = f"v{self.counter}"
-        self.graph.add_node(node_id, 0)
-        return node_id
+    nodes: int = 0
+    edges: list[tuple[int, int]] = field(default_factory=list)
+
+    def new_node(self) -> int:
+        self.nodes += 1
+        return self.nodes
+
+    def graph(self) -> DirectedAcyclicGraph:
+        """The drawn structure: nodes ``v1..vN`` with zero WCETs."""
+        names = [f"v{number}" for number in range(self.nodes + 1)]
+        return DirectedAcyclicGraph.from_dict(
+            dict.fromkeys(names[1:], 0),
+            [(names[src], names[dst]) for src, dst in self.edges],
+        )
 
 
 class DagStructureGenerator:
@@ -94,11 +104,10 @@ class DagStructureGenerator:
         """
         config = self.config
         for _ in range(config.max_attempts):
-            builder = _Builder()
-            self._expand(builder, depth=0, force_parallel=config.force_root_expansion)
-            count = builder.graph.node_count
-            if config.n_min <= count <= config.n_max:
-                return builder.graph
+            draw = _Draw()
+            self._expand(draw, depth=0, force_parallel=config.force_root_expansion)
+            if config.n_min <= draw.nodes <= config.n_max:
+                return draw.graph()
         raise GenerationError(
             f"could not generate a DAG with {config.n_min}..{config.n_max} nodes "
             f"after {config.max_attempts} attempts; "
@@ -106,8 +115,8 @@ class DagStructureGenerator:
         )
 
     def _expand(
-        self, builder: _Builder, depth: int, force_parallel: bool = False
-    ) -> tuple[str, str]:
+        self, draw: _Draw, depth: int, force_parallel: bool = False
+    ) -> tuple[int, int]:
         """Recursively expand one node; return its (entry, exit) pair."""
         config = self.config
         expand_parallel = force_parallel or (
@@ -116,15 +125,15 @@ class DagStructureGenerator:
         if depth >= config.max_depth:
             expand_parallel = False
         if not expand_parallel:
-            node = builder.new_node()
+            node = draw.new_node()
             return node, node
-        fork = builder.new_node()
-        join = builder.new_node()
+        fork = draw.new_node()
+        join = draw.new_node()
         branch_count = int(self.rng.integers(2, config.n_par + 1))
         for _ in range(branch_count):
-            entry, exit_ = self._expand(builder, depth + 1)
-            builder.graph.add_edge(fork, entry)
-            builder.graph.add_edge(exit_, join)
+            entry, exit_ = self._expand(draw, depth + 1)
+            draw.edges.append((fork, entry))
+            draw.edges.append((exit_, join))
         return fork, join
 
     # ------------------------------------------------------------------

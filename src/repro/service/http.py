@@ -210,7 +210,14 @@ class _RequestHandler(BaseHTTPRequestHandler):
     def _send_json(
         self, status: int, document: dict, retry_after: Optional[float] = None
     ) -> None:
-        body = json.dumps(document).encode("utf-8")
+        try:
+            body = json.dumps(document, allow_nan=False).encode("utf-8")
+        except ValueError:
+            # JSON has no NaN or Infinity, and inputs are finite, so a
+            # non-finite number here is a fault of the server.
+            _LOG.exception("non-finite number in the response to %s", self.path)
+            self._send_error(500, "internal", "internal server error", retryable=False)
+            return
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -334,7 +341,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 "Content-Length header or chunked transfer-encoding"
             )
         try:
-            document = json.loads(body)
+            document = json.loads(body, parse_constant=_reject_constant)
         except json.JSONDecodeError as error:
             raise ValueError(f"invalid JSON body: {error}") from error
         if not isinstance(document, dict):
@@ -600,6 +607,12 @@ class _RequestHandler(BaseHTTPRequestHandler):
             self._send_error(
                 500, "internal", "internal server error", retryable=False
             )
+
+
+def _reject_constant(name: str) -> float:
+    """``json.loads`` hook for the non-standard ``NaN`` and ``Infinity``
+    literals: the maths has no use for them, so the request is refused."""
+    raise ValueError(f"invalid JSON body: {name} is not a JSON number")
 
 
 def _platform_of(document: dict) -> Platform:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.exceptions import (
@@ -53,6 +55,18 @@ class TestConstruction:
     def test_set_negative_wcet_rejected(self, diamond):
         with pytest.raises(ValueError):
             diamond.set_wcet("a", -0.5)
+
+    @pytest.mark.parametrize("wcet", [math.nan, math.inf, -math.inf])
+    def test_non_finite_wcet_rejected(self, diamond, wcet):
+        # ``nan < 0`` is false: a sign test alone let NaN in, and the
+        # simulators then never retired the node.
+        graph = DirectedAcyclicGraph()
+        with pytest.raises(ValueError, match="finite"):
+            graph.add_node("a", wcet)
+        assert "a" not in graph
+        with pytest.raises(ValueError, match="finite"):
+            diamond.set_wcet("a", wcet)
+        assert diamond.wcet("a") == 1
 
     def test_add_edge_unknown_node_raises(self):
         graph = DirectedAcyclicGraph()

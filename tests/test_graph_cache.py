@@ -1,11 +1,13 @@
 """Cache-invalidation tests of the dense-index graph kernel.
 
-The graph memoises its derived metrics behind generation counters (see
+The graph memoises its derived metrics behind generation counters, and
+copies share the structure and its caches copy-on-write (see
 ``docs/performance.md``).  These tests deliberately *warm* every cache, then
 mutate the graph in each possible way, and assert that all recomputed values
-match a freshly rebuilt graph -- i.e. the caches can never leak stale data.
-A Hypothesis property interleaves random mutations and queries to hunt for
-invalidation orderings the unit tests missed.
+match a freshly rebuilt graph -- i.e. the caches can never leak stale data,
+and one copy's mutation never shows in another.  A Hypothesis property
+interleaves random mutations, copies and queries to hunt for invalidation
+orderings the unit tests missed.
 """
 
 from __future__ import annotations
@@ -137,6 +139,30 @@ class TestCacheHygiene:
         # The original is untouched by the clone's mutations.
         assert _snapshot(warm_diamond) == original
 
+    def test_copies_share_one_kernel_until_a_structural_mutation(self, warm_diamond):
+        clone = warm_diamond.copy()
+        clone.set_wcet("b", 40)
+        assert clone.compiled().succ_idx is warm_diamond.compiled().succ_idx
+        assert clone.compiled().wcet_list != warm_diamond.compiled().wcet_list
+        # The original mutates this time; the copy keeps the old structure.
+        warm_diamond.add_edge("b", "c")
+        assert not clone.has_edge("b", "c")
+        assert clone.compiled().succ_idx is not warm_diamond.compiled().succ_idx
+        _assert_matches_fresh(clone)
+        _assert_matches_fresh(warm_diamond)
+
+    def test_unpickled_copies_do_not_share_mutations(self, warm_diamond):
+        # Pickle memoises the shared structure, so the two graphs come back
+        # sharing one; the first mutation after unpickling must un-share it.
+        a, b = pickle.loads(pickle.dumps([warm_diamond, warm_diamond.copy()]))
+        before = _snapshot(b)
+        a.add_edge("b", "c")
+        assert a.has_edge("b", "c")
+        assert not b.has_edge("b", "c")
+        assert _snapshot(b) == before
+        _assert_matches_fresh(a)
+        _assert_matches_fresh(b)
+
     def test_pickle_round_trip_drops_caches_but_not_results(self, warm_diamond):
         restored = pickle.loads(pickle.dumps(warm_diamond))
         assert restored == warm_diamond
@@ -162,49 +188,85 @@ class TestCacheHygiene:
         _assert_matches_fresh(graph)
 
 
+def _model_graph(wcets: dict, edges: set) -> DirectedAcyclicGraph:
+    """A fresh graph built from an independently tracked model."""
+    return DirectedAcyclicGraph.from_dict(wcets, sorted(edges, key=repr))
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_interleaved_mutations_and_queries_match_a_fresh_graph(data):
-    """Random mutation/query interleavings never observe stale caches.
+    """Random mutation/copy/query interleavings never observe stale caches.
 
+    The operations run over a small pool of graphs; ``copy`` adds a copy of
+    a member, sharing its structure, so one sharer's mutations meet caches
+    the others have warmed.  Each member is checked against a model kept
+    apart from the graphs, which a leak between sharers would not match.
     Edges are only ever added from an earlier-inserted node to a later one,
-    which keeps the graph acyclic by construction.
+    which keeps every graph acyclic by construction.
     """
-    graph = DirectedAcyclicGraph()
+    pool = [DirectedAcyclicGraph()]
+    models: list[tuple[dict, set]] = [({}, set())]
     created = 0
     steps = data.draw(st.integers(min_value=1, max_value=25), label="steps")
     for _ in range(steps):
+        member = data.draw(st.integers(0, len(pool) - 1), label="graph")
+        graph, (wcets, edges) = pool[member], models[member]
         nodes = graph.nodes()
         operation = data.draw(
             st.sampled_from(
-                ["add_node", "add_edge", "remove_edge", "remove_node", "set_wcet", "check"]
+                [
+                    "add_node",
+                    "add_edge",
+                    "remove_edge",
+                    "remove_node",
+                    "set_wcet",
+                    "copy",
+                    "check",
+                ]
             ),
             label="operation",
         )
-        if operation == "add_node" or not nodes:
-            graph.add_node(f"n{created}", data.draw(st.integers(0, 9), label="wcet"))
+        if operation == "copy" and len(pool) < 4:
+            pool.append(graph.copy())
+            models.append((dict(wcets), set(edges)))
+        elif operation == "add_node" or not nodes:
+            wcet = data.draw(st.integers(0, 9), label="wcet")
+            graph.add_node(f"n{created}", wcet)
+            wcets[f"n{created}"] = wcet
             created += 1
         elif operation == "add_edge" and len(nodes) >= 2:
             i = data.draw(st.integers(0, len(nodes) - 2), label="src")
             j = data.draw(st.integers(i + 1, len(nodes) - 1), label="dst")
             if not graph.has_edge(nodes[i], nodes[j]):
                 graph.add_edge(nodes[i], nodes[j])
+                edges.add((nodes[i], nodes[j]))
         elif operation == "remove_edge" and graph.edge_count:
-            edges = graph.edges()
-            index = data.draw(st.integers(0, len(edges) - 1), label="edge")
-            graph.remove_edge(*edges[index])
+            current = graph.edges()
+            index = data.draw(st.integers(0, len(current) - 1), label="edge")
+            graph.remove_edge(*current[index])
+            edges.discard(current[index])
         elif operation == "remove_node":
-            index = data.draw(st.integers(0, len(nodes) - 1), label="node")
-            graph.remove_node(nodes[index])
+            node = nodes[data.draw(st.integers(0, len(nodes) - 1), label="node")]
+            graph.remove_node(node)
+            del wcets[node]
+            edges -= {edge for edge in edges if node in edge}
         elif operation == "set_wcet":
-            index = data.draw(st.integers(0, len(nodes) - 1), label="node")
-            graph.set_wcet(nodes[index], data.draw(st.integers(0, 9), label="wcet"))
+            node = nodes[data.draw(st.integers(0, len(nodes) - 1), label="node")]
+            wcet = data.draw(st.integers(0, 9), label="wcet")
+            graph.set_wcet(node, wcet)
+            wcets[node] = wcet
         else:
-            _assert_matches_fresh(graph)
-        # Keep the caches warm between mutations so every mutation really
-        # does hit a populated cache.
-        graph.volume()
-        graph.critical_path_length()
-        if graph.nodes():
-            graph.descendants(graph.nodes()[0])
-    _assert_matches_fresh(graph)
+            for other, (other_wcets, other_edges) in zip(pool, models):
+                assert _snapshot(other) == _snapshot(_model_graph(other_wcets, other_edges))
+        # Keep every member's caches warm between mutations so every
+        # mutation really does hit a populated (possibly shared) cache.
+        for other in pool:
+            other.volume()
+            other.critical_path_length()
+            if other.nodes():
+                other.descendants(other.nodes()[0])
+    for graph, (wcets, edges) in zip(pool, models):
+        assert graph.nodes() == list(wcets)
+        assert graph == _model_graph(wcets, edges)
+        assert _snapshot(graph) == _snapshot(_model_graph(wcets, edges))

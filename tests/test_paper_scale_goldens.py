@@ -1,12 +1,17 @@
-"""Slow golden regression tests for the paper-scale reference runs.
+"""Golden regression tests for the paper-scale reference runs.
 
 ``benchmarks/run_paper_scale.py`` records the figure 6 and figure 7 runs at
 the paper's sampling effort under ``benchmarks/results/paper_scale/``; the
 same documents are frozen as goldens in ``tests/data/figure6_paper_golden.json``
 and ``tests/data/figure7_paper_golden.json``.  These tests re-run the full
-experiments and compare bit for bit -- minutes (figure 6) to hours
-(figure 7's exact-makespan oracles) of compute, so they are ``slow``-marked
-and skipped unless ``REPRO_SLOW_TESTS=1`` is set:
+experiments and compare bit for bit.
+
+The two figure 6 reruns (headline and upper task-size range) take a few
+seconds each and run in tier-1, so every CI leg -- including the one without
+the compiled backend -- checks the headline curve.  The figure 7 and
+scheduler-ablation reruns take minutes to hours (figure 7's exact-makespan
+oracles), so they are ``slow``-marked and skipped unless
+``REPRO_SLOW_TESTS=1`` is set:
 
     REPRO_SLOW_TESTS=1 python -m pytest tests/test_paper_scale_goldens.py -m slow
 
@@ -102,15 +107,30 @@ class TestCommittedArtefactsConsistent:
             assert series["metadata"]["crossover_fraction"] is not None
 
 
-@_slow
-@pytest.mark.slow
-class TestPaperScaleReruns:
+class TestFigure6PaperScaleReruns:
     def test_figure6_paper_scale_reproduces_golden(self):
         from repro.experiments.config import paper_scale
         from repro.experiments.figure6 import run_figure6
 
         assert run_figure6(scale=paper_scale()).to_dict() == _load(FIGURE6_GOLDEN)
 
+    def test_figure6_upper_range_reproduces_golden(self):
+        from repro.experiments.config import paper_scale
+        from repro.experiments.figure6 import run_figure6
+        from repro.generator.presets import LARGE_TASKS_UPPER_RANGE
+
+        result = run_figure6(
+            scale=paper_scale(), generator_config=LARGE_TASKS_UPPER_RANGE
+        )
+        # run_paper_scale.py renames the result before publishing it.
+        result.name = "figure6_upper_range"
+        result.title += " (upper task-size range)"
+        assert result.to_dict() == _load(FIGURE6_UPPER_GOLDEN)
+
+
+@_slow
+@pytest.mark.slow
+class TestPaperScaleReruns:
     def test_figure7_paper_scale_reproduces_golden(self):
         from repro.experiments.config import figure7_paper_scale
         from repro.experiments.figure7 import run_figure7
@@ -130,19 +150,6 @@ class TestPaperScaleReruns:
             "reasons"
         )
         assert document == _load(FIGURE7_GOLDEN)
-
-    def test_figure6_upper_range_reproduces_golden(self):
-        from repro.experiments.config import paper_scale
-        from repro.experiments.figure6 import run_figure6
-        from repro.generator.presets import LARGE_TASKS_UPPER_RANGE
-
-        result = run_figure6(
-            scale=paper_scale(), generator_config=LARGE_TASKS_UPPER_RANGE
-        )
-        # run_paper_scale.py renames the result before publishing it.
-        result.name = "figure6_upper_range"
-        result.title += " (upper task-size range)"
-        assert result.to_dict() == _load(FIGURE6_UPPER_GOLDEN)
 
     def test_scheduler_ablation_reproduces_golden(self):
         from repro.experiments.ablations import run_scheduler_ablation_service

@@ -16,6 +16,9 @@ Covers the acceptance criteria of the serving layer:
 
 from __future__ import annotations
 
+import http.client
+import json
+import math
 import pickle
 import threading
 import time
@@ -849,6 +852,58 @@ class TestHTTPTransport:
             client._request("/no-such-endpoint")
         with pytest.raises(ServiceError, match="missing the 'task'"):
             client._request("/simulate", {"cores": 2})
+
+    @pytest.mark.parametrize(
+        "wcet, timeout, seed",
+        [
+            (b"NaN", b"60", 11),
+            (b"Infinity", b"60", 12),
+            (b"-Infinity", b"60", 13),
+            (b'"nan"', b"60", 14),
+            (b"2", b"NaN", 15),
+        ],
+    )
+    def test_non_finite_number_is_refused_and_the_next_request_served(
+        self, http_service, wcet, timeout, seed
+    ):
+        # A NaN WCET once passed validation and spun the dense engine
+        # forever, wedging the micro-batcher for every later request.
+        _, server, client = http_service
+        body = (
+            b'{"cores": 2, "timeout": %s, "task": '
+            b'{"nodes": {"a": 1, "b": %s}, "edges": [["a", "b"]]}}' % (timeout, wcet)
+        )
+        connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=60)
+        try:
+            connection.request(
+                "POST", "/simulate", body, {"Content-Type": "application/json"}
+            )
+            response = connection.getresponse()
+            document = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 400
+        assert document["error"]["code"] == "bad-request"
+        # A task the cache has never seen, so the batcher must serve it.
+        task = make_random_heterogeneous_task(seed, 0.2)
+        assert client.simulate(task, cores=2) == simulate_makespan(
+            task, Platform(2), policy_by_name("breadth-first")
+        )
+
+    def test_non_finite_response_is_a_500_envelope(self, http_service, monkeypatch):
+        # JSON cannot carry NaN: the server answers with an error envelope
+        # rather than a body no strict client can parse.
+        service, server, _ = http_service
+        monkeypatch.setattr(service, "stats", lambda: {"ratio": math.nan})
+        connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=60)
+        try:
+            connection.request("GET", "/stats")
+            response = connection.getresponse()
+            document = json.loads(response.read(), parse_constant=pytest.fail)
+        finally:
+            connection.close()
+        assert response.status == 500
+        assert document["error"]["code"] == "internal"
 
     def test_unreachable_server_raises_service_error(self):
         client = ServiceClient(port=1, timeout=1)

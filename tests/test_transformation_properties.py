@@ -1,14 +1,27 @@
-"""Property-based tests of Algorithm 1 on randomly generated tasks."""
+"""Property-based tests of Algorithm 1 on randomly generated tasks.
+
+The last tests cover the memoised transform: copies of one structure that
+differ only in WCETs (the paired ``C_off`` sweeps) share Algorithm 1's
+result, which must be indistinguishable from transforming a fresh rebuild.
+"""
 
 from __future__ import annotations
+
+import os
+import sys
+import threading
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.transformation import transform
+from repro.core.task import DagTask
+from repro.core.transformation import TransformedTask, transform
 from repro.core.validation import validate_task
+from repro.generator.config import GeneratorConfig, OffloadConfig
+from repro.generator.offload import pin_offloaded_fraction
+from repro.generator.sweep import chunked_offload_fraction_sweep
 
-from strategies import make_random_heterogeneous_task
+from strategies import make_random_heterogeneous_task, make_random_host_task
 
 _SEEDS = st.integers(min_value=0, max_value=5_000)
 _FRACTIONS = st.floats(min_value=0.01, max_value=0.6, allow_nan=False)
@@ -93,3 +106,170 @@ def test_node_set_only_gains_the_sync_node(seed, fraction):
     assert transformed_nodes == original_nodes | {transformed.sync_node}
     for node in original_nodes:
         assert transformed.graph.wcet(node) == task.graph.wcet(node)
+
+
+# ----------------------------------------------------------------------
+# The transform shared by copies of one structure
+# ----------------------------------------------------------------------
+def _rebuild(task: DagTask) -> DagTask:
+    """The same task built from scratch: no structure shared with ``task``."""
+    graph = task.graph
+    return DagTask.from_wcets(
+        graph.wcets(),
+        graph.edges(),
+        offloaded_node=task.offloaded_node,
+        period=task.period,
+        deadline=task.deadline,
+        name=task.name,
+    )
+
+
+def _graph_view(graph) -> tuple:
+    return (graph.nodes(), graph.wcets(), graph.edges())
+
+
+def _result_view(result: TransformedTask) -> tuple:
+    """Everything a transform returns, node and edge order included."""
+    return (
+        _graph_view(result.graph),
+        _graph_view(result.gpar),
+        result.sync_node,
+        result.direct_predecessors,
+        result.predecessors,
+        result.successors,
+        result.rerouted_edges,
+        result.task.name,
+        result.task.metadata,
+    )
+
+
+def _compiled_view(compiled) -> tuple:
+    return (
+        compiled.nodes,
+        compiled.succ_ptr,
+        compiled.succ_idx,
+        compiled.pred_ptr,
+        compiled.pred_idx,
+        compiled.topo,
+        compiled.wcet_list,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=_SEEDS,
+    pick=st.integers(min_value=0, max_value=1_000),
+    fractions=st.lists(_FRACTIONS, min_size=1, max_size=4),
+    reduce_transitive=st.booleans(),
+)
+def test_fraction_copies_transform_like_fresh_rebuilds(
+    seed, pick, fractions, reduce_transitive
+):
+    host = make_random_host_task(seed)
+    base = host.with_offloaded_node(host.graph.nodes()[pick % len(host.graph)])
+    transform(base, reduce_transitive=reduce_transitive)
+    for fraction in fractions:
+        task = pin_offloaded_fraction(base, fraction)
+        shared = transform(task, reduce_transitive=reduce_transitive)
+        fresh = transform(_rebuild(task), reduce_transitive=reduce_transitive)
+        assert _result_view(shared) == _result_view(fresh)
+        assert shared.graph.wcet(task.offloaded_node) == task.offloaded_wcet
+
+
+def test_mutating_a_result_leaves_sibling_results_alone():
+    base = make_random_heterogeneous_task(17, 0.2, n_max=60)
+    first = transform(base.with_offloaded_wcet(5.0))
+    sibling = base.with_offloaded_wcet(9.0)
+    expected = _result_view(transform(sibling))
+    assert first.rerouted_edges, "the case must reroute something"
+
+    first.graph.add_node("intruder", 1)
+    first.graph.add_edge(first.sync_node, "intruder")
+    first.graph.remove_edge(first.sync_node, first.offloaded_node)
+    first.graph.set_wcet(first.sync_node, 3)
+    first.gpar.add_node("intruder", 1)
+    first.gpar.set_wcet(first.gpar.nodes()[0], 99)
+    first.direct_predecessors.add("intruder")
+    first.predecessors.clear()
+    first.successors.add("intruder")
+    first.rerouted_edges.append(("intruder", "intruder"))
+
+    assert _result_view(transform(sibling)) == expected
+    assert _result_view(transform(sibling)) == _result_view(transform(_rebuild(sibling)))
+
+
+def test_sweep_fraction_copies_share_one_kernel():
+    """Pins the sharing itself: without it the sweep is correct but slow."""
+    config = GeneratorConfig(n_min=10, n_max=60, c_min=1, c_max=20)
+    points = chunked_offload_fraction_sweep(
+        fractions=[0.05, 0.2, 0.5],
+        dags_per_point=3,
+        generator_config=config,
+        offload_config=OffloadConfig(),
+        root_seed=3,
+    )
+    for index in range(3):
+        tasks = [point.tasks[index] for point in points]
+        assert len({task.offloaded_wcet for task in tasks}) == 3
+        kernel = tasks[0].graph._kernel()
+        assert all(task.graph._kernel() is kernel for task in tasks)
+        transformed = [transform(task).graph for task in tasks]
+        kernel = transformed[0]._kernel()
+        assert all(graph._kernel() is kernel for graph in transformed)
+
+
+def test_threads_sharing_one_structure_match_fresh_rebuilds():
+    """Threads copy, re-weight, transform, compile and mutate copies of one
+    shared base at once; every answer must match a fresh rebuild."""
+    threads_count = 2 * (os.cpu_count() or 1) + 2
+    base = make_random_heterogeneous_task(23, 0.3, n_max=60)
+    base_fresh = _rebuild(base)
+    fractions = [0.02 + 0.6 * index / threads_count for index in range(threads_count)]
+    results: list = [None] * threads_count
+    errors: list[BaseException] = []
+    barrier = threading.Barrier(threads_count)
+
+    def work(index: int) -> None:
+        try:
+            barrier.wait(timeout=60)
+            task = pin_offloaded_fraction(base, fractions[index])
+            result = transform(task)
+            compiled = (task.compiled(), result.task.compiled())
+            extra = f"extra{index}"
+            task.graph.add_node(extra, index)
+            task.graph.add_edge(task.graph.nodes()[0], extra)
+            result.graph.remove_edge(result.sync_node, result.offloaded_node)
+            results[index] = (task, result, compiled)
+        except BaseException as error:  # noqa: BLE001 - reported below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=work, args=(index,)) for index in range(threads_count)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+
+    for index, (task, result, compiled) in enumerate(results):
+        fresh = pin_offloaded_fraction(_rebuild(base_fresh), fractions[index])
+        fresh_result = transform(fresh)
+        fresh_result.graph.remove_edge(result.sync_node, result.offloaded_node)
+        assert _result_view(result) == _result_view(fresh_result)
+        assert _compiled_view(compiled[0]) == _compiled_view(fresh.compiled())
+        fresh_transformed = transform(fresh).task.compiled()
+        assert _compiled_view(compiled[1]) == _compiled_view(fresh_transformed)
+        fresh.graph.add_node(f"extra{index}", index)
+        fresh.graph.add_edge(fresh.graph.nodes()[0], f"extra{index}")
+        assert _graph_view(task.graph) == _graph_view(fresh.graph)
+        assert task.graph.topological_order() == fresh.graph.topological_order()
+    assert _graph_view(base.graph) == _graph_view(base_fresh.graph)
+    assert base.graph.topological_order() == base_fresh.graph.topological_order()
+    assert base.graph.transitive_closure() == base_fresh.graph.transitive_closure()
