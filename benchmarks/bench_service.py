@@ -24,10 +24,18 @@ makespans:
 * **service, warm** -- the identical burst again: pure fingerprint-keyed
   cache hits.
 
+A fourth measurement times cache hits whose task arrives the way the HTTP
+handler receives it: a freshly ``json.loads``-ed document, decoded with
+``decode_task`` and fingerprinted without building a graph.  It is
+compared with the full path, ``task_from_dict`` (graph build, compile and
+fingerprint) before the same lookup.
+
 Acceptance (enforced by ``--smoke`` in CI, next to the PR 2-4 smokes):
 the cold service must beat the naive path by ``SERVICE_SPEEDUP_TARGET``
-(the batching/amortisation gain) and the warm service must beat it by
-``HIT_SPEEDUP_TARGET`` (the hit-path gain), with bit-identical results.
+(the batching/amortisation gain), the warm service must beat it by
+``HIT_SPEEDUP_TARGET`` (the hit-path gain), and a hit from a decoded
+document must beat the full path by ``DOCUMENT_HIT_SPEEDUP_TARGET``, with
+bit-identical results throughout.
 
 ``--faults`` switches to the PR-6 resilience benchmark instead: the cost
 of a *disabled* fault point on the hot path (must be attribute-read cheap,
@@ -59,7 +67,7 @@ from repro.experiments.config import quick_scale  # noqa: E402
 from repro.generator.config import OffloadConfig  # noqa: E402
 from repro.generator.presets import LARGE_TASKS_FIG6  # noqa: E402
 from repro.generator.sweep import chunked_offload_fraction_sweep  # noqa: E402
-from repro.io.json_io import task_from_dict, task_to_dict  # noqa: E402
+from repro.io.json_io import decode_task, task_from_dict, task_to_dict  # noqa: E402
 from repro.service import EvaluationService  # noqa: E402
 from repro.simulation.engine import simulate_makespan  # noqa: E402
 from repro.simulation.platform import Platform  # noqa: E402
@@ -73,6 +81,10 @@ SERVICE_SPEEDUP_TARGET = 2.0
 
 #: Acceptance: warm service vs naive per-request (cache-hit path).
 HIT_SPEEDUP_TARGET = 10.0
+
+#: Acceptance: a cache hit from a decoded document vs the same hit after a
+#: full ``task_from_dict`` (graph build + compile + fingerprint).
+DOCUMENT_HIT_SPEEDUP_TARGET = 2.0
 
 #: How often each unique request appears in the mix (live traffic re-asks
 #: popular questions; the report carries both unique and total counts).
@@ -174,6 +186,43 @@ def bench_service(documents, requests):
         if best is None or cold_s < best[0]:
             best = (cold_s, warm_s, cold, warm, stats)
     return best
+
+
+def bench_document_hits(documents, requests):
+    """Cache hits from freshly ``json.loads``-ed documents, two ways.
+
+    Returns ``(full_s, document_s, full_results, document_results)``: the
+    best time over the mix when each request's task is built with
+    ``task_from_dict`` before the lookup, and when it is only decoded with
+    ``decode_task`` (what the HTTP handler passes the service).  Parsing the
+    JSON body is common to both and not timed.
+    """
+    bodies = [json.dumps(document) for document in documents]
+    with EvaluationService() as service:
+        for index, cores in sorted(set(requests)):
+            service.submit_simulation(
+                task_from_dict(documents[index]), cores, timeout=600
+            )
+
+        def run(decode) -> tuple[float, list[float]]:
+            fresh = [json.loads(bodies[index]) for index, _ in requests]
+            t0 = time.perf_counter()
+            results = [
+                service.submit_simulation(decode(document), cores, timeout=600)
+                for document, (_, cores) in zip(fresh, requests)
+            ]
+            return time.perf_counter() - t0, results
+
+        full_s = document_s = float("inf")
+        for _ in range(REPEATS):
+            elapsed, full = run(task_from_dict)
+            full_s = min(full_s, elapsed)
+            elapsed, decoded = run(decode_task)
+            document_s = min(document_s, elapsed)
+        misses = service.stats()["cache"]["misses"]
+    if misses != len(set(requests)):
+        raise RuntimeError(f"{misses} misses: every timed request must be a hit")
+    return full_s, document_s, full, decoded
 
 
 #: Acceptance: a disabled fault point must cost no more than this per call
@@ -335,10 +384,18 @@ def main() -> dict:
 
     naive_s, naive = bench_naive(documents, requests)
     cold_s, warm_s, cold, warm, stats = bench_service(documents, requests)
+    full_hit_s, document_hit_s, full_hits, document_hits = bench_document_hits(
+        documents, requests
+    )
 
     identical = naive == cold == warm
+    document_hits_identical = naive == full_hits == document_hits
     service_speedup = naive_s / max(cold_s, 1e-9)
     hit_speedup = naive_s / max(warm_s, 1e-9)
+    document_hit_speedup = full_hit_s / max(document_hit_s, 1e-9)
+    mean_nodes = sum(len(document["nodes"]) for document in documents) / len(
+        documents
+    )
 
     document = {
         "benchmark": "evaluation_service",
@@ -364,6 +421,10 @@ def main() -> dict:
         "service_warm_requests_per_s": len(requests) / warm_s,
         "service_speedup": service_speedup,
         "hit_speedup": hit_speedup,
+        "document_mean_nodes": mean_nodes,
+        "full_decode_hit_ms": 1e3 * full_hit_s / len(requests),
+        "document_hit_ms": 1e3 * document_hit_s / len(requests),
+        "document_hit_speedup": document_hit_speedup,
         "batches": stats["batching"]["batches"],
         "largest_batch": stats["batching"]["largest_batch"],
         "evaluated_cells": stats["engine"]["evaluated_cells"],
@@ -380,6 +441,12 @@ def main() -> dict:
             "hit_speedup_target": HIT_SPEEDUP_TARGET,
             "hit_speedup_met": hit_speedup >= HIT_SPEEDUP_TARGET,
             "makespans_identical": bool(identical),
+            "document_hit_speedup": document_hit_speedup,
+            "document_hit_speedup_target": DOCUMENT_HIT_SPEEDUP_TARGET,
+            "document_hit_speedup_met": (
+                document_hit_speedup >= DOCUMENT_HIT_SPEEDUP_TARGET
+            ),
+            "document_hits_identical": bool(document_hits_identical),
         },
     }
 
@@ -390,6 +457,12 @@ def main() -> dict:
         f"x{service_speedup:.2f}) | service warm: {warm_s:.4f}s "
         f"({document['service_warm_requests_per_s']:.0f} req/s, "
         f"x{hit_speedup:.1f})"
+    )
+    print(
+        f"cache hit from a fresh JSON document ({mean_nodes:.0f} nodes on "
+        f"average): full decode {document['full_decode_hit_ms']:.3f} ms | "
+        f"decoded document {document['document_hit_ms']:.3f} ms "
+        f"(x{document_hit_speedup:.2f})"
     )
     print(
         f"coalescing: {len(requests)} requests -> {document['batches']} batches "
@@ -409,7 +482,12 @@ def main() -> dict:
         f"(target x{accepted['hit_speedup_target']:.0f}) -> "
         f"{'PASS' if accepted['hit_speedup_met'] else 'FAIL'}; "
         f"makespans identical -> "
-        f"{'PASS' if accepted['makespans_identical'] else 'FAIL'}"
+        f"{'PASS' if accepted['makespans_identical'] else 'FAIL'}; "
+        f"document hit x{document_hit_speedup:.2f} "
+        f"(target x{DOCUMENT_HIT_SPEEDUP_TARGET:.0f}) -> "
+        f"{'PASS' if accepted['document_hit_speedup_met'] else 'FAIL'}; "
+        f"document hits identical -> "
+        f"{'PASS' if accepted['document_hits_identical'] else 'FAIL'}"
     )
     return document
 

@@ -41,6 +41,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
+from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
@@ -50,7 +52,7 @@ from .graph import DirectedAcyclicGraph, NodeId
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .task import DagTask
 
-__all__ = ["CompiledTask", "compile_graph", "compile_task"]
+__all__ = ["CompiledTask", "compile_graph", "compile_task", "graph_digest"]
 
 
 class CompiledTask:
@@ -158,33 +160,33 @@ class CompiledTask:
     def fingerprint(self) -> str:
         """Stable content hash of the weighted graph (structure + WCETs).
 
-        The hash is computed over the *sorted* ``(str(node), wcet)`` pairs
-        and the sorted stringified edge list, so it depends only on the
-        graph's content: two structurally identical DAGs built in different
-        node-insertion orders hash equal, and the hash survives pickling
-        (unlike the generation stamp, which is per-object).  The serving
-        layer (:mod:`repro.service.fingerprint`) keys its memoised results
-        on this value, which is why it lives on the compiled view: the
-        stamp-cached compile and the result-cache key agree -- an unmutated
-        task hashes exactly once.
+        :func:`graph_digest` of the stringified node identifiers, the WCETs
+        and the successor arrays: it depends only on the graph's content
+        (two structurally identical DAGs built in different node-insertion
+        orders hash equal) and survives pickling, unlike the generation
+        stamp.  The serving layer (:mod:`repro.service.fingerprint`) keys
+        its memoised results on this value, which is why it lives on the
+        compiled view: the stamp-cached compile and the result-cache key
+        agree, so an unmutated task hashes exactly once.  A decoded task
+        document (:class:`repro.io.json_io.TaskDocument`) hashes through
+        the same function and so equals the task built from it.
 
         Node identifiers are stringified the same way as the JSON codec
         (:func:`repro.io.json_io.task_to_dict`); identifiers whose ``str``
-        forms collide would alias, matching the on-disk format's own
-        behaviour.
+        forms collide are not told apart by name, matching the on-disk
+        format's own behaviour.
         """
         if self._fingerprint is None:
-            names = [str(node) for node in self.nodes]
-            nodes = sorted(zip(names, self.wcet_list))
-            edges = sorted(
-                (names[i], names[s])
-                for i in range(len(names))
-                for s in self.succ_idx[self.succ_ptr[i] : self.succ_ptr[i + 1]]
+            succ_ptr, succ_idx = self.succ_ptr, self.succ_idx
+            self._fingerprint = graph_digest(
+                [str(node) for node in self.nodes],
+                self.wcet_list,
+                (
+                    (src, dst)
+                    for src in range(len(self.nodes))
+                    for dst in succ_idx[succ_ptr[src] : succ_ptr[src + 1]]
+                ),
             )
-            payload = json.dumps(
-                {"edges": edges, "nodes": nodes}, separators=(",", ":")
-            ).encode("utf-8")
-            self._fingerprint = hashlib.sha256(payload).hexdigest()
         return self._fingerprint
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
@@ -211,6 +213,36 @@ class CompiledTask:
 
     def __setstate__(self, state: tuple) -> None:
         self.__init__(*state)
+
+
+def graph_digest(
+    names: Sequence[str],
+    wcets: Sequence[float],
+    edges: Iterable[tuple[int, int]],
+) -> str:
+    """SHA-256 hex digest of a weighted graph's content.
+
+    Node ``i`` is called ``names[i]`` and weighs ``wcets[i]``; ``edges`` are
+    ``(src, dst)`` index pairs.  The digest does not depend on the order of
+    the nodes or of the edges: nodes are ranked by name, and the message is
+    the node and edge counts, the sorted names (as JSON), the WCETs in name
+    order (little-endian IEEE 754 doubles) and the sorted ``(src, dst)``
+    rank pairs (``src * n + dst`` as 64-bit integers).  Every part has a
+    known length, so the message -- and, up to SHA-256 collisions, the
+    digest -- determines the graph.  An edge listed twice is hashed twice.
+    """
+    count = len(names)
+    order = sorted(range(count), key=names.__getitem__)
+    rank = [0] * count
+    for position, node in enumerate(order):
+        rank[node] = position
+    pairs = sorted(rank[src] * count + rank[dst] for src, dst in edges)
+    labels = json.dumps([names[node] for node in order]).encode("ascii")
+    digest = hashlib.sha256(struct.pack("<3Q", count, len(labels), len(pairs)))
+    digest.update(labels)
+    digest.update(struct.pack(f"<{count}d", *[wcets[node] for node in order]))
+    digest.update(struct.pack(f"<{len(pairs)}q", *pairs))
+    return digest.hexdigest()
 
 
 def compile_graph(graph: DirectedAcyclicGraph) -> CompiledTask:

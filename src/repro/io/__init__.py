@@ -7,6 +7,9 @@
 
 from .dot import load_dot, save_dot, task_from_dot, task_to_dot, transformed_to_dot
 from .json_io import (
+    TaskDocument,
+    build_task,
+    decode_task,
     load_task,
     load_taskset,
     save_task,
@@ -20,6 +23,9 @@ from .json_io import (
 )
 
 __all__ = [
+    "TaskDocument",
+    "decode_task",
+    "build_task",
     "task_to_dict",
     "task_from_dict",
     "task_to_json",

@@ -15,18 +15,30 @@ between runs of the experiment harness::
     }
 
 Task sets are stored as ``{"name": ..., "tasks": [<task>, ...]}``.
+
+:func:`task_from_dict` runs two steps.  :func:`decode_task` checks the
+document's shape and converts its values into a :class:`TaskDocument`
+without building a graph; :func:`build_task` builds the graph and the task,
+with the checks that need the graph.  The evaluation service fingerprints
+the decoded document and builds the task only when the result cache has no
+answer for it.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 from ..core.exceptions import SerializationError
 from ..core.task import DagTask, TaskSet
 
 __all__ = [
+    "TaskDocument",
+    "decode_task",
+    "build_task",
     "task_to_dict",
     "task_from_dict",
     "task_to_json",
@@ -53,48 +65,135 @@ def task_to_dict(task: DagTask) -> dict:
     }
 
 
-def task_from_dict(data: dict) -> DagTask:
-    """Inverse of :func:`task_to_dict`.
+@dataclass(frozen=True)
+class TaskDocument:
+    """A task document decoded to plain values, before any graph is built.
+
+    :func:`decode_task` produces it with every shape check and conversion
+    of the on-disk format applied; :func:`build_task` turns it into a
+    :class:`~repro.core.task.DagTask`.  Node ``i`` is ``names[i]`` with WCET
+    ``wcets[i]`` (document order), and ``edges`` are ``(src, dst)`` index
+    pairs into ``names``.  ``deadline`` already defaults to ``period``, as
+    in the built task.  The checks that need the graph -- duplicate edges,
+    self loops, cycles, WCETs outside ``[0, inf)``, ``deadline > period``
+    -- are left to the build.
+    """
+
+    names: list[str]
+    wcets: list[float]
+    edges: list[tuple[int, int]]
+    offloaded_node: Optional[str] = None
+    period: Optional[float] = None
+    deadline: Optional[float] = None
+    name: str = "tau"
+    metadata: dict = field(default_factory=dict)
+
+    @property
+    def node_count(self) -> int:
+        """Number of nodes (as :attr:`DagTask.node_count` of the build)."""
+        return len(self.names)
+
+
+def decode_task(data: Mapping) -> TaskDocument:
+    """Check the shape of a task document and convert its values.
 
     Raises
     ------
     SerializationError
-        If mandatory keys are missing or edges reference unknown nodes.
+        If the document is not an object, mandatory keys are missing, a
+        value has the wrong shape or type, or an edge or the offloaded node
+        names an unknown node.
     """
+    if not isinstance(data, Mapping):
+        raise SerializationError("a task document must be a JSON object")
     if "nodes" not in data:
         raise SerializationError("task document is missing the 'nodes' mapping")
+    nodes = data["nodes"]
+    if not isinstance(nodes, Mapping):
+        raise SerializationError("task document 'nodes' must map node names to WCETs")
     try:
-        nodes = {str(node): float(wcet) for node, wcet in data["nodes"].items()}
+        wcet_of = {str(node): float(wcet) for node, wcet in nodes.items()}
     except (TypeError, ValueError) as error:
         raise SerializationError(f"invalid node mapping: {error}") from error
+    index = {name: position for position, name in enumerate(wcet_of)}
+    raw_edges = data.get("edges", [])
+    if not isinstance(raw_edges, (list, tuple)):
+        raise SerializationError("task document 'edges' must be a list of pairs")
     edges = []
-    for edge in data.get("edges", []):
-        if len(edge) != 2:
+    for edge in raw_edges:
+        if type(edge) not in (list, tuple) or len(edge) != 2:
             raise SerializationError(f"invalid edge entry {edge!r}")
-        src, dst = str(edge[0]), str(edge[1])
-        if src not in nodes or dst not in nodes:
-            raise SerializationError(f"edge {edge!r} references an unknown node")
-        edges.append((src, dst))
+        src, dst = edge
+        try:
+            edges.append((index[str(src)], index[str(dst)]))
+        except KeyError:
+            raise SerializationError(
+                f"edge {edge!r} references an unknown node"
+            ) from None
     offloaded = data.get("offloaded_node")
     if offloaded is not None:
         offloaded = str(offloaded)
-        if offloaded not in nodes:
+        if offloaded not in index:
             raise SerializationError(
                 f"offloaded node {offloaded!r} is not part of the node mapping"
             )
+    metadata = data.get("metadata", {})
+    if not isinstance(metadata, Mapping):
+        raise SerializationError("task document 'metadata' must be a JSON object")
+    period = data.get("period")
+    deadline = data.get("deadline")
+    return TaskDocument(
+        names=list(wcet_of),
+        wcets=list(wcet_of.values()),
+        edges=edges,
+        offloaded_node=offloaded,
+        period=period,
+        deadline=period if deadline is None else deadline,
+        name=str(data.get("name", "tau")),
+        metadata=dict(metadata),
+    )
+
+
+def build_task(document: TaskDocument) -> DagTask:
+    """Build the task of a decoded document, graph checks included.
+
+    Raises
+    ------
+    SerializationError
+        If the graph or the timing parameters violate the task model
+        (duplicate edge, self loop, cycle, invalid WCET, ``D > T``).
+    """
+    names = document.names
     try:
         task = DagTask.from_wcets(
-            nodes,
-            edges,
-            offloaded_node=offloaded,
-            period=data.get("period"),
-            deadline=data.get("deadline"),
-            name=str(data.get("name", "tau")),
+            dict(zip(names, document.wcets)),
+            [(names[src], names[dst]) for src, dst in document.edges],
+            offloaded_node=document.offloaded_node,
+            period=document.period,
+            deadline=document.deadline,
+            name=document.name,
         )
+        task.graph.check_acyclic()
     except Exception as error:  # noqa: BLE001 - wrap as serialisation problem
         raise SerializationError(f"cannot build task from document: {error}") from error
-    task.metadata.update(data.get("metadata", {}))
+    task.metadata.update(document.metadata)
     return task
+
+
+def task_from_dict(data: Union[dict, TaskDocument]) -> DagTask:
+    """Inverse of :func:`task_to_dict`: :func:`decode_task`, then :func:`build_task`.
+
+    ``data`` may also be a :class:`TaskDocument` that was decoded already.
+
+    Raises
+    ------
+    SerializationError
+        If the document is malformed (see :func:`decode_task`) or describes
+        no valid task (see :func:`build_task`).
+    """
+    if not isinstance(data, TaskDocument):
+        data = decode_task(data)
+    return build_task(data)
 
 
 def task_to_json(task: DagTask, indent: int = 2) -> str:

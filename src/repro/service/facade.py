@@ -43,6 +43,15 @@ bursts vs sequential evaluation, cached vs uncached).
 Policies are accepted *declaratively* (name + optional seed + optional
 fixed-priority table), never as live instances: a live instance can carry
 consumed RNG state that no stable cache key could describe.
+
+Tasks are accepted built (:class:`~repro.core.task.DagTask`) or as decoded
+task documents (:class:`~repro.io.json_io.TaskDocument`, what the HTTP
+transport passes).  A document is fingerprinted without building a graph
+and built only when its request is new (step 4), so a cache hit from the
+wire never builds one.  A document the full decode would reject is never
+answered from the cache: its fingerprint cannot equal that of a task the
+build accepted (see :func:`~repro.service.fingerprint.task_fingerprint`),
+so it misses, and the build on the miss rejects it.
 """
 
 from __future__ import annotations
@@ -61,6 +70,7 @@ from ..core.task import DagTask
 from ..generator.arrivals import arrival_to_dict
 from ..ilp.batch import minimum_makespans_many
 from ..ilp.makespan import MakespanMethod, MakespanResult
+from ..io.json_io import TaskDocument
 from ..parallel import worker_respawn_count
 from ..resilience import FAULTS, CircuitBreaker, Deadline, fault_point
 from ..simulation.batch import resolve_engine, simulate_many
@@ -150,6 +160,30 @@ def _validate_policy_spec(
 
 def _as_platform(platform: Union[Platform, int]) -> Platform:
     return platform if isinstance(platform, Platform) else Platform(platform)
+
+
+def _check_timeout(timeout: Optional[float]) -> Optional[float]:
+    """``timeout`` if a wait can honour it: ``None`` (wait forever) or
+    seconds in ``[0, threading.TIMEOUT_MAX]`` -- a longer wait overflows
+    the platform's clock."""
+    if timeout is not None and not 0 <= timeout <= threading.TIMEOUT_MAX:
+        raise ValueError(
+            f"timeout must be between 0 and {threading.TIMEOUT_MAX:g} "
+            f"seconds, got {timeout}"
+        )
+    return timeout
+
+
+def _build_task(document: TaskDocument) -> DagTask:
+    """The task of a decoded document: the one graph build of a miss.
+
+    Goes through ``repro.service.http.task_from_dict``, so the task decode
+    layer has one entry point however the document arrived (the traced
+    benchmark, ``perfbench/serve_launcher.py``, times the layer there).
+    """
+    from . import http  # imported here: http imports this module
+
+    return http.task_from_dict(document)
 
 
 def _copy_payload(value):
@@ -369,7 +403,7 @@ class EvaluationService:
         # on this host -- ~1 with the compiled kernel, a couple of hundred
         # lanes on the numpy fallback.
         self.vector_threshold = _calibrated_threshold(vector_threshold)
-        self._default_timeout = default_timeout
+        self._default_timeout = _check_timeout(default_timeout)
         self._oracle_budget = oracle_budget
         self._oracle_breaker = CircuitBreaker(
             failure_threshold=breaker_threshold,
@@ -550,7 +584,7 @@ class EvaluationService:
     # ------------------------------------------------------------------
     def submit_simulation(
         self,
-        task: DagTask,
+        task: Union[DagTask, TaskDocument],
         platform: Union[Platform, int] = 2,
         *,
         policy: str = "breadth-first",
@@ -564,6 +598,8 @@ class EvaluationService:
         Returns exactly ``simulate_makespan(task, platform,
         build_policy(policy, policy_seed, priorities), offload_enabled)``
         -- see the module docstring for why coalescing cannot change it.
+        ``task`` may be a decoded document instead of a task (as for every
+        ``submit_*`` method); its task is then built only on a cache miss.
         """
         platform = _as_platform(platform)
         _validate_policy_spec(policy, priorities)
@@ -617,7 +653,7 @@ class EvaluationService:
 
     def submit_analysis(
         self,
-        task: DagTask,
+        task: Union[DagTask, TaskDocument],
         cores: Union[int, Iterable[int]] = 2,
         *,
         include_naive: bool = True,
@@ -639,7 +675,7 @@ class EvaluationService:
 
     def submit_makespan(
         self,
-        task: DagTask,
+        task: Union[DagTask, TaskDocument],
         cores: int = 2,
         *,
         accelerators: int = 1,
@@ -834,11 +870,18 @@ class EvaluationService:
         kind: str,
         fingerprint: str,
         group_key: tuple,
-        task: DagTask,
+        task: Union[DagTask, TaskDocument],
         params: dict,
         timeout: Optional[float],
         cost: Optional[int] = None,
     ) -> dict:
+        """Serve one fingerprinted request: cache, in-flight join or batch.
+
+        A decoded document is built into its task only here, once the
+        request turned out to be new: a cache hit and an in-flight join
+        never build a graph.  A build failure fails the new request, so
+        duplicates that joined it meanwhile get the same error.
+        """
         with self.tracer.span(
             "facade.submit", attributes={"kind": kind}
         ) as submit_span:
@@ -849,9 +892,11 @@ class EvaluationService:
                         "accepted"
                     )
             self._requests.inc(kind=kind)
-            if timeout is None:
-                timeout = self._default_timeout
-            deadline = Deadline.after(timeout)
+            deadline = Deadline.after(
+                self._default_timeout
+                if timeout is None
+                else _check_timeout(timeout)
+            )
             with self.tracer.span("cache.lookup") as cache_span:
                 cached = self.cache.get(fingerprint)
                 cache_span.set("hit", cached is not None)
@@ -868,11 +913,7 @@ class EvaluationService:
                         task=task,
                         params=params,
                         deadline=deadline,
-                        cost=(
-                            max(1, len(task.graph.nodes()))
-                            if cost is None
-                            else cost
-                        ),
+                        cost=max(1, task.node_count) if cost is None else cost,
                     )
                     self._inflight[fingerprint] = request
                 else:
@@ -890,6 +931,12 @@ class EvaluationService:
                         leader_ctx.trace.trace_id, kind="dedupe-leader"
                     )
                 return _copy_payload(self._wait(leader, deadline))
+            if isinstance(task, TaskDocument):
+                try:
+                    request.task = _build_task(task)
+                except BaseException as error:
+                    self._abort(request, error)
+                    raise
             queue_span = self.tracer.start_span("batcher.queue")
             if queue_span:
                 request.trace = RequestTraceContext(current_trace(), queue_span)

@@ -4,14 +4,20 @@ The evaluation service (:mod:`repro.service.facade`) memoises results in a
 byte-capped LRU keyed on *what the engines actually read*, so that two
 requests asking the same question -- regardless of how their task objects
 were constructed -- share one cache entry.  Every fingerprint is a SHA-256
-hex digest over a canonical JSON document:
+hex digest over a canonical JSON document, except the graph part:
 
-* **graph** -- sorted ``(node, wcet)`` pairs plus the sorted edge list,
-  computed (and cached) by :meth:`repro.core.compiled.CompiledTask.fingerprint`.
-  Because the compile itself is stamp-cached on the graph's ``(structure,
-  weights)`` generation, an unmutated task is hashed exactly once, and two
-  structurally identical DAGs built in different node-insertion orders hash
-  equal;
+* **graph** -- :func:`repro.core.compiled.graph_digest`, a SHA-256 digest
+  over a binary form of the content: the sorted node names, their WCETs in
+  name order as packed doubles, and the sorted edge list as pairs of name
+  ranks.  A built task reaches it through (and caches it on)
+  :meth:`repro.core.compiled.CompiledTask.fingerprint`; because the compile
+  is stamp-cached on the graph's ``(structure, weights)`` generation, an
+  unmutated task is hashed exactly once.  A decoded task document
+  (:class:`repro.io.json_io.TaskDocument`, what the HTTP transport hands
+  the facade) goes straight to the digest without building a graph, so a
+  cache hit from the wire costs the JSON decode and one digest.  Both
+  paths hash equal for equal content, and two structurally identical DAGs
+  built in different node-insertion orders hash equal;
 * **task** -- the graph fingerprint together with the behavioural fields of
   the :func:`~repro.io.json_io.task_to_dict` form (``offloaded_node``,
   ``period``, ``deadline``).  The task *name* and free-form ``metadata``
@@ -25,9 +31,9 @@ hex digest over a canonical JSON document:
 * **request** -- the kind tag plus every part above and the remaining
   request parameters.
 
-All fingerprints go through :func:`canonical_bytes`, which serialises with
-sorted keys and no whitespace so that semantically equal documents produce
-identical bytes.
+Every fingerprint but the graph digest goes through :func:`canonical_bytes`,
+which serialises with sorted keys and no whitespace so that semantically
+equal documents produce identical bytes.
 """
 
 from __future__ import annotations
@@ -36,9 +42,10 @@ import hashlib
 import json
 from typing import Optional, Union
 
-from ..core.compiled import CompiledTask, compile_task
+from ..core.compiled import CompiledTask, compile_task, graph_digest
 from ..core.graph import DirectedAcyclicGraph
 from ..core.task import DagTask
+from ..io.json_io import TaskDocument
 from ..simulation.platform import Platform
 
 __all__ = [
@@ -84,18 +91,24 @@ def graph_fingerprint(
     return compiled.fingerprint()
 
 
-def task_fingerprint(task: DagTask) -> str:
+def task_fingerprint(task: Union[DagTask, TaskDocument]) -> str:
     """Content hash of a task: graph content + behavioural timing fields.
 
     Derived from the :func:`~repro.io.json_io.task_to_dict` JSON form minus
     the purely descriptive fields (``name``, ``metadata``), which no engine
-    reads -- see the module docstring.
+    reads -- see the module docstring.  A decoded task document hashes
+    without building a graph and equals the hash of the task
+    :func:`~repro.io.json_io.task_from_dict` builds from it.
     """
+    if isinstance(task, TaskDocument):
+        graph = graph_digest(task.names, task.wcets, task.edges)
+    else:
+        graph = graph_fingerprint(task)
     offloaded = task.offloaded_node
     return fingerprint_document(
         [
             "task",
-            graph_fingerprint(task),
+            graph,
             None if offloaded is None else str(offloaded),
             task.period,
             task.deadline,

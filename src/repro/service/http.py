@@ -5,7 +5,10 @@ A thin :mod:`http.server` facade over
 framework, matching the repository's no-new-dependencies rule.  Tasks cross
 the wire in the exact on-disk JSON form of :mod:`repro.io.json_io`
 (``task_to_dict`` / ``task_from_dict``), so anything that can author a task
-file can talk to the service.
+file can talk to the service.  ``/simulate``, ``/analyse`` and ``/makespan``
+hand the facade the decoded document (``decode_task``), not a built task:
+the facade fingerprints it and builds the task, through this module's
+``task_from_dict``, only on a cache miss.
 
 Endpoints
 ---------
@@ -60,7 +63,7 @@ from ..core.exceptions import (
     ServiceTimeoutError,
 )
 from ..generator.arrivals import arrival_from_dict
-from ..io.json_io import task_from_dict
+from ..io.json_io import decode_task, task_from_dict
 from ..resilience import FAULTS
 from ..simulation.platform import Platform
 from ..simulation.workload import JobStream
@@ -349,9 +352,11 @@ class _RequestHandler(BaseHTTPRequestHandler):
         return document
 
     def _task_of(self, document: dict):
+        """The request's task document, decoded but not built: the facade
+        builds it only on a cache miss."""
         if "task" not in document:
             raise ValueError("request document is missing the 'task' object")
-        return task_from_dict(document["task"])
+        return decode_task(document["task"])
 
     def _streams_of(self, document: dict) -> list:
         specs = document.get("streams")

@@ -236,13 +236,18 @@ class ExecutionTrace:
             self._check_capacity(ACCELERATOR, self.platform.accelerators)
 
     def _check_capacity(self, kind: str, capacity: int) -> None:
-        """Verify that at most ``capacity`` nodes of ``kind`` overlap in time."""
+        """Verify that at most ``capacity`` nodes of ``kind`` overlap in time.
+
+        As in the precedence check, times within 1e-9 count as equal: the
+        engines retire completions that close as one instant, and WCET sums
+        along different paths can differ in the last bits.
+        """
         events: list[tuple[float, int]] = []
         for record in self.executions:
             if record.resource_kind != kind or record.duration == 0:
                 continue
             events.append((record.start, +1))
-            events.append((record.finish, -1))
+            events.append((record.finish - 1e-9, -1))
         # Process finishes before starts at equal times.
         events.sort(key=lambda event: (event[0], event[1]))
         active = 0

@@ -10,6 +10,9 @@ from repro.core.task import TaskSet
 from repro.core.transformation import transform
 from repro.io.dot import load_dot, save_dot, task_from_dot, task_to_dot, transformed_to_dot
 from repro.io.json_io import (
+    TaskDocument,
+    build_task,
+    decode_task,
     load_task,
     load_taskset,
     save_task,
@@ -80,6 +83,76 @@ class TestJsonTasks:
         with pytest.raises(SerializationError):
             # D > T violates the model and is caught while building the task.
             task_from_dict({"nodes": {"a": 1}, "edges": [], "period": 5, "deadline": 9})
+
+    # Documents the decode step itself refuses: wrong shapes and types,
+    # and references to nodes the mapping does not have.
+    MALFORMED = {
+        "task-not-object": [["a", 1]],
+        "nodes-string": {"nodes": "abc", "edges": []},
+        "nodes-list-of-pairs": {"nodes": [["a", 1]], "edges": []},
+        "nodes-null": {"nodes": None},
+        "edges-number": {"nodes": {"a": 1}, "edges": 5},
+        "edges-string": {"nodes": {"a": 1, "b": 2}, "edges": "ab"},
+        "edges-object": {"nodes": {"a": 1, "b": 2}, "edges": {"a": "b"}},
+        "edge-string": {"nodes": {"a": 1, "b": 2}, "edges": ["ab"]},
+        "edge-number": {"nodes": {"a": 1, "b": 2}, "edges": [5]},
+        "edge-triple": {"nodes": {"a": 1, "b": 2}, "edges": [["a", "b", "a"]]},
+        "edge-object": {"nodes": {"a": 1, "b": 2}, "edges": [{"a": 1, "b": 2}]},
+        "unknown-endpoint": {"nodes": {"a": 1}, "edges": [["a", "b"]]},
+        "unknown-offloaded-node": {"nodes": {"a": 1}, "offloaded_node": "x"},
+        "wcet-not-a-number": {"nodes": {"a": [1]}},
+        "metadata-number": {"nodes": {"a": 1}, "metadata": 5},
+        "metadata-list": {"nodes": {"a": 1}, "metadata": [["k", "v"]]},
+    }
+
+    # Well-shaped documents whose graph or timing breaks the task model:
+    # the decode step passes them, the build refuses them.
+    INVALID_TASKS = {
+        "duplicate-edge": {"nodes": {"a": 1, "b": 2}, "edges": [["a", "b"], ["a", "b"]]},
+        "self-loop": {"nodes": {"a": 1, "b": 2}, "edges": [["a", "a"]]},
+        "cycle": {"nodes": {"a": 1, "b": 2}, "edges": [["a", "b"], ["b", "a"]]},
+        "negative-wcet": {"nodes": {"a": -1}},
+        "nan-wcet": {"nodes": {"a": "nan"}},
+        "infinite-wcet": {"nodes": {"a": "inf"}},
+        "deadline-past-period": {"nodes": {"a": 1}, "period": 5, "deadline": 9},
+    }
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_shape_rejected_by_the_decode(self, name):
+        with pytest.raises(SerializationError):
+            decode_task(self.MALFORMED[name])
+        with pytest.raises(SerializationError):
+            task_from_dict(self.MALFORMED[name])
+
+    @pytest.mark.parametrize("name", sorted(INVALID_TASKS))
+    def test_invalid_task_rejected_by_the_build(self, name):
+        document = decode_task(self.INVALID_TASKS[name])
+        with pytest.raises(SerializationError):
+            build_task(document)
+        with pytest.raises(SerializationError):
+            task_from_dict(self.INVALID_TASKS[name])
+
+    def test_decode_then_build_equals_task_from_dict(self):
+        task = figure1_task(period=50, deadline=40)
+        task.metadata["origin"] = "unit-test"
+        document = task_to_dict(task)
+        decoded = decode_task(document)
+        assert isinstance(decoded, TaskDocument)
+        assert decoded.node_count == task.node_count
+        for rebuilt in (build_task(decoded), task_from_dict(decoded)):
+            assert rebuilt.graph == task.graph
+            assert rebuilt.offloaded_node == task.offloaded_node
+            assert (rebuilt.period, rebuilt.deadline) == (50, 40)
+            assert rebuilt.metadata == {"origin": "unit-test"}
+
+    def test_decode_converts_endpoints_and_defaults_the_deadline(self):
+        decoded = decode_task(
+            {"nodes": {"1": 2, "2": 3.5}, "edges": [[1, 2]], "period": 9}
+        )
+        assert decoded.names == ["1", "2"]
+        assert decoded.wcets == [2.0, 3.5]
+        assert decoded.edges == [(0, 1)]
+        assert (decoded.period, decoded.deadline) == (9, 9)
 
 
 class TestJsonTaskSets:

@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 from repro.analysis.batch import analyse_many
 from repro.core.examples import figure1_task
 from repro.core.exceptions import (
+    SerializationError,
     ServiceClosedError,
     ServiceError,
     ServiceOverloadedError,
@@ -38,6 +39,7 @@ from repro.core.exceptions import (
 )
 from repro.core.task import DagTask
 from repro.ilp.makespan import minimum_makespan
+from repro.io.json_io import decode_task, task_from_dict, task_to_dict
 from repro.service import (
     BatchRequest,
     EvaluationService,
@@ -861,13 +863,17 @@ class TestHTTPTransport:
             (b"-Infinity", b"60", 13),
             (b'"nan"', b"60", 14),
             (b"2", b"NaN", 15),
+            (b"3.25", b"1e10", 16),
+            (b"3.5", b"1e999", 17),
         ],
     )
     def test_non_finite_number_is_refused_and_the_next_request_served(
         self, http_service, wcet, timeout, seed
     ):
         # A NaN WCET once passed validation and spun the dense engine
-        # forever, wedging the micro-batcher for every later request.
+        # forever, wedging the micro-batcher for every later request.  A
+        # timeout past threading.TIMEOUT_MAX (1e999 decodes to inf) once
+        # overflowed the wait of a task never cached and answered 500.
         _, server, client = http_service
         body = (
             b'{"cores": 2, "timeout": %s, "task": '
@@ -1091,3 +1097,278 @@ class TestServiceResilience:
         # All three submissions were counted; only tasks[0] reached an engine.
         assert stats["requests"]["makespan"] == 3
         assert stats["engine"]["batches"] == 1
+
+
+# ----------------------------------------------------------------------
+# Decoded task documents: a hit is answered without building a graph
+# ----------------------------------------------------------------------
+def _post(port: int, path: str, body: dict) -> tuple[int, dict]:
+    """POST ``body`` as JSON; ``(status, response document)``."""
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    try:
+        connection.request(
+            "POST",
+            path,
+            json.dumps(body).encode("utf-8"),
+            {"Content-Type": "application/json"},
+        )
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+@pytest.fixture
+def fresh_server():
+    """Start servers over fresh services; all are stopped afterwards."""
+    started = []
+
+    def start():
+        service = EvaluationService(**FAST_BATCHING)
+        server, thread = start_server(service, port=0)
+        started.append((service, server, thread))
+        return service, server.port
+
+    yield start
+    for service, server, thread in started:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        service.close()
+
+
+@st.composite
+def task_documents(draw):
+    """A random task document in one of the shapes clients send: any node
+    and edge order, int or float WCETs, string or int edge endpoints, and
+    ``offloaded_node``/``period``/``deadline`` each present or absent."""
+    task = make_random_heterogeneous_task(
+        draw(st.integers(0, 2**16)),
+        draw(st.sampled_from([0.05, 0.2, 0.5])),
+        n_max=25,
+    )
+    graph = task.graph
+    int_endpoints = draw(st.booleans())
+    name = {
+        node: position if int_endpoints else str(node)
+        for position, node in enumerate(graph.nodes())
+    }
+    int_wcets = draw(st.booleans())
+    nodes = {}
+    for node in draw(st.permutations(list(graph.nodes()))):
+        wcet = float(graph.wcet(node))
+        nodes[str(name[node])] = (
+            int(wcet) if int_wcets and wcet.is_integer() else wcet
+        )
+    document = {
+        "nodes": nodes,
+        "edges": [
+            [name[src], name[dst]]
+            for src, dst in draw(st.permutations(list(graph.edges())))
+        ],
+    }
+    if draw(st.booleans()):
+        document["offloaded_node"] = name[task.offloaded_node]
+    period = draw(st.sampled_from([None, 40, 40.0, 1e3]))
+    if period is not None:
+        document["period"] = period
+    deadline = draw(st.sampled_from([None, 25, 30.5]))
+    if deadline is not None:
+        document["deadline"] = deadline
+    return document
+
+
+class TestTaskDocumentFingerprint:
+    @given(document=task_documents())
+    @settings(max_examples=60, deadline=None)
+    def test_document_hashes_like_the_task_built_from_it(self, document):
+        decoded = decode_task(document)
+        assert task_fingerprint(decoded) == task_fingerprint(
+            task_from_dict(document)
+        )
+        # The shipped form of the same task hashes equal as well.
+        shipped = json.loads(json.dumps(task_to_dict(task_from_dict(document))))
+        assert task_fingerprint(decode_task(shipped)) == task_fingerprint(decoded)
+
+    def test_duplicate_edge_changes_the_document_hash(self):
+        document = task_to_dict(figure1_task(period=20, deadline=15))
+        duplicated = dict(document, edges=document["edges"] + document["edges"][:1])
+        assert task_fingerprint(decode_task(duplicated)) != task_fingerprint(
+            decode_task(document)
+        )
+
+
+class TestDocumentHits:
+    BASE = {
+        "nodes": {"a": 1.0, "b": 2.0, "c": 4.0, "d": 1.0},
+        "edges": [["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"]],
+        "offloaded_node": "c",
+        "period": 20,
+        "deadline": 15,
+    }
+
+    @staticmethod
+    def _variant(change) -> dict:
+        document = json.loads(json.dumps(TestDocumentHits.BASE))
+        change(document)
+        return document
+
+    # Documents the full decode rejects; none may be answered from a cache
+    # primed with BASE.
+    REJECTED = {
+        "duplicate-edge": lambda d: d["edges"].append(["a", "b"]),
+        "self-loop": lambda d: d["edges"].append(["b", "b"]),
+        "cycle": lambda d: d["edges"].append(["d", "a"]),
+        "unknown-endpoint": lambda d: d["edges"].append(["a", "z"]),
+        "negative-wcet": lambda d: d["nodes"].update(b=-2.0),
+        "nan-wcet": lambda d: d["nodes"].update(b="nan"),
+        "metadata-number": lambda d: d.update(metadata=5),
+        "unknown-offloaded-node": lambda d: d.update(offloaded_node="z"),
+        "deadline-past-period": lambda d: d.update(deadline=25),
+    }
+
+    def test_primed_cache_rejects_what_a_cold_server_rejects(self, fresh_server):
+        _, primed = fresh_server()
+        _, cold = fresh_server()
+        for path, extra in (("/simulate", {"cores": 2}), ("/analyse", {"cores": [2, 4]})):
+            status, _ = _post(primed, path, {"task": self.BASE, **extra})
+            assert status == 200
+            for name, change in self.REJECTED.items():
+                body = {"task": self._variant(change), **extra}
+                statuses = [_post(port, path, body)[0] for port in (primed, cold)]
+                assert statuses == [400, 400], (path, name)
+
+    def test_reordered_edges_and_int_wcets_still_hit(self, fresh_server, monkeypatch):
+        from repro.service import http as service_http
+
+        service, port = fresh_server()
+        status, first = _post(port, "/simulate", {"task": self.BASE, "cores": 2})
+        assert status == 200
+        builds = []
+        original = service_http.task_from_dict
+        monkeypatch.setattr(
+            service_http,
+            "task_from_dict",
+            lambda document: builds.append(document) or original(document),
+        )
+        hits = service.stats()["cache"]["hits"]
+
+        def reorder(document):
+            document["edges"].reverse()
+            document["nodes"] = {
+                node: int(wcet) for node, wcet in reversed(document["nodes"].items())
+            }
+
+        status, second = _post(
+            port, "/simulate", {"task": self._variant(reorder), "cores": 2}
+        )
+        assert (status, second) == (200, first)
+        assert service.stats()["cache"]["hits"] == hits + 1
+        assert builds == []
+
+    def test_concurrent_identical_documents_build_once(self, monkeypatch):
+        from repro.service import http as service_http
+
+        document = task_to_dict(make_random_heterogeneous_task(77, 0.2))
+        original = service_http.task_from_dict
+        builds = []
+        with EvaluationService(**FAST_BATCHING) as service:
+
+            def held_build(decoded):
+                # Hold the leader's build until the duplicate has joined it.
+                builds.append(decoded)
+                deadline = time.monotonic() + 30
+                while (
+                    service.stats()["engine"]["inflight_joins"] < 1
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.001)
+                return original(decoded)
+
+            monkeypatch.setattr(service_http, "task_from_dict", held_build)
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                answers = list(
+                    pool.map(
+                        lambda _: service.submit_simulation(
+                            decode_task(json.loads(json.dumps(document))),
+                            2,
+                            timeout=60,
+                        ),
+                        range(2),
+                    )
+                )
+            assert service.stats()["engine"]["inflight_joins"] == 1
+        assert len(builds) == 1
+        expected = simulate_makespan(
+            task_from_dict(document), Platform(2), policy_by_name("breadth-first")
+        )
+        assert answers == [expected, expected]
+
+    def test_failed_build_fails_the_joined_duplicate_too(self):
+        document = self._variant(lambda d: d["edges"].append(["d", "a"]))
+        with EvaluationService(**FAST_BATCHING) as service:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [
+                    pool.submit(
+                        service.submit_simulation, decode_task(document), 2, timeout=60
+                    )
+                    for _ in range(2)
+                ]
+                for future in futures:
+                    with pytest.raises(SerializationError, match="cycle"):
+                        future.result()
+            # Nothing stays in flight: the valid task is served afterwards.
+            assert service.submit_simulation(
+                decode_task(self.BASE), 2, timeout=60
+            ) == simulate_makespan(
+                task_from_dict(self.BASE), Platform(2), policy_by_name("breadth-first")
+            )
+
+
+# ----------------------------------------------------------------------
+# Malformed task shapes and out-of-range timeouts are refused, never a 500
+# ----------------------------------------------------------------------
+MALFORMED_TASKS = {
+    "nodes-string": {"nodes": "abc", "edges": []},
+    "nodes-list-of-pairs": {"nodes": [["a", 1]], "edges": []},
+    "edges-number": {"nodes": {"a": 1}, "edges": 5},
+    "edges-string": {"nodes": {"a": 1, "b": 2}, "edges": "ab"},
+    "edge-string": {"nodes": {"a": 1, "b": 2}, "edges": ["ab"]},
+    "edge-triple": {"nodes": {"a": 1, "b": 2}, "edges": [["a", "b", "a"]]},
+}
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_TASKS))
+    def test_malformed_task_shape_is_a_400(self, http_service, name):
+        _, server, client = http_service
+        task = MALFORMED_TASKS[name]
+        stream = {"task": task, "arrivals": {"kind": "trace", "times": [0.0]}}
+        for path, body in (
+            ("/simulate", {"task": task, "cores": 2}),
+            ("/workload", {"streams": [stream], "horizon": 10.0, "cores": 2}),
+        ):
+            status, document = _post(server.port, path, body)
+            assert status == 400, (path, document)
+            assert document["error"]["code"] == "bad-request"
+        valid = figure1_task(period=20, deadline=15)
+        assert client.simulate(valid, cores=3) == simulate_makespan(
+            valid, Platform(3), policy_by_name("breadth-first")
+        )
+        payload = client.workload(
+            [{"task": valid, "arrivals": {"kind": "trace", "times": [0.0]}}], 10.0
+        )
+        assert payload["instances"] == 1
+
+    @pytest.mark.parametrize("timeout", [math.inf, math.nan, -1.0, 1e10])
+    def test_timeout_outside_the_wait_limit_raises_in_process(self, timeout):
+        with pytest.raises(ValueError, match="timeout"):
+            EvaluationService(default_timeout=timeout)
+        with EvaluationService(**FAST_BATCHING) as service:
+            task = figure1_task(period=20, deadline=15)
+            with pytest.raises(ValueError, match="timeout"):
+                service.submit_simulation(task, 2, timeout=timeout)
+            # A cache hit validates its timeout too.
+            service.submit_simulation(task, 2, timeout=threading.TIMEOUT_MAX)
+            with pytest.raises(ValueError, match="timeout"):
+                service.submit_simulation(task, 2, timeout=timeout)

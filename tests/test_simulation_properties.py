@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.homogeneous import makespan_lower_bound
@@ -31,6 +31,9 @@ _POLICY_FACTORIES = (
 
 @settings(max_examples=40, deadline=None)
 @given(seed=_SEEDS, fraction=_FRACTIONS, cores=_CORES)
+# Two host completions one ulp apart are retired as one instant; the
+# capacity check once counted the later one as still running.
+@example(seed=1674, fraction=0.01171875, cores=2)
 def test_every_trace_is_a_legal_schedule(seed, fraction, cores):
     task = make_random_heterogeneous_task(seed, fraction, n_max=30)
     platform = Platform(host_cores=cores, accelerators=1)

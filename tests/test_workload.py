@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.exceptions import SimulationError
+from repro.core.transformation import transform
 from repro.generator.arrivals import (
     PeriodicArrivals,
     SporadicArrivals,
@@ -334,12 +335,32 @@ class TestEngineContracts:
 # The hypothesis harness: coupled lockstep == scalar reference, exactly
 # ----------------------------------------------------------------------
 @st.composite
+def zeroed_tasks(draw, seed: int):
+    """A random task, sometimes Algorithm 1's tau' (whose ``v_sync`` weighs
+    zero), with WCETs zeroed at random -- the source nodes included when
+    drawn -- so the engines' instant-node cascades are exercised."""
+    heterogeneous = draw(st.booleans())
+    task = _task(seed, heterogeneous)
+    if heterogeneous and draw(st.booleans()):
+        task = transform(task).task
+    nodes = list(task.graph.nodes())
+    zeroed = draw(st.sets(st.sampled_from(nodes), max_size=len(nodes)))
+    if draw(st.booleans()):
+        zeroed.update(task.graph.sources())
+    if zeroed:
+        task = task.copy()
+        for node in zeroed:
+            task.graph.set_wcet(node, 0.0)
+    return task
+
+
+@st.composite
 def workload_cases(draw):
     stream_count = draw(st.integers(min_value=1, max_value=3))
     streams = []
     for index in range(stream_count):
         seed = draw(st.integers(min_value=0, max_value=3_000))
-        task = _task(seed, draw(st.booleans()))
+        task = draw(zeroed_tasks(seed))
         kind = draw(st.sampled_from(["periodic", "sporadic", "trace"]))
         if kind == "periodic":
             arrivals = PeriodicArrivals(
