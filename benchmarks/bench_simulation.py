@@ -20,27 +20,17 @@ Aggregated results are written to ``BENCH_PR3.json`` at the repository
 root, extending the performance trajectory of ``BENCH_PR1.json`` (cached
 graph kernel) and ``BENCH_PR2.json`` (exact-makespan oracles).
 
-``--vectorized`` benchmarks the PR-4 lockstep kernel instead: the full
-quick-scale figure 6 ensemble (all six fractions, original + transformed
-variants) simulated on the figure's four host sizes (``m in {2, 4, 8,
-16}``), comparing the batched dense path (``simulate_many(...,
-engine="dense")``, the PR-3 fast path) against the vectorised default.
-Results go to ``BENCH_PR4.json``; with ``--smoke`` the run enforces the
-``VECTORIZED_SPEEDUP_TARGET`` acceptance (>= 2x over the dense batched
-path, makespans bit-identical) for CI.
+``--compiled`` benchmarks the compiled C step-loop kernel (the default
+engine of ``simulate_many``) against the batched dense path
+(``simulate_many(..., engine="dense")``) on the full quick-scale figure 6
+ensemble (all six fractions, original + transformed variants) over the
+figure's four host sizes (``m in {2, 4, 8, 16}``), measures the engine
+crossover versus the dense path at small lane counts, and enforces the
+``COMPILED_SPEEDUP_TARGET`` (>= 4x over the dense batched path,
+bit-identical, crossover <= ``CROSSOVER_MAX_LANES``).  Results go to
+``BENCH_PR8.json``.
 
-``--compiled`` benchmarks the PR-8 compiled C step-loop backend against the
-numpy lockstep kernel on the same ensemble, measures the engine crossover
-versus the dense path at small lane counts, and enforces the
-``COMPILED_SPEEDUP_TARGET`` (>= 2x over the numpy kernel, bit-identical,
-crossover <= ``CROSSOVER_MAX_LANES``).  Results go to ``BENCH_PR8.json``.
-
-``--calibrate`` sweeps lane counts for both lockstep backends against the
-dense engine and rewrites the committed calibration table
-(``src/repro/simulation/calibration.json``) that ``engine="auto"`` and the
-service's ``vector_threshold`` consult.
-
-Run with:  python benchmarks/bench_simulation.py  [--vectorized | --compiled | --calibrate] [--smoke]
+Run with:  python benchmarks/bench_simulation.py  [--compiled] [--smoke]
 """
 
 from __future__ import annotations
@@ -69,25 +59,19 @@ from repro.simulation.platform import Platform  # noqa: E402
 from repro.simulation.schedulers import BreadthFirstPolicy  # noqa: E402
 
 OUTPUT = _REPO_ROOT / "BENCH_PR3.json"
-OUTPUT_VECTORIZED = _REPO_ROOT / "BENCH_PR4.json"
 OUTPUT_COMPILED = _REPO_ROOT / "BENCH_PR8.json"
-CALIBRATION_OUTPUT = (
-    _REPO_ROOT / "src" / "repro" / "simulation" / "calibration.json"
-)
 
 #: Acceptance threshold: the batched dense path must be at least this many
 #: times faster than the reference trace engine on the Figure 6 workload.
 SPEEDUP_TARGET = 3.0
 
-#: Acceptance threshold of ``--vectorized``: the lockstep kernel must be at
-#: least this many times faster than the batched dense path.
-VECTORIZED_SPEEDUP_TARGET = 2.0
-
-#: Acceptance thresholds of ``--compiled``: the C backend must be at least
-#: this many times faster than the numpy lockstep kernel on the same
-#: ensemble, and its measured crossover against the dense engine must sit
-#: at or below this many lanes (target ~1).
-COMPILED_SPEEDUP_TARGET = 2.0
+#: Acceptance thresholds of ``--compiled``: the C kernel must be at least
+#: this many times faster than the batched dense path on the same ensemble
+#: (as strict as the two gates it replaces together: the deleted numpy
+#: kernel had to beat dense 2x, and the C kernel had to beat it 2x), and
+#: its measured crossover against the dense engine must sit at or below
+#: this many lanes (target ~1).
+COMPILED_SPEEDUP_TARGET = 4.0
 CROSSOVER_MAX_LANES = 16
 
 
@@ -147,7 +131,7 @@ def bench_dense(tasks: list, platforms: list[Platform]) -> tuple[float, list]:
 
 def bench_batched(tasks: list, platforms: list[Platform]) -> tuple[float, list]:
     # engine="dense" pins the PR-3 fast path: this benchmark's comparison
-    # is reference engine vs dense paths, not the PR-4 lockstep kernel.
+    # is reference engine vs dense paths, not the C kernel.
     elapsed, grid = _best_of(
         lambda: simulate_many(tasks, platforms, BreadthFirstPolicy(), engine="dense")
     )
@@ -159,8 +143,7 @@ def vectorized_workload() -> tuple[list, list[Platform]]:
 
     All six quick-scale fractions with both variants (the ensemble the
     rewired figure 6 driver actually simulates), on the four host sizes the
-    figure plots -- 576 cells, the batch regime the lockstep kernel is
-    built for.
+    figure plots -- 576 cells, the batch regime the C kernel is built for.
     """
     scale = quick_scale()
     points = chunked_offload_fraction_sweep(
@@ -174,83 +157,6 @@ def vectorized_workload() -> tuple[list, list[Platform]]:
     tasks = tasks + [transform(task).task for task in tasks]
     platforms = [Platform(cores, 1) for cores in (2, 4, 8, 16)]
     return tasks, platforms
-
-
-def main_vectorized(smoke: bool) -> dict:
-    tasks, platforms = vectorized_workload()
-    simulations = len(tasks) * len(platforms)
-    node_counts = [task.node_count for task in tasks]
-
-    # Warm both paths once (compiled-view caches, allocator) before timing;
-    # best-of-5 keeps the CI gate robust against scheduler noise.
-    simulate_many(tasks, platforms, BreadthFirstPolicy())
-    dense_s, dense_grid = _best_of(
-        lambda: simulate_many(
-            tasks, platforms, BreadthFirstPolicy(), engine="dense"
-        ),
-        repeats=5,
-    )
-    # Pin the numpy kernel: engine="auto" would resolve to the compiled
-    # backend (PR 8) where available, and this gate measures the PR-4 path.
-    vectorized_s, vectorized_grid = _best_of(
-        lambda: simulate_many(
-            tasks, platforms, BreadthFirstPolicy(), engine="lockstep"
-        ),
-        repeats=5,
-    )
-    identical = np.array_equal(dense_grid, vectorized_grid)
-    speedup = dense_s / max(vectorized_s, 1e-9)
-
-    document = {
-        "benchmark": "vectorized_simulation",
-        "pr": 4,
-        "description": (
-            "Vectorised lockstep kernel (simulate_many default; "
-            "simulation/vectorized.py) vs the PR-3 dense batched path on "
-            "the quick-scale figure 6 ensemble over the figure's four host "
-            "sizes (see docs/performance.md)."
-        ),
-        "smoke": smoke,
-        "simulations": simulations,
-        "tasks": len(tasks),
-        "platforms": [platform.host_cores for platform in platforms],
-        "mean_nodes": float(np.mean(node_counts)),
-        "dense_batched_s": dense_s,
-        "vectorized_batched_s": vectorized_s,
-        "vectorized_speedup": speedup,
-        "makespans_identical": bool(identical),
-        "acceptance": {
-            "speedup": speedup,
-            "speedup_target": VECTORIZED_SPEEDUP_TARGET,
-            "speedup_met": speedup >= VECTORIZED_SPEEDUP_TARGET,
-            "makespans_identical": bool(identical),
-        },
-    }
-
-    print(
-        f"figure 6 workload: {simulations} simulations "
-        f"({len(tasks)} task variants x m in "
-        f"{[p.host_cores for p in platforms]}, "
-        f"mean n = {document['mean_nodes']:.0f})"
-    )
-    print(
-        f"dense batched: {dense_s * 1000:.1f} ms | vectorized batched: "
-        f"{vectorized_s * 1000:.1f} ms (x{speedup:.2f})"
-    )
-    if not smoke:
-        OUTPUT_VECTORIZED.write_text(
-            json.dumps(document, indent=2) + "\n", encoding="utf-8"
-        )
-        print(f"results written to {OUTPUT_VECTORIZED}")
-    accepted = document["acceptance"]
-    print(
-        f"acceptance: vectorized x{accepted['speedup']:.2f} "
-        f"(target x{accepted['speedup_target']:.1f}) -> "
-        f"{'PASS' if accepted['speedup_met'] else 'FAIL'}; "
-        f"makespans identical -> "
-        f"{'PASS' if accepted['makespans_identical'] else 'FAIL'}"
-    )
-    return document
 
 
 def _crossover_scan(
@@ -311,24 +217,17 @@ def main_compiled(smoke: bool) -> dict:
 
     # Warm every path once (compiled-view caches, the .so build) first.
     simulate_many(tasks[:4], platforms, policy, engine="compiled")
-    simulate_many(tasks[:4], platforms, policy, engine="lockstep")
-    repeats = 3 if smoke else 5
-    lockstep_s, lockstep_grid = _best_of(
-        lambda: simulate_many(tasks, platforms, policy, engine="lockstep"),
-        repeats=repeats,
-    )
+    simulate_many(tasks[:4], platforms, policy, engine="dense")
     compiled_s, compiled_grid = _best_of(
         lambda: simulate_many(tasks, platforms, policy, engine="compiled"),
-        repeats=repeats,
+        repeats=3 if smoke else 5,
     )
     dense_s, dense_grid = _best_of(
         lambda: simulate_many(tasks, platforms, policy, engine="dense"),
         repeats=1 if smoke else 3,
     )
-    identical = np.array_equal(compiled_grid, lockstep_grid) and np.array_equal(
-        compiled_grid, dense_grid
-    )
-    speedup = lockstep_s / max(compiled_s, 1e-9)
+    identical = np.array_equal(compiled_grid, dense_grid)
+    speedup = dense_s / max(compiled_s, 1e-9)
 
     lane_counts = [1, 2, 4, 8, 16] if smoke else [1, 2, 4, 8, 16, 32, 64]
     crossover_rows = _crossover_scan(tasks, lane_counts, "compiled")
@@ -339,10 +238,10 @@ def main_compiled(smoke: bool) -> dict:
         "benchmark": "compiled_simulation",
         "pr": 8,
         "description": (
-            "Compiled C step-loop backend (simulation/_kernels.py via "
-            "ctypes) vs the numpy lockstep kernel and the dense batched "
-            "path on the quick-scale figure 6 ensemble over the figure's "
-            "four host sizes (see docs/performance.md section 10)."
+            "Compiled C step-loop kernel (simulation/_kernels.py via "
+            "ctypes) vs the dense batched path on the quick-scale figure 6 "
+            "ensemble over the figure's four host sizes (see "
+            "docs/performance.md section 10)."
         ),
         "smoke": smoke,
         "simulations": simulations,
@@ -350,10 +249,8 @@ def main_compiled(smoke: bool) -> dict:
         "platforms": [platform.host_cores for platform in platforms],
         "mean_nodes": float(np.mean(node_counts)),
         "dense_batched_s": dense_s,
-        "lockstep_numpy_s": lockstep_s,
         "compiled_s": compiled_s,
-        "compiled_speedup_vs_lockstep": speedup,
-        "compiled_speedup_vs_dense": dense_s / max(compiled_s, 1e-9),
+        "compiled_speedup_vs_dense": speedup,
         "crossover_scan": crossover_rows,
         "crossover_lanes": crossover,
         "makespans_identical": bool(identical),
@@ -375,9 +272,8 @@ def main_compiled(smoke: bool) -> dict:
         f"mean n = {document['mean_nodes']:.0f})"
     )
     print(
-        f"dense batched: {dense_s * 1000:.1f} ms | numpy lockstep: "
-        f"{lockstep_s * 1000:.1f} ms | compiled: {compiled_s * 1000:.1f} ms "
-        f"(x{speedup:.2f} vs numpy)"
+        f"dense batched: {dense_s * 1000:.1f} ms | compiled: "
+        f"{compiled_s * 1000:.1f} ms (x{speedup:.2f} vs dense)"
     )
     print(
         "crossover vs dense: "
@@ -394,7 +290,7 @@ def main_compiled(smoke: bool) -> dict:
         print(f"results written to {OUTPUT_COMPILED}")
     accepted = document["acceptance"]
     print(
-        f"acceptance: compiled x{accepted['speedup']:.2f} vs numpy lockstep "
+        f"acceptance: compiled x{accepted['speedup']:.2f} vs dense batched "
         f"(target x{accepted['speedup_target']:.1f}) -> "
         f"{'PASS' if accepted['speedup_met'] else 'FAIL'}; "
         f"crossover {accepted['crossover_lanes']} lanes "
@@ -403,66 +299,6 @@ def main_compiled(smoke: bool) -> dict:
         f"makespans identical -> "
         f"{'PASS' if accepted['makespans_identical'] else 'FAIL'}"
     )
-    return document
-
-
-def main_calibrate() -> dict:
-    """Re-measure both engine crossovers and rewrite the shipped table."""
-    from repro.simulation import _kernels
-
-    tasks, _ = vectorized_workload()
-    lane_counts = [1, 2, 4, 8, 16, 32, 64, 96, 128, 192, 256, 384]
-    thresholds: dict[str, int] = {}
-    scans: dict[str, list] = {}
-
-    scans["lockstep"] = _crossover_scan(tasks, lane_counts, "lockstep")
-    lockstep_cross = _crossover_lanes(scans["lockstep"])
-    # When the numpy kernel never sustains a win inside the sweep, keep the
-    # dense path preferred by pushing the threshold past the sweep.
-    thresholds["lockstep"] = (
-        lockstep_cross if lockstep_cross is not None else lane_counts[-1] * 2
-    )
-    if _kernels.compiled_available():
-        scans["compiled"] = _crossover_scan(tasks, lane_counts, "compiled")
-        compiled_cross = _crossover_lanes(scans["compiled"])
-        thresholds["compiled"] = (
-            compiled_cross
-            if compiled_cross is not None
-            else lane_counts[-1] * 2
-        )
-    else:
-        print(
-            "compiled backend unavailable "
-            f"({_kernels.compiled_unavailable_reason()}); "
-            "keeping the shipped compiled threshold"
-        )
-
-    document = {
-        "generated_by": "benchmarks/bench_simulation.py --calibrate",
-        "workload": (
-            "quick-scale figure 6 ensemble tasks, one task per lane on "
-            "Platform(4, 1), best-of-3 vs the dense batched path"
-        ),
-        "vector_threshold": thresholds,
-        "crossover_scans": scans,
-    }
-    existing = {}
-    try:
-        existing = json.loads(CALIBRATION_OUTPUT.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        pass
-    if "compiled" not in thresholds and isinstance(
-        existing.get("vector_threshold"), dict
-    ):
-        kept = existing["vector_threshold"].get("compiled")
-        if kept is not None:
-            thresholds["compiled"] = kept
-    CALIBRATION_OUTPUT.write_text(
-        json.dumps(document, indent=2) + "\n", encoding="utf-8"
-    )
-    for engine, threshold in sorted(thresholds.items()):
-        print(f"{engine}: vector threshold {threshold} lanes")
-    print(f"calibration written to {CALIBRATION_OUTPUT}")
     return document
 
 
@@ -534,9 +370,6 @@ def main() -> dict:
 
 
 if __name__ == "__main__":
-    if "--calibrate" in sys.argv:
-        main_calibrate()
-        sys.exit(0)
     if "--compiled" in sys.argv:
         result = main_compiled("--smoke" in sys.argv)
         accepted = result["acceptance"]
@@ -547,10 +380,7 @@ if __name__ == "__main__":
         ):
             sys.exit(1)
         sys.exit(0)
-    if "--vectorized" in sys.argv:
-        result = main_vectorized("--smoke" in sys.argv)
-    else:
-        result = main()
+    result = main()
     accepted = result["acceptance"]
     if not (accepted["speedup_met"] and accepted["makespans_identical"]):
         sys.exit(1)

@@ -453,7 +453,6 @@ def check_consistency(client: ServiceClient, summary: dict) -> dict:
         "metrics_requests": service_requests,
         "metrics_http_responses": http_responses,
         "metrics_sim_engines": sim_engines,
-        "vector_threshold": stats["engine"].get("vector_threshold"),
         "checks": checks,
         "consistent": all(checks.values()),
     }

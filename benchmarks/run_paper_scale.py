@@ -5,8 +5,9 @@ Two experiments are recorded at the sampling effort of the original paper:
 
 * **Figure 6** -- 100 DAGs per sweep point, the full 15-point fraction grid
   and all four host sizes (``m in {2, 4, 8, 16}``); 12 000 simulations
-  served by the vectorised lockstep kernel
-  (:mod:`repro.simulation.vectorized` via ``simulate_many``).
+  served by the compiled C kernel
+  (:mod:`repro.simulation.vectorized` via ``simulate_many``), or by the
+  dense engine on a host without a C compiler.
 * **Figure 7** -- the paper's WCET range (``ilp_wcet_max = 100``) over the
   9-point small-task fraction grid for ``m in {2, 8}``, solved by the PR-2
   oracles (pruned branch-and-bound / warm-started HiGHS).  Two documented
@@ -22,8 +23,8 @@ references of the slow regression tests
 (``tests/test_paper_scale_goldens.py`` compares a fresh run against
 ``tests/data/figure6_paper_golden.json`` / ``figure7_paper_golden.json``).
 
-Two further paper-scale workloads ride on the compiled lockstep backend
-(PR 8) and are recorded the same way:
+Two further paper-scale workloads ride on the compiled C kernel (PR 8)
+and are recorded the same way:
 
 * **Figure 6 upper range** (``--figure 6-upper``) -- the same sweep over
   the paper's *upper* task-size band (``n in [250, 400]``,

@@ -159,9 +159,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
         return 0
     # Default fast path: the trace-free dense engine (simulate_makespan),
-    # bit-identical to the reference engine for every policy.  The
-    # vectorised lockstep kernel only amortises over large batches -- for
-    # a single simulation the dense engine is the right engine.
+    # bit-identical to the reference engine for every policy.  The C
+    # kernel behind simulate_many pays off over grids of cells; one
+    # simulation needs no compiler.
     makespan = simulate_makespan(task, platform, policy, offload_enabled)
     print(f"makespan               = {makespan:g}")
     print("(use --gantt for the schedule chart and utilisation figures)")

@@ -126,9 +126,9 @@ class CompiledTask:
     # ------------------------------------------------------------------
     # Batch (array) views
     # ------------------------------------------------------------------
-    # The vectorised lockstep kernel (:mod:`repro.simulation.vectorized`)
-    # stacks many simulations of compiled tasks into flat numpy state; it
-    # needs the CSR and in-degree data as integer arrays rather than Python
+    # The C kernel (:mod:`repro.simulation.vectorized_compiled`) stacks
+    # many simulations of compiled tasks into flat int64 arrays; it needs
+    # the CSR and in-degree data as integer arrays rather than Python
     # lists.  The arrays are materialised once per view and cached (the view
     # is immutable); like the lists they must never be mutated.
 

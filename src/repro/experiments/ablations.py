@@ -76,7 +76,7 @@ def run_scheduler_ablation(
     its chunked parallel generation and the batched simulator
     (:func:`repro.simulation.batch.simulate_many` -- one compile per task
     variant serves every sweep cell, and every registered policy family
-    runs through the vectorised lockstep kernel); ``jobs`` is forwarded
+    runs through the compiled C kernel); ``jobs`` is forwarded
     with bit-identical results.
 
     Returns
@@ -122,7 +122,7 @@ def run_scheduler_ablation_service(
     an individual request to a live :class:`~repro.service.facade.
     EvaluationService` from a thread pool -- the shape of a sweep client
     hitting the HTTP facade.  The micro-batcher coalesces the bursts into
-    task x platform x policy grids for the lockstep kernel (the grid
+    task x platform x policy grids for the batched engine (the grid
     executor's policy axis), while the stochastic policy takes the solo
     path with an explicit per-request seed, so the resulting figures are
     deterministic and independent of batch composition -- the documents

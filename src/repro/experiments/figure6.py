@@ -48,10 +48,10 @@ def _evaluate_point(
     The tasks are transformed once (Algorithm 1 does not depend on ``m``)
     and both variants run through
     :func:`~repro.simulation.batch.simulate_many` with its default engine:
-    the compiled C lockstep kernel where a C compiler is available, the
-    numpy lockstep kernel otherwise.  Each variant is compiled once and that
-    single compile serves every ``(cores, variant)`` cell of the point, all
-    cells advancing as lanes of one lockstep batch.  Returns one
+    the compiled C kernel where a C compiler is available, the dense engine
+    otherwise.  Each variant is compiled once and that single compile
+    serves every ``(cores, variant)`` cell of the point, all cells running
+    as lanes of one kernel call.  Returns one
     ``(average original, average transformed)`` makespan pair per core
     count.
     """

@@ -94,4 +94,4 @@ def _as_platform(platform_or_cores: Union[Platform, int]) -> Platform:
     """Internal helper mirroring the simulator's platform coercion."""
     if isinstance(platform_or_cores, Platform):
         return platform_or_cores
-    return Platform(host_cores=int(platform_or_cores), accelerators=1)
+    return Platform(host_cores=platform_or_cores, accelerators=1)

@@ -4,8 +4,8 @@ A long-lived service receives requests one at a time, but the engines
 underneath it (:func:`~repro.simulation.batch.simulate_many`,
 :func:`~repro.analysis.batch.analyse_many`,
 :func:`~repro.ilp.batch.minimum_makespans_many`) amortise best over
-*batches*: one compile per distinct task, one vectorised lockstep batch per
-policy column, one deduplicated oracle dispatch.  :class:`MicroBatcher`
+*batches*: one compile per distinct task, one C kernel call per policy
+column, one deduplicated oracle dispatch.  :class:`MicroBatcher`
 bridges the two shapes the way a model-inference server does: concurrent
 in-flight requests are parked in a pending list and flushed to an executor
 callback as one batch when either

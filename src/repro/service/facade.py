@@ -27,9 +27,10 @@ Correctness contract
 Batched == sequential, bit for bit.  Every payload the service returns is
 exactly what a one-shot evaluation of the same request produces:
 
-* deterministic policies ride the PR-4 lockstep kernel, whose per-lane
-  results are independent of batch composition (hypothesis-enforced by
-  ``tests/test_vectorized_engine.py``), so coalescing cannot change them;
+* deterministic policies ride the C kernel (the dense engine on a host
+  without a C compiler), whose per-lane results are independent of batch
+  composition (hypothesis-enforced by ``tests/test_vectorized_engine.py``),
+  so coalescing cannot change them;
 * the stochastic ``random`` policy is the one family whose draws *would*
   depend on batch composition -- the service therefore evaluates those
   requests solo (one fresh seeded instance per request, dense engine), so
@@ -57,7 +58,8 @@ so it misses, and the build on the miss rejects it.
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Optional, Union
+from collections.abc import Iterable
+from typing import Optional, Union
 
 from ..analysis.batch import TaskAnalysis, analyse_many
 from ..analysis.results import ResponseTimeResult
@@ -74,10 +76,9 @@ from ..io.json_io import TaskDocument
 from ..parallel import worker_respawn_count
 from ..resilience import FAULTS, CircuitBreaker, Deadline, fault_point
 from ..simulation.batch import resolve_engine, simulate_many
-from ..simulation.calibration import vector_threshold as _calibrated_threshold
 from ..simulation.engine import simulate_makespan
 from ..simulation.kernel_stats import collect_kernel_stats
-from ..simulation.platform import Platform
+from ..simulation.platform import Platform, processor_count
 from ..simulation.workload import (
     JobStream,
     WorkloadResult,
@@ -202,9 +203,9 @@ def _copy_payload(value):
 
 
 def _normalise_cores(cores: Union[int, Iterable[int]]) -> tuple[int, ...]:
-    if isinstance(cores, int):
-        return (cores,)
-    values = tuple(int(m) for m in cores)
+    if not isinstance(cores, Iterable):
+        return (processor_count("cores", cores, 1),)
+    values = tuple(processor_count("cores", m, 1) for m in cores)
     if not values:
         raise ValueError("at least one core count is required")
     return values
@@ -321,8 +322,8 @@ class EvaluationService:
         Pending-request count that triggers an immediate flush.
     jobs:
         Worker-process count forwarded to the batched engines (``None``
-        keeps them serial; the lockstep kernel usually saturates a core per
-        batch already).
+        keeps them serial; the C kernel usually saturates a core per batch
+        already).
     default_timeout:
         Per-request deadline in seconds applied when a submission does not
         pass its own ``timeout`` (``None`` = wait forever).  The deadline
@@ -378,7 +379,6 @@ class EvaluationService:
         breaker_threshold: int = 5,
         breaker_reset: float = 30.0,
         metrics: Optional[MetricsRegistry] = None,
-        vector_threshold: Optional[int] = None,
         tracing: bool = True,
         trace_sample: float = 1.0,
         trace_ring_bytes: int = 4 << 20,
@@ -395,14 +395,6 @@ class EvaluationService:
             sample=trace_sample,
             ring_bytes=trace_ring_bytes,
         )
-        # Lane count from which simulation grids run on the batched
-        # lockstep kernel instead of the per-cell dense engine.  ``None``
-        # consults the measured calibration table
-        # (src/repro/simulation/calibration.json; env
-        # ``REPRO_VECTOR_THRESHOLD`` overrides) for the backend available
-        # on this host -- ~1 with the compiled kernel, a couple of hundred
-        # lanes on the numpy fallback.
-        self.vector_threshold = _calibrated_threshold(vector_threshold)
         self._default_timeout = _check_timeout(default_timeout)
         self._oracle_budget = oracle_budget
         self._oracle_breaker = CircuitBreaker(
@@ -432,7 +424,8 @@ class EvaluationService:
         self._sim_engines = self.metrics.counter(
             "repro_service_sim_engine_total",
             "Simulation grid/solo evaluations by the concrete engine that "
-            "served them (dense, lockstep or compiled).",
+            "served them (dense or compiled; lockstep counts /workload "
+            "requests).",
             labels=("engine",),
         )
         self._evaluated_cells = self.metrics.counter(
@@ -463,8 +456,8 @@ class EvaluationService:
         # KernelBatchStats records.
         self._kernel_steps = self.metrics.counter(
             "repro_kernel_steps_total",
-            "Kernel step-loop iterations by engine (lockstep: synchronised "
-            "steps; compiled: retire windows; workload: event batches).",
+            "Kernel step-loop iterations by engine (dense and compiled: "
+            "retire windows; workload: event batches).",
             labels=("engine",),
         )
         self._kernel_events = self.metrics.counter(
@@ -630,7 +623,7 @@ class EvaluationService:
         # Deterministic policies group across *platforms and policies* too:
         # a flush covering an ablation-shaped burst (every task at every
         # host size under every policy) becomes one task x platform x
-        # policy grid for the lockstep kernel.
+        # policy grid for one batched-engine call.
         solo = policy == RandomPolicy.name
         payload = self._submit(
             kind="simulate",
@@ -685,22 +678,24 @@ class EvaluationService:
     ) -> dict:
         """Exact minimum makespan via the batched, memoised oracle layer."""
         method_value = MakespanMethod(method).value  # validate early
+        cores = processor_count("cores", cores, 1)
+        accelerators = processor_count("accelerators", accelerators, 0)
         fingerprint = request_fingerprint(
             "makespan",
             task_fingerprint(task),
-            int(cores),
-            int(accelerators),
+            cores,
+            accelerators,
             method_value,
             time_limit,
         )
         return self._submit(
             kind="makespan",
             fingerprint=fingerprint,
-            group_key=(int(cores), int(accelerators), method_value, time_limit),
+            group_key=(cores, accelerators, method_value, time_limit),
             task=task,
             params={
-                "cores": int(cores),
-                "accelerators": int(accelerators),
+                "cores": cores,
+                "accelerators": accelerators,
                 "method": method_value,
                 "time_limit": time_limit,
             },
@@ -836,7 +831,6 @@ class EvaluationService:
             "evaluated_cells": self._evaluated_cells.value(),
             "solo_evaluations": self._solo_evaluations.value(),
             "inflight_joins": self._inflight_joins.value(),
-            "vector_threshold": self.vector_threshold,
             "by_engine": {
                 name: self._sim_engines.value(engine=name)
                 for name in ("dense", "lockstep", "compiled")
@@ -1299,12 +1293,10 @@ class EvaluationService:
     ) -> None:
         params = requests[0].params
         # Every (task, platform, policy) cell is one lane of the batched
-        # kernel (the grid executor grew the policy axis in PR 8), so the
-        # dense-vs-lockstep crossover must count the policy axis too: an
-        # ablation-shaped burst (1 task x 1 platform x 7 policies) is a
-        # 7-lane batch, not a 1-lane one.
+        # engine: an ablation-shaped burst (1 task x 1 platform x 7
+        # policies) is a 7-lane call.
         lanes = len(tasks) * len(platforms) * len(policies)
-        engine = "auto" if lanes >= self.vector_threshold else "dense"
+        engine = resolve_engine("auto")
         with self.tracer.shared_child(
             flush_span, "engine.simulate"
         ) as engine_span:
@@ -1315,14 +1307,14 @@ class EvaluationService:
                     policies,
                     offload_enabled=params["offload_enabled"],
                     jobs=self._jobs,
-                    engine=engine,
+                    engine="auto",
                 )
-            engine_span.set("engine", resolve_engine(engine))
+            engine_span.set("engine", engine)
             engine_span.set("lanes", lanes)
             engine_span.set("requests", len(requests))
             self._record_kernel_stats(kstats, engine_span)
         self._count_engine_call(lanes)
-        self._sim_engines.inc(engine=resolve_engine(engine))
+        self._sim_engines.inc(engine=engine)
         for request, row, col, slab in cells:
             self._finish(request, simulation_payload(grid[row, col, slab]))
 

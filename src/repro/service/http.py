@@ -65,7 +65,7 @@ from ..core.exceptions import (
 from ..generator.arrivals import arrival_from_dict
 from ..io.json_io import decode_task, task_from_dict
 from ..resilience import FAULTS
-from ..simulation.platform import Platform
+from ..simulation.platform import Platform, processor_count
 from ..simulation.workload import JobStream
 from .facade import EvaluationService
 from .tracing import TRACE_HEADER, chrome_trace, configure_logging
@@ -130,6 +130,10 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     server: "ServiceHTTPServer"
     protocol_version = "HTTP/1.1"
+    # A response goes out as two sends (headers, then body).  With Nagle's
+    # algorithm on, the body of a response on a reused connection waits for
+    # the peer's delayed ACK of the headers: ~40 ms per request.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -621,9 +625,12 @@ def _reject_constant(name: str) -> float:
 
 
 def _platform_of(document: dict) -> Platform:
+    """The platform of a request, its counts checked under their wire names."""
     return Platform(
-        host_cores=document.get("cores", 2),
-        accelerators=document.get("accelerators", 1),
+        host_cores=processor_count("cores", document.get("cores", 2), 1),
+        accelerators=processor_count(
+            "accelerators", document.get("accelerators", 1), 0
+        ),
     )
 
 
@@ -809,15 +816,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         "the exact engines again",
     )
     parser.add_argument(
-        "--vector-threshold",
-        type=int,
-        default=None,
-        help="lane count (tasks x platforms) from which simulation grids "
-        "run on the batched lockstep kernel instead of the dense engine "
-        "(default: the measured calibration table for this host's backend; "
-        "env REPRO_VECTOR_THRESHOLD also overrides)",
-    )
-    parser.add_argument(
         "--port-file",
         default=None,
         help="write the bound port to this file once listening "
@@ -887,7 +885,6 @@ def serve_from_args(args: argparse.Namespace) -> int:
             oracle_budget=args.oracle_budget,
             breaker_threshold=args.breaker_threshold,
             breaker_reset=args.breaker_reset,
-            vector_threshold=args.vector_threshold,
             tracing=not args.no_tracing,
             trace_sample=trace_sample,
             trace_ring_bytes=trace_ring_bytes,

@@ -7,9 +7,9 @@
   (trace-producing reference implementation);
 * :mod:`repro.simulation.dense` -- the trace-free dense-index fast path
   (bit-identical makespans, no ``NodeExecution`` churn);
-* :mod:`repro.simulation.vectorized` -- the lockstep kernel advancing many
-  simulations per numpy batch (bit-identical makespans, the default of
-  ``simulate_many``);
+* :mod:`repro.simulation.vectorized` -- many simulations per call of the
+  compiled C kernel (bit-identical makespans, the default of
+  ``simulate_many`` where a C compiler is available);
 * :mod:`repro.simulation.batch` -- batched ``simulate_many`` over
   task x platform x policy grids with one compile per task;
 * :mod:`repro.simulation.trace` -- execution traces with legality validation;

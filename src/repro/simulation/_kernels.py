@@ -1,31 +1,26 @@
-"""Compiled C step-loop kernel (the PR 8 fast path's engine room).
+"""Compiled C step-loop kernel (the engine behind every vectorisable grid).
 
-The numpy lockstep kernel (:mod:`repro.simulation.vectorized`) amortises
-*interpreter dispatch*: it exists because issuing one numpy call per lane
-per step would drown the arithmetic in Python overhead, so it batches many
-lanes into a handful of array sweeps per step.  Compiling the step loop
-removes that overhead at the root -- in native code a plain per-lane event
-loop (the dense engine's heaps, verbatim) is both simpler and faster than
-the lockstep formulation, because the per-step work is a few dozen heap
-operations, not a few dozen interpreter round-trips.  This module therefore
-lowers the *scalar* event loop of :mod:`repro.simulation.dense` to C, once,
-for every priority family the lockstep kernel understands:
+A Python event loop pays interpreter dispatch for every heap operation of
+every simulation.  Compiling the step loop removes that overhead at the
+root: in native code a plain per-lane event loop (the dense engine's heaps,
+verbatim) runs each step as a few dozen heap operations, not a few dozen
+interpreter round-trips.  This module therefore lowers the *scalar* event
+loop of :mod:`repro.simulation.dense` to C, once, for every priority family
+of the built-in policies (:func:`~repro.simulation.schedulers.policy_vector_kind`):
 
 * ``fifo`` (breadth-first): ready key ``(ready time, creation index)``;
 * ``static`` (critical-path/shortest/longest/fixed-priority): ``(per-node
   key, arrival index)``;
 * ``lifo`` (depth-first): ``(-arrival, arrival)``;
 * ``random``: ``(pre-consumed draw, arrival)`` -- the draws are consumed on
-  the Python side exactly like the numpy kernel's, so the stream semantics
-  of the scalar engines are preserved.
+  the Python side, one per non-instant node in cell order, so the stream
+  semantics of the scalar engines are preserved.
 
 Bit-identity holds by construction: the C loop performs the *same
 floating-point operations in the same order* as ``simulate_makespan_dense``
 (IEEE-754 double adds and compares, the ``1e-12`` retire window, the
 arrival/start counters, FIFO instant-node cascades), and binary heaps over
-unique keys pop in a total order independent of their internal layout.  In
-particular the stamped families' arrival-order replay -- the numpy kernel's
-``_py_replay`` escape hatch -- is simply the loop's native behaviour here.
+unique keys pop in a total order independent of their internal layout.
 
 Toolchain
 ---------
@@ -36,8 +31,9 @@ with ``REPRO_CC``) into a shared library cached by source hash under
 dir), and loaded with :mod:`ctypes`.  No third-party package is required --
 ``pip install .[compiled]`` is a documented no-op kept as the opt-in
 marker.  When no compiler is available (or ``REPRO_COMPILED=0`` disables
-the backend) every caller falls back to the numpy lockstep kernel; nothing
-in the repository *requires* the compiled backend.
+the backend) ``engine="auto"`` serves every grid with the dense engine
+(:func:`~repro.simulation.vectorized_compiled.resolve_engine`); nothing in
+the repository *requires* the compiled backend.
 """
 
 from __future__ import annotations
@@ -390,7 +386,7 @@ def load_kernel() -> Optional[ctypes.CDLL]:
 
     Memoised (including the failure); thread-safe.  Disabled outright by
     ``REPRO_COMPILED=0`` -- the switch the no-compiler CI leg and the
-    fallback tests use to force the numpy path on hosts that *do* have a
+    fallback tests use to force the dense path on hosts that *do* have a
     compiler.
     """
     global _lib, _reason, _probed

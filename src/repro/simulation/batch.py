@@ -7,18 +7,17 @@ transformed).  :func:`simulate_many` is the batch entry point that
 * compiles each task **once** (:func:`repro.core.compiled.compile_task`) and
   reuses the compiled view across every ``(platform, policy)`` cell -- one
   compile serves all ``m`` values and both variants of a sweep point;
-* runs the **vectorised lockstep kernel** by default
+* runs every vectorisable policy column through the **compiled C kernel**
   (:func:`~repro.simulation.vectorized.simulate_column_vectorized`): all
-  cells of a policy column advance as lanes of one numpy batch, which is
-  what makes the paper-scale figure 6 sweep (100 DAGs x 15 fractions x 4
-  host sizes x 2 variants) a few array-sweep batches instead of thousands
-  of Python event loops;
-* falls back to the trace-free dense engine
-  (:func:`~repro.simulation.dense.simulate_makespan_dense`) for cells the
-  kernel cannot serve -- custom or subclassed policies without a vector
-  kind -- and to the trace-producing reference engine when
-  ``makespans_only=False``; ``engine="dense"`` forces the dense path
-  everywhere (the benchmark baseline);
+  cells of a column are lanes of one native call, which is what makes the
+  paper-scale figure 6 sweep (100 DAGs x 15 fractions x 4 host sizes x 2
+  variants) a few kernel calls instead of thousands of Python event loops;
+* serves everything else with the trace-free dense engine
+  (:func:`~repro.simulation.dense.simulate_makespan_dense`): custom or
+  subclassed policies without a vector kind, every cell on a host where the
+  kernel cannot be built, and every cell under ``engine="dense"`` (the
+  benchmark baseline); ``makespans_only=False`` runs the trace-producing
+  reference engine instead;
 * distributes fixed-size task chunks over a process pool; chunk boundaries
   and the per-chunk policy instances depend only on ``(tasks, chunk_size,
   root_seed)`` -- never on the worker count -- so ``jobs=N`` is
@@ -30,11 +29,11 @@ transformed).  :func:`simulate_many` is the batch entry point that
 
 Engine-equivalence contract
 ---------------------------
-Every path produces bit-identical makespans: the lockstep kernel and the
-dense engine both reproduce ``simulate(...).makespan()`` exactly (enforced
-by ``tests/test_vectorized_engine.py`` / ``tests/test_dense_engine.py``),
-and the kernel's per-lane results do not depend on how cells are grouped
-into batches -- which is why the serial path may batch a whole call while
+Every path produces bit-identical makespans: the C kernel and the dense
+engine both reproduce ``simulate(...).makespan()`` exactly (enforced by
+``tests/test_vectorized_engine.py`` / ``tests/test_dense_engine.py``), and
+the kernel's per-lane results do not depend on how cells are grouped into
+calls -- which is why the serial path may batch a whole column while
 ``jobs=N`` batches per chunk, without breaking the determinism contract.
 Stochastic policies are the one subtlety: ``RandomPolicy`` draws are
 consumed per chunk in ``(task, platform)`` cell order on every path, so the
@@ -59,7 +58,7 @@ from .schedulers import (
     policy_vector_kind,
 )
 from .vectorized import simulate_column_vectorized
-from .vectorized_compiled import resolve_backend
+from .vectorized_compiled import resolve_engine
 
 __all__ = ["simulate_many", "resolve_engine"]
 
@@ -67,26 +66,6 @@ __all__ = ["simulate_many", "resolve_engine"]
 #: so that chunk boundaries -- and therefore the spawned policy streams --
 #: are identical for any ``jobs``.
 DEFAULT_CHUNK_SIZE = 16
-
-_ENGINES = ("auto", "dense", "lockstep", "compiled")
-
-#: Lockstep-kernel backend behind each non-dense engine name.
-_ENGINE_BACKEND = {"auto": "auto", "lockstep": "numpy", "compiled": "compiled"}
-
-
-def resolve_engine(engine: str) -> str:
-    """Concrete engine name that will serve vectorisable policy columns.
-
-    ``auto`` resolves to ``compiled`` when the C kernel is available on this
-    host and to the numpy ``lockstep`` kernel otherwise; the explicit names
-    map to themselves.  (Non-vectorisable policies always take the dense
-    per-cell fallback regardless of the engine.)
-    """
-    if engine not in _ENGINES:
-        raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
-    if engine == "auto":
-        return "compiled" if resolve_backend("auto") == "compiled" else "lockstep"
-    return engine
 
 
 def _dense_column(entries, platforms, policy, offload_enabled) -> np.ndarray:
@@ -110,13 +89,9 @@ def _simulate_columns(
         (len(entries), len(platforms), len(policies)), dtype=np.float64
     )
     for q, policy in enumerate(policies):
-        if engine != "dense" and policy_vector_kind(policy) is not None:
+        if engine == "compiled" and policy_vector_kind(policy) is not None:
             out[:, :, q] = simulate_column_vectorized(
-                entries,
-                platforms,
-                policy,
-                offload_enabled,
-                backend=_ENGINE_BACKEND[engine],
+                entries, platforms, policy, offload_enabled
             )
         else:
             out[:, :, q] = _dense_column(
@@ -180,17 +155,16 @@ def simulate_many(
     makespans_only:
         ``True`` (default): return a ``float64`` array of shape
         ``(len(tasks), len(platforms), len(policies))`` computed by the
-        vectorised lockstep kernel (dense fallback per cell where needed).
+        C kernel (dense engine per cell where it cannot serve).
         ``False``: return the analogous nested list of
         :class:`~repro.simulation.trace.ExecutionTrace` objects from the
         reference engine (useful for inspection; much slower).
     jobs:
         Worker-process count; ``None``/``0``/``1`` runs serially with
         results bit-identical to any parallel run.  The serial path batches
-        whole policy columns through the lockstep kernel (big batches
-        amortise best); parallel workers batch per chunk -- the kernel's
-        per-lane results do not depend on batch composition, so the
-        results agree bit for bit.
+        whole policy columns through the C kernel; parallel workers batch
+        per chunk -- the kernel's per-lane results do not depend on batch
+        composition, so the results agree bit for bit.
     root_seed:
         Root of the spawned per-chunk policy seeds.
     chunk_size:
@@ -198,15 +172,13 @@ def simulate_many(
         on it (chunk boundaries seed the spawned policies) but never on
         ``jobs``.
     engine:
-        ``"auto"`` (default): the lockstep kernel for vectorisable
-        policies -- on its compiled C backend when available on this host,
-        the numpy backend otherwise -- with the dense fallback for custom
-        policies.  ``"lockstep"``: force the numpy kernel backend;
-        ``"compiled"``: force the C backend (raises when unavailable).
-        ``"dense"``: force the dense per-cell path everywhere (the PR-3
-        behaviour; kept as the benchmark baseline and an escape hatch).
-        All engines are bit-identical; see :func:`resolve_engine` for what
-        ``auto`` picks.
+        ``"auto"`` (default): the C kernel for vectorisable policies when
+        it can be built on this host, the dense engine otherwise (see
+        :func:`resolve_engine`).  ``"compiled"``: the C kernel, raising
+        :class:`RuntimeError` when it is unavailable.  ``"dense"``: the
+        dense per-cell engine everywhere (the benchmark baseline).  Custom
+        policies always take the dense engine.  All engines are
+        bit-identical.
 
     Returns
     -------
@@ -216,8 +188,7 @@ def simulate_many(
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    if engine not in _ENGINES:
-        raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
+    engine = resolve_engine(engine)
     task_list = list(tasks)
     if isinstance(platforms, (Platform, int)):
         platforms = [platforms]
@@ -250,7 +221,7 @@ def simulate_many(
     seeds = spawn_seeds(root_seed, len(chunks) * len(policy_list))
 
     if makespans_only and resolve_jobs(jobs) == 1:
-        # Serial fast path: batch whole policy columns through the lockstep
+        # Serial fast path: batch whole policy columns through the C
         # kernel instead of dispatching chunk-sized batches.  Deterministic
         # policies behave identically through any spawned copy, so one
         # instance serves the whole column; RandomPolicy keeps the chunked
@@ -258,9 +229,8 @@ def simulate_many(
         # is evaluated chunk by chunk (matching the dense path draw for
         # draw).  Custom policies take the dense per-cell fallback.
         out = np.empty(shape, dtype=np.float64)
-        backend = _ENGINE_BACKEND.get(engine)
         for q, policy in enumerate(policy_list):
-            kind = policy_vector_kind(policy) if engine != "dense" else None
+            kind = policy_vector_kind(policy) if engine == "compiled" else None
             per_chunk = kind is None or kind == VECTOR_RANDOM
             if not per_chunk:
                 out[:, :, q] = simulate_column_vectorized(
@@ -268,7 +238,6 @@ def simulate_many(
                     platform_list,
                     policy.spawned(seeds[q]),
                     offload_enabled,
-                    backend=backend,
                 )
                 continue
             row = 0
@@ -280,8 +249,7 @@ def simulate_many(
                     )
                 else:
                     block = simulate_column_vectorized(
-                        chunk, platform_list, spawned, offload_enabled,
-                        backend=backend,
+                        chunk, platform_list, spawned, offload_enabled
                     )
                 out[row : row + len(chunk), :, q] = block
                 row += len(chunk)

@@ -46,6 +46,7 @@ from ..core.exceptions import SimulationError
 from ..core.graph import NodeId
 from ..core.task import DagTask
 from .engine import _as_platform, _device_assignment
+from .kernel_stats import record_kernel_batch
 from .platform import Platform
 from .schedulers import (
     BreadthFirstPolicy,
@@ -100,10 +101,7 @@ def simulate_makespan_dense(
 
     assignment = _device_assignment(task, platform, offload_enabled, device_assignment)
     index = compiled.index
-
     n = len(compiled.nodes)
-    if n == 0:
-        return 0.0
 
     # Per-index device assignment (-1 = host), replacing the reference
     # engine's per-arrival dictionary membership test.
@@ -133,6 +131,7 @@ def simulate_makespan_dense(
 
     arrival_counter = 0
     start_counter = 0
+    retire_windows = 0
     makespan = 0.0
     heappush = heapq.heappush
     heappop = heapq.heappop
@@ -229,6 +228,7 @@ def simulate_makespan_dense(
 
         # Advance time to the earliest completion and retire every node that
         # finishes at that instant.
+        retire_windows += 1
         current_time = running[0][0]
         threshold = current_time + 1e-12
         while running and running[0][0] <= threshold:
@@ -268,4 +268,12 @@ def simulate_makespan_dense(
                 else:
                     enqueue(s)
 
+    # One lane advanced per retire window, as in the C kernel.
+    record_kernel_batch(
+        "dense",
+        lanes=1,
+        steps=retire_windows,
+        events=n,
+        lane_steps=retire_windows,
+    )
     return makespan

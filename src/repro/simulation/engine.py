@@ -54,7 +54,7 @@ __all__ = ["simulate", "simulate_makespan"]
 def _as_platform(platform_or_cores: Union[Platform, int]) -> Platform:
     if isinstance(platform_or_cores, Platform):
         return platform_or_cores
-    return Platform(host_cores=int(platform_or_cores), accelerators=1)
+    return Platform(host_cores=platform_or_cores, accelerators=1)
 
 
 def _device_assignment(

@@ -1,7 +1,7 @@
 """Per-batch kernel step profiles (thread-local, near-zero cost when off).
 
-The engines (numpy lockstep, compiled C step loop, workload reference and
-coupled engines) each run an event/step loop whose shape — how many steps
+The engines (dense, compiled C step loop, workload reference and coupled
+engines) each run an event/step loop whose shape — how many steps
 it took, how many node retirements it processed, how full the lanes were —
 is exactly the information a latency trace needs at its leaves and the
 `/metrics` endpoint needs to aggregate.  This module is the collection
@@ -13,11 +13,11 @@ disarmed-cheapness contract the PR 6 fault points follow.
 Semantics of the counters (uniform across engines):
 
 ``steps``
-    Iterations of the engine's main loop.  For the lockstep batch that is
-    the number of synchronised event steps; for the compiled C kernel it
-    is the total number of retire windows summed over lanes (the C loop
-    advances one lane at a time); for the workload engines it is the
-    number of event batches (coupled) or heap events (reference).
+    Iterations of the engine's main loop.  For the dense engine and the
+    compiled C kernel that is the number of retire windows (summed over
+    lanes: both advance one lane at a time, and the dense engine records
+    one single-lane batch per simulation); for the workload engines it is
+    the number of event batches (coupled) or heap events (reference).
 ``events``
     Node retirements processed (every node retires exactly once, so for a
     complete run this equals the total node count of the batch).
@@ -25,8 +25,8 @@ Semantics of the counters (uniform across engines):
     Sum over steps of the number of active lanes — ``lane_steps / steps``
     is the mean number of lanes each step advanced, and
     ``lane_steps / (steps * lanes)`` the mean lane occupancy in ``[0, 1]``
-    (1.0 means no lockstep waste; the C kernel is per-lane, so its
-    occupancy is ``1 / lanes`` by construction and honest about it).
+    (1.0 means no lane idles; the C kernel is per-lane, so its occupancy
+    is ``1 / lanes`` by construction and honest about it).
 
 Collectors are thread-local: the facade wraps each engine call of a batch
 in one collector and hands the merged profile to the trace span and the
@@ -56,7 +56,7 @@ _STATE = threading.local()
 class KernelBatchStats:
     """Step profile of one kernel batch run."""
 
-    engine: str  # "lockstep" | "compiled" | "workload.numpy" | ...
+    engine: str  # "dense" | "compiled" | "workload.numpy" | ...
     lanes: int
     steps: int
     events: int

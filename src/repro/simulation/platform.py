@@ -11,9 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..core.exceptions import SimulationError
 
-__all__ = ["Platform", "HOST", "ACCELERATOR", "INSTANT"]
+__all__ = [
+    "Platform",
+    "HOST",
+    "ACCELERATOR",
+    "INSTANT",
+    "MAX_PROCESSORS",
+    "processor_count",
+]
 
 #: Resource-kind label for host cores in execution traces.
 HOST = "host"
@@ -21,6 +30,27 @@ HOST = "host"
 ACCELERATOR = "accelerator"
 #: Resource-kind label for zero-WCET nodes, which occupy no resource.
 INSTANT = "instant"
+
+#: Largest host-core or accelerator count a platform accepts: four times
+#: the widest host any experiment or benchmark models (1 024 cores).
+MAX_PROCESSORS = 4096
+
+
+def processor_count(name: str, value: object, minimum: int) -> int:
+    """``value`` as an ``int``, if it is a count in ``minimum..MAX_PROCESSORS``.
+
+    Only ``int`` and numpy integers are counts, never ``bool``: a
+    fractional, boolean or infinite core count means nothing on a platform,
+    and each engine would read it differently.  Raises
+    :class:`~repro.core.exceptions.SimulationError` naming ``name``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise SimulationError(f"{name} must be an integer, got {value!r}")
+    if not minimum <= value <= MAX_PROCESSORS:
+        raise SimulationError(
+            f"{name} must be between {minimum} and {MAX_PROCESSORS}, got {value}"
+        )
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -30,23 +60,26 @@ class Platform:
     Attributes
     ----------
     host_cores:
-        Number ``m`` of identical host cores.
+        Number ``m`` of identical host cores, ``1..MAX_PROCESSORS``.
     accelerators:
-        Number of accelerator devices; the paper's model uses exactly one.
+        Number of accelerator devices, ``0..MAX_PROCESSORS``; the paper's
+        model uses exactly one.
     """
 
     host_cores: int
     accelerators: int = 1
 
     def __post_init__(self) -> None:
-        if self.host_cores < 1:
-            raise SimulationError(
-                f"platform needs at least one host core, got {self.host_cores}"
-            )
-        if self.accelerators < 0:
-            raise SimulationError(
-                f"accelerator count cannot be negative, got {self.accelerators}"
-            )
+        # Stored as plain ints, so numpy integers hash, compare and encode
+        # to JSON like the ints they stand for.
+        object.__setattr__(
+            self, "host_cores", processor_count("host_cores", self.host_cores, 1)
+        )
+        object.__setattr__(
+            self,
+            "accelerators",
+            processor_count("accelerators", self.accelerators, 0),
+        )
 
     @property
     def total_processors(self) -> int:

@@ -46,7 +46,7 @@ __all__ = [
     "VECTOR_RANDOM",
 ]
 
-#: Vector-kind labels of the lockstep kernel's priority families (see
+#: Vector-kind labels of the C kernel's priority families (see
 #: :func:`policy_vector_kind`).
 VECTOR_FIFO = "fifo"  # key (ready_time, creation index): BreadthFirstPolicy
 VECTOR_LIFO = "lifo"  # key (-arrival,): DepthFirstPolicy
@@ -133,7 +133,7 @@ class SchedulingPolicy(abc.ABC):
         )
 
     def vector_keys(self, compiled: "CompiledTask") -> np.ndarray:
-        """Per-node primary priority values for the lockstep kernel.
+        """Per-node primary priority values for the C kernel.
 
         Only meaningful for policies of the ``static`` vector kind (see
         :func:`policy_vector_kind`): the returned ``float64`` array holds,
@@ -342,7 +342,7 @@ class RandomPolicy(SchedulingPolicy):
 
         ``Generator.random(count)`` consumes the underlying bit stream
         exactly like ``count`` successive scalar ``random()`` calls, so the
-        lockstep kernel can pre-draw one simulation's priority values (one
+        C kernel can pre-draw one simulation's priority values (one
         per non-instant node, assigned in arrival order) and stay
         bit-identical to the per-arrival draws of the other engines.
         """
@@ -418,7 +418,7 @@ def policy_supports_dense(policy: SchedulingPolicy) -> bool:
     return True
 
 
-#: Exact-type map of the built-in policies onto the lockstep kernel's
+#: Exact-type map of the built-in policies onto the C kernel's
 #: priority families.  Keyed by concrete class on purpose: a subclass may
 #: override ``priority()``/``prepare()`` in ways the kernel cannot see, so
 #: anything that is not literally one of the seven built-ins falls back to
@@ -436,7 +436,7 @@ _VECTOR_KINDS: dict[type, str] = {
 
 
 def policy_vector_kind(policy: SchedulingPolicy) -> Optional[str]:
-    """Vector-kind label of ``policy`` for the lockstep kernel, or ``None``.
+    """Vector-kind label of ``policy`` for the C kernel, or ``None``.
 
     ``None`` means the vectorised engine must not simulate this policy (a
     custom or subclassed policy whose behaviour is only defined by its

@@ -1,51 +1,21 @@
-"""Vectorised multi-simulation lockstep kernel (the PR 4 fast path).
+"""Batched makespans on the compiled C step loop.
 
-The dense engine (:mod:`repro.simulation.dense`) already strips the per-node
-object churn out of one simulation, but a figure-6 sweep still runs
-*thousands* of independent simulations -- one Python event loop per
-``(task, platform, policy)`` cell.  This module advances **many independent
-simulations in lockstep**: every cell becomes a *lane* of a batch, the node
-state of all lanes lives in flat numpy arrays (one global "node slot" space,
-lane ``l`` owning the contiguous slice ``[offset_l, offset_l + n_l)``), and
-each iteration of the step loop advances *every* active lane to its own next
-completion instant with a handful of array sweeps:
+A figure 6 sweep runs thousands of independent simulations, one per
+``(task, platform, policy)`` cell.  This module turns each cell into a
+*lane* -- the compiled task view, the platform, the device-assignment array
+and the policy's priority inputs -- and runs every lane of a call in one
+native call of the C kernel (:mod:`repro.simulation._kernels`, packed by
+:mod:`repro.simulation.vectorized_compiled`).
 
-* **running slots** -- ``(B, S)`` matrices of finish times and node ids
-  (host core slots followed by accelerator slots); the per-lane "advance
-  time to the earliest completion" of the scalar engines becomes one
-  row-wise ``min``;
-* **edge propagation** -- the completed nodes of all lanes expand through
-  one shared CSR ragged-gather (in-degree countdown and ready-time maxima
-  as grouped scatter updates), replacing one Python successor loop per
-  completed node per simulation;
-* **ready queues** -- see below; the breadth-first family needs no priority
-  scan at all.
-
-The monotone-arrival property (the fifo fast path)
---------------------------------------------------
-The breadth-first policy orders its ready queue by ``(ready time, creation
-index)``.  Ready times are *monotone across steps*: a node that becomes
-ready in step ``k`` has ``ready in [next_finish_k, next_finish_k + 1e-12]``
-(its decisive predecessor retired inside the step's threshold window), and
-``next_finish_{k+1} > next_finish_k + 1e-12`` -- so every arrival of a later
-step sorts strictly after every arrival of an earlier one.  The
-breadth-first ready queue is therefore a genuine FIFO: the kernel sorts each
-step's arrival batch once by ``(lane, ready time, creation index)``, appends
-it to per-lane circular queues, and "pick the next node to start" is a
-single O(1) head read per lane -- no per-step priority scan, which is what
-makes the batched path beat the dense engine's per-simulation heaps.
-
-Policy families ("policy-priority matrices")
---------------------------------------------
+Policy families
+---------------
 The kernel understands the four priority families of the built-in policies
 (:func:`repro.simulation.schedulers.policy_vector_kind`):
 
-* ``fifo`` (breadth-first): key ``(ready time, creation index)`` -- unique
-  per lane, no arrival bookkeeping, FIFO queues as above (the fastest path,
-  and the paper's scheduler);
+* ``fifo`` (breadth-first): key ``(ready time, creation index)``;
 * ``static`` (critical-path/shortest/longest/fixed-priority): key
-  ``(static per-node value, arrival index)`` with the per-node values as a
-  matrix from :meth:`~repro.simulation.schedulers.SchedulingPolicy.vector_keys`;
+  ``(static per-node value, arrival index)``, with the per-node values from
+  :meth:`~repro.simulation.schedulers.SchedulingPolicy.vector_keys`;
 * ``lifo`` (depth-first): key ``(-arrival,)``;
 * ``random``: key ``(draw, arrival)`` with the draws *pre-consumed* from the
   policy's stream (``Generator.random(k)`` consumes the bit stream exactly
@@ -53,70 +23,41 @@ The kernel understands the four priority families of the built-in policies
   semantics of the scalar engines are preserved; when one policy instance
   serves several cells, the draws are consumed in cell order).
 
-The stamped families keep scan-based ready pools whose entries carry one
-*packed* float64 key: the dense rank of the primary value (equal values
-share a rank) scaled past the arrival stamp, ``rank * M + arrival`` with
-``M`` larger than any stamp -- so a single masked row ``argmin`` realises
-the scalar engines' lexicographic ``(primary, arrival)`` heap order
-exactly, without a second tie-break pass.  They are simulated correctly
-but without the fifo path's throughput, which is fine: every sweep driver
-defaults to the breadth-first scheduler.  Custom or subclassed policies have no vector kind;
-callers (:func:`repro.simulation.batch.simulate_many`) fall back to the
-dense engine for those cells.
+Mixed families share one call: the kernel switches per lane.  Custom or
+subclassed policies have no vector kind; callers
+(:func:`repro.simulation.batch.simulate_many`) serve those cells with the
+dense engine.  Every entry point here needs the C kernel and raises
+:class:`RuntimeError`, with the reason, when it cannot be built.
 
 Bit-identity contract
 ---------------------
-Like the dense engine, the kernel must return **exactly** the makespan of
-``simulate(...).makespan()`` for every cell -- same floats, same
-tie-breaking.  The invariants that make this work:
-
-* ready times are pure ``max`` folds over predecessor finish times and
-  in-degrees pure countdowns, so batching a step's edge updates is
-  order-free;
-* arrival indices (the tie-breaker of the stamped families) are assigned by
-  replaying the scalar engines' enqueue order: completed nodes sorted by
-  ``(finish, start sequence)`` (the running-heap pop order), successors in
-  CSR (creation) order, a node becoming ready at the step's *last* incoming
-  edge -- the kernel therefore stamps newly ready nodes by the position of
-  that decisive edge;
-* zero-WCET ("instant") cascades resolve in the scalar engines' FIFO order.
-  For ``fifo`` lanes the order cannot influence the result and the cascade
-  is a vectorised fixed point (its arrivals are merged with the step's
-  direct arrivals before the batch sort, preserving the queue order); for
-  stamped lanes the kernel replays the affected lane's step through an
-  exact scalar fallback (cascades are rare -- one ``v_sync`` per
-  transformed task -- so this costs nothing measurable).
-
-The property suite in ``tests/test_vectorized_engine.py`` enforces identity
+Every lane returns **exactly** ``simulate(...).makespan()`` of its cell --
+same floats, same tie-breaking -- whatever other lanes share the call.  The
+property suite in ``tests/test_vectorized_engine.py`` enforces identity
 against both scalar engines across all seven registered policies, original
 and transformed DAGs, multi-device assignments and offload modes.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from ..core.compiled import CompiledTask, compile_task
-from ..core.exceptions import SimulationError
 from ..core.graph import NodeId
 from ..core.task import DagTask
 from .engine import _as_platform, _device_assignment
-from .kernel_stats import record_kernel_batch
 from .platform import Platform
 from .schedulers import (
-    VECTOR_FIFO,
-    VECTOR_LIFO,
     VECTOR_RANDOM,
     VECTOR_STATIC,
     BreadthFirstPolicy,
     SchedulingPolicy,
     policy_vector_kind,
 )
-from .vectorized_compiled import resolve_backend, run_lanes_compiled
+from .vectorized_compiled import resolve_engine, run_lanes_compiled
 
 __all__ = [
     "VectorCell",
@@ -125,12 +66,10 @@ __all__ = [
     "simulate_makespan_lockstep",
 ]
 
-_INF = np.inf
-
 
 @dataclass(frozen=True)
 class VectorCell:
-    """One simulation of the lockstep batch (a *lane*).
+    """One simulation of a kernel call (a *lane*).
 
     Mirrors the parameters of :func:`repro.simulation.engine.simulate`; the
     optional ``compiled`` view lets batch drivers compile once per task and
@@ -154,1013 +93,22 @@ class _Lane:
     assigned: np.ndarray  # (n,) device per node, -1 = host
     static_keys: Optional[np.ndarray] = None  # static kind
     draws: Optional[np.ndarray] = None  # random kind
-    out_index: int = 0  # position in the caller's cell list
 
 
-def _ragged_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenate ``[arange(s, s + c) for s, c in zip(starts, counts)]``."""
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if len(ends) else 0
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    bases = np.repeat(starts - ends + counts, counts)
-    return bases + np.arange(total, dtype=np.int64)
-
-
-def _group_sorted(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(firsts, counts)`` of the runs of an already-sorted array.
-
-    Equivalent to ``np.unique(values, return_index=True,
-    return_counts=True)`` (with ``values[firsts]`` as the uniques) but
-    without re-sorting -- the step loop groups by lanes and targets that are
-    sorted by construction.  Hand-rolled (no ``np.diff``/``concatenate``)
-    because it runs several times per step.
-    """
-    n = len(values)
-    boundaries = np.nonzero(values[1:] != values[:-1])[0]
-    k = len(boundaries)
-    firsts = np.empty(k + 1, dtype=np.int64)
-    firsts[0] = 0
-    firsts[1:] = boundaries
-    firsts[1:] += 1
-    ends = np.empty(k + 1, dtype=np.int64)
-    ends[:k] = firsts[1:]
-    ends[k] = n
-    return firsts, ends - firsts
-
-
-class _LockstepBatch:
-    """One lockstep run over lanes sharing a priority family (``kind``)."""
-
-    def __init__(self, kind: str, lanes: list[_Lane]) -> None:
-        self.kind = kind
-        # Big lanes first: a lane runs for roughly one step per node, so
-        # ordering by size keeps the active lanes in a contiguous prefix
-        # and the per-step full-width scans can shrink as lanes finish
-        # (``b_act`` below).  Results are per-lane, so order is free to
-        # choose; ``out_index`` maps back to the caller's cell order.
-        self.lanes = sorted(
-            lanes, key=lambda lane: -len(lane.compiled.nodes)
+def _vector_kind(policy: Optional[SchedulingPolicy]) -> str:
+    """Priority family of ``policy`` (``None`` is breadth-first); raises
+    :class:`ValueError` for policies the kernel cannot serve."""
+    policy = policy if policy is not None else BreadthFirstPolicy()
+    kind = policy_vector_kind(policy)
+    if kind is None:
+        raise ValueError(
+            f"policy {type(policy).__name__!r} has no vector kind; "
+            "simulate it with the dense engine instead"
         )
-        self._build()
-
-    # ------------------------------------------------------------------
-    # Construction: flat node space + per-lane state
-    # ------------------------------------------------------------------
-    def _build(self) -> None:
-        kind = self.kind
-        lanes = self.lanes
-        B = len(lanes)
-        ns = np.array([len(lane.compiled.nodes) for lane in lanes], dtype=np.int64)
-        node_off = np.concatenate(([0], np.cumsum(ns)))
-        N = int(node_off[-1])
-        es = np.array(
-            [len(lane.compiled.succ_idx) for lane in lanes], dtype=np.int64
-        )
-        edge_off = np.concatenate(([0], np.cumsum(es)))
-
-        self.B, self.N, self.ns = B, N, ns
-        self.lane_of = np.repeat(np.arange(B, dtype=np.int64), ns)
-        self.local_idx = np.arange(N, dtype=np.int64) - np.repeat(node_off[:-1], ns)
-        self.local_idx_f = self.local_idx.astype(np.float64)
-        if N:
-            self.wcet = np.concatenate(
-                [lane.compiled.wcet for lane in lanes]
-            ).astype(np.float64, copy=False)
-            ptr = np.concatenate(
-                [lane.compiled.succ_ptr_array[:-1] for lane in lanes]
-                + [edge_off[-1:]]
-            )
-            ptr[:-1] += np.repeat(edge_off[:-1], ns)
-            self.succ_ptr = ptr
-            if edge_off[-1]:
-                idx = np.concatenate(
-                    [lane.compiled.succ_idx_array for lane in lanes]
-                )
-                idx += np.repeat(node_off[:-1], es)
-                self.succ_idx = idx
-            else:
-                self.succ_idx = np.empty(0, dtype=np.int64)
-            self.succ_cnt = self.succ_ptr[1:] - self.succ_ptr[:-1]
-            self.in_degree = np.concatenate(
-                [lane.compiled.in_degree_array for lane in lanes]
-            ).copy()
-            self.assigned = np.concatenate([lane.assigned for lane in lanes])
-        else:
-            self.wcet = np.empty(0, dtype=np.float64)
-            self.succ_ptr = np.zeros(1, dtype=np.int64)
-            self.succ_idx = np.empty(0, dtype=np.int64)
-            self.succ_cnt = np.empty(0, dtype=np.int64)
-            self.in_degree = np.empty(0, dtype=np.int64)
-            self.assigned = np.empty(0, dtype=np.int64)
-        self.instant = self.wcet == 0.0
-        self.ready_time = np.zeros(N, dtype=np.float64)
-
-        # Packed stamped-family keys: the scalar engines order ready pools
-        # by (primary value, arrival stamp).  Primary values are known
-        # upfront per lane (static per-node keys; the pre-consumed draw
-        # pool; -arrival for lifo), so each lane's values are *dense-ranked*
-        # once (equal values share a rank, preserving the tie) and every
-        # pool entry carries the single exact float64 ``rank * M + stamp``
-        # with ``M`` above any stamp -- one masked row argmin then realises
-        # the full lexicographic order (ranks and stamps are small integers,
-        # so the packing is exact in float64).
-        self._stamp_mult = float(int(ns.max()) + 1) if B else 1.0
-        if kind == VECTOR_STATIC:
-            self.rank_flat = (
-                np.concatenate(
-                    [
-                        np.unique(
-                            np.asarray(lane.static_keys, dtype=np.float64),
-                            return_inverse=True,
-                        )[1].astype(np.float64)
-                        for lane in lanes
-                    ]
-                )
-                if N
-                else np.empty(0, dtype=np.float64)
-            )
-        if kind == VECTOR_RANDOM:
-            counts = [len(lane.draws) for lane in lanes]
-            self.draw_off = np.concatenate(
-                ([0], np.cumsum(np.array(counts, dtype=np.int64)))
-            )[:-1]
-            self.draw_rank_flat = (
-                np.concatenate(
-                    [
-                        np.unique(
-                            np.asarray(lane.draws, dtype=np.float64),
-                            return_inverse=True,
-                        )[1].astype(np.float64)
-                        for lane in lanes
-                    ]
-                )
-                if sum(counts)
-                else np.empty(0, dtype=np.float64)
-            )
-
-        # Resources: host core slots first, then accelerator slots.
-        m = np.array([lane.platform.host_cores for lane in lanes], dtype=np.int64)
-        accel = np.array(
-            [lane.platform.accelerators for lane in lanes], dtype=np.int64
-        )
-        self.S_host = int(m.max()) if B else 0
-        self.A = int(self.assigned.max()) + 1 if self.assigned.size else 0
-        S = self.S_host + self.A
-        self.S = S
-        # Slot-major (S, B) layout: the per-lane "earliest completion" min
-        # reduces over axis 0 (vectorised across the contiguous lane axis),
-        # and all slot accesses go through flat indices (``slot * B +
-        # lane``) -- flat gathers/scatters are several times cheaper than
-        # their 2-D fancy-indexing equivalents.
-        self.slot_finish = np.full((S, B), _INF)
-        self.slot_node = np.full((S, B), -1, dtype=np.int64)
-        self.slot_seq = np.zeros((S, B), dtype=np.int64)
-        self.slot_finish_flat = self.slot_finish.ravel()
-        self.slot_node_flat = self.slot_node.ravel()
-        self.slot_seq_flat = self.slot_seq.ravel()
-        # Free host slots as per-lane stacks (pop on start, push on retire):
-        # O(1) flat accesses instead of scanning the slot matrix for a free
-        # column.  Slot identity is interchangeable (the scalar engines'
-        # cores are count-based), so any order works.
-        self.fs_slot = np.tile(
-            np.arange(max(self.S_host, 1), dtype=np.int64), (B, 1)
-        )
-        self.fs_slot_flat = self.fs_slot.ravel()
-        self.fs_top = np.full(B, self.S_host, dtype=np.int64)
-        self.free_cores = m.copy()
-        self.device_free = (
-            np.arange(self.A, dtype=np.int64)[None, :] < accel[:, None]
-            if self.A
-            else np.zeros((B, 0), dtype=bool)
-        )
-
-        self.remaining = ns.copy()
-        self.lane_time = np.zeros(B)
-        self.makespan = np.zeros(B)
-        self.arrival_count = np.zeros(B, dtype=np.int64)
-        self.start_count = np.zeros(B, dtype=np.int64)
-
-        if kind == VECTOR_FIFO:
-            # FIFO queues (see the module docstring): every node is enqueued
-            # at most once, so a (B, max enqueues) ring never wraps and
-            # head/tail cursors replace any priority bookkeeping.
-            nonzero_mask = self.wcet != 0.0
-            width = (
-                int(np.bincount(self.lane_of[nonzero_mask], minlength=B).max())
-                if N and nonzero_mask.any()
-                else 0
-            )
-            self.fq_width = max(width, 1)
-            self.fq_node = np.full((B, self.fq_width), -1, dtype=np.int64)
-            self.fq_node_flat = self.fq_node.ravel()
-            self.fq_head = np.zeros(B, dtype=np.int64)
-            self.fq_tail = np.zeros(B, dtype=np.int64)
-            if self.A:
-                device_mask = self.assigned >= 0
-                dev_width = int(
-                    np.bincount(
-                        self.lane_of[device_mask] * self.A
-                        + self.assigned[device_mask]
-                    ).max()
-                )
-                self.fqd_node = np.full(
-                    (B, self.A, dev_width), -1, dtype=np.int64
-                )
-                self.fqd_head = np.zeros((B, self.A), dtype=np.int64)
-                self.fqd_tail = np.zeros((B, self.A), dtype=np.int64)
-        else:
-            # Scan pools for the stamped families: (B, W) packed-key / node
-            # matrices, swap-remove, no internal order (the per-lane packed
-            # keys are unique, so selection never depends on pool slot
-            # positions).
-            self.W = 8
-            self.rp_key = np.full((B, self.W), _INF)
-            self.rp_node = np.full((B, self.W), -1, dtype=np.int64)
-            self.rp_count = np.zeros(B, dtype=np.int64)
-            self.Wd = 2
-            self.dp_key = np.full((B, self.A, self.Wd), _INF)
-            self.dp_node = np.full((B, self.A, self.Wd), -1, dtype=np.int64)
-            self.dp_count = np.zeros((B, self.A), dtype=np.int64)
-        #: Python-side count of queued device nodes: most steps have none
-        #: (one offloaded node per task is the paper's model), and a zero
-        #: lets the start phase skip the per-device passes entirely.
-        self.dev_queued = 0
-
-        # Reusable step buffers (allocation overhead dominates these tiny
-        # per-step arrays) and a scratch vector for duplicate detection.
-        self._buf_next = np.empty(B)
-        self._buf_thr = np.empty(B)
-        self._buf_mask = np.empty((S, B), dtype=bool) if S else None
-        self._scratch = np.empty(N, dtype=np.int64)
-
-    # ------------------------------------------------------------------
-    # Stamped-family pool plumbing
-    # ------------------------------------------------------------------
-    def _grow_host(self, need: int) -> None:
-        new_w = self.W
-        while new_w < need:
-            new_w *= 2
-        pad = new_w - self.W
-        self.rp_key = np.hstack([self.rp_key, np.full((self.B, pad), _INF)])
-        self.rp_node = np.hstack(
-            [self.rp_node, np.full((self.B, pad), -1, dtype=np.int64)]
-        )
-        self.W = new_w
-
-    def _grow_device(self, need: int) -> None:
-        new_w = self.Wd
-        while new_w < need:
-            new_w *= 2
-        pad = new_w - self.Wd
-        shape = (self.B, self.A, pad)
-        self.dp_key = np.concatenate([self.dp_key, np.full(shape, _INF)], axis=2)
-        self.dp_node = np.concatenate(
-            [self.dp_node, np.full(shape, -1, dtype=np.int64)], axis=2
-        )
-        self.Wd = new_w
-
-    def _insert_host(
-        self, L: np.ndarray, nodes: np.ndarray, prim: np.ndarray
-    ) -> None:
-        """Append ready entries to the scan pools (``L`` lane-sorted)."""
-        firsts, counts = _group_sorted(L)
-        uL = L[firsts]
-        base = self.rp_count[uL]
-        need = int((base + counts).max())
-        if need > self.W:
-            self._grow_host(need)
-        pos = np.repeat(base, counts) + (
-            np.arange(len(L), dtype=np.int64) - np.repeat(firsts, counts)
-        )
-        self.rp_key[L, pos] = prim
-        self.rp_node[L, pos] = nodes
-        self.rp_count[uL] = base + counts
-
-    def _insert_device(
-        self,
-        L: np.ndarray,
-        devices: np.ndarray,
-        nodes: np.ndarray,
-        prim: np.ndarray,
-    ) -> None:
-        ids = L * self.A + devices
-        order = np.argsort(ids, kind="stable")
-        ids = ids[order]
-        L, devices, nodes = L[order], devices[order], nodes[order]
-        prim = prim[order]
-        firsts, counts = _group_sorted(ids)
-        uid = ids[firsts]
-        uL, uD = uid // self.A, uid % self.A
-        base = self.dp_count[uL, uD]
-        need = int((base + counts).max())
-        if need > self.Wd:
-            self._grow_device(need)
-        pos = np.repeat(base, counts) + (
-            np.arange(len(L), dtype=np.int64) - np.repeat(firsts, counts)
-        )
-        self.dp_key[L, devices, pos] = prim
-        self.dp_node[L, devices, pos] = nodes
-        self.dp_count[uL, uD] = base + counts
-        self.dev_queued += len(L)
-
-    @staticmethod
-    def _select(key: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        """Per-row ``argmin`` over the packed lexicographic keys.
-
-        A single pass: each pool entry's float64 packs ``(primary rank,
-        arrival stamp)`` exactly, so one row ``argmin`` realises the heap
-        order of the scalar engines (the packed keys are unique per lane, so
-        the result never depends on pool slot positions).
-        """
-        return key[lanes].argmin(axis=1)
-
-    def _remove_host(self, lanes: np.ndarray, slots: np.ndarray) -> None:
-        last = self.rp_count[lanes] - 1
-        self.rp_key[lanes, slots] = self.rp_key[lanes, last]
-        self.rp_node[lanes, slots] = self.rp_node[lanes, last]
-        self.rp_key[lanes, last] = _INF
-        self.rp_node[lanes, last] = -1
-        self.rp_count[lanes] = last
-
-    def _remove_device(
-        self, lanes: np.ndarray, d: int, slots: np.ndarray
-    ) -> None:
-        last = self.dp_count[lanes, d] - 1
-        self.dp_key[lanes, d, slots] = self.dp_key[lanes, d, last]
-        self.dp_node[lanes, d, slots] = self.dp_node[lanes, d, last]
-        self.dp_key[lanes, d, last] = _INF
-        self.dp_node[lanes, d, last] = -1
-        self.dp_count[lanes, d] = last
-        self.dev_queued -= len(lanes)
-
-    # ------------------------------------------------------------------
-    # Enqueue (newly ready nodes -> ready queues)
-    # ------------------------------------------------------------------
-    def _enqueue_newly(
-        self,
-        L: np.ndarray,
-        nodes: np.ndarray,
-        trig: np.ndarray,
-        ordered: bool = False,
-    ) -> None:
-        """Enqueue ready nodes; ``trig`` orders same-lane arrivals.
-
-        For the stamped families the arrival indices are assigned here: the
-        entries are ordered by ``(lane, trig)`` where ``trig`` replays the
-        scalar engines' enqueue order within the step (position of the
-        decisive incoming edge; local node index during seeding).
-
-        The fifo family needs the final queue order (lane, ready, creation
-        index) instead.  ``ordered=True`` asserts the input already is in
-        that order (single-source CSR expansions).  Otherwise: on a
-        *uniform* step -- every completion at exactly the lane's
-        ``next_finish``, so all same-lane arrivals tie on ready time -- a
-        plain sort by global node id (== (lane, creation index)) suffices;
-        only the rare non-uniform step pays for the full lexsort.
-        """
-        if not len(L):
-            return
-        if self.kind == VECTOR_FIFO:
-            if not ordered:
-                if self._uniform_step:
-                    order = np.argsort(nodes)
-                else:
-                    order = np.lexsort(
-                        (self.local_idx[nodes], self.ready_time[nodes], L)
-                    )
-                L, nodes = L[order], nodes[order]
-            firsts, counts = _group_sorted(L)
-            single = len(firsts) == len(L)
-            devices = self.assigned[nodes]
-            if int(devices.max()) < 0:  # all host-bound (the common case)
-                if single:
-                    self.fq_node_flat[L * self.fq_width + self.fq_tail[L]] = nodes
-                    self.fq_tail[L] += 1
-                else:
-                    occ = np.arange(len(L), dtype=np.int64) - np.repeat(
-                        firsts, counts
-                    )
-                    self.fq_node_flat[
-                        L * self.fq_width + self.fq_tail[L] + occ
-                    ] = nodes
-                    self.fq_tail[L[firsts]] += counts
-                return
-            host = devices < 0
-            self._fifo_append(L[host], nodes[host])
-            dev = ~host
-            self._fifo_append_device(L[dev], devices[dev], nodes[dev])
-            return
-        order = np.lexsort((trig, L))
-        L, nodes = L[order], nodes[order]
-        firsts, counts = _group_sorted(L)
-        uL = L[firsts]
-        occ = np.arange(len(L), dtype=np.int64) - np.repeat(firsts, counts)
-        stamps = np.repeat(self.arrival_count[uL], counts) + occ + 1
-        self.arrival_count[uL] += counts
-        stamps_f = stamps.astype(np.float64)
-        if self.kind == VECTOR_STATIC:
-            prim = self.rank_flat[nodes] * self._stamp_mult + stamps_f
-        elif self.kind == VECTOR_LIFO:
-            prim = -stamps_f
-        else:  # VECTOR_RANDOM
-            prim = (
-                self.draw_rank_flat[self.draw_off[L] + stamps - 1]
-                * self._stamp_mult
-                + stamps_f
-            )
-        devices = self.assigned[nodes]
-        host = devices < 0
-        if host.all():
-            self._insert_host(L, nodes, prim)
-            return
-        if host.any():
-            self._insert_host(L[host], nodes[host], prim[host])
-        dev = ~host
-        self._insert_device(L[dev], devices[dev], nodes[dev], prim[dev])
-
-    def _fifo_append(self, L: np.ndarray, nodes: np.ndarray) -> None:
-        if not len(L):
-            return
-        firsts, counts = _group_sorted(L)
-        uL = L[firsts]
-        if len(firsts) == len(L):  # one arrival per lane
-            pos = self.fq_tail[uL]
-            self.fq_node_flat[L * self.fq_width + pos] = nodes
-            self.fq_tail[uL] += 1
-            return
-        pos = np.repeat(self.fq_tail[uL], counts) + (
-            np.arange(len(L), dtype=np.int64) - np.repeat(firsts, counts)
-        )
-        self.fq_node_flat[L * self.fq_width + pos] = nodes
-        self.fq_tail[uL] += counts
-
-    def _fifo_append_device(
-        self, L: np.ndarray, devices: np.ndarray, nodes: np.ndarray
-    ) -> None:
-        ids = L * self.A + devices
-        order = np.argsort(ids, kind="stable")
-        ids, L, devices, nodes = ids[order], L[order], devices[order], nodes[order]
-        firsts, counts = _group_sorted(ids)
-        uid = ids[firsts]
-        uL, uD = uid // self.A, uid % self.A
-        pos = np.repeat(self.fqd_tail[uL, uD], counts) + (
-            np.arange(len(L), dtype=np.int64) - np.repeat(firsts, counts)
-        )
-        self.fqd_node[L, devices, pos] = nodes
-        self.fqd_tail[uL, uD] += counts
-        self.dev_queued += len(L)
-
-    # ------------------------------------------------------------------
-    # Propagation of completions
-    # ------------------------------------------------------------------
-    def _propagate(self, rl: np.ndarray, g: np.ndarray, f: np.ndarray) -> None:
-        """Expand completions ``(lane, node, finish)`` in processing order.
-
-        The entries must already be sorted in the scalar engines' processing
-        order per lane (``(finish, start sequence)``); the ``fifo`` family is
-        insensitive to the order, the stamped families derive their arrival
-        stamps from it.
-        """
-        e_start = self.succ_ptr[g]
-        e_cnt = self.succ_cnt[g]
-        total = int(e_cnt.sum())
-        if total == 0:
-            return
-        eidx = _ragged_ranges(e_start, e_cnt)
-        T = self.succ_idx[eidx]
-        F = np.repeat(f, e_cnt)
-
-        # Duplicate detection without a sort: scatter each edge's position
-        # into a scratch vector -- a lost write means two edges share a
-        # target.  Most steps are duplicate-free (a join node rarely sees
-        # two predecessors retire in the same instant), and then the edge
-        # list itself is the target grouping: positions are decisive edges,
-        # per-target maxima are the edge finishes, and the lane-major edge
-        # order doubles as the enqueue order.
-        positions = np.arange(total, dtype=np.int64)
-        self._scratch[T] = positions
-        sorted_targets = False
-        if bool((self._scratch[T] == positions).all()):
-            uT = T
-            tcounts = 1
-            Fmax = F
-            last_pos = positions
-            newly = self.in_degree[T] == 1
-        else:
-            # Group the step's edges by target (stable sort: edge
-            # processing positions stay ascending within each target group).
-            ts = np.argsort(T, kind="stable")
-            Tq = T[ts]
-            tfirst, tcounts = _group_sorted(Tq)
-            uT = Tq[tfirst]
-            Fmax = np.maximum.reduceat(F[ts], tfirst)
-            last_pos = ts[tfirst + tcounts - 1]  # decisive (last) edge position
-            newly = self.in_degree[uT] == tcounts
-            sorted_targets = True  # uT ascending == (lane, index) order
-
-        if self.kind != VECTOR_FIFO:
-            # A zero-WCET node becoming ready starts a cascade whose arrival
-            # interleaving the batch update cannot replay; route the affected
-            # lanes through the exact scalar fallback instead.
-            bad = newly & self.instant[uT]
-            if bad.any():
-                if np.ndim(tcounts) == 0:  # scalar from the dup-free path
-                    tcounts = np.ones(len(uT), dtype=np.int64)
-                py_lanes = np.unique(self.lane_of[uT[bad]])
-                py_mask = np.zeros(self.B, dtype=bool)
-                py_mask[py_lanes] = True
-                keep = ~py_mask[self.lane_of[uT]]
-                uT, tcounts, Fmax = uT[keep], tcounts[keep], Fmax[keep]
-                last_pos, newly = last_pos[keep], newly[keep]
-                self._apply_updates(uT, tcounts, Fmax, last_pos, newly, sorted_targets)
-                for lane in py_lanes:
-                    mask = rl == lane
-                    self._py_replay(int(lane), g[mask], f[mask])
-                return
-        self._apply_updates(uT, tcounts, Fmax, last_pos, newly, sorted_targets)
-
-    def _apply_updates(
-        self,
-        uT: np.ndarray,
-        tcounts: np.ndarray,
-        Fmax: np.ndarray,
-        last_pos: np.ndarray,
-        newly: np.ndarray,
-        sorted_targets: bool = False,
-    ) -> None:
-        if not len(uT):
-            return
-        self.ready_time[uT] = np.maximum(self.ready_time[uT], Fmax)
-        self.in_degree[uT] -= tcounts
-        newT = uT[newly]
-        if not len(newT):
-            return
-        newL = self.lane_of[newT]
-        if self.kind == VECTOR_FIFO:  # no arrival stamps: trig is unused
-            inst = self.instant[newT]
-            if inst.any():
-                # Resolve the cascades first, then enqueue the union of the
-                # direct and cascade arrivals in one batch (re-sorted by
-                # the enqueue below: the concatenation interleaves lanes)
-                # so the FIFO order stays globally consistent.
-                waveL, waveT = self._instant_wave(newL[inst], newT[inst])
-                keep = ~inst
-                self._enqueue_newly(
-                    np.concatenate((newL[keep], waveL)),
-                    np.concatenate((newT[keep], waveT)),
-                    None,
-                    ordered=False,
-                )
-                return
-            # Ascending-node targets on a uniform step are already in the
-            # final queue order (per-lane ready times tie).
-            self._enqueue_newly(
-                newL,
-                newT,
-                None,
-                ordered=self._single_step
-                or (sorted_targets and self._uniform_step),
-            )
-            return
-        self._enqueue_newly(newL, newT, last_pos[newly])
-
-    def _instant_wave(
-        self, L: np.ndarray, nodes: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Resolve zero-WCET completions for ``fifo`` lanes (order-free).
-
-        Returns the non-instant arrivals produced by the cascades instead of
-        enqueueing them, so the caller can merge them with the step's direct
-        arrivals before the batch sort.  ``nodes`` (and therefore ``L``)
-        arrive in ascending global order, so grouping needs no sort.
-        """
-        outL: list[np.ndarray] = []
-        outT: list[np.ndarray] = []
-        while len(nodes):
-            when = self.ready_time[nodes]
-            firsts, counts = _group_sorted(L)
-            uL = L[firsts]
-            self.makespan[uL] = np.maximum(
-                self.makespan[uL], np.maximum.reduceat(when, firsts)
-            )
-            self.remaining[uL] -= counts
-
-            e_start = self.succ_ptr[nodes]
-            e_cnt = self.succ_cnt[nodes]
-            total = int(e_cnt.sum())
-            if total == 0:
-                break
-            eidx = _ragged_ranges(e_start, e_cnt)
-            T = self.succ_idx[eidx]
-            F = np.repeat(when, e_cnt)
-            ts = np.argsort(T, kind="stable")
-            Tq = T[ts]
-            tfirst, tcounts = _group_sorted(Tq)
-            uT = Tq[tfirst]
-            Fmax = np.maximum.reduceat(F[ts], tfirst)
-            newly = self.in_degree[uT] == tcounts
-            self.ready_time[uT] = np.maximum(self.ready_time[uT], Fmax)
-            self.in_degree[uT] -= tcounts
-            newT = uT[newly]
-            if not len(newT):
-                break
-            newL = self.lane_of[newT]
-            inst = self.instant[newT]
-            if not inst.all():
-                outL.append(newL[~inst])
-                outT.append(newT[~inst])
-            L, nodes = newL[inst], newT[inst]
-        if outL:
-            return np.concatenate(outL), np.concatenate(outT)
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-
-    # ------------------------------------------------------------------
-    # Exact scalar fallback (stamped lanes with instant cascades)
-    # ------------------------------------------------------------------
-    def _py_replay(self, lane: int, g: np.ndarray, f: np.ndarray) -> None:
-        """Replay one lane's completion processing exactly like the dense
-        engine's retirement loop (successors in CSR order, FIFO instant
-        cascades, arrival stamps at enqueue)."""
-        for node, finish in zip(g.tolist(), f.tolist()):
-            newly: list[int] = []
-            for s in self.succ_idx[
-                self.succ_ptr[node] : self.succ_ptr[node + 1]
-            ].tolist():
-                if finish > self.ready_time[s]:
-                    self.ready_time[s] = finish
-                self.in_degree[s] -= 1
-                if self.in_degree[s] == 0:
-                    newly.append(s)
-            for s in newly:
-                if self.wcet[s] != 0.0:
-                    self._py_enqueue(lane, s)
-                else:
-                    self._py_cascade(lane, s)
-
-    def _py_cascade(self, lane: int, node: int) -> None:
-        """FIFO instant cascade, mirroring the dense engine's ``enqueue``."""
-        pending: deque[int] = deque((node,))
-        while pending:
-            current = pending.popleft()
-            if self.wcet[current] != 0.0:
-                self._py_enqueue(lane, current)
-                continue
-            when = float(self.ready_time[current])
-            if when > self.makespan[lane]:
-                self.makespan[lane] = when
-            self.remaining[lane] -= 1
-            for s in self.succ_idx[
-                self.succ_ptr[current] : self.succ_ptr[current + 1]
-            ].tolist():
-                if when > self.ready_time[s]:
-                    self.ready_time[s] = when
-                self.in_degree[s] -= 1
-                if self.in_degree[s] == 0:
-                    pending.append(s)
-
-    def _py_enqueue(self, lane: int, node: int) -> None:
-        """Scalar ready-pool insertion with arrival stamping."""
-        self.arrival_count[lane] += 1
-        stamp = int(self.arrival_count[lane])
-        if self.kind == VECTOR_STATIC:
-            prim = float(self.rank_flat[node]) * self._stamp_mult + stamp
-        elif self.kind == VECTOR_LIFO:
-            prim = float(-stamp)
-        else:  # VECTOR_RANDOM
-            prim = (
-                float(self.draw_rank_flat[self.draw_off[lane] + stamp - 1])
-                * self._stamp_mult
-                + stamp
-            )
-        device = int(self.assigned[node])
-        if device < 0:
-            count = int(self.rp_count[lane])
-            if count >= self.W:
-                self._grow_host(count + 1)
-            self.rp_key[lane, count] = prim
-            self.rp_node[lane, count] = node
-            self.rp_count[lane] = count + 1
-        else:
-            count = int(self.dp_count[lane, device])
-            if count >= self.Wd:
-                self._grow_device(count + 1)
-            self.dp_key[lane, device, count] = prim
-            self.dp_node[lane, device, count] = node
-            self.dp_count[lane, device] = count + 1
-            self.dev_queued += 1
-
-    # ------------------------------------------------------------------
-    # Seeding
-    # ------------------------------------------------------------------
-    def _seed(self) -> None:
-        # Seed arrivals all share ready time 0.0, so the uniform-step
-        # fast ordering applies.
-        self._uniform_step = True
-        self._single_step = False
-        sources = np.flatnonzero(self.in_degree == 0)
-        if not len(sources):
-            return
-        L = self.lane_of[sources]
-        if self.kind != VECTOR_FIFO:
-            inst_lanes = np.unique(L[self.instant[sources]])
-            if len(inst_lanes):
-                py_mask = np.zeros(self.B, dtype=bool)
-                py_mask[inst_lanes] = True
-                keep = ~py_mask[L]
-                self._enqueue_newly(
-                    L[keep], sources[keep], self.local_idx[sources[keep]]
-                )
-                # Dense seeding order: sources by local index, each instant
-                # source's cascade resolving before the next source.
-                for lane in inst_lanes:
-                    for s in sources[L == lane].tolist():
-                        if self.wcet[s] != 0.0:
-                            self._py_enqueue(int(lane), s)
-                        else:
-                            self._py_cascade(int(lane), s)
-                return
-            self._enqueue_newly(L, sources, self.local_idx[sources])
-            return
-        inst = self.instant[sources]
-        if inst.any():
-            waveL, waveT = self._instant_wave(L[inst], sources[inst])
-            keep = ~inst
-            self._enqueue_newly(
-                np.concatenate((L[keep], waveL)),
-                np.concatenate((sources[keep], waveT)),
-                sources,
-                ordered=False,
-            )
-            return
-        self._enqueue_newly(L, sources, sources, ordered=True)
-
-    # ------------------------------------------------------------------
-    # Step phases
-    # ------------------------------------------------------------------
-    def _start_phase(self, cand: np.ndarray) -> None:
-        """Start ready nodes on the candidate lanes.
-
-        ``cand`` holds the only lanes whose start state can have changed
-        since the previous phase: arrivals and freed resources both
-        originate from a lane's own retirements, so the step loop passes
-        the lanes that just retired (and, for the first phase, every lane).
-        """
-        if not len(cand):
-            return
-        if self.kind == VECTOR_FIFO:
-            # Each lane starts its next min(free cores, queued) nodes; with
-            # the FIFO queue those are one contiguous run per lane, so the
-            # whole phase is a single ragged gather (no selection passes):
-            # k nodes popped from the queue head, k slots popped from the
-            # free-slot stack.
-            k = np.minimum(
-                self.free_cores[cand], self.fq_tail[cand] - self.fq_head[cand]
-            )
-            started = k > 0
-            lanes = cand[started]
-            if len(lanes):
-                k = k[started]
-                if int(k.max()) == 1:  # one start per lane (common)
-                    nodes = self.fq_node_flat[
-                        lanes * self.fq_width + self.fq_head[lanes]
-                    ]
-                    finish = self.lane_time[lanes] + self.wcet[nodes]
-                    slots = self.fs_slot_flat[
-                        lanes * self.S_host + self.fs_top[lanes] - 1
-                    ]
-                    flat = slots * self.B + lanes
-                    self.slot_finish_flat[flat] = finish
-                    self.slot_node_flat[flat] = nodes
-                    self.fs_top[lanes] -= 1
-                    self.fq_head[lanes] += 1
-                    self.free_cores[lanes] -= 1
-                else:
-                    nodes = self.fq_node_flat[
-                        _ragged_ranges(
-                            lanes * self.fq_width + self.fq_head[lanes], k
-                        )
-                    ]
-                    Lr = np.repeat(lanes, k)
-                    finish = self.lane_time[Lr] + self.wcet[nodes]
-                    slots = self.fs_slot_flat[
-                        _ragged_ranges(
-                            lanes * self.S_host + self.fs_top[lanes] - k, k
-                        )
-                    ]
-                    flat = slots * self.B + Lr
-                    self.slot_finish_flat[flat] = finish
-                    self.slot_node_flat[flat] = nodes
-                    self.fs_top[lanes] -= k
-                    self.fq_head[lanes] += k
-                    self.free_cores[lanes] -= k
-            if self.dev_queued:
-                for d in range(self.A):
-                    can = self.device_free[cand, d] & (
-                        self.fqd_tail[cand, d] > self.fqd_head[cand, d]
-                    )
-                    lanes = cand[can]
-                    if not len(lanes):
-                        continue
-                    nodes = self.fqd_node[lanes, d, self.fqd_head[lanes, d]]
-                    self.fqd_head[lanes, d] += 1
-                    self.dev_queued -= len(lanes)
-                    self._place_device(lanes, d, nodes, stamped=False)
-            return
-        can = (self.free_cores[cand] > 0) & (self.rp_count[cand] > 0)
-        lanes = cand[can]
-        while len(lanes):
-            slots = self._select(self.rp_key, lanes)
-            nodes = self.rp_node[lanes, slots]
-            self._remove_host(lanes, slots)
-            self._place_host(lanes, nodes, stamped=True)
-            still = (self.free_cores[lanes] > 0) & (self.rp_count[lanes] > 0)
-            lanes = lanes[still]
-        if self.dev_queued:
-            for d in range(self.A):
-                can = self.device_free[cand, d] & (self.dp_count[cand, d] > 0)
-                lanes = cand[can]
-                if not len(lanes):
-                    continue
-                slots = self._select(self.dp_key[:, d, :], lanes)
-                nodes = self.dp_node[lanes, d, slots]
-                self._remove_device(lanes, d, slots)
-                self._place_device(lanes, d, nodes, stamped=True)
-
-    def _place_host(
-        self, lanes: np.ndarray, nodes: np.ndarray, stamped: bool
-    ) -> None:
-        finish = self.lane_time[lanes] + self.wcet[nodes]
-        top = self.fs_top[lanes] - 1
-        free_slot = self.fs_slot_flat[lanes * self.S_host + top]
-        self.fs_top[lanes] = top
-        flat = free_slot * self.B + lanes
-        self.slot_finish_flat[flat] = finish
-        self.slot_node_flat[flat] = nodes
-        if stamped:
-            # The start sequence only matters as the retire-order tie-break
-            # of the stamped families.
-            self.start_count[lanes] += 1
-            self.slot_seq_flat[flat] = self.start_count[lanes]
-        self.free_cores[lanes] -= 1
-
-    def _place_device(
-        self, lanes: np.ndarray, d: int, nodes: np.ndarray, stamped: bool
-    ) -> None:
-        finish = self.lane_time[lanes] + self.wcet[nodes]
-        flat = (self.S_host + d) * self.B + lanes
-        self.slot_finish_flat[flat] = finish
-        self.slot_node_flat[flat] = nodes
-        if stamped:
-            self.start_count[lanes] += 1
-            self.slot_seq_flat[flat] = self.start_count[lanes]
-        self.device_free[lanes, d] = False
-
-    def _advance_and_retire(self, active: np.ndarray) -> np.ndarray:
-        """Advance every active lane to its next completion instant.
-
-        Returns the start candidates for the next phase: the lanes that
-        retired work and still have nodes left.
-        """
-        b = self.b_act  # active lanes live in [0, b) (big lanes first)
-        finishes = self.slot_finish[:, :b]
-        next_f = np.min(finishes, axis=0, out=self._buf_next[:b])
-        np.copyto(self.lane_time[:b], next_f)  # idle lanes' clock is never read
-        threshold = np.add(next_f, 1e-12, out=self._buf_thr[:b])
-        # Free slots hold +inf finishes, so the threshold test alone
-        # selects exactly the running nodes that complete now.
-        rmask = np.less_equal(
-            finishes, threshold[None, :], out=self._buf_mask[:, :b]
-        )
-        rmask &= active[:b]
-        # Lane-major scan of the transposed mask: rl comes out lane-sorted.
-        rl, rs = np.nonzero(rmask.T)
-        if not len(rl):
-            raise SimulationError(
-                "simulation deadlocked: nodes remain but nothing is "
-                "running (is the graph connected and acyclic?)"
-            )
-        flat = rs * self.B + rl
-        f = self.slot_finish_flat[flat]
-        g = self.slot_node_flat[flat]
-        if self.kind != VECTOR_FIFO:
-            # Scalar processing order: running-heap pops, i.e. (finish,
-            # seq) per lane.  The fifo family is insensitive to it (ready
-            # times are max folds, no arrival stamps), so it skips the sort.
-            order = np.lexsort((self.slot_seq_flat[flat], f, rl))
-            rl, f, g = rl[order], f[order], g[order]
-            rs, flat = rs[order], flat[order]
-
-        firsts, counts = _group_sorted(rl)
-        single = len(firsts) == len(rl)
-        self._single_step = single
-        # Uniform step: every completion at exactly its lane's next_finish
-        # (always true for single retires; exact ties are the norm with
-        # integer WCETs) -- same-lane arrivals then tie on ready time.
-        self._uniform_step = single or bool((f == next_f[rl]).all())
-        if len(firsts) != self.n_active:
-            # Every active lane must retire at least one node per step (a
-            # lane that cannot is deadlocked: nothing running, and the start
-            # phase would have started anything startable).
-            raise SimulationError(
-                "simulation deadlocked: nodes remain but nothing is "
-                "running (is the graph connected and acyclic?)"
-            )
-        # Plain overwrite of the makespan: finishes are monotone across
-        # steps (every later retire exceeds this step's threshold), so the
-        # last write per lane is its global maximum; only the
-        # instant-cascade path needs a genuine running max.
-        if self.A:
-            host = rs < self.S_host
-            all_host = bool(host.all())
-        else:
-            all_host = True
-        if len(firsts) == len(rl):  # one retire per lane (the common case)
-            uL = rl
-            self.makespan[rl] = f
-            self.remaining[rl] -= 1
-            if all_host:
-                self.free_cores[rl] += 1
-                self.fs_slot_flat[rl * self.S_host + self.fs_top[rl]] = rs
-                self.fs_top[rl] += 1
-            else:
-                hostl, rs_h = rl[host], rs[host]
-                self.free_cores[hostl] += 1
-                self.fs_slot_flat[hostl * self.S_host + self.fs_top[hostl]] = rs_h
-                self.fs_top[hostl] += 1
-        else:
-            uL = rl[firsts]
-            self.makespan[uL] = np.maximum.reduceat(f, firsts)
-            self.remaining[uL] -= counts
-            if all_host:
-                occ = np.arange(len(rl), dtype=np.int64) - np.repeat(firsts, counts)
-                pos = self.fs_top[rl] + occ
-                self.fs_slot_flat[rl * self.S_host + pos] = rs
-                self.free_cores[uL] += counts
-                self.fs_top[uL] += counts
-            else:
-                hostl, rs_h = rl[host], rs[host]
-                if len(hostl):
-                    hfirsts, hcounts = _group_sorted(hostl)
-                    occ = np.arange(len(hostl), dtype=np.int64) - np.repeat(
-                        hfirsts, hcounts
-                    )
-                    pos = self.fs_top[hostl] + occ
-                    self.fs_slot_flat[hostl * self.S_host + pos] = rs_h
-                    uLh = hostl[hfirsts]
-                    self.free_cores[uLh] += hcounts
-                    self.fs_top[uLh] += hcounts
-        if not all_host:
-            dev = ~host
-            self.device_free[rl[dev], rs[dev] - self.S_host] = True
-        self.slot_finish_flat[flat] = _INF
-        self.slot_node_flat[flat] = -1
-
-        self._propagate(rl, g, f)
-
-        # Lanes that just emptied leave the batch (the propagation must run
-        # first: an instant cascade can retire a lane's final nodes); the
-        # rest are the only candidates for the next start phase (arrivals
-        # are intra-lane).
-        left = self.remaining[uL]
-        done = left == 0
-        if done.any():
-            finished = uL[done]
-            active[finished] = False
-            self.n_active -= len(finished)
-            while self.b_act and not active[self.b_act - 1]:
-                self.b_act -= 1
-            return uL[~done]
-        return uL
-
-    # ------------------------------------------------------------------
-    # Main loop
-    # ------------------------------------------------------------------
-    def run(self) -> np.ndarray:
-        self._seed()
-        total_nodes = int(self.remaining.sum())
-        active = self.remaining > 0
-        self.n_active = int(active.sum())
-        cand = np.nonzero(active)[0]
-        self.b_act = int(cand[-1]) + 1 if len(cand) else 0
-        steps = 0
-        lane_steps = 0
-        while self.n_active:
-            steps += 1
-            lane_steps += self.n_active
-            self._start_phase(cand)
-            cand = self._advance_and_retire(active)
-        record_kernel_batch(
-            "lockstep",
-            lanes=self.B,
-            steps=steps,
-            events=total_nodes,
-            lane_steps=lane_steps,
-        )
-        return self.makespan
+    return kind
 
 
-def _prepare_lane(cell: VectorCell, kind: str, index: int) -> _Lane:
+def _prepare_lane(cell: VectorCell, kind: str) -> _Lane:
     task = cell.task
     platform = _as_platform(cell.platform)
     compiled = cell.compiled if cell.compiled is not None else compile_task(task)
@@ -1172,9 +120,7 @@ def _prepare_lane(cell: VectorCell, kind: str, index: int) -> _Lane:
     assigned = np.full(n, -1, dtype=np.int64)
     for node, device in assignment.items():
         assigned[compiled.index[node]] = device
-    lane = _Lane(
-        compiled=compiled, platform=platform, assigned=assigned, out_index=index
-    )
+    lane = _Lane(compiled=compiled, platform=platform, assigned=assigned)
     if kind == VECTOR_STATIC:
         lane.static_keys = np.asarray(
             policy.vector_keys(compiled), dtype=np.float64
@@ -1192,7 +138,6 @@ def simulate_column_vectorized(
     platforms: Sequence[Union[Platform, int]],
     policy: SchedulingPolicy,
     offload_enabled: bool = True,
-    backend: str = "numpy",
 ) -> np.ndarray:
     """Makespans of a ``task x platform`` grid under one vectorisable policy.
 
@@ -1204,24 +149,13 @@ def simulate_column_vectorized(
     ``(task, platform)`` order, so a stateful :class:`RandomPolicy` consumes
     its stream exactly like the scalar engines' nested loops.  Returns an
     array of shape ``(len(entries), len(platforms))``.
-
-    ``backend`` selects the kernel implementation per
-    :func:`~repro.simulation.vectorized_compiled.resolve_backend`:
-    ``"numpy"`` (default -- the lockstep batch below), ``"compiled"`` (the
-    C step loop) or ``"auto"``.  All backends are bit-identical.
     """
-    kind = policy_vector_kind(policy)
-    if kind is None:
-        raise ValueError(
-            f"policy {type(policy).__name__!r} has no vector kind; "
-            "simulate it with the dense engine instead"
-        )
-    backend = resolve_backend(backend)
+    kind = _vector_kind(policy)
+    resolve_engine("compiled")
     platform_list = [_as_platform(platform) for platform in platforms]
     if not platform_list:
         raise ValueError("simulate_column_vectorized needs at least one platform")
     lanes: list[_Lane] = []
-    index = 0
     for task, compiled in entries:
         if compiled is None:
             compiled = compile_task(task)
@@ -1251,79 +185,29 @@ def simulate_column_vectorized(
                 platform=platform,
                 assigned=assigned,
                 static_keys=static,
-                out_index=index,
             )
             if kind == VECTOR_RANDOM:
                 lane.draws = policy.vector_draws(nonzero)
             lanes.append(lane)
-            index += 1
-    if not lanes:
-        return np.empty((0, len(platform_list)))
-    if backend == "compiled":
-        # Lanes already sit in (task, platform) order == the output order.
-        return run_lanes_compiled(lanes, [kind] * len(lanes)).reshape(
-            len(entries), len(platform_list)
-        )
-    batch = _LockstepBatch(kind, lanes)
-    out = np.empty(len(lanes))
-    # run() returns lane-internal order (the batch sorts big lanes first).
-    out[[lane.out_index for lane in batch.lanes]] = batch.run()
-    return out.reshape(len(entries), len(platform_list))
+    # Lanes sit in (task, platform) order, which is the output order.
+    return run_lanes_compiled(lanes, [kind] * len(lanes)).reshape(
+        len(entries), len(platform_list)
+    )
 
 
-def simulate_makespans_vectorized(
-    cells: Sequence[VectorCell], backend: str = "numpy"
-) -> np.ndarray:
-    """Makespans of many independent simulations, via the lockstep kernel.
+def simulate_makespans_vectorized(cells: Sequence[VectorCell]) -> np.ndarray:
+    """Makespans of many independent simulations, in one kernel call.
 
-    Cells are grouped by the priority family of their policy
-    (:func:`~repro.simulation.schedulers.policy_vector_kind`) and each group
-    runs as one lockstep batch; results come back in cell order.  Every
-    makespan is bit-identical to ``simulate(...).makespan()`` for the same
-    cell.  Raises :class:`ValueError` for policies without a vector kind
-    (custom or subclassed policies -- use the dense engine for those).
-
-    With ``backend="compiled"`` (or ``"auto"`` on a host with a C
-    compiler) the cells run through the C step loop instead -- all
-    families in one native call, no grouping needed.
+    Cells may mix policy families; results come back in cell order, each
+    bit-identical to ``simulate(...).makespan()`` for the same cell.
+    Raises :class:`ValueError` for policies without a vector kind (custom
+    or subclassed policies -- use the dense engine for those).
     """
     cells = list(cells)
-    backend = resolve_backend(backend)
-    out = np.empty(len(cells), dtype=np.float64)
-    if backend == "compiled":
-        lanes: list[_Lane] = []
-        kinds: list[str] = []
-        for index, cell in enumerate(cells):
-            policy = (
-                cell.policy if cell.policy is not None else BreadthFirstPolicy()
-            )
-            kind = policy_vector_kind(policy)
-            if kind is None:
-                raise ValueError(
-                    f"policy {type(policy).__name__!r} has no vector kind; "
-                    "simulate it with the dense engine instead"
-                )
-            lanes.append(_prepare_lane(cell, kind, index))
-            kinds.append(kind)
-        if lanes:
-            out[:] = run_lanes_compiled(lanes, kinds)
-        return out
-    groups: dict[str, list[_Lane]] = {}
-    for index, cell in enumerate(cells):
-        policy = cell.policy if cell.policy is not None else BreadthFirstPolicy()
-        kind = policy_vector_kind(policy)
-        if kind is None:
-            raise ValueError(
-                f"policy {type(policy).__name__!r} has no vector kind; "
-                "simulate it with the dense engine instead"
-            )
-        groups.setdefault(kind, []).append(_prepare_lane(cell, kind, index))
-    for kind, lanes in groups.items():
-        batch = _LockstepBatch(kind, lanes)
-        # run() returns lane-internal order (the batch sorts big lanes
-        # first); out_index maps back to the caller's cell order.
-        out[[lane.out_index for lane in batch.lanes]] = batch.run()
-    return out
+    kinds = [_vector_kind(cell.policy) for cell in cells]
+    resolve_engine("compiled")
+    lanes = [_prepare_lane(cell, kind) for cell, kind in zip(cells, kinds)]
+    return run_lanes_compiled(lanes, kinds)
 
 
 def simulate_makespan_lockstep(
@@ -1334,9 +218,8 @@ def simulate_makespan_lockstep(
     device_assignment: Optional[Mapping[NodeId, int]] = None,
     *,
     compiled: Optional[CompiledTask] = None,
-    backend: str = "numpy",
 ) -> float:
-    """Single-cell convenience wrapper around the lockstep kernel.
+    """Single-cell convenience wrapper around the C kernel.
 
     Same parameters and bit-identity contract as
     :func:`repro.simulation.dense.simulate_makespan_dense`; mainly useful
@@ -1355,7 +238,6 @@ def simulate_makespan_lockstep(
                     device_assignment=device_assignment,
                     compiled=compiled,
                 )
-            ],
-            backend=backend,
+            ]
         )[0]
     )

@@ -1,9 +1,11 @@
-"""Compiled-backend dispatch for the lockstep kernel's lanes.
+"""Engine resolution and lane packing for the compiled C kernel.
 
-This module is the bridge between the lane representation of
-:mod:`repro.simulation.vectorized` (a list of ``_Lane`` records: compiled
-task view, platform, device-assignment array, optional static keys /
-pre-consumed draws) and the C step-loop kernel in
+:func:`resolve_engine` names the engine that serves a vectorisable
+simulation grid on this host: the C kernel when it can be built, the dense
+engine otherwise.  :func:`run_lanes_compiled` is the bridge between the
+lane representation of :mod:`repro.simulation.vectorized` (a list of
+``_Lane`` records: compiled task view, platform, device-assignment array,
+optional static keys / pre-consumed draws) and the C step loop in
 :mod:`repro.simulation._kernels`: it concatenates the lanes into the flat
 global node space the kernel expects -- node offsets, WCETs, the globally
 rebased CSR, initial in-degrees, device assignments, per-lane resources and
@@ -17,46 +19,51 @@ duck-typed on the ``_Lane`` attributes.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import _kernels
 from .schedulers import VECTOR_RANDOM, VECTOR_STATIC
 
-__all__ = ["BACKENDS", "resolve_backend", "run_lanes_compiled"]
+__all__ = ["ENGINES", "resolve_backend", "resolve_engine", "run_lanes_compiled"]
 
-#: Recognised lockstep-kernel backends.  ``auto`` resolves to ``compiled``
-#: when the C kernel is available on this host and ``numpy`` otherwise.
-BACKENDS = ("auto", "numpy", "compiled")
+#: Engine names :func:`repro.simulation.batch.simulate_many` accepts.
+ENGINES = ("auto", "dense", "compiled")
 
 
-def resolve_backend(backend: str) -> str:
-    """Resolve a backend name to the concrete one that will run.
+def resolve_engine(engine: str) -> str:
+    """The concrete engine ``engine`` names on this host.
 
-    ``auto`` silently degrades to ``numpy`` when the compiled kernel cannot
-    be built (no C compiler, or ``REPRO_COMPILED=0``); an *explicit*
-    ``compiled`` request raises instead -- callers asking for the compiled
-    backend by name want its absence to be loud.
+    ``auto`` is ``compiled`` when the C kernel can be built and ``dense``
+    otherwise (no C compiler, or ``REPRO_COMPILED=0``); it never compares
+    a grid's size with anything.  An *explicit* ``compiled`` request raises
+    :class:`RuntimeError` with the reason instead -- callers asking for the
+    kernel by name want its absence to be loud.  The first call builds and
+    loads the kernel.
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    if backend == "auto":
-        return "compiled" if _kernels.compiled_available() else "numpy"
-    if backend == "compiled" and not _kernels.compiled_available():
+    if engine not in ENGINES:
+        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+    if engine == "auto":
+        return "compiled" if _kernels.compiled_available() else "dense"
+    if engine == "compiled" and not _kernels.compiled_available():
         raise RuntimeError(
             "compiled kernel backend unavailable: "
             f"{_kernels.compiled_unavailable_reason()}"
         )
-    return backend
+    return engine
+
+
+#: The name scripts call (``resolve_backend("auto")``) to build the kernel
+#: before they start timing.
+resolve_backend = resolve_engine
 
 
 def run_lanes_compiled(lanes: Sequence, kinds: Sequence[str]) -> np.ndarray:
     """Makespans of ``lanes`` (parallel ``kinds`` list) via the C kernel.
 
     Returns the per-lane makespans in input order; bit-identical to the
-    scalar engines and the numpy lockstep kernel by the contract of
-    :mod:`repro.simulation._kernels`.
+    scalar engines by the contract of :mod:`repro.simulation._kernels`.
     """
     B = len(lanes)
     if B == 0:

@@ -59,9 +59,9 @@ released at 0 reproduces ``simulate_makespan`` bit for bit.
 
 :func:`simulate_workload` is the coupled lockstep path: the numpy engine
 advances the whole shared node space per step with grouped propagation and
-vectorised selection, mirroring the idioms of the PR 4 lockstep kernel
-(``backend="auto"`` serves it today; a compiled-C shared-platform mode is
-an explicit follow-on and ``backend="compiled"`` says so).  Its results are
+vectorised selection (``backend="auto"`` serves it today; a compiled-C
+shared-platform mode is an explicit follow-on and ``backend="compiled"``
+says so).  Its results are
 **bit-identical** to the reference -- the same cross-engine contract every
 other layer of the repo obeys, enforced by the hypothesis harness in
 ``tests/test_workload.py``.
@@ -294,7 +294,7 @@ class _WorkloadProblem:
     """The concatenated global node space of one workload.
 
     Pure data: per-instance compiled CSRs stitched together with global
-    offsets (the lockstep kernel's layout with one lane group), the shared
+    offsets (the C kernel's layout with one lane group), the shared
     platform's capacity, per-node device targets, the policy's key family
     and -- for the stochastic family -- the pre-drawn priority pool.  Both
     engines consume this and nothing else, so their agreement is about the

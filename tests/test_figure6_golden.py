@@ -2,14 +2,14 @@
 
 The expected curves are serialised in ``tests/data/figure6_golden.json``.
 Figure 6 exercises the whole simulation stack (chunked seeded generation,
-Algorithm 1 transformation, the vectorised lockstep kernel behind
-``simulate_many``), so a bit-identical golden curve pins the entire
-pipeline: any change to draws, scheduling semantics or float evaluation
-order shows up here.
+Algorithm 1 transformation, the C kernel -- or the dense engine without a
+compiler -- behind ``simulate_many``), so a bit-identical golden curve pins
+the entire pipeline: any change to draws, scheduling semantics or float
+evaluation order shows up here.
 
 The sweep must also be bit-identical under ``--jobs``: the parallel path
-only distributes deterministic evaluation (per-chunk lockstep batches vs
-the serial whole-column batch -- the kernel's per-lane results do not
+only distributes deterministic evaluation (per-chunk kernel calls vs
+the serial whole-column call -- the kernel's per-lane results do not
 depend on batch composition).
 
 Regenerate the golden file (after an *intentional* pipeline change) with::

@@ -665,33 +665,12 @@ class TestEvaluationServiceSemantics:
 
 
 # ----------------------------------------------------------------------
-# Engine selection: measured crossover threshold + per-engine accounting
+# Engine selection: the engine "auto" resolves to + per-engine accounting
 # ----------------------------------------------------------------------
 class TestEngineSelectionAndThreshold:
-    def test_constructor_threshold_overrides_calibration(self):
-        with EvaluationService(vector_threshold=3, **FAST_BATCHING) as service:
-            assert service.stats()["engine"]["vector_threshold"] == 3
-
-    def test_env_threshold_overrides_calibration(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_THRESHOLD", "7")
-        with EvaluationService(**FAST_BATCHING) as service:
-            assert service.stats()["engine"]["vector_threshold"] == 7
-
-    def test_explicit_threshold_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_THRESHOLD", "7")
-        with EvaluationService(vector_threshold=2, **FAST_BATCHING) as service:
-            assert service.stats()["engine"]["vector_threshold"] == 2
-
-    def test_default_threshold_comes_from_calibration_table(self):
-        from repro.simulation.calibration import vector_threshold
-
-        with EvaluationService(**FAST_BATCHING) as service:
-            assert (
-                service.stats()["engine"]["vector_threshold"] == vector_threshold()
-            )
-
     def test_by_engine_counters_and_prometheus_series(self):
         from repro.simulation.batch import resolve_engine
+        from repro.simulation.dense import simulate_makespan_dense
 
         tasks = [make_random_heterogeneous_task(s, 0.2, n_max=30) for s in range(4)]
 
@@ -704,24 +683,23 @@ class TestEngineSelectionAndThreshold:
                     )
                 )
 
-        # Below the (huge) threshold every group runs on the dense engine.
-        with EvaluationService(vector_threshold=10**6, **FAST_BATCHING) as service:
-            dense_values = burst(service)
+        # Every grid runs on the engine "auto" resolves to on this host:
+        # the C kernel, or the dense engine without a C compiler.
+        engine = resolve_engine("auto")
+        with EvaluationService(**FAST_BATCHING) as service:
+            values = burst(service)
             by_engine = service.stats()["engine"]["by_engine"]
-            assert by_engine["dense"] >= 1
-            assert by_engine["lockstep"] == 0 and by_engine["compiled"] == 0
+            assert by_engine[engine] >= 1
+            assert all(
+                count == 0 for name, count in by_engine.items() if name != engine
+            )
             rendered = service.metrics.render_prometheus()
-            assert 'repro_service_sim_engine_total{engine="dense"}' in rendered
-
-        # Threshold 1: every grid goes through the vector path, served by
-        # whichever concrete engine "auto" resolves to on this machine.
-        with EvaluationService(vector_threshold=1, **FAST_BATCHING) as service:
-            vector_values = burst(service)
-            by_engine = service.stats()["engine"]["by_engine"]
-            assert by_engine["dense"] == 0
-            assert by_engine[resolve_engine("auto")] >= 1
+            assert f'repro_service_sim_engine_total{{engine="{engine}"}}' in rendered
         # Engine choice never changes answers (the bit-identity contract).
-        assert vector_values == dense_values
+        policy = policy_by_name("breadth-first")
+        assert values == [
+            simulate_makespan_dense(task, Platform(2, 1), policy) for task in tasks
+        ]
 
     def test_multi_policy_burst_coalesces_into_one_grid(self):
         # An ablation-shaped burst (every task under every deterministic
@@ -732,9 +710,7 @@ class TestEngineSelectionAndThreshold:
         ]
         policies = ["breadth-first", "shortest-first", "longest-first"]
         platform = Platform(2, 1)
-        service = EvaluationService(
-            flush_interval=30.0, quiet_interval=10.0, vector_threshold=1
-        )
+        service = EvaluationService(flush_interval=30.0, quiet_interval=10.0)
         with ThreadPoolExecutor(9) as pool:
             futures = {
                 (index, name): pool.submit(
@@ -895,6 +871,77 @@ class TestHTTPTransport:
         assert client.simulate(task, cores=2) == simulate_makespan(
             task, Platform(2), policy_by_name("breadth-first")
         )
+
+    @pytest.mark.parametrize(
+        "path, count, field, seed",
+        [
+            ("/simulate", b'"cores": 1.5', "cores", 31),
+            ("/simulate", b'"cores": 2.5', "cores", 32),
+            ("/simulate", b'"cores": true', "cores", 33),
+            ("/simulate", b'"cores": 1e999', "cores", 34),
+            ("/simulate", b'"cores": 4097', "cores", 35),
+            ("/simulate", b'"cores": 2, "accelerators": 0.5', "accelerators", 36),
+            ("/analyse", b'"cores": 1.5', "cores", 37),
+            ("/analyse", b'"cores": 1e999', "cores", 38),
+            ("/analyse", b'"cores": true', "cores", 39),
+            ("/analyse", b'"cores": [2, 1.5]', "cores", 40),
+            ("/makespan", b'"cores": 1.5', "cores", 41),
+            ("/makespan", b'"cores": true', "cores", 42),
+            ("/makespan", b'"cores": 1e999', "cores", 43),
+            ("/makespan", b'"cores": 2, "accelerators": true', "accelerators", 44),
+        ],
+    )
+    def test_non_integral_core_count_is_refused_and_the_next_request_served(
+        self, http_service, path, count, field, seed
+    ):
+        # Fractional, boolean and infinite core counts once got a 200 from
+        # /simulate (each engine reading them its own way), a 400 with an
+        # unrelated message from /analyse and a 500 from /makespan.
+        _, server, client = http_service
+        body = (
+            b'{%s, "task": {"nodes": {"a": 1, "b": 2}, "edges": [["a", "b"]]}}'
+            % count
+        )
+        connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=60)
+        try:
+            connection.request(
+                "POST", path, body, {"Content-Type": "application/json"}
+            )
+            response = connection.getresponse()
+            document = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 400
+        assert document["error"]["code"] == "bad-request"
+        assert document["error"]["message"].startswith(f"{field} must be")
+        task = make_random_heterogeneous_task(seed, 0.2)
+        assert client.simulate(task, cores=2) == simulate_makespan(
+            task, Platform(2), policy_by_name("breadth-first")
+        )
+
+    def test_reused_connection_is_not_delayed_by_nagle(self, http_service):
+        # A response goes out as two sends; with Nagle's algorithm on, the
+        # body on a reused connection waited for the client's delayed ACK
+        # of the headers, ~44 ms per request against ~2 ms fresh.
+        _, server, _ = http_service
+        body = json.dumps(
+            {"task": task_to_dict(figure1_task(period=21)), "cores": 2}
+        ).encode("utf-8")
+        connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=60)
+        elapsed = []
+        try:
+            for _ in range(6):  # one warm-up miss, then five cache hits
+                started = time.perf_counter()
+                connection.request(
+                    "POST", "/simulate", body, {"Content-Type": "application/json"}
+                )
+                response = connection.getresponse()
+                response.read()
+                elapsed.append(time.perf_counter() - started)
+                assert response.status == 200
+        finally:
+            connection.close()
+        assert sorted(elapsed[1:])[2] < 0.020, elapsed
 
     def test_non_finite_response_is_a_500_envelope(self, http_service, monkeypatch):
         # JSON cannot carry NaN: the server answers with an error envelope

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.core.examples import figure1_task, figure3_task
 from repro.core.exceptions import SimulationError
 from repro.core.task import DagTask
 from repro.core.transformation import transform
+from repro.simulation.batch import simulate_many
+from repro.simulation.dense import simulate_makespan_dense
 from repro.simulation.engine import simulate, simulate_makespan
 from repro.simulation.metrics import average_makespan, speedup, summarise_traces
 from repro.simulation.platform import ACCELERATOR, HOST, INSTANT, Platform
@@ -37,6 +42,45 @@ class TestPlatform:
             Platform(host_cores=0)
         with pytest.raises(SimulationError):
             Platform(host_cores=2, accelerators=-1)
+
+    @pytest.mark.parametrize(
+        "host_cores, accelerators, field",
+        [
+            (1.5, 1, "host_cores"),
+            (2.5, 1, "host_cores"),
+            (True, 1, "host_cores"),
+            (math.inf, 1, "host_cores"),
+            (4097, 1, "host_cores"),
+            (2, 1.0, "accelerators"),
+            (2, True, "accelerators"),
+            (2, 4097, "accelerators"),
+        ],
+    )
+    def test_non_integral_or_unbounded_counts_are_refused(
+        self, host_cores, accelerators, field
+    ):
+        # Fractional, boolean and infinite core counts once got through:
+        # the reference engine raised TypeError on 1.5 cores, the dense
+        # engine truncated to 1 and the C kernel rounded the other way.
+        with pytest.raises(SimulationError, match=field):
+            Platform(host_cores, accelerators)
+
+    def test_every_engine_refuses_a_fractional_core_count(self):
+        task = figure1_task()
+        for run in (
+            lambda: simulate(task, 1.5),
+            lambda: simulate_makespan_dense(task, 1.5),
+            lambda: simulate_many([task], [1.5]),
+        ):
+            with pytest.raises(SimulationError, match="host_cores"):
+                run()
+
+    def test_numpy_integer_counts_are_accepted(self):
+        platform = Platform(np.int64(4), np.int32(1))
+        assert platform == Platform(4, 1)
+        assert hash(platform) == hash(Platform(4, 1))
+        assert type(platform.host_cores) is int
+        assert type(platform.accelerators) is int
 
 
 class TestEngineOnWorkedExample:

@@ -1,12 +1,14 @@
-"""Bit-identity of the lockstep kernel against both scalar engines.
+"""Bit-identity of the compiled C kernel against both scalar engines.
 
-The vectorised lockstep kernel (:mod:`repro.simulation.vectorized`) and the
-batched :func:`~repro.simulation.batch.simulate_many` fast path must
-reproduce the reference trace engine's makespans *exactly* -- same floats,
-not approximately -- for every registered policy family, platform shape,
-device assignment and offload mode.  These properties mirror
-``tests/test_dense_engine.py`` and drive all three implementations over
-random DAGs from the shared strategies, comparing with ``==``.
+The C kernel behind :mod:`repro.simulation.vectorized` and the batched
+:func:`~repro.simulation.batch.simulate_many` fast path must reproduce the
+reference trace engine's makespans *exactly* -- same floats, not
+approximately -- for every registered policy family, platform shape, device
+assignment and offload mode.  These properties mirror
+``tests/test_dense_engine.py`` and drive all three engines over random DAGs
+from the shared strategies, comparing with ``==``.  Tests that run the
+kernel skip cleanly on hosts without a working C compiler (or with
+``REPRO_COMPILED=0``).
 """
 
 from __future__ import annotations
@@ -45,6 +47,13 @@ from repro.simulation.vectorized import (
 )
 
 from strategies import make_random_heterogeneous_task
+
+#: Skips a test that runs the C kernel where it cannot be built.
+requires_kernel = pytest.mark.skipif(
+    not _kernels.compiled_available(),
+    reason="compiled kernel unavailable: "
+    f"{_kernels.compiled_unavailable_reason()}",
+)
 
 _SEEDS = st.integers(min_value=0, max_value=4_000)
 _FRACTIONS = st.floats(min_value=0.01, max_value=0.6, allow_nan=False)
@@ -88,17 +97,18 @@ def _assert_identical(task, platform, factory, offload_enabled=True, assignment=
         offload_enabled=offload_enabled,
         device_assignment=assignment,
     )
-    lockstep = simulate_makespan_lockstep(
+    compiled = simulate_makespan_lockstep(
         task,
         platform,
         factory(),
         offload_enabled=offload_enabled,
         device_assignment=assignment,
     )
-    assert lockstep == dense == reference
+    assert compiled == dense == reference
 
 
 class TestLockstepBitIdentity:
+    @requires_kernel
     @settings(max_examples=25, deadline=None)
     @given(seed=_SEEDS, fraction=_FRACTIONS, cores=_CORES)
     def test_all_policies_match_on_heterogeneous_tasks(self, seed, fraction, cores):
@@ -107,17 +117,18 @@ class TestLockstepBitIdentity:
         for name, factory in _policy_factories(task, seed):
             _assert_identical(task, platform, factory)
 
+    @requires_kernel
     @settings(max_examples=20, deadline=None)
     @given(seed=_SEEDS, fraction=_FRACTIONS, cores=_CORES)
     def test_all_policies_match_on_transformed_tasks(self, seed, fraction, cores):
         # The transformed task carries the zero-WCET v_sync, exercising the
-        # instant-node cascade on every path (the vectorised wave for the
-        # fifo family, the exact scalar fallback for the stamped ones).
+        # instant-node cascade on every path.
         task = transform(make_random_heterogeneous_task(seed, fraction, n_max=25)).task
         platform = Platform(cores, 1)
         for name, factory in _policy_factories(task, seed):
             _assert_identical(task, platform, factory)
 
+    @requires_kernel
     @settings(max_examples=20, deadline=None)
     @given(
         seed=_SEEDS,
@@ -137,6 +148,7 @@ class TestLockstepBitIdentity:
         for name, factory in _policy_factories(task, seed):
             _assert_identical(task, platform, factory, assignment=assignment)
 
+    @requires_kernel
     @settings(max_examples=20, deadline=None)
     @given(seed=_SEEDS, fraction=_FRACTIONS, cores=_CORES)
     def test_offload_disabled_matches(self, seed, fraction, cores):
@@ -145,6 +157,7 @@ class TestLockstepBitIdentity:
         for name, factory in _policy_factories(task, seed):
             _assert_identical(task, platform, factory, offload_enabled=False)
 
+    @requires_kernel
     @settings(max_examples=15, deadline=None)
     @given(seed=_SEEDS, fraction=_FRACTIONS)
     def test_batched_cells_match_per_cell_runs(self, seed, fraction):
@@ -172,6 +185,7 @@ class TestLockstepBitIdentity:
                     )
         assert list(simulate_makespans_vectorized(cells)) == references
 
+    @requires_kernel
     def test_random_policy_shared_stream_matches_cell_order(self):
         # One RandomPolicy instance serving several cells must consume its
         # stream in cell order, exactly like sequential per-cell runs.
@@ -191,6 +205,7 @@ class TestLockstepBitIdentity:
         ]
         assert list(simulate_makespans_vectorized(cells)) == references
 
+    @requires_kernel
     def test_column_grid_matches_reference(self):
         tasks = [make_random_heterogeneous_task(seed, 0.3, n_max=20) for seed in range(5)]
         platforms = [Platform(2, 1), Platform(5, 1)]
@@ -205,13 +220,14 @@ class TestLockstepBitIdentity:
                         task, platform, policy_by_name(name)
                     ).makespan()
 
+    @requires_kernel
     def test_near_tied_finishes_keep_fifo_order(self):
         # Float-sum divergence (0.1 + 0.2 != 0.3) produces completions that
         # differ by less than the engines' 1e-12 retire window: they retire
-        # in the same step but with *different* finish times, so same-step
-        # arrivals no longer tie on ready time and the kernel must fall
-        # back to the full (lane, ready, index) ordering.  Chained tenth
-        # WCETs generate such windows all over the schedule.
+        # in the same window but with *different* finish times, so arrivals
+        # of one window no longer tie on ready time and the ready queue
+        # must fall back to the full (ready, index) ordering.  Chained
+        # tenth WCETs generate such windows all over the schedule.
         tenths = [0.1, 0.2, 0.3]
         for cores in (1, 2, 3):
             for seed in range(6):
@@ -330,27 +346,13 @@ class TestSimulateManyEngines:
             simulate_many(tasks, [2], engine="warp")
 
 
-#: Both lockstep-kernel backends; the compiled C backend is skipped cleanly
-#: on hosts without a working C compiler (or with ``REPRO_COMPILED=0``).
-_BACKENDS = [
-    "numpy",
-    pytest.param(
-        "compiled",
-        marks=pytest.mark.skipif(
-            not _kernels.compiled_available(),
-            reason="compiled kernel unavailable: "
-            f"{_kernels.compiled_unavailable_reason()}",
-        ),
-    ),
-]
-
-#: The simulate_many engine name serving each backend explicitly.
-_BACKEND_ENGINE = {"numpy": "lockstep", "compiled": "compiled"}
+#: The kernel backend axis (its ids name the test rows): the C kernel.
+_BACKENDS = [pytest.param("compiled", marks=requires_kernel)]
 
 
 @pytest.mark.parametrize("backend", _BACKENDS)
 class TestBackendBitIdentity:
-    """The PR-8 backend axis: every backend equals the scalar engines."""
+    """The backend axis: the C kernel equals the scalar engines."""
 
     def _assert_backend_identical(
         self, task, platform, factory, backend, offload_enabled=True, assignment=None
@@ -362,15 +364,14 @@ class TestBackendBitIdentity:
             offload_enabled=offload_enabled,
             device_assignment=assignment,
         )
-        lockstep = simulate_makespan_lockstep(
+        compiled = simulate_makespan_lockstep(
             task,
             platform,
             factory(),
             offload_enabled=offload_enabled,
             device_assignment=assignment,
-            backend=backend,
         )
-        assert lockstep == dense
+        assert compiled == dense
 
     def test_all_policies_on_original_and_transformed(self, backend):
         for seed in range(8):
@@ -451,7 +452,7 @@ class TestBackendBitIdentity:
                     )
 
     def test_batch_composition_independent(self, backend):
-        # One mixed batch equals per-cell runs on either backend.
+        # One mixed batch equals per-cell runs.
         base = make_random_heterogeneous_task(11, 0.25, n_max=20)
         tasks = [base, transform(base).task]
         platforms = [Platform(1, 1), Platform(3, 1)]
@@ -471,10 +472,7 @@ class TestBackendBitIdentity:
                             task, platform, policy_by_name(name, rng=11)
                         )
                     )
-        assert (
-            list(simulate_makespans_vectorized(cells, backend=backend))
-            == references
-        )
+        assert list(simulate_makespans_vectorized(cells)) == references
 
     def test_simulate_many_engine_and_jobs2(self, backend):
         tasks = [
@@ -487,12 +485,11 @@ class TestBackendBitIdentity:
             policy_by_name("critical-path-first"),
             RandomPolicy(5),
         ]
-        engine = _BACKEND_ENGINE[backend]
         dense = simulate_many(
             tasks, [2, 4], policies, root_seed=7, chunk_size=4, engine="dense"
         )
         serial = simulate_many(
-            tasks, [2, 4], policies, root_seed=7, chunk_size=4, engine=engine
+            tasks, [2, 4], policies, root_seed=7, chunk_size=4, engine=backend
         )
         parallel = simulate_many(
             tasks,
@@ -500,7 +497,7 @@ class TestBackendBitIdentity:
             policies,
             root_seed=7,
             chunk_size=4,
-            engine=engine,
+            engine=backend,
             jobs=2,
         )
         assert np.array_equal(serial, dense)
@@ -510,19 +507,20 @@ class TestBackendBitIdentity:
 class TestCompiledBackendPlumbing:
     def test_resolve_engine_names(self):
         assert resolve_engine("dense") == "dense"
-        assert resolve_engine("lockstep") == "lockstep"
         auto = resolve_engine("auto")
         if _kernels.compiled_available():
             assert auto == "compiled"
         else:
-            assert auto == "lockstep"
-        with pytest.raises(ValueError):
-            resolve_engine("warp")
+            assert auto == "dense"
+        # auto, dense and compiled are the only engine names.
+        for name in ("warp", "lockstep"):
+            with pytest.raises(ValueError):
+                resolve_engine(name)
 
     def test_disabled_env_falls_back_cleanly(self, monkeypatch):
-        # REPRO_COMPILED=0 must make "auto" degrade silently to numpy and
-        # an explicit "compiled" request fail loudly -- the no-compiler CI
-        # leg's contract.
+        # REPRO_COMPILED=0 must make "auto" degrade silently to the dense
+        # engine and an explicit "compiled" request fail loudly -- the
+        # no-compiler CI leg's contract.
         from repro.simulation.vectorized_compiled import resolve_backend
 
         monkeypatch.setenv("REPRO_COMPILED", "0")
@@ -530,51 +528,19 @@ class TestCompiledBackendPlumbing:
         try:
             assert not _kernels.compiled_available()
             assert "disabled" in _kernels.compiled_unavailable_reason()
-            assert resolve_backend("auto") == "numpy"
-            with pytest.raises(RuntimeError):
-                resolve_backend("compiled")
-            assert resolve_engine("auto") == "lockstep"
+            assert resolve_engine("auto") == "dense"
+            assert resolve_backend("auto") == "dense"
+            with pytest.raises(RuntimeError, match="disabled"):
+                resolve_engine("compiled")
             task = make_random_heterogeneous_task(2, 0.2, n_max=15)
             grid = simulate_many([task], [2], BreadthFirstPolicy())
             assert grid[0, 0, 0] == simulate_makespan_dense(
                 task, Platform(2, 1), BreadthFirstPolicy()
             )
-            with pytest.raises(RuntimeError):
-                simulate_makespan_lockstep(
-                    task, 2, BreadthFirstPolicy(), backend="compiled"
-                )
+            with pytest.raises(RuntimeError, match="disabled"):
+                simulate_many([task], [2], engine="compiled")
+            with pytest.raises(RuntimeError, match="disabled"):
+                simulate_makespan_lockstep(task, 2, BreadthFirstPolicy())
         finally:
             monkeypatch.delenv("REPRO_COMPILED", raising=False)
             _kernels._reset_for_tests()
-
-    def test_py_replay_escape_hatch_still_taken_and_exact(self, monkeypatch):
-        # Transformed tasks put a zero-WCET v_sync on every path: stamped
-        # families route the affected lanes through the scalar _py_replay
-        # fallback.  The regression pins both halves: the hatch is (still)
-        # actually taken on the numpy path, and its results stay exact.
-        from repro.simulation import vectorized as vec
-
-        calls = []
-        original = vec._LockstepBatch._py_replay
-
-        def spy(self, lane, g, f):
-            calls.append(lane)
-            return original(self, lane, g, f)
-
-        monkeypatch.setattr(vec._LockstepBatch, "_py_replay", spy)
-        hit = False
-        for seed in range(10):
-            task = transform(
-                make_random_heterogeneous_task(seed, 0.3, n_max=20)
-            ).task
-            for name in ("critical-path-first", "shortest-first"):
-                calls.clear()
-                dense = simulate_makespan_dense(
-                    task, Platform(2, 1), policy_by_name(name)
-                )
-                lockstep = simulate_makespan_lockstep(
-                    task, Platform(2, 1), policy_by_name(name), backend="numpy"
-                )
-                assert lockstep == dense
-                hit = hit or bool(calls)
-        assert hit, "no seed exercised the _py_replay escape hatch"
