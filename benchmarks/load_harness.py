@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Sustained open-loop load harness of the evaluation service (PR 7).
 
-``bench_service.py`` fires one closed-loop burst: every thread waits for
-its answer before asking again, so a slow server quietly *reduces* the
-offered load and the measured latency flatters it (coordinated omission).
+The ``service`` case of ``suite.py`` fires one closed-loop burst: every
+thread waits for its answer before asking again, so a slow server quietly
+*reduces* the offered load and the measured latency flatters it
+(coordinated omission).
 This harness is the opposite shape -- the one "millions of users" actually
 presents:
 

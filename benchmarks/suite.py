@@ -1,0 +1,1067 @@
+#!/usr/bin/env python3
+"""The micro-benchmark suite: one registry of cases, one runner.
+
+Each :class:`Case` declares the layer it measures, the workload it runs,
+the candidate it times against which baseline, the identity checks its
+answers must pass and the gates its measurements must meet.  One runner
+times, checks, prints and records every case:
+
+* each gate prints its value against its threshold, each check prints its
+  verdict, and every other measured value is printed as reported only;
+* a case passes when every gate holds and every declared check is true; a
+  case that raises fails;
+* a full run merges one record per case into ``benchmarks/results/suite.json``;
+  ``--smoke`` runs the smaller inputs and writes nothing;
+* the exit status is 1 when any case fails.
+
+Gates are ratios against in-process baselines, or per-call costs with an
+order of magnitude of headroom, never absolute wall times, so they hold on
+noisy shared CI runners.  The ``BENCH_PR*.json`` files at the repository
+root are earlier records in per-script schemas, kept as history.
+
+Run with:  python benchmarks/suite.py [--smoke] [case ...]
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import random
+import sys
+import time
+import traceback
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, Optional
+
+_REPO_ROOT = Path(__file__).resolve().parent.parent
+_SRC = _REPO_ROOT / "src"
+if _SRC.is_dir() and str(_SRC) not in sys.path:
+    sys.path.insert(0, str(_SRC))
+
+import numpy as np  # noqa: E402
+
+from repro.analysis import analyse, analyse_many  # noqa: E402
+from repro.core.graph import DirectedAcyclicGraph  # noqa: E402
+from repro.core.task import DagTask  # noqa: E402
+from repro.core.transformation import transform  # noqa: E402
+from repro.experiments.config import quick_scale  # noqa: E402
+from repro.experiments.figure7 import node_range_for_cores  # noqa: E402
+from repro.generator.arrivals import PeriodicArrivals  # noqa: E402
+from repro.generator.config import GeneratorConfig, OffloadConfig  # noqa: E402
+from repro.generator.offload import make_heterogeneous  # noqa: E402
+from repro.generator.presets import LARGE_TASKS_FIG6, SMALL_TASKS  # noqa: E402
+from repro.generator.random_dag import DagStructureGenerator  # noqa: E402
+from repro.generator.sweep import (  # noqa: E402
+    chunked_offload_fraction_sweep,
+    offload_fraction_sweep,
+)
+from repro.ilp.batch import (  # noqa: E402
+    minimum_makespans_many,
+    oracle_cache_clear,
+    oracle_cache_size,
+)
+from repro.ilp.branch_and_bound import branch_and_bound_makespan  # noqa: E402
+from repro.ilp.solver import solve_minimum_makespan  # noqa: E402
+from repro.io.json_io import decode_task, task_from_dict, task_to_dict  # noqa: E402
+from repro.parallel import spawn_seeds  # noqa: E402
+from repro.resilience import FAULTS, fault_point  # noqa: E402
+from repro.service import EvaluationService, Tracer  # noqa: E402
+from repro.simulation import _kernels  # noqa: E402
+from repro.simulation.batch import simulate_many  # noqa: E402
+from repro.simulation.dense import simulate_makespan_dense  # noqa: E402
+from repro.simulation.engine import simulate, simulate_makespan  # noqa: E402
+from repro.simulation.kernel_stats import record_kernel_batch  # noqa: E402
+from repro.simulation.platform import Platform  # noqa: E402
+from repro.simulation.schedulers import (  # noqa: E402
+    BreadthFirstPolicy,
+    policy_by_name,
+)
+from repro.simulation.workload import (  # noqa: E402
+    JobStream,
+    build_workload,
+    simulate_workload,
+    simulate_workload_reference,
+)
+
+OUTPUT = Path(__file__).resolve().parent / "results" / "suite.json"
+
+#: What a case's ``run(smoke)`` returns: ``(metrics, checks)``.  ``metrics``
+#: maps every measured value, gated or reported only, by name; ``checks``
+#: maps each identity check's name to whether it held.
+Measurement = tuple[dict, dict]
+
+
+# ----------------------------------------------------------------------
+# Registry types and the shared gate evaluator
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Gate:
+    """``metric comparison threshold`` must hold, e.g. ``speedup >= 3.0``."""
+
+    metric: str
+    comparison: str
+    threshold: float
+
+    def __post_init__(self) -> None:
+        if self.comparison not in (">=", "<="):
+            raise ValueError(
+                f"comparison must be '>=' or '<=', got {self.comparison!r}"
+            )
+
+    def holds(self, value: Optional[float]) -> bool:
+        """``None`` (the metric was not measured) never holds."""
+        if value is None:
+            return False
+        if self.comparison == ">=":
+            return value >= self.threshold
+        return value <= self.threshold
+
+
+@dataclass(frozen=True)
+class Case:
+    """One registered micro-benchmark."""
+
+    name: str
+    layer: str
+    workload: str
+    candidate: str
+    baseline: str
+    run: Callable[[bool], Measurement]
+    gates: tuple[Gate, ...] = ()
+    checks: tuple[str, ...] = ()
+
+
+def evaluate(case: Case, metrics: dict, checks: dict) -> dict:
+    """The record of one measurement of ``case``: every gate and check judged.
+
+    A declared check the measurement did not report fails, and so does a
+    reported check the case does not declare: the registry, not the case
+    body, says what gates the suite.
+    """
+    gates = [
+        {
+            "metric": gate.metric,
+            "value": metrics.get(gate.metric),
+            "comparison": gate.comparison,
+            "threshold": gate.threshold,
+            "passed": gate.holds(metrics.get(gate.metric)),
+        }
+        for gate in case.gates
+    ]
+    verdicts = {name: checks.get(name) is True for name in case.checks}
+    verdicts.update(
+        {f"undeclared:{name}": False for name in checks if name not in case.checks}
+    )
+    return {
+        "case": case.name,
+        "layer": case.layer,
+        "workload": case.workload,
+        "candidate": case.candidate,
+        "baseline": case.baseline,
+        "metrics": metrics,
+        "gates": gates,
+        "checks": verdicts,
+        "passed": all(gate["passed"] for gate in gates) and all(verdicts.values()),
+    }
+
+
+# ----------------------------------------------------------------------
+# The two shared timers
+# ----------------------------------------------------------------------
+def best_of(
+    run: Callable, repeats: int, prepare: Optional[Callable[[], object]] = None
+) -> tuple[float, object]:
+    """Best (minimum) wall seconds over ``repeats`` calls of ``run``, and the
+    last call's result.
+
+    With ``prepare``, each call is ``run(prepare())`` and ``prepare`` runs
+    outside the timed region: it rebuilds the inputs a call consumes.
+    """
+    best_s, result = float("inf"), None
+    for _ in range(repeats):
+        argument = () if prepare is None else (prepare(),)
+        t0 = time.perf_counter()
+        result = run(*argument)
+        best_s = min(best_s, time.perf_counter() - t0)
+    return best_s, result
+
+
+def ns_per_call(fn: Callable, calls: int, repeats: int, *args: object) -> float:
+    """Best-of-``repeats`` nanoseconds per call of ``fn(*args)`` over ``calls``
+    back-to-back calls."""
+    best_s = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            fn(*args)
+        best_s = min(best_s, time.perf_counter() - t0)
+    return best_s / calls * 1e9
+
+
+def _figure6_tasks(fractions, dags_per_point: int) -> list:
+    """Original + transformed tasks of a quick-scale Figure 6 sweep."""
+    points = chunked_offload_fraction_sweep(
+        fractions=fractions,
+        dags_per_point=dags_per_point,
+        generator_config=LARGE_TASKS_FIG6,
+        offload_config=OffloadConfig(),
+        root_seed=quick_scale().seed,
+    )
+    tasks = [task for point in points for task in point.tasks]
+    return tasks + [transform(task).task for task in tasks]
+
+
+def _heterogeneous_tasks(config: GeneratorConfig, count: int, root_seed: int) -> list:
+    """``count`` seeded tasks of ``config`` with a quarter of the volume offloaded."""
+    tasks = []
+    for seed in range(root_seed, root_seed + count):
+        rng = np.random.default_rng(seed)
+        host = DagStructureGenerator(config, rng).generate_task()
+        tasks.append(
+            make_heterogeneous(
+                host, OffloadConfig(), np.random.default_rng(seed + 1),
+                target_fraction=0.25,
+            )
+        )
+    return tasks
+
+
+# ----------------------------------------------------------------------
+# oracle: pruned branch-and-bound, warm-started ILP, memoised batch layer
+# ----------------------------------------------------------------------
+def _figure7_tasks(cores: int, dags_per_point: int) -> list:
+    """The (rounded) task ensemble Figure 7 evaluates for host size ``m``."""
+    scale = quick_scale()
+    node_range = node_range_for_cores(scale, cores)
+    points = offload_fraction_sweep(
+        fractions=scale.small_task_fractions,
+        dags_per_point=dags_per_point,
+        generator_config=dataclasses.replace(
+            SMALL_TASKS,
+            n_min=node_range[0],
+            n_max=node_range[1],
+            c_max=scale.ilp_wcet_max,
+        ),
+        offload_config=OffloadConfig(),
+        rng=np.random.default_rng(scale.seed + 7),
+        paired=True,
+    )
+    return [
+        task.with_offloaded_wcet(max(1.0, round(task.offloaded_wcet)))
+        for point in points
+        for task in point.tasks
+    ]
+
+
+def _same_makespans(first, second) -> bool:
+    return all(abs(a.makespan - b.makespan) < 1e-6 for a, b in zip(first, second))
+
+
+def run_oracle(smoke: bool) -> Measurement:
+    dags_per_point = 3 if smoke else 12
+    tasks = {cores: _figure7_tasks(cores, dags_per_point) for cores in (2, 8)}
+    metrics: dict = {"tasks": len(tasks[2])}
+
+    # The unpruned reference can still enumerate the m = 2 node sizes.
+    pruned_s, pruned = best_of(
+        lambda: [branch_and_bound_makespan(task, 2) for task in tasks[2]], 1
+    )
+    reference_s, reference = best_of(
+        lambda: [
+            branch_and_bound_makespan(task, 2, pruning=False) for task in tasks[2]
+        ],
+        1,
+    )
+    ilp = [solve_minimum_makespan(task, 2) for task in tasks[2]]
+    pruned_states = sum(result.explored_states for result in pruned)
+    reference_states = sum(result.explored_states for result in reference)
+    # Instances the list-schedule == lower-bound exit resolves never search;
+    # the searched-only reduction credits the dominance and bound pruning.
+    searched = [
+        (p.explored_states, r.explored_states)
+        for p, r in zip(pruned, reference)
+        if p.explored_states > 0
+    ]
+    metrics.update(
+        pruned_states=pruned_states,
+        reference_states=reference_states,
+        state_reduction=reference_states / max(pruned_states, 1),
+        searched_state_reduction=(
+            sum(r for _, r in searched) / max(sum(p for p, _ in searched), 1)
+            if searched
+            else 1.0
+        ),
+        short_circuited=len(pruned) - len(searched),
+        time_speedup=reference_s / max(pruned_s, 1e-9),
+        all_optimal=all(result.optimal for result in pruned + reference),
+    )
+    checks = {
+        "makespans_identical_to_reference": all(
+            p.makespan == r.makespan for p, r in zip(pruned, reference)
+        ),
+        "makespans_identical_to_ilp": _same_makespans(pruned, ilp),
+    }
+
+    warm_identical = True
+    for cores, ensemble in tasks.items():
+        warm_s, warm = best_of(
+            lambda: [
+                solve_minimum_makespan(t, cores, warm_start=True) for t in ensemble
+            ],
+            1,
+        )
+        cold_s, cold = best_of(
+            lambda: [
+                solve_minimum_makespan(t, cores, warm_start=False) for t in ensemble
+            ],
+            1,
+        )
+        warm_identical = warm_identical and _same_makespans(warm, cold)
+        metrics[f"m{cores}.ilp_variable_reduction"] = sum(
+            s.variable_count for s in cold
+        ) / max(sum(s.variable_count for s in warm), 1)
+        metrics[f"m{cores}.ilp_short_circuited"] = sum(
+            1 for s in warm if s.variable_count == 0
+        )
+        metrics[f"m{cores}.ilp_warm_speedup"] = cold_s / max(warm_s, 1e-9)
+    checks["warm_start_makespans_identical"] = warm_identical
+
+    oracle_cache_clear()
+    first_s, first = best_of(lambda: minimum_makespans_many(tasks[2], 2), 1)
+    unique = oracle_cache_size()
+    second_s, second = best_of(lambda: minimum_makespans_many(tasks[2], 2), 1)
+    oracle_cache_clear()
+    metrics.update(
+        unique_instances=unique,
+        dedup_share=1.0 - unique / max(len(tasks[2]), 1),
+        memo_speedup=first_s / max(second_s, 1e-9),
+    )
+    checks["memoised_pass_stable"] = all(
+        a.makespan == b.makespan for a, b in zip(first, second)
+    )
+    return metrics, checks
+
+
+# ----------------------------------------------------------------------
+# simulation-dense: reference trace engine vs the dense paths
+# ----------------------------------------------------------------------
+def run_simulation_dense(smoke: bool) -> Measurement:
+    scale = quick_scale()
+    tasks = _figure6_tasks(
+        [0.2] if smoke else [0.04, 0.2, 0.5],
+        6 if smoke else scale.dags_per_point,
+    )
+    platforms = [Platform(cores, 1) for cores in scale.core_counts]
+    policy = BreadthFirstPolicy()
+    cells = [(task, platform) for task in tasks for platform in platforms]
+
+    reference_s, reference = best_of(
+        lambda: [simulate(t, p, policy).makespan() for t, p in cells], 3
+    )
+    dense_s, dense = best_of(
+        lambda: [simulate_makespan_dense(t, p, policy) for t, p in cells], 3
+    )
+    # engine="dense" pins the dense batched path, not the C kernel.
+    batched_s, grid = best_of(
+        lambda: simulate_many(tasks, platforms, BreadthFirstPolicy(), engine="dense"),
+        3,
+    )
+    batched = [float(value) for value in grid.reshape(-1)]
+    metrics = {
+        "simulations": len(cells),
+        "mean_nodes": float(np.mean([task.node_count for task in tasks])),
+        "per_call_speedup": reference_s / max(dense_s, 1e-9),
+        "batched_speedup": reference_s / max(batched_s, 1e-9),
+    }
+    return metrics, {"makespans_identical": reference == dense == batched}
+
+
+# ----------------------------------------------------------------------
+# simulation-compiled: the C step-loop kernel vs the dense batched path
+# ----------------------------------------------------------------------
+def _crossover_lanes(rows: list[tuple[int, float]]) -> Optional[int]:
+    """Smallest lane count from which the kernel wins at every tested size."""
+    crossover = None
+    for lanes, speedup in rows:
+        if speedup >= 1.0:
+            if crossover is None:
+                crossover = lanes
+        else:
+            crossover = None
+    return crossover
+
+
+def run_simulation_compiled(smoke: bool) -> Measurement:
+    if not _kernels.compiled_available():
+        reason = _kernels.compiled_unavailable_reason()
+        return {"unavailable_reason": reason}, {"kernel_built": False}
+
+    # All six quick-scale fractions with both variants on the four host
+    # sizes the figure plots: 576 cells, the batch regime of the kernel.
+    scale = quick_scale()
+    tasks = _figure6_tasks(scale.fractions, scale.dags_per_point)
+    platforms = [Platform(cores, 1) for cores in (2, 4, 8, 16)]
+    policy = BreadthFirstPolicy()
+
+    # Warm both paths first (compiled-view caches, the .so build).
+    simulate_many(tasks[:4], platforms, policy, engine="compiled")
+    simulate_many(tasks[:4], platforms, policy, engine="dense")
+    compiled_s, compiled_grid = best_of(
+        lambda: simulate_many(tasks, platforms, policy, engine="compiled"),
+        3 if smoke else 5,
+    )
+    dense_s, dense_grid = best_of(
+        lambda: simulate_many(tasks, platforms, policy, engine="dense"),
+        1 if smoke else 3,
+    )
+
+    rows = []
+    for lanes in [1, 2, 4, 8, 16] if smoke else [1, 2, 4, 8, 16, 32, 64]:
+        subset = [tasks[i % len(tasks)] for i in range(lanes)]
+        one = [Platform(4, 1)]
+        simulate_many(subset, one, policy, engine="compiled")  # warm
+        lane_dense_s, _ = best_of(
+            lambda: simulate_many(subset, one, policy, engine="dense"), 3
+        )
+        lane_compiled_s, _ = best_of(
+            lambda: simulate_many(subset, one, policy, engine="compiled"), 3
+        )
+        rows.append((lanes, lane_dense_s / max(lane_compiled_s, 1e-9)))
+
+    metrics = {
+        "simulations": len(tasks) * len(platforms),
+        "mean_nodes": float(np.mean([task.node_count for task in tasks])),
+        "speedup_vs_dense": dense_s / max(compiled_s, 1e-9),
+        "crossover_lanes": _crossover_lanes(rows),
+        "crossover_scan": [[lanes, round(speedup, 2)] for lanes, speedup in rows],
+    }
+    checks = {
+        "kernel_built": True,
+        "makespans_identical": bool(np.array_equal(compiled_grid, dense_grid)),
+    }
+    return metrics, checks
+
+
+# ----------------------------------------------------------------------
+# service: one-shot requests vs the batching, caching evaluation service
+# ----------------------------------------------------------------------
+#: How often each unique request appears in the service mix: live traffic
+#: re-asks popular questions.
+REQUEST_REPEAT = 3
+
+
+def run_service(smoke: bool) -> Measurement:
+    scale = quick_scale()
+    documents = [
+        task_to_dict(task)
+        for task in _figure6_tasks(
+            scale.fractions, 8 if smoke else scale.dags_per_point
+        )
+    ]
+    unique = [
+        (index, cores) for index in range(len(documents)) for cores in (2, 4, 8, 16)
+    ]
+    requests = unique * REQUEST_REPEAT
+    random.Random(2018).shuffle(requests)
+
+    # Baseline: every request parses, compiles and simulates on its own,
+    # the one-shot process model minus process start-up.
+    naive_s, naive = best_of(
+        lambda: [
+            simulate_makespan(
+                task_from_dict(documents[index]),
+                Platform(cores),
+                policy_by_name("breadth-first"),
+            )
+            for index, cores in requests
+        ],
+        3,
+    )
+
+    # Candidate: one thread per request against a fresh service (cold:
+    # batching and in-flight joins), then the same burst again (warm: cache
+    # hits).  The cold time includes parsing each unique document once.
+    workers = min(len(requests), 256)
+    best = None
+    for _ in range(3):
+        service = EvaluationService()
+        pool = ThreadPoolExecutor(max_workers=workers)
+        list(pool.map(lambda value: value, range(workers)))  # pre-spawn
+
+        def burst(tasks):
+            return list(
+                pool.map(
+                    lambda request: service.submit_simulation(
+                        tasks[request[0]], request[1], timeout=600
+                    ),
+                    requests,
+                )
+            )
+
+        def cold():
+            tasks = [task_from_dict(document) for document in documents]
+            return tasks, burst(tasks)
+
+        cold_s, (tasks, cold_results) = best_of(cold, 1)
+        warm_s, warm_results = best_of(lambda: burst(tasks), 3)
+        stats = service.stats()
+        pool.shutdown()
+        service.close()
+        if best is None or cold_s < best[0]:
+            best = (cold_s, warm_s, cold_results, warm_results, stats)
+    cold_s, warm_s, cold_results, warm_results, stats = best
+
+    # Cache hits from freshly json.loads-ed documents, as the HTTP handler
+    # receives them: the full task_from_dict path vs decode_task only.
+    bodies = [json.dumps(document) for document in documents]
+    with EvaluationService() as service:
+        for index, cores in sorted(set(requests)):
+            service.submit_simulation(
+                task_from_dict(documents[index]), cores, timeout=600
+            )
+
+        def hits(decode, fresh):
+            return [
+                service.submit_simulation(decode(document), cores, timeout=600)
+                for document, (_, cores) in zip(fresh, requests)
+            ]
+
+        def fresh():
+            return [json.loads(bodies[index]) for index, _ in requests]
+
+        full_s, full_hits = best_of(lambda docs: hits(task_from_dict, docs), 3, fresh)
+        document_s, document_hits = best_of(
+            lambda docs: hits(decode_task, docs), 3, fresh
+        )
+        misses = service.stats()["cache"]["misses"]
+    if misses != len(set(requests)):
+        raise RuntimeError(f"{misses} misses: every timed request must be a hit")
+
+    metrics = {
+        "requests": len(requests),
+        "unique_requests": len(set(requests)),
+        "task_variants": len(documents),
+        "batching_speedup": naive_s / max(cold_s, 1e-9),
+        "hit_speedup": naive_s / max(warm_s, 1e-9),
+        "document_hit_speedup": full_s / max(document_s, 1e-9),
+        "document_hit_ms": 1e3 * document_s / len(requests),
+        "full_decode_hit_ms": 1e3 * full_s / len(requests),
+        "batches": stats["batching"]["batches"],
+        "largest_batch": stats["batching"]["largest_batch"],
+        "inflight_joins": stats["engine"]["inflight_joins"],
+    }
+    checks = {
+        "payloads_identical": naive == cold_results == warm_results,
+        "document_hits_identical": naive == full_hits == document_hits,
+    }
+    return metrics, checks
+
+
+# ----------------------------------------------------------------------
+# faults: disabled fault points and the degraded oracle mode
+# ----------------------------------------------------------------------
+def run_faults(smoke: bool) -> Measurement:
+    if FAULTS.enabled:
+        raise RuntimeError("fault injection must be disarmed for timing")
+    calls = 200_000 if smoke else 1_000_000
+
+    def noop(_name: str) -> None:
+        return None
+
+    metrics = {
+        "fault_point_disabled_ns": ns_per_call(fault_point, calls, 3, "bench.disabled"),
+        "noop_call_ns": ns_per_call(noop, calls, 3, "bench.disabled"),
+    }
+
+    # Solver-sized tasks with integer WCETs: exact solves vs the degraded
+    # bound sandwich that sheds load.
+    config = GeneratorConfig(
+        p_par=0.6, n_par=3, max_depth=2, n_min=4, n_max=10, c_min=1, c_max=12
+    )
+    tasks = [
+        task.with_offloaded_wcet(max(1.0, float(round(task.offloaded_wcet))))
+        for task in _heterogeneous_tasks(config, 12 if smoke else 48, 2018)
+    ]
+    exact_s, exact = best_of(
+        lambda: minimum_makespans_many(tasks, 2, use_cache=False), 3
+    )
+    cache_before = oracle_cache_size()
+    degraded_s, degraded = best_of(
+        lambda: minimum_makespans_many(tasks, 2, budget=0.0), 3
+    )
+    metrics.update(
+        oracle_tasks=len(tasks),
+        degraded_speedup=exact_s / max(degraded_s, 1e-9),
+    )
+    checks = {
+        "all_degraded_flagged": all(r.degraded and not r.optimal for r in degraded),
+        "bound_sandwich_holds": all(
+            loose.engine_stats["lower_bound"] <= tight.makespan <= loose.makespan
+            for loose, tight in zip(degraded, exact)
+        ),
+        "degraded_never_cached": oracle_cache_size() == cache_before,
+    }
+    return metrics, checks
+
+
+# ----------------------------------------------------------------------
+# workload: coupled numpy engine vs the scalar reference event loop
+# ----------------------------------------------------------------------
+#: A wide serving-tier host, so many instances overlap.
+WORKLOAD_HOST_CORES = 1024
+WORKLOAD_ACCELERATORS = 2
+
+
+def run_workload(smoke: bool) -> Measurement:
+    # Host-side DAGs with short integer WCETs on integer periods: the event
+    # lattice stays coarse, so each step retires and starts nodes in bulk,
+    # the coupled engine's regime.  The offered load is ~2x the host.
+    stream_count = 4 if smoke else 6
+    instances_per_stream = 50 if smoke else 60
+    config = dataclasses.replace(SMALL_TASKS.with_node_range(50, 100), c_min=1, c_max=8)
+    streams = []
+    for index, seed in enumerate(spawn_seeds(2018, stream_count)):
+        task = DagStructureGenerator(config, seed).generate_task(f"tau_{index}")
+        period = max(
+            1.0, round(stream_count * task.volume / (2.0 * WORKLOAD_HOST_CORES))
+        )
+        streams.append(
+            JobStream(
+                task=task,
+                arrivals=PeriodicArrivals(period=period),
+                deadline=10.0 * period,
+            )
+        )
+    horizon = instances_per_stream * max(stream.arrivals.period for stream in streams)
+    workload = build_workload(streams, horizon)
+    platform = Platform(WORKLOAD_HOST_CORES, WORKLOAD_ACCELERATORS)
+    policy = policy_by_name("breadth-first")
+
+    reference_s, reference = best_of(
+        lambda: simulate_workload_reference(workload, platform, policy), 3
+    )
+    coupled_s, coupled = best_of(
+        lambda: simulate_workload(workload, platform, policy, backend="numpy"), 3
+    )
+    metrics = {
+        "instances": len(workload),
+        "nodes": sum(len(job.task.graph.nodes()) for job in workload),
+        "miss_ratio": coupled.miss_ratio(),
+        "coupled_speedup": reference_s / max(coupled_s, 1e-9),
+    }
+    checks = {
+        "completions_identical": bool(
+            np.array_equal(reference.completions, coupled.completions)
+        )
+    }
+    return metrics, checks
+
+
+# ----------------------------------------------------------------------
+# tracing: disarmed hooks and a fully traced service
+# ----------------------------------------------------------------------
+def run_tracing(smoke: bool) -> Measurement:
+    calls = 100_000 if smoke else 500_000
+    disabled_tracer = Tracer(enabled=False)
+    enabled_tracer = Tracer(enabled=True)
+
+    def span_disabled() -> None:
+        with disabled_tracer.span("bench.noop"):
+            pass
+
+    def span_untraced() -> None:
+        # Enabled tracer, no ambient trace: the path of every in-process
+        # caller (CLI, drivers, experiments) through a traced build.
+        with enabled_tracer.span("bench.noop"):
+            pass
+
+    def record_disarmed() -> None:
+        record_kernel_batch("bench", lanes=8, steps=5, events=40, lane_steps=40)
+
+    def noop() -> None:
+        return None
+
+    metrics = {
+        "noop_call_ns": ns_per_call(noop, calls, 5),
+        "span_disabled_ns": ns_per_call(span_disabled, calls, 5),
+        "span_untraced_ns": ns_per_call(span_untraced, calls, 5),
+        "record_kernel_disarmed_ns": ns_per_call(record_disarmed, calls, 5),
+    }
+    checks = {
+        "no_trace_from_disabled_hooks": (
+            enabled_tracer.started == 0 and disabled_tracer.started == 0
+        )
+    }
+
+    # The same closed-loop burst against an untraced and a fully traced
+    # service, each request under its own trace as the HTTP transport runs
+    # it; with tracing off every step no-ops, so the difference is the
+    # tracing cost.  Cache hits (the warm passes) show it undiluted.
+    config = GeneratorConfig(
+        p_par=0.6, n_par=3, max_depth=2, n_min=6, n_max=14, c_min=1, c_max=12
+    )
+    tasks = _heterogeneous_tasks(config, 24 if smoke else 96, 9000)
+    requests = [(task, cores) for task in tasks for cores in (2, 4)]
+    cold_s, warm_s, results = {}, {}, []
+    for mode, kwargs in (
+        ("untraced", {"tracing": False}),
+        (
+            "traced",
+            {"tracing": True, "trace_sample": 1.0, "trace_ring_bytes": 64 << 20},
+        ),
+    ):
+        service = EvaluationService(cache_bytes=64 << 20, **kwargs)
+        tracer = service.tracer
+
+        def one(request):
+            task, cores = request
+            trace = tracer.start_trace("bench.request")
+            try:
+                with tracer.activate(trace):
+                    return service.submit_simulation(task, Platform(cores, 1))
+            finally:
+                tracer.finish_trace(trace)
+
+        def drive():
+            with ThreadPoolExecutor(max_workers=16) as pool:
+                return list(pool.map(one, requests))
+
+        try:
+            cold_s[mode], cold = best_of(drive, 1)
+            warm_s[mode], warm = best_of(drive, 3)
+            ring = tracer.ring_stats()  # the traced service's: the last mode
+        finally:
+            service.close()
+        results += [cold, warm]
+
+    metrics.update(
+        requests_per_pass=len(requests),
+        traced_cold_slowdown=cold_s["traced"] / cold_s["untraced"],
+        traced_warm_slowdown=warm_s["traced"] / warm_s["untraced"],
+        ring_traces=ring["ring_traces"],
+    )
+    checks.update(
+        results_identical=all(result == results[0] for result in results),
+        ring_within_cap=ring["ring_bytes"] <= ring["ring_capacity_bytes"],
+    )
+    return metrics, checks
+
+
+# ----------------------------------------------------------------------
+# graph-kernel: cached graph queries and batched analysis (reported only)
+# ----------------------------------------------------------------------
+def _layered_dag(nodes: int, width: int, seed: int) -> DirectedAcyclicGraph:
+    """A deterministic layered DAG: every node links back to 1-3 nodes of the
+    previous layer, the structural shape the paper's generator produces."""
+    rng = np.random.default_rng(seed)
+    graph = DirectedAcyclicGraph()
+    layers: list[list[str]] = []
+    created = 0
+    while created < nodes:
+        layer = []
+        for _ in range(min(width, nodes - created)):
+            name = f"v{created}"
+            graph.add_node(name, int(rng.integers(1, 100)))
+            layer.append(name)
+            created += 1
+        if layers:
+            previous = layers[-1]
+            for name in layer:
+                fan_in = 1 + int(rng.integers(0, min(3, len(previous))))
+                for src in rng.choice(previous, size=fan_in, replace=False):
+                    if not graph.has_edge(str(src), name):
+                        graph.add_edge(str(src), name)
+        layers.append(layer)
+    return graph
+
+
+def run_graph_kernel(smoke: bool) -> Measurement:
+    # The uncached baselines invalidate the caches before every query:
+    # recompute the topological order, labelling and reachability.
+    metrics: dict = {}
+    for size in (50,) if smoke else (50, 500, 2000):
+        graph = _layered_dag(size, max(4, size // 12), seed=size)
+
+        def cached_path() -> None:
+            graph.critical_path_length()
+
+        def uncached_path() -> None:
+            graph.invalidate_caches()
+            graph.critical_path_length()
+
+        cached_path()  # warm
+        cached_ns = ns_per_call(cached_path, 2000, 1)
+        metrics[f"n{size}.critical_path_speedup"] = (
+            ns_per_call(uncached_path, 30, 1) / cached_ns
+        )
+
+        rng = np.random.default_rng(size + 1)
+        names = graph.nodes()
+        pairs = [
+            (names[int(a)], names[int(b)])
+            for a, b in zip(
+                rng.integers(0, len(names), size=64),
+                rng.integers(0, len(names), size=64),
+            )
+        ]
+
+        def cached_pairs() -> None:
+            for a, b in pairs:
+                graph.are_parallel(a, b)
+
+        def uncached_pairs() -> None:
+            for a, b in pairs:
+                graph.invalidate_caches()
+                graph.are_parallel(a, b)
+
+        cached_pairs()  # warm
+        cached_ns = ns_per_call(cached_pairs, 50, 1)
+        metrics[f"n{size}.reachability_speedup"] = (
+            ns_per_call(uncached_pairs, 2, 1) / cached_ns
+        )
+
+        tasks = []
+        for index in range(max(2, 24 // max(1, size // 100))):
+            dag = _layered_dag(size, max(4, size // 12), size + 2 + index)
+            tasks.append(
+                DagTask(
+                    graph=dag,
+                    offloaded_node=dag.nodes()[size // 2],
+                    name=f"bench_{size}_{index}",
+                )
+            )
+
+        def naive() -> None:
+            for task in tasks:
+                task.graph.invalidate_caches()
+            for cores in (2, 4, 8):
+                for task in tasks:
+                    analyse(task, cores)
+
+        def batched() -> None:
+            for task in tasks:
+                task.graph.invalidate_caches()
+            analyse_many(tasks, cores=(2, 4, 8))
+
+        naive()  # warm imports and allocators
+        metrics[f"n{size}.batched_analysis_speedup"] = ns_per_call(
+            naive, 3, 1
+        ) / ns_per_call(batched, 3, 1)
+    return metrics, {}
+
+
+# ----------------------------------------------------------------------
+# The registry
+# ----------------------------------------------------------------------
+CASES: tuple[Case, ...] = (
+    Case(
+        name="oracle",
+        layer="exact makespan oracles",
+        workload="quick-scale Figure 7 paired C_off sweep (3 smoke / 12 DAGs "
+        "per point), m = 2; the ILP also at m = 8",
+        candidate="pruned branch-and-bound",
+        baseline="unpruned branch-and-bound (pruning=False)",
+        run=run_oracle,
+        gates=(Gate("state_reduction", ">=", 5.0),),
+        checks=(
+            "makespans_identical_to_reference",
+            "makespans_identical_to_ilp",
+            "warm_start_makespans_identical",
+            "memoised_pass_stable",
+        ),
+    ),
+    Case(
+        name="simulation-dense",
+        layer="simulation engines",
+        workload="quick-scale Figure 6 tasks, original + transformed "
+        "(C_off 0.2 x 6 DAGs smoke / 3 fractions x 12 DAGs), m in {2, 8}",
+        candidate="dense batched simulate_many",
+        baseline="reference trace engine",
+        run=run_simulation_dense,
+        gates=(Gate("batched_speedup", ">=", 3.0),),
+        checks=("makespans_identical",),
+    ),
+    Case(
+        name="simulation-compiled",
+        layer="simulation engines",
+        workload="quick-scale Figure 6 ensemble, original + transformed, "
+        "m in {2, 4, 8, 16} (576 cells); crossover scan at 1-16/64 lanes",
+        candidate="compiled C step-loop kernel",
+        baseline="dense batched simulate_many",
+        run=run_simulation_compiled,
+        gates=(
+            Gate("speedup_vs_dense", ">=", 4.0),
+            Gate("crossover_lanes", "<=", 16),
+        ),
+        checks=("kernel_built", "makespans_identical"),
+    ),
+    Case(
+        name="service",
+        layer="evaluation service",
+        workload="quick-scale Figure 6 request mix (8 smoke / 12 DAGs per "
+        "fraction) x m in {2, 4, 8, 16}, each unique request 3 times, shuffled",
+        candidate="EvaluationService: batched cold burst, cached warm burst, "
+        "hits from decoded documents",
+        baseline="one-shot parse + simulate per request; hits after a full "
+        "task_from_dict",
+        run=run_service,
+        gates=(
+            Gate("batching_speedup", ">=", 2.0),
+            Gate("hit_speedup", ">=", 10.0),
+            Gate("document_hit_speedup", ">=", 2.0),
+        ),
+        checks=("payloads_identical", "document_hits_identical"),
+    ),
+    Case(
+        name="faults",
+        layer="resilience",
+        workload="200 000 smoke / 10^6 disabled fault-point calls; 12 smoke "
+        "/ 48 solver-sized tasks at m = 2",
+        candidate="disabled fault point; degraded bound-sandwich oracle",
+        baseline="no-op call; exact oracle solves",
+        run=run_faults,
+        gates=(
+            Gate("fault_point_disabled_ns", "<=", 1000.0),
+            Gate("degraded_speedup", ">=", 2.0),
+        ),
+        checks=(
+            "all_degraded_flagged",
+            "bound_sandwich_holds",
+            "degraded_never_cached",
+        ),
+    ),
+    Case(
+        name="workload",
+        layer="job-stream workloads",
+        workload="4 smoke / 6 saturated periodic host-only streams "
+        "(n in [50, 100], WCETs 1-8) on 1024 cores + 2 accelerators",
+        candidate="coupled numpy engine",
+        baseline="scalar reference event loop",
+        run=run_workload,
+        gates=(Gate("coupled_speedup", ">=", 2.0),),
+        checks=("completions_identical",),
+    ),
+    Case(
+        name="tracing",
+        layer="request tracing",
+        workload="100 000 smoke / 500 000 disarmed hook calls; closed-loop "
+        "burst of 24 smoke / 96 small tasks x m in {2, 4}",
+        candidate="disarmed hooks; fully traced service (sample 1.0)",
+        baseline="no-op call; untraced service",
+        run=run_tracing,
+        gates=(
+            Gate("span_disabled_ns", "<=", 10_000.0),
+            Gate("span_untraced_ns", "<=", 10_000.0),
+            Gate("record_kernel_disarmed_ns", "<=", 3_000.0),
+            Gate("traced_warm_slowdown", "<=", 3.0),
+        ),
+        checks=(
+            "no_trace_from_disabled_hooks",
+            "results_identical",
+            "ring_within_cap",
+        ),
+    ),
+    Case(
+        name="graph-kernel",
+        layer="graph kernel",
+        workload="layered random DAGs of 50 (smoke) / 50, 500, 2000 nodes",
+        candidate="cached queries; batched analyse_many",
+        baseline="queries after invalidate_caches; per-(task, m) analyse",
+        run=run_graph_kernel,
+    ),
+)
+
+
+# ----------------------------------------------------------------------
+# The runner
+# ----------------------------------------------------------------------
+def run_case(case: Case, smoke: bool) -> dict:
+    """Run, time and judge one case; a case that raises fails."""
+    started = time.perf_counter()
+    try:
+        metrics, checks = case.run(smoke)
+        error = None
+    except Exception:  # noqa: BLE001 - report and go on to the next case
+        metrics, checks, error = {}, {}, traceback.format_exc()
+    record = evaluate(case, metrics, checks)
+    record["seconds"] = time.perf_counter() - started
+    if error is not None:
+        record["error"] = error
+        record["passed"] = False
+    return record
+
+
+def _format(value: object) -> str:
+    if isinstance(value, float):
+        return f"{value:.4g}"
+    return json.dumps(value)
+
+
+def print_record(record: dict) -> None:
+    print(f"\n[{record['case']}] {record['layer']}: {record['candidate']}")
+    print(f"  vs {record['baseline']}")
+    print(f"  on {record['workload']}")
+    for gate in record["gates"]:
+        verdict = "PASS" if gate["passed"] else "FAIL"
+        print(
+            f"  {gate['metric']:<34} {_format(gate['value']):>10}  "
+            f"{gate['comparison']} {_format(gate['threshold']):<8} {verdict}"
+        )
+    for name, passed in record["checks"].items():
+        print(f"  {name:<34} {'check':>10}  {'':<11} {'PASS' if passed else 'FAIL'}")
+    gated = {gate["metric"] for gate in record["gates"]}
+    for name, value in record["metrics"].items():
+        if name not in gated:
+            print(f"  {name:<34} {_format(value):>10}  (reported)")
+    if "error" in record:
+        print(record["error"], end="")
+    verdict = "PASS" if record["passed"] else "FAIL"
+    print(f"  -> {verdict} in {record['seconds']:.1f} s")
+
+
+def write_records(records: list[dict]) -> None:
+    """Merge ``records`` into the suite document, one record per case."""
+    previous = (
+        json.loads(OUTPUT.read_text(encoding="utf-8"))["records"]
+        if OUTPUT.exists()
+        else []
+    )
+    by_case = {record["case"]: record for record in previous + records}
+    ordered = [by_case[case.name] for case in CASES if case.name in by_case]
+    document = {"suite": "micro-benchmarks", "records": ordered}
+    OUTPUT.parent.mkdir(parents=True, exist_ok=True)
+    OUTPUT.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+    print(f"\nrecords written to {OUTPUT}")
+
+
+def main(argv: list[str]) -> int:
+    smoke = "--smoke" in argv
+    names = [arg for arg in argv if arg != "--smoke"]
+    known = {case.name: case for case in CASES}
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        print(
+            f"unknown case(s) {unknown}; cases: {', '.join(known)}",
+            file=sys.stderr,
+        )
+        return 2
+    selected = [known[name] for name in names] if names else list(CASES)
+    records = []
+    for case in selected:
+        record = run_case(case, smoke)
+        print_record(record)
+        records.append(record)
+    if not smoke:
+        write_records(records)
+    failed = [record["case"] for record in records if not record["passed"]]
+    print(
+        f"\nsuite: {len(records) - len(failed)}/{len(records)} cases passed"
+        + (f"; FAILED: {', '.join(failed)}" if failed else "")
+    )
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -18,10 +18,12 @@ Random processes are **stateless**: every call to :meth:`release_times`
 regenerates the same values from the stored seed, which is what makes
 workload requests fingerprintable and cacheable by the service layer.
 Generation is *chunked* exactly like the library's task generator: draw
-``k`` of chunk ``c`` always comes from the child seed
-``spawn_seeds(seed, c + 1)[c]``, never from a sequential stream, so a
-parallel ``jobs=N`` generation is bit-identical to the serial one and the
-test-suite asserts it.
+``k`` of chunk ``c`` always comes from chunk ``c``'s child seed, the
+``c``-th child ``SeedSequence(seed, spawn_key=(c,))`` that
+``spawn_seeds(seed, c + 1)[c]`` also yields, built in O(1) without its
+siblings.  No draw comes from a sequential stream, so a parallel ``jobs=N``
+generation is bit-identical to the serial one and the test-suite asserts
+it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ..parallel import parallel_map, spawn_seeds
+from ..parallel import parallel_map
 
 __all__ = [
     "ArrivalProcess",
@@ -52,8 +54,10 @@ ARRIVAL_CHUNK = 64
 def _draw_chunk(args: tuple[int, int, int]) -> np.ndarray:
     """Uniform draws for one chunk (module-level: must pickle for jobs=N)."""
     seed, chunk, count = args
-    child = spawn_seeds(seed, chunk + 1)[chunk]
-    return np.random.default_rng(child).random(count)
+    child = np.random.SeedSequence(seed, spawn_key=(chunk,))
+    return np.random.default_rng(
+        int(child.generate_state(1, dtype="uint64")[0])
+    ).random(count)
 
 
 def _chunked_uniform(

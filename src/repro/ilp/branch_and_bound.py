@@ -2,8 +2,8 @@
 
 An independent exact solver used to cross-check the ILP.  The paper only had
 CPLEX as its makespan oracle; having two independent oracles materially
-increases confidence in the reproduction (see ``benchmarks/bench_ilp.py`` and
-``tests/test_oracle_properties.py``).
+increases confidence in the reproduction (see the ``oracle`` case of
+``benchmarks/suite.py`` and ``tests/test_oracle_properties.py``).
 
 Approach
 --------

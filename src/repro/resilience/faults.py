@@ -32,7 +32,7 @@ Two arming channels cover both process topologies:
 
 When nothing is armed, a fault point is one attribute read on a module
 singleton -- below measurement noise on every hot path (measured by
-``benchmarks/bench_service.py --faults``).
+the ``faults`` case of ``benchmarks/suite.py``).
 """
 
 from __future__ import annotations

@@ -389,7 +389,7 @@ class EvaluationService:
         # Spans only materialise inside an active trace (the HTTP layer
         # starts one per request), so direct API callers pay one
         # context-var read per hook -- benchmarked like the disarmed
-        # fault points in benchmarks/bench_tracing.py.
+        # fault points by the tracing case of benchmarks/suite.py.
         self.tracer = Tracer(
             enabled=tracing,
             sample=trace_sample,
@@ -1047,14 +1047,7 @@ class EvaluationService:
                 )
             for (kind, _), requests in groups.items():
                 try:
-                    if kind == "simulate":
-                        self._run_simulation_group(requests, flush_span)
-                    elif kind == "analyse":
-                        self._run_analysis_group(requests, flush_span)
-                    elif kind == "workload":
-                        self._run_workload_group(requests, flush_span)
-                    else:
-                        self._run_makespan_group(requests, flush_span)
+                    self._run_group(kind, requests, flush_span)
                 except BaseException:  # noqa: BLE001 - isolate per request
                     # One bad request (or an infeasible *unrequested* grid
                     # cell) must not fail its coalesced group-mates: fall
@@ -1070,74 +1063,37 @@ class EvaluationService:
         finally:
             flush_span.finish()
 
+    def _run_group(
+        self, kind: str, requests: list[BatchRequest], flush_span=NULL_SPAN
+    ) -> None:
+        if kind == "simulate":
+            self._run_simulation_group(requests, flush_span)
+        elif kind == "analyse":
+            self._run_analysis_group(requests, flush_span)
+        elif kind == "workload":
+            self._run_workload_group(requests, flush_span)
+        else:
+            self._run_makespan_group(requests, flush_span)
+
     def _run_group_solo(
         self, requests: list[BatchRequest], flush_span=NULL_SPAN
     ) -> None:
-        """Serve each unresolved request of a failed group individually."""
+        """Serve each unresolved request of a failed group as a group of one.
+
+        The kind's own group runner evaluates it, so answers, engine
+        counters and kernel statistics are those of any one-request batch.
+        """
         for request in requests:
             if request.resolved:
                 continue
-            params = request.params
             try:
-                if request.kind == "workload":
-                    with self.tracer.shared_child(
-                        flush_span,
-                        "workload.simulate",
-                        attributes={"solo": True},
-                    ) as engine_span:
-                        with collect_kernel_stats() as kstats:
-                            payload = self._evaluate_workload(params)
-                        self._record_kernel_stats(kstats, engine_span)
-                    self._count_engine_call(1, solo=True)
-                    self._sim_engines.inc(engine="lockstep")
-                    self._finish(request, payload)
-                    continue
-                span_name = (
-                    "oracle.solve"
-                    if request.kind == "makespan"
-                    else f"engine.{request.kind}"
-                )
-                with self.tracer.shared_child(
-                    flush_span, span_name, attributes={"solo": True}
-                ):
-                    if request.kind == "simulate":
-                        policy = build_policy(
-                            params["policy"],
-                            params["policy_seed"],
-                            params["priorities"],
-                        )
-                        payload = simulation_payload(
-                            simulate_makespan(
-                                request.task,
-                                params["platform"],
-                                policy,
-                                params["offload_enabled"],
-                            )
-                        )
-                    elif request.kind == "analyse":
-                        payload = analysis_payload(
-                            analyse_many(
-                                [request.task],
-                                cores=params["cores"],
-                                include_naive=params["include_naive"],
-                            )[0]
-                        )
-                    else:
-                        payload = makespan_payload(
-                            minimum_makespans_many(
-                                [request.task],
-                                cores=params["cores"],
-                                accelerators=params["accelerators"],
-                                method=MakespanMethod(params["method"]),
-                                time_limit=params["time_limit"],
-                                budget=self._oracle_budget,
-                                breaker=self._oracle_breaker,
-                            )[0]
-                        )
-                self._count_engine_call(1, solo=True)
-                self._finish(request, payload)
+                self._run_group(request.kind, [request], flush_span)
             except BaseException as error:  # noqa: BLE001 - this request only
                 self._abort(request, error)
+                continue
+            # Stochastic-policy requests already count as solo evaluations.
+            if not request.params.get("solo"):
+                self._solo_evaluations.inc()
 
     def _count_engine_call(self, cells: int, solo: bool = False) -> None:
         self._engine_batches.inc()
@@ -1182,18 +1138,20 @@ class EvaluationService:
                 "engine.simulate",
                 attributes={"engine": "dense", "solo": True,
                             "lanes": len(requests)},
-            ):
-                for request in requests:
-                    spec = request.params
-                    policy = build_policy(
-                        spec["policy"], spec["policy_seed"], spec["priorities"]
-                    )
-                    value = simulate_makespan(
-                        request.task, spec["platform"], policy, offload_enabled
-                    )
-                    self._count_engine_call(1, solo=True)
-                    self._sim_engines.inc(engine="dense")
-                    self._finish(request, simulation_payload(value))
+            ) as engine_span:
+                with collect_kernel_stats() as kstats:
+                    for request in requests:
+                        spec = request.params
+                        policy = build_policy(
+                            spec["policy"], spec["policy_seed"], spec["priorities"]
+                        )
+                        value = simulate_makespan(
+                            request.task, spec["platform"], policy, offload_enabled
+                        )
+                        self._count_engine_call(1, solo=True)
+                        self._sim_engines.inc(engine="dense")
+                        self._finish(request, simulation_payload(value))
+                self._record_kernel_stats(kstats, engine_span)
             return
         # Try the full task x platform x policy grid of the flush first:
         # an ablation-shaped burst (every task at every host size under

@@ -87,9 +87,10 @@ _ENDPOINTS = frozenset(
     }
 )
 
-#: Decoded chunked bodies larger than this are refused (same spirit as the
-#: admission bounds: a request must not be able to exhaust server memory).
-_MAX_CHUNKED_BODY = 64 * 1024 * 1024
+#: Request bodies larger than this are refused, chunked or not (same spirit
+#: as the admission bounds: a request must not be able to exhaust server
+#: memory).
+_MAX_BODY = 64 * 1024 * 1024
 
 
 class _HTTPRequestError(Exception):
@@ -299,11 +300,11 @@ class _RequestHandler(BaseHTTPRequestHandler):
             if size == 0:
                 break
             total += size
-            if total > _MAX_CHUNKED_BODY:
+            if total > _MAX_BODY:
                 raise _HTTPRequestError(
                     413,
                     "payload-too-large",
-                    f"chunked body exceeds {_MAX_CHUNKED_BODY} bytes",
+                    f"chunked body exceeds {_MAX_BODY} bytes",
                     close=True,
                 )
             data = self.rfile.read(size)
@@ -318,6 +319,31 @@ class _RequestHandler(BaseHTTPRequestHandler):
             if line in (b"\r\n", b"\n", b""):
                 break
         return b"".join(chunks)
+
+    def _read_sized_body(self) -> bytes:
+        """Read a body framed by ``Content-Length`` (absent means empty).
+
+        The value must be ``1*DIGIT`` (RFC 9110 §8.6): ``int()`` alone
+        would take ``-1``, which reads to end of stream.  A refused length
+        leaves the body unread, so the connection is closed.
+        """
+        header = self.headers.get("Content-Length", "0")
+        if not (header.isascii() and header.isdigit()):
+            raise _HTTPRequestError(
+                400,
+                "bad-request",
+                f"malformed Content-Length {header!r}",
+                close=True,
+            )
+        length = int(header)
+        if length > _MAX_BODY:
+            raise _HTTPRequestError(
+                413,
+                "payload-too-large",
+                f"body of {length} bytes exceeds {_MAX_BODY} bytes",
+                close=True,
+            )
+        return self.rfile.read(length) if length else b""
 
     def _read_document(self) -> dict:
         encoding = self.headers.get("Transfer-Encoding", "")
@@ -339,8 +365,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 close=True,
             )
         else:
-            length = int(self.headers.get("Content-Length", 0))
-            body = self.rfile.read(length) if length else b""
+            body = self._read_sized_body()
         self._request_bytes = len(body)
         if not body:
             raise ValueError(

@@ -37,7 +37,7 @@ Everything is stdlib-only, and the disabled path is near-free: with
 tracing off (or outside a request) every hook degrades to a single
 context-var read returning a no-op span -- the same disarmed-cheapness
 contract the PR 6 fault points and the kernel-stats collector follow
-(benchmarked in ``benchmarks/bench_tracing.py``).
+(benchmarked by the ``tracing`` case of ``benchmarks/suite.py``).
 """
 
 from __future__ import annotations
@@ -451,7 +451,8 @@ class Tracer:
     ----------
     enabled:
         ``False`` turns every hook into a no-op returning :data:`NULL_SPAN`
-        (the overhead benchmarked by ``benchmarks/bench_tracing.py``).
+        (the overhead the ``tracing`` case of ``benchmarks/suite.py``
+        gates).
     sample:
         Probability of keeping a *normal* finished trace, decided by a
         deterministic hash of the trace id (tail-based: the decision is

@@ -12,7 +12,8 @@ scheduler implemented in GOMP, the OpenMP implementation in GCC":
 executed in the order in which they became ready, ties broken by node
 creation order, which corresponds to the order in which an OpenMP program
 creates the tasks).  Alternative policies are provided for the scheduler
-ablation study (``benchmarks/bench_ablation_scheduler.py``).
+ablation study (``repro experiment ablation-scheduler``, checked by
+``tests/test_figure_shapes.py``).
 """
 
 from __future__ import annotations

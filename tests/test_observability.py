@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import sys
 import threading
 import time
@@ -353,6 +354,38 @@ class TestTransferEncoding:
         status, body = _raw_post(server.port, b"", {"Content-Length": "0"})
         assert status == 400
         assert "chunked transfer-encoding" in body["error"]["message"]
+
+    @pytest.mark.parametrize(
+        ("length", "status", "code"),
+        [
+            ("-1", 400, "bad-request"),  # int() takes it; read(-1) reads to EOF
+            ("1e3", 400, "bad-request"),
+            ("99999999999", 413, "payload-too-large"),
+        ],
+    )
+    def test_bad_content_length_answered_and_closed(
+        self, served, length, status, code
+    ):
+        _, server, _ = served
+        # The body is never sent: the server must answer from the header
+        # alone and close the connection, or this read times out.
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(
+                b"POST /simulate HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Length: %s\r\n\r\n" % length.encode()
+            )
+            response = b""
+            while chunk := sock.recv(65536):
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert int(head.split()[1]) == status
+        assert json.loads(body)["error"]["code"] == code
+
+        task = figure1_task(period=20, deadline=15)
+        client = ServiceClient(port=server.port, timeout=5, retries=0)
+        assert client.simulate(task, cores=2) == simulate_makespan(
+            task, Platform(2), policy_by_name("breadth-first")
+        )
 
 
 # ----------------------------------------------------------------------

@@ -458,6 +458,14 @@ class TestEvaluationServiceSemantics:
             expected = simulate_makespan(task, Platform(2), RandomPolicy(42))
             assert value == again == expected
             assert service.stats()["engine"]["solo_evaluations"] == 1
+            steps = service.metrics.render_json()["counters"][
+                "repro_kernel_steps_total"
+            ]["series"]
+            assert sum(
+                series["value"]
+                for series in steps
+                if series["labels"] == {"engine": "dense"}
+            ) > 0
 
     def test_fixed_priority_table_round_trip(self):
         task = figure1_task()
@@ -617,6 +625,13 @@ class TestEvaluationServiceSemantics:
             assert second.result(60) == simulate_makespan(
                 plain, Platform(4, 0), policy
             )
+        # Each request ran as a one-request grid on the engine "auto"
+        # resolves to, and counts as one solo evaluation.
+        from repro.simulation.batch import resolve_engine
+
+        engine = service.stats()["engine"]
+        assert engine["by_engine"][resolve_engine("auto")] == 2
+        assert engine["solo_evaluations"] == 2
 
     def test_invalid_request_fails_alone_in_a_coalesced_group(self):
         # A genuinely invalid request (offloading task, accelerator-less

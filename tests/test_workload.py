@@ -12,6 +12,8 @@ by the rest of the suite.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,6 +126,26 @@ class TestArrivalProcesses:
             serial = arrivals.release_times(600.0)
             parallel = arrivals.release_times(600.0, jobs=3)
             assert serial.tolist() == parallel.tolist()
+
+    def test_chunk_draws_come_from_the_spawned_child_seed(self):
+        from repro.generator.arrivals import ARRIVAL_CHUNK, _draw_chunk
+        from repro.parallel import spawn_seeds
+
+        for chunk in (0, 1, 63, 4095):
+            child = spawn_seeds(9, chunk + 1)[chunk]
+            expected = np.random.default_rng(child).random(ARRIVAL_CHUNK)
+            drawn = _draw_chunk((9, chunk, ARRIVAL_CHUNK))
+            assert drawn.tolist() == expected.tolist()
+
+    def test_long_jittered_stream_draws_in_linear_time(self):
+        # A chunk seed that costs O(chunk index) makes the whole draw
+        # O(chunks^2): 1 000 chunks then take seconds.
+        arrivals = PeriodicArrivals(period=1.0, jitter=0.5, seed=4)
+        started = time.perf_counter()
+        times = arrivals.release_times(64_000.0)
+        elapsed = time.perf_counter() - started
+        assert len(times) == 64_000
+        assert elapsed < 2.0, f"64 000 jittered releases took {elapsed:.2f} s"
 
     def test_round_trip_through_dict(self):
         processes = [
