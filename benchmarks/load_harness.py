@@ -170,6 +170,8 @@ class LoadResult:
         self.dispatched: dict[str, int] = {}
         self.trajectory: list[dict] = []
         self.duration_s = 0.0
+        self.workers = 0
+        self.connections_accepted = 0
 
     def record(
         self, endpoint: str, due_offset: float, latency: float, status: str
@@ -258,6 +260,16 @@ def _sample_trajectory(
         previous = point
 
 
+def _accepted_connections(client: ServiceClient) -> int:
+    """Connections the server has accepted since it started."""
+    counter = client.metrics()["counters"]["repro_http_connections_total"]
+    return sum(
+        series["value"]
+        for series in counter["series"]
+        if series["labels"]["outcome"] == "accepted"
+    )
+
+
 def run_load(
     client: ServiceClient,
     rates: dict[str, float],
@@ -272,14 +284,16 @@ def run_load(
     if unknown:
         raise ValueError(f"no request factory for endpoints {sorted(unknown)}")
     result = LoadResult()
+    result.workers = workers
+    accepted_before = _accepted_connections(client)
     pool = ThreadPoolExecutor(max_workers=workers)
     stop_sampler = threading.Event()
 
     started = time.perf_counter()
+    sampler_client = ServiceClient(base_url=client.base_url, retries=0)
     sampler = threading.Thread(
         target=_sample_trajectory,
-        args=(ServiceClient(base_url=client.base_url, retries=0), result,
-              stop_sampler, started),
+        args=(sampler_client, result, stop_sampler, started),
         daemon=True,
     )
     sampler.start()
@@ -318,7 +332,9 @@ def run_load(
     pool.shutdown(wait=True)
     stop_sampler.set()
     sampler.join(timeout=5.0)
+    sampler_client.close()
     result.duration_s = time.perf_counter() - started
+    result.connections_accepted = _accepted_connections(client) - accepted_before
     return result
 
 
@@ -387,14 +403,22 @@ def summarise(
                 }
         entry["endpoints"] = per_endpoint
         windows.append(entry)
-    return {"endpoints": endpoints, "latency_windows": windows}
+    return {
+        "endpoints": endpoints,
+        "latency_windows": windows,
+        "connections": {
+            "accepted": result.connections_accepted,
+            "workers": result.workers,
+        },
+    }
 
 
 def check_consistency(client: ServiceClient, summary: dict) -> dict:
     """Reconcile ``/metrics`` against ``/stats`` and the dispatch ledger.
 
-    Exact equalities only -- both documents render the same underlying
-    counter objects, so any difference is a bookkeeping bug, not noise.
+    Exact equalities -- both documents render the same underlying counter
+    objects, so any difference is a bookkeeping bug, not noise -- plus one
+    bound: ``connections_reused``.
     Scraping order matters: the ledger endpoints are quiesced by the time
     this runs, and the probe's own GETs touch only /stats and /metrics.
     """
@@ -448,6 +472,13 @@ def check_consistency(client: ServiceClient, summary: dict) -> dict:
         )
     checks["sim_engine_bounded"] = (
         sum(sim_engines.values()) <= stats["engine"]["batches"]
+    )
+    # Keep-alive: over the run the server accepts one connection per
+    # worker thread, one for the sampler and one for the main client, plus
+    # one spare for a resend after an idle close -- not one per request.
+    connections = summary["connections"]
+    checks["connections_reused"] = (
+        connections["accepted"] <= connections["workers"] + 3
     )
     return {
         "stats_requests": stats["requests"],
@@ -710,6 +741,10 @@ def main(argv: list[str] | None = None) -> int:
                 f"cache hit ratio trajectory: first {hit_points[0]:.2f} "
                 f"-> last {hit_points[-1]:.2f} over {len(hit_points)} samples"
             )
+        print(
+            f"connections accepted over the run: "
+            f"{summary['connections']['accepted']} ({args.workers} workers)"
+        )
         print(f"metrics/stats reconciliation: {consistency['checks']}")
         for endpoint, stages in sorted(breakdown["endpoints"].items()):
             fractions = stages.get("stage_fractions", {})

@@ -99,6 +99,7 @@ def main() -> None:
         bounds = client.analyse(task, [2, 4])["bounds"]
         print(f"POST /analyse: R_het(m=2) = "
               f"{bounds[0]['methods']['het']['bound']:g}")
+        client.close()  # the calls above shared one keep-alive connection
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)

@@ -25,6 +25,7 @@ __all__ = [
     "ServiceClosedError",
     "ServiceTimeoutError",
     "ServiceOverloadedError",
+    "ServiceRequestTooLargeError",
     "DeadlineExceededError",
     "CircuitOpenError",
     "FaultInjectedError",
@@ -163,6 +164,14 @@ class ServiceOverloadedError(ServiceError):
     def __init__(self, message: str, retry_after: float | None = None) -> None:
         super().__init__(message)
         self.retry_after = retry_after
+
+
+class ServiceRequestTooLargeError(ServiceError):
+    """Raised when one request would do more work than a request may.
+
+    Checked before any work starts (the HTTP transport answers 413).  Not
+    retryable: the identical request is refused again.
+    """
 
 
 class DeadlineExceededError(ReproError):

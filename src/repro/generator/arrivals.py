@@ -28,6 +28,7 @@ it.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -99,6 +100,11 @@ class ArrivalProcess:
         """
         raise NotImplementedError
 
+    def max_releases(self, horizon: float) -> float:
+        """Upper bound on the releases in ``[0, horizon)``, without drawing
+        them: a float, ``inf`` where the count overflows."""
+        raise NotImplementedError
+
     def to_dict(self) -> dict:
         """Canonical JSON-style spec (wire format and fingerprint input)."""
         raise NotImplementedError
@@ -109,6 +115,16 @@ def _check_horizon(horizon: float) -> float:
     if not math.isfinite(horizon) or horizon < 0:
         raise ValueError(f"horizon must be finite and >= 0, got {horizon}")
     return horizon
+
+
+def _steps_before(horizon: float, offset: float, step: float) -> float:
+    """``ceil((horizon - offset) / step)`` in floats (``inf`` on overflow);
+    0 when ``offset`` is not before ``horizon``."""
+    span = _check_horizon(horizon) - offset
+    if span <= 0:
+        return 0.0
+    steps = span / step
+    return float(math.ceil(steps)) if math.isfinite(steps) else math.inf
 
 
 @dataclass(frozen=True)
@@ -137,13 +153,14 @@ class PeriodicArrivals(ArrivalProcess):
         if not (math.isfinite(self.jitter) and self.jitter >= 0):
             raise ValueError(f"jitter must be finite and >= 0, got {self.jitter}")
 
+    def max_releases(self, horizon: float) -> float:
+        return _steps_before(horizon, self.offset, self.period)
+
     def release_times(
         self, horizon: float, jobs: Optional[int] = None
     ) -> np.ndarray:
         horizon = _check_horizon(horizon)
-        if self.offset >= horizon:
-            return np.empty(0, dtype=np.float64)
-        count = math.ceil((horizon - self.offset) / self.period)
+        count = int(self.max_releases(horizon))
         base = self.offset + np.arange(count, dtype=np.float64) * self.period
         base = base[base < horizon]
         if self.jitter > 0 and base.size:
@@ -192,17 +209,16 @@ class SporadicArrivals(ArrivalProcess):
         if not (math.isfinite(self.offset) and self.offset >= 0):
             raise ValueError(f"offset must be finite and >= 0, got {self.offset}")
 
+    def max_releases(self, horizon: float) -> float:
+        return _steps_before(horizon, self.offset, self.min_gap)
+
     def release_times(
         self, horizon: float, jobs: Optional[int] = None
     ) -> np.ndarray:
-        horizon = _check_horizon(horizon)
-        span = horizon - self.offset
-        if span <= 0:
-            return np.empty(0, dtype=np.float64)
         # Upper-bound the number of gaps that can fit before the horizon and
         # draw them all at once: gap k always comes from chunk k // CHUNK, so
         # the (deliberately generous) count never changes any draw.
-        count = math.ceil(span / self.min_gap)
+        count = int(self.max_releases(horizon))
         draws = _chunked_uniform(self.seed, count, jobs=jobs)
         gaps = self.min_gap + (self.max_gap - self.min_gap) * draws
         releases = self.offset + np.cumsum(gaps)
@@ -235,12 +251,14 @@ class TraceArrivals(ArrivalProcess):
                 )
         object.__setattr__(self, "times", values)
 
+    def max_releases(self, horizon: float) -> float:
+        return float(bisect.bisect_left(self.times, _check_horizon(horizon)))
+
     def release_times(
         self, horizon: float, jobs: Optional[int] = None
     ) -> np.ndarray:
-        horizon = _check_horizon(horizon)
-        values = np.asarray(self.times, dtype=np.float64)
-        return values[values < horizon]
+        count = int(self.max_releases(horizon))
+        return np.asarray(self.times[:count], dtype=np.float64)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "times": [float(value) for value in self.times]}

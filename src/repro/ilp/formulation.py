@@ -47,15 +47,17 @@ formulation refuses fractional WCETs rather than silently rounding them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy import sparse
 
 from ..core.exceptions import SolverError
 from ..core.graph import NodeId
 from ..core.task import DagTask
 from .bounds import list_schedule_upper_bound, makespan_lower_bound
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["TimeIndexedFormulation", "build_formulation"]
 
@@ -290,6 +292,8 @@ def build_formulation(
         lower.append(float(wcets[node]))
         upper.append(np.inf)
         row += 1
+
+    from scipy import sparse  # imported here: only the ILP pays its import
 
     matrix = sparse.csr_matrix(
         (data, (rows, cols)), shape=(row, variable_count)

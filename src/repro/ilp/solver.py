@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from ..core.exceptions import SolverError
 from ..core.graph import NodeId
@@ -110,6 +109,10 @@ def solve_formulation(
     SolverError
         If HiGHS reports the instance infeasible or returns no solution.
     """
+    # Imported here: scipy.optimize costs more to import than the rest of the
+    # package together, and only the ILP path needs it.
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     options: dict[str, object] = {"disp": False}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)

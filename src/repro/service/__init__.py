@@ -42,6 +42,7 @@ from ..core.exceptions import (
     ServiceClosedError,
     ServiceError,
     ServiceOverloadedError,
+    ServiceRequestTooLargeError,
     ServiceTimeoutError,
 )
 from .batching import BatchRequest, MicroBatcher
@@ -83,6 +84,7 @@ __all__ = [
     "ServiceClosedError",
     "ServiceTimeoutError",
     "ServiceOverloadedError",
+    "ServiceRequestTooLargeError",
     "ResultCache",
     "MicroBatcher",
     "BatchRequest",

@@ -1,8 +1,16 @@
 """Thin Python client of the HTTP evaluation service.
 
-Stdlib-only (:mod:`urllib.request`); tasks are shipped in the on-disk JSON
+Stdlib-only (:mod:`http.client`); tasks are shipped in the on-disk JSON
 form of :mod:`repro.io.json_io`, so a :class:`~repro.core.task.DagTask`
 built locally and a task document loaded from a file are interchangeable.
+
+Connections persist: each thread that calls a client keeps one HTTP/1.1
+connection and sends every request on it, so a request costs neither a TCP
+handshake nor a new server thread.  :meth:`ServiceClient.close` (or leaving
+a ``with ServiceClient(...)`` block) closes them.  The server closes a
+connection left idle past its timeout; a request that finds its reused
+connection closed before any response byte arrived is sent once more on a
+fresh one (RFC 9112 §9.3.1), whatever ``retries`` says.
 
 Every endpoint call carries the client's default socket ``timeout`` and
 accepts a per-call override.  Transient failures -- connection errors and
@@ -32,8 +40,7 @@ from __future__ import annotations
 
 import http.client
 import json
-import urllib.error
-import urllib.request
+import threading
 from typing import Iterable, Optional, Union
 
 from ..core.exceptions import (
@@ -50,7 +57,15 @@ from .tracing import TRACE_HEADER, new_trace_id
 __all__ = ["ServiceClient"]
 
 
-def _error_from_response(error: urllib.error.HTTPError, path: str) -> ServiceError:
+#: What a reused connection raises when the server had closed it before the
+#: request arrived (:class:`http.client.RemoteDisconnected` is a
+#: :class:`ConnectionResetError`).
+_STALE_CONNECTION = (ConnectionResetError, BrokenPipeError)
+
+
+def _error_from_response(
+    status: int, headers: http.client.HTTPMessage, body: bytes, path: str
+) -> ServiceError:
     """Map an HTTP error response onto the service exception hierarchy.
 
     Understands both the structured envelope (``{"error": {"code",
@@ -62,7 +77,7 @@ def _error_from_response(error: urllib.error.HTTPError, path: str) -> ServiceErr
     retry_after: Optional[float] = None
     trace_id: Optional[str] = None
     try:
-        envelope = json.loads(error.read().decode("utf-8")).get("error")
+        envelope = json.loads(body).get("error")
     except Exception:  # noqa: BLE001 - no JSON body on the error
         envelope = None
     if isinstance(envelope, dict):
@@ -72,23 +87,23 @@ def _error_from_response(error: urllib.error.HTTPError, path: str) -> ServiceErr
         trace_id = envelope.get("trace_id")
     elif isinstance(envelope, str):
         message = envelope
-    if trace_id is None and error.headers is not None:
-        trace_id = error.headers.get(TRACE_HEADER)
+    if trace_id is None:
+        trace_id = headers.get(TRACE_HEADER)
     if retry_after is None:
-        header = error.headers.get("Retry-After") if error.headers else None
+        header = headers.get("Retry-After")
         if header is not None:
             try:
                 retry_after = float(header)
             except ValueError:
                 retry_after = None
-    message = message or f"service returned HTTP {error.code} for {path}"
-    if error.code == 429:
+    message = message or f"service returned HTTP {status} for {path}"
+    if status == 429:
         mapped: ServiceError = ServiceOverloadedError(
             message, retry_after=retry_after
         )
-    elif error.code == 503:
+    elif status == 503:
         mapped = ServiceClosedError(message)
-    elif error.code == 504:
+    elif status == 504:
         mapped = ServiceTimeoutError(message)
     else:
         mapped = ServiceError(message)
@@ -104,18 +119,14 @@ def _error_from_response(error: urllib.error.HTTPError, path: str) -> ServiceErr
 def _transport_error(base_url: str, error: Exception) -> ServiceError:
     """Map a connection-level failure onto a retryable :class:`ServiceError`.
 
-    ``urllib`` only wraps errors raised while *opening* the connection into
-    :class:`~urllib.error.URLError`; a reset or disconnect while reading
-    the response (``ECONNRESET``, :class:`http.client.RemoteDisconnected`,
-    a socket read timeout) escapes as a raw :class:`OSError` /
-    :class:`http.client.HTTPException`.  Callers should never have to
-    catch platform socket exceptions to talk to the service, and every
-    request is idempotent by fingerprint -- so all of these collapse into
-    the same structured, retryable "cannot reach" error.
+    A refused connect, a reset or disconnect while reading the response,
+    a socket read timeout: callers should never have to catch platform
+    socket exceptions to talk to the service, and every request is
+    idempotent by fingerprint -- so all of these collapse into the same
+    structured, retryable "cannot reach" error.
     """
-    reason = getattr(error, "reason", error)
     unreachable = ServiceError(
-        f"cannot reach evaluation service at {base_url}: {reason}"
+        f"cannot reach evaluation service at {base_url}: {error}"
     )
     unreachable.retryable = True  # connection-level: safe to retry
     return unreachable
@@ -192,6 +203,18 @@ class ServiceClient:
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         self.base_url = (base_url or f"http://{host}:{port}").rstrip("/")
+        scheme, _, rest = self.base_url.partition("://")
+        if scheme not in ("http", "https") or not rest:
+            raise ValueError(
+                f"base_url must be http://host[:port][/prefix], got {base_url!r}"
+            )
+        self._netloc, slash, prefix = rest.partition("/")
+        self._prefix = slash + prefix
+        self._connection_class = (
+            http.client.HTTPSConnection
+            if scheme == "https"
+            else http.client.HTTPConnection
+        )
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
@@ -202,10 +225,94 @@ class ServiceClient:
         #: with tracing disabled).  Feed it to :meth:`trace` to pull the
         #: span tree of the call that just returned.
         self.last_trace_id: Optional[str] = None
+        self._local = threading.local()  # this thread's connection
+        self._lock = threading.Lock()
+        #: Every open connection of this client, by the thread it serves.
+        self._connections: dict[
+            http.client.HTTPConnection, threading.Thread
+        ] = {}
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close every connection this client opened, from any thread.
+
+        The client stays usable: a later call opens a fresh connection.
+        """
+        with self._lock:
+            connections = list(self._connections)
+            self._connections.clear()
+            self._local = threading.local()
+        for connection in connections:
+            connection.close()
 
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection, created on the thread's first call.
+
+        Creating one also closes the connections of threads that have
+        ended, so a client called from short-lived threads does not hold
+        their connections open.
+        """
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._connection_class(self._netloc)
+            with self._lock:
+                for ended, owner in list(self._connections.items()):
+                    if not owner.is_alive():
+                        del self._connections[ended]
+                        ended.close()
+                self._connections[connection] = threading.current_thread()
+                self._local.connection = connection
+        return connection
+
+    def _exchange(
+        self,
+        method: str,
+        path: str,
+        body: Optional[bytes],
+        headers: dict,
+        timeout: float,
+    ) -> tuple[int, http.client.HTTPMessage, bytes]:
+        """One request and its whole response on this thread's connection.
+
+        Returns ``(status, headers, body)`` for any status.  A request on a
+        reused connection that fails before any response byte arrives is
+        sent once more on a fresh connection: the server had closed the
+        idle connection.  Any other connection-level failure -- on a fresh
+        connection, after response bytes, or a read timeout -- drops the
+        connection and raises the retryable "cannot reach" error.
+        """
+        connection = self._connection()
+        connection.timeout = timeout  # applied when the socket is opened
+        while True:
+            reused = connection.sock is not None
+            if reused:
+                connection.sock.settimeout(timeout)
+            try:
+                try:
+                    connection.request(
+                        method, self._prefix + path, body, headers
+                    )
+                    response = connection.getresponse()
+                except _STALE_CONNECTION:
+                    if not reused:
+                        raise
+                    connection.close()
+                    continue
+                # A response with ``Connection: close`` has already detached
+                # the socket from the connection; the next request opens anew.
+                return response.status, response.headers, response.read()
+            except (http.client.HTTPException, OSError) as error:
+                connection.close()
+                raise _transport_error(self.base_url, error) from error
+
     def _request_once(
         self,
         path: str,
@@ -213,33 +320,26 @@ class ServiceClient:
         timeout: float,
         trace_id: Optional[str] = None,
     ) -> dict:
-        data = None
+        body = None
         headers = {"Accept": "application/json"}
         if document is not None:
-            data = json.dumps(document).encode("utf-8")
+            body = json.dumps(document).encode("utf-8")
             headers["Content-Type"] = "application/json"
         if trace_id is not None:
             headers[TRACE_HEADER] = trace_id
-        request = urllib.request.Request(
-            f"{self.base_url}{path}", data=data, headers=headers
+        status, response_headers, payload = self._exchange(
+            "GET" if body is None else "POST", path, body, headers, timeout
         )
-        try:
-            with urllib.request.urlopen(request, timeout=timeout) as response:
-                echoed = response.headers.get(TRACE_HEADER)
-                if document is not None:
-                    self.last_trace_id = echoed
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:
-            mapped = _error_from_response(error, path)
+        if not 200 <= status < 300:
+            mapped = _error_from_response(
+                status, response_headers, payload, path
+            )
             if document is not None:
                 self.last_trace_id = mapped.trace_id
-            raise mapped from error
-        except (
-            urllib.error.URLError,  # must precede OSError (it is one)
-            http.client.HTTPException,
-            OSError,
-        ) as error:
-            raise _transport_error(self.base_url, error) from error
+            raise mapped
+        if document is not None:
+            self.last_trace_id = response_headers.get(TRACE_HEADER)
+        return json.loads(payload)
 
     def _request(
         self,
@@ -281,27 +381,19 @@ class ServiceClient:
         exists to surface.  Connection-level failures still raise.
         """
         effective = self.timeout if timeout is None else timeout
-        request = urllib.request.Request(
-            f"{self.base_url}/health", headers={"Accept": "application/json"}
+        status, headers, payload = self._exchange(
+            "GET", "/health", None, {"Accept": "application/json"}, effective
         )
-        try:
-            with urllib.request.urlopen(request, timeout=effective) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:
-            if error.code == 503:
-                try:
-                    document = json.loads(error.read().decode("utf-8"))
-                except Exception:  # noqa: BLE001 - no JSON body
-                    document = None
-                if isinstance(document, dict) and "status" in document:
-                    return document
-            raise _error_from_response(error, "/health") from error
-        except (
-            urllib.error.URLError,
-            http.client.HTTPException,
-            OSError,
-        ) as error:
-            raise _transport_error(self.base_url, error) from error
+        if 200 <= status < 300:
+            return json.loads(payload)
+        if status == 503:
+            try:
+                document = json.loads(payload)
+            except ValueError:  # no JSON body
+                document = None
+            if isinstance(document, dict) and "status" in document:
+                return document
+        raise _error_from_response(status, headers, payload, "/health")
 
     def stats(self, *, timeout: Optional[float] = None) -> dict:
         """Service counters (``GET /stats``)."""
@@ -321,20 +413,12 @@ class ServiceClient:
         if format != "text":
             raise ValueError(f"format must be 'json' or 'text', got {format!r}")
         effective = self.timeout if timeout is None else timeout
-        request = urllib.request.Request(
-            f"{self.base_url}/metrics", headers={"Accept": "text/plain"}
+        status, headers, payload = self._exchange(
+            "GET", "/metrics", None, {"Accept": "text/plain"}, effective
         )
-        try:
-            with urllib.request.urlopen(request, timeout=effective) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.HTTPError as error:
-            raise _error_from_response(error, "/metrics") from error
-        except (
-            urllib.error.URLError,
-            http.client.HTTPException,
-            OSError,
-        ) as error:
-            raise _transport_error(self.base_url, error) from error
+        if not 200 <= status < 300:
+            raise _error_from_response(status, headers, payload, "/metrics")
+        return payload.decode("utf-8")
 
     def traces(
         self,

@@ -66,6 +66,7 @@ from ..analysis.results import ResponseTimeResult
 from ..core.exceptions import (
     ServiceClosedError,
     ServiceOverloadedError,
+    ServiceRequestTooLargeError,
     ServiceTimeoutError,
 )
 from ..core.task import DagTask
@@ -102,6 +103,11 @@ from .fingerprint import (
     request_fingerprint,
     task_fingerprint,
 )
+
+#: Task nodes one workload request may release: the sum over its streams of
+#: releases before the horizon times task nodes.  Past it the request is
+#: refused before anything is unrolled.
+_MAX_WORKLOAD_NODES = 1 << 20
 
 __all__ = [
     "EvaluationService",
@@ -724,6 +730,11 @@ class EvaluationService:
 
         Arrival processes are declarative and seeded, so the whole request
         is fingerprintable: identical workloads hit the result cache.
+
+        Its admission cost is the task nodes it may release, bounded from
+        the arrival specs before anything is unrolled; a request that may
+        release more than ``_MAX_WORKLOAD_NODES`` raises
+        :class:`~repro.core.exceptions.ServiceRequestTooLargeError`.
         """
         if not streams:
             raise ValueError("a workload request needs at least one job stream")
@@ -731,6 +742,15 @@ class EvaluationService:
         horizon = float(horizon)
         if not horizon >= 0:
             raise ValueError(f"horizon must be >= 0, got {horizon}")
+        released = sum(
+            stream.arrivals.max_releases(horizon) * max(1, stream.task.node_count)
+            for stream in streams
+        )
+        if released > _MAX_WORKLOAD_NODES:
+            raise ServiceRequestTooLargeError(
+                f"the workload may release {released:.4g} task nodes before "
+                f"its horizon, over the cap of {_MAX_WORKLOAD_NODES} per request"
+            )
         _validate_policy_spec(policy, None)
         if policy == RandomPolicy.name:
             if policy_seed is None:
@@ -771,9 +791,7 @@ class EvaluationService:
                 "offload_enabled": bool(offload_enabled),
             },
             timeout=timeout,
-            cost=sum(
-                max(1, len(stream.task.graph.nodes())) for stream in streams
-            ),
+            cost=max(1, int(released)),
         )
 
     # ------------------------------------------------------------------

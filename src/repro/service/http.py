@@ -31,9 +31,15 @@ Endpoints
                     "method": "auto"|"ilp"|"bnb", "time_limit": t}``
                     -> makespan payload with the witness schedule
 
-Requests are served by :class:`http.server.ThreadingHTTPServer` -- one
-thread per connection, all funnelling into the shared service, which is
-exactly the concurrency shape the micro-batcher coalesces.
+Requests are served by :class:`http.server.ThreadingHTTPServer`: each
+connection gets a handler thread that serves its requests one after the
+other (HTTP/1.1 keep-alive), and every thread funnels into the shared
+service, which is exactly the concurrency shape the micro-batcher
+coalesces.  Connections are bounded: one left idle, or stalled mid-request,
+past ``_CONNECTION_TIMEOUT`` is closed (a stalled body is answered 408
+first), and one opened past ``_MAX_CONNECTIONS`` is answered 429 and
+closed.  Every response after which the server closes the connection says
+``Connection: close``.
 
 ``python -m repro serve`` (and the ``repro-serve`` console script, both
 routed through :func:`main`) run this transport as a long-lived process.
@@ -47,6 +53,7 @@ import logging
 import math
 import os
 import signal
+import socket
 import sys
 import threading
 import time
@@ -60,6 +67,7 @@ from ..core.exceptions import (
     ServiceClosedError,
     ServiceError,
     ServiceOverloadedError,
+    ServiceRequestTooLargeError,
     ServiceTimeoutError,
 )
 from ..generator.arrivals import arrival_from_dict
@@ -91,6 +99,19 @@ _ENDPOINTS = frozenset(
 #: as the admission bounds: a request must not be able to exhaust server
 #: memory).
 _MAX_BODY = 64 * 1024 * 1024
+
+#: Seconds a connection may sit idle between requests, or stall in the
+#: middle of one, before the server closes it.  socketserver applies it to
+#: every socket read and write of a connection.
+_CONNECTION_TIMEOUT = 30.0
+
+#: Connections served at once.  Each holds a handler thread while it is
+#: open, idle or not; one more is answered 429 ``overloaded`` and closed.
+_MAX_CONNECTIONS = 256
+
+#: Bytes of body read from a request refused past the connection cap, so
+#: the client sees the 429 rather than a reset of unread data.
+_REFUSED_BODY = 1024 * 1024
 
 
 class _HTTPRequestError(Exception):
@@ -135,6 +156,52 @@ class _RequestHandler(BaseHTTPRequestHandler):
     # algorithm on, the body of a response on a reused connection waits for
     # the peer's delayed ACK of the headers: ~40 ms per request.
     disable_nagle_algorithm = True
+    timeout = _CONNECTION_TIMEOUT
+    _trace_id: Optional[str] = None
+
+    # ------------------------------------------------------------------
+    # Connection
+    # ------------------------------------------------------------------
+    def setup(self) -> None:
+        super().setup()
+        self._admitted = self.server._admit(self.connection)
+
+    def finish(self) -> None:
+        try:
+            super().finish()
+        finally:
+            if self._admitted:
+                self.server._release(self.connection)
+
+    def handle_one_request(self) -> None:
+        try:
+            self.rfile.peek(1)  # wait for the first byte of the next request
+        except TimeoutError:
+            # Idle past the timeout: no request is in progress, so the
+            # connection is closed without a response.
+            self.server.metric_connections.inc(outcome="timed_out")
+            self.close_connection = True
+            return
+        super().handle_one_request()
+
+    def _refuse(self) -> None:
+        """Answer the one request of a connection past the cap: 429, close.
+
+        The body is read first (up to ``_REFUSED_BODY``): closing a socket
+        with unread data resets it, and the client would lose the answer.
+        """
+        self.close_connection = True
+        length = self.headers.get("Content-Length", "0")
+        if length.isascii() and length.isdigit():
+            self.rfile.read(min(int(length), _REFUSED_BODY))
+        self._send_error(
+            429,
+            "overloaded",
+            f"the server holds its limit of {self.server.max_connections} "
+            f"open connections",
+            retryable=True,
+            retry_after=1.0,
+        )
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -164,7 +231,10 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self._request_bytes = 0
         self._trace_id = None
         try:
-            handler()
+            if self._admitted:
+                handler()
+            else:
+                self._refuse()
         finally:
             elapsed = time.perf_counter() - started
             path = self.path.partition("?")[0]
@@ -206,10 +276,25 @@ class _RequestHandler(BaseHTTPRequestHandler):
                     },
                 )
 
-    def _send_body(self, status: int, body: bytes, content_type: str) -> None:
+    def _send_body(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str,
+        retry_after: Optional[float] = None,
+    ) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self._trace_id:
+            self.send_header(TRACE_HEADER, self._trace_id)
+        if retry_after is not None:
+            self.send_header("Retry-After", str(max(1, math.ceil(retry_after))))
+        if self.close_connection or self.server.service.closed:
+            # The connection closes after this response, so the response
+            # says so (RFC 9112 §9.6); a draining service sheds every
+            # connection that way.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
         self._status = status
@@ -226,17 +311,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
             _LOG.exception("non-finite number in the response to %s", self.path)
             self._send_error(500, "internal", "internal server error", retryable=False)
             return
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if getattr(self, "_trace_id", None):
-            self.send_header(TRACE_HEADER, self._trace_id)
-        if retry_after is not None:
-            self.send_header("Retry-After", str(max(1, math.ceil(retry_after))))
-        self.end_headers()
-        self.wfile.write(body)
-        self._status = status
-        self._response_bytes = len(body)
+        self._send_body(status, body, "application/json", retry_after)
 
     def _send_error(
         self,
@@ -263,7 +338,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
             "message": message,
             "retryable": bool(retryable),
         }
-        if getattr(self, "_trace_id", None):
+        if self._trace_id:
             envelope["trace_id"] = self._trace_id
         if retry_after is not None:
             envelope["retry_after"] = float(retry_after)
@@ -352,9 +427,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
             for token in encoding.split(",")
             if token.strip()
         ]
-        if codings == ["chunked"]:
-            body = self._read_chunked_body()
-        elif codings:
+        if codings and codings != ["chunked"]:
             # The body is framed in an encoding this server cannot read;
             # nothing was drained from the socket, so it cannot be reused.
             raise _HTTPRequestError(
@@ -364,8 +437,16 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 f"send the body with Content-Length or chunked",
                 close=True,
             )
-        else:
-            body = self._read_sized_body()
+        try:
+            body = self._read_chunked_body() if codings else self._read_sized_body()
+        except TimeoutError:
+            self.server.metric_connections.inc(outcome="timed_out")
+            raise _HTTPRequestError(
+                408,
+                "request-timeout",
+                f"the request body stalled for more than {self.timeout:g} s",
+                close=True,
+            ) from None
         self._request_bytes = len(body)
         if not body:
             raise ValueError(
@@ -622,6 +703,8 @@ class _RequestHandler(BaseHTTPRequestHandler):
             )
         except ServiceTimeoutError as error:
             self._send_error(504, "timeout", str(error), retryable=True)
+        except ServiceRequestTooLargeError as error:
+            self._send_error(413, "payload-too-large", str(error), retryable=False)
         except ServiceError as error:
             # Server-side faults (executor exceptions, the batcher's
             # defensive unresolved-request net): not the client's doing.
@@ -698,6 +781,8 @@ class ServiceHTTPServer(ThreadingHTTPServer):
     #: bound would have sent.  Size it above any plausible client fan-out so
     #: overload is always handled by the service's own shedding.
     request_queue_size = 128
+    #: Open connections admitted at once; the next is answered 429.
+    max_connections = _MAX_CONNECTIONS
 
     def __init__(
         self,
@@ -730,12 +815,56 @@ class ServiceHTTPServer(ThreadingHTTPServer):
             "Response body bytes sent, by endpoint.",
             labels=("endpoint",),
         )
+        self.metric_connections = registry.counter(
+            "repro_http_connections_total",
+            "HTTP connections by outcome: accepted, refused past the "
+            "connection cap, or timed_out (closed idle, or a stalled body "
+            "answered 408).",
+            labels=("outcome",),
+        )
+        self.metric_connections_open = registry.gauge(
+            "repro_http_connections_open",
+            "HTTP connections open now, idle or serving a request.",
+        )
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
         super().__init__((host, port), _RequestHandler)
 
     @property
     def port(self) -> int:
         """The actually bound TCP port (useful with ``port=0``)."""
         return self.server_address[1]
+
+    def _admit(self, connection: socket.socket) -> bool:
+        """Count a new connection in, unless the cap is reached."""
+        with self._connections_lock:
+            admitted = len(self._connections) < self.max_connections
+            if admitted:
+                self._connections.add(connection)
+                self.metric_connections_open.add(1)
+        self.metric_connections.inc(outcome="accepted" if admitted else "refused")
+        return admitted
+
+    def _release(self, connection: socket.socket) -> None:
+        with self._connections_lock:
+            self._connections.discard(connection)
+            self.metric_connections_open.add(-1)
+
+    def server_close(self) -> None:
+        """Close the listener and every open connection.
+
+        Handler threads parked on idle keep-alive connections are woken by
+        the shutdown of their sockets, so the join of every handler thread
+        does not wait out the connection timeout.
+        """
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:  # already closed by its peer
+                pass
+        super().server_close()
 
 
 def start_server(

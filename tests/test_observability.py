@@ -56,6 +56,7 @@ def served():
     server, thread = start_server(service, port=0)
     client = ServiceClient(port=server.port, timeout=120)
     yield service, server, client
+    client.close()
     server.shutdown()
     server.server_close()
     thread.join(timeout=10)
@@ -379,13 +380,14 @@ class TestTransferEncoding:
                 response += chunk
         head, _, body = response.partition(b"\r\n\r\n")
         assert int(head.split()[1]) == status
+        assert b"\r\nconnection: close" in head.lower()
         assert json.loads(body)["error"]["code"] == code
 
         task = figure1_task(period=20, deadline=15)
-        client = ServiceClient(port=server.port, timeout=5, retries=0)
-        assert client.simulate(task, cores=2) == simulate_makespan(
-            task, Platform(2), policy_by_name("breadth-first")
-        )
+        with ServiceClient(port=server.port, timeout=5, retries=0) as client:
+            assert client.simulate(task, cores=2) == simulate_makespan(
+                task, Platform(2), policy_by_name("breadth-first")
+            )
 
 
 # ----------------------------------------------------------------------
@@ -439,6 +441,7 @@ class TestLoadHarnessInProcess:
         # /metrics reconciles exactly with /stats and the dispatch ledger
         consistency = load_harness.check_consistency(client, summary)
         assert consistency["consistent"], consistency["checks"]
+        client.close()
 
     def test_compute_schedule_rates_exact_over_hyperperiod(self):
         rates = {"/simulate": 40.0, "/analyse": 10.0, "/health": 5.0}

@@ -8,6 +8,10 @@ re-exports must stay importable without pulling in optional machinery.
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -71,3 +75,32 @@ def test_cli_entry_point_matches_pyproject():
     from repro.cli import main
 
     assert callable(main)
+
+
+def test_serving_and_experiment_imports_leave_scipy_out():
+    # scipy costs more to import than the rest of the package; only the
+    # ILP path uses it, so it is imported where the ILP runs.  A fresh
+    # interpreter, because this one has imported everything already.
+    modules = [
+        "repro",
+        "repro.service",
+        "repro.service.http",
+        "repro.experiments",
+        "repro.experiments.figure6",
+    ]
+    script = (
+        "import importlib, sys\n"
+        f"for name in {modules!r}:\n"
+        "    importlib.import_module(name)\n"
+        "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))\n"
+    )
+    source = Path(repro.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(source)},
+        timeout=120,
+    )
+    assert result.stdout.strip() == "[]", result.stdout

@@ -828,9 +828,9 @@ class TestHTTPResilience:
             raise RuntimeError("secret internal detail")
 
         service.submit_simulation = explode  # type: ignore[method-assign]
-        client = ServiceClient(port=server.port, timeout=30, retries=0)
-        with pytest.raises(ServiceError, match="internal server error") as info:
-            client.simulate(task, cores=2)
+        with ServiceClient(port=server.port, timeout=30, retries=0) as client:
+            with pytest.raises(ServiceError, match="internal server error") as info:
+                client.simulate(task, cores=2)
         assert "secret" not in str(info.value)
         assert not getattr(info.value, "retryable", True)
 
@@ -896,6 +896,7 @@ class TestHTTPResilience:
             makespan = client.simulate(task, cores=2)
         finally:
             client_module.retry_call = real_retry_call
+            client.close()
         assert calls["n"] == 2
         assert makespan > 0
         assert sleeps == [0.1]  # Retry-After floored the 0.01 backoff
@@ -910,6 +911,7 @@ class TestHTTPResilience:
                 client.simulate(task, cores=2, deadline=0.05)
             assert getattr(info.value, "retryable", False)
         finally:
+            client.close()
             server.shutdown()
             server.server_close()
             service.close()
@@ -920,6 +922,7 @@ class TestHTTPResilience:
         client = ServiceClient(port=server.port, timeout=0.000001, retries=0)
         # The default timeout is hopeless; the per-call override must win.
         assert client.health(timeout=30)["status"] == "ok"
+        client.close()
 
     def test_unreachable_server_stays_fast_with_retries(self):
         client = ServiceClient(port=1, timeout=1, retries=2, backoff=0.01)

@@ -20,6 +20,8 @@ import http.client
 import json
 import math
 import pickle
+import socket
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -54,6 +56,7 @@ from repro.service import (
     start_server,
     task_fingerprint,
 )
+from repro.service import http as http_module
 from repro.service.cache import estimate_size
 from repro.simulation.engine import simulate_makespan
 from repro.simulation.platform import Platform
@@ -793,6 +796,7 @@ def http_service():
     server, thread = start_server(service, port=0)
     client = ServiceClient(port=server.port, timeout=120)
     yield service, server, client
+    client.close()
     server.shutdown()
     server.server_close()
     thread.join(timeout=10)
@@ -977,6 +981,223 @@ class TestHTTPTransport:
         client = ServiceClient(port=1, timeout=1)
         with pytest.raises(ServiceError, match="cannot reach"):
             client.health()
+
+
+# ----------------------------------------------------------------------
+# Connections: reuse, idle and stalled timeouts, the cap, client close()
+# ----------------------------------------------------------------------
+@pytest.fixture
+def connection_server():
+    """A server over a fresh service, so its connection counts start at 0."""
+    service = EvaluationService(**FAST_BATCHING)
+    server, thread = start_server(service, port=0)
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+    service.close()
+
+
+#: Breadth-first makespan of the Figure 1 task on two cores.
+FIGURE1_ON_2 = simulate_makespan(
+    figure1_task(), Platform(2), policy_by_name("breadth-first")
+)
+
+
+def _connections(server, outcome: str) -> int:
+    return server.metric_connections.value(outcome=outcome)
+
+
+def _wait_open(server, count: int) -> None:
+    """Wait until the server counts ``count`` open connections."""
+    deadline = time.monotonic() + 5.0
+    while server.metric_connections_open.value() != count:
+        assert time.monotonic() < deadline, server.metric_connections_open.value()
+        time.sleep(0.01)
+
+
+def _read_to_close(sock) -> tuple[int, dict, dict]:
+    """Read one response off a raw socket up to the server's close."""
+    response = b""
+    while chunk := sock.recv(65536):
+        response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.lower().split(": ", 1) for line in lines[1:])
+    return int(lines[0].split()[1]), headers, json.loads(body)
+
+
+class TestConnections:
+    def test_calls_from_one_thread_reuse_one_connection(self, connection_server):
+        server = connection_server
+        task = figure1_task(period=20, deadline=15)
+        with ServiceClient(port=server.port, timeout=10, retries=0) as client:
+            for index in range(20):
+                if index % 4 == 0:
+                    client.health()
+                elif index % 4 == 1:
+                    client.stats()
+                else:
+                    assert client.simulate(task, cores=2) == FIGURE1_ON_2
+        assert _connections(server, "accepted") == 1
+        assert _connections(server, "refused") == 0
+
+    def test_idle_connection_is_closed_and_the_request_resent(
+        self, connection_server, monkeypatch
+    ):
+        monkeypatch.setattr(http_module._RequestHandler, "timeout", 0.2)
+        server = connection_server
+        task = figure1_task(period=20, deadline=15)
+        client = ServiceClient(port=server.port, timeout=5, retries=0)
+        assert client.simulate(task, cores=2) == FIGURE1_ON_2
+        time.sleep(0.5)  # the server closes the idle connection meanwhile
+        assert _connections(server, "timed_out") == 1
+        # retries=0, yet the call succeeds: a reused connection the server
+        # had closed is resent once on a fresh one.
+        assert client.simulate(task, cores=2) == FIGURE1_ON_2
+        assert _connections(server, "accepted") == 2
+        client.close()
+
+    def test_stalled_body_is_answered_408_and_closed(
+        self, connection_server, monkeypatch
+    ):
+        monkeypatch.setattr(http_module._RequestHandler, "timeout", 0.2)
+        server = connection_server
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            started = time.monotonic()
+            sock.sendall(
+                b"POST /simulate HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: 100\r\n\r\n" + b'{"cores": '
+            )
+            status, headers, document = _read_to_close(sock)
+            elapsed = time.monotonic() - started
+        assert status == 408
+        assert headers["connection"] == "close"
+        assert document["error"]["code"] == "request-timeout"
+        assert document["error"]["retryable"] is False
+        assert elapsed < 0.2 + 1.0
+        assert _connections(server, "timed_out") == 1
+        _wait_open(server, 0)
+        task = figure1_task(period=20, deadline=15)
+        with ServiceClient(port=server.port, timeout=5, retries=0) as client:
+            assert client.simulate(task, cores=2) == FIGURE1_ON_2
+
+    def test_connection_past_the_cap_is_answered_429_not_reset(
+        self, connection_server, monkeypatch
+    ):
+        monkeypatch.setattr(http_module.ServiceHTTPServer, "max_connections", 2)
+        server = connection_server
+        idle = [
+            socket.create_connection(("127.0.0.1", server.port), timeout=5)
+            for _ in range(2)
+        ]
+        try:
+            _wait_open(server, 2)
+            body = json.dumps(
+                {"task": task_to_dict(figure1_task(period=20)), "cores": 2}
+            ).encode("utf-8")
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", server.port, timeout=5
+            )
+            try:
+                connection.request(
+                    "POST", "/simulate", body, {"Content-Type": "application/json"}
+                )
+                response = connection.getresponse()
+                document = json.loads(response.read())
+            finally:
+                connection.close()
+            assert response.status == 429
+            assert response.getheader("Connection") == "close"
+            assert response.getheader("Retry-After") == "1"
+            assert document["error"]["code"] == "overloaded"
+            assert document["error"]["retryable"] is True
+            assert _connections(server, "refused") == 1
+            idle.pop().close()
+            _wait_open(server, 1)
+            with ServiceClient(port=server.port, timeout=5, retries=0) as client:
+                task = figure1_task(period=20)
+                assert client.simulate(task, cores=2) == FIGURE1_ON_2
+        finally:
+            for sock in idle:
+                sock.close()
+
+    def test_a_closed_service_closes_every_connection_it_answers(
+        self, connection_server
+    ):
+        server = connection_server
+        server.service.close()
+        connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
+        try:
+            for path in ("/health", "/stats"):
+                connection.request("GET", path)
+                response = connection.getresponse()
+                response.read()
+                assert response.getheader("Connection") == "close", path
+                assert response.will_close
+        finally:
+            connection.close()
+        _wait_open(server, 0)
+        assert _connections(server, "accepted") == 2
+
+    def test_close_closes_the_connections_of_every_thread(self, connection_server):
+        server = connection_server
+        client = ServiceClient(port=server.port, timeout=5, retries=0)
+        client.health()
+        worker = threading.Thread(target=client.health)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        _wait_open(server, 2)
+        client.close()
+        _wait_open(server, 0)
+        client.health()  # a closed client opens a fresh connection
+        assert _connections(server, "accepted") == 3
+        client.close()
+        _wait_open(server, 0)
+
+    def test_threads_sharing_a_client_each_keep_one_connection(
+        self, connection_server
+    ):
+        server = connection_server
+        client = ServiceClient(port=server.port, timeout=10, retries=0)
+        start, done = threading.Barrier(8), threading.Barrier(8)
+
+        def calls() -> None:
+            start.wait(timeout=10)
+            for _ in range(10):
+                assert client.health()["status"] == "ok"
+            done.wait(timeout=10)  # no thread ends before all have connected
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=calls) for _ in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert _connections(server, "accepted") == 8
+        _wait_open(server, 8)
+        client.close()
+        _wait_open(server, 0)
+
+    def test_connections_of_ended_threads_are_closed(self, connection_server):
+        server = connection_server
+        client = ServiceClient(port=server.port, timeout=5, retries=0)
+        for _ in range(5):
+            worker = threading.Thread(target=client.health)
+            worker.start()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+        # Each thread's first call closes the connections of ended threads.
+        _wait_open(server, 1)
+        assert _connections(server, "accepted") == 5
+        client.close()
 
 
 # ----------------------------------------------------------------------
@@ -1421,6 +1642,44 @@ class TestMalformedRequests:
             [{"task": valid, "arrivals": {"kind": "trace", "times": [0.0]}}], 10.0
         )
         assert payload["instances"] == 1
+
+    @pytest.mark.parametrize(
+        "arrivals, horizon",
+        [
+            ({"kind": "periodic", "period": 1e-300}, 1e300),  # count overflows
+            ({"kind": "periodic", "period": 1e-9}, 1e3),  # 10^12 jobs
+            ({"kind": "periodic", "period": 1e-3}, 1e3),  # 10^6 jobs
+            ({"kind": "sporadic", "min_gap": 1e-9, "max_gap": 1.0}, 1e3),
+        ],
+    )
+    def test_workload_over_the_release_cap_is_a_413(
+        self, http_service, arrivals, horizon
+    ):
+        # Each once unrolled every job before its size was checked: a 500
+        # from an OverflowError or a failed allocation, or 10^6 jobs that
+        # held the batcher past the next request's deadline.
+        _, server, client = http_service
+        task = task_to_dict(figure1_task())
+        started = time.monotonic()
+        status, document = _post(
+            server.port,
+            "/workload",
+            {
+                "streams": [{"task": task, "arrivals": arrivals}],
+                "horizon": horizon,
+                "cores": 2,
+                "timeout": 2,
+            },
+        )
+        assert time.monotonic() - started < 0.5
+        assert status == 413, document
+        assert document["error"]["code"] == "payload-too-large"
+        assert document["error"]["retryable"] is False
+        assert "1048576" in document["error"]["message"]
+        canary = make_random_heterogeneous_task(60, 0.2)
+        assert client.simulate(canary, cores=2, timeout=5) == simulate_makespan(
+            canary, Platform(2), policy_by_name("breadth-first")
+        )
 
     @pytest.mark.parametrize("timeout", [math.inf, math.nan, -1.0, 1e10])
     def test_timeout_outside_the_wait_limit_raises_in_process(self, timeout):

@@ -71,6 +71,7 @@ def served():
     server, thread = start_server(service, port=0)
     client = ServiceClient(port=server.port, timeout=120)
     yield service, server, client
+    client.close()
     server.shutdown()
     server.server_close()
     thread.join(timeout=10)
@@ -607,6 +608,7 @@ class TestErrorEnvelopeTraceIds:
             client.simulate(task, cores=2)
         assert info.value.trace_id
         assert client.last_trace_id == info.value.trace_id
+        client.close()
         payload = _wait_for_trace(service.tracer, info.value.trace_id)
         assert payload["error"] is True
 
@@ -640,6 +642,7 @@ class TestTracingDisabled:
             assert listing["traces"] == []
             assert listing["ring"]["enabled"] is False
         finally:
+            client.close()
             server.shutdown()
             server.server_close()
             thread.join(timeout=10)

@@ -12,6 +12,7 @@ by the rest of the suite.
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -160,6 +161,25 @@ class TestArrivalProcesses:
                 clone.release_times(50.0).tolist()
                 == process.release_times(50.0).tolist()
             )
+
+    def test_max_releases_bounds_release_times_without_drawing(self):
+        processes = [
+            PeriodicArrivals(period=4.0, offset=1.0, jitter=3.5, seed=2),
+            PeriodicArrivals(period=0.1),
+            SporadicArrivals(min_gap=1.0, max_gap=3.0, offset=0.5, seed=4),
+            TraceArrivals([0.0, 2.5, 2.5, 9.0, 50.0]),
+        ]
+        for process in processes:
+            for horizon in (0.0, 0.5, 9.0, 50.0, 333.3):
+                bound = process.max_releases(horizon)
+                assert len(process.release_times(horizon)) <= bound
+        assert TraceArrivals([0.0, 2.5, 2.5, 9.0]).max_releases(9.0) == 3
+        assert PeriodicArrivals(period=1e-3).max_releases(1e3) == 1e6
+        # Counts past any integer a request could unroll stay floats.
+        assert PeriodicArrivals(period=1e-300).max_releases(1e300) == math.inf
+        assert SporadicArrivals(min_gap=1e-9, max_gap=1.0).max_releases(1e3) == 1e12
+        with pytest.raises(ValueError, match="horizon"):
+            PeriodicArrivals(period=1.0).max_releases(math.inf)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -115,6 +115,7 @@ def http_service():
     server, thread = start_server(service, port=0)
     client = ServiceClient(port=server.port, timeout=120)
     yield service, server, client
+    client.close()
     server.shutdown()
     server.server_close()
     thread.join(timeout=10)
