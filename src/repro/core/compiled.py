@@ -1,40 +1,39 @@
 """Public, picklable dense-index view of a weighted DAG task.
 
-The private ``_DenseKernel`` of :mod:`repro.core.graph` interns node
-identifiers into dense integer indices with CSR adjacency, but it is
-structure-only and deliberately internal.  The simulation stack (PR 3) needs
-the same view *plus the weights*, shippable between processes: the dense
-simulation core (:mod:`repro.simulation.dense`) and the batched
-:func:`~repro.simulation.batch.simulate_many` operate purely on integer
-indices and preallocated arrays, and the batch layer compiles each task once
-and reuses the compiled view across every ``(cores, variant)`` cell of a
-sweep point.
+A paired ``C_off`` sweep simulates many re-weighted copies of few DAG
+structures, so the compiled form is split along that line.  The *structure*
+is the graph's dense kernel (``_DenseKernel`` of :mod:`repro.core.graph`):
+node identifiers interned into dense indices, CSR adjacency, topological
+order and in-degrees, built once per shape and shared by every copy,
+re-weighting and transform of that shape.  :class:`CompiledTask` is that
+structure plus the task's WCET vector, which is all a compile of an
+already-compiled shape builds.
 
-:class:`CompiledTask` is that view:
+The simulation stack reads the view: the dense engine
+(:mod:`repro.simulation.dense`) runs on integer indices and preallocated
+lists, and :func:`stack_compiled` lays many views out in one global node
+space for the C kernel's lanes and the job-stream engines.  The view
+exposes
 
 * ``nodes`` / ``index`` -- the dense index <-> :data:`NodeId` maps (indices
   are insertion ranks, so index order *is* node-creation order);
 * ``succ_ptr``/``succ_idx`` and ``pred_ptr``/``pred_idx`` -- CSR successor
-  and predecessor arrays shared with the graph's kernel (neighbour indices
-  ascending, i.e. creation order);
+  and predecessor lists (neighbour indices ascending, i.e. creation order);
+* ``topo`` -- the topological order, and ``in_degree`` -- the initial
+  in-degree of every node;
+* ``succ_ptr_array``, ``succ_idx_array`` and ``in_degree_array`` -- the same
+  data as ``int64`` arrays, built on first use once per structure;
 * ``wcet`` -- the WCET vector as a ``numpy.float64`` array (``wcet_list`` is
   the same vector as plain Python floats, the faster representation for the
-  pure-Python event loop);
-* ``topo`` -- the cached topological order (dense indices);
-* ``instant`` -- the zero-WCET ("instant node") mask;
-* ``in_degree`` -- the initial in-degree of every node.
+  pure-Python event loop).
 
-Compilation is cached on the owning graph's ``(structure, weights)``
-generation stamp: re-compiling an unmutated task is a dictionary lookup.
-The structural arrays are the kernel's, which every copy of a graph shares
-(see :meth:`~repro.core.graph.DirectedAcyclicGraph.copy`), so the paired
-``C_off`` sweeps, whose tasks are re-weighted copies of one structure, only
-build a new weight vector per task.
+All but the WCETs are references to the shared structure.  Compilation is
+cached on the owning graph's ``(structure, weights)`` generation stamp:
+re-compiling an unmutated task is a dictionary lookup.
 
 The view is immutable by convention -- mutate neither the lists nor the
-arrays -- and picklable (unlike the graph's caches, which are dropped on
-pickling); the arrays are shared, never copied, when shipped to worker
-processes.
+arrays -- and picklable: it pickles as ``(structure, wcet, generation)``,
+and views of one shape pickled together load back sharing one structure.
 """
 
 from __future__ import annotations
@@ -43,116 +42,86 @@ import hashlib
 import json
 import struct
 from collections.abc import Iterable, Sequence
+from operator import attrgetter
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-from .graph import DirectedAcyclicGraph, NodeId
+from .graph import DirectedAcyclicGraph, _DenseKernel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .task import DagTask
 
-__all__ = ["CompiledTask", "compile_graph", "compile_task", "graph_digest"]
+__all__ = [
+    "CompiledTask",
+    "compile_graph",
+    "compile_task",
+    "graph_digest",
+    "stack_compiled",
+]
+
+
+def _int64_arrays(structure: _DenseKernel) -> tuple[np.ndarray, ...]:
+    """``(succ_ptr, succ_idx, in_degree)`` of ``structure`` as ``int64``
+    arrays, built once and cached on the structure."""
+    arrays = structure.arrays
+    if arrays is None:
+        arrays = structure.arrays = tuple(
+            np.asarray(values, dtype=np.int64)
+            for values in (structure.succ_ptr, structure.succ_idx, structure.in_degree)
+        )
+    return arrays
+
+
+def _shared(name: str) -> property:
+    return property(attrgetter(f"structure.{name}"), doc=f"``structure.{name}``.")
+
+
+def _shared_array(position: int, name: str) -> property:
+    return property(
+        lambda view: _int64_arrays(view.structure)[position],
+        doc=f"``{name}`` as an ``int64`` array, shared by the structure.",
+    )
 
 
 class CompiledTask:
-    """Dense-index view of a weighted acyclic graph (see module docstring)."""
+    """A shared dense structure plus one WCET vector (see module docstring)."""
 
-    __slots__ = (
-        "nodes",
-        "index",
-        "succ_ptr",
-        "succ_idx",
-        "pred_ptr",
-        "pred_idx",
-        "topo",
-        "wcet",
-        "wcet_list",
-        "instant",
-        "in_degree",
-        "generation",
-        "_views",
-        "_fingerprint",
-    )
+    __slots__ = ("structure", "wcet", "wcet_list", "generation", "_fingerprint")
+
+    nodes = _shared("nodes")
+    index = _shared("index")
+    succ_ptr = _shared("succ_ptr")
+    succ_idx = _shared("succ_idx")
+    pred_ptr = _shared("pred_ptr")
+    pred_idx = _shared("pred_idx")
+    topo = _shared("topo")
+    in_degree = _shared("in_degree")
+    successors_of = _shared("successors_of")
+    predecessors_of = _shared("predecessors_of")
+    succ_ptr_array = _shared_array(0, "succ_ptr")
+    succ_idx_array = _shared_array(1, "succ_idx")
+    in_degree_array = _shared_array(2, "in_degree")
 
     def __init__(
         self,
-        nodes: list[NodeId],
-        index: dict[NodeId, int],
-        succ_ptr: list[int],
-        succ_idx: list[int],
-        pred_ptr: list[int],
-        pred_idx: list[int],
-        topo: list[int],
+        structure: _DenseKernel,
         wcet: np.ndarray,
         generation: tuple[int, int],
     ) -> None:
-        self.nodes = nodes
-        self.index = index
-        self.succ_ptr = succ_ptr
-        self.succ_idx = succ_idx
-        self.pred_ptr = pred_ptr
-        self.pred_idx = pred_idx
-        self.topo = topo
+        self.structure = structure
         self.wcet = wcet
         self.wcet_list = wcet.tolist()
-        self.instant = wcet == 0.0
-        self.in_degree = [
-            pred_ptr[i + 1] - pred_ptr[i] for i in range(len(nodes))
-        ]
         self.generation = generation
-        self._views: dict[str, np.ndarray] = {}
         self._fingerprint: str | None = None
 
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
     @property
     def node_count(self) -> int:
         """Number of nodes of the compiled view."""
-        return len(self.nodes)
-
-    def successors_of(self, i: int) -> list[int]:
-        """Direct successor indices of dense index ``i`` (creation order)."""
-        return self.succ_idx[self.succ_ptr[i] : self.succ_ptr[i + 1]]
-
-    def predecessors_of(self, i: int) -> list[int]:
-        """Direct predecessor indices of dense index ``i`` (creation order)."""
-        return self.pred_idx[self.pred_ptr[i] : self.pred_ptr[i + 1]]
+        return len(self.wcet_list)
 
     def __len__(self) -> int:
-        return len(self.nodes)
-
-    # ------------------------------------------------------------------
-    # Batch (array) views
-    # ------------------------------------------------------------------
-    # The C kernel (:mod:`repro.simulation.vectorized_compiled`) stacks
-    # many simulations of compiled tasks into flat int64 arrays; it needs
-    # the CSR and in-degree data as integer arrays rather than Python
-    # lists.  The arrays are materialised once per view and cached (the view
-    # is immutable); like the lists they must never be mutated.
-
-    def _view(self, name: str, source: list[int]) -> np.ndarray:
-        array = self._views.get(name)
-        if array is None:
-            array = np.asarray(source, dtype=np.int64)
-            self._views[name] = array
-        return array
-
-    @property
-    def succ_ptr_array(self) -> np.ndarray:
-        """``succ_ptr`` as an ``int64`` array (cached)."""
-        return self._view("succ_ptr", self.succ_ptr)
-
-    @property
-    def succ_idx_array(self) -> np.ndarray:
-        """``succ_idx`` as an ``int64`` array (cached)."""
-        return self._view("succ_idx", self.succ_idx)
-
-    @property
-    def in_degree_array(self) -> np.ndarray:
-        """``in_degree`` as an ``int64`` array (cached)."""
-        return self._view("in_degree", self.in_degree)
+        return len(self.wcet_list)
 
     # ------------------------------------------------------------------
     # Content fingerprint
@@ -183,7 +152,7 @@ class CompiledTask:
                 self.wcet_list,
                 (
                     (src, dst)
-                    for src in range(len(self.nodes))
+                    for src in range(len(self.wcet_list))
                     for dst in succ_idx[succ_ptr[src] : succ_ptr[src + 1]]
                 ),
             )
@@ -195,24 +164,37 @@ class CompiledTask:
             f"edges={len(self.succ_idx)}, generation={self.generation})"
         )
 
-    # ------------------------------------------------------------------
-    # Pickling (slots classes need explicit state)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> tuple:
-        return (
-            self.nodes,
-            self.index,
-            self.succ_ptr,
-            self.succ_idx,
-            self.pred_ptr,
-            self.pred_idx,
-            self.topo,
-            self.wcet,
-            self.generation,
-        )
+    def __reduce__(self) -> tuple:
+        # Pickle memoises the structure, so views of one shape pickled
+        # together load back sharing it.
+        return (CompiledTask, (self.structure, self.wcet, self.generation))
 
-    def __setstate__(self, state: tuple) -> None:
-        self.__init__(*state)
+
+def stack_compiled(views: Sequence[CompiledTask]) -> tuple[np.ndarray, ...]:
+    """Lay ``views`` out one after the other in one global node space.
+
+    Returns ``(node_off, wcet, succ_ptr, succ_idx, in_degree)``: view ``k``
+    owns the global nodes ``node_off[k]:node_off[k + 1]``, and the successor
+    CSR is rebased onto global node and edge indices.  The C kernel's lanes
+    (:mod:`repro.simulation.vectorized_compiled`) and both job-stream
+    engines (:mod:`repro.simulation.workload`) read this layout.  The
+    arrays are fresh, so callers may keep or modify them.
+    """
+    arrays = [_int64_arrays(view.structure) for view in views]
+    nodes = np.array([len(view.wcet) for view in views], dtype=np.int64)
+    edges = np.array([len(idx) for _, idx, _ in arrays], dtype=np.int64)
+    node_off = np.zeros(len(views) + 1, dtype=np.int64)
+    edge_off = np.zeros(len(views) + 1, dtype=np.int64)
+    np.cumsum(nodes, out=node_off[1:])
+    np.cumsum(edges, out=edge_off[1:])
+    empty = np.empty(0, dtype=np.int64)
+    succ_ptr = np.concatenate([ptr[:-1] for ptr, _, _ in arrays] + [edge_off[-1:]])
+    succ_ptr[:-1] += np.repeat(edge_off[:-1], nodes)
+    succ_idx = np.concatenate([empty] + [idx for _, idx, _ in arrays])
+    succ_idx += np.repeat(node_off[:-1], edges)
+    in_degree = np.concatenate([empty] + [degree for _, _, degree in arrays])
+    wcet = np.concatenate([np.empty(0)] + [view.wcet for view in views])
+    return node_off, wcet, succ_ptr, succ_idx, in_degree
 
 
 def graph_digest(
@@ -248,6 +230,9 @@ def graph_digest(
 def compile_graph(graph: DirectedAcyclicGraph) -> CompiledTask:
     """Compile ``graph`` into a :class:`CompiledTask`, cached per generation.
 
+    The structure is the graph's shared dense kernel; only the WCET vector
+    is new.
+
     Raises
     ------
     CycleError
@@ -255,23 +240,13 @@ def compile_graph(graph: DirectedAcyclicGraph) -> CompiledTask:
     """
 
     def build() -> CompiledTask:
-        kernel = graph._kernel()
+        structure = graph._kernel()
         wcet = np.fromiter(
-            map(graph._wcet.__getitem__, kernel.nodes),
+            map(graph._wcet.__getitem__, structure.nodes),
             dtype=np.float64,
-            count=len(kernel.nodes),
+            count=len(structure.nodes),
         )
-        return CompiledTask(
-            kernel.nodes,
-            kernel.index,
-            kernel.succ_ptr,
-            kernel.succ_idx,
-            kernel.pred_ptr,
-            kernel.pred_idx,
-            kernel.topo,
-            wcet,
-            graph.cache_generation,
-        )
+        return CompiledTask(structure, wcet, graph.cache_generation)
 
     return graph._weighted("compiled_task", build)
 

@@ -50,6 +50,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Hashable, Iterable, Iterator, Mapping
+from itertools import accumulate
 from typing import Optional
 
 from .exceptions import (
@@ -67,13 +68,14 @@ NodeId = Hashable
 
 
 class _DenseKernel:
-    """Immutable dense-integer view of the graph at one structural generation.
+    """Immutable dense-integer view of one graph structure.
 
     Node identifiers are interned into indices ``0..n-1`` in insertion order;
     adjacency is stored as CSR-style flat arrays (``ptr``/``idx`` pairs with
-    neighbour indices sorted ascending, i.e. by insertion order).  The
-    reachability bitmask tables are built lazily because not every workload
-    needs them.
+    neighbour indices sorted ascending, i.e. by insertion order), from which
+    the rest derives (``topo`` comes out short on a cycle).  Every compiled
+    view of the shape shares the kernel; its caches (reachability bitmasks,
+    the ``int64`` ``arrays`` of :mod:`repro.core.compiled`) are never pickled.
     """
 
     __slots__ = (
@@ -83,30 +85,53 @@ class _DenseKernel:
         "succ_idx",
         "pred_ptr",
         "pred_idx",
+        "in_degree",
         "topo",
+        "arrays",
         "_desc_masks",
         "_anc_masks",
     )
 
     def __init__(
-        self,
-        nodes: list[NodeId],
-        index: dict[NodeId, int],
-        succ_ptr: list[int],
-        succ_idx: list[int],
-        pred_ptr: list[int],
-        pred_idx: list[int],
-        topo: list[int],
+        self, nodes: list[NodeId], succ_ptr: list[int], succ_idx: list[int]
     ) -> None:
         self.nodes = nodes
-        self.index = index
+        self.index = {node: i for i, node in enumerate(nodes)}
         self.succ_ptr = succ_ptr
         self.succ_idx = succ_idx
-        self.pred_ptr = pred_ptr
-        self.pred_idx = pred_idx
-        self.topo = topo
+        # Sources ascend, so every predecessor list comes out sorted.
+        preds: list[list[int]] = [[] for _ in nodes]
+        for i in range(len(nodes)):
+            for s in succ_idx[succ_ptr[i] : succ_ptr[i + 1]]:
+                preds[s].append(i)
+        self.in_degree = [len(row) for row in preds]
+        self.pred_ptr = [0, *accumulate(self.in_degree)]
+        self.pred_idx = [p for row in preds for p in row]
+
+        # Kahn's algorithm with insertion-order tie-breaking; dense indices
+        # *are* insertion ranks, so sorting newly ready indices ascending
+        # reproduces the historical (pre-kernel) ordering exactly.
+        in_degree = list(self.in_degree)
+        ready = deque(i for i, degree in enumerate(in_degree) if degree == 0)
+        self.topo: list[int] = []
+        while ready:
+            i = ready.popleft()
+            self.topo.append(i)
+            newly_ready = []
+            for s in succ_idx[succ_ptr[i] : succ_ptr[i + 1]]:
+                in_degree[s] -= 1
+                if in_degree[s] == 0:
+                    newly_ready.append(s)
+            newly_ready.sort()
+            ready.extend(newly_ready)
+        self.arrays: Optional[tuple] = None
         self._desc_masks: Optional[list[int]] = None
         self._anc_masks: Optional[list[int]] = None
+
+    def __reduce__(self) -> tuple:
+        # Copies pickled together keep sharing one kernel (pickle memoises
+        # it); the derived lists are rebuilt and the caches dropped.
+        return (_DenseKernel, (self.nodes, self.succ_ptr, self.succ_idx))
 
     def successors_of(self, i: int) -> list[int]:
         return self.succ_idx[self.succ_ptr[i] : self.succ_ptr[i + 1]]
@@ -178,13 +203,10 @@ class _Structure:
             {node: set(nbrs) for node, nbrs in self.pred.items()},
         )
 
-    def __getstate__(self) -> tuple:
+    def __reduce__(self) -> tuple:
         # Caches are cheap to rebuild and may be large; never pickle them
         # (the parallel experiment runner ships graphs between processes).
-        return (self.succ, self.pred)
-
-    def __setstate__(self, state: tuple) -> None:
-        self.__init__(*state)
+        return (_Structure, (self.succ, self.pred))
 
 
 def _check_wcet(node_id: NodeId, wcet: float) -> None:
@@ -311,43 +333,18 @@ class DirectedAcyclicGraph:
         """
         structure = self._structure
         kernel = structure.kernel
-        if kernel is not None:
-            return kernel
-
-        nodes = list(structure.succ)
-        index = {node: i for i, node in enumerate(nodes)}
-        succ_ptr = [0]
-        succ_idx: list[int] = []
-        pred_ptr = [0]
-        pred_idx: list[int] = []
-        for node in nodes:
-            succ_idx.extend(sorted(index[s] for s in structure.succ[node]))
-            succ_ptr.append(len(succ_idx))
-            pred_idx.extend(sorted(index[p] for p in structure.pred[node]))
-            pred_ptr.append(len(pred_idx))
-
-        # Kahn's algorithm with insertion-order tie-breaking; dense indices
-        # *are* insertion ranks, so sorting newly ready indices ascending
-        # reproduces the historical (pre-kernel) ordering exactly.
-        in_degree = [pred_ptr[i + 1] - pred_ptr[i] for i in range(len(nodes))]
-        ready = deque(i for i in range(len(nodes)) if in_degree[i] == 0)
-        topo: list[int] = []
-        while ready:
-            i = ready.popleft()
-            topo.append(i)
-            newly_ready = []
-            for s in succ_idx[succ_ptr[i] : succ_ptr[i + 1]]:
-                in_degree[s] -= 1
-                if in_degree[s] == 0:
-                    newly_ready.append(s)
-            newly_ready.sort()
-            ready.extend(newly_ready)
-        if len(topo) != len(nodes):
-            raise CycleError("graph contains a cycle", cycle=self.find_cycle())
-
-        kernel = structure.kernel = _DenseKernel(
-            nodes, index, succ_ptr, succ_idx, pred_ptr, pred_idx, topo
-        )
+        if kernel is None:
+            nodes = list(structure.succ)
+            index = {node: i for i, node in enumerate(nodes)}
+            succ_ptr = [0]
+            succ_idx: list[int] = []
+            for node in nodes:
+                succ_idx.extend(sorted(index[s] for s in structure.succ[node]))
+                succ_ptr.append(len(succ_idx))
+            kernel = _DenseKernel(nodes, succ_ptr, succ_idx)
+            if len(kernel.topo) != len(nodes):
+                raise CycleError("graph contains a cycle", cycle=self.find_cycle())
+            structure.kernel = kernel
         return kernel
 
     def _acyclic_kernel(self) -> Optional[_DenseKernel]:

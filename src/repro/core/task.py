@@ -21,17 +21,35 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Optional
 
 from .exceptions import ValidationError
 from .graph import DirectedAcyclicGraph, NodeId
 
-__all__ = ["OFFLOADED_NODE_DEFAULT_ID", "DagTask", "TaskSet"]
+__all__ = ["OFFLOADED_NODE_DEFAULT_ID", "DagTask", "TaskSet", "check_time_bound"]
 
 #: Conventional identifier used for the offloaded node by generators and
 #: worked examples.  Any identifier can be designated as offloaded, this is
 #: merely the library-wide default name.
 OFFLOADED_NODE_DEFAULT_ID: str = "v_off"
+
+
+def check_time_bound(name: str, value: object) -> None:
+    """Accept ``value`` as a period or relative deadline: ``None`` or a real
+    number, not a boolean, that is finite and > 0.
+
+    Raises
+    ------
+    ValidationError
+        Naming ``name`` and the refused value.
+    """
+    if value is not None and (
+        isinstance(value, bool)
+        or not isinstance(value, Real)
+        or not 0 < value < math.inf
+    ):
+        raise ValidationError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 @dataclass
@@ -49,9 +67,10 @@ class DagTask:
     period:
         Minimum inter-arrival time ``T``.  ``None`` means "not specified",
         which is convenient for experiments that only look at response
-        times.
+        times.  A given period is a finite number > 0.
     deadline:
-        Constrained relative deadline ``D``; defaults to the period.
+        Constrained relative deadline ``D``, a finite number > 0 and at most
+        ``T``; defaults to the period.
     name:
         Optional human-readable task name used in reports.
     """
@@ -68,6 +87,8 @@ class DagTask:
             raise ValidationError(
                 f"offloaded node {self.offloaded_node!r} is not a node of the graph"
             )
+        check_time_bound("period", self.period)
+        check_time_bound("deadline", self.deadline)
         if self.deadline is None:
             self.deadline = self.period
         if (

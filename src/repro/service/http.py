@@ -39,7 +39,9 @@ coalesces.  Connections are bounded: one left idle, or stalled mid-request,
 past ``_CONNECTION_TIMEOUT`` is closed (a stalled body is answered 408
 first), and one opened past ``_MAX_CONNECTIONS`` is answered 429 and
 closed.  Every response after which the server closes the connection says
-``Connection: close``.
+``Connection: close``.  Work is bounded too: a task document with more than
+``_MAX_TASK_NODES`` nodes or ``_MAX_TASK_EDGES`` edges is answered 413
+before it is decoded.
 
 ``python -m repro serve`` (and the ``repro-serve`` console script, both
 routed through :func:`main`) run this transport as a long-lived process.
@@ -99,6 +101,13 @@ _ENDPOINTS = frozenset(
 #: as the admission bounds: a request must not be able to exhaust server
 #: memory).
 _MAX_BODY = 64 * 1024 * 1024
+
+#: Nodes and edges one task document may carry.  The body cap alone admits
+#: a chain of a million nodes that takes seconds to build and simulate; the
+#: largest task in the repository has a few hundred.  A document over a cap
+#: is answered 413 before it is decoded.
+_MAX_TASK_NODES = 1 << 14
+_MAX_TASK_EDGES = 1 << 17
 
 #: Seconds a connection may sit idle between requests, or stall in the
 #: middle of one, before the server closes it.  socketserver applies it to
@@ -466,6 +475,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
         builds it only on a cache miss."""
         if "task" not in document:
             raise ValueError("request document is missing the 'task' object")
+        _check_task_size(document["task"], "task")
         return decode_task(document["task"])
 
     def _streams_of(self, document: dict) -> list:
@@ -482,6 +492,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 raise ValueError(f"streams[{position}] is missing 'task'")
             if "arrivals" not in spec:
                 raise ValueError(f"streams[{position}] is missing 'arrivals'")
+            _check_task_size(spec["task"], f"streams[{position}].task")
             streams.append(
                 JobStream(
                     task=task_from_dict(spec["task"]),
@@ -723,6 +734,23 @@ class _RequestHandler(BaseHTTPRequestHandler):
             _LOG.exception("unhandled error while serving POST %s", self.path)
             self._send_error(
                 500, "internal", "internal server error", retryable=False
+            )
+
+
+def _check_task_size(task: object, where: str) -> None:
+    """Refuse a task document over the node or edge cap (413).
+
+    Counts only the containers ``decode_task`` would iterate; a document
+    of the wrong shape is left for it to refuse.
+    """
+    if not isinstance(task, dict):
+        return
+    for key, cap in (("nodes", _MAX_TASK_NODES), ("edges", _MAX_TASK_EDGES)):
+        items = task.get(key)
+        if isinstance(items, (dict, list)) and len(items) > cap:
+            raise ServiceRequestTooLargeError(
+                f"{where} has {len(items)} {key}, over the cap of {cap} "
+                f"{key} per task document"
             )
 
 

@@ -9,7 +9,8 @@
   (bit-identical makespans, no ``NodeExecution`` churn);
 * :mod:`repro.simulation.vectorized` -- many simulations per call of the
   compiled C kernel (bit-identical makespans, the default of
-  ``simulate_many`` where a C compiler is available);
+  ``simulate_many`` where a C compiler is available); a single cell is
+  ``simulate_makespans_vectorized([VectorCell(...)])[0]``;
 * :mod:`repro.simulation.batch` -- batched ``simulate_many`` over
   task x platform x policy grids with one compile per task;
 * :mod:`repro.simulation.trace` -- execution traces with legality validation;
@@ -37,11 +38,7 @@ from .schedulers import (
     policy_by_name,
 )
 from .trace import ExecutionTrace, NodeExecution
-from .vectorized import (
-    VectorCell,
-    simulate_makespan_lockstep,
-    simulate_makespans_vectorized,
-)
+from .vectorized import VectorCell, simulate_makespans_vectorized
 from .workload import (
     JobInstance,
     JobStream,
@@ -60,7 +57,6 @@ __all__ = [
     "simulate",
     "simulate_makespan",
     "simulate_makespan_dense",
-    "simulate_makespan_lockstep",
     "simulate_makespans_vectorized",
     "VectorCell",
     "simulate_many",

@@ -63,7 +63,6 @@ __all__ = [
     "VectorCell",
     "simulate_makespans_vectorized",
     "simulate_column_vectorized",
-    "simulate_makespan_lockstep",
 ]
 
 
@@ -108,29 +107,47 @@ def _vector_kind(policy: Optional[SchedulingPolicy]) -> str:
     return kind
 
 
-def _prepare_lane(cell: VectorCell, kind: str) -> _Lane:
-    task = cell.task
-    platform = _as_platform(cell.platform)
-    compiled = cell.compiled if cell.compiled is not None else compile_task(task)
-    policy = cell.policy if cell.policy is not None else BreadthFirstPolicy()
-    assignment = _device_assignment(
-        task, platform, cell.offload_enabled, cell.device_assignment
+def _task_lanes(
+    task: DagTask,
+    compiled: Optional[CompiledTask],
+    platforms: Sequence[Platform],
+    policy: SchedulingPolicy,
+    kind: str,
+    offload_enabled: bool,
+    device_assignment: Optional[Mapping[NodeId, int]] = None,
+) -> list[_Lane]:
+    """The lanes of ``task`` on each of ``platforms``, in platform order.
+
+    The compiled view, the device-assignment array and the static keys are
+    built once and shared by every lane; a random policy draws each lane's
+    pool in turn, one draw per non-instant node (each is enqueued exactly
+    once), which preserves the stream semantics of the scalar engines.
+    """
+    if compiled is None:
+        compiled = compile_task(task)
+    static = (
+        np.asarray(policy.vector_keys(compiled), dtype=np.float64)
+        if kind == VECTOR_STATIC
+        else None
     )
-    n = len(compiled.nodes)
-    assigned = np.full(n, -1, dtype=np.int64)
+    nonzero = int(np.count_nonzero(compiled.wcet)) if kind == VECTOR_RANDOM else 0
+    # The resolved assignment does not depend on the platform, only its
+    # validation does: resolve once, re-validate (and surface the exact
+    # error) only for platforms that cannot satisfy it.
+    assignment = _device_assignment(
+        task, platforms[0], offload_enabled, device_assignment
+    )
+    max_device = max(assignment.values(), default=-1)
+    assigned = np.full(len(compiled.nodes), -1, dtype=np.int64)
     for node, device in assignment.items():
         assigned[compiled.index[node]] = device
-    lane = _Lane(compiled=compiled, platform=platform, assigned=assigned)
-    if kind == VECTOR_STATIC:
-        lane.static_keys = np.asarray(
-            policy.vector_keys(compiled), dtype=np.float64
-        )
-    elif kind == VECTOR_RANDOM:
-        # One draw per non-instant node (each is enqueued exactly once);
-        # consuming them here, in cell order, preserves the stream semantics
-        # of the scalar engines.
-        lane.draws = policy.vector_draws(int(np.count_nonzero(compiled.wcet)))
-    return lane
+    lanes = []
+    for platform in platforms:
+        if max_device >= platform.accelerators:
+            _device_assignment(task, platform, offload_enabled, device_assignment)
+        draws = policy.vector_draws(nonzero) if kind == VECTOR_RANDOM else None
+        lanes.append(_Lane(compiled, platform, assigned, static, draws))
+    return lanes
 
 
 def simulate_column_vectorized(
@@ -144,8 +161,7 @@ def simulate_column_vectorized(
     The batch-construction fast path of
     :func:`repro.simulation.batch.simulate_many`: per-task preparation (the
     compiled view, the device-assignment array, static priority keys) is
-    done once and shared across the whole platform axis, instead of once
-    per cell as the generic :class:`VectorCell` API does.  Lanes run in
+    done once and shared across the whole platform axis.  Lanes run in
     ``(task, platform)`` order, so a stateful :class:`RandomPolicy` consumes
     its stream exactly like the scalar engines' nested loops.  Returns an
     array of shape ``(len(entries), len(platforms))``.
@@ -155,40 +171,13 @@ def simulate_column_vectorized(
     platform_list = [_as_platform(platform) for platform in platforms]
     if not platform_list:
         raise ValueError("simulate_column_vectorized needs at least one platform")
-    lanes: list[_Lane] = []
-    for task, compiled in entries:
-        if compiled is None:
-            compiled = compile_task(task)
-        static = (
-            np.asarray(policy.vector_keys(compiled), dtype=np.float64)
-            if kind == VECTOR_STATIC
-            else None
+    lanes = [
+        lane
+        for task, compiled in entries
+        for lane in _task_lanes(
+            task, compiled, platform_list, policy, kind, offload_enabled
         )
-        nonzero = (
-            int(np.count_nonzero(compiled.wcet)) if kind == VECTOR_RANDOM else 0
-        )
-        # The resolved assignment does not depend on the platform, only its
-        # validation does: resolve once, re-validate (and surface the exact
-        # error) only for platforms that cannot satisfy it.
-        assignment = _device_assignment(
-            task, platform_list[0], offload_enabled, None
-        )
-        max_device = max(assignment.values(), default=-1)
-        assigned = np.full(len(compiled.nodes), -1, dtype=np.int64)
-        for node, device in assignment.items():
-            assigned[compiled.index[node]] = device
-        for platform in platform_list:
-            if max_device >= platform.accelerators:
-                _device_assignment(task, platform, offload_enabled, None)
-            lane = _Lane(
-                compiled=compiled,
-                platform=platform,
-                assigned=assigned,
-                static_keys=static,
-            )
-            if kind == VECTOR_RANDOM:
-                lane.draws = policy.vector_draws(nonzero)
-            lanes.append(lane)
+    ]
     # Lanes sit in (task, platform) order, which is the output order.
     return run_lanes_compiled(lanes, [kind] * len(lanes)).reshape(
         len(entries), len(platform_list)
@@ -206,38 +195,17 @@ def simulate_makespans_vectorized(cells: Sequence[VectorCell]) -> np.ndarray:
     cells = list(cells)
     kinds = [_vector_kind(cell.policy) for cell in cells]
     resolve_engine("compiled")
-    lanes = [_prepare_lane(cell, kind) for cell, kind in zip(cells, kinds)]
+    lanes = [
+        lane
+        for cell, kind in zip(cells, kinds)
+        for lane in _task_lanes(
+            cell.task,
+            cell.compiled,
+            [_as_platform(cell.platform)],
+            cell.policy if cell.policy is not None else BreadthFirstPolicy(),
+            kind,
+            cell.offload_enabled,
+            cell.device_assignment,
+        )
+    ]
     return run_lanes_compiled(lanes, kinds)
-
-
-def simulate_makespan_lockstep(
-    task: DagTask,
-    platform: Union[Platform, int],
-    policy: Optional[SchedulingPolicy] = None,
-    offload_enabled: bool = True,
-    device_assignment: Optional[Mapping[NodeId, int]] = None,
-    *,
-    compiled: Optional[CompiledTask] = None,
-) -> float:
-    """Single-cell convenience wrapper around the C kernel.
-
-    Same parameters and bit-identity contract as
-    :func:`repro.simulation.dense.simulate_makespan_dense`; mainly useful
-    for tests and for cross-checking the kernel one cell at a time (the
-    kernel's value lies in batching -- use
-    :func:`~repro.simulation.batch.simulate_many` for sweeps).
-    """
-    return float(
-        simulate_makespans_vectorized(
-            [
-                VectorCell(
-                    task=task,
-                    platform=platform,
-                    policy=policy,
-                    offload_enabled=offload_enabled,
-                    device_assignment=device_assignment,
-                    compiled=compiled,
-                )
-            ]
-        )[0]
-    )

@@ -6,11 +6,12 @@ engine otherwise.  :func:`run_lanes_compiled` is the bridge between the
 lane representation of :mod:`repro.simulation.vectorized` (a list of
 ``_Lane`` records: compiled task view, platform, device-assignment array,
 optional static keys / pre-consumed draws) and the C step loop in
-:mod:`repro.simulation._kernels`: it concatenates the lanes into the flat
-global node space the kernel expects -- node offsets, WCETs, the globally
-rebased CSR, initial in-degrees, device assignments, per-lane resources and
-priority-family codes -- and runs them all in **one** native call (mixed
-families are fine; the kernel switches per lane).
+:mod:`repro.simulation._kernels`: it lays the lanes out in the flat global
+node space the kernel expects -- node offsets, WCETs, the globally rebased
+CSR and initial in-degrees from :func:`repro.core.compiled.stack_compiled`,
+plus device assignments, per-lane resources and priority-family codes --
+and runs them all in **one** native call (mixed families are fine; the
+kernel switches per lane).
 
 It deliberately imports nothing from ``vectorized`` so the dependency chain
 stays a straight line (``vectorized`` -> here -> ``_kernels``); lanes are
@@ -23,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..core.compiled import stack_compiled
 from . import _kernels
 from .schedulers import VECTOR_RANDOM, VECTOR_STATIC
 
@@ -68,41 +70,12 @@ def run_lanes_compiled(lanes: Sequence, kinds: Sequence[str]) -> np.ndarray:
     B = len(lanes)
     if B == 0:
         return np.empty(0, dtype=np.float64)
-    ns = np.array([len(lane.compiled.nodes) for lane in lanes], dtype=np.int64)
-    node_off = np.concatenate(([0], np.cumsum(ns)))
-    N = int(node_off[-1])
-    es = np.array(
-        [len(lane.compiled.succ_idx) for lane in lanes], dtype=np.int64
+    node_off, wcet, ptr, idx, in_degree = stack_compiled(
+        [lane.compiled for lane in lanes]
     )
-    edge_off = np.concatenate(([0], np.cumsum(es)))
-    if N:
-        wcet = np.concatenate([lane.compiled.wcet for lane in lanes]).astype(
-            np.float64, copy=False
-        )
-        ptr = np.concatenate(
-            [lane.compiled.succ_ptr_array[:-1] for lane in lanes]
-            + [edge_off[-1:]]
-        )
-        ptr[:-1] += np.repeat(edge_off[:-1], ns)
-        if edge_off[-1]:
-            idx = np.concatenate(
-                [lane.compiled.succ_idx_array for lane in lanes]
-            )
-            idx += np.repeat(node_off[:-1], es)
-        else:
-            idx = np.empty(0, dtype=np.int64)
-        in_degree = np.concatenate(
-            [lane.compiled.in_degree_array for lane in lanes]
-        )
-        assigned = np.concatenate([lane.assigned for lane in lanes])
-    else:
-        wcet = np.empty(0, dtype=np.float64)
-        ptr = np.zeros(1, dtype=np.int64)
-        idx = np.empty(0, dtype=np.int64)
-        in_degree = np.empty(0, dtype=np.int64)
-        assigned = np.empty(0, dtype=np.int64)
+    assigned = np.concatenate([lane.assigned for lane in lanes])
 
-    static_key = np.zeros(N, dtype=np.float64)
+    static_key = np.zeros(int(node_off[-1]), dtype=np.float64)
     draw_off = np.zeros(B, dtype=np.int64)
     draw_parts: list[np.ndarray] = []
     total_draws = 0

@@ -77,9 +77,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ..core.compiled import compile_task
+from ..core.compiled import compile_task, stack_compiled
 from ..core.exceptions import SimulationError
-from ..core.task import DagTask
+from ..core.task import DagTask, check_time_bound
 from ..generator.arrivals import ArrivalProcess
 from .engine import _as_platform, _device_assignment
 from .kernel_stats import record_kernel_batch
@@ -141,12 +141,7 @@ class JobStream:
     name: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.deadline is not None and not (
-            math.isfinite(self.deadline) and self.deadline > 0
-        ):
-            raise ValueError(
-                f"relative deadline must be finite and > 0, got {self.deadline}"
-            )
+        check_time_bound("relative deadline", self.deadline)
 
     def relative_deadline(self) -> Optional[float]:
         """The effective relative deadline of every instance of the stream."""
@@ -293,10 +288,11 @@ class WorkloadResult:
 class _WorkloadProblem:
     """The concatenated global node space of one workload.
 
-    Pure data: per-instance compiled CSRs stitched together with global
-    offsets (the C kernel's layout with one lane group), the shared
-    platform's capacity, per-node device targets, the policy's key family
-    and -- for the stochastic family -- the pre-drawn priority pool.  Both
+    Pure data: the instances' compiled views laid out by
+    :func:`~repro.core.compiled.stack_compiled` (the C kernel's layout with
+    one lane group), the shared platform's capacity, per-node device
+    targets, the policy's key family and -- for the stochastic family --
+    the pre-drawn priority pool.  Both
     engines consume this and nothing else, so their agreement is about the
     event loops, not about input parsing.
     """
@@ -322,45 +318,29 @@ class _WorkloadProblem:
         self.devices = self.platform.accelerators
 
         compiled = [compile_task(job.task) for job in self.instances]
-        counts = np.array([c.node_count for c in compiled], dtype=np.int64)
-        self.node_off = np.zeros(len(compiled) + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.node_off[1:])
-        total = int(self.node_off[-1])
-        self.total_nodes = total
+        (
+            self.node_off,
+            self.wcet,
+            self.succ_ptr,
+            self.succ_idx,
+            self.in_degree0,
+        ) = stack_compiled(compiled)
+        total = self.total_nodes = int(self.node_off[-1])
 
-        self.wcet = np.empty(total, dtype=np.float64)
         self.device = np.full(total, -1, dtype=np.int64)
-        self.in_degree0 = np.empty(total, dtype=np.int64)
-        succ_parts: list[np.ndarray] = []
-        ptr_parts: list[np.ndarray] = []
         static_parts: list[np.ndarray] = []
-        edge_base = 0
         for job, view, base in zip(
-            self.instances, compiled, self.node_off[:-1]
+            self.instances, compiled, self.node_off[:-1].tolist()
         ):
-            n = view.node_count
-            base = int(base)
-            self.wcet[base : base + n] = view.wcet
-            self.in_degree0[base : base + n] = view.in_degree_array
             assignment = _device_assignment(
                 job.task, self.platform, offload_enabled, None
             )
             for node, dev in assignment.items():
                 self.device[base + view.index[node]] = dev
-            succ_parts.append(view.succ_idx_array + base)
-            ptr_parts.append(view.succ_ptr_array[:-1] + edge_base)
-            edge_base += int(view.succ_ptr_array[-1])
             if kind == VECTOR_STATIC:
                 static_parts.append(
                     np.asarray(self.policy.vector_keys(view), dtype=np.float64)
                 )
-        self.succ_idx = (
-            np.concatenate(succ_parts) if succ_parts else np.empty(0, np.int64)
-        )
-        self.succ_ptr = np.empty(total + 1, dtype=np.int64)
-        if ptr_parts:
-            self.succ_ptr[:-1] = np.concatenate(ptr_parts)
-        self.succ_ptr[-1] = edge_base
         self.instant = self.wcet == 0.0
         # Whole-problem fast-path flags: most workloads have no instant
         # nodes and many are host-only, which lets the coupled engine skip

@@ -17,11 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.compiled import CompiledTask, compile_task
+from repro.core.compiled import CompiledTask, compile_task, stack_compiled
 from repro.core.examples import figure1_task, figure3_task
 from repro.core.graph import DirectedAcyclicGraph
 from repro.core.task import DagTask
 from repro.core.transformation import transform
+from repro.generator.offload import pin_offloaded_fraction
 from repro.simulation.batch import simulate_many
 from repro.simulation.dense import simulate_makespan_dense
 from repro.simulation.engine import simulate, simulate_makespan
@@ -229,7 +230,6 @@ class TestCompiledTask:
         assert compiled.nodes == task.graph.nodes()
         assert compiled.node_count == task.node_count
         assert compiled.wcet_list == [task.graph.wcet(node) for node in compiled.nodes]
-        assert list(compiled.instant) == [w == 0 for w in compiled.wcet_list]
         assert compiled.in_degree == [
             task.graph.in_degree(node) for node in compiled.nodes
         ]
@@ -265,6 +265,144 @@ class TestCompiledTask:
     def test_compile_task_accepts_task_or_graph(self):
         task = figure1_task()
         assert compile_task(task) is compile_task(task.graph)
+
+
+def _shape_family(seed: int = 11) -> list[DagTask]:
+    """A task, its copy, a ``set_wcet`` re-pin of the copy and
+    ``pin_offloaded_fraction`` re-weightings: one shape, many weightings."""
+    task = make_random_heterogeneous_task(seed, 0.3, n_max=30)
+    copy = task.copy()
+    repinned = task.copy()
+    repinned.graph.set_wcet(repinned.offloaded_node, 123.0)
+    repinned.graph.set_wcet(repinned.graph.nodes()[0], 7.5)
+    pinned = [pin_offloaded_fraction(task, fraction) for fraction in (0.1, 0.4)]
+    return [task, copy, repinned, *pinned]
+
+
+def _structure_view(view: CompiledTask) -> tuple:
+    return (
+        view.nodes,
+        view.index,
+        view.succ_ptr,
+        view.succ_idx,
+        view.pred_ptr,
+        view.pred_idx,
+        view.topo,
+        view.in_degree,
+    )
+
+
+class TestOneStructurePerShape:
+    def _assert_one_structure(self, tasks: list[DagTask]) -> list[CompiledTask]:
+        views = [task.compiled() for task in tasks]
+        first = views[0]
+        for task, view in zip(tasks, views):
+            assert view.structure is first.structure
+            # The structural names are the structure's own objects, not copies.
+            assert view.nodes is first.nodes
+            assert view.succ_idx is first.succ_idx
+            assert view.in_degree is first.in_degree
+            assert view.topo is first.topo
+            for name in ("succ_ptr_array", "succ_idx_array", "in_degree_array"):
+                assert getattr(view, name) is getattr(first, name)
+                assert getattr(view, name).dtype == np.int64
+            # ... and the views differ only in their WCETs.
+            assert view.wcet_list == [task.graph.wcet(node) for node in view.nodes]
+        assert len({tuple(view.wcet_list) for view in views}) == len(views) - 1
+        return views
+
+    def test_copies_reweights_and_pins_share_one_structure(self):
+        self._assert_one_structure(_shape_family())
+
+    def test_transforms_of_every_weighting_share_one_structure(self):
+        family = _shape_family()
+        originals = self._assert_one_structure(family)
+        transformed = self._assert_one_structure(
+            [transform(task).task for task in family]
+        )
+        assert transformed[0].structure is not originals[0].structure
+        assert len(transformed[0].nodes) == len(originals[0].nodes) + 1
+
+    def test_compiling_a_compiled_shape_builds_only_the_wcets(self):
+        task = make_random_heterogeneous_task(5, 0.2, n_max=30)
+        view = task.compiled()
+        arrays = (view.succ_ptr_array, view.succ_idx_array, view.in_degree_array)
+        copy = task.copy()
+        copy.graph.set_wcet(copy.offloaded_node, 99.0)
+        again = copy.compiled()
+        assert again is not view
+        assert again.structure is view.structure
+        assert again.in_degree is view.in_degree
+        rebuilt = (again.succ_ptr_array, again.succ_idx_array, again.in_degree_array)
+        assert all(mine is theirs for mine, theirs in zip(rebuilt, arrays))
+        assert again.wcet is not view.wcet
+
+    def test_pickled_views_of_one_shape_share_one_structure(self):
+        family = _shape_family()
+        views = [task.compiled() for task in family]
+        loaded = pickle.loads(pickle.dumps(views))
+        assert all(view.structure is loaded[0].structure for view in loaded)
+        assert loaded[0].structure is not views[0].structure
+        for before, after in zip(views, loaded):
+            assert _structure_view(after) == _structure_view(before)
+            assert after.wcet_list == before.wcet_list
+            assert after.generation == before.generation
+        # The int64 arrays are caches: rebuilt once, shared again.
+        assert loaded[0].structure.arrays is None
+        assert loaded[1].succ_idx_array is loaded[0].succ_idx_array
+        assert np.array_equal(loaded[0].succ_idx_array, views[0].succ_idx_array)
+
+
+def _stacked_reference(views: list[CompiledTask]) -> tuple[list, ...]:
+    """``stack_compiled`` rebuilt view by view from the plain lists."""
+    node_off, wcet, succ_ptr, succ_idx, in_degree = [0], [], [], [], []
+    for view in views:
+        base = node_off[-1]
+        edge_base = len(succ_idx)
+        for i in range(view.node_count):
+            succ_ptr.append(edge_base + view.succ_ptr[i])
+            succ_idx.extend(base + s for s in view.successors_of(i))
+            in_degree.append(len(view.predecessors_of(i)))
+        wcet.extend(view.wcet_list)
+        node_off.append(base + view.node_count)
+    succ_ptr.append(len(succ_idx))
+    return node_off, wcet, succ_ptr, succ_idx, in_degree
+
+
+_STACK_POOL = [
+    DirectedAcyclicGraph().compiled(),  # no nodes
+    DirectedAcyclicGraph.from_dict({"a": 1.5, "b": 0, "c": 2}).compiled(),  # no edges
+    *(
+        make_random_heterogeneous_task(seed, 0.3, n_max=25).compiled()
+        for seed in range(4)
+    ),
+    *(
+        transform(make_random_heterogeneous_task(seed, 0.3, n_max=25)).task.compiled()
+        for seed in range(2)
+    ),
+]
+
+
+class TestStackCompiled:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        picks=st.lists(
+            st.integers(min_value=0, max_value=len(_STACK_POOL) - 1), max_size=7
+        )
+    )
+    def test_matches_a_per_view_reference(self, picks):
+        views = [_STACK_POOL[pick] for pick in picks]
+        stacked = stack_compiled(views)
+        reference = _stacked_reference(views)
+        dtypes = (np.int64, np.float64, np.int64, np.int64, np.int64)
+        for array, expected, dtype in zip(stacked, reference, dtypes):
+            assert array.dtype == dtype
+            assert array.tolist() == expected
+        # Fresh arrays: writing to them leaves every view intact.
+        for view in views:
+            for array in stacked:
+                assert not np.shares_memory(array, view.in_degree_array)
+                assert not np.shares_memory(array, view.succ_idx_array)
 
 
 class TestDenseProtocolGuards:

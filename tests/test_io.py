@@ -75,6 +75,24 @@ class TestJsonTasks:
         with pytest.raises(SerializationError):
             task_from_dict({"nodes": {"a": 1}, "edges": [], "offloaded_node": "x"})
 
+    @pytest.mark.parametrize(
+        "timing",
+        [
+            {"period": "abc"},
+            {"period": [1, 2]},
+            {"period": True},
+            {"period": 0},
+            {"period": -5},
+            {"period": 1e999},
+            {"period": 10, "deadline": -3},
+        ],
+    )
+    def test_invalid_timing_rejected(self, timing):
+        field = "deadline" if "deadline" in timing else "period"
+        document = {"nodes": {"a": 1, "b": 2}, "edges": [["a", "b"]], **timing}
+        with pytest.raises(SerializationError, match=field):
+            task_from_dict(document)
+
     def test_invalid_wcet_rejected(self):
         with pytest.raises(SerializationError):
             task_from_dict({"nodes": {"a": "heavy"}, "edges": []})

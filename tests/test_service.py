@@ -1385,14 +1385,16 @@ class TestServiceResilience:
 # ----------------------------------------------------------------------
 # Decoded task documents: a hit is answered without building a graph
 # ----------------------------------------------------------------------
-def _post(port: int, path: str, body: dict) -> tuple[int, dict]:
-    """POST ``body`` as JSON; ``(status, response document)``."""
+def _post(port: int, path: str, body: dict | str) -> tuple[int, dict]:
+    """POST ``body`` as JSON (a ``str`` is sent as it is); ``(status,
+    response document)``."""
+    text = body if isinstance(body, str) else json.dumps(body)
     connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
     try:
         connection.request(
             "POST",
             path,
-            json.dumps(body).encode("utf-8"),
+            text.encode("utf-8"),
             {"Content-Type": "application/json"},
         )
         response = connection.getresponse()
@@ -1621,6 +1623,35 @@ MALFORMED_TASKS = {
 }
 
 
+#: Timing fields a task document may not carry.  ``"1e999"`` is sent as the
+#: bare number literal, which JSON decodes to infinity.
+BAD_TIMINGS = {
+    "period-string": {"period": "abc"},
+    "period-list": {"period": [1, 2]},
+    "period-true": {"period": True},
+    "period-zero": {"period": 0},
+    "period-negative": {"period": -5},
+    "period-overflow": {"period": "1e999"},
+    "deadline-negative": {"period": 10, "deadline": -3},
+}
+
+
+def _chain_document(nodes: int) -> dict:
+    """A task document: a chain of ``nodes`` unit nodes."""
+    return {
+        "nodes": {f"n{i}": 1 for i in range(nodes)},
+        "edges": [[f"n{i}", f"n{i + 1}"] for i in range(nodes - 1)],
+    }
+
+
+def _two_layer_document(edges: int) -> dict:
+    """A task document: the first ``edges`` edges of a complete two-layer
+    DAG from 257 sources to 512 sinks."""
+    names = [f"s{i}" for i in range(257)] + [f"k{i}" for i in range(512)]
+    pairs = [[f"s{s}", f"k{k}"] for s in range(257) for k in range(512)]
+    return {"nodes": dict.fromkeys(names, 1), "edges": pairs[:edges]}
+
+
 class TestMalformedRequests:
     @pytest.mark.parametrize("name", sorted(MALFORMED_TASKS))
     def test_malformed_task_shape_is_a_400(self, http_service, name):
@@ -1642,6 +1673,96 @@ class TestMalformedRequests:
             [{"task": valid, "arrivals": {"kind": "trace", "times": [0.0]}}], 10.0
         )
         assert payload["instances"] == 1
+
+    @pytest.mark.parametrize("name", sorted(BAD_TIMINGS))
+    def test_invalid_period_or_deadline_is_a_400(self, http_service, name):
+        # Each was accepted once: /analyse answered 200 for a string or list
+        # period, and /workload answered 200 with every instance missed for
+        # a stream whose task period was 0 or negative.
+        _, server, client = http_service
+        timing = BAD_TIMINGS[name]
+        task = {"nodes": {"a": 1, "b": 2}, "edges": [["a", "b"]], **timing}
+        stream = {"task": task, "arrivals": {"kind": "trace", "times": [0.0]}}
+        field = "deadline" if "deadline" in timing else "period"
+        for path, body in (
+            ("/analyse", {"task": task, "cores": 2}),
+            ("/workload", {"streams": [stream], "horizon": 10.0, "cores": 2}),
+        ):
+            text = json.dumps(body).replace('"1e999"', "1e999")
+            status, document = _post(server.port, path, text)
+            assert status == 400, (path, document)
+            assert document["error"]["code"] == "bad-request"
+            assert field in document["error"]["message"]
+            valid = figure1_task(period=20, deadline=15)
+            assert client.simulate(valid, cores=3) == simulate_makespan(
+                valid, Platform(3), policy_by_name("breadth-first")
+            )
+
+    @pytest.mark.parametrize("deadline", [True, 0, -5])
+    def test_invalid_stream_deadline_is_a_400(self, http_service, deadline):
+        _, server, client = http_service
+        stream = {
+            "task": task_to_dict(figure1_task()),
+            "arrivals": {"kind": "trace", "times": [0.0]},
+            "deadline": deadline,
+        }
+        status, document = _post(
+            server.port,
+            "/workload",
+            {"streams": [stream], "horizon": 10.0, "cores": 2},
+        )
+        assert status == 400, document
+        assert "relative deadline" in document["error"]["message"]
+        stream["deadline"] = 30
+        assert client.workload([stream], 10.0)["instances"] == 1
+
+    @pytest.mark.parametrize("key", ["nodes", "edges"])
+    def test_task_over_a_size_cap_is_a_413(self, http_service, key):
+        # A chain of a million nodes fits under the body cap and once took
+        # 17 s to build and simulate; a document over a cap is now refused
+        # before it is decoded, on every endpoint that takes a task.
+        _, server, client = http_service
+        if key == "nodes":
+            cap = http_module._MAX_TASK_NODES
+            task = _chain_document(cap + 1)
+        else:
+            cap = http_module._MAX_TASK_EDGES
+            task = _two_layer_document(cap + 1)
+        stream = {"task": task, "arrivals": {"kind": "trace", "times": [0.0]}}
+        for path, body in (
+            ("/simulate", {"task": task, "cores": 2}),
+            ("/analyse", {"task": task, "cores": 2}),
+            ("/makespan", {"task": task, "cores": 2}),
+            ("/workload", {"streams": [stream], "horizon": 10.0, "cores": 2}),
+        ):
+            text = json.dumps(body)
+            started = time.monotonic()
+            status, document = _post(server.port, path, text)
+            assert time.monotonic() - started < 0.5, path
+            assert status == 413, (path, document)
+            assert document["error"]["code"] == "payload-too-large"
+            assert document["error"]["retryable"] is False
+            message = document["error"]["message"]
+            assert f"{cap + 1} {key}" in message and f"cap of {cap}" in message
+            canary = make_random_heterogeneous_task(60, 0.2)
+            assert client.simulate(canary, cores=2, timeout=5) == simulate_makespan(
+                canary, Platform(2), policy_by_name("breadth-first")
+            )
+
+    @pytest.mark.parametrize("key", ["nodes", "edges"])
+    def test_task_at_a_size_cap_is_served(self, http_service, key):
+        _, server, _ = http_service
+        if key == "nodes":
+            task = _chain_document(http_module._MAX_TASK_NODES)
+        else:
+            task = _two_layer_document(http_module._MAX_TASK_EDGES)
+        status, document = _post(
+            server.port, "/simulate", {"task": task, "cores": 2, "timeout": 60}
+        )
+        assert status == 200, document
+        assert document["makespan"] == simulate_makespan(
+            task_from_dict(task), Platform(2), policy_by_name("breadth-first")
+        )
 
     @pytest.mark.parametrize(
         "arrivals, horizon",

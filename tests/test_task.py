@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.core.examples import figure1_task
@@ -42,6 +45,23 @@ class TestConstruction:
         graph = DirectedAcyclicGraph.from_dict({"a": 1})
         with pytest.raises(ValidationError):
             DagTask(graph=graph, period=10, deadline=12)
+
+    @pytest.mark.parametrize(
+        "value", ["abc", [1, 2], True, False, 0, -5, 1e999, -math.inf, math.nan]
+    )
+    @pytest.mark.parametrize("field", ["period", "deadline"])
+    def test_timing_fields_must_be_finite_positive_numbers(self, field, value):
+        # A deadline row keeps a valid period, so only the deadline is wrong.
+        timing = {"period": 10, field: value}
+        graph = DirectedAcyclicGraph.from_dict({"a": 1, "b": 2}, [("a", "b")])
+        with pytest.raises(ValidationError, match=field):
+            DagTask(graph=graph, **timing)
+
+    @pytest.mark.parametrize("period", [1, 0.5, 1e300, np.float64(3.0), np.int64(4)])
+    def test_timing_fields_accept_real_numbers(self, period):
+        graph = DirectedAcyclicGraph.from_dict({"a": 1})
+        task = DagTask(graph=graph, period=period)
+        assert task.period == period and task.deadline == period
 
     def test_copy_is_deep(self, hetero_task):
         clone = hetero_task.copy()

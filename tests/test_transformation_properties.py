@@ -14,6 +14,7 @@ import threading
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.compiled import stack_compiled
 from repro.core.task import DagTask
 from repro.core.transformation import TransformedTask, transform
 from repro.core.validation import validate_task
@@ -151,7 +152,11 @@ def _compiled_view(compiled) -> tuple:
         compiled.pred_ptr,
         compiled.pred_idx,
         compiled.topo,
+        compiled.in_degree,
         compiled.wcet_list,
+        compiled.succ_ptr_array.tolist(),
+        compiled.succ_idx_array.tolist(),
+        compiled.in_degree_array.tolist(),
     )
 
 
@@ -235,6 +240,7 @@ def test_threads_sharing_one_structure_match_fresh_rebuilds():
             task = pin_offloaded_fraction(base, fractions[index])
             result = transform(task)
             compiled = (task.compiled(), result.task.compiled())
+            stack_compiled(compiled)  # builds the shared int64 arrays
             extra = f"extra{index}"
             task.graph.add_node(extra, index)
             task.graph.add_edge(task.graph.nodes()[0], extra)

@@ -42,7 +42,6 @@ from repro.simulation.schedulers import (
 from repro.simulation.vectorized import (
     VectorCell,
     simulate_column_vectorized,
-    simulate_makespan_lockstep,
     simulate_makespans_vectorized,
 )
 
@@ -97,13 +96,17 @@ def _assert_identical(task, platform, factory, offload_enabled=True, assignment=
         offload_enabled=offload_enabled,
         device_assignment=assignment,
     )
-    compiled = simulate_makespan_lockstep(
-        task,
-        platform,
-        factory(),
-        offload_enabled=offload_enabled,
-        device_assignment=assignment,
-    )
+    compiled = simulate_makespans_vectorized(
+        [
+            VectorCell(
+                task,
+                platform,
+                factory(),
+                offload_enabled=offload_enabled,
+                device_assignment=assignment,
+            )
+        ]
+    )[0]
     assert compiled == dense == reference
 
 
@@ -244,7 +247,9 @@ class TestLockstepBitIdentity:
                 task = DagTask.from_wcets(wcets, edges)
                 reference = simulate(task, cores, BreadthFirstPolicy()).makespan()
                 assert (
-                    simulate_makespan_lockstep(task, cores, BreadthFirstPolicy())
+                    simulate_makespans_vectorized(
+                        [VectorCell(task, cores, BreadthFirstPolicy())]
+                    )[0]
                     == reference
                 )
                 assert (
@@ -259,7 +264,7 @@ class TestLockstepBitIdentity:
 
         task = make_random_heterogeneous_task(1, 0.2, n_max=10)
         with pytest.raises(ValueError):
-            simulate_makespan_lockstep(task, 2, Custom())
+            simulate_makespans_vectorized([VectorCell(task, 2, Custom())])[0]
 
     def test_vector_kind_registry(self):
         assert policy_vector_kind(BreadthFirstPolicy()) == VECTOR_FIFO
@@ -364,13 +369,17 @@ class TestBackendBitIdentity:
             offload_enabled=offload_enabled,
             device_assignment=assignment,
         )
-        compiled = simulate_makespan_lockstep(
-            task,
-            platform,
-            factory(),
-            offload_enabled=offload_enabled,
-            device_assignment=assignment,
-        )
+        compiled = simulate_makespans_vectorized(
+            [
+                VectorCell(
+                    task,
+                    platform,
+                    factory(),
+                    offload_enabled=offload_enabled,
+                    device_assignment=assignment,
+                )
+            ]
+        )[0]
         assert compiled == dense
 
     def test_all_policies_on_original_and_transformed(self, backend):
@@ -540,7 +549,9 @@ class TestCompiledBackendPlumbing:
             with pytest.raises(RuntimeError, match="disabled"):
                 simulate_many([task], [2], engine="compiled")
             with pytest.raises(RuntimeError, match="disabled"):
-                simulate_makespan_lockstep(task, 2, BreadthFirstPolicy())
+                simulate_makespans_vectorized(
+                    [VectorCell(task, 2, BreadthFirstPolicy())]
+                )[0]
         finally:
             monkeypatch.delenv("REPRO_COMPILED", raising=False)
             _kernels._reset_for_tests()

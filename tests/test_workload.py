@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.exceptions import SimulationError
+from repro.core.exceptions import SimulationError, ValidationError
 from repro.core.transformation import transform
 from repro.generator.arrivals import (
     PeriodicArrivals,
@@ -220,6 +220,14 @@ class TestStreamsAndAssembly:
         assert JobStream(implicit, arrivals).relative_deadline() == 9.0
         constrained = dataclasses.replace(task, period=9.0, deadline=7.0)
         assert JobStream(constrained, arrivals).relative_deadline() == 7.0
+
+    @pytest.mark.parametrize(
+        "deadline", [True, False, 0, -5.0, math.inf, math.nan, "8"]
+    )
+    def test_relative_deadline_must_be_a_finite_positive_number(self, deadline):
+        task = make_random_host_task(2, n_max=10)
+        with pytest.raises(ValidationError, match="relative deadline"):
+            JobStream(task, PeriodicArrivals(period=5.0), deadline=deadline)
 
     def test_build_workload_orders_by_release_then_stream(self):
         tasks = [make_random_host_task(s, n_max=8) for s in (3, 4)]
