@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import random
 import sys
 import time
@@ -416,6 +417,16 @@ def run_simulation_compiled(smoke: bool) -> Measurement:
         lambda: simulate_many(tasks, platforms, policy, engine="dense"),
         1 if smoke else 3,
     )
+    # The same grid with the process pinned to one CPU, so on one thread.
+    affinity = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(affinity)})
+    try:
+        one_cpu_s, one_cpu_grid = best_of(
+            lambda: simulate_many(tasks, platforms, policy, engine="compiled"),
+            3 if smoke else 5,
+        )
+    finally:
+        os.sched_setaffinity(0, affinity)
 
     rows = []
     for lanes in [1, 2, 4, 8, 16] if smoke else [1, 2, 4, 8, 16, 32, 64]:
@@ -436,10 +447,13 @@ def run_simulation_compiled(smoke: bool) -> Measurement:
         "speedup_vs_dense": dense_s / max(compiled_s, 1e-9),
         "crossover_lanes": _crossover_lanes(rows),
         "crossover_scan": [[lanes, round(speedup, 2)] for lanes, speedup in rows],
+        "cpus": len(affinity),
+        "thread_speedup": one_cpu_s / max(compiled_s, 1e-9),
     }
     checks = {
         "kernel_built": True,
         "makespans_identical": bool(np.array_equal(compiled_grid, dense_grid)),
+        "threads_identical": bool(np.array_equal(compiled_grid, one_cpu_grid)),
     }
     return metrics, checks
 
@@ -887,7 +901,8 @@ CASES: tuple[Case, ...] = (
         name="simulation-compiled",
         layer="simulation engines",
         workload="quick-scale Figure 6 ensemble, original + transformed, "
-        "m in {2, 4, 8, 16} (576 cells); crossover scan at 1-16/64 lanes",
+        "m in {2, 4, 8, 16} (576 cells), also pinned to one CPU; crossover "
+        "scan at 1-16/64 lanes",
         candidate="compiled C step-loop kernel",
         baseline="dense batched simulate_many",
         run=run_simulation_compiled,
@@ -895,7 +910,7 @@ CASES: tuple[Case, ...] = (
             Gate("speedup_vs_dense", ">=", 4.0),
             Gate("crossover_lanes", "<=", 16),
         ),
-        checks=("kernel_built", "makespans_identical"),
+        checks=("kernel_built", "makespans_identical", "threads_identical"),
     ),
     Case(
         name="service",

@@ -11,9 +11,10 @@ already-compiled shape builds.
 
 The simulation stack reads the view: the dense engine
 (:mod:`repro.simulation.dense`) runs on integer indices and preallocated
-lists, and :func:`stack_compiled` lays many views out in one global node
-space for the C kernel's lanes and the job-stream engines.  The view
-exposes
+lists, and :func:`stack_compiled` lays many views out for the C kernel's
+lanes with each distinct structure and WCET vector once, from which
+:meth:`StackedViews.global_space` derives the one global node space of the
+job-stream engines.  The view exposes
 
 * ``nodes`` / ``index`` -- the dense index <-> :data:`NodeId` maps (indices
   are insertion ranks, so index order *is* node-creation order);
@@ -43,7 +44,7 @@ import json
 import struct
 from collections.abc import Iterable, Sequence
 from operator import attrgetter
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -54,8 +55,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 
 __all__ = [
     "CompiledTask",
+    "StackedViews",
     "compile_graph",
     "compile_task",
+    "concat_distinct",
     "graph_digest",
     "stack_compiled",
 ]
@@ -170,31 +173,123 @@ class CompiledTask:
         return (CompiledTask, (self.structure, self.wcet, self.generation))
 
 
-def stack_compiled(views: Sequence[CompiledTask]) -> tuple[np.ndarray, ...]:
-    """Lay ``views`` out one after the other in one global node space.
+def concat_distinct(
+    arrays: Sequence[Optional[np.ndarray]], dtype: type
+) -> tuple[np.ndarray, list[int]]:
+    """``arrays`` one after the other as one ``dtype`` table, each distinct
+    object once, and the offset of each item's entries in the table.
 
-    Returns ``(node_off, wcet, succ_ptr, succ_idx, in_degree)``: view ``k``
-    owns the global nodes ``node_off[k]:node_off[k + 1]``, and the successor
-    CSR is rebased onto global node and edge indices.  The C kernel's lanes
-    (:mod:`repro.simulation.vectorized_compiled`) and both job-stream
-    engines (:mod:`repro.simulation.workload`) read this layout.  The
-    arrays are fresh, so callers may keep or modify them.
+    Items are told apart by identity, so an array shared by many items is
+    stored once; a ``None`` item stores nothing and gets offset 0.
     """
-    arrays = [_int64_arrays(view.structure) for view in views]
-    nodes = np.array([len(view.wcet) for view in views], dtype=np.int64)
-    edges = np.array([len(idx) for _, idx, _ in arrays], dtype=np.int64)
-    node_off = np.zeros(len(views) + 1, dtype=np.int64)
-    edge_off = np.zeros(len(views) + 1, dtype=np.int64)
+    seen: dict[int, int] = {}
+    parts: list[np.ndarray] = []
+    offsets: list[int] = []
+    size = 0
+    for array in arrays:
+        if array is None:
+            offsets.append(0)
+            continue
+        offset = seen.get(id(array))
+        if offset is None:
+            offset = seen[id(array)] = size
+            parts.append(array)
+            size += len(array)
+        offsets.append(offset)
+    table = np.concatenate(parts) if parts else np.empty(0)
+    return table.astype(dtype, copy=False), offsets
+
+
+class StackedViews(NamedTuple):
+    """Compiled views laid out with each distinct object once.
+
+    Structure ``s`` owns the table rows ``node_off[s]:node_off[s + 1]``;
+    ``succ_ptr`` gives each row's first edge in ``succ_idx``, whose entries
+    are structure-local node indices.  View ``k`` is structure
+    ``structure[k]`` weighted by ``wcet[wcet_off[k]:]`` (two lists).
+    """
+
+    node_off: np.ndarray
+    succ_ptr: np.ndarray
+    succ_idx: np.ndarray
+    in_degree: np.ndarray
+    wcet: np.ndarray
+    structure: list[int]
+    wcet_off: list[int]
+
+    def global_space(self) -> tuple[np.ndarray, ...]:
+        """The views one after the other in one global node space.
+
+        Returns ``(node_off, wcet, succ_ptr, succ_idx, in_degree)``: view
+        ``k`` owns the global nodes ``node_off[k]:node_off[k + 1]``, and the
+        successor CSR is rebased onto global node and edge indices.  The
+        job-stream engines (:mod:`repro.simulation.workload`) read this
+        layout.  The arrays are fresh, so callers may keep or modify them.
+        """
+        rows = self.node_off.tolist()
+        first_edge = self.succ_ptr[self.node_off].tolist()
+        tables = [
+            (
+                self.succ_ptr[start : end + 1] - first_edge[s],
+                self.succ_idx[first_edge[s] : first_edge[s + 1]],
+                self.in_degree[start:end],
+            )
+            for s, (start, end) in enumerate(zip(rows, rows[1:]))
+        ]
+        views = [tables[s] for s in self.structure]
+        node_off, succ_ptr, succ_idx, in_degree = _stack(views)
+        succ_idx += np.repeat(node_off[:-1], [len(idx) for _, idx, _ in views])
+        wcet = np.concatenate(
+            [np.empty(0)]
+            + [
+                self.wcet[offset : offset + len(degree)]
+                for offset, (_, _, degree) in zip(self.wcet_off, views)
+            ]
+        )
+        return node_off, wcet, succ_ptr, succ_idx, in_degree
+
+
+def _stack(tables: Sequence[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """``(node_off, succ_ptr, succ_idx, in_degree)`` of ``(succ_ptr,
+    succ_idx, in_degree)`` CSR tables laid one after the other: table ``k``
+    owns the rows ``node_off[k]:node_off[k + 1]`` and ``succ_ptr`` points
+    into the stacked ``succ_idx``, whose entries stay as given."""
+    nodes = np.array([len(degree) for _, _, degree in tables], dtype=np.int64)
+    edges = np.array([len(idx) for _, idx, _ in tables], dtype=np.int64)
+    node_off = np.zeros(len(tables) + 1, dtype=np.int64)
+    edge_off = np.zeros(len(tables) + 1, dtype=np.int64)
     np.cumsum(nodes, out=node_off[1:])
     np.cumsum(edges, out=edge_off[1:])
     empty = np.empty(0, dtype=np.int64)
-    succ_ptr = np.concatenate([ptr[:-1] for ptr, _, _ in arrays] + [edge_off[-1:]])
+    succ_ptr = np.concatenate([ptr[:-1] for ptr, _, _ in tables] + [edge_off[-1:]])
     succ_ptr[:-1] += np.repeat(edge_off[:-1], nodes)
-    succ_idx = np.concatenate([empty] + [idx for _, idx, _ in arrays])
-    succ_idx += np.repeat(node_off[:-1], edges)
-    in_degree = np.concatenate([empty] + [degree for _, _, degree in arrays])
-    wcet = np.concatenate([np.empty(0)] + [view.wcet for view in views])
-    return node_off, wcet, succ_ptr, succ_idx, in_degree
+    succ_idx = np.concatenate([empty] + [idx for _, idx, _ in tables])
+    in_degree = np.concatenate([empty] + [degree for _, _, degree in tables])
+    return node_off, succ_ptr, succ_idx, in_degree
+
+
+def stack_compiled(views: Sequence[CompiledTask]) -> StackedViews:
+    """Lay ``views`` out with each distinct structure and WCET vector once.
+
+    A structure shared by many views (copies, re-weightings and the lanes
+    of one task on many platforms) contributes its cached ``int64`` CSR and
+    in-degrees once, and a view repeated in ``views`` its WCET vector once.
+    The C kernel's lanes (:mod:`repro.simulation.vectorized_compiled`) read
+    this form; :meth:`StackedViews.global_space` derives the global node
+    space of the job-stream engines from it.  The arrays are fresh, so
+    callers may keep or modify them.
+    """
+    index: dict[int, int] = {}
+    tables: list[tuple[np.ndarray, ...]] = []
+    structure = []
+    for view in views:
+        position = index.get(id(view.structure))
+        if position is None:
+            position = index[id(view.structure)] = len(tables)
+            tables.append(_int64_arrays(view.structure))
+        structure.append(position)
+    wcet, wcet_off = concat_distinct([view.wcet for view in views], np.float64)
+    return StackedViews(*_stack(tables), wcet, structure, wcet_off)
 
 
 def graph_digest(

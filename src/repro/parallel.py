@@ -15,7 +15,9 @@ substrate:
   root seed via :class:`numpy.random.SeedSequence`, so that splitting work
   into chunks never changes the random draws;
 * :func:`resolve_jobs` -- normalisation of the user-facing ``--jobs`` flag
-  (``None``/``0``/``1`` mean serial, negative values mean "all cores").
+  (``None``/``0``/``1`` mean serial, negative values mean "all cores");
+* :func:`available_cpus` -- the CPUs this process may run on, which sizes
+  both ``--jobs -1`` and the C kernel's threads.
 
 Determinism contract
 --------------------
@@ -38,7 +40,13 @@ from typing import Callable, Iterable, Optional, TypeVar
 from .core.exceptions import WorkerCrashError
 from .resilience import fault_point
 
-__all__ = ["resolve_jobs", "parallel_map", "spawn_seeds", "worker_respawn_count"]
+__all__ = [
+    "available_cpus",
+    "parallel_map",
+    "resolve_jobs",
+    "spawn_seeds",
+    "worker_respawn_count",
+]
 
 _ItemT = TypeVar("_ItemT")
 _ResultT = TypeVar("_ResultT")
@@ -59,16 +67,29 @@ def _note_respawn() -> None:
         _respawn_count += 1
 
 
+def available_cpus() -> int:
+    """The number of CPUs this process may run on.
+
+    Its CPU affinity mask where the OS has one (``taskset``, cgroup
+    cpusets), else :func:`os.cpu_count`; at least 1.
+    """
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except (AttributeError, OSError):
+        return max(1, os.cpu_count() or 1)
+
+
 def resolve_jobs(jobs: Optional[int]) -> int:
     """Normalise a ``--jobs`` value to a concrete worker count.
 
     ``None``, ``0`` and ``1`` mean "serial"; negative values request one
-    worker per available CPU; positive values are taken literally.
+    worker per CPU the process may run on (:func:`available_cpus`);
+    positive values are taken literally.
     """
     if jobs is None or jobs == 0 or jobs == 1:
         return 1
     if jobs < 0:
-        return max(1, os.cpu_count() or 1)
+        return available_cpus()
     return jobs
 
 

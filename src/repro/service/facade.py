@@ -69,7 +69,7 @@ from ..core.exceptions import (
     ServiceRequestTooLargeError,
     ServiceTimeoutError,
 )
-from ..core.task import DagTask
+from ..core.task import DagTask, check_time_bound
 from ..generator.arrivals import arrival_to_dict
 from ..ilp.batch import minimum_makespans_many
 from ..ilp.makespan import MakespanMethod, MakespanResult
@@ -686,6 +686,7 @@ class EvaluationService:
         method_value = MakespanMethod(method).value  # validate early
         cores = processor_count("cores", cores, 1)
         accelerators = processor_count("accelerators", accelerators, 0)
+        check_time_bound("time_limit", time_limit)
         fingerprint = request_fingerprint(
             "makespan",
             task_fingerprint(task),

@@ -651,7 +651,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
                     policy=document.get("policy", "breadth-first"),
                     policy_seed=document.get("policy_seed"),
                     priorities=document.get("priorities"),
-                    offload_enabled=document.get("offload_enabled", True),
+                    offload_enabled=_flag_of(document, "offload_enabled"),
                     timeout=timeout,
                 )
                 self._send_json(200, {"makespan": makespan})
@@ -659,7 +659,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 payload = service.submit_analysis(
                     self._task_of(document),
                     document.get("cores", 2),
-                    include_naive=document.get("include_naive", True),
+                    include_naive=_flag_of(document, "include_naive"),
                     timeout=timeout,
                 )
                 self._send_json(200, payload)
@@ -684,7 +684,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
                     _platform_of(document),
                     policy=document.get("policy", "breadth-first"),
                     policy_seed=document.get("policy_seed"),
-                    offload_enabled=document.get("offload_enabled", True),
+                    offload_enabled=_flag_of(document, "offload_enabled"),
                     timeout=timeout,
                 )
                 self._send_json(200, payload)
@@ -768,6 +768,14 @@ def _platform_of(document: dict) -> Platform:
             "accelerators", document.get("accelerators", 1), 0
         ),
     )
+
+
+def _flag_of(document: dict, name: str) -> bool:
+    """The flag ``name`` of a request: a JSON boolean, ``true`` when absent."""
+    value = document.get(name, True)
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
 
 
 def _query_flag(query: dict, name: str) -> bool:

@@ -22,13 +22,38 @@ floating-point operations in the same order* as ``simulate_makespan_dense``
 arrival/start counters, FIFO instant-node cascades), and binary heaps over
 unique keys pop in a total order independent of their internal layout.
 
+Layout
+------
+A call shares a few tables among its lanes, each distinct object once: the
+structure tables (``node_off``, ``succ_ptr``, ``succ_idx``, ``in_degree``
+of :func:`repro.core.compiled.stack_compiled`) and the WCET, device
+assignment, static key and draw vectors.  A lane is one record of
+:data:`LANE_FIELDS` integers: its structure, offsets into the value tables,
+its host cores and accelerators, and its priority family.  The loop works
+in lane-local node indices, so nothing is rebased.
+
+Threads
+-------
+:func:`run_lanes` cuts a call's lanes into contiguous shares of about equal
+node count and runs each share on its own POSIX thread with its own
+scratch (``O(largest lane)``); the calling thread runs the first share and
+joins the rest before returning, so no thread outlives a call and forking
+process pools stay safe.  The thread count is the smallest of the CPUs the
+process may run on (:func:`repro.parallel.available_cpus`), the lanes, and
+the call's nodes over :data:`GRAIN_NODES`, so a one-lane call (a service
+miss) never starts a thread.  Lanes are independent, so makespans, step
+and event counts and errors do not depend on the thread count: the counts
+are summed over the shares, and a deadlock reports the lowest deadlocked
+lane.
+
 Toolchain
 ---------
 The kernel is plain C99 with no Python.h dependency: it is compiled on
 first use with the system C compiler (``cc``/``gcc``/``clang``; override
-with ``REPRO_CC``) into a shared library cached by source hash under
+with ``REPRO_CC``) and ``-pthread`` into a shared library cached under
 ``REPRO_KERNEL_CACHE`` (default: a per-user directory in the system temp
-dir), and loaded with :mod:`ctypes`.  No third-party package is required --
+dir), named by a hash of the source and the compile command, and loaded
+with :mod:`ctypes`.  No third-party package is required --
 ``pip install .[compiled]`` is a documented no-op kept as the opt-in
 marker.  When no compiler is available (or ``REPRO_COMPILED=0`` disables
 the backend) ``engine="auto"`` serves every grid with the dense engine
@@ -51,10 +76,13 @@ from typing import Optional
 import numpy as np
 
 from ..core.exceptions import SimulationError
+from ..parallel import available_cpus
 from .kernel_stats import record_kernel_batch
 
 __all__ = [
+    "GRAIN_NODES",
     "KIND_CODES",
+    "LANE_FIELDS",
     "compiled_available",
     "compiled_unavailable_reason",
     "load_kernel",
@@ -64,7 +92,20 @@ __all__ = [
 #: Priority-family codes shared with the C source below.
 KIND_CODES = {"fifo": 0, "static": 1, "lifo": 2, "random": 3}
 
+#: The fields of a lane record, in the C source's ``L_*`` order.
+LANE_FIELDS = (
+    "struct", "wcet", "assigned", "key", "draw", "cores", "accelerators", "kind"
+)
+
+#: Nodes of work per thread.  Measured on the quick-scale Figure 6 tasks
+#: (~170 nodes a lane, 2 vCPUs): a second thread lost ~0.07 ms on 2 lanes,
+#: broke even at 6-8 lanes (~1 100-1 400 nodes) and won from 12 lanes
+#: (~2 000 nodes) on, so two threads start at 2 048 nodes.
+GRAIN_NODES = 1024
+
 _C_SOURCE = r"""
+#define _POSIX_C_SOURCE 200809L
+#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -144,109 +185,145 @@ static runentry runpop(runentry *heap, int64_t *len) {
     return top;
 }
 
-/* Push one non-instant global node onto its ready heap, stamping the lane's
+/* Lane record fields (LANE_FIELDS int64 per lane; the Python side mirrors
+ * them).  Each offset points into one of the call's shared tables. */
+enum {
+    L_STRUCT,   /* structure: table rows node_off[s]..node_off[s + 1] */
+    L_WCET,     /* first entry of the lane's WCET vector */
+    L_ASSIGNED, /* first entry of its device assignment (-1 = host) */
+    L_KEY,      /* first entry of its static keys (static lanes) */
+    L_DRAW,     /* first of its pre-consumed draws (random lanes) */
+    L_CORES,    /* host cores */
+    L_ACCEL,    /* accelerators */
+    L_KIND,     /* 0 fifo, 1 static, 2 lifo, 3 random */
+    LANE_FIELDS
+};
+
+/* The read-only inputs of one call, shared by every thread. */
+typedef struct {
+    const int64_t *node_off;   /* S + 1 */
+    const int64_t *succ_ptr;   /* table rows + 1: each row's first edge */
+    const int64_t *succ_idx;   /* successors, structure-local indices */
+    const int64_t *in_degree;  /* table rows, initial */
+    const double  *wcet;
+    const int64_t *assigned;
+    const double  *static_key;
+    const double  *draws;
+    const int64_t *lanes;      /* n_lanes x LANE_FIELDS */
+    double        *out;        /* n_lanes */
+} call_t;
+
+/* One thread's share of a call: a contiguous lane range and its verdict. */
+typedef struct {
+    const call_t *call;
+    int64_t first, last;       /* lanes [first, last) */
+    int64_t steps, events;     /* retire windows, nodes retired */
+    int64_t status;            /* 0, first deadlocked lane + 1, or -1 */
+} share_t;
+
+static int64_t lane_nodes(const call_t *c, int64_t l) {
+    int64_t s = c->lanes[l * LANE_FIELDS + L_STRUCT];
+    return c->node_off[s + 1] - c->node_off[s];
+}
+
+/* Push one non-instant node onto its ready heap, stamping the lane's
  * arrival counter -- the C twin of the scalar engines' enqueue fast path. */
-#define PUSH_READY(gnode) do { \
-    int64_t pr_g = (gnode); \
+#define PUSH_READY(v) do { \
+    int64_t pr_v = (v); \
     arrival += 1; \
     rentry pr_e; \
-    pr_e.node = pr_g; \
+    pr_e.node = pr_v; \
     switch (kv) { \
-    case 0: pr_e.prim = ready[pr_g - base]; pr_e.sec = (double)(pr_g - base); break; \
-    case 1: pr_e.prim = static_key[pr_g]; pr_e.sec = (double)arrival; break; \
+    case 0: pr_e.prim = ready[pr_v]; pr_e.sec = (double)pr_v; break; \
+    case 1: pr_e.prim = key[pr_v]; pr_e.sec = (double)arrival; break; \
     case 2: pr_e.prim = -(double)arrival; pr_e.sec = (double)arrival; break; \
     default: pr_e.prim = lane_draws[arrival - 1]; pr_e.sec = (double)arrival; break; \
     } \
-    int64_t pr_d = assigned[pr_g]; \
+    int64_t pr_d = asg[pr_v]; \
     if (pr_d < 0) rpush(host_heap, &host_len, pr_e); \
-    else rpush(dev_heap + pr_d * max_n, &dev_len[pr_d], pr_e); \
+    else rpush(dev_heap + dev_base[pr_d], &dev_len[pr_d], pr_e); \
 } while (0)
 
 /* Enqueue a ready node, resolving zero-WCET ("instant") nodes through the
  * same FIFO cascade as the scalar engines' pending deque. */
-#define ENQUEUE(gnode) do { \
+#define ENQUEUE(v) do { \
     int64_t eq_head = 0, eq_tail = 0; \
-    pending[eq_tail++] = (gnode); \
+    pending[eq_tail++] = (v); \
     while (eq_head < eq_tail) { \
         int64_t eq_cur = pending[eq_head++]; \
-        if (wcet[eq_cur] != 0.0) { PUSH_READY(eq_cur); continue; } \
-        double eq_when = ready[eq_cur - base]; \
+        if (w[eq_cur] != 0.0) { PUSH_READY(eq_cur); continue; } \
+        double eq_when = ready[eq_cur]; \
         if (eq_when > makespan) makespan = eq_when; \
         remaining -= 1; \
-        for (int64_t eq_e = succ_ptr[eq_cur]; eq_e < succ_ptr[eq_cur + 1]; eq_e++) { \
-            int64_t eq_s = succ_idx[eq_e]; \
-            if (eq_when > ready[eq_s - base]) ready[eq_s - base] = eq_when; \
-            if (--in_deg[eq_s - base] == 0) pending[eq_tail++] = eq_s; \
+        for (int64_t eq_e = ptr[eq_cur]; eq_e < ptr[eq_cur + 1]; eq_e++) { \
+            int64_t eq_s = idx[eq_e]; \
+            if (eq_when > ready[eq_s]) ready[eq_s] = eq_when; \
+            if (--in_deg[eq_s] == 0) pending[eq_tail++] = eq_s; \
         } \
     } \
 } while (0)
 
-/* Run every lane's event loop; lanes are independent.
- *
- * Returns 0 on success, (lane index + 1) when that lane deadlocks, or -1
- * when scratch allocation fails.  All node indices are global (lane l owns
- * [node_off[l], node_off[l+1])); succ_ptr/succ_idx are the globally
- * rebased CSR.  Per-lane scratch is indexed locally (global - base).
- */
-int64_t repro_run_lanes(
-    int64_t n_lanes,
-    const int64_t *node_off,     /* n_lanes + 1 */
-    const double  *wcet,         /* N */
-    const int64_t *succ_ptr,     /* N + 1 */
-    const int64_t *succ_idx,     /* E */
-    const int64_t *in_degree,    /* N, initial (read-only) */
-    const int64_t *assigned,     /* N, device id or -1 (host) */
-    const double  *static_key,   /* N (static lanes; zeros elsewhere) */
-    const double  *draws,        /* concatenated draws of random lanes */
-    const int64_t *draw_off,     /* n_lanes */
-    const int64_t *host_cores,   /* n_lanes */
-    const int64_t *accelerators, /* n_lanes */
-    const int64_t *kind,         /* n_lanes: 0 fifo, 1 static, 2 lifo, 3 random */
-    double        *out,          /* n_lanes */
-    int64_t       *stats         /* 2: [0] += retire windows, [1] += nodes retired */
-) {
+/* Run a share's lanes in order on this thread's own scratch, sized by its
+ * largest lane; stop at its first deadlocked lane. */
+static void run_share(share_t *sh) {
+    const call_t *c = sh->call;
+    const int64_t *idx = c->succ_idx;
+    int64_t steps = 0, events = 0;
     int64_t max_n = 0, max_a = 0;
-    for (int64_t l = 0; l < n_lanes; l++) {
-        int64_t n = node_off[l + 1] - node_off[l];
+    for (int64_t l = sh->first; l < sh->last; l++) {
+        int64_t n = lane_nodes(c, l), n_acc = c->lanes[l * LANE_FIELDS + L_ACCEL];
         if (n > max_n) max_n = n;
-        if (accelerators[l] > max_a) max_a = accelerators[l];
+        if (n_acc > max_a) max_a = n_acc;
+        c->out[l] = 0.0;
     }
-    if (max_n == 0) {
-        for (int64_t l = 0; l < n_lanes; l++) out[l] = 0.0;
-        return 0;
-    }
+    if (max_n == 0) return;
 
+    /* The device heaps together never hold more than the lane's nodes: each
+     * gets the slice of dev_heap its assigned node count needs. */
     int64_t  *in_deg    = malloc(sizeof(int64_t) * max_n);
     double   *ready     = malloc(sizeof(double) * max_n);
     int64_t  *pending   = malloc(sizeof(int64_t) * max_n);
     int64_t  *newly     = malloc(sizeof(int64_t) * max_n);
     rentry   *host_heap = malloc(sizeof(rentry) * max_n);
-    rentry   *dev_heap  = max_a ? malloc(sizeof(rentry) * max_a * max_n) : NULL;
+    rentry   *dev_heap  = max_a ? malloc(sizeof(rentry) * max_n) : NULL;
+    int64_t  *dev_base  = max_a ? malloc(sizeof(int64_t) * max_a) : NULL;
     int64_t  *dev_len   = max_a ? malloc(sizeof(int64_t) * max_a) : NULL;
     uint8_t  *dev_free  = max_a ? malloc(sizeof(uint8_t) * max_a) : NULL;
     runentry *running   = malloc(sizeof(runentry) * max_n);
     if (!in_deg || !ready || !pending || !newly || !host_heap || !running ||
-        (max_a && (!dev_heap || !dev_len || !dev_free))) {
-        free(in_deg); free(ready); free(pending); free(newly);
-        free(host_heap); free(dev_heap); free(dev_len); free(dev_free);
-        free(running);
-        return -1;
+        (max_a && (!dev_heap || !dev_base || !dev_len || !dev_free))) {
+        sh->status = -1;
+        goto done;
     }
 
-    int64_t status = 0;
-    for (int64_t l = 0; l < n_lanes; l++) {
-        const int64_t base = node_off[l];
-        const int64_t n = node_off[l + 1] - base;
-        out[l] = 0.0;
+    for (int64_t l = sh->first; l < sh->last; l++) {
+        const int64_t *lane = c->lanes + l * LANE_FIELDS;
+        const int64_t base = c->node_off[lane[L_STRUCT]];
+        const int64_t n = c->node_off[lane[L_STRUCT] + 1] - base;
         if (n == 0) continue;
-        const int64_t kv = kind[l];
-        const double *lane_draws = draws + draw_off[l];
-        const int64_t n_acc = accelerators[l];
+        const int64_t *ptr = c->succ_ptr + base;
+        const double *w = c->wcet + lane[L_WCET];
+        const int64_t *asg = c->assigned + lane[L_ASSIGNED];
+        const double *key = c->static_key + lane[L_KEY];
+        const double *lane_draws = c->draws + lane[L_DRAW];
+        const int64_t kv = lane[L_KIND];
+        const int64_t n_acc = lane[L_ACCEL];
 
-        memcpy(in_deg, in_degree + base, sizeof(int64_t) * n);
+        memcpy(in_deg, c->in_degree + base, sizeof(int64_t) * n);
         memset(ready, 0, sizeof(double) * n);
-        for (int64_t d = 0; d < n_acc; d++) { dev_len[d] = 0; dev_free[d] = 1; }
-        int64_t free_cores = host_cores[l];
+        if (n_acc > 0) {
+            for (int64_t d = 0; d < n_acc; d++) {
+                dev_base[d] = 0; dev_len[d] = 0; dev_free[d] = 1;
+            }
+            for (int64_t i = 0; i < n; i++)
+                if (asg[i] >= 0) dev_base[asg[i]] += 1;
+            for (int64_t d = 0, start = 0; d < n_acc; d++) {
+                int64_t count = dev_base[d];
+                dev_base[d] = start;
+                start += count;
+            }
+        }
+        int64_t free_cores = lane[L_CORES];
         int64_t host_len = 0, run_len = 0;
         int64_t arrival = 0, seq = 0;
         int64_t remaining = n;
@@ -256,7 +333,7 @@ int64_t repro_run_lanes(
          * in-degree array, then enqueue each in creation order. */
         int64_t n_src = 0;
         for (int64_t i = 0; i < n; i++)
-            if (in_deg[i] == 0) newly[n_src++] = base + i;
+            if (in_deg[i] == 0) newly[n_src++] = i;
         for (int64_t i = 0; i < n_src; i++) ENQUEUE(newly[i]);
 
         while (remaining > 0) {
@@ -265,23 +342,23 @@ int64_t repro_run_lanes(
                 rentry e = rpop(host_heap, &host_len);
                 free_cores -= 1;
                 seq += 1;
-                runentry r = { now + wcet[e.node], seq, e.node, -1 };
+                runentry r = { now + w[e.node], seq, e.node, -1 };
                 runpush(running, &run_len, r);
             }
             for (int64_t d = 0; d < n_acc; d++) {
                 while (dev_free[d] && dev_len[d] > 0) {
-                    rentry e = rpop(dev_heap + d * max_n, &dev_len[d]);
+                    rentry e = rpop(dev_heap + dev_base[d], &dev_len[d]);
                     dev_free[d] = 0;
                     seq += 1;
-                    runentry r = { now + wcet[e.node], seq, e.node, d };
+                    runentry r = { now + w[e.node], seq, e.node, d };
                     runpush(running, &run_len, r);
                 }
             }
             if (remaining == 0) break;
-            if (run_len == 0) { status = l + 1; goto done; }
+            if (run_len == 0) { sh->status = l + 1; goto done; }
 
             /* Advance to the earliest completion; retire the whole window. */
-            stats[0] += 1;
+            steps += 1;
             now = running[0].finish;
             double threshold = now + 1e-12;
             while (run_len > 0 && running[0].finish <= threshold) {
@@ -291,26 +368,109 @@ int64_t repro_run_lanes(
                 if (r.dev < 0) free_cores += 1;
                 else dev_free[r.dev] = 1;
                 int64_t n_new = 0;
-                for (int64_t e = succ_ptr[r.node]; e < succ_ptr[r.node + 1]; e++) {
-                    int64_t s = succ_idx[e];
-                    if (r.finish > ready[s - base]) ready[s - base] = r.finish;
-                    if (--in_deg[s - base] == 0) newly[n_new++] = s;
+                for (int64_t e = ptr[r.node]; e < ptr[r.node + 1]; e++) {
+                    int64_t s = idx[e];
+                    if (r.finish > ready[s]) ready[s] = r.finish;
+                    if (--in_deg[s] == 0) newly[n_new++] = s;
                 }
                 for (int64_t j = 0; j < n_new; j++) {
                     int64_t s = newly[j];
-                    if (wcet[s] != 0.0) { PUSH_READY(s); }
+                    if (w[s] != 0.0) { PUSH_READY(s); }
                     else ENQUEUE(s);
                 }
             }
         }
-        out[l] = makespan;
-        stats[1] += n;
+        c->out[l] = makespan;
+        events += n;
     }
 
 done:
+    sh->steps = steps;
+    sh->events = events;
     free(in_deg); free(ready); free(pending); free(newly);
-    free(host_heap); free(dev_heap); free(dev_len); free(dev_free);
-    free(running);
+    free(host_heap); free(dev_heap); free(dev_base); free(dev_len);
+    free(dev_free); free(running);
+}
+
+static void *share_main(void *arg) {
+    run_share((share_t *)arg);
+    return NULL;
+}
+
+/* Run every lane's event loop; lanes are independent.
+ *
+ * Lane l reads structure lanes[l].struct (table rows node_off[s] to
+ * node_off[s + 1], its CSR in structure-local node indices) and the WCET,
+ * assignment, key and draw vectors its record points at.  The lanes are
+ * cut into n_threads contiguous shares of about equal node count; share 0
+ * runs on the calling thread, the rest on threads joined before return
+ * (a share whose thread cannot start runs on the calling thread too).
+ *
+ * Returns 0 on success, (lane index + 1) of the lowest deadlocked lane, or
+ * -1 when scratch allocation fails.  stats[0] += retire windows, stats[1]
+ * += nodes retired, summed over the shares.
+ */
+int64_t repro_run_lanes(
+    int64_t n_lanes,
+    int64_t n_threads,
+    const int64_t *node_off,
+    const int64_t *succ_ptr,
+    const int64_t *succ_idx,
+    const int64_t *in_degree,
+    const double  *wcet,
+    const int64_t *assigned,
+    const double  *static_key,
+    const double  *draws,
+    const int64_t *lanes,
+    double        *out,
+    int64_t       *stats
+) {
+    call_t call = { node_off, succ_ptr, succ_idx, in_degree, wcet, assigned,
+                    static_key, draws, lanes, out };
+    if (n_threads > n_lanes) n_threads = n_lanes;
+    if (n_threads < 1) n_threads = 1;
+
+    share_t one;
+    share_t *shares = &one;
+    pthread_t *threads = NULL;
+    uint8_t *started = NULL;
+    if (n_threads > 1) {
+        shares = malloc(sizeof(share_t) * n_threads);
+        threads = malloc(sizeof(pthread_t) * n_threads);
+        started = calloc(n_threads, sizeof(uint8_t));
+        if (!shares || !threads || !started) {
+            free(shares); free(threads); free(started);
+            return -1;
+        }
+    }
+
+    int64_t total = 0;
+    for (int64_t l = 0; l < n_lanes; l++) total += lane_nodes(&call, l);
+    for (int64_t t = 0, l = 0, done_nodes = 0; t < n_threads; t++) {
+        share_t sh = { &call, l, l, 0, 0, 0 };
+        int64_t goal = total / n_threads * (t + 1) + total % n_threads * (t + 1) / n_threads;
+        while (l < n_lanes && (done_nodes < goal || t == n_threads - 1))
+            done_nodes += lane_nodes(&call, l++);
+        sh.last = l;
+        shares[t] = sh;
+    }
+
+    for (int64_t t = 1; t < n_threads; t++)
+        started[t] = pthread_create(&threads[t], NULL, share_main, &shares[t]) == 0;
+    run_share(&shares[0]);
+    for (int64_t t = 1; t < n_threads; t++)
+        if (!started[t]) run_share(&shares[t]);
+    for (int64_t t = 1; t < n_threads; t++)
+        if (started[t]) pthread_join(threads[t], NULL);
+
+    int64_t status = 0;
+    for (int64_t t = 0; t < n_threads; t++) {
+        stats[0] += shares[t].steps;
+        stats[1] += shares[t].events;
+        if (shares[t].status < 0) status = -1;
+        else if (shares[t].status > 0 && status == 0) status = shares[t].status;
+    }
+    if (n_threads > 1) { free(shares); free(threads); free(started); }
     return status;
 }
 """
@@ -319,10 +479,6 @@ _lock = threading.Lock()
 _lib: Optional[ctypes.CDLL] = None
 _reason: Optional[str] = None
 _probed = False
-
-
-def _source_digest() -> str:
-    return hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
 
 
 def _find_compiler() -> Optional[str]:
@@ -349,29 +505,36 @@ def _cache_dir() -> str:
     return os.path.join(tempfile.gettempdir(), f"repro-kernels-{user}")
 
 
-def _build_library() -> str:
-    """Compile the kernel (once per source version) and return its path.
+#: Compiler flags of the kernel build; the sources follow, then ``-o``.
+_FLAGS = ("-O2", "-std=c99", "-fPIC", "-shared", "-pthread")
 
-    The library name carries the source hash, so editing the C source can
-    never pick up a stale cache; concurrent builders race benignly through
-    an atomic rename.
+
+def _build_library() -> str:
+    """Compile the kernel (once per source and command) and return its path.
+
+    The library name carries a hash of the C source and the compile command
+    (compiler and flags), so neither an edited source nor a changed flag
+    can pick up a stale cache; concurrent builders race benignly through an
+    atomic rename.
     """
-    cache = _cache_dir()
-    suffix = "dll" if sys.platform == "win32" else "so"
-    target = os.path.join(cache, f"repro_step_kernel_{_source_digest()}.{suffix}")
-    if os.path.exists(target):
-        return target
     compiler = _find_compiler()
     if compiler is None:
         raise RuntimeError(
             "no C compiler found (looked for cc/gcc/clang; set REPRO_CC)"
         )
+    key = "\0".join((_C_SOURCE, compiler, *_FLAGS))
+    stem = f"repro_step_kernel_{hashlib.sha256(key.encode()).hexdigest()[:16]}"
+    cache = _cache_dir()
+    suffix = "dll" if sys.platform == "win32" else "so"
+    target = os.path.join(cache, f"{stem}.{suffix}")
+    if os.path.exists(target):
+        return target
     os.makedirs(cache, exist_ok=True)
-    src = os.path.join(cache, f"repro_step_kernel_{_source_digest()}.c")
+    src = os.path.join(cache, f"{stem}.c")
     with open(src, "w", encoding="utf-8") as handle:
         handle.write(_C_SOURCE)
     tmp = f"{target}.tmp.{os.getpid()}"
-    cmd = [compiler, "-O2", "-std=c99", "-fPIC", "-shared", src, "-o", tmp]
+    cmd = [compiler, *_FLAGS, src, "-o", tmp]
     result = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
     if result.returncode != 0:
         raise RuntimeError(
@@ -401,7 +564,7 @@ def load_kernel() -> Optional[ctypes.CDLL]:
             lib = ctypes.CDLL(_build_library())
             fn = lib.repro_run_lanes
             fn.restype = ctypes.c_int64
-            fn.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 14
+            fn.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 11
             _lib = lib
         except Exception as error:  # noqa: BLE001 - any failure means "absent"
             _reason = str(error)
@@ -436,51 +599,71 @@ def _f64(array: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(array, dtype=np.float64)
 
 
+def _thread_count(n_lanes: int, nodes: int) -> int:
+    """Threads for a call of ``n_lanes`` lanes and ``nodes`` nodes in all:
+    one per :data:`GRAIN_NODES`, at most one per lane and per CPU the
+    process may run on."""
+    threads = min(n_lanes, nodes // GRAIN_NODES)
+    return 1 if threads < 2 else min(threads, available_cpus())
+
+
 def run_lanes(
     node_off: np.ndarray,
-    wcet: np.ndarray,
     succ_ptr: np.ndarray,
     succ_idx: np.ndarray,
     in_degree: np.ndarray,
+    wcet: np.ndarray,
     assigned: np.ndarray,
     static_key: np.ndarray,
     draws: np.ndarray,
-    draw_off: np.ndarray,
-    host_cores: np.ndarray,
-    accelerators: np.ndarray,
-    kinds: np.ndarray,
+    lanes: np.ndarray,
+    *,
+    _threads: Optional[int] = None,
 ) -> np.ndarray:
     """Run every lane through the compiled loop; returns per-lane makespans.
 
-    Raises :class:`RuntimeError` when the backend is unavailable and
+    The first eight arguments are the call's shared tables: the structure
+    tables (``node_off``, ``succ_ptr``, ``succ_idx`` and ``in_degree``, as
+    :func:`repro.core.compiled.stack_compiled` lays them out) and the value
+    tables each lane takes a vector from.  ``lanes`` holds one record of
+    :data:`LANE_FIELDS` integers per lane.  ``_threads`` overrides the
+    thread count (tests only); results never depend on it.
+
+    Raises :class:`RuntimeError` when the backend is unavailable,
     :class:`~repro.core.exceptions.SimulationError` on a deadlocked lane
-    (same message as the scalar engines).  The GIL is released for the
+    (same message as the scalar engines) and :class:`MemoryError` when the
+    kernel cannot allocate its scratch.  The GIL is released for the
     duration of the C call.
     """
     lib = load_kernel()
     if lib is None:
         raise RuntimeError(f"compiled kernel unavailable: {_reason}")
-    n_lanes = len(node_off) - 1
+    lanes = _i64(lanes).reshape(-1, len(LANE_FIELDS))
+    node_off = _i64(node_off)
+    n_lanes = len(lanes)
+    threads = _threads
+    if threads is None:
+        # A one-lane call (a service miss) skips the node count.
+        structures = lanes[:, LANE_FIELDS.index("struct")]
+        nodes = int(np.diff(node_off)[structures].sum()) if n_lanes > 1 else 0
+        threads = _thread_count(n_lanes, nodes)
     out = np.empty(n_lanes, dtype=np.float64)
     stats = np.zeros(2, dtype=np.int64)
     arrays = (
-        _i64(node_off),
-        _f64(wcet),
+        node_off,
         _i64(succ_ptr),
         _i64(succ_idx),
         _i64(in_degree),
+        _f64(wcet),
         _i64(assigned),
         _f64(static_key),
         _f64(draws),
-        _i64(draw_off),
-        _i64(host_cores),
-        _i64(accelerators),
-        _i64(kinds),
+        lanes,
         out,
         stats,
     )
     status = lib.repro_run_lanes(
-        ctypes.c_int64(n_lanes), *(a.ctypes.data for a in arrays)
+        n_lanes, threads, *(a.ctypes.data for a in arrays)
     )
     if status > 0:
         raise SimulationError(
@@ -489,8 +672,8 @@ def run_lanes(
         )
     if status < 0:
         raise MemoryError("compiled kernel scratch allocation failed")
-    # The C loop advances one lane per retire window, so each step has
-    # exactly one active lane (occupancy 1/n_lanes by construction).
+    # Each retire window advances one lane, whichever thread runs it, so
+    # each step has exactly one active lane (occupancy 1/n_lanes).
     record_kernel_batch(
         "compiled",
         lanes=n_lanes,

@@ -26,7 +26,11 @@ Semantics of the counters (uniform across engines):
     is the mean number of lanes each step advanced, and
     ``lane_steps / (steps * lanes)`` the mean lane occupancy in ``[0, 1]``
     (1.0 means no lane idles; the C kernel is per-lane, so its occupancy
-    is ``1 / lanes`` by construction and honest about it).
+    is ``1 / lanes`` by construction and honest about it).  This holds
+    when the C kernel splits a call's lanes across threads: each retire
+    window still advances one lane, whichever thread runs it, so
+    ``lane_steps`` stays the number of windows and ``steps`` and
+    ``events`` are the per-thread counts summed.
 
 Collectors are thread-local: the facade wraps each engine call of a batch
 in one collector and hands the merged profile to the trace span and the

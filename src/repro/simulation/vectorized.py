@@ -2,10 +2,13 @@
 
 A figure 6 sweep runs thousands of independent simulations, one per
 ``(task, platform, policy)`` cell.  This module turns each cell into a
-*lane* -- the compiled task view, the platform, the device-assignment array
-and the policy's priority inputs -- and runs every lane of a call in one
-native call of the C kernel (:mod:`repro.simulation._kernels`, packed by
-:mod:`repro.simulation.vectorized_compiled`).
+*lane* and runs every lane of a call in one native call of the C kernel
+(:mod:`repro.simulation._kernels`, packed by
+:mod:`repro.simulation.vectorized_compiled`, split across the CPUs the
+process may run on).  A task's lanes on several platforms form one group
+that shares the compiled task view, the device-assignment array and the
+static priority keys; only the platform and a random policy's draws differ
+per lane.
 
 Policy families
 ---------------
@@ -84,14 +87,15 @@ class VectorCell:
 
 
 @dataclass
-class _Lane:
-    """Resolved per-cell inputs (internal)."""
+class _TaskLanes:
+    """One task's lanes, one per platform, and what they share (internal)."""
 
     compiled: CompiledTask
-    platform: Platform
+    kind: str
+    platforms: Sequence[Platform]
     assigned: np.ndarray  # (n,) device per node, -1 = host
     static_keys: Optional[np.ndarray] = None  # static kind
-    draws: Optional[np.ndarray] = None  # random kind
+    draws: Optional[list[np.ndarray]] = None  # random kind, one per platform
 
 
 def _vector_kind(policy: Optional[SchedulingPolicy]) -> str:
@@ -115,7 +119,7 @@ def _task_lanes(
     kind: str,
     offload_enabled: bool,
     device_assignment: Optional[Mapping[NodeId, int]] = None,
-) -> list[_Lane]:
+) -> _TaskLanes:
     """The lanes of ``task`` on each of ``platforms``, in platform order.
 
     The compiled view, the device-assignment array and the static keys are
@@ -130,7 +134,6 @@ def _task_lanes(
         if kind == VECTOR_STATIC
         else None
     )
-    nonzero = int(np.count_nonzero(compiled.wcet)) if kind == VECTOR_RANDOM else 0
     # The resolved assignment does not depend on the platform, only its
     # validation does: resolve once, re-validate (and surface the exact
     # error) only for platforms that cannot satisfy it.
@@ -141,13 +144,14 @@ def _task_lanes(
     assigned = np.full(len(compiled.nodes), -1, dtype=np.int64)
     for node, device in assignment.items():
         assigned[compiled.index[node]] = device
-    lanes = []
     for platform in platforms:
         if max_device >= platform.accelerators:
             _device_assignment(task, platform, offload_enabled, device_assignment)
-        draws = policy.vector_draws(nonzero) if kind == VECTOR_RANDOM else None
-        lanes.append(_Lane(compiled, platform, assigned, static, draws))
-    return lanes
+    draws = None
+    if kind == VECTOR_RANDOM:
+        nonzero = int(np.count_nonzero(compiled.wcet))
+        draws = [policy.vector_draws(nonzero) for _ in platforms]
+    return _TaskLanes(compiled, kind, platforms, assigned, static, draws)
 
 
 def simulate_column_vectorized(
@@ -171,17 +175,12 @@ def simulate_column_vectorized(
     platform_list = [_as_platform(platform) for platform in platforms]
     if not platform_list:
         raise ValueError("simulate_column_vectorized needs at least one platform")
-    lanes = [
-        lane
+    groups = [
+        _task_lanes(task, compiled, platform_list, policy, kind, offload_enabled)
         for task, compiled in entries
-        for lane in _task_lanes(
-            task, compiled, platform_list, policy, kind, offload_enabled
-        )
     ]
     # Lanes sit in (task, platform) order, which is the output order.
-    return run_lanes_compiled(lanes, [kind] * len(lanes)).reshape(
-        len(entries), len(platform_list)
-    )
+    return run_lanes_compiled(groups).reshape(len(entries), len(platform_list))
 
 
 def simulate_makespans_vectorized(cells: Sequence[VectorCell]) -> np.ndarray:
@@ -195,10 +194,8 @@ def simulate_makespans_vectorized(cells: Sequence[VectorCell]) -> np.ndarray:
     cells = list(cells)
     kinds = [_vector_kind(cell.policy) for cell in cells]
     resolve_engine("compiled")
-    lanes = [
-        lane
-        for cell, kind in zip(cells, kinds)
-        for lane in _task_lanes(
+    groups = [
+        _task_lanes(
             cell.task,
             cell.compiled,
             [_as_platform(cell.platform)],
@@ -207,5 +204,6 @@ def simulate_makespans_vectorized(cells: Sequence[VectorCell]) -> np.ndarray:
             cell.offload_enabled,
             cell.device_assignment,
         )
+        for cell, kind in zip(cells, kinds)
     ]
-    return run_lanes_compiled(lanes, kinds)
+    return run_lanes_compiled(groups)

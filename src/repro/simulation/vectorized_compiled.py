@@ -3,19 +3,19 @@
 :func:`resolve_engine` names the engine that serves a vectorisable
 simulation grid on this host: the C kernel when it can be built, the dense
 engine otherwise.  :func:`run_lanes_compiled` is the bridge between the
-lane representation of :mod:`repro.simulation.vectorized` (a list of
-``_Lane`` records: compiled task view, platform, device-assignment array,
+lane groups of :mod:`repro.simulation.vectorized` (one ``_TaskLanes`` per
+task: compiled view, priority family, platforms, device-assignment array,
 optional static keys / pre-consumed draws) and the C step loop in
-:mod:`repro.simulation._kernels`: it lays the lanes out in the flat global
-node space the kernel expects -- node offsets, WCETs, the globally rebased
-CSR and initial in-degrees from :func:`repro.core.compiled.stack_compiled`,
-plus device assignments, per-lane resources and priority-family codes --
-and runs them all in **one** native call (mixed families are fine; the
-kernel switches per lane).
+:mod:`repro.simulation._kernels`.  It stores each distinct object once --
+structures and WCET vectors through
+:func:`repro.core.compiled.stack_compiled`, each group's assignment and
+static keys, each lane's draws -- writes one record of offsets, resources
+and family code per lane, and runs every lane in **one** native call
+(mixed families are fine; the kernel switches per lane).
 
 It deliberately imports nothing from ``vectorized`` so the dependency chain
-stays a straight line (``vectorized`` -> here -> ``_kernels``); lanes are
-duck-typed on the ``_Lane`` attributes.
+stays a straight line (``vectorized`` -> here -> ``_kernels``); groups are
+duck-typed on the ``_TaskLanes`` attributes.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.compiled import stack_compiled
+from ..core.compiled import concat_distinct, stack_compiled
 from . import _kernels
-from .schedulers import VECTOR_RANDOM, VECTOR_STATIC
 
 __all__ = ["ENGINES", "resolve_backend", "resolve_engine", "run_lanes_compiled"]
 
@@ -61,57 +60,52 @@ def resolve_engine(engine: str) -> str:
 resolve_backend = resolve_engine
 
 
-def run_lanes_compiled(lanes: Sequence, kinds: Sequence[str]) -> np.ndarray:
-    """Makespans of ``lanes`` (parallel ``kinds`` list) via the C kernel.
+def run_lanes_compiled(groups: Sequence) -> np.ndarray:
+    """Makespans of every lane of ``groups`` via the C kernel.
 
-    Returns the per-lane makespans in input order; bit-identical to the
-    scalar engines by the contract of :mod:`repro.simulation._kernels`.
+    Returns the makespans group by group, each group's lanes in platform
+    order; bit-identical to the scalar engines by the contract of
+    :mod:`repro.simulation._kernels`.
     """
-    B = len(lanes)
-    if B == 0:
+    if not groups:
         return np.empty(0, dtype=np.float64)
-    node_off, wcet, ptr, idx, in_degree = stack_compiled(
-        [lane.compiled for lane in lanes]
+    stack = stack_compiled([group.compiled for group in groups])
+    assigned, assigned_off = concat_distinct(
+        [group.assigned for group in groups], np.int64
     )
-    assigned = np.concatenate([lane.assigned for lane in lanes])
-
-    static_key = np.zeros(int(node_off[-1]), dtype=np.float64)
-    draw_off = np.zeros(B, dtype=np.int64)
-    draw_parts: list[np.ndarray] = []
-    total_draws = 0
-    kind_codes = np.empty(B, dtype=np.int64)
-    for i, (lane, kind) in enumerate(zip(lanes, kinds)):
-        kind_codes[i] = _kernels.KIND_CODES[kind]
-        draw_off[i] = total_draws
-        if kind == VECTOR_STATIC:
-            static_key[node_off[i] : node_off[i + 1]] = lane.static_keys
-        elif kind == VECTOR_RANDOM:
-            draws = np.asarray(lane.draws, dtype=np.float64)
-            if len(draws):
-                draw_parts.append(draws)
-                total_draws += len(draws)
-    draws_flat = (
-        np.concatenate(draw_parts)
-        if draw_parts
-        else np.empty(0, dtype=np.float64)
+    keys, key_off = concat_distinct(
+        [group.static_keys for group in groups], np.float64
     )
-    host_cores = np.array(
-        [lane.platform.host_cores for lane in lanes], dtype=np.int64
+    draws, draw_off = concat_distinct(
+        [
+            pool
+            for group in groups
+            for pool in (group.draws or [None] * len(group.platforms))
+        ],
+        np.float64,
     )
-    accelerators = np.array(
-        [lane.platform.accelerators for lane in lanes], dtype=np.int64
-    )
+    draw_offsets = iter(draw_off)
+    records: list[int] = []  # LANE_FIELDS per lane, in that order
+    for group, shared in zip(
+        groups, zip(stack.structure, stack.wcet_off, assigned_off, key_off)
+    ):
+        kind = _kernels.KIND_CODES[group.kind]
+        for platform in group.platforms:
+            records += (
+                *shared,
+                next(draw_offsets),
+                platform.host_cores,
+                platform.accelerators,
+                kind,
+            )
     return _kernels.run_lanes(
-        node_off,
-        wcet,
-        ptr,
-        idx,
-        in_degree,
+        stack.node_off,
+        stack.succ_ptr,
+        stack.succ_idx,
+        stack.in_degree,
+        stack.wcet,
         assigned,
-        static_key,
-        draws_flat,
-        draw_off,
-        host_cores,
-        accelerators,
-        kind_codes,
+        keys,
+        draws,
+        np.array(records, dtype=np.int64),
     )

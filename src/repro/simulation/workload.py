@@ -288,13 +288,13 @@ class WorkloadResult:
 class _WorkloadProblem:
     """The concatenated global node space of one workload.
 
-    Pure data: the instances' compiled views laid out by
-    :func:`~repro.core.compiled.stack_compiled` (the C kernel's layout with
-    one lane group), the shared platform's capacity, per-node device
-    targets, the policy's key family and -- for the stochastic family --
-    the pre-drawn priority pool.  Both
-    engines consume this and nothing else, so their agreement is about the
-    event loops, not about input parsing.
+    Pure data: the instances' compiled views in one global node space
+    (:meth:`~repro.core.compiled.StackedViews.global_space` of
+    :func:`~repro.core.compiled.stack_compiled`), the shared platform's
+    capacity, per-node device targets, the policy's key family and -- for
+    the stochastic family -- the pre-drawn priority pool.  Both engines
+    consume this and nothing else, so their agreement is about the event
+    loops, not about input parsing.
     """
 
     def __init__(
@@ -324,7 +324,7 @@ class _WorkloadProblem:
             self.succ_ptr,
             self.succ_idx,
             self.in_degree0,
-        ) = stack_compiled(compiled)
+        ) = stack_compiled(compiled).global_space()
         total = self.total_nodes = int(self.node_off[-1])
 
         self.device = np.full(total, -1, dtype=np.int64)

@@ -46,7 +46,11 @@ CHECKS = {
         "memoised_pass_stable",
     ),
     "simulation-dense": ("makespans_identical",),
-    "simulation-compiled": ("kernel_built", "makespans_identical"),
+    "simulation-compiled": (
+        "kernel_built",
+        "makespans_identical",
+        "threads_identical",
+    ),
     "service": ("payloads_identical", "document_hits_identical"),
     "faults": (
         "all_degraded_flagged",

@@ -354,7 +354,8 @@ class TestOneStructurePerShape:
 
 
 def _stacked_reference(views: list[CompiledTask]) -> tuple[list, ...]:
-    """``stack_compiled`` rebuilt view by view from the plain lists."""
+    """``stack_compiled(...).global_space()`` rebuilt view by view from the
+    plain lists."""
     node_off, wcet, succ_ptr, succ_idx, in_degree = [0], [], [], [], []
     for view in views:
         base = node_off[-1]
@@ -392,7 +393,7 @@ class TestStackCompiled:
     )
     def test_matches_a_per_view_reference(self, picks):
         views = [_STACK_POOL[pick] for pick in picks]
-        stacked = stack_compiled(views)
+        stacked = stack_compiled(views).global_space()
         reference = _stacked_reference(views)
         dtypes = (np.int64, np.float64, np.int64, np.int64, np.int64)
         for array, expected, dtype in zip(stacked, reference, dtypes):
@@ -403,6 +404,30 @@ class TestStackCompiled:
             for array in stacked:
                 assert not np.shares_memory(array, view.in_degree_array)
                 assert not np.shares_memory(array, view.succ_idx_array)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        picks=st.lists(
+            st.integers(min_value=0, max_value=len(_STACK_POOL) - 1), max_size=7
+        )
+    )
+    def test_stores_each_distinct_structure_and_view_once(self, picks):
+        views = [_STACK_POOL[pick] for pick in picks]
+        stack = stack_compiled(views)
+        distinct = list({id(view): view for view in views}.values())
+        structures = {id(view.structure) for view in views}
+        assert len(stack.node_off) == len(structures) + 1
+        assert len(stack.wcet) == sum(view.node_count for view in distinct)
+        for view, s, offset in zip(views, stack.structure, stack.wcet_off):
+            rows = range(stack.node_off[s], stack.node_off[s + 1])
+            assert stack.in_degree[rows.start : rows.stop].tolist() == view.in_degree
+            assert [
+                stack.succ_idx[stack.succ_ptr[row] : stack.succ_ptr[row + 1]].tolist()
+                for row in rows
+            ] == [view.successors_of(i) for i in range(view.node_count)]
+            assert stack.wcet[offset : offset + view.node_count].tolist() == (
+                view.wcet_list
+            )
 
 
 class TestDenseProtocolGuards:

@@ -8,6 +8,8 @@ tiny scale and compare the full result documents.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.analysis import analyse, analyse_many
@@ -16,7 +18,7 @@ from repro.experiments.runner import run_all, run_experiment
 from repro.generator.config import OffloadConfig
 from repro.generator.presets import SMALL_TASKS
 from repro.generator.sweep import offload_fraction_sweep
-from repro.parallel import parallel_map, resolve_jobs, spawn_seeds
+from repro.parallel import available_cpus, parallel_map, resolve_jobs, spawn_seeds
 
 #: Small enough that running every figure twice stays in the seconds range.
 TINY = ExperimentScale(
@@ -50,6 +52,17 @@ class TestParallelHelpers:
         assert resolve_jobs(1) == 1
         assert resolve_jobs(4) == 4
         assert resolve_jobs(-1) >= 1
+
+    def test_all_cores_means_the_cpus_the_process_may_run_on(self, monkeypatch):
+        # Under ``taskset -c 0`` on a 2-CPU host, --jobs -1 once started two
+        # workers on the one CPU the process may use.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert available_cpus() == 1
+        assert resolve_jobs(-1) == 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert available_cpus() == 8
+        assert resolve_jobs(-1) == 8
 
     def test_parallel_map_preserves_order_serially_and_in_processes(self):
         items = list(range(20))

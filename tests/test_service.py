@@ -1636,6 +1636,25 @@ BAD_TIMINGS = {
 }
 
 
+#: A task whose makespan on one core tells the offload flag apart: 12.0
+#: with ``off`` on the accelerator beside ``b``, 22.0 with all on the host.
+FLAG_TASK = {
+    "nodes": {"a": 1, "off": 10, "b": 10, "z": 1},
+    "edges": [["a", "off"], ["a", "b"], ["off", "z"], ["b", "z"]],
+    "offloaded_node": "off",
+}
+
+#: Flag values that are not a JSON boolean; each was once read by truth
+#: value, so ``"false"`` and ``"no"`` switched offloading on.
+BAD_FLAGS = {"string-false": "false", "string-no": "no", "zero": 0, "one": 1,
+             "list": [], "null": None}
+
+#: ``time_limit`` values /makespan refuses; each was once accepted with a
+#: 200, except ``[5]``, which got "unhashable type: 'list'".
+BAD_TIME_LIMITS = {"string": "abc", "negative": -1, "zero": 0, "true": True,
+                   "list": [5], "overflow": "1e999"}
+
+
 def _chain_document(nodes: int) -> dict:
     """A task document: a chain of ``nodes`` unit nodes."""
     return {
@@ -1715,6 +1734,52 @@ class TestMalformedRequests:
         assert "relative deadline" in document["error"]["message"]
         stream["deadline"] = 30
         assert client.workload([stream], 10.0)["instances"] == 1
+
+    @pytest.mark.parametrize("name", sorted(BAD_FLAGS))
+    def test_non_boolean_flag_is_a_400(self, http_service, name):
+        _, server, _ = http_service
+        value = BAD_FLAGS[name]
+        stream = {"task": FLAG_TASK, "arrivals": {"kind": "trace", "times": [0.0]}}
+        for path, field, body in (
+            ("/simulate", "offload_enabled", {"task": FLAG_TASK, "cores": 1}),
+            ("/workload", "offload_enabled",
+             {"streams": [stream], "horizon": 50.0, "cores": 1}),
+            ("/analyse", "include_naive", {"task": FLAG_TASK, "cores": 1}),
+        ):
+            status, document = _post(server.port, path, {**body, field: value})
+            assert status == 400, (path, document)
+            assert document["error"]["code"] == "bad-request"
+            assert field in document["error"]["message"]
+            status, document = _post(server.port, path, {**body, field: False})
+            assert status == 200, (path, document)
+        for flag, makespan in ((True, 12.0), (False, 22.0)):
+            status, document = _post(
+                server.port,
+                "/simulate",
+                {"task": FLAG_TASK, "cores": 1, "offload_enabled": flag},
+            )
+            assert (status, document) == (200, {"makespan": makespan})
+        status, document = _post(
+            server.port, "/analyse",
+            {"task": FLAG_TASK, "cores": 1, "include_naive": False},
+        )
+        assert status == 200 and "naive" not in json.dumps(document), document
+
+    @pytest.mark.parametrize("name", sorted(BAD_TIME_LIMITS))
+    def test_invalid_time_limit_is_a_400(self, http_service, name):
+        _, server, _ = http_service
+        body = {"task": FLAG_TASK, "cores": 1, "time_limit": BAD_TIME_LIMITS[name]}
+        text = json.dumps(body).replace('"1e999"', "1e999")
+        status, document = _post(server.port, "/makespan", text)
+        assert status == 400, document
+        assert document["error"]["code"] == "bad-request"
+        assert "time_limit" in document["error"]["message"]
+        for time_limit in (None, 5):
+            status, document = _post(
+                server.port, "/makespan", {**body, "time_limit": time_limit}
+            )
+            assert status == 200, document
+            assert document["makespan"] == 12.0
 
     @pytest.mark.parametrize("key", ["nodes", "edges"])
     def test_task_over_a_size_cap_is_a_413(self, http_service, key):

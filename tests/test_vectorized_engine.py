@@ -13,17 +13,25 @@ kernel skip cleanly on hosts without a working C compiler (or with
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.compiled import stack_compiled
+from repro.core.exceptions import SimulationError
 from repro.core.task import DagTask
 from repro.core.transformation import transform
 from repro.simulation import _kernels
 from repro.simulation.batch import resolve_engine, simulate_many
 from repro.simulation.dense import simulate_makespan_dense
 from repro.simulation.engine import simulate
+from repro.simulation.kernel_stats import collect_kernel_stats
 from repro.simulation.platform import Platform
 from repro.simulation.schedulers import (
     VECTOR_FIFO,
@@ -555,3 +563,228 @@ class TestCompiledBackendPlumbing:
         finally:
             monkeypatch.delenv("REPRO_COMPILED", raising=False)
             _kernels._reset_for_tests()
+
+
+# ----------------------------------------------------------------------
+# Threads and the per-structure layout: results never depend on either
+# ----------------------------------------------------------------------
+@contextmanager
+def _threads(count: int):
+    """Run every kernel call inside the block on ``count`` threads."""
+    with mock.patch.object(_kernels, "_thread_count", lambda lanes, nodes: count):
+        yield
+
+
+def _reweighted(task: DagTask, seed: int, zero: bool) -> DagTask:
+    """A copy of ``task`` (same structure) with new host WCETs; ``zero``
+    sets every third host node's WCET to 0."""
+    copy = task.copy()
+    rng = np.random.default_rng(seed)
+    for rank, node in enumerate(copy.host_nodes()):
+        wcet = 0.0 if zero and rank % 3 == 0 else float(rng.integers(1, 9))
+        copy.graph.set_wcet(node, wcet)
+    return copy
+
+
+_CELL_SPECS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=3),  # task variant
+        st.sampled_from(_POLICY_NAMES),
+        st.integers(min_value=1, max_value=4),  # host cores
+        st.integers(min_value=1, max_value=3),  # accelerators
+        st.sampled_from(["offload", "host-only", "multi-device"]),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+def _grid(variants, specs, seed):
+    """Fresh cells of ``specs`` (fresh policies, so random streams replay)."""
+    cells = []
+    for position, (variant, name, cores, accelerators, mode) in enumerate(specs):
+        task = variants[variant]
+        assignment = None
+        if mode == "multi-device":
+            assignment = {
+                node: rank % accelerators
+                for rank, node in enumerate(task.graph.nodes()[::3])
+            }
+        cells.append(
+            VectorCell(
+                task,
+                Platform(cores, accelerators),
+                policy_by_name(name, rng=seed + position),
+                offload_enabled=mode != "host-only",
+                device_assignment=assignment,
+            )
+        )
+    return cells
+
+
+def _run_grid(cells, threads: int):
+    with _threads(threads), collect_kernel_stats() as stats:
+        makespans = simulate_makespans_vectorized(cells).tolist()
+    return makespans, stats.merged()
+
+
+def _lane_tables():
+    """Hand-built tables: a 3-node chain (structure 0), a 2-node structure
+    whose second node waits for an edge that does not exist (structure 1),
+    and an empty structure (2)."""
+    return dict(
+        node_off=np.array([0, 3, 5, 5]),
+        succ_ptr=np.array([0, 1, 2, 2, 3, 3]),
+        succ_idx=np.array([1, 2, 1]),
+        in_degree=np.array([0, 1, 1, 0, 2]),
+        wcet=np.array([1.0, 2.0, 3.0, 1.0, 1.0]),
+        assigned=np.full(5, -1),
+        static_key=np.zeros(0),
+        draws=np.zeros(0),
+    )
+
+
+def _lanes(structures):
+    """One fifo lane on 1 core per entry of ``structures``."""
+    wcet_of = {0: 0, 1: 3, 2: 0}
+    return np.array(
+        [[s, wcet_of[s], wcet_of[s], 0, 0, 1, 0, 0] for s in structures]
+    )
+
+
+class TestKernelThreads:
+    @requires_kernel
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=_SEEDS,
+        fraction=_FRACTIONS,
+        specs=_CELL_SPECS,
+        threads=st.integers(min_value=2, max_value=5),
+    )
+    def test_mixed_grids_are_thread_invariant(self, seed, fraction, specs, threads):
+        base = make_random_heterogeneous_task(seed, fraction, n_max=25)
+        variants = [
+            base,
+            transform(base).task,  # zero-WCET v_sync
+            _reweighted(base, seed, zero=False),
+            _reweighted(base, seed + 1, zero=True),
+        ]
+        assert variants[3].compiled().structure is base.compiled().structure
+        one = _run_grid(_grid(variants, specs, seed), 1)
+        many = _run_grid(_grid(variants, specs, seed), threads)
+        assert one == many
+        dense = [
+            simulate_makespan_dense(
+                cell.task,
+                cell.platform,
+                cell.policy,
+                offload_enabled=cell.offload_enabled,
+                device_assignment=cell.device_assignment,
+            )
+            for cell in _grid(variants, specs, seed)
+        ]
+        assert one[0] == dense
+
+    @requires_kernel
+    def test_one_structure_with_two_weightings_does_not_alias(self):
+        base = make_random_heterogeneous_task(11, 0.3, n_max=25)
+        host = base.host_nodes()
+        other = _reweighted(base, 5, zero=True).with_offloaded_node(host[-1])
+        assert other.compiled().structure is base.compiled().structure
+        stack = stack_compiled([base.compiled(), other.compiled()])
+        assert len(stack.node_off) == 2
+        assert stack.wcet_off == [0, base.node_count]
+        cells = [
+            VectorCell(task, Platform(2, 1), policy_by_name(name))
+            for name in ("breadth-first", "critical-path-first")
+            for task in (base, other, base, other)
+        ]
+        dense = [
+            simulate_makespan_dense(cell.task, cell.platform, cell.policy)
+            for cell in cells
+        ]
+        assert dense[0] != dense[1]
+        for threads in (1, 2, 8):
+            assert _run_grid(cells, threads)[0] == dense
+
+    @requires_kernel
+    def test_a_deadlocked_lane_raises_at_every_thread_count(self):
+        tables = _lane_tables()
+        structures = [0, 2] * 20
+        structures[17] = structures[29] = 1
+        lanes = _lanes(structures)
+        for threads in (1, 2, 3, 8):
+            with pytest.raises(SimulationError, match="deadlocked"):
+                _kernels.run_lanes(**tables, lanes=lanes, _threads=threads)
+            # The kernel's verdict names the lowest deadlocked lane.
+            out = np.empty(len(lanes))
+            stats = np.zeros(2, dtype=np.int64)
+            arrays = [np.ascontiguousarray(tables[name]) for name in tables]
+            status = _kernels.load_kernel().repro_run_lanes(
+                len(lanes),
+                threads,
+                *(array.ctypes.data for array in [*arrays, lanes, out, stats]),
+            )
+            assert status == 18
+        assert _kernels.run_lanes(**tables, lanes=_lanes([0, 2, 0]))[1] == 0.0
+
+    @requires_kernel
+    def test_failed_scratch_allocation_raises_memory_error(self):
+        # A lane of 2**52 nodes needs more scratch than a 64-bit address
+        # space holds, so its share's allocation fails before any table is
+        # read; the other share's lanes run, and the call still raises.
+        tables = _lane_tables()
+        tables["node_off"] = np.array([0, 3, 5, 5, 5 + 2**52])
+        lanes = _lanes([0, 0])
+        lanes[0, 0] = 3
+        for threads in (1, 2):
+            with pytest.raises(MemoryError):
+                _kernels.run_lanes(**tables, lanes=lanes, _threads=threads)
+
+    @requires_kernel
+    def test_zero_node_lanes_return_zero(self):
+        tables = _lane_tables()
+        lanes = _lanes([2, 0, 2, 2, 0, 0, 2] * 5)
+        expected = [0.0 if s == 2 else 6.0 for s in lanes[:, 0]]
+        for threads in (1, 2, 4, 64):
+            with collect_kernel_stats() as stats:
+                out = _kernels.run_lanes(**tables, lanes=lanes, _threads=threads)
+            assert out.tolist() == expected
+            assert stats.merged()["events"] == 3 * expected.count(6.0)
+        assert _kernels.run_lanes(**tables, lanes=_lanes([2, 2])).tolist() == [0.0, 0.0]
+
+    def test_thread_count_rule(self, monkeypatch):
+        grain = _kernels.GRAIN_NODES
+        monkeypatch.setattr(_kernels, "available_cpus", lambda: 4)
+        assert _kernels._thread_count(1, 100 * grain) == 1
+        assert _kernels._thread_count(800, grain) == 1
+        assert _kernels._thread_count(800, 2 * grain) == 2
+        assert _kernels._thread_count(3, 100 * grain) == 3
+        assert _kernels._thread_count(800, 100 * grain) == 4
+        monkeypatch.setattr(_kernels, "available_cpus", lambda: 1)
+        assert _kernels._thread_count(800, 100 * grain) == 1
+
+    def test_library_is_keyed_on_source_and_command(self, monkeypatch, tmp_path):
+        commands = []
+
+        def fake_compile(cmd, **kwargs):
+            commands.append(cmd)
+            open(cmd[-1], "w").close()
+            return subprocess.CompletedProcess(cmd, 0, "", "")
+
+        # The fake compiler is never run: any existing file will do.
+        monkeypatch.setenv("REPRO_CC", sys.executable)
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+        monkeypatch.setattr(_kernels.subprocess, "run", fake_compile)
+        first = _kernels._build_library()
+        assert _kernels._build_library() == first and len(commands) == 1
+        assert commands[0][0] == sys.executable and "-pthread" in commands[0]
+        targets = {first}
+        monkeypatch.setattr(_kernels, "_FLAGS", (*_kernels._FLAGS, "-DNDEBUG"))
+        targets.add(_kernels._build_library())
+        monkeypatch.setattr(_kernels, "_C_SOURCE", _kernels._C_SOURCE + "\n")
+        targets.add(_kernels._build_library())
+        monkeypatch.setenv("REPRO_CC", str(tmp_path / "first.c"))
+        (tmp_path / "first.c").touch()
+        targets.add(_kernels._build_library())
+        assert len(targets) == len(commands) == 4
