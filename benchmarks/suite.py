@@ -863,7 +863,75 @@ def run_graph_kernel(smoke: bool) -> Measurement:
         metrics[f"n{size}.batched_analysis_speedup"] = ns_per_call(
             naive, 3, 1
         ) / ns_per_call(batched, 3, 1)
-    return metrics, {}
+    fig6_metrics, matches = _figure6_graph_layer(10 if smoke else 100)
+    metrics.update(fig6_metrics)
+    return metrics, {"fig6_transform_matches_rebuild": matches}
+
+
+def _edge_by_edge(task: DagTask) -> DagTask:
+    """``task`` rebuilt through ``add_node`` and ``add_edge``."""
+    graph = DirectedAcyclicGraph()
+    for node, wcet in task.graph.wcets().items():
+        graph.add_node(node, wcet)
+    for src, dst in task.graph.edges():
+        graph.add_edge(src, dst)
+    return DagTask(graph=graph, offloaded_node=task.offloaded_node, name=task.name)
+
+
+def _transform_view(task: DagTask) -> tuple:
+    """Everything ``transform(task)`` returns, orders and the CSR included."""
+    result = transform(task)
+    views = []
+    for graph in (result.graph, result.gpar):
+        compiled = graph.compiled()
+        views.append((graph.wcets(), graph.edges(), compiled.succ_ptr,
+                      compiled.succ_idx, compiled.topo))
+    return (*views, result.direct_predecessors, result.predecessors,
+            result.successors, result.rerouted_edges)
+
+
+def _figure6_graph_layer(count: int) -> tuple[dict, bool]:
+    """Per-structure ms of the graph layer on ``count`` Figure 6 structures:
+    birth (``from_dict``, as a served miss builds), ``transform`` and the
+    compile of tau and tau'; and whether each generated task transforms
+    exactly as its edge-by-edge rebuild."""
+    (point,) = chunked_offload_fraction_sweep(
+        fractions=[0.2],
+        dags_per_point=count,
+        generator_config=LARGE_TASKS_FIG6,
+        offload_config=OffloadConfig(),
+        root_seed=quick_scale().seed,
+    )
+    documents = [
+        (task.graph.wcets(), task.graph.edges(), task.offloaded_node) for task in point.tasks
+    ]
+
+    def born() -> list[DagTask]:
+        return [
+            DagTask(graph=DirectedAcyclicGraph.from_dict(wcets, edges), offloaded_node=offloaded)
+            for wcets, edges, offloaded in documents
+        ]
+
+    def transformed() -> list[tuple]:
+        return [(task, transform(task).task) for task in born()]
+
+    birth_s, _ = best_of(born, 3)
+    transform_s, _ = best_of(lambda tasks: [transform(task) for task in tasks], 3, born)
+    compile_s, _ = best_of(
+        lambda pairs: [(task.compiled(), result.compiled()) for task, result in pairs],
+        3,
+        transformed,
+    )
+    metrics = {
+        "fig6.structures": count,
+        "fig6.birth_ms": birth_s / count * 1e3,
+        "fig6.transform_ms": transform_s / count * 1e3,
+        "fig6.compile_ms": compile_s / count * 1e3,
+    }
+    matches = all(
+        _transform_view(task) == _transform_view(_edge_by_edge(task)) for task in point.tasks
+    )
+    return metrics, matches
 
 
 # ----------------------------------------------------------------------
@@ -981,10 +1049,14 @@ CASES: tuple[Case, ...] = (
     Case(
         name="graph-kernel",
         layer="graph kernel",
-        workload="layered random DAGs of 50 (smoke) / 50, 500, 2000 nodes",
-        candidate="cached queries; batched analyse_many",
-        baseline="queries after invalidate_caches; per-(task, m) analyse",
+        workload="layered random DAGs of 50 (smoke) / 50, 500, 2000 nodes; "
+        "10 (smoke) / 100 Figure 6 structures",
+        candidate="cached queries; batched analyse_many; graphs born as "
+        "their kernel (birth, transform, compile per structure)",
+        baseline="queries after invalidate_caches; per-(task, m) analyse; "
+        "the same tasks rebuilt through add_node/add_edge",
         run=run_graph_kernel,
+        checks=("fig6_transform_matches_rebuild",),
     ),
 )
 

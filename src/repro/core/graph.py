@@ -26,13 +26,23 @@ splits its state in two (see ``docs/performance.md``):
 
 * the *structure* -- node order and adjacency -- is shared copy-on-write by
   :meth:`DirectedAcyclicGraph.copy`, together with the caches that depend on
-  it alone: the dense-index kernel (node identifiers interned into indices
-  ``0..n-1`` in insertion order, CSR-style adjacency arrays, topological
-  order), the per-node reachability bitmasks (Python integers used as
+  it alone: the per-node reachability bitmasks (Python integers used as
   bitsets, one sweep instead of one BFS per query) and memoised structural
   results (``transitive_closure``, Algorithm 1's weight-independent part).
   Whichever copy builds them first serves every copy; a structural mutation
   first takes a private copy of a shared structure;
+* the adjacency has two forms: the dense-index kernel (node identifiers
+  interned into indices ``0..n-1`` in insertion order, CSR-style adjacency
+  arrays, topological order) and per-node ``succ``/``pred`` sets.  The
+  generator, :meth:`~DirectedAcyclicGraph.from_dict` (and so the JSON task
+  decode), :meth:`~DirectedAcyclicGraph.subgraph` and Algorithm 1 build a
+  graph from index rows through one builder, and such a graph is *born as
+  its kernel*: the read-only queries read the kernel, and the sets are built
+  from it only when a caller asks for them (a mutation, ``has_edge``,
+  ``==``).  A graph built node by node holds the sets and builds the kernel
+  on first use.  A structural mutation edits the sets and drops the kernel;
+  so does :meth:`~DirectedAcyclicGraph.invalidate_caches`, after building
+  the sets;
 * the WCETs and the weight-dependent metrics (``volume``,
   ``critical_path_length``, ``earliest_finish_times``, ...) stay per graph,
   stamped with two generation counters: one bumped by structural mutation
@@ -41,15 +51,16 @@ splits its state in two (see ``docs/performance.md``):
 
 All cached state is an implementation detail: mutating a returned container
 never corrupts the cache (mutable results are copied on return), pickling
-drops the caches, and cyclic graphs transparently fall back to the original
-breadth-first algorithms.
+drops the caches (a structure with a kernel travels as its CSR), and cyclic
+graphs -- which never hold a kernel -- transparently fall back to the
+original breadth-first algorithms.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Hashable, Iterable, Iterator, Mapping
+from collections.abc import Collection, Hashable, Iterable, Iterator, Mapping
 from itertools import accumulate
 from typing import Optional
 
@@ -92,46 +103,55 @@ class _DenseKernel:
         "_anc_masks",
     )
 
-    def __init__(
-        self, nodes: list[NodeId], succ_ptr: list[int], succ_idx: list[int]
-    ) -> None:
+    def __init__(self, nodes: list[NodeId], rows: list[list[int]]) -> None:
+        """The kernel whose node ``i`` has the successors ``rows[i]``, a list
+        of indices in ascending order."""
         self.nodes = nodes
         self.index = {node: i for i, node in enumerate(nodes)}
-        self.succ_ptr = succ_ptr
-        self.succ_idx = succ_idx
+        self.succ_ptr = [0, *accumulate(map(len, rows))]
+        self.succ_idx = [s for row in rows for s in row]
         # Sources ascend, so every predecessor list comes out sorted.
         preds: list[list[int]] = [[] for _ in nodes]
-        for i in range(len(nodes)):
-            for s in succ_idx[succ_ptr[i] : succ_ptr[i + 1]]:
+        for i, row in enumerate(rows):
+            for s in row:
                 preds[s].append(i)
         self.in_degree = [len(row) for row in preds]
         self.pred_ptr = [0, *accumulate(self.in_degree)]
         self.pred_idx = [p for row in preds for p in row]
 
         # Kahn's algorithm with insertion-order tie-breaking; dense indices
-        # *are* insertion ranks, so sorting newly ready indices ascending
-        # reproduces the historical (pre-kernel) ordering exactly.
+        # *are* insertion ranks, so queueing newly ready indices ascending
+        # (rows are) reproduces the historical (pre-kernel) ordering exactly.
+        # The order is its own queue: the loop reaches what it appends.
         in_degree = list(self.in_degree)
-        ready = deque(i for i, degree in enumerate(in_degree) if degree == 0)
-        self.topo: list[int] = []
-        while ready:
-            i = ready.popleft()
-            self.topo.append(i)
-            newly_ready = []
-            for s in succ_idx[succ_ptr[i] : succ_ptr[i + 1]]:
+        self.topo = [i for i, degree in enumerate(in_degree) if not degree]
+        for i in self.topo:
+            for s in rows[i]:
                 in_degree[s] -= 1
-                if in_degree[s] == 0:
-                    newly_ready.append(s)
-            newly_ready.sort()
-            ready.extend(newly_ready)
+                if not in_degree[s]:
+                    self.topo.append(s)
         self.arrays: Optional[tuple] = None
         self._desc_masks: Optional[list[int]] = None
         self._anc_masks: Optional[list[int]] = None
 
+    @classmethod
+    def of_csr(
+        cls, nodes: list[NodeId], succ_ptr: list[int], succ_idx: list[int]
+    ) -> "_DenseKernel":
+        """The kernel of CSR successor lists (ascending within each node)."""
+        return cls(nodes, [succ_idx[succ_ptr[i] : succ_ptr[i + 1]] for i in range(len(nodes))])
+
     def __reduce__(self) -> tuple:
         # Copies pickled together keep sharing one kernel (pickle memoises
         # it); the derived lists are rebuilt and the caches dropped.
-        return (_DenseKernel, (self.nodes, self.succ_ptr, self.succ_idx))
+        return (_DenseKernel.of_csr, (self.nodes, self.succ_ptr, self.succ_idx))
+
+    def adjacency(self) -> tuple[dict[NodeId, set[NodeId]], dict[NodeId, set[NodeId]]]:
+        """Fresh ``(succ, pred)`` maps of node sets, in node order."""
+        nodes = self.nodes
+        succ = {node: {nodes[s] for s in self.successors_of(i)} for i, node in enumerate(nodes)}
+        pred = {node: {nodes[p] for p in self.predecessors_of(i)} for i, node in enumerate(nodes)}
+        return succ, pred
 
     def successors_of(self, i: int) -> list[int]:
         return self.succ_idx[self.succ_ptr[i] : self.succ_ptr[i + 1]]
@@ -177,36 +197,75 @@ class _DenseKernel:
 class _Structure:
     """Node order and adjacency of a graph, with the caches derived from them.
 
-    ``succ`` and ``pred`` list the nodes in insertion order, the order of the
-    WCET map of every graph that holds the structure.  Graphs share one
+    The adjacency has two forms, and a structure holds one or both: the
+    dense ``kernel`` and the ``succ``/``pred`` maps of node sets.  Both list
+    the nodes in insertion order, the order of the WCET map of every graph
+    that holds the structure.  A graph built from index rows is born as its
+    kernel and builds the maps on first access; a graph built node by node
+    holds the maps and builds the kernel on first use.  Graphs share one
     structure copy-on-write: it is mutated only through a graph that holds it
-    alone, which drops ``kernel`` and ``memo`` as it does.
+    alone, which edits the maps and drops ``kernel`` and ``memo`` as it does
+    (:meth:`drop_caches`).
     """
 
-    __slots__ = ("succ", "pred", "kernel", "memo")
+    __slots__ = ("_maps", "kernel", "memo")
 
     def __init__(
         self,
-        succ: dict[NodeId, set[NodeId]],
-        pred: dict[NodeId, set[NodeId]],
+        succ: Optional[dict[NodeId, set[NodeId]]] = None,
+        pred: Optional[dict[NodeId, set[NodeId]]] = None,
+        kernel: Optional[_DenseKernel] = None,
     ) -> None:
-        self.succ = succ
-        self.pred = pred
-        self.kernel: Optional[_DenseKernel] = None
+        self._maps = None if succ is None else (succ, pred)
+        self.kernel = kernel
         #: Weight-independent results, memoised under any hashable key.
         self.memo: dict[Hashable, object] = {}
 
+    def maps(self) -> tuple[dict[NodeId, set[NodeId]], dict[NodeId, set[NodeId]]]:
+        """``(succ, pred)``, built from the kernel on first access.
+
+        Threads share structures, so both maps are built before one
+        assignment publishes them together; two threads that race here
+        build equal maps, and either pair serves.
+        """
+        maps = self._maps
+        if maps is None:
+            maps = self._maps = self.kernel.adjacency()
+        return maps
+
+    @property
+    def succ(self) -> dict[NodeId, set[NodeId]]:
+        return self.maps()[0]
+
+    @property
+    def pred(self) -> dict[NodeId, set[NodeId]]:
+        return self.maps()[1]
+
+    def drop_caches(self) -> None:
+        """Drop the kernel and the memo; the maps are built first, so the
+        adjacency outlives its kernel."""
+        if self.kernel is not None:
+            self.maps()
+            self.kernel = None
+        self.memo.clear()
+
     def clone(self) -> "_Structure":
-        """A private copy of the adjacency, with empty caches."""
+        """A private copy of the maps, with empty caches."""
+        if self._maps is None:
+            return _Structure(*self.kernel.adjacency())
+        succ, pred = self._maps
         return _Structure(
-            {node: set(nbrs) for node, nbrs in self.succ.items()},
-            {node: set(nbrs) for node, nbrs in self.pred.items()},
+            {node: set(nbrs) for node, nbrs in succ.items()},
+            {node: set(nbrs) for node, nbrs in pred.items()},
         )
 
     def __reduce__(self) -> tuple:
-        # Caches are cheap to rebuild and may be large; never pickle them
-        # (the parallel experiment runner ships graphs between processes).
-        return (_Structure, (self.succ, self.pred))
+        # Only the adjacency is pickled (the parallel experiment runner ships
+        # graphs between processes): the kernel's CSR where there is one, as
+        # it is the compact form, the maps otherwise.  Caches are dropped.
+        if self.kernel is not None:
+            return (_Structure, (None, None, self.kernel))
+        return (_Structure, self._maps)
 
 
 def _check_wcet(node_id: NodeId, wcet: float) -> None:
@@ -273,9 +332,8 @@ class DirectedAcyclicGraph:
         if not self._owns_structure:
             structure = self._structure = structure.clone()
             self._owns_structure = True
-        elif structure.kernel is not None or structure.memo:
-            structure.kernel = None
-            structure.memo.clear()
+        else:
+            structure.drop_caches()
         self._structure_generation += 1
         return structure
 
@@ -293,12 +351,12 @@ class DirectedAcyclicGraph:
 
         Normal code never needs this -- mutations invalidate automatically.
         The micro-benchmarks call it to measure the uncached baseline.  The
-        structural caches are dropped for every copy sharing the structure.
+        structural caches are dropped for every copy sharing the structure;
+        a graph born as its kernel builds its adjacency sets first.
         """
         self._structure_generation += 1
         self._weights_generation += 1
-        self._structure.kernel = None
-        self._structure.memo.clear()
+        self._structure.drop_caches()
         self._metric_cache.clear()
 
     def _structural(self, key: Hashable, compute):
@@ -334,18 +392,21 @@ class DirectedAcyclicGraph:
         structure = self._structure
         kernel = structure.kernel
         if kernel is None:
-            nodes = list(structure.succ)
-            index = {node: i for i, node in enumerate(nodes)}
-            succ_ptr = [0]
-            succ_idx: list[int] = []
-            for node in nodes:
-                succ_idx.extend(sorted(index[s] for s in structure.succ[node]))
-                succ_ptr.append(len(succ_idx))
-            kernel = _DenseKernel(nodes, succ_ptr, succ_idx)
-            if len(kernel.topo) != len(nodes):
+            kernel = _DenseKernel(*self._index_rows())
+            if len(kernel.topo) != len(kernel.nodes):
                 raise CycleError("graph contains a cycle", cycle=self.find_cycle())
             structure.kernel = kernel
         return kernel
+
+    def _index_rows(self) -> tuple[list[NodeId], list[list[int]]]:
+        """The node order and, per node, its successors' indices ascending."""
+        kernel = self._structure.kernel
+        if kernel is not None:
+            return kernel.nodes, [kernel.successors_of(i) for i in range(len(kernel.nodes))]
+        nodes = list(self._wcet)
+        index = {node: i for i, node in enumerate(nodes)}
+        succ = self._structure.succ
+        return nodes, [sorted(index[s] for s in succ[node]) for node in nodes]
 
     def _acyclic_kernel(self) -> Optional[_DenseKernel]:
         """The kernel, or ``None`` when the graph currently has a cycle."""
@@ -384,13 +445,83 @@ class DirectedAcyclicGraph:
         edges:
             Iterable of ``(src, dst)`` pairs.  Both endpoints must appear in
             ``wcets``.
+
+        The checks, their order and their exceptions are those of
+        :meth:`add_node` for each WCET, then :meth:`add_edge` for each edge.
         """
-        graph = cls()
-        for node_id, wcet in wcets.items():
-            graph.add_node(node_id, wcet)
+        nodes = list(wcets)
+        index = {node: i for i, node in enumerate(nodes)}
+
+        def index_pairs() -> Iterator[tuple[int, int]]:
+            for src, dst in edges:
+                try:
+                    yield index[src], index[dst]
+                except KeyError:
+                    raise NodeNotFoundError(dst if src in index else src) from None
+
+        return cls._from_indices(nodes, list(wcets.values()), index_pairs())
+
+    @classmethod
+    def _from_indices(
+        cls,
+        nodes: list[NodeId],
+        wcets: list[float],
+        edges: Iterable[tuple[int, int]],
+    ) -> "DirectedAcyclicGraph":
+        """The graph whose node ``i`` is ``nodes[i]`` (distinct identifiers)
+        with WCET ``wcets[i]``, and whose edges are the ``(src, dst)`` index
+        pairs of ``edges``.
+
+        The one builder from index space: the graph is born as its dense
+        kernel, without adjacency sets.  It checks what :meth:`add_node`
+        and :meth:`add_edge` check, in their order: every WCET, then every
+        edge as ``edges`` yields it (a self loop or a duplicate raises
+        :class:`EdgeError`).  A graph with a cycle is kept as adjacency
+        sets without a kernel, as if built edge by edge.
+        """
+        for node, wcet in zip(nodes, wcets):
+            _check_wcet(node, wcet)
+        count = len(nodes)
+        rows: list[list[int]] = [[] for _ in nodes]
+        seen: set[int] = set()
         for src, dst in edges:
-            graph.add_edge(src, dst)
+            if src == dst:
+                raise EdgeError(f"self loop on node {nodes[src]!r} is not allowed")
+            key = src * count + dst
+            if key in seen:
+                raise EdgeError(f"edge ({nodes[src]!r}, {nodes[dst]!r}) already exists")
+            seen.add(key)
+            rows[src].append(dst)
+        for row in rows:
+            row.sort()
+        kernel = _DenseKernel(nodes, rows)
+        graph = cls.__new__(cls)
+        graph._wcet = dict(zip(nodes, wcets))
+        if len(kernel.topo) == count:
+            graph._structure = _Structure(kernel=kernel)
+        else:
+            graph._structure = _Structure(*kernel.adjacency())
+        graph._owns_structure = True
+        graph._init_caches()
         return graph
+
+    def _induced(self, keep: list[int]) -> "DirectedAcyclicGraph":
+        """The subgraph induced by the nodes at the ascending indices ``keep``
+        of the node order (WCETs preserved)."""
+        nodes, rows = self._index_rows()
+        position = [-1] * len(nodes)
+        for new, old in enumerate(keep):
+            position[old] = new
+        return DirectedAcyclicGraph._from_indices(
+            [nodes[i] for i in keep],
+            [self._wcet[nodes[i]] for i in keep],
+            (
+                (new, position[s])
+                for new, old in enumerate(keep)
+                for s in rows[old]
+                if position[s] >= 0
+            ),
+        )
 
     def _sharing(self, wcet: dict[NodeId, float]) -> "DirectedAcyclicGraph":
         """A graph with WCET map ``wcet`` (in this graph's node order) that
@@ -530,6 +661,9 @@ class DirectedAcyclicGraph:
     @property
     def edge_count(self) -> int:
         """Number of edges in the graph."""
+        kernel = self._structure.kernel
+        if kernel is not None:
+            return len(kernel.succ_idx)
         return sum(len(nbrs) for nbrs in self._structure.succ.values())
 
     def nodes(self) -> list[NodeId]:
@@ -538,8 +672,12 @@ class DirectedAcyclicGraph:
 
     def edges(self) -> list[tuple[NodeId, NodeId]]:
         """Return all edges as ``(src, dst)`` pairs."""
-        succ = self._structure.succ
-        return [(src, dst) for src in self._wcet for dst in sorted(succ[src], key=repr)]
+        nodes, rows = self._index_rows()
+        return [
+            (src, dst)
+            for src, row in zip(nodes, rows)
+            for dst in sorted([nodes[s] for s in row], key=repr)
+        ]
 
     def wcet(self, node_id: NodeId) -> float:
         """Return the WCET of a node."""
@@ -555,33 +693,49 @@ class DirectedAcyclicGraph:
         succ = self._structure.succ
         return src in succ and dst in succ[src]
 
+    def _adjacent(self, node_id: NodeId, forward: bool) -> Collection[NodeId]:
+        """The direct successors (``forward``) or predecessors of a node, read
+        from the kernel when there is one (do not mutate)."""
+        self._require(node_id)
+        kernel = self._structure.kernel
+        if kernel is None:
+            return (self._structure.succ if forward else self._structure.pred)[node_id]
+        i = kernel.index[node_id]
+        row = kernel.successors_of(i) if forward else kernel.predecessors_of(i)
+        return [kernel.nodes[j] for j in row]
+
     def successors(self, node_id: NodeId) -> set[NodeId]:
         """Direct successors of a node (nodes ``v`` with an edge ``node -> v``)."""
-        self._require(node_id)
-        return set(self._structure.succ[node_id])
+        return set(self._adjacent(node_id, forward=True))
 
     def predecessors(self, node_id: NodeId) -> set[NodeId]:
         """Direct predecessors of a node (nodes ``v`` with an edge ``v -> node``)."""
-        self._require(node_id)
-        return set(self._structure.pred[node_id])
+        return set(self._adjacent(node_id, forward=False))
 
     def out_degree(self, node_id: NodeId) -> int:
         """Number of outgoing edges of a node."""
-        self._require(node_id)
-        return len(self._structure.succ[node_id])
+        return len(self._adjacent(node_id, forward=True))
 
     def in_degree(self, node_id: NodeId) -> int:
         """Number of incoming edges of a node."""
-        self._require(node_id)
-        return len(self._structure.pred[node_id])
+        return len(self._adjacent(node_id, forward=False))
 
     def sources(self) -> list[NodeId]:
         """Nodes without incoming edges, in insertion order."""
-        return [node for node in self._wcet if not self._structure.pred[node]]
+        kernel = self._structure.kernel
+        if kernel is not None:
+            return [node for node, degree in zip(kernel.nodes, kernel.in_degree) if not degree]
+        pred = self._structure.pred
+        return [node for node in self._wcet if not pred[node]]
 
     def sinks(self) -> list[NodeId]:
         """Nodes without outgoing edges, in insertion order."""
-        return [node for node in self._wcet if not self._structure.succ[node]]
+        kernel = self._structure.kernel
+        if kernel is not None:
+            ptr = kernel.succ_ptr
+            return [node for i, node in enumerate(kernel.nodes) if ptr[i] == ptr[i + 1]]
+        succ = self._structure.succ
+        return [node for node in self._wcet if not succ[node]]
 
     # ------------------------------------------------------------------
     # Ordering and reachability
@@ -632,6 +786,8 @@ class DirectedAcyclicGraph:
         The returned list contains the nodes of the cycle in order; the edge
         from the last element back to the first closes the cycle.
         """
+        if self._structure.kernel is not None:
+            return None
         WHITE, GREY, BLACK = 0, 1, 2
         colour = {node: WHITE for node in self._wcet}
         parent: dict[NodeId, NodeId] = {}
@@ -949,17 +1105,7 @@ class DirectedAcyclicGraph:
         selected = set(nodes)
         for node in selected:
             self._require(node)
-        sub = DirectedAcyclicGraph()
-        for node in self._wcet:
-            if node in selected:
-                sub.add_node(node, self._wcet[node])
-        for src in self._wcet:
-            if src not in selected:
-                continue
-            for dst in self._structure.succ[src]:
-                if dst in selected:
-                    sub.add_edge(src, dst)
-        return sub
+        return self._induced([i for i, node in enumerate(self._wcet) if node in selected])
 
     def relabelled(self, mapping: Mapping[NodeId, NodeId]) -> "DirectedAcyclicGraph":
         """Return a copy with node identifiers renamed according to ``mapping``.
@@ -970,13 +1116,12 @@ class DirectedAcyclicGraph:
         new_ids = [mapping.get(node, node) for node in self._wcet]
         if len(set(new_ids)) != len(new_ids):
             raise EdgeError("relabelling would merge distinct nodes")
-        renamed = DirectedAcyclicGraph()
-        for node in self._wcet:
-            renamed.add_node(mapping.get(node, node), self._wcet[node])
-        for src in self._wcet:
-            for dst in self._structure.succ[src]:
-                renamed.add_edge(mapping.get(src, src), mapping.get(dst, dst))
-        return renamed
+        _, rows = self._index_rows()
+        return DirectedAcyclicGraph._from_indices(
+            new_ids,
+            list(self._wcet.values()),
+            ((i, s) for i, row in enumerate(rows) for s in row),
+        )
 
     def with_unique_source_and_sink(
         self,

@@ -21,6 +21,13 @@ This module implements the algorithm faithfully (the comments of
 returns a :class:`TransformedTask` carrying the transformed task ``tau'``,
 the parallel sub-DAG ``G_par`` and all intermediate sets, so that analyses,
 tests and experiments can introspect every aspect of the transformation.
+
+The algorithm runs in the index space of the task's dense kernel: ``Pred``
+and ``Succ`` are the kernel's cached ancestor and descendant bitmasks, lines
+3-13 edit successor index rows, and ``tau'``'s graph and ``G_par`` (a node
+mask over the original rows) are born as their kernels through the graph's
+one builder from index rows, without per-node adjacency sets.  Transitive
+edges of ``G'`` are found from its descendant bitmasks.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .exceptions import TransformationError
-from .graph import DirectedAcyclicGraph, NodeId
+from .graph import DirectedAcyclicGraph, NodeId, _DenseKernel
 from .task import DagTask
 
 __all__ = ["SYNC_NODE_DEFAULT_ID", "TransformedTask", "transform"]
@@ -180,6 +187,9 @@ def transform(
     ------
     TransformationError
         If the task has no offloaded node or the sync identifier collides.
+    CycleError
+        If the task's graph has a cycle (``Pred`` and ``Succ`` are then
+        undefined).
     """
     if task.offloaded_node is None:
         raise TransformationError(
@@ -196,11 +206,12 @@ def transform(
         ("transform", v_off, sync_node, reduce_transitive),
         lambda: _algorithm1(graph, v_off, sync_node, reduce_transitive),
     )
+    # G' lists the task's nodes in their order, then v_sync.
     wcets = graph.wcets()
     gpar = shape.gpar._reweighted(wcets)
     wcets[sync_node] = 0
     transformed_task = DagTask(
-        graph=shape.graph._reweighted(wcets),
+        graph=shape.graph._sharing(wcets),
         offloaded_node=v_off,
         period=task.period,
         deadline=task.deadline,
@@ -242,65 +253,73 @@ def _algorithm1(
     sync_node: NodeId,
     reduce_transitive: bool,
 ) -> _Shape:
-    """Run Algorithm 1 edge by edge on a copy of ``graph``."""
+    """Run Algorithm 1 on the index rows of ``graph``'s dense kernel.
+
+    Node ``i`` is ``nodes[i]`` and ``v_sync`` takes the next index, the last
+    place, where :meth:`~DirectedAcyclicGraph.add_node` would put it.  Node
+    sets are bitmasks.  The loops visit nodes in ``repr`` order of their
+    identifiers, so ``rerouted_edges`` has a fixed order.
+    """
+    kernel = graph._kernel()
+    nodes = kernel.nodes
+    sync = len(nodes)
+    off = kernel.index[v_off]
+
+    def by_repr(indices) -> list[int]:
+        return sorted(indices, key=lambda i: repr(nodes[i]))
+
     # Line 1: compute Pred(v_off) and Succ(v_off).
-    predecessors = graph.ancestors(v_off)
-    successors = graph.descendants(v_off)
+    predecessors = kernel.ancestor_masks()[off]
+    successors = kernel.descendant_masks()[off]
 
-    # Line 2: V' = V u {v_sync}; E' = E; directPred = empty set.
-    transformed = graph.copy()
-    transformed.add_node(sync_node, 0)
-    direct_predecessors: set[NodeId] = set()
-    rerouted: list[tuple[NodeId, NodeId]] = []
+    # Line 2: V' = V u {v_sync}; E' = E; directPred = empty set.  Row i of
+    # E' lists node i's successors.
+    rows = [kernel.successors_of(i) for i in range(sync)]
+    direct = by_repr(kernel.predecessors_of(off))
+    rerouted: list[tuple[int, int]] = []
+    sync_row: set[int] = set()
 
-    def reroute(src: NodeId, dst: NodeId) -> None:
-        """Replace edge ``(src, dst)`` by ``(v_sync, dst)`` in ``E'``."""
-        transformed.remove_edge(src, dst)
-        if not transformed.has_edge(sync_node, dst):
-            transformed.add_edge(sync_node, dst)
-        rerouted.append((src, dst))
+    def reroute(i: int, targets: list[int]) -> None:
+        """Replace each edge ``(v_i, v_j)`` of ``targets`` by ``(v_sync, v_j)``."""
+        rerouted.extend((i, j) for j in targets)
+        sync_row.update(targets)
 
-    # Lines 3-8: loop over the direct predecessors of v_off.
-    for v_i in sorted(graph.predecessors(v_off), key=repr):
-        # Line 4: record v_i as a direct predecessor.
-        direct_predecessors.add(v_i)
-        # Line 5: E' = E' u {(v_i, v_sync)} \ {(v_i, v_off)}.
-        transformed.remove_edge(v_i, v_off)
-        if not transformed.has_edge(v_i, sync_node):
-            transformed.add_edge(v_i, sync_node)
-        # Lines 6-8: v_i's remaining successors become successors of v_sync.
-        # Because transitive edges do not exist, those successors are
-        # necessarily parallel to v_off (see Section 3.4.2 of the paper).
-        for v_j in sorted(transformed.successors(v_i), key=repr):
-            if v_j != sync_node:
-                reroute(v_i, v_j)
+    # Lines 3-8: each direct predecessor v_i of v_off keeps the single edge
+    # (v_i, v_sync) in place of (v_i, v_off), and its other successors become
+    # successors of v_sync.  Because transitive edges do not exist, those
+    # successors are necessarily parallel to v_off (Section 3.4.2).
+    for i in direct:
+        reroute(i, by_repr(j for j in rows[i] if j != off))
+        rows[i] = [sync]
 
     # Line 9: E' = E' u {(v_sync, v_off)}.
-    transformed.add_edge(sync_node, v_off)
+    sync_row.add(off)
 
-    # Lines 10-13: loop over the indirect predecessors of v_off.  Edges from
-    # an indirect predecessor towards a node that is *not* itself a
-    # predecessor of v_off point to a parallel node (again thanks to the
-    # absence of transitive edges) and are rerouted to v_sync.
-    for v_i in sorted(predecessors - direct_predecessors, key=repr):
-        for v_j in sorted(transformed.successors(v_i), key=repr):
-            if v_j not in predecessors:
-                reroute(v_i, v_j)
+    # Lines 10-13: edges from an indirect predecessor of v_off towards a node
+    # that is *not* itself a predecessor of v_off point to a parallel node
+    # (again thanks to the absence of transitive edges) and are rerouted.
+    indirect = predecessors & ~sum(1 << i for i in direct)
+    for i in by_repr(_DenseKernel.bits(indirect)):
+        reroute(i, by_repr(j for j in rows[i] if not predecessors >> j & 1))
+        rows[i] = [j for j in rows[i] if predecessors >> j & 1]
+    rows.append(sorted(sync_row))
 
+    transformed = DirectedAcyclicGraph._from_indices(
+        [*nodes, sync_node],
+        [*graph._wcet.values(), 0],
+        ((i, j) for i, row in enumerate(rows) for j in row),
+    )
     if reduce_transitive:
-        # Remove the redundant edges in place rather than via
-        # ``transitive_reduction()``, which would build a second full copy of
-        # the graph.  ``transitive_edges()`` lists each redundant edge once.
-        for src, dst in transformed.transitive_edges():
-            transformed.remove_edge(src, dst)
+        transformed = transformed.transitive_reduction()
 
-    # Lines 14-17: build G_par from the *original* node and edge sets.
-    parallel_nodes = set(graph.nodes()) - predecessors - successors - {v_off}
+    # Lines 14-17: G_par is induced by the parallel nodes in the *original*
+    # node and edge sets.
+    parallel = ((1 << sync) - 1) & ~predecessors & ~successors & ~(1 << off)
     return _Shape(
         graph=transformed,
-        gpar=graph.subgraph(parallel_nodes),
-        direct_predecessors=frozenset(direct_predecessors),
-        predecessors=frozenset(predecessors),
-        successors=frozenset(successors),
-        rerouted_edges=tuple(rerouted),
+        gpar=graph._induced(list(_DenseKernel.bits(parallel))),
+        direct_predecessors=frozenset(nodes[i] for i in direct),
+        predecessors=frozenset(nodes[i] for i in _DenseKernel.bits(predecessors)),
+        successors=frozenset(nodes[i] for i in _DenseKernel.bits(successors)),
+        rerouted_edges=tuple((nodes[i], nodes[j]) for i, j in rerouted),
     )

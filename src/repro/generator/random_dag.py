@@ -16,9 +16,14 @@ fork node, 2..n_par recursively-expanded branches, and a join node.  Such
 graphs have a single source, a single sink and -- by construction -- no
 transitive edges, so they satisfy every assumption of the system model.
 
-WCETs are drawn uniformly from ``[c_min, c_max]``; the offloaded node is
-selected and sized separately by :mod:`repro.generator.offload` because the
-experiments sweep ``C_off`` while keeping the structure distribution fixed.
+WCETs are drawn uniformly from ``[c_min, c_max]``, all of a task's in one
+call; the offloaded node is selected and sized separately by
+:mod:`repro.generator.offload` because the experiments sweep ``C_off`` while
+keeping the structure distribution fixed.
+
+A draw records its edges as index pairs in creation order, and the accepted
+draw becomes a graph born as its dense kernel (node ``i`` is named
+``v{i + 1}``), without per-node adjacency sets.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ __all__ = ["DagStructureGenerator", "generate_graph", "generate_host_task"]
 
 @dataclass
 class _Draw:
-    """One recursive expansion, recorded as node numbers in creation order.
+    """One recursive expansion: its node count, and its edges as index
+    pairs in creation order (node ``i`` is the ``i + 1``-th node created).
 
     A draw whose node count falls outside ``[n_min, n_max]`` is thrown away,
     so only the accepted draw is turned into a graph (:meth:`graph`).
@@ -49,14 +55,15 @@ class _Draw:
 
     def new_node(self) -> int:
         self.nodes += 1
-        return self.nodes
+        return self.nodes - 1
 
-    def graph(self) -> DirectedAcyclicGraph:
-        """The drawn structure: nodes ``v1..vN`` with zero WCETs."""
-        names = [f"v{number}" for number in range(self.nodes + 1)]
-        return DirectedAcyclicGraph.from_dict(
-            dict.fromkeys(names[1:], 0),
-            [(names[src], names[dst]) for src, dst in self.edges],
+    def graph(self, wcets: Optional[list[int]] = None) -> DirectedAcyclicGraph:
+        """The drawn structure, born as its dense kernel: nodes ``v1..vN``
+        in creation order, weighing ``wcets`` (zero by default)."""
+        return DirectedAcyclicGraph._from_indices(
+            [f"v{number}" for number in range(1, self.nodes + 1)],
+            [0] * self.nodes if wcets is None else wcets,
+            self.edges,
         )
 
 
@@ -102,12 +109,16 @@ class DagStructureGenerator:
             If ``max_attempts`` consecutive draws fall outside the node-count
             range, which indicates inconsistent configuration parameters.
         """
+        return self._draw().graph()
+
+    def _draw(self) -> _Draw:
+        """The first draw whose node count lies in ``[n_min, n_max]``."""
         config = self.config
         for _ in range(config.max_attempts):
             draw = _Draw()
             self._expand(draw, depth=0, force_parallel=config.force_root_expansion)
             if config.n_min <= draw.nodes <= config.n_max:
-                return draw.graph()
+                return draw
         raise GenerationError(
             f"could not generate a DAG with {config.n_min}..{config.n_max} nodes "
             f"after {config.max_attempts} attempts; "
@@ -139,18 +150,27 @@ class DagStructureGenerator:
     # ------------------------------------------------------------------
     # WCET assignment
     # ------------------------------------------------------------------
+    def _wcets(self, count: int) -> list[int]:
+        """Uniform integer WCETs in ``[c_min, c_max]`` for ``count`` nodes.
+
+        One draw of ``count`` values: numpy's bounded integers come from the
+        same generator output whether drawn one by one or together, so this
+        gives the values, and leaves the RNG in the state, of one scalar
+        draw per node.
+        """
+        config = self.config
+        return self.rng.integers(config.c_min, config.c_max + 1, size=count).tolist()
+
     def assign_wcets(self, graph: DirectedAcyclicGraph) -> None:
         """Draw a uniform integer WCET in ``[c_min, c_max]`` for every node."""
-        config = self.config
-        for node in graph.nodes():
-            wcet = int(self.rng.integers(config.c_min, config.c_max + 1))
+        for node, wcet in zip(graph.nodes(), self._wcets(len(graph))):
             graph.set_wcet(node, wcet)
 
     def generate_task(self, name: str = "tau") -> DagTask:
-        """Generate a complete *host-only* task (no offloaded node yet)."""
-        graph = self.generate_structure()
-        self.assign_wcets(graph)
-        return DagTask(graph=graph, offloaded_node=None, name=name)
+        """Generate a complete *host-only* task (no offloaded node yet): a
+        structure, then its WCETs in node order."""
+        draw = self._draw()
+        return DagTask(graph=draw.graph(self._wcets(draw.nodes)), offloaded_node=None, name=name)
 
     def generate_many(self, count: int, prefix: str = "tau") -> list[DagTask]:
         """Generate ``count`` independent host-only tasks."""
@@ -161,10 +181,7 @@ def generate_graph(
     config: GeneratorConfig, rng: np.random.Generator | int | None = None
 ) -> DirectedAcyclicGraph:
     """Convenience wrapper: one structure draw with WCETs assigned."""
-    generator = DagStructureGenerator(config, rng)
-    graph = generator.generate_structure()
-    generator.assign_wcets(graph)
-    return graph
+    return DagStructureGenerator(config, rng).generate_task().graph
 
 
 def generate_host_task(

@@ -18,17 +18,23 @@ Task sets are stored as ``{"name": ..., "tasks": [<task>, ...]}``.
 
 :func:`task_from_dict` runs two steps.  :func:`decode_task` checks the
 document's shape and converts its values into a :class:`TaskDocument`
-without building a graph; :func:`build_task` builds the graph and the task,
-with the checks that need the graph.  The evaluation service fingerprints
-the decoded document and builds the task only when the result cache has no
-answer for it.
+without building a graph (a WCET must be a JSON number, never a boolean or
+a string); :func:`build_task` builds the graph and the task, with the
+checks that need the graph.  The build goes through
+:meth:`~repro.core.graph.DirectedAcyclicGraph.from_dict`, so the graph is
+born as its dense kernel and its acyclicity check costs nothing more.  The
+evaluation service fingerprints the decoded document and builds the task
+only when the result cache has no answer for it.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from numbers import Real
 from pathlib import Path
 from typing import Optional, Union
 
@@ -94,8 +100,24 @@ class TaskDocument:
         return len(self.names)
 
 
+#: The types :func:`json.loads` gives a JSON number.
+_NUMBER_TYPES = frozenset((int, float))
+_FLOAT_MAX = sys.float_info.max
+
+#: JSON names of the types :func:`json.loads` gives that are not numbers.
+_JSON_TYPES = {bool: "boolean", str: "string", list: "array", dict: "object", type(None): "null"}
+
+
+def _json_type(value: object) -> str:
+    """The JSON name of ``value``'s type (the Python name for other values)."""
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
 def decode_task(data: Mapping) -> TaskDocument:
     """Check the shape of a task document and convert its values.
+
+    A WCET must be a JSON number (a boolean is not one); whether it is
+    finite and ``>= 0`` is checked by the build.
 
     Raises
     ------
@@ -111,10 +133,25 @@ def decode_task(data: Mapping) -> TaskDocument:
     nodes = data["nodes"]
     if not isinstance(nodes, Mapping):
         raise SerializationError("task document 'nodes' must map node names to WCETs")
+    # JSON numbers decode to int and float; any other type of WCET takes
+    # the per-node check, which names the first that is not a number.
+    if not _NUMBER_TYPES.issuperset(map(type, nodes.values())):
+        for node, wcet in nodes.items():
+            if isinstance(wcet, bool) or not isinstance(wcet, Real):
+                raise SerializationError(
+                    f"WCET of node {str(node)!r} must be a JSON number, got {_json_type(wcet)}"
+                )
     try:
         wcet_of = {str(node): float(wcet) for node, wcet in nodes.items()}
-    except (TypeError, ValueError) as error:
-        raise SerializationError(f"invalid node mapping: {error}") from error
+    except OverflowError:
+        # An integer past the float range reads as infinite, as a literal
+        # like 1e999 does; the build refuses both.
+        wcet_of = {
+            str(node): (
+                float(wcet) if abs(wcet) <= _FLOAT_MAX else math.inf if wcet > 0 else -math.inf
+            )
+            for node, wcet in nodes.items()
+        }
     index = {name: position for position, name in enumerate(wcet_of)}
     raw_edges = data.get("edges", [])
     if not isinstance(raw_edges, (list, tuple)):

@@ -63,7 +63,7 @@ CHECKS = {
         "results_identical",
         "ring_within_cap",
     ),
-    "graph-kernel": (),
+    "graph-kernel": ("fig6_transform_matches_rebuild",),
 }
 
 

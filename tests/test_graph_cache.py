@@ -8,6 +8,11 @@ match a freshly rebuilt graph -- i.e. the caches can never leak stale data,
 and one copy's mutation never shows in another.  A Hypothesis property
 interleaves random mutations, copies and queries to hunt for invalidation
 orderings the unit tests missed.
+
+The last tests hold graphs born as their dense kernel (``from_dict`` and
+the other builders from index space) to graphs built through ``add_node``
+and ``add_edge``: the same answers and the same exceptions, through
+mutation, cache invalidation, copies, pickling and threads.
 """
 
 from __future__ import annotations
@@ -270,3 +275,280 @@ def test_interleaved_mutations_and_queries_match_a_fresh_graph(data):
         assert graph.nodes() == list(wcets)
         assert graph == _model_graph(wcets, edges)
         assert _snapshot(graph) == _snapshot(_model_graph(wcets, edges))
+
+
+# ----------------------------------------------------------------------
+# Graphs born as their dense kernel
+# ----------------------------------------------------------------------
+def _edge_by_edge(wcets: dict, edges: list) -> DirectedAcyclicGraph:
+    """The graph built through ``add_node`` and ``add_edge`` alone."""
+    graph = DirectedAcyclicGraph()
+    for node, wcet in wcets.items():
+        graph.add_node(node, wcet)
+    for src, dst in edges:
+        graph.add_edge(src, dst)
+    return graph
+
+
+def _outcome(build, *args) -> tuple:
+    """``(graph, None)``, or ``(None, (exception type, message))``."""
+    try:
+        return build(*args), None
+    except Exception as error:  # noqa: BLE001 - compared by the caller
+        return None, (type(error), str(error))
+
+
+def _structure_view(graph: DirectedAcyclicGraph) -> dict:
+    """Every structural answer; the kernel's read first, then the sets'."""
+    view = {
+        "edges": graph.edges(),
+        "edge_count": graph.edge_count,
+        "sources": graph.sources(),
+        "sinks": graph.sinks(),
+        "acyclic": graph.is_acyclic(),
+        "cycle": graph.find_cycle(),
+        "nodes": graph.nodes(),
+        "wcets": graph.wcets(),
+    }
+    if view["acyclic"]:
+        kernel = graph._kernel()
+        view["kernel"] = (
+            kernel.nodes,
+            kernel.succ_ptr,
+            kernel.succ_idx,
+            kernel.pred_ptr,
+            kernel.pred_idx,
+            kernel.in_degree,
+            kernel.topo,
+        )
+    for node in graph.nodes():
+        view[node] = (
+            graph.successors(node),
+            graph.predecessors(node),
+            graph.out_degree(node),
+            graph.in_degree(node),
+        )
+    return view
+
+
+#: Faults injected into an otherwise valid edge list.
+_EDGE_FAULTS = ("self-loop", "duplicate", "unknown-src", "unknown-dst")
+
+
+@st.composite
+def _graph_inputs(draw, forward_only: bool = False) -> tuple[dict, list]:
+    """A WCET mapping and an edge list for ``from_dict``: edges between
+    distinct known nodes, some cycles unless ``forward_only``, and unless
+    ``forward_only`` a bad WCET and up to two faulty edges."""
+    count = draw(st.integers(min_value=0, max_value=7), label="nodes")
+    ids = [i if i % 3 == 1 else f"v{count - i}" for i in range(count)]
+    wcets = {node: draw(st.integers(0, 9), label="wcet") for node in ids}
+    pairs = [
+        (ids[i], ids[j])
+        for i in range(count)
+        for j in range(count)
+        if i < j or (i != j and not forward_only)
+    ]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
+    if forward_only or not ids:
+        return wcets, edges
+    bad = draw(st.sampled_from([-1, float("nan"), float("inf"), "x", 0, 0, 0, 0]), label="WCET")
+    if bad != 0:
+        wcets[draw(st.sampled_from(ids), label="bad node")] = bad
+    for fault in draw(st.lists(st.sampled_from(_EDGE_FAULTS), max_size=2), label="faults"):
+        node = draw(st.sampled_from(ids), label="endpoint")
+        if fault == "self-loop":
+            edge = (node, node)
+        elif fault == "duplicate" and edges:
+            edge = draw(st.sampled_from(edges), label="duplicate")
+        elif fault == "unknown-src":
+            edge = ("ghost", node)
+        else:
+            edge = (node, 404)
+        edges.insert(draw(st.integers(0, len(edges)), label="position"), edge)
+    return wcets, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=_graph_inputs())
+def test_from_dict_behaves_like_add_node_and_add_edge(inputs):
+    wcets, edges = inputs
+    born, born_error = _outcome(DirectedAcyclicGraph.from_dict, wcets, iter(edges))
+    built, built_error = _outcome(_edge_by_edge, wcets, edges)
+    assert born_error == built_error
+    if born is not None:
+        # Acyclic graphs are born as their kernel, without adjacency sets.
+        acyclic = built.is_acyclic()
+        assert (born._structure.kernel is not None) == acyclic
+        assert (born._structure._maps is None) == acyclic
+        assert _structure_view(born) == _structure_view(built)
+        assert born == built
+
+
+def _kernel_born(wcets: dict, edges: list) -> DirectedAcyclicGraph:
+    graph = DirectedAcyclicGraph.from_dict(wcets, edges)
+    assert graph._structure._maps is None
+    return graph
+
+
+@settings(max_examples=100, deadline=None)
+@given(inputs=_graph_inputs(forward_only=True), data=st.data())
+def test_kernel_born_graphs_mutate_like_graphs_built_edge_by_edge(inputs, data):
+    """Mutations, cache invalidation and copy-on-write siblings of a graph
+    born as its kernel match a graph built edge by edge."""
+    wcets, edges = inputs
+    born, built = _kernel_born(wcets, edges), _edge_by_edge(wcets, edges)
+    sibling = born.copy()
+    sibling_before = _snapshot(sibling)
+    created = 0
+    for _ in range(data.draw(st.integers(1, 8), label="steps")):
+        nodes = born.nodes()
+        operation = data.draw(
+            st.sampled_from(
+                ["add_node", "add_edge", "remove_edge", "remove_node", "set_wcet", "invalidate"]
+            ),
+            label="operation",
+        )
+        if operation == "add_node" or not nodes:
+            wcet = data.draw(st.integers(0, 9), label="wcet")
+            for graph in (born, built):
+                graph.add_node(f"new{created}", wcet)
+            created += 1
+        elif operation == "add_edge" and len(nodes) >= 2:
+            i = data.draw(st.integers(0, len(nodes) - 2), label="src")
+            j = data.draw(st.integers(i + 1, len(nodes) - 1), label="dst")
+            if not built.has_edge(nodes[i], nodes[j]):
+                for graph in (born, built):
+                    graph.add_edge(nodes[i], nodes[j])
+        elif operation == "remove_edge" and built.edge_count:
+            edge = data.draw(st.sampled_from(built.edges()), label="edge")
+            for graph in (born, built):
+                graph.remove_edge(*edge)
+        elif operation == "remove_node":
+            node = data.draw(st.sampled_from(nodes), label="node")
+            for graph in (born, built):
+                graph.remove_node(node)
+        elif operation == "set_wcet":
+            node = data.draw(st.sampled_from(nodes), label="node")
+            wcet = data.draw(st.integers(0, 9), label="wcet")
+            for graph in (born, built):
+                graph.set_wcet(node, wcet)
+        else:
+            born.invalidate_caches()
+        assert _snapshot(born) == _snapshot(built)
+        assert _structure_view(born) == _structure_view(built)
+    assert _snapshot(sibling) == sibling_before
+    assert sibling == _kernel_born(wcets, edges)
+
+
+def test_invalidate_caches_builds_the_sets_before_dropping_the_kernel():
+    graph = _kernel_born({"a": 1, "b": 2, "c": 3}, [("a", "b"), ("a", "c")])
+    sibling = graph.copy()
+    before = _snapshot(graph)
+    graph.invalidate_caches()
+    # Dropped for every sharer: the sets are all the structure has left.
+    assert graph._structure is sibling._structure
+    assert graph._structure.kernel is None
+    assert graph._structure._maps is not None
+    assert _snapshot(graph) == before
+    assert _snapshot(sibling) == before
+
+
+def test_pickled_kernel_born_copies_share_one_structure():
+    graph = _kernel_born(
+        {"a": 1, "b": 2, "c": 3, "d": 4}, [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
+    )
+    copies = [graph, graph.copy(), graph.copy()]
+    copies[1].set_wcet("b", 9)
+    loaded = pickle.loads(pickle.dumps(copies))
+    structure = loaded[0]._structure
+    assert all(copy._structure is structure for copy in loaded)
+    # The kernel's CSR travels, not adjacency sets.
+    assert structure.kernel is not None and structure._maps is None
+    assert [_snapshot(copy) for copy in loaded] == [_snapshot(copy) for copy in copies]
+    assert [copy.wcets() for copy in loaded] == [copy.wcets() for copy in copies]
+    loaded[0].add_edge("b", "c")
+    assert not loaded[1].has_edge("b", "c")
+    assert _snapshot(loaded[1]) == _snapshot(copies[1])
+    _assert_matches_fresh(loaded[0])
+
+
+def test_threads_build_the_adjacency_sets_of_one_shared_structure():
+    """Threads make a kernel-born structure build its adjacency sets at
+    once (``has_edge`` reads the sets); every thread sees both sets
+    complete, and a thread that mutates its copy leaves the others alone."""
+    import sys
+    import threading
+
+    count = 300
+    wcets = {f"n{i}": i % 7 for i in range(count)}
+    edges = [(f"n{i}", f"n{j}") for i in range(count) for j in (2 * i + 1, 2 * i + 2) if j < count]
+    base = _kernel_born(wcets, edges)
+    expected = _edge_by_edge(wcets, edges)
+    answers = expected._structure.maps()
+    threads_count = 8
+    copies = [base.copy() for _ in range(threads_count)]
+    views: list = [None] * threads_count
+    errors: list[BaseException] = []
+    barrier = threading.Barrier(threads_count)
+
+    def work(index: int) -> None:
+        try:
+            graph = copies[index]
+            barrier.wait(timeout=60)
+            assert graph.has_edge(*edges[index]) and not graph.has_edge(*edges[index][::-1])
+            views[index] = graph._structure.maps()
+            if index % 2:
+                graph.add_node(f"extra{index}", 1)
+                graph.add_edge("n0", f"extra{index}")
+        except BaseException as error:  # noqa: BLE001 - reported below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(index,)) for index in range(threads_count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+    assert all(view == answers for view in views)
+    assert base._structure.maps() == answers
+    assert _structure_view(base) == _structure_view(expected)
+    for index, graph in enumerate(copies):
+        assert graph.has_edge("n0", f"extra{index}") == bool(index % 2)
+
+
+#: The generator's preset names (``repro.generator.presets.preset_by_name``).
+_PRESET_NAMES = ("small", "small-fig7-m2", "small-fig7-m8", "large", "large-fig6", "large-upper")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    count=st.integers(min_value=0, max_value=300),
+    preset=st.sampled_from(_PRESET_NAMES),
+    pending=st.booleans(),
+)
+def test_one_wcet_draw_equals_one_draw_per_node(seed, count, preset, pending):
+    """``DagStructureGenerator.assign_wcets`` draws every WCET in one call;
+    numpy gives the values, and leaves the RNG in the state, of one scalar
+    draw per node, also with half of a 64-bit output buffered beforehand."""
+    import numpy as np
+
+    from repro.generator.presets import preset_by_name
+
+    config = preset_by_name(preset)
+    together, one_by_one = np.random.default_rng(seed), np.random.default_rng(seed)
+    while pending and not together.bit_generator.state["has_uint32"]:
+        together.integers(0, 10)
+        one_by_one.integers(0, 10)
+    values = together.integers(config.c_min, config.c_max + 1, size=count).tolist()
+    expected = [int(one_by_one.integers(config.c_min, config.c_max + 1)) for _ in range(count)]
+    assert values == expected
+    assert all(type(value) is int for value in values)
+    assert together.bit_generator.state == one_by_one.bit_generator.state

@@ -119,6 +119,13 @@ class TestJsonTasks:
         "unknown-endpoint": {"nodes": {"a": 1}, "edges": [["a", "b"]]},
         "unknown-offloaded-node": {"nodes": {"a": 1}, "offloaded_node": "x"},
         "wcet-not-a-number": {"nodes": {"a": [1]}},
+        # A WCET must be a JSON number: neither a boolean nor a string, not
+        # even one float() would read.
+        "wcet-true": {"nodes": {"a": True}},
+        "wcet-null": {"nodes": {"a": None}},
+        "wcet-numeric-string": {"nodes": {"a": "3"}},
+        "wcet-nan-string": {"nodes": {"a": "nan"}},
+        "wcet-inf-string": {"nodes": {"a": "inf"}},
         "metadata-number": {"nodes": {"a": 1}, "metadata": 5},
         "metadata-list": {"nodes": {"a": 1}, "metadata": [["k", "v"]]},
     }
@@ -130,8 +137,10 @@ class TestJsonTasks:
         "self-loop": {"nodes": {"a": 1, "b": 2}, "edges": [["a", "a"]]},
         "cycle": {"nodes": {"a": 1, "b": 2}, "edges": [["a", "b"], ["b", "a"]]},
         "negative-wcet": {"nodes": {"a": -1}},
-        "nan-wcet": {"nodes": {"a": "nan"}},
-        "infinite-wcet": {"nodes": {"a": "inf"}},
+        "nan-wcet": {"nodes": {"a": float("nan")}},
+        "infinite-wcet": {"nodes": {"a": float("inf")}},
+        # Past the float range: read as infinite, like the literal 1e999.
+        "huge-integer-wcet": {"nodes": {"a": 10**400}},
         "deadline-past-period": {"nodes": {"a": 1}, "period": 5, "deadline": 9},
     }
 
@@ -149,6 +158,16 @@ class TestJsonTasks:
             build_task(document)
         with pytest.raises(SerializationError):
             task_from_dict(self.INVALID_TASKS[name])
+
+    @pytest.mark.parametrize(
+        "wcet, kind", [("true", "boolean"), ('"3"', "string"), ("[1]", "array"), ("null", "null")]
+    )
+    def test_wcet_that_is_not_a_json_number_is_refused(self, tmp_path, wcet, kind):
+        path = tmp_path / "task.json"
+        path.write_text('{"nodes": {"a": 1, "b": %s}, "edges": [["a", "b"]]}' % wcet)
+        message = f"WCET of node 'b' must be a JSON number, got {kind}"
+        with pytest.raises(SerializationError, match=message):
+            load_task(path)
 
     def test_decode_then_build_equals_task_from_dict(self):
         task = figure1_task(period=50, deadline=40)

@@ -860,6 +860,9 @@ class TestHTTPTransport:
             (b"2", b"NaN", 15),
             (b"3.25", b"1e10", 16),
             (b"3.5", b"1e999", 17),
+            # An integer WCET past the float range once got a 500.
+            pytest.param(b"1" + b"0" * 400, b"60", 18, id="huge-integer"),
+            pytest.param(b"-1" + b"0" * 400, b"60", 19, id="huge-negative-integer"),
         ],
     )
     def test_non_finite_number_is_refused_and_the_next_request_served(
@@ -1620,7 +1623,17 @@ MALFORMED_TASKS = {
     "edges-string": {"nodes": {"a": 1, "b": 2}, "edges": "ab"},
     "edge-string": {"nodes": {"a": 1, "b": 2}, "edges": ["ab"]},
     "edge-triple": {"nodes": {"a": 1, "b": 2}, "edges": [["a", "b", "a"]]},
+    # A WCET must be a JSON number: true and "3" were once served as 1.0
+    # and 3.0, [1] and null got Python's own float() message.
+    "wcet-true": {"nodes": {"a": True, "b": 2}, "edges": [["a", "b"]]},
+    "wcet-string": {"nodes": {"a": "3", "b": 2}, "edges": [["a", "b"]]},
+    "wcet-list": {"nodes": {"a": [1], "b": 2}, "edges": [["a", "b"]]},
+    "wcet-null": {"nodes": {"a": None, "b": 2}, "edges": [["a", "b"]]},
 }
+
+#: The JSON type the 400 of each ``wcet-*`` row of MALFORMED_TASKS names.
+WCET_TYPES = {"wcet-true": "boolean", "wcet-string": "string", "wcet-list": "array",
+              "wcet-null": "null"}
 
 
 #: Timing fields a task document may not carry.  ``"1e999"`` is sent as the
@@ -1677,17 +1690,23 @@ class TestMalformedRequests:
         _, server, client = http_service
         task = MALFORMED_TASKS[name]
         stream = {"task": task, "arrivals": {"kind": "trace", "times": [0.0]}}
+        valid = figure1_task(period=20, deadline=15)
         for path, body in (
             ("/simulate", {"task": task, "cores": 2}),
+            ("/analyse", {"task": task, "cores": 2}),
+            ("/makespan", {"task": task, "cores": 2}),
             ("/workload", {"streams": [stream], "horizon": 10.0, "cores": 2}),
         ):
             status, document = _post(server.port, path, body)
             assert status == 400, (path, document)
             assert document["error"]["code"] == "bad-request"
-        valid = figure1_task(period=20, deadline=15)
-        assert client.simulate(valid, cores=3) == simulate_makespan(
-            valid, Platform(3), policy_by_name("breadth-first")
-        )
+            if name in WCET_TYPES:
+                message = document["error"]["message"]
+                assert "WCET of node 'a' must be a JSON number" in message, message
+                assert message.endswith(f"got {WCET_TYPES[name]}"), message
+            assert client.simulate(valid, cores=3) == simulate_makespan(
+                valid, Platform(3), policy_by_name("breadth-first")
+            )
         payload = client.workload(
             [{"task": valid, "arrivals": {"kind": "trace", "times": [0.0]}}], 10.0
         )
@@ -1782,11 +1801,21 @@ class TestMalformedRequests:
             assert document["makespan"] == 12.0
 
     @pytest.mark.parametrize("key", ["nodes", "edges"])
-    def test_task_over_a_size_cap_is_a_413(self, http_service, key):
+    def test_task_over_a_size_cap_is_a_413(self, http_service, key, monkeypatch):
         # A chain of a million nodes fits under the body cap and once took
         # 17 s to build and simulate; a document over a cap is now refused
-        # before it is decoded, on every endpoint that takes a task.
+        # before it is decoded, on every endpoint that takes a task.  The
+        # server runs in this process, so the decodes are counted.
         _, server, client = http_service
+        decodes: list[str] = []
+        for attribute in ("decode_task", "task_from_dict"):
+            original = getattr(http_module, attribute)
+
+            def counted(*args, _original=original, _name=attribute, **kwargs):
+                decodes.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(http_module, attribute, counted)
         if key == "nodes":
             cap = http_module._MAX_TASK_NODES
             task = _chain_document(cap + 1)
@@ -1801,10 +1830,12 @@ class TestMalformedRequests:
             ("/workload", {"streams": [stream], "horizon": 10.0, "cores": 2}),
         ):
             text = json.dumps(body)
+            decodes.clear()
             started = time.monotonic()
             status, document = _post(server.port, path, text)
             assert time.monotonic() - started < 0.5, path
             assert status == 413, (path, document)
+            assert decodes == [], path
             assert document["error"]["code"] == "payload-too-large"
             assert document["error"]["retryable"] is False
             message = document["error"]["message"]
@@ -1813,6 +1844,7 @@ class TestMalformedRequests:
             assert client.simulate(canary, cores=2, timeout=5) == simulate_makespan(
                 canary, Platform(2), policy_by_name("breadth-first")
             )
+            assert decodes, "the count must see the canary's decode"
 
     @pytest.mark.parametrize("key", ["nodes", "edges"])
     def test_task_at_a_size_cap_is_served(self, http_service, key):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.examples import figure1_task, figure2_expected_edges, figure3_task
-from repro.core.exceptions import TransformationError
+from repro.core.exceptions import CycleError, TransformationError
 from repro.core.task import DagTask
 from repro.core.transformation import transform
 from repro.core.validation import validate_task
@@ -159,6 +159,15 @@ class TestErrorsAndOptions:
         task = figure1_task()
         with pytest.raises(TransformationError):
             transform(task, sync_node="v1")
+
+    def test_cyclic_task_cannot_be_transformed(self):
+        # Pred and Succ of v_off are undefined on a cycle; Algorithm 1 runs
+        # on the dense kernel, which a cyclic graph never has.
+        task = DagTask.from_wcets(
+            {"a": 1, "b": 2, "c": 3}, [("a", "b"), ("b", "c"), ("c", "a")], offloaded_node="b"
+        )
+        with pytest.raises(CycleError):
+            transform(task)
 
     def test_custom_sync_identifier(self):
         transformed = transform(figure1_task(), sync_node="barrier")

@@ -1,8 +1,10 @@
 """Property-based tests of Algorithm 1 on randomly generated tasks.
 
-The last tests cover the memoised transform: copies of one structure that
+Further tests cover the memoised transform: copies of one structure that
 differ only in WCETs (the paired ``C_off`` sweeps) share Algorithm 1's
 result, which must be indistinguishable from transforming a fresh rebuild.
+The last tests hold ``transform``, which runs in the index space of the
+dense kernel, to an independent edge-by-edge networkx reference.
 """
 
 from __future__ import annotations
@@ -11,10 +13,12 @@ import os
 import sys
 import threading
 
+import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.compiled import stack_compiled
+from repro.core.graph import DirectedAcyclicGraph
 from repro.core.task import DagTask
 from repro.core.transformation import TransformedTask, transform
 from repro.core.validation import validate_task
@@ -279,3 +283,174 @@ def test_threads_sharing_one_structure_match_fresh_rebuilds():
     assert _graph_view(base.graph) == _graph_view(base_fresh.graph)
     assert base.graph.topological_order() == base_fresh.graph.topological_order()
     assert base.graph.transitive_closure() == base_fresh.graph.transitive_closure()
+
+
+# ----------------------------------------------------------------------
+# Algorithm 1 against an independent edge-by-edge reference
+# ----------------------------------------------------------------------
+def _reference_algorithm1(task: DagTask, sync_node, reduce_transitive: bool) -> dict:
+    """Lines 1-17 of Algorithm 1, edge by edge on a networkx graph.
+
+    The loops visit nodes in ``repr`` order, as :func:`transform` does.  An
+    edge ``(u, v)`` out of a node with two or more successors is transitive
+    when a path of two or more edges also leads from ``u`` to ``v``.  On a
+    DAG that is the usual definition; on the cyclic ``G'`` that an input
+    with transitive edges can give, it is the one
+    :meth:`~repro.core.graph.DirectedAcyclicGraph.transitive_edges` applies.
+    """
+    original = nx.DiGraph()
+    original.add_nodes_from(task.graph.nodes())
+    original.add_edges_from(task.graph.edges())
+    v_off = task.offloaded_node
+    # Line 1.
+    predecessors = nx.ancestors(original, v_off)
+    successors = nx.descendants(original, v_off)
+    # Line 2.
+    graph = original.copy()
+    graph.add_node(sync_node)
+    direct: set = set()
+    rerouted: list = []
+
+    def reroute(src, dst) -> None:
+        graph.remove_edge(src, dst)
+        graph.add_edge(sync_node, dst)
+        rerouted.append((src, dst))
+
+    # Lines 3-8.
+    for v_i in sorted(original.predecessors(v_off), key=repr):
+        direct.add(v_i)
+        graph.remove_edge(v_i, v_off)
+        graph.add_edge(v_i, sync_node)
+        for v_j in sorted(graph.successors(v_i), key=repr):
+            if v_j != sync_node:
+                reroute(v_i, v_j)
+    # Line 9.
+    graph.add_edge(sync_node, v_off)
+    # Lines 10-13.
+    for v_i in sorted(predecessors - direct, key=repr):
+        for v_j in sorted(graph.successors(v_i), key=repr):
+            if v_j not in predecessors:
+                reroute(v_i, v_j)
+    if reduce_transitive:
+        redundant = []
+        for u in graph:
+            if graph.out_degree(u) < 2:
+                continue
+            longer = set()
+            for w in graph.successors(u):
+                for s in graph.successors(w):
+                    longer |= {s} | nx.descendants(graph, s)
+            redundant.extend((u, v) for v in graph.successors(u) if v in longer)
+        graph.remove_edges_from(redundant)
+    # Lines 14-17.
+    parallel = set(original) - predecessors - successors - {v_off}
+    gpar = original.subgraph(parallel)
+    return {
+        "nodes": [*task.graph.nodes(), sync_node],
+        "edges": set(graph.edges()),
+        "gpar_nodes": [node for node in task.graph.nodes() if node in parallel],
+        "gpar_edges": set(gpar.edges()),
+        "direct": direct,
+        "predecessors": predecessors,
+        "successors": successors,
+        "rerouted": rerouted,
+        "acyclic": nx.is_directed_acyclic_graph(graph),
+    }
+
+
+def _kernel_view(graph: DirectedAcyclicGraph) -> tuple:
+    kernel = graph._kernel()
+    return (
+        kernel.nodes,
+        kernel.succ_ptr,
+        kernel.succ_idx,
+        kernel.pred_ptr,
+        kernel.pred_idx,
+        kernel.topo,
+    )
+
+
+def _assert_matches_reference(task: DagTask, reduce_transitive: bool) -> None:
+    result = transform(task, reduce_transitive=reduce_transitive)
+    expected = _reference_algorithm1(task, result.sync_node, reduce_transitive)
+    assert result.graph.nodes() == expected["nodes"]
+    assert set(result.graph.edges()) == expected["edges"]
+    assert result.graph.edge_count == len(expected["edges"])
+    assert result.gpar.nodes() == expected["gpar_nodes"]
+    assert set(result.gpar.edges()) == expected["gpar_edges"]
+    assert result.direct_predecessors == expected["direct"]
+    assert result.predecessors == expected["predecessors"]
+    assert result.successors == expected["successors"]
+    assert result.rerouted_edges == expected["rerouted"]
+    assert result.graph.is_acyclic() == expected["acyclic"]
+    if expected["acyclic"]:
+        # The kernel equals the one of G' built node by node, edge by edge.
+        rebuilt = DirectedAcyclicGraph()
+        for node in expected["nodes"]:
+            rebuilt.add_node(node, 0)
+        for src, dst in sorted(expected["edges"], key=repr):
+            rebuilt.add_edge(src, dst)
+        assert _kernel_view(result.graph) == _kernel_view(rebuilt)
+        gpar = DirectedAcyclicGraph.from_dict(
+            result.gpar.wcets(), sorted(expected["gpar_edges"], key=repr)
+        )
+        assert _kernel_view(result.gpar) == _kernel_view(gpar)
+
+
+#: Node identifier schemes whose ``repr`` order differs from creation order.
+_ID_SCHEMES = {
+    "v-numbered": lambda i: f"v{i + 1}",
+    "v-descending": lambda i: f"v{20 - i}",
+    "ints-and-strings": lambda i: i if i % 2 else f"n{i}",
+}
+
+
+@st.composite
+def _random_dag_tasks(draw) -> DagTask:
+    """A random DAG (edges from earlier to later nodes, so transitive edges
+    occur) with one offloaded node: any node, a source, a sink, or a node
+    with many direct predecessors."""
+    count = draw(st.integers(min_value=2, max_value=12), label="nodes")
+    name = _ID_SCHEMES[draw(st.sampled_from(sorted(_ID_SCHEMES)), label="ids")]
+    order = draw(st.permutations(range(count)), label="creation order")
+    ids = [name(i) for i in order]
+    pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=3 * count), label="edges")
+    place = draw(st.sampled_from(["any", "source", "sink", "fan-in"]), label="v_off")
+    if place == "fan-in":
+        target = draw(st.integers(min_value=1, max_value=count - 1), label="target")
+        edges |= {(i, target) for i in range(target)}
+    graph = DirectedAcyclicGraph.from_dict(
+        {node: 1 + index for index, node in enumerate(ids)},
+        [(ids[i], ids[j]) for i, j in sorted(edges)],
+    )
+    candidates = {
+        "any": graph.nodes(),
+        "source": graph.sources(),
+        "sink": graph.sinks(),
+        "fan-in": [ids[target]] if place == "fan-in" else [],
+    }[place]
+    v_off = draw(st.sampled_from(candidates), label="offloaded")
+    return DagTask(graph=graph, offloaded_node=v_off)
+
+
+@settings(max_examples=300, deadline=None)
+@given(task=_random_dag_tasks(), reduce_transitive=st.booleans())
+def test_algorithm1_matches_the_edge_by_edge_reference_on_random_dags(
+    task, reduce_transitive
+):
+    _assert_matches_reference(task, reduce_transitive)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=_SEEDS,
+    pick=st.integers(min_value=0, max_value=1_000),
+    reduce_transitive=st.booleans(),
+)
+def test_algorithm1_matches_the_edge_by_edge_reference_on_generated_tasks(
+    seed, pick, reduce_transitive
+):
+    host = make_random_host_task(seed, n_max=60)
+    nodes = host.graph.nodes()
+    _assert_matches_reference(host.with_offloaded_node(nodes[pick % len(nodes)]), reduce_transitive)
