@@ -18,17 +18,19 @@ call.  :func:`analyse_many` is the batched entry point that
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
+from ..core.exceptions import ValidationError
 from ..core.task import DagTask
 from ..core.transformation import TransformedTask, transform
 from ..parallel import parallel_map
 from .heterogeneous import naive_unsafe_response_time
 from .heterogeneous import response_time as heterogeneous_response_time
+from .homogeneous import check_cores
 from .homogeneous import response_time as homogeneous_response_time
 from .results import ResponseTimeResult
 
-__all__ = ["TaskAnalysis", "analyse_many"]
+__all__ = ["TaskAnalysis", "analyse_many", "normalise_cores"]
 
 
 @dataclass
@@ -62,13 +64,14 @@ class TaskAnalysis:
         return list(first)
 
 
-def _normalise_cores(cores: Union[int, Iterable[int]]) -> tuple[int, ...]:
-    if isinstance(cores, int):
-        return (cores,)
-    values = tuple(cores)
-    if not values:
-        raise ValueError("at least one core count is required")
-    return values
+def normalise_cores(cores: Union[int, Sequence[int]]) -> tuple[int, ...]:
+    """The host sizes of a batch: one count, or a non-empty list or tuple of
+    counts, each checked by :func:`~repro.analysis.homogeneous.check_cores`.
+    """
+    counts = cores if isinstance(cores, (list, tuple)) else [cores]
+    if not counts:
+        raise ValidationError(f"cores must hold at least one core count, got {cores!r}")
+    return tuple(check_cores(count) for count in counts)
 
 
 def _analyse_one(args: tuple[DagTask, tuple[int, ...], bool]) -> TaskAnalysis:
@@ -90,7 +93,7 @@ def _analyse_one(args: tuple[DagTask, tuple[int, ...], bool]) -> TaskAnalysis:
 
 def analyse_many(
     tasks: Iterable[DagTask],
-    cores: Union[int, Iterable[int]] = 2,
+    cores: Union[int, Sequence[int]] = 2,
     include_naive: bool = True,
     jobs: Optional[int] = None,
 ) -> list[TaskAnalysis]:
@@ -101,7 +104,7 @@ def analyse_many(
     tasks:
         The tasks to analyse (order is preserved in the result).
     cores:
-        One host size or an iterable of host sizes ``m``.
+        One host size ``m``, or a list or tuple of them.
     include_naive:
         Also compute the unsafe naive bound of Section 3.2 for heterogeneous
         tasks (matching :func:`repro.analysis.heterogeneous.analyse`).
@@ -115,6 +118,6 @@ def analyse_many(
     list[TaskAnalysis]
         One entry per task, aligned with the input order.
     """
-    core_counts = _normalise_cores(cores)
+    core_counts = normalise_cores(cores)
     work = [(task, core_counts, include_naive) for task in tasks]
     return parallel_map(_analyse_one, work, jobs=jobs)

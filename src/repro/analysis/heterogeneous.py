@@ -47,7 +47,7 @@ from typing import Optional, Union
 from ..core.exceptions import AnalysisError
 from ..core.task import DagTask
 from ..core.transformation import TransformedTask, transform
-from .homogeneous import graph_response_time
+from .homogeneous import check_cores, graph_response_time
 from .homogeneous import response_time as homogeneous_response_time
 from .results import ResponseTimeResult, Scenario
 
@@ -155,10 +155,7 @@ def response_time(
         term (``len(G')``, ``vol(G')``, ``len(G_par)``, ``vol(G_par)``,
         ``C_off``, ``R_hom(G_par)`` and the interference term).
     """
-    if not isinstance(cores, int) or cores < 1:
-        raise AnalysisError(
-            f"number of host cores must be a positive integer, got {cores!r}"
-        )
+    cores = check_cores(cores)
     transformed = _as_transformed(task_or_transformed)
     if scenario is None:
         scenario = classify_scenario(transformed, cores)

@@ -19,12 +19,15 @@ for bare sub-DAGs (:func:`graph_response_time`), because Theorem 1 needs
 
 from __future__ import annotations
 
+from numbers import Integral
+
 from ..core.exceptions import AnalysisError
 from ..core.graph import DirectedAcyclicGraph
 from ..core.task import DagTask
 from .results import ResponseTimeResult, Scenario
 
 __all__ = [
+    "check_cores",
     "graph_response_time",
     "response_time",
     "homogeneous_response_time",
@@ -32,9 +35,12 @@ __all__ = [
 ]
 
 
-def _check_cores(cores: int) -> None:
-    if not isinstance(cores, int) or cores < 1:
-        raise AnalysisError(f"number of host cores must be a positive integer, got {cores!r}")
+def check_cores(cores: object) -> int:
+    """``cores`` as an ``int``, if it is a host-core count ``m``: an integer
+    >= 1, never a ``bool``.  Every analysis checks its ``m`` here."""
+    if isinstance(cores, bool) or not isinstance(cores, Integral) or cores < 1:
+        raise AnalysisError(f"cores must be a positive integer, got {cores!r}")
+    return int(cores)
 
 
 def graph_response_time(graph: DirectedAcyclicGraph, cores: int) -> float:
@@ -53,7 +59,7 @@ def graph_response_time(graph: DirectedAcyclicGraph, cores: int) -> float:
     float
         ``len(G) + (vol(G) - len(G)) / m``.  The empty graph yields ``0``.
     """
-    _check_cores(cores)
+    cores = check_cores(cores)
     if graph.node_count == 0:
         return 0.0
     length = graph.critical_path_length()
@@ -68,7 +74,7 @@ def response_time(task: DagTask, cores: int) -> ResponseTimeResult:
     if it executed on the host, which is exactly how the paper uses
     ``R_hom(tau)`` as the homogeneous baseline.
     """
-    _check_cores(cores)
+    cores = check_cores(cores)
     graph = task.graph
     length = graph.critical_path_length()
     volume = graph.volume()
@@ -103,7 +109,7 @@ def makespan_lower_bound(task: DagTask, cores: int) -> float:
 
     Returns ``max(len(G), host_volume / m, C_off)``.
     """
-    _check_cores(cores)
+    cores = check_cores(cores)
     return max(
         task.critical_path_length,
         task.host_volume() / cores,

@@ -19,15 +19,19 @@ tasks for system-level schedulability experiments.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
-from numbers import Real
+from numbers import Integral, Real
 from typing import Optional
 
 from .exceptions import ValidationError
 from .graph import DirectedAcyclicGraph, NodeId
 
-__all__ = ["OFFLOADED_NODE_DEFAULT_ID", "DagTask", "TaskSet", "check_time_bound"]
+__all__ = ["OFFLOADED_NODE_DEFAULT_ID", "DagTask", "TaskSet", "check_number", "check_seed"]
+
+#: The largest finite float: an integer past it has no float value.
+_FLOAT_MAX = sys.float_info.max
 
 #: Conventional identifier used for the offloaded node by generators and
 #: worked examples.  Any identifier can be designated as offloaded, this is
@@ -35,21 +39,39 @@ __all__ = ["OFFLOADED_NODE_DEFAULT_ID", "DagTask", "TaskSet", "check_time_bound"
 OFFLOADED_NODE_DEFAULT_ID: str = "v_off"
 
 
-def check_time_bound(name: str, value: object) -> None:
-    """Accept ``value`` as a period or relative deadline: ``None`` or a real
-    number, not a boolean, that is finite and > 0.
+def check_number(
+    name: str, value: object, low: float = 0.0, high: float = math.inf, *, strict: bool = False
+) -> float:
+    """``value`` as a float, if it is a real number, not a boolean, that is
+    finite, at least ``low`` (above it when ``strict``) and at most ``high``.
 
     Raises
     ------
     ValidationError
-        Naming ``name`` and the refused value.
+        Naming ``name``, the interval and the refused value.
     """
-    if value is not None and (
+    if (
         isinstance(value, bool)
         or not isinstance(value, Real)
-        or not 0 < value < math.inf
+        or not -_FLOAT_MAX <= value <= min(high, _FLOAT_MAX)
+        or not (low < value if strict else low <= value)
     ):
-        raise ValidationError(f"{name} must be a finite number > 0, got {value!r}")
+        raise ValidationError(
+            f"{name} must be a finite number in {'(' if strict else '['}{low:g}, "
+            f"{high:g}{']' if high < math.inf else ')'}, got {value!r}"
+        )
+    return float(value)
+
+
+def check_seed(name: str, value: object) -> int:
+    """``value`` as an ``int``, if it is a seed: an integer >= 0, not a
+    boolean (what :class:`numpy.random.SeedSequence` takes).
+
+    Raises :class:`ValidationError` naming ``name``.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
+        raise ValidationError(f"{name} must be an integer >= 0, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -87,8 +109,10 @@ class DagTask:
             raise ValidationError(
                 f"offloaded node {self.offloaded_node!r} is not a node of the graph"
             )
-        check_time_bound("period", self.period)
-        check_time_bound("deadline", self.deadline)
+        if self.period is not None:
+            check_number("period", self.period, strict=True)
+        if self.deadline is not None:
+            check_number("deadline", self.deadline, strict=True)
         if self.deadline is None:
             self.deadline = self.period
         if (

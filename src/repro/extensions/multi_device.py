@@ -26,8 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
+from ..analysis.homogeneous import check_cores
 from ..analysis.results import ResponseTimeResult, Scenario
-from ..core.exceptions import AnalysisError, ValidationError
+from ..core.exceptions import ValidationError
 from ..core.graph import DirectedAcyclicGraph, NodeId
 from ..core.task import DagTask
 from ..simulation.platform import Platform
@@ -185,8 +186,7 @@ def response_time(task: MultiDeviceTask, cores: int) -> ResponseTimeResult:
     undivided because a stalled offloaded chain node is only ever blocked by
     other work *on its own device*.
     """
-    if not isinstance(cores, int) or cores < 1:
-        raise AnalysisError(f"number of host cores must be a positive integer, got {cores!r}")
+    cores = check_cores(cores)
     host_volume = task.host_volume()
     device_volume_total = task.device_volume()
     heaviest_host_path = _max_host_workload_path(task)

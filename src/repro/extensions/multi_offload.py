@@ -48,8 +48,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from ..analysis.homogeneous import check_cores
 from ..analysis.results import ResponseTimeResult, Scenario
-from ..core.exceptions import AnalysisError, ValidationError
+from ..core.exceptions import ValidationError
 from ..core.graph import DirectedAcyclicGraph, NodeId
 from ..core.task import DagTask
 from ..simulation.platform import Platform
@@ -169,8 +170,7 @@ def response_time(task: MultiOffloadTask, cores: int) -> ResponseTimeResult:
     and is valid for every work-conserving schedule in which offloaded nodes
     execute on the (single) accelerator and host nodes on the ``m`` cores.
     """
-    if not isinstance(cores, int) or cores < 1:
-        raise AnalysisError(f"number of host cores must be a positive integer, got {cores!r}")
+    cores = check_cores(cores)
     host_volume = task.host_volume()
     device_volume = task.device_volume()
     heaviest_host_path = _max_host_workload_path(task)

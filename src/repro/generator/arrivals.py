@@ -29,12 +29,16 @@ it.
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from ..core.exceptions import ValidationError
+from ..core.task import check_number, check_seed
+from ..io.json_io import REQUIRED, read_fields
 from ..parallel import parallel_map
 
 __all__ = [
@@ -42,6 +46,7 @@ __all__ = [
     "PeriodicArrivals",
     "SporadicArrivals",
     "TraceArrivals",
+    "ARRIVAL_SPECS",
     "arrival_from_dict",
     "arrival_to_dict",
 ]
@@ -110,17 +115,10 @@ class ArrivalProcess:
         raise NotImplementedError
 
 
-def _check_horizon(horizon: float) -> float:
-    horizon = float(horizon)
-    if not math.isfinite(horizon) or horizon < 0:
-        raise ValueError(f"horizon must be finite and >= 0, got {horizon}")
-    return horizon
-
-
 def _steps_before(horizon: float, offset: float, step: float) -> float:
     """``ceil((horizon - offset) / step)`` in floats (``inf`` on overflow);
     0 when ``offset`` is not before ``horizon``."""
-    span = _check_horizon(horizon) - offset
+    span = check_number("horizon", horizon) - offset
     if span <= 0:
         return 0.0
     steps = span / step
@@ -146,12 +144,10 @@ class PeriodicArrivals(ArrivalProcess):
     kind = "periodic"
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.period) and self.period > 0):
-            raise ValueError(f"period must be finite and > 0, got {self.period}")
-        if not (math.isfinite(self.offset) and self.offset >= 0):
-            raise ValueError(f"offset must be finite and >= 0, got {self.offset}")
-        if not (math.isfinite(self.jitter) and self.jitter >= 0):
-            raise ValueError(f"jitter must be finite and >= 0, got {self.jitter}")
+        check_number("period", self.period, strict=True)
+        check_number("offset", self.offset)
+        check_number("jitter", self.jitter)
+        check_seed("seed", self.seed)
 
     def max_releases(self, horizon: float) -> float:
         return _steps_before(horizon, self.offset, self.period)
@@ -159,7 +155,7 @@ class PeriodicArrivals(ArrivalProcess):
     def release_times(
         self, horizon: float, jobs: Optional[int] = None
     ) -> np.ndarray:
-        horizon = _check_horizon(horizon)
+        horizon = check_number("horizon", horizon)
         count = int(self.max_releases(horizon))
         base = self.offset + np.arange(count, dtype=np.float64) * self.period
         base = base[base < horizon]
@@ -198,16 +194,10 @@ class SporadicArrivals(ArrivalProcess):
     kind = "sporadic"
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.min_gap) and self.min_gap > 0):
-            raise ValueError(
-                f"min_gap must be finite and > 0, got {self.min_gap}"
-            )
-        if not (math.isfinite(self.max_gap) and self.max_gap >= self.min_gap):
-            raise ValueError(
-                f"max_gap must be finite and >= min_gap, got {self.max_gap}"
-            )
-        if not (math.isfinite(self.offset) and self.offset >= 0):
-            raise ValueError(f"offset must be finite and >= 0, got {self.offset}")
+        min_gap = check_number("min_gap", self.min_gap, strict=True)
+        check_number("max_gap", self.max_gap, min_gap)
+        check_number("offset", self.offset)
+        check_seed("seed", self.seed)
 
     def max_releases(self, horizon: float) -> float:
         return _steps_before(horizon, self.offset, self.min_gap)
@@ -238,21 +228,22 @@ class SporadicArrivals(ArrivalProcess):
 class TraceArrivals(ArrivalProcess):
     """An explicit release-time trace, replayed verbatim (then sorted)."""
 
-    times: tuple = field(default_factory=tuple)
+    times: tuple = ()
 
     kind = "trace"
 
     def __init__(self, times: Union[Sequence[float], np.ndarray] = ()) -> None:
-        values = tuple(sorted(float(value) for value in times))
-        for value in values:
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(
-                    f"trace release times must be finite and >= 0, got {value}"
-                )
-        object.__setattr__(self, "times", values)
+        if not isinstance(times, (list, tuple, np.ndarray)):
+            raise ValidationError(
+                f"times must be an array of release times, got {times!r}"
+            )
+        values = sorted(
+            check_number(f"times[{index}]", value) for index, value in enumerate(times)
+        )
+        object.__setattr__(self, "times", tuple(values))
 
     def max_releases(self, horizon: float) -> float:
-        return float(bisect.bisect_left(self.times, _check_horizon(horizon)))
+        return float(bisect.bisect_left(self.times, check_number("horizon", horizon)))
 
     def release_times(
         self, horizon: float, jobs: Optional[int] = None
@@ -265,9 +256,21 @@ class TraceArrivals(ArrivalProcess):
 
 
 _ARRIVAL_KINDS: dict[str, type] = {
-    PeriodicArrivals.kind: PeriodicArrivals,
-    SporadicArrivals.kind: SporadicArrivals,
-    TraceArrivals.kind: TraceArrivals,
+    cls.kind: cls for cls in (PeriodicArrivals, SporadicArrivals, TraceArrivals)
+}
+
+#: Each arrival kind's spec: field -> default, or ``REQUIRED`` (read by
+#: :func:`~repro.io.json_io.read_fields`).  The fields are ``kind`` and the
+#: kind's dataclass fields, whose domains the dataclass checks.
+ARRIVAL_SPECS: dict[str, dict[str, object]] = {
+    kind: {
+        "kind": REQUIRED,
+        **{
+            spec.name: REQUIRED if spec.default is dataclasses.MISSING else spec.default
+            for spec in dataclasses.fields(cls)
+        },
+    }
+    for kind, cls in _ARRIVAL_KINDS.items()
 }
 
 
@@ -277,18 +280,14 @@ def arrival_to_dict(process: ArrivalProcess) -> dict:
 
 
 def arrival_from_dict(document: dict) -> ArrivalProcess:
-    """Rebuild an arrival process from its canonical dict spec."""
+    """Rebuild an arrival process from its canonical dict spec, read through
+    its kind's table in :data:`ARRIVAL_SPECS`."""
     if not isinstance(document, dict):
-        raise ValueError(f"arrival spec must be a dict, got {type(document).__name__}")
-    spec = dict(document)
-    kind = spec.pop("kind", None)
-    cls = _ARRIVAL_KINDS.get(kind)
-    if cls is None:
-        valid = ", ".join(sorted(_ARRIVAL_KINDS))
-        raise ValueError(f"unknown arrival kind {kind!r}; valid kinds: {valid}")
-    if cls is TraceArrivals:
-        return TraceArrivals(spec.get("times", ()))
-    try:
-        return cls(**spec)
-    except TypeError as error:
-        raise ValueError(f"malformed {kind!r} arrival spec: {error}") from None
+        raise ValidationError(f"arrivals must be a JSON object, got {document!r}")
+    kind = document.get("kind")
+    if not isinstance(kind, str) or kind not in ARRIVAL_SPECS:
+        valid = ", ".join(ARRIVAL_SPECS)
+        raise ValidationError(f"unknown arrival kind {kind!r}; valid kinds: {valid}")
+    spec = read_fields(ARRIVAL_SPECS[kind], document, f"a {kind!r} arrival spec")
+    del spec["kind"]
+    return _ARRIVAL_KINDS[kind](**spec)

@@ -14,8 +14,6 @@ accelerator:
 
 from __future__ import annotations
 
-from typing import Union
-
 from ..core.graph import NodeId
 from ..core.task import DagTask
 from ..simulation.platform import Platform
@@ -88,10 +86,3 @@ def list_schedule_upper_bound(
     only be smaller or equal.
     """
     return best_list_schedule(task, cores, accelerators)[0]
-
-
-def _as_platform(platform_or_cores: Union[Platform, int]) -> Platform:
-    """Internal helper mirroring the simulator's platform coercion."""
-    if isinstance(platform_or_cores, Platform):
-        return platform_or_cores
-    return Platform(host_cores=platform_or_cores, accelerators=1)

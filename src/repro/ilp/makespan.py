@@ -38,6 +38,11 @@ class MakespanMethod(enum.Enum):
     #: ILP for anything but tiny tasks, branch-and-bound for <= 12 nodes.
     AUTO = "auto"
 
+    @classmethod
+    def _missing_(cls, value: object) -> None:
+        valid = ", ".join(repr(method.value) for method in cls)
+        raise ValueError(f"method must be one of {valid}, got {value!r}")
+
 
 @dataclass
 class MakespanResult:

@@ -25,6 +25,9 @@ checks that need the graph.  The build goes through
 born as its dense kernel and its acyclicity check costs nothing more.  The
 evaluation service fingerprints the decoded document and builds the task
 only when the result cache has no answer for it.
+
+:func:`read_fields` reads a JSON object through a table of its fields: the
+service's request documents and the arrival specs are read that way.
 """
 
 from __future__ import annotations
@@ -38,10 +41,12 @@ from numbers import Real
 from pathlib import Path
 from typing import Optional, Union
 
-from ..core.exceptions import SerializationError
+from ..core.exceptions import SerializationError, ValidationError
 from ..core.task import DagTask, TaskSet
 
 __all__ = [
+    "REQUIRED",
+    "read_fields",
     "TaskDocument",
     "decode_task",
     "build_task",
@@ -56,6 +61,34 @@ __all__ = [
     "save_taskset",
     "load_taskset",
 ]
+
+
+#: The default of a field a document must carry (see :func:`read_fields`).
+REQUIRED = object()
+
+
+def read_fields(table: Mapping[str, object], document: object, where: str) -> dict:
+    """The fields of ``document`` read through ``table``: each field the
+    table names (mapped to its default, or :data:`REQUIRED`), absent ones
+    at their default.
+
+    Raises
+    ------
+    ValidationError
+        Naming ``where`` and the field, for a document that is not a JSON
+        object, a field the table does not name, or a missing required one.
+    """
+    if not isinstance(document, dict):
+        raise ValidationError(f"{where} must be a JSON object")
+    for name in document:
+        if name not in table:
+            fields = ", ".join(table)
+            raise ValidationError(f"unknown field {name!r} in {where}; its fields are {fields}")
+    values = {name: document.get(name, default) for name, default in table.items()}
+    for name, value in values.items():
+        if value is REQUIRED:
+            raise ValidationError(f"{where} is missing the {name!r} field")
+    return values
 
 
 def task_to_dict(task: DagTask) -> dict:

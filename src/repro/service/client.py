@@ -50,6 +50,7 @@ from ..core.exceptions import (
     ServiceTimeoutError,
 )
 from ..core.task import DagTask
+from ..generator.arrivals import ArrivalProcess
 from ..io.json_io import task_to_dict
 from ..resilience import retry_call
 from .tracing import TRACE_HEADER, new_trace_id
@@ -570,24 +571,11 @@ class ServiceClient:
         """
         wire_streams = []
         for spec in streams:
-            spec = dict(spec)
-            if "task" not in spec or "arrivals" not in spec:
-                raise ValueError(
-                    "each stream needs 'task' and 'arrivals' entries"
-                )
-            arrivals = spec["arrivals"]
-            entry = {
-                "task": self._task_document(spec["task"]),
-                "arrivals": (
-                    arrivals
-                    if isinstance(arrivals, dict)
-                    else arrivals.to_dict()
-                ),
-            }
-            if spec.get("deadline") is not None:
-                entry["deadline"] = spec["deadline"]
-            if spec.get("name") is not None:
-                entry["name"] = spec["name"]
+            entry = dict(spec)
+            if "task" in entry:
+                entry["task"] = self._task_document(entry["task"])
+            if isinstance(entry.get("arrivals"), ArrivalProcess):
+                entry["arrivals"] = entry["arrivals"].to_dict()
             wire_streams.append(entry)
         document = {
             "streams": wire_streams,

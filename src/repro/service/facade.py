@@ -57,19 +57,21 @@ so it misses, and the build on the miss rejects it.
 
 from __future__ import annotations
 
+import math
 import threading
-from collections.abc import Iterable
+from collections.abc import Mapping, Sequence
 from typing import Optional, Union
 
-from ..analysis.batch import TaskAnalysis, analyse_many
+from ..analysis.batch import TaskAnalysis, analyse_many, normalise_cores
 from ..analysis.results import ResponseTimeResult
 from ..core.exceptions import (
     ServiceClosedError,
     ServiceOverloadedError,
     ServiceRequestTooLargeError,
     ServiceTimeoutError,
+    ValidationError,
 )
-from ..core.task import DagTask, check_time_bound
+from ..core.task import DagTask, check_number, check_seed
 from ..generator.arrivals import arrival_to_dict
 from ..ilp.batch import minimum_makespans_many
 from ..ilp.makespan import MakespanMethod, MakespanResult
@@ -77,7 +79,7 @@ from ..io.json_io import TaskDocument
 from ..parallel import worker_respawn_count
 from ..resilience import FAULTS, CircuitBreaker, Deadline, fault_point
 from ..simulation.batch import resolve_engine, simulate_many
-from ..simulation.engine import simulate_makespan
+from ..simulation.engine import _as_platform, check_offload, simulate_makespan
 from ..simulation.kernel_stats import collect_kernel_stats
 from ..simulation.platform import Platform, processor_count
 from ..simulation.workload import (
@@ -87,11 +89,11 @@ from ..simulation.workload import (
     simulate_workload,
 )
 from ..simulation.schedulers import (
-    _POLICIES,
     FixedPriorityPolicy,
     RandomPolicy,
     SchedulingPolicy,
     policy_by_name,
+    policy_class,
 )
 from .batching import BatchRequest, MicroBatcher
 from .cache import ResultCache
@@ -112,6 +114,7 @@ _MAX_WORKLOAD_NODES = 1 << 20
 __all__ = [
     "EvaluationService",
     "build_policy",
+    "check_policy_spec",
     "simulation_payload",
     "analysis_payload",
     "makespan_payload",
@@ -125,9 +128,10 @@ __all__ = [
 def build_policy(
     name: str,
     seed: Optional[int] = None,
-    priorities: Optional[dict] = None,
+    priorities: Optional[Mapping] = None,
 ) -> SchedulingPolicy:
-    """Instantiate a fresh policy from a declarative spec.
+    """Instantiate a fresh policy from a declarative spec (checked by
+    :func:`check_policy_spec`).
 
     ``priorities`` is only meaningful for ``fixed-priority`` (an explicit
     node -> priority table); ``seed`` only for ``random``.  Every request
@@ -135,50 +139,64 @@ def build_policy(
     same stream for the same spec -- the property that makes their results
     cacheable at all.
     """
+    seed = check_policy_spec(name, seed, priorities)
     if priorities is not None:
-        if name != FixedPriorityPolicy.name:
-            raise ValueError(
-                f"priorities are only supported by "
-                f"{FixedPriorityPolicy.name!r} policies, not {name!r}"
-            )
         return FixedPriorityPolicy(priorities)
     return policy_by_name(name, rng=seed)
 
 
-def _validate_policy_spec(
-    name: str, priorities: Optional[dict]
-) -> None:
-    """Reject malformed policy specs without instantiating a policy.
+def check_policy_spec(
+    name: str, seed: Optional[int], priorities: Optional[Mapping]
+) -> Optional[int]:
+    """Check a declarative policy spec and return the seed it runs with.
 
-    Runs on every submission -- including cache hits, whose per-request
-    cost bounds the service's warm throughput -- so it must stay a pair
-    of dictionary checks, not a :func:`build_policy` call (which would
-    build and discard a numpy ``Generator`` per ``random`` request).
+    The name must be a known policy; a seed, when given, an integer >= 0,
+    and the ``random`` policy needs one (an unseeded one draws fresh OS
+    entropy per evaluation, which no cached answer could describe);
+    ``priorities`` only go with ``fixed-priority``, as a table of finite
+    numbers.  Deterministic policies run with ``None``, so specs that
+    differ only in an ignored seed share a cache entry and batch group.
+
+    Runs on every submission, cache hits included, so it builds nothing.
     """
-    if name not in _POLICIES:
-        valid = ", ".join(sorted(_POLICIES))
-        raise KeyError(f"unknown policy {name!r}; valid policies: {valid}")
-    if priorities is not None and name != FixedPriorityPolicy.name:
+    cls = policy_class(name)
+    if seed is not None:
+        check_seed("policy_seed", seed)
+    elif cls is RandomPolicy:
         raise ValueError(
-            f"priorities are only supported by "
-            f"{FixedPriorityPolicy.name!r} policies, not {name!r}"
+            "random-policy requests require an explicit policy_seed "
+            "(results are memoised and must be reproducible)"
         )
+    if priorities is not None:
+        if cls is not FixedPriorityPolicy:
+            raise ValueError(
+                f"priorities are only supported by "
+                f"{FixedPriorityPolicy.name!r} policies, not {name!r}"
+            )
+        if not isinstance(priorities, Mapping):
+            raise ValidationError(
+                f"priorities must map node names to numbers, got {priorities!r}"
+            )
+        for node, value in priorities.items():
+            check_number(f"priorities[{node!r}]", value, -math.inf, strict=True)
+    return seed if cls is RandomPolicy else None
 
 
-def _as_platform(platform: Union[Platform, int]) -> Platform:
-    return platform if isinstance(platform, Platform) else Platform(platform)
+def _check_flag(name: str, value: object) -> bool:
+    """``value`` if it is a boolean: a flag read by its truth value would
+    take ``"false"`` for true."""
+    if not isinstance(value, bool):
+        raise ValidationError(f"{name} must be true or false, got {value!r}")
+    return value
 
 
 def _check_timeout(timeout: Optional[float]) -> Optional[float]:
     """``timeout`` if a wait can honour it: ``None`` (wait forever) or
     seconds in ``[0, threading.TIMEOUT_MAX]`` -- a longer wait overflows
     the platform's clock."""
-    if timeout is not None and not 0 <= timeout <= threading.TIMEOUT_MAX:
-        raise ValueError(
-            f"timeout must be between 0 and {threading.TIMEOUT_MAX:g} "
-            f"seconds, got {timeout}"
-        )
-    return timeout
+    return None if timeout is None else check_number(
+        "timeout", timeout, high=threading.TIMEOUT_MAX
+    )
 
 
 def _build_task(document: TaskDocument) -> DagTask:
@@ -206,15 +224,6 @@ def _copy_payload(value):
     if isinstance(value, list):
         return [_copy_payload(item) for item in value]
     return value
-
-
-def _normalise_cores(cores: Union[int, Iterable[int]]) -> tuple[int, ...]:
-    if not isinstance(cores, Iterable):
-        return (processor_count("cores", cores, 1),)
-    values = tuple(processor_count("cores", m, 1) for m in cores)
-    if not values:
-        raise ValueError("at least one core count is required")
-    return values
 
 
 # ----------------------------------------------------------------------
@@ -601,20 +610,8 @@ class EvaluationService:
         ``submit_*`` method); its task is then built only on a cache miss.
         """
         platform = _as_platform(platform)
-        _validate_policy_spec(policy, priorities)
-        if policy == RandomPolicy.name:
-            if policy_seed is None:
-                # An unseeded random policy draws fresh OS entropy per
-                # evaluation; no stable fingerprint could describe it and a
-                # cached answer would be a lie.
-                raise ValueError(
-                    "random-policy requests require an explicit policy_seed "
-                    "(results are memoised and must be reproducible)"
-                )
-        else:
-            # Deterministic policies ignore the seed; normalising it keeps
-            # byte-identical computations on one cache entry / batch group.
-            policy_seed = None
+        policy_seed = check_policy_spec(policy, policy_seed, priorities)
+        offload_enabled = _check_flag("offload_enabled", offload_enabled)
         policy_fp = policy_fingerprint(policy, policy_seed, priorities)
         task_fp = task_fingerprint(task)
         fingerprint = request_fingerprint(
@@ -622,7 +619,7 @@ class EvaluationService:
             task_fp,
             platform_fingerprint(platform),
             policy_fp,
-            bool(offload_enabled),
+            offload_enabled,
         )
         # The stochastic family consumes an RNG stream across the cells of a
         # batch, so only a solo evaluation matches the one-shot semantics.
@@ -634,7 +631,7 @@ class EvaluationService:
         payload = self._submit(
             kind="simulate",
             fingerprint=fingerprint,
-            group_key=(bool(offload_enabled), solo),
+            group_key=(offload_enabled, solo),
             task=task,
             params={
                 "platform": platform,
@@ -643,7 +640,7 @@ class EvaluationService:
                 "policy_fp": policy_fp,
                 "policy_seed": policy_seed,
                 "priorities": priorities,
-                "offload_enabled": bool(offload_enabled),
+                "offload_enabled": offload_enabled,
                 "solo": solo,
             },
             timeout=timeout,
@@ -653,22 +650,23 @@ class EvaluationService:
     def submit_analysis(
         self,
         task: Union[DagTask, TaskDocument],
-        cores: Union[int, Iterable[int]] = 2,
+        cores: Union[int, Sequence[int]] = 2,
         *,
         include_naive: bool = True,
         timeout: Optional[float] = None,
     ) -> dict:
         """Response-time bounds of ``task`` for every requested core count."""
-        core_counts = _normalise_cores(cores)
+        core_counts = normalise_cores(cores)
+        include_naive = _check_flag("include_naive", include_naive)
         fingerprint = request_fingerprint(
-            "analyse", task_fingerprint(task), list(core_counts), bool(include_naive)
+            "analyse", task_fingerprint(task), list(core_counts), include_naive
         )
         return self._submit(
             kind="analyse",
             fingerprint=fingerprint,
-            group_key=(core_counts, bool(include_naive)),
+            group_key=(core_counts, include_naive),
             task=task,
-            params={"cores": core_counts, "include_naive": bool(include_naive)},
+            params={"cores": core_counts, "include_naive": include_naive},
             timeout=timeout,
         )
 
@@ -682,11 +680,18 @@ class EvaluationService:
         time_limit: Optional[float] = None,
         timeout: Optional[float] = None,
     ) -> dict:
-        """Exact minimum makespan via the batched, memoised oracle layer."""
+        """Exact minimum makespan via the batched, memoised oracle layer.
+
+        A task with an offloaded node needs an accelerator here, as on the
+        simulation endpoints; :func:`~repro.ilp.makespan.minimum_makespan`
+        itself runs such a node on the host when ``accelerators`` is 0.
+        """
         method_value = MakespanMethod(method).value  # validate early
         cores = processor_count("cores", cores, 1)
         accelerators = processor_count("accelerators", accelerators, 0)
-        check_time_bound("time_limit", time_limit)
+        check_offload(task.offloaded_node is not None, accelerators)
+        if time_limit is not None:
+            check_number("time_limit", time_limit, strict=True)
         fingerprint = request_fingerprint(
             "makespan",
             task_fingerprint(task),
@@ -738,11 +743,9 @@ class EvaluationService:
         :class:`~repro.core.exceptions.ServiceRequestTooLargeError`.
         """
         if not streams:
-            raise ValueError("a workload request needs at least one job stream")
+            raise ValueError("streams must hold at least one job stream")
         platform = _as_platform(platform)
-        horizon = float(horizon)
-        if not horizon >= 0:
-            raise ValueError(f"horizon must be >= 0, got {horizon}")
+        horizon = check_number("horizon", horizon)
         released = sum(
             stream.arrivals.max_releases(horizon) * max(1, stream.task.node_count)
             for stream in streams
@@ -752,15 +755,8 @@ class EvaluationService:
                 f"the workload may release {released:.4g} task nodes before "
                 f"its horizon, over the cap of {_MAX_WORKLOAD_NODES} per request"
             )
-        _validate_policy_spec(policy, None)
-        if policy == RandomPolicy.name:
-            if policy_seed is None:
-                raise ValueError(
-                    "random-policy requests require an explicit policy_seed "
-                    "(results are memoised and must be reproducible)"
-                )
-        else:
-            policy_seed = None
+        policy_seed = check_policy_spec(policy, policy_seed, None)
+        offload_enabled = _check_flag("offload_enabled", offload_enabled)
         policy_fp = policy_fingerprint(policy, policy_seed, None)
         stream_specs = [
             [
@@ -776,7 +772,7 @@ class EvaluationService:
             horizon,
             platform_fingerprint(platform),
             policy_fp,
-            bool(offload_enabled),
+            offload_enabled,
         )
         return self._submit(
             kind="workload",
@@ -789,7 +785,7 @@ class EvaluationService:
                 "platform": platform,
                 "policy": policy,
                 "policy_seed": policy_seed,
-                "offload_enabled": bool(offload_enabled),
+                "offload_enabled": offload_enabled,
             },
             timeout=timeout,
             cost=max(1, int(released)),

@@ -22,14 +22,21 @@ Endpoints
                     (``?limit=N&slow=1&errors=1`` filter the summaries)
 ``GET  /traces/<id>``  one trace's full span tree; ``?format=chrome``
                     renders Chrome trace-event JSON loadable in Perfetto
-``POST /simulate``  ``{"task": <task>, "cores": m, "accelerators": a,
-                    "policy": name, "policy_seed": s, "priorities": {...},
-                    "offload_enabled": true}`` -> ``{"makespan": ...}``
-``POST /analyse``   ``{"task": <task>, "cores": m | [m...],
-                    "include_naive": true}`` -> bounds payload
-``POST /makespan``  ``{"task": <task>, "cores": m, "accelerators": a,
-                    "method": "auto"|"ilp"|"bnb", "time_limit": t}``
-                    -> makespan payload with the witness schedule
+``POST /simulate``  ``{"task": <task>, "cores": m, ...}`` -> ``{"makespan": ...}``
+``POST /analyse``   ``{"task": <task>, "cores": m | [m...], ...}`` -> bounds
+``POST /makespan``  ``{"task": <task>, "cores": m, ...}`` -> makespan payload
+                    with the witness schedule
+``POST /workload``  ``{"streams": [...], "horizon": h, ...}`` -> workload
+                    payload
+
+Each POST body is read through its endpoint's table in :data:`REQUESTS`
+(and each ``/workload`` stream through :data:`STREAM`): a field the table
+does not name, or a required field the body lacks, is answered 400 naming
+it, and every other field takes its default.  The values then go to the
+facade, and each field's domain is checked by the library function it
+reaches (:func:`~repro.simulation.platform.processor_count` for counts,
+:func:`~repro.core.task.check_number` for times, and so on), which names
+the field in its 400 too.
 
 Requests are served by :class:`http.server.ThreadingHTTPServer`: each
 connection gets a handler thread that serves its requests one after the
@@ -73,7 +80,7 @@ from ..core.exceptions import (
     ServiceTimeoutError,
 )
 from ..generator.arrivals import arrival_from_dict
-from ..io.json_io import decode_task, task_from_dict
+from ..io.json_io import REQUIRED, decode_task, read_fields, task_from_dict
 from ..resilience import FAULTS
 from ..simulation.platform import Platform, processor_count
 from ..simulation.workload import JobStream
@@ -82,19 +89,63 @@ from .tracing import TRACE_HEADER, chrome_trace, configure_logging
 
 _LOG = logging.getLogger("repro.service.http")
 
-#: Paths instrumented under their own metric label; anything else is folded
-#: into one ``"other"`` label so unknown paths cannot blow up cardinality.
-_ENDPOINTS = frozenset(
-    {
-        "/health",
-        "/stats",
-        "/metrics",
-        "/simulate",
-        "/analyse",
-        "/makespan",
-        "/workload",
-        "/traces",
-    }
+
+#: Each POST endpoint's request document: field -> default, or REQUIRED
+#: (read by :func:`~repro.io.json_io.read_fields`).  The fields are the
+#: facade's parameters (``cores`` and ``accelerators`` make its
+#: ``platform``), which check their domains.
+REQUESTS: dict[str, dict[str, object]] = {
+    "/simulate": {
+        "task": REQUIRED,
+        "cores": 2,
+        "accelerators": 1,
+        "policy": "breadth-first",
+        "policy_seed": None,
+        "priorities": None,
+        "offload_enabled": True,
+        "timeout": None,
+    },
+    "/analyse": {"task": REQUIRED, "cores": 2, "include_naive": True, "timeout": None},
+    "/makespan": {
+        "task": REQUIRED,
+        "cores": 2,
+        "accelerators": 1,
+        "method": "auto",
+        "time_limit": None,
+        "timeout": None,
+    },
+    "/workload": {
+        "streams": REQUIRED,
+        "horizon": REQUIRED,
+        "cores": 2,
+        "accelerators": 1,
+        "policy": "breadth-first",
+        "policy_seed": None,
+        "offload_enabled": True,
+        "timeout": None,
+    },
+}
+
+#: One object of a ``/workload`` request's ``streams`` array: the fields of
+#: a :class:`~repro.simulation.workload.JobStream`.  Its ``arrivals`` spec
+#: is read by :func:`~repro.generator.arrivals.arrival_from_dict`.
+STREAM: dict[str, object] = {
+    "task": REQUIRED,
+    "arrivals": REQUIRED,
+    "deadline": None,
+    "name": None,
+}
+
+#: Every route the server answers.  A 404 lists them, and a request on one
+#: is measured under its path's metric label; anything else is folded into
+#: one ``"other"`` label so unknown paths cannot blow up cardinality.
+_ROUTES = (
+    "GET /health",
+    "GET /stats",
+    "GET /metrics",
+    "GET /traces",
+    "GET /traces/<id>",
+    *(f"POST {path}" for path in REQUESTS),
 )
 
 #: Request bodies larger than this are refused, chunked or not (same spirit
@@ -148,6 +199,8 @@ class _HTTPRequestError(Exception):
         self.close = close
 
 __all__ = [
+    "REQUESTS",
+    "STREAM",
     "ServiceHTTPServer",
     "start_server",
     "add_serve_arguments",
@@ -247,10 +300,10 @@ class _RequestHandler(BaseHTTPRequestHandler):
         finally:
             elapsed = time.perf_counter() - started
             path = self.path.partition("?")[0]
-            if path in _ENDPOINTS:
-                endpoint = path
-            elif path.startswith("/traces/"):
+            if path.startswith("/traces/"):
                 endpoint = "/traces"
+            elif f"{self.command} {path}" in _ROUTES:
+                endpoint = path
             else:
                 endpoint = "other"
             server = self.server
@@ -429,7 +482,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
             )
         return self.rfile.read(length) if length else b""
 
-    def _read_document(self) -> dict:
+    def _read_document(self) -> object:
         encoding = self.headers.get("Transfer-Encoding", "")
         codings = [
             token.strip().lower()
@@ -463,45 +516,20 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 "Content-Length header or chunked transfer-encoding"
             )
         try:
-            document = json.loads(body, parse_constant=_reject_constant)
-        except json.JSONDecodeError as error:
+            return json.loads(body, parse_constant=_reject_constant)
+        except (json.JSONDecodeError, RecursionError) as error:
+            # A body nested past the interpreter's recursion limit is
+            # refused like any other JSON the server cannot read.
             raise ValueError(f"invalid JSON body: {error}") from error
-        if not isinstance(document, dict):
-            raise ValueError("request body must be a JSON object")
-        return document
 
-    def _task_of(self, document: dict):
-        """The request's task document, decoded but not built: the facade
-        builds it only on a cache miss."""
-        if "task" not in document:
-            raise ValueError("request document is missing the 'task' object")
-        _check_task_size(document["task"], "task")
-        return decode_task(document["task"])
-
-    def _streams_of(self, document: dict) -> list:
-        specs = document.get("streams")
-        if not isinstance(specs, list) or not specs:
-            raise ValueError(
-                "request document needs a non-empty 'streams' array"
-            )
-        streams = []
-        for position, spec in enumerate(specs):
-            if not isinstance(spec, dict):
-                raise ValueError(f"streams[{position}] must be a JSON object")
-            if "task" not in spec:
-                raise ValueError(f"streams[{position}] is missing 'task'")
-            if "arrivals" not in spec:
-                raise ValueError(f"streams[{position}] is missing 'arrivals'")
-            _check_task_size(spec["task"], f"streams[{position}].task")
-            streams.append(
-                JobStream(
-                    task=task_from_dict(spec["task"]),
-                    arrivals=arrival_from_dict(spec["arrivals"]),
-                    deadline=spec.get("deadline"),
-                    name=spec.get("name"),
-                )
-            )
-        return streams
+    def _send_not_found(self) -> None:
+        self._send_error(
+            404,
+            "not-found",
+            f"unknown path {self.path!r}",
+            retryable=False,
+            extra={"endpoints": list(_ROUTES)},
+        )
 
     # ------------------------------------------------------------------
     # Routes
@@ -541,25 +569,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
         elif path == "/traces" or path.startswith("/traces/"):
             self._handle_traces(path, raw_query)
         else:
-            self._send_error(
-                404,
-                "not-found",
-                f"unknown path {self.path!r}",
-                retryable=False,
-                extra={
-                    "endpoints": [
-                        "GET /health",
-                        "GET /stats",
-                        "GET /metrics",
-                        "GET /traces",
-                        "GET /traces/<id>",
-                        "POST /simulate",
-                        "POST /analyse",
-                        "POST /makespan",
-                        "POST /workload",
-                    ]
-                },
-            )
+            self._send_not_found()
 
     def _handle_traces(self, path: str, raw_query: str) -> None:
         """Serve the trace ring: summaries on ``/traces``, one tree below it."""
@@ -640,58 +650,13 @@ class _RequestHandler(BaseHTTPRequestHandler):
             tracer.finish_trace(trace, error=self._status >= 400)
 
     def _handle_post(self) -> None:
-        service = self.server.service
         try:
             document = self._read_document()
-            timeout = document.get("timeout")
-            if self.path == "/simulate":
-                makespan = service.submit_simulation(
-                    self._task_of(document),
-                    _platform_of(document),
-                    policy=document.get("policy", "breadth-first"),
-                    policy_seed=document.get("policy_seed"),
-                    priorities=document.get("priorities"),
-                    offload_enabled=_flag_of(document, "offload_enabled"),
-                    timeout=timeout,
-                )
-                self._send_json(200, {"makespan": makespan})
-            elif self.path == "/analyse":
-                payload = service.submit_analysis(
-                    self._task_of(document),
-                    document.get("cores", 2),
-                    include_naive=_flag_of(document, "include_naive"),
-                    timeout=timeout,
-                )
-                self._send_json(200, payload)
-            elif self.path == "/makespan":
-                payload = service.submit_makespan(
-                    self._task_of(document),
-                    document.get("cores", 2),
-                    accelerators=document.get("accelerators", 1),
-                    method=document.get("method", "auto"),
-                    time_limit=document.get("time_limit"),
-                    timeout=timeout,
-                )
-                self._send_json(200, payload)
-            elif self.path == "/workload":
-                if "horizon" not in document:
-                    raise ValueError(
-                        "request document is missing the 'horizon' number"
-                    )
-                payload = service.submit_workload(
-                    self._streams_of(document),
-                    document["horizon"],
-                    _platform_of(document),
-                    policy=document.get("policy", "breadth-first"),
-                    policy_seed=document.get("policy_seed"),
-                    offload_enabled=_flag_of(document, "offload_enabled"),
-                    timeout=timeout,
-                )
-                self._send_json(200, payload)
-            else:
-                self._send_error(
-                    404, "not-found", f"unknown path {self.path!r}", retryable=False
-                )
+            if self.path not in REQUESTS:
+                self._send_not_found()
+                return
+            request = read_fields(REQUESTS[self.path], document, "the request document")
+            self._send_json(200, _submit(self.server.service, self.path, request))
         except _HTTPRequestError as error:
             if error.close:
                 self.close_connection = True
@@ -737,6 +702,52 @@ class _RequestHandler(BaseHTTPRequestHandler):
             )
 
 
+def _submit(service: EvaluationService, path: str, request: dict) -> dict:
+    """Answer one walked request with its facade call.
+
+    A task document is decoded here but not built: the facade builds it
+    only on a cache miss.  Every task's size is checked before any task is
+    decoded.
+    """
+    if "task" in request:
+        _check_task_size(request["task"], "task")
+        request["task"] = decode_task(request["task"])
+    if path == "/analyse":
+        return service.submit_analysis(**request)
+    if path == "/makespan":
+        return service.submit_makespan(**request)
+    platform = Platform(
+        processor_count("cores", request.pop("cores"), 1),
+        processor_count("accelerators", request.pop("accelerators"), 0),
+    )
+    if path == "/simulate":
+        return {"makespan": service.submit_simulation(platform=platform, **request)}
+    request["streams"] = _streams(request["streams"])
+    return service.submit_workload(platform=platform, **request)
+
+
+def _streams(specs: object) -> list[JobStream]:
+    """The job streams of a ``/workload`` request, each read through
+    :data:`STREAM`; every task's size is checked before any is built."""
+    if not isinstance(specs, list):
+        raise ValueError(f"streams must be an array of stream objects, got {specs!r}")
+    streams = [
+        read_fields(STREAM, spec, f"streams[{position}]")
+        for position, spec in enumerate(specs)
+    ]
+    for position, stream in enumerate(streams):
+        _check_task_size(stream["task"], f"streams[{position}].task")
+    return [
+        JobStream(
+            task_from_dict(stream["task"]),
+            arrival_from_dict(stream["arrivals"]),
+            stream["deadline"],
+            stream["name"],
+        )
+        for stream in streams
+    ]
+
+
 def _check_task_size(task: object, where: str) -> None:
     """Refuse a task document over the node or edge cap (413).
 
@@ -758,24 +769,6 @@ def _reject_constant(name: str) -> float:
     """``json.loads`` hook for the non-standard ``NaN`` and ``Infinity``
     literals: the maths has no use for them, so the request is refused."""
     raise ValueError(f"invalid JSON body: {name} is not a JSON number")
-
-
-def _platform_of(document: dict) -> Platform:
-    """The platform of a request, its counts checked under their wire names."""
-    return Platform(
-        host_cores=processor_count("cores", document.get("cores", 2), 1),
-        accelerators=processor_count(
-            "accelerators", document.get("accelerators", 1), 0
-        ),
-    )
-
-
-def _flag_of(document: dict, name: str) -> bool:
-    """The flag ``name`` of a request: a JSON boolean, ``true`` when absent."""
-    value = document.get(name, True)
-    if not isinstance(value, bool):
-        raise ValueError(f"{name} must be true or false, got {value!r}")
-    return value
 
 
 def _query_flag(query: dict, name: str) -> bool:

@@ -48,13 +48,24 @@ from .platform import ACCELERATOR, HOST, INSTANT, Platform
 from .schedulers import BreadthFirstPolicy, SchedulingPolicy
 from .trace import ExecutionTrace, NodeExecution
 
-__all__ = ["simulate", "simulate_makespan"]
+__all__ = ["check_offload", "simulate", "simulate_makespan"]
 
 
 def _as_platform(platform_or_cores: Union[Platform, int]) -> Platform:
     if isinstance(platform_or_cores, Platform):
         return platform_or_cores
     return Platform(host_cores=platform_or_cores, accelerators=1)
+
+
+def check_offload(offloads: bool, accelerators: int) -> None:
+    """Refuse offloaded work on a platform without an accelerator: the one
+    0-accelerator rule of the engines and the evaluation service."""
+    if offloads and accelerators == 0:
+        raise SimulationError(
+            "the task offloads work but the platform has 0 accelerators; "
+            "disable offloading (offload_enabled false) or send a task "
+            "without an offloaded node"
+        )
 
 
 def _device_assignment(
@@ -78,11 +89,7 @@ def _device_assignment(
         resolved = {task.offloaded_node: 0}
     else:
         resolved = {}
-    if resolved and platform.accelerators == 0:
-        raise SimulationError(
-            "task offloads work but the platform has no accelerator; "
-            "pass offload_enabled=False for a homogeneous execution"
-        )
+    check_offload(bool(resolved), platform.accelerators)
     for node, device in resolved.items():
         if node not in task.graph:
             raise SimulationError(f"offloaded node {node!r} is not part of the task")

@@ -39,6 +39,7 @@ __all__ = [
     "RandomPolicy",
     "FixedPriorityPolicy",
     "policy_by_name",
+    "policy_class",
     "policy_supports_dense",
     "policy_vector_kind",
     "VECTOR_FIFO",
@@ -468,6 +469,15 @@ _POLICIES: dict[str, type[SchedulingPolicy]] = {
 }
 
 
+def policy_class(name: str) -> type[SchedulingPolicy]:
+    """The policy class named ``name``; a ``KeyError`` names the valid ones."""
+    cls = _POLICIES.get(name) if isinstance(name, str) else None
+    if cls is None:
+        valid = ", ".join(sorted(_POLICIES))
+        raise KeyError(f"unknown policy {name!r}; valid policies: {valid}")
+    return cls
+
+
 def policy_by_name(name: str, rng: Optional[int] = None) -> SchedulingPolicy:
     """Instantiate a policy from its short name.
 
@@ -478,11 +488,7 @@ def policy_by_name(name: str, rng: Optional[int] = None) -> SchedulingPolicy:
     ready-queue FIFO); the scheduler-ablation CLI uses it as a baseline, and
     programmatic callers pass an explicit table to the constructor instead.
     """
-    try:
-        cls = _POLICIES[name]
-    except KeyError:
-        valid = ", ".join(sorted(_POLICIES))
-        raise KeyError(f"unknown policy {name!r}; valid policies: {valid}") from None
+    cls = policy_class(name)
     if cls is RandomPolicy:
         return RandomPolicy(rng)
     return cls()

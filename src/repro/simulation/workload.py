@@ -78,8 +78,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ..core.compiled import compile_task, stack_compiled
-from ..core.exceptions import SimulationError
-from ..core.task import DagTask, check_time_bound
+from ..core.exceptions import SimulationError, ValidationError
+from ..core.task import DagTask, check_number
 from ..generator.arrivals import ArrivalProcess
 from .engine import _as_platform, _device_assignment
 from .kernel_stats import record_kernel_batch
@@ -141,7 +141,10 @@ class JobStream:
     name: Optional[str] = None
 
     def __post_init__(self) -> None:
-        check_time_bound("relative deadline", self.deadline)
+        if self.deadline is not None:
+            check_number("relative deadline", self.deadline, strict=True)
+        if self.name is not None and not isinstance(self.name, str):
+            raise ValidationError(f"stream name must be a string, got {self.name!r}")
 
     def relative_deadline(self) -> Optional[float]:
         """The effective relative deadline of every instance of the stream."""
