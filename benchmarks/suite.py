@@ -47,7 +47,7 @@ from repro.analysis import analyse, analyse_many  # noqa: E402
 from repro.core.graph import DirectedAcyclicGraph  # noqa: E402
 from repro.core.task import DagTask  # noqa: E402
 from repro.core.transformation import transform  # noqa: E402
-from repro.experiments.config import quick_scale  # noqa: E402
+from repro.experiments.config import paper_scale, quick_scale  # noqa: E402
 from repro.experiments.figure7 import node_range_for_cores  # noqa: E402
 from repro.generator.arrivals import PeriodicArrivals  # noqa: E402
 from repro.generator.config import GeneratorConfig, OffloadConfig  # noqa: E402
@@ -935,6 +935,46 @@ def _figure6_graph_layer(count: int) -> tuple[dict, bool]:
 
 
 # ----------------------------------------------------------------------
+# generator: the structure draws replayed in C against numpy's
+# ----------------------------------------------------------------------
+#: Paper-scale Figure 6 structure draws per pass, about the 100 of a pass.
+GENERATOR_DRAWS = 100
+
+
+def run_generator(smoke: bool) -> Measurement:
+    if not _kernels.compiled_available():
+        reason = _kernels.compiled_unavailable_reason()
+        return {"unavailable_reason": reason}, {"kernel_built": False}
+
+    seed = paper_scale().seed
+
+    def draws(method: str) -> tuple[list, dict]:
+        generator = DagStructureGenerator(LARGE_TASKS_FIG6, seed)
+        drawn = [getattr(generator, method)() for _ in range(GENERATOR_DRAWS)]
+        return drawn, generator.rng.bit_generator.state
+
+    draws("_draw")  # warm: the kernel load
+    replay_s, (replayed, replay_state) = best_of(lambda: draws("_draw"), 3 if smoke else 5)
+    numpy_s, (drawn, numpy_state) = best_of(lambda: draws("_numpy_draw"), 1 if smoke else 3)
+    metrics = {
+        "draws": GENERATOR_DRAWS,
+        "mean_nodes": float(np.mean([draw.nodes for draw in replayed])),
+        "replay_ms_per_draw": replay_s / GENERATOR_DRAWS * 1e3,
+        "numpy_ms_per_draw": numpy_s / GENERATOR_DRAWS * 1e3,
+        "replay_speedup": numpy_s / max(replay_s, 1e-9),
+    }
+    checks = {
+        "kernel_built": True,
+        "draws_identical": all(
+            one.nodes == other.nodes and one.edges == other.edges
+            for one, other in zip(replayed, drawn)
+        ),
+        "rng_state_identical": replay_state == numpy_state,
+    }
+    return metrics, checks
+
+
+# ----------------------------------------------------------------------
 # The registry
 # ----------------------------------------------------------------------
 CASES: tuple[Case, ...] = (
@@ -1057,6 +1097,17 @@ CASES: tuple[Case, ...] = (
         "the same tasks rebuilt through add_node/add_edge",
         run=run_graph_kernel,
         checks=("fig6_transform_matches_rebuild",),
+    ),
+    Case(
+        name="generator",
+        layer="task generator",
+        workload=f"{GENERATOR_DRAWS} paper-scale Figure 6 structure draws "
+        "(LARGE_TASKS_FIG6, the paper seed), rejected draws included",
+        candidate="rejection loop replayed from PCG64 in the compiled kernel",
+        baseline="recursive expansion with numpy's scalar draws",
+        run=run_generator,
+        gates=(Gate("replay_speedup", ">=", 5.0),),
+        checks=("kernel_built", "draws_identical", "rng_state_identical"),
     ),
 )
 

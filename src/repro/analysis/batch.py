@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
-from ..core.exceptions import ValidationError
+from ..core.exceptions import ServiceRequestTooLargeError, ValidationError, short_repr
 from ..core.task import DagTask
 from ..core.transformation import TransformedTask, transform
 from ..parallel import parallel_map
@@ -30,7 +30,7 @@ from .homogeneous import check_cores
 from .homogeneous import response_time as homogeneous_response_time
 from .results import ResponseTimeResult
 
-__all__ = ["TaskAnalysis", "analyse_many", "normalise_cores"]
+__all__ = ["MAX_CORE_COUNTS", "TaskAnalysis", "analyse_many", "normalise_cores"]
 
 
 @dataclass
@@ -64,13 +64,31 @@ class TaskAnalysis:
         return list(first)
 
 
+#: Core counts one batch may ask for.  Each costs every bound of every task
+#: and a row of the answer: 20 000 counts took 2.28 s and answered 13 MB for
+#: one 6-node task.  The paper's figures ask for four.
+MAX_CORE_COUNTS = 256
+
+
 def normalise_cores(cores: Union[int, Sequence[int]]) -> tuple[int, ...]:
     """The host sizes of a batch: one count, or a non-empty list or tuple of
-    counts, each checked by :func:`~repro.analysis.homogeneous.check_cores`.
+    at most :data:`MAX_CORE_COUNTS` counts, each checked by
+    :func:`~repro.analysis.homogeneous.check_cores`.
+
+    A longer list raises
+    :class:`~repro.core.exceptions.ServiceRequestTooLargeError` naming
+    ``cores`` (the HTTP transport answers 413), before any count is checked.
     """
     counts = cores if isinstance(cores, (list, tuple)) else [cores]
     if not counts:
-        raise ValidationError(f"cores must hold at least one core count, got {cores!r}")
+        raise ValidationError(
+            f"cores must hold at least one core count, got {short_repr(cores)}"
+        )
+    if len(counts) > MAX_CORE_COUNTS:
+        raise ServiceRequestTooLargeError(
+            f"cores has {len(counts)} core counts, over the cap of {MAX_CORE_COUNTS} "
+            "core counts per request"
+        )
     return tuple(check_cores(count) for count in counts)
 
 

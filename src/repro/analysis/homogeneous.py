@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from numbers import Integral
 
-from ..core.exceptions import AnalysisError
+from ..core.exceptions import AnalysisError, short_repr
 from ..core.graph import DirectedAcyclicGraph
 from ..core.task import DagTask
 from .results import ResponseTimeResult, Scenario
@@ -39,7 +39,7 @@ def check_cores(cores: object) -> int:
     """``cores`` as an ``int``, if it is a host-core count ``m``: an integer
     >= 1, never a ``bool``.  Every analysis checks its ``m`` here."""
     if isinstance(cores, bool) or not isinstance(cores, Integral) or cores < 1:
-        raise AnalysisError(f"cores must be a positive integer, got {cores!r}")
+        raise AnalysisError(f"cores must be a positive integer, got {short_repr(cores)}")
     return int(cores)
 
 

@@ -7,6 +7,8 @@ while still being able to distinguish the individual failure modes.
 
 from __future__ import annotations
 
+import reprlib
+
 __all__ = [
     "ReproError",
     "GraphError",
@@ -30,7 +32,16 @@ __all__ = [
     "CircuitOpenError",
     "FaultInjectedError",
     "WorkerCrashError",
+    "short_repr",
 ]
+
+
+def short_repr(value: object) -> str:
+    """How an error message shows a refused value: its ``repr`` with
+    containers cut after a few items and long strings and numbers cut in
+    the middle (:func:`reprlib.repr`), so a message stays short whatever the
+    value's size.  Every domain check shows refused values through it."""
+    return reprlib.repr(value)
 
 
 class ReproError(Exception):
@@ -58,7 +69,7 @@ class NodeNotFoundError(GraphError, KeyError):
     """Raised when a node identifier is not present in the graph."""
 
     def __init__(self, node_id: object) -> None:
-        super().__init__(f"node {node_id!r} is not part of the graph")
+        super().__init__(f"node {short_repr(node_id)} is not part of the graph")
         self.node_id = node_id
 
 
@@ -169,8 +180,10 @@ class ServiceOverloadedError(ServiceError):
 class ServiceRequestTooLargeError(ServiceError):
     """Raised when one request would do more work than a request may.
 
-    Checked before any work starts (the HTTP transport answers 413).  Not
-    retryable: the identical request is refused again.
+    Checked before any work starts (the HTTP transport answers 413): a task
+    document over the node or edge cap, or more core counts than
+    :data:`repro.analysis.batch.MAX_CORE_COUNTS` (refused in process too).
+    Not retryable: the identical request is refused again.
     """
 
 

@@ -69,6 +69,7 @@ from .exceptions import (
     DuplicateNodeError,
     EdgeError,
     NodeNotFoundError,
+    short_repr,
 )
 
 __all__ = ["NodeId", "DirectedAcyclicGraph"]
@@ -272,7 +273,7 @@ def _check_wcet(node_id: NodeId, wcet: float) -> None:
     # ``nan < 0`` is false, so a plain sign test would let NaN through.
     if not 0 <= wcet < math.inf:
         raise ValueError(
-            f"WCET of node {node_id!r} must be finite and >= 0, got {wcet}"
+            f"WCET of node {short_repr(node_id)} must be finite and >= 0, got {wcet}"
         )
 
 
@@ -486,10 +487,12 @@ class DirectedAcyclicGraph:
         seen: set[int] = set()
         for src, dst in edges:
             if src == dst:
-                raise EdgeError(f"self loop on node {nodes[src]!r} is not allowed")
+                raise EdgeError(f"self loop on node {short_repr(nodes[src])} is not allowed")
             key = src * count + dst
             if key in seen:
-                raise EdgeError(f"edge ({nodes[src]!r}, {nodes[dst]!r}) already exists")
+                raise EdgeError(
+                    f"edge ({short_repr(nodes[src])}, {short_repr(nodes[dst])}) already exists"
+                )
             seen.add(key)
             rows[src].append(dst)
         for row in rows:
@@ -505,16 +508,19 @@ class DirectedAcyclicGraph:
         graph._init_caches()
         return graph
 
-    def _induced(self, keep: list[int]) -> "DirectedAcyclicGraph":
+    @staticmethod
+    def _induced(
+        nodes: list[NodeId], rows: list[list[int]], wcets: list[float], keep: list[int]
+    ) -> "DirectedAcyclicGraph":
         """The subgraph induced by the nodes at the ascending indices ``keep``
-        of the node order (WCETs preserved)."""
-        nodes, rows = self._index_rows()
+        of ``nodes``, node ``i`` having the successors ``rows[i]`` and the
+        WCET ``wcets[i]``."""
         position = [-1] * len(nodes)
         for new, old in enumerate(keep):
             position[old] = new
         return DirectedAcyclicGraph._from_indices(
             [nodes[i] for i in keep],
-            [self._wcet[nodes[i]] for i in keep],
+            [wcets[i] for i in keep],
             (
                 (new, position[s])
                 for new, old in enumerate(keep)
@@ -603,9 +609,9 @@ class DirectedAcyclicGraph:
         if dst not in succ:
             raise NodeNotFoundError(dst)
         if src == dst:
-            raise EdgeError(f"self loop on node {src!r} is not allowed")
+            raise EdgeError(f"self loop on node {short_repr(src)} is not allowed")
         if dst in succ[src]:
-            raise EdgeError(f"edge ({src!r}, {dst!r}) already exists")
+            raise EdgeError(f"edge ({short_repr(src)}, {short_repr(dst)}) already exists")
         structure = self._mutable_structure()
         structure.succ[src].add(dst)
         structure.pred[dst].add(src)
@@ -1105,7 +1111,11 @@ class DirectedAcyclicGraph:
         selected = set(nodes)
         for node in selected:
             self._require(node)
-        return self._induced([i for i, node in enumerate(self._wcet) if node in selected])
+        return self._induced(
+            *self._index_rows(),
+            list(self._wcet.values()),
+            [i for i, node in enumerate(self._wcet) if node in selected],
+        )
 
     def relabelled(self, mapping: Mapping[NodeId, NodeId]) -> "DirectedAcyclicGraph":
         """Return a copy with node identifiers renamed according to ``mapping``.

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from numbers import Integral, Real
 from typing import Optional
 
-from .exceptions import ValidationError
+from .exceptions import ValidationError, short_repr
 from .graph import DirectedAcyclicGraph, NodeId
 
 __all__ = ["OFFLOADED_NODE_DEFAULT_ID", "DagTask", "TaskSet", "check_number", "check_seed"]
@@ -58,7 +58,7 @@ def check_number(
     ):
         raise ValidationError(
             f"{name} must be a finite number in {'(' if strict else '['}{low:g}, "
-            f"{high:g}{']' if high < math.inf else ')'}, got {value!r}"
+            f"{high:g}{']' if high < math.inf else ')'}, got {short_repr(value)}"
         )
     return float(value)
 
@@ -70,7 +70,7 @@ def check_seed(name: str, value: object) -> int:
     Raises :class:`ValidationError` naming ``name``.
     """
     if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
-        raise ValidationError(f"{name} must be an integer >= 0, got {value!r}")
+        raise ValidationError(f"{name} must be an integer >= 0, got {short_repr(value)}")
     return int(value)
 
 

@@ -27,13 +27,14 @@ and ``Succ`` are the kernel's cached ancestor and descendant bitmasks, lines
 3-13 edit successor index rows, and ``tau'``'s graph and ``G_par`` (a node
 mask over the original rows) are born as their kernels through the graph's
 one builder from index rows, without per-node adjacency sets.  Transitive
-edges of ``G'`` are found from its descendant bitmasks.
+edges of ``G'`` are found from its descendant bitmasks.  ``G_par`` is built
+only when a caller reads it: Figure 6 simulates ``tau'`` alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
 
 from .exceptions import TransformationError
 from .graph import DirectedAcyclicGraph, NodeId, _DenseKernel
@@ -57,10 +58,6 @@ class TransformedTask:
         The transformed task ``tau'`` whose graph is ``G' = (V', E')``.  It
         contains the extra synchronisation node and keeps the same offloaded
         node, period and deadline as the original task.
-    gpar:
-        The parallel sub-DAG ``G_par = (V_par, E_par)``: the sub-graph induced
-        (in the *original* edge set) by the nodes that may execute in parallel
-        with ``v_off``.
     sync_node:
         Identifier of the inserted synchronisation node ``v_sync``.
     direct_predecessors:
@@ -79,17 +76,35 @@ class TransformedTask:
         and :func:`~repro.analysis.heterogeneous.response_time` would
         otherwise both re-derive).  A transformed task is never mutated after
         construction, so entries stay valid for the object's lifetime.
+
+    The parallel sub-DAG ``G_par`` is the :attr:`gpar` property, built on
+    first read.
     """
 
     original: DagTask
     task: DagTask
-    gpar: DirectedAcyclicGraph
     sync_node: NodeId
     direct_predecessors: set[NodeId] = field(default_factory=set)
     predecessors: set[NodeId] = field(default_factory=set)
     successors: set[NodeId] = field(default_factory=set)
     rerouted_edges: list[tuple[NodeId, NodeId]] = field(default_factory=list)
     metrics_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    #: Algorithm 1's result for the structure, and the original's WCETs
+    #: when it was transformed: what :attr:`gpar` is built from.
+    _gpar_source: tuple = field(default=(), repr=False, compare=False)
+
+    @cached_property
+    def gpar(self) -> DirectedAcyclicGraph:
+        """The parallel sub-DAG ``G_par = (V_par, E_par)``: the sub-graph
+        induced (in the *original* edge set) by the nodes that may execute in
+        parallel with ``v_off``, weighing the original's WCETs.
+
+        Built on first read, from the structure's memoised ``G_par``; callers
+        that never read it (Figure 6 simulates ``tau'`` only) never pay for
+        it.  The graph is this task's own, so callers may mutate it.
+        """
+        shape, wcets = self._gpar_source
+        return shape.gpar._reweighted(wcets)
 
     # ------------------------------------------------------------------
     # Convenience accessors used by the response-time analysis
@@ -158,9 +173,10 @@ def transform(
     Algorithm 1 does not read the WCETs, so its result is memoised on the
     graph's structure: every copy of one structure (the paired ``C_off``
     sweeps re-weight copies of each DAG) runs it once, and each call
-    re-weights the memoised ``tau'`` and ``G_par`` from the caller's WCETs.
-    The returned graphs share their structure copy-on-write and the
-    provenance containers are fresh, so callers may mutate both.
+    re-weights the memoised ``tau'`` from the caller's WCETs, and ``G_par``
+    when it is first read (:attr:`TransformedTask.gpar`).  The returned
+    graphs share their structure copy-on-write and the provenance containers
+    are fresh, so callers may mutate both.
 
     Parameters
     ----------
@@ -208,10 +224,8 @@ def transform(
     )
     # G' lists the task's nodes in their order, then v_sync.
     wcets = graph.wcets()
-    gpar = shape.gpar._reweighted(wcets)
-    wcets[sync_node] = 0
     transformed_task = DagTask(
-        graph=shape.graph._sharing(wcets),
+        graph=shape.graph._sharing({**wcets, sync_node: 0}),
         offloaded_node=v_off,
         period=task.period,
         deadline=task.deadline,
@@ -222,12 +236,12 @@ def transform(
     return TransformedTask(
         original=task,
         task=transformed_task,
-        gpar=gpar,
         sync_node=sync_node,
         direct_predecessors=set(shape.direct_predecessors),
         predecessors=set(shape.predecessors),
         successors=set(shape.successors),
         rerouted_edges=list(shape.rerouted_edges),
+        _gpar_source=(shape, wcets),
     )
 
 
@@ -235,16 +249,35 @@ def transform(
 class _Shape:
     """Algorithm 1's result for one structure, before weighting.
 
-    ``graph`` (``G'``) and ``gpar`` carry the WCETs of the task that first
-    computed the shape; :func:`transform` only ever reads their structure.
+    ``graph`` (``G'``) carries the WCETs of the task that first computed the
+    shape, and ``gpar`` zero WCETs; callers only ever read their structure.
+    ``kernel`` is the original's, and ``parallel`` indexes ``V_par`` in it.
     """
 
     graph: DirectedAcyclicGraph
-    gpar: DirectedAcyclicGraph
+    kernel: _DenseKernel
+    parallel: tuple[int, ...]
     direct_predecessors: frozenset
     predecessors: frozenset
     successors: frozenset
     rerouted_edges: tuple
+
+    @cached_property
+    def gpar(self) -> DirectedAcyclicGraph:
+        """``G_par``, built on first read for every task of the structure."""
+        return _parallel_subgraph(self.kernel, self.parallel)
+
+
+def _parallel_subgraph(kernel: _DenseKernel, parallel: tuple[int, ...]) -> DirectedAcyclicGraph:
+    """Lines 14-17: ``G_par`` is induced by the parallel nodes in the
+    *original* node and edge sets (zero WCETs)."""
+    count = len(kernel.nodes)
+    return DirectedAcyclicGraph._induced(
+        kernel.nodes,
+        [kernel.successors_of(i) for i in range(count)],
+        [0] * count,
+        list(parallel),
+    )
 
 
 def _algorithm1(
@@ -312,12 +345,12 @@ def _algorithm1(
     if reduce_transitive:
         transformed = transformed.transitive_reduction()
 
-    # Lines 14-17: G_par is induced by the parallel nodes in the *original*
-    # node and edge sets.
+    # Lines 14-17 (G_par) wait for a reader; keep V_par.
     parallel = ((1 << sync) - 1) & ~predecessors & ~successors & ~(1 << off)
     return _Shape(
         graph=transformed,
-        gpar=graph._induced(list(_DenseKernel.bits(parallel))),
+        kernel=kernel,
+        parallel=tuple(_DenseKernel.bits(parallel)),
         direct_predecessors=frozenset(nodes[i] for i in direct),
         predecessors=frozenset(nodes[i] for i in _DenseKernel.bits(predecessors)),
         successors=frozenset(nodes[i] for i in _DenseKernel.bits(successors)),

@@ -36,7 +36,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ..core.exceptions import ValidationError
+from ..core.exceptions import ValidationError, short_repr
 from ..core.task import check_number, check_seed
 from ..io.json_io import REQUIRED, read_fields
 from ..parallel import parallel_map
@@ -235,7 +235,7 @@ class TraceArrivals(ArrivalProcess):
     def __init__(self, times: Union[Sequence[float], np.ndarray] = ()) -> None:
         if not isinstance(times, (list, tuple, np.ndarray)):
             raise ValidationError(
-                f"times must be an array of release times, got {times!r}"
+                f"times must be an array of release times, got {short_repr(times)}"
             )
         values = sorted(
             check_number(f"times[{index}]", value) for index, value in enumerate(times)
@@ -283,11 +283,13 @@ def arrival_from_dict(document: dict) -> ArrivalProcess:
     """Rebuild an arrival process from its canonical dict spec, read through
     its kind's table in :data:`ARRIVAL_SPECS`."""
     if not isinstance(document, dict):
-        raise ValidationError(f"arrivals must be a JSON object, got {document!r}")
+        raise ValidationError(f"arrivals must be a JSON object, got {short_repr(document)}")
     kind = document.get("kind")
     if not isinstance(kind, str) or kind not in ARRIVAL_SPECS:
         valid = ", ".join(ARRIVAL_SPECS)
-        raise ValidationError(f"unknown arrival kind {kind!r}; valid kinds: {valid}")
+        raise ValidationError(
+            f"unknown arrival kind {short_repr(kind)}; valid kinds: {valid}"
+        )
     spec = read_fields(ARRIVAL_SPECS[kind], document, f"a {kind!r} arrival spec")
     del spec["kind"]
     return _ARRIVAL_KINDS[kind](**spec)

@@ -23,7 +23,10 @@ keeping the structure distribution fixed.
 
 A draw records its edges as index pairs in creation order, and the accepted
 draw becomes a graph born as its dense kernel (node ``i`` is named
-``v{i + 1}``), without per-node adjacency sets.
+``v{i + 1}``), without per-node adjacency sets.  At paper scale about four
+of every five draws are rejected, so the rejection loop runs in the compiled
+kernel where it can: it replays numpy's PCG64 draws exactly, and the numpy
+expansion below is its fallback and its test oracle.
 """
 
 from __future__ import annotations
@@ -112,18 +115,37 @@ class DagStructureGenerator:
         return self._draw().graph()
 
     def _draw(self) -> _Draw:
-        """The first draw whose node count lies in ``[n_min, n_max]``."""
+        """The first draw whose node count lies in ``[n_min, n_max]``.
+
+        The compiled kernel replays the rejection loop from a PCG64
+        generator (:func:`~repro.simulation._kernels.draw_structure`); any
+        other bit generator, or a host without the kernel, draws with numpy
+        (:meth:`_numpy_draw`).  Both draw the same numbers, and leave the
+        generator in the same state, accepted or not.
+        """
+        from ..simulation._kernels import draw_structure
+
+        config = self.config
+        replayed = draw_structure(self.rng.bit_generator, config)
+        draw = self._numpy_draw() if replayed is None else _Draw(*replayed)
+        if not draw.nodes:
+            raise GenerationError(
+                f"could not generate a DAG with {config.n_min}..{config.n_max} nodes "
+                f"after {config.max_attempts} attempts; "
+                "check p_par / n_par / max_depth consistency"
+            )
+        return draw
+
+    def _numpy_draw(self) -> _Draw:
+        """The rejection loop with numpy's scalar draws: the first accepted
+        draw, or an empty one when all ``max_attempts`` are rejected."""
         config = self.config
         for _ in range(config.max_attempts):
             draw = _Draw()
             self._expand(draw, depth=0, force_parallel=config.force_root_expansion)
             if config.n_min <= draw.nodes <= config.n_max:
                 return draw
-        raise GenerationError(
-            f"could not generate a DAG with {config.n_min}..{config.n_max} nodes "
-            f"after {config.max_attempts} attempts; "
-            "check p_par / n_par / max_depth consistency"
-        )
+        return _Draw()
 
     def _expand(
         self, draw: _Draw, depth: int, force_parallel: bool = False

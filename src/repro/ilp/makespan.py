@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..core.exceptions import SolverError
+from ..core.exceptions import SolverError, short_repr
 from ..core.graph import NodeId
 from ..core.task import DagTask
 from .bounds import best_list_schedule, makespan_lower_bound
@@ -41,7 +41,7 @@ class MakespanMethod(enum.Enum):
     @classmethod
     def _missing_(cls, value: object) -> None:
         valid = ", ".join(repr(method.value) for method in cls)
-        raise ValueError(f"method must be one of {valid}, got {value!r}")
+        raise ValueError(f"method must be one of {valid}, got {short_repr(value)}")
 
 
 @dataclass

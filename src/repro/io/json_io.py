@@ -41,7 +41,7 @@ from numbers import Real
 from pathlib import Path
 from typing import Optional, Union
 
-from ..core.exceptions import SerializationError, ValidationError
+from ..core.exceptions import SerializationError, ValidationError, short_repr
 from ..core.task import DagTask, TaskSet
 
 __all__ = [
@@ -83,7 +83,9 @@ def read_fields(table: Mapping[str, object], document: object, where: str) -> di
     for name in document:
         if name not in table:
             fields = ", ".join(table)
-            raise ValidationError(f"unknown field {name!r} in {where}; its fields are {fields}")
+            raise ValidationError(
+                f"unknown field {short_repr(name)} in {where}; its fields are {fields}"
+            )
     values = {name: document.get(name, default) for name, default in table.items()}
     for name, value in values.items():
         if value is REQUIRED:
@@ -172,7 +174,8 @@ def decode_task(data: Mapping) -> TaskDocument:
         for node, wcet in nodes.items():
             if isinstance(wcet, bool) or not isinstance(wcet, Real):
                 raise SerializationError(
-                    f"WCET of node {str(node)!r} must be a JSON number, got {_json_type(wcet)}"
+                    f"WCET of node {short_repr(str(node))} must be a JSON number, "
+                    f"got {_json_type(wcet)}"
                 )
     try:
         wcet_of = {str(node): float(wcet) for node, wcet in nodes.items()}
@@ -192,13 +195,13 @@ def decode_task(data: Mapping) -> TaskDocument:
     edges = []
     for edge in raw_edges:
         if type(edge) not in (list, tuple) or len(edge) != 2:
-            raise SerializationError(f"invalid edge entry {edge!r}")
+            raise SerializationError(f"invalid edge entry {short_repr(edge)}")
         src, dst = edge
         try:
             edges.append((index[str(src)], index[str(dst)]))
         except KeyError:
             raise SerializationError(
-                f"edge {edge!r} references an unknown node"
+                f"edge {short_repr(edge)} references an unknown node"
             ) from None
     offloaded = data.get("offloaded_node")
     if offloaded is not None:

@@ -70,6 +70,7 @@ from ..core.exceptions import (
     ServiceRequestTooLargeError,
     ServiceTimeoutError,
     ValidationError,
+    short_repr,
 )
 from ..core.task import DagTask, check_number, check_seed
 from ..generator.arrivals import arrival_to_dict
@@ -171,14 +172,14 @@ def check_policy_spec(
         if cls is not FixedPriorityPolicy:
             raise ValueError(
                 f"priorities are only supported by "
-                f"{FixedPriorityPolicy.name!r} policies, not {name!r}"
+                f"{FixedPriorityPolicy.name!r} policies, not {short_repr(name)}"
             )
         if not isinstance(priorities, Mapping):
             raise ValidationError(
-                f"priorities must map node names to numbers, got {priorities!r}"
+                f"priorities must map node names to numbers, got {short_repr(priorities)}"
             )
         for node, value in priorities.items():
-            check_number(f"priorities[{node!r}]", value, -math.inf, strict=True)
+            check_number(f"priorities[{short_repr(node)}]", value, -math.inf, strict=True)
     return seed if cls is RandomPolicy else None
 
 
@@ -186,7 +187,7 @@ def _check_flag(name: str, value: object) -> bool:
     """``value`` if it is a boolean: a flag read by its truth value would
     take ``"false"`` for true."""
     if not isinstance(value, bool):
-        raise ValidationError(f"{name} must be true or false, got {value!r}")
+        raise ValidationError(f"{name} must be true or false, got {short_repr(value)}")
     return value
 
 

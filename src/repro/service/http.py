@@ -78,6 +78,7 @@ from ..core.exceptions import (
     ServiceOverloadedError,
     ServiceRequestTooLargeError,
     ServiceTimeoutError,
+    short_repr,
 )
 from ..generator.arrivals import arrival_from_dict
 from ..io.json_io import REQUIRED, decode_task, read_fields, task_from_dict
@@ -582,7 +583,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 self._send_error(
                     400,
                     "bad-request",
-                    f"limit must be an integer, got {query['limit'][0]!r}",
+                    f"limit must be an integer, got {short_repr(query['limit'][0])}",
                     retryable=False,
                 )
                 return
@@ -730,7 +731,9 @@ def _streams(specs: object) -> list[JobStream]:
     """The job streams of a ``/workload`` request, each read through
     :data:`STREAM`; every task's size is checked before any is built."""
     if not isinstance(specs, list):
-        raise ValueError(f"streams must be an array of stream objects, got {specs!r}")
+        raise ValueError(
+            f"streams must be an array of stream objects, got {short_repr(specs)}"
+        )
     streams = [
         read_fields(STREAM, spec, f"streams[{position}]")
         for position, spec in enumerate(specs)

@@ -1,4 +1,5 @@
-"""Compiled C step-loop kernel (the engine behind every vectorisable grid).
+"""Compiled C kernels: the step loop behind every vectorisable grid, and
+the structure generator's rejection loop.
 
 A Python event loop pays interpreter dispatch for every heap operation of
 every simulation.  Compiling the step loop removes that overhead at the
@@ -46,6 +47,18 @@ and event counts and errors do not depend on the thread count: the counts
 are summed over the shares, and a deadlock reports the lowest deadlocked
 lane.
 
+Structure draws
+---------------
+The library's second entry point, :func:`draw_structure`, runs the random
+DAG generator's rejection loop (Section 5.1: recursive fork/join expansion,
+re-drawn until the node count fits) on a copy of a numpy PCG64 state: the
+128-bit LCG with its XSL-RR output, ``random()`` as ``(next64 >> 11) *
+2**-53`` and ``integers`` as Lemire's rejection over the bit generator's
+buffered 32-bit halves.  It makes numpy's draws in numpy's order, rejected
+draws included, and writes the state back, so the draws after it are those
+of the numpy path (:mod:`repro.generator.random_dag`, its fallback and test
+oracle).
+
 Toolchain
 ---------
 The kernel is plain C99 with no Python.h dependency: it is compiled on
@@ -57,8 +70,9 @@ with :mod:`ctypes`.  No third-party package is required --
 ``pip install .[compiled]`` is a documented no-op kept as the opt-in
 marker.  When no compiler is available (or ``REPRO_COMPILED=0`` disables
 the backend) ``engine="auto"`` serves every grid with the dense engine
-(:func:`~repro.simulation.vectorized_compiled.resolve_engine`); nothing in
-the repository *requires* the compiled backend.
+(:func:`~repro.simulation.vectorized_compiled.resolve_engine`) and the
+generator draws with numpy; nothing in the repository *requires* the
+compiled backend.
 """
 
 from __future__ import annotations
@@ -85,6 +99,7 @@ __all__ = [
     "LANE_FIELDS",
     "compiled_available",
     "compiled_unavailable_reason",
+    "draw_structure",
     "load_kernel",
     "run_lanes",
 ]
@@ -473,6 +488,159 @@ int64_t repro_run_lanes(
     if (n_threads > 1) { free(shares); free(threads); free(started); }
     return status;
 }
+
+/* ---- The structure generator's rejection loop ------------------------ */
+
+/* numpy's PCG64 (128-bit LCG, XSL-RR output) with the 32-bit half that its
+ * next_uint32 buffers: the fields of the bit generator's state dict. */
+typedef struct { uint64_t hi, lo, inc_hi, inc_lo, has_half, half; } pcg_t;
+
+static void mul64(uint64_t a, uint64_t b, uint64_t *hi, uint64_t *lo) {
+    uint64_t a0 = a & 0xffffffffu, a1 = a >> 32, b0 = b & 0xffffffffu, b1 = b >> 32;
+    uint64_t p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0;
+    uint64_t mid = (p00 >> 32) + (p01 & 0xffffffffu) + (p10 & 0xffffffffu);
+    *lo = (mid << 32) | (p00 & 0xffffffffu);
+    *hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
+}
+
+/* state = state * multiplier + inc (mod 2^128), then the output of the new
+ * state: rotate (high ^ low) right by its top six bits. */
+static uint64_t pcg_next64(pcg_t *g) {
+    const uint64_t m_hi = 0x2360ED051FC65DA4ull, m_lo = 0x4385DF649FCCF645ull;
+    uint64_t hi, lo;
+    mul64(g->lo, m_lo, &hi, &lo);
+    hi += g->lo * m_hi + g->hi * m_lo;
+    lo += g->inc_lo;
+    hi += g->inc_hi + (lo < g->inc_lo);
+    g->hi = hi;
+    g->lo = lo;
+    uint64_t x = hi ^ lo;
+    unsigned r = (unsigned)(hi >> 58);
+    return (x >> r) | (x << ((64 - r) & 63));
+}
+
+/* Generator.random(). */
+static double pcg_random(pcg_t *g) {
+    return (double)(pcg_next64(g) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* next_uint32: the buffered high half first, else the low half of a new
+ * draw whose high half is buffered. */
+static uint32_t pcg_next32(pcg_t *g) {
+    if (g->has_half) { g->has_half = 0; return (uint32_t)g->half; }
+    uint64_t x = pcg_next64(g);
+    g->has_half = 1;
+    g->half = x >> 32;
+    return (uint32_t)x;
+}
+
+/* Generator.integers(0, rng + 1) for rng < 2^32 - 1: Lemire's rejection
+ * over next_uint32; rng == 0 draws nothing. */
+static uint32_t pcg_bounded(pcg_t *g, uint32_t rng) {
+    if (rng == 0) return 0;
+    uint32_t excl = rng + 1;
+    uint64_t m = (uint64_t)pcg_next32(g) * excl;
+    uint32_t leftover = (uint32_t)m;
+    if (leftover < excl) {
+        uint32_t threshold = (UINT32_MAX - rng) % excl;
+        while (leftover < threshold) {
+            m = (uint64_t)pcg_next32(g) * excl;
+            leftover = (uint32_t)m;
+        }
+    }
+    return (uint32_t)(m >> 32);
+}
+
+/* An open parallel sub-DAG: its fork and join, the branches still to
+ * expand and its depth. */
+typedef struct { int64_t fork, join, left, depth; } frame_t;
+
+/* Run the structure generator's rejection loop from the PCG64 state in
+ * rng[6] (state high and low, inc high and low, has_uint32, uinteger):
+ * up to max_attempts recursive expansions, each the numpy path's draws in
+ * its order (a node at depth < max_depth expands when forced or when
+ * random() < p_par, into integers(2, n_par + 1) branches), until one has
+ * n_min..n_max nodes.  Every rejected draw is consumed.
+ *
+ * The accepted draw's edges go to edges[] as index pairs in creation order,
+ * its first cap pairs.  Returns its node count and stores its edge count in
+ * *n_edges, or returns 0 when every attempt was rejected; either way the
+ * state after the last draw is written back to rng.  Returns -1, with rng
+ * untouched, when the expansion stack cannot be allocated.
+ */
+int64_t repro_draw_structure(
+    uint64_t *rng,
+    double p_par,
+    int64_t n_par,
+    int64_t max_depth,
+    int64_t n_min,
+    int64_t n_max,
+    int64_t force_root,
+    int64_t max_attempts,
+    int64_t *edges,
+    int64_t cap,
+    int64_t *n_edges
+) {
+    pcg_t g = { rng[0], rng[1], rng[2], rng[3], rng[4], rng[5] };
+    const uint32_t branches = (uint32_t)(n_par - 2);
+    int64_t stack_cap = 64, accepted = 0;
+    frame_t *stack = malloc(sizeof(frame_t) * stack_cap);
+    if (!stack) return -1;
+
+#define EDGE(a, b) do { \
+    if (count < cap) { edges[2 * count] = (a); edges[2 * count + 1] = (b); } \
+    count += 1; \
+} while (0)
+
+    for (int64_t attempt = 0; attempt < max_attempts && !accepted; attempt++) {
+        int64_t nodes = 0, count = 0, sp = 0, depth = 0;
+        int force = force_root != 0;
+        for (;;) {
+            int parallel = force || (depth < max_depth && pcg_random(&g) < p_par);
+            if (depth >= max_depth) parallel = 0;
+            if (parallel) {
+                if (sp == stack_cap) {
+                    frame_t *grown = realloc(stack, sizeof(frame_t) * stack_cap * 2);
+                    if (!grown) { free(stack); return -1; }
+                    stack = grown;
+                    stack_cap *= 2;
+                }
+                frame_t *f = &stack[sp++];
+                f->fork = nodes;
+                f->join = nodes + 1;
+                nodes += 2;
+                f->left = 2 + (int64_t)pcg_bounded(&g, branches);
+                f->depth = depth;
+                depth += 1;
+                force = 0;
+                continue;  /* expand its first branch */
+            }
+            /* A terminal node: hand (entry, exit) back to the open forks. */
+            int64_t entry = nodes, exit_ = nodes;
+            nodes += 1;
+            while (sp > 0) {
+                frame_t *f = &stack[sp - 1];
+                EDGE(f->fork, entry);
+                EDGE(exit_, f->join);
+                if (--f->left > 0) break;
+                entry = f->fork;
+                exit_ = f->join;
+                sp -= 1;
+            }
+            if (sp == 0) break;
+            depth = stack[sp - 1].depth + 1;  /* expand the next branch */
+        }
+        if (n_min <= nodes && nodes <= n_max) {
+            accepted = nodes;
+            *n_edges = count;
+        }
+    }
+#undef EDGE
+    free(stack);
+    rng[0] = g.hi; rng[1] = g.lo; rng[2] = g.inc_hi; rng[3] = g.inc_lo;
+    rng[4] = g.has_half; rng[5] = g.half;
+    return accepted;
+}
 """
 
 _lock = threading.Lock()
@@ -565,6 +733,12 @@ def load_kernel() -> Optional[ctypes.CDLL]:
             fn = lib.repro_run_lanes
             fn.restype = ctypes.c_int64
             fn.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 11
+            fn = lib.repro_draw_structure
+            fn.restype = ctypes.c_int64
+            fn.argtypes = [
+                ctypes.c_void_p, ctypes.c_double, *[ctypes.c_int64] * 6,
+                ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+            ]
             _lib = lib
         except Exception as error:  # noqa: BLE001 - any failure means "absent"
             _reason = str(error)
@@ -682,3 +856,77 @@ def run_lanes(
         lane_steps=int(stats[0]),
     )
     return out
+
+
+#: Edge pairs a structure draw first gets room for; an accepted draw with
+#: more edges is replayed once more from the same state into a larger buffer.
+_EDGE_ROOM = 1024
+
+#: The C entry takes 64-bit counts.  A bound at or past 2**62 can never be
+#: reached by a draw, so clamping it there draws the same numbers.
+_COUNT_LIMIT = 1 << 62
+
+
+def draw_structure(bit_generator: object, config) -> Optional[tuple[int, list]]:
+    """Run :class:`~repro.generator.random_dag.DagStructureGenerator`'s
+    rejection loop in C from ``bit_generator``'s PCG64 state.
+
+    ``config`` is the generator's
+    :class:`~repro.generator.config.GeneratorConfig`.  Returns the accepted
+    draw's node count and its edges as ``(src, dst)`` index pairs in
+    creation order, or ``(0, [])`` when all ``max_attempts`` draws were
+    rejected.  Returns ``None`` -- the caller draws with numpy then -- for a
+    bit generator other than :class:`numpy.random.PCG64`, a configuration
+    whose branch draw is not numpy's 32-bit one, or a host without the
+    kernel.
+
+    The draws are numpy's: ``random()`` is ``(next64 >> 11) * 2**-53`` and
+    ``integers(2, n_par + 1)`` is Lemire's rejection over PCG64's buffered
+    ``next_uint32`` half (no draw when ``n_par == 2``), and rejected draws
+    are consumed.  The state after the last draw -- state, increment and the
+    buffered half -- is written back under the bit generator's lock, held
+    from reading the state on, so every later draw sees the numbers the
+    numpy path leaves it.
+    """
+    if (
+        type(bit_generator) is not np.random.PCG64
+        or config.n_par - 2 >= 0xFFFFFFFF
+        or not isinstance(config.p_par, (int, float))
+    ):
+        return None
+    lib = load_kernel()
+    if lib is None:
+        return None
+    counts = [
+        min(int(value), _COUNT_LIMIT)
+        for value in (config.n_par, config.max_depth, config.n_min, config.n_max,
+                      config.force_root_expansion, config.max_attempts)
+    ]
+    room = min(2 * counts[3], _EDGE_ROOM)
+    word = (1 << 64) - 1
+    with bit_generator.lock:
+        state = bit_generator.state
+        pcg = state["state"]
+        start = (pcg["state"] >> 64, pcg["state"] & word, pcg["inc"] >> 64,
+                 pcg["inc"] & word, state["has_uint32"], state["uinteger"])
+        while True:
+            words = (ctypes.c_uint64 * 6)(*start)
+            edges = np.empty(2 * room, dtype=np.int64)
+            count = ctypes.c_int64(0)
+            nodes = lib.repro_draw_structure(
+                words, float(config.p_par), *counts,
+                edges.ctypes.data, room, ctypes.byref(count),
+            )
+            if nodes < 0:
+                return None
+            if count.value <= room:
+                break
+            room = count.value
+        pcg["state"] = words[0] << 64 | words[1]
+        pcg["inc"] = words[2] << 64 | words[3]
+        state["has_uint32"], state["uinteger"] = words[4], words[5]
+        bit_generator.state = state
+    if not nodes:
+        return 0, []
+    flat = edges[: 2 * count.value].tolist()
+    return nodes, list(zip(flat[0::2], flat[1::2]))

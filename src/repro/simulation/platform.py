@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.exceptions import SimulationError
+from ..core.exceptions import SimulationError, short_repr
 
 __all__ = [
     "Platform",
@@ -45,10 +45,11 @@ def processor_count(name: str, value: object, minimum: int) -> int:
     :class:`~repro.core.exceptions.SimulationError` naming ``name``.
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise SimulationError(f"{name} must be an integer, got {value!r}")
+        raise SimulationError(f"{name} must be an integer, got {short_repr(value)}")
     if not minimum <= value <= MAX_PROCESSORS:
         raise SimulationError(
-            f"{name} must be between {minimum} and {MAX_PROCESSORS}, got {value}"
+            f"{name} must be between {minimum} and {MAX_PROCESSORS}, "
+            f"got {short_repr(int(value))}"
         )
     return int(value)
 

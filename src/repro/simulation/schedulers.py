@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from ..core.exceptions import short_repr
 from ..core.graph import DirectedAcyclicGraph, NodeId
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -474,7 +475,7 @@ def policy_class(name: str) -> type[SchedulingPolicy]:
     cls = _POLICIES.get(name) if isinstance(name, str) else None
     if cls is None:
         valid = ", ".join(sorted(_POLICIES))
-        raise KeyError(f"unknown policy {name!r}; valid policies: {valid}")
+        raise KeyError(f"unknown policy {short_repr(name)}; valid policies: {valid}")
     return cls
 
 

@@ -78,7 +78,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ..core.compiled import compile_task, stack_compiled
-from ..core.exceptions import SimulationError, ValidationError
+from ..core.exceptions import SimulationError, ValidationError, short_repr
 from ..core.task import DagTask, check_number
 from ..generator.arrivals import ArrivalProcess
 from .engine import _as_platform, _device_assignment
@@ -144,7 +144,9 @@ class JobStream:
         if self.deadline is not None:
             check_number("relative deadline", self.deadline, strict=True)
         if self.name is not None and not isinstance(self.name, str):
-            raise ValidationError(f"stream name must be a string, got {self.name!r}")
+            raise ValidationError(
+                f"stream name must be a string, got {short_repr(self.name)}"
+            )
 
     def relative_deadline(self) -> Optional[float]:
         """The effective relative deadline of every instance of the stream."""

@@ -36,6 +36,7 @@ GATES = [
     ("tracing", "span_untraced_ns", "<=", 10_000.0),
     ("tracing", "record_kernel_disarmed_ns", "<=", 3_000.0),
     ("tracing", "traced_warm_slowdown", "<=", 3.0),
+    ("generator", "replay_speedup", ">=", 5.0),
 ]
 
 CHECKS = {
@@ -64,6 +65,7 @@ CHECKS = {
         "ring_within_cap",
     ),
     "graph-kernel": ("fig6_transform_matches_rebuild",),
+    "generator": ("kernel_built", "draws_identical", "rng_state_identical"),
 }
 
 

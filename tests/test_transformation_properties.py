@@ -3,13 +3,17 @@
 Further tests cover the memoised transform: copies of one structure that
 differ only in WCETs (the paired ``C_off`` sweeps) share Algorithm 1's
 result, which must be indistinguishable from transforming a fresh rebuild.
-The last tests hold ``transform``, which runs in the index space of the
-dense kernel, to an independent edge-by-edge networkx reference.
+``G_par`` is built when first read; wherever these tests transform a task
+it must equal the subgraph of the original induced by the parallel nodes,
+built eagerly.  The last tests hold ``transform``, which runs in the index
+space of the dense kernel, to an independent edge-by-edge networkx
+reference.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import sys
 import threading
 
@@ -17,11 +21,14 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.batch import analyse_many
+from repro.core import transformation
 from repro.core.compiled import stack_compiled
 from repro.core.graph import DirectedAcyclicGraph
 from repro.core.task import DagTask
 from repro.core.transformation import TransformedTask, transform
 from repro.core.validation import validate_task
+from repro.experiments.figure6 import run_figure6
 from repro.generator.config import GeneratorConfig, OffloadConfig
 from repro.generator.offload import pin_offloaded_fraction
 from repro.generator.sweep import chunked_offload_fraction_sweep
@@ -30,6 +37,18 @@ from strategies import make_random_heterogeneous_task, make_random_host_task
 
 _SEEDS = st.integers(min_value=0, max_value=5_000)
 _FRACTIONS = st.floats(min_value=0.01, max_value=0.6, allow_nan=False)
+
+
+def _assert_gpar_is_induced(task: DagTask, result: TransformedTask) -> None:
+    """The lazy ``G_par`` equals the eager induced subgraph of the original:
+    nodes in order, WCETs, edges and kernel."""
+    eager = task.graph.subgraph(task.parallel_nodes_to_offloaded())
+    gpar = result.gpar
+    assert gpar.nodes() == eager.nodes()
+    assert gpar.wcets() == eager.wcets()
+    assert gpar.edges() == eager.edges()
+    assert gpar.compiled().succ_idx == eager.compiled().succ_idx
+    assert result.gpar is gpar, "read once, kept"
 
 
 @settings(max_examples=50, deadline=None)
@@ -62,6 +81,7 @@ def test_transformed_graph_satisfies_the_system_model(seed, fraction):
 def test_gpar_is_exactly_the_set_of_parallel_nodes(seed, fraction):
     task = make_random_heterogeneous_task(seed, fraction)
     transformed = transform(task)
+    _assert_gpar_is_induced(task, transformed)
     expected = task.parallel_nodes_to_offloaded()
     assert transformed.gpar_nodes == expected
     # Every G_par edge must already exist in the original graph.
@@ -181,6 +201,7 @@ def test_fraction_copies_transform_like_fresh_rebuilds(
         task = pin_offloaded_fraction(base, fraction)
         shared = transform(task, reduce_transitive=reduce_transitive)
         fresh = transform(_rebuild(task), reduce_transitive=reduce_transitive)
+        _assert_gpar_is_induced(task, shared)
         assert _result_view(shared) == _result_view(fresh)
         assert shared.graph.wcet(task.offloaded_node) == task.offloaded_wcet
 
@@ -228,8 +249,9 @@ def test_sweep_fraction_copies_share_one_kernel():
 
 
 def test_threads_sharing_one_structure_match_fresh_rebuilds():
-    """Threads copy, re-weight, transform, compile and mutate copies of one
-    shared base at once; every answer must match a fresh rebuild."""
+    """Threads copy, re-weight, transform, read G_par, compile and mutate
+    copies of one shared base at once; every answer must match a fresh
+    rebuild."""
     threads_count = 2 * (os.cpu_count() or 1) + 2
     base = make_random_heterogeneous_task(23, 0.3, n_max=60)
     base_fresh = _rebuild(base)
@@ -243,6 +265,7 @@ def test_threads_sharing_one_structure_match_fresh_rebuilds():
             barrier.wait(timeout=60)
             task = pin_offloaded_fraction(base, fractions[index])
             result = transform(task)
+            result.gpar_volume()  # the threads race to build the shape's G_par
             compiled = (task.compiled(), result.task.compiled())
             stack_compiled(compiled)  # builds the shared int64 arrays
             extra = f"extra{index}"
@@ -372,6 +395,7 @@ def _kernel_view(graph: DirectedAcyclicGraph) -> tuple:
 
 def _assert_matches_reference(task: DagTask, reduce_transitive: bool) -> None:
     result = transform(task, reduce_transitive=reduce_transitive)
+    _assert_gpar_is_induced(task, result)
     expected = _reference_algorithm1(task, result.sync_node, reduce_transitive)
     assert result.graph.nodes() == expected["nodes"]
     assert set(result.graph.edges()) == expected["edges"]
@@ -454,3 +478,45 @@ def test_algorithm1_matches_the_edge_by_edge_reference_on_generated_tasks(
     host = make_random_host_task(seed, n_max=60)
     nodes = host.graph.nodes()
     _assert_matches_reference(host.with_offloaded_node(nodes[pick % len(nodes)]), reduce_transitive)
+
+
+# ----------------------------------------------------------------------
+# G_par, built only when read
+# ----------------------------------------------------------------------
+def test_quick_scale_figure6_builds_no_gpar(monkeypatch):
+    """Figure 6 simulates tau and tau' only, so no G_par is built."""
+    built = []
+    build = transformation._parallel_subgraph
+
+    def counted(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(transformation, "_parallel_subgraph", counted)
+    run_figure6()
+    assert built == []
+    task = make_random_heterogeneous_task(5, 0.3)
+    first, second = transform(task), transform(task.with_offloaded_wcet(2.0))
+    assert built == []
+    assert first.gpar.nodes() == second.gpar.nodes()
+    assert len(built) == 1, "one G_par structure serves every copy of a structure"
+
+
+def test_transformed_task_pickles_before_and_after_reading_gpar():
+    task = make_random_heterogeneous_task(9, 0.25)
+    unread = transform(task)
+    restored = pickle.loads(pickle.dumps(unread))
+    _assert_gpar_is_induced(task, restored)
+    _assert_gpar_is_induced(task, unread)
+    again = pickle.loads(pickle.dumps(unread))
+    assert _result_view(again) == _result_view(unread)
+
+
+def test_parallel_analyses_return_the_serial_gpar():
+    tasks = [make_random_heterogeneous_task(seed, 0.3) for seed in range(4)]
+    serial = analyse_many(tasks, cores=(2, 4))
+    parallel = analyse_many(tasks, cores=(2, 4), jobs=2)
+    for task, one, other in zip(tasks, serial, parallel):
+        assert one.results == other.results
+        _assert_gpar_is_induced(task, other.transformed)
+        assert _result_view(one.transformed) == _result_view(other.transformed)

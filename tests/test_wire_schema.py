@@ -17,8 +17,9 @@ Every example goes to one in-process server:
   canary sent after each example gets a 200.
 
 Before the tables, each named regression row got a 200, a 400 that
-leaked an internal or misread the value, or a 500.  The docs' tables are
-checked against the code's here too.
+leaked an internal or misread the value, or a 500.  Further rows pin the
+size bounds: too many core counts is a 413, and a 400 shows a long refused
+value cut short.  The docs' tables are checked against the code's here too.
 """
 
 from __future__ import annotations
@@ -33,11 +34,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.batch import analyse_many
+from repro.analysis.batch import MAX_CORE_COUNTS, analyse_many
 from repro.analysis.heterogeneous import response_time as heterogeneous_response_time
 from repro.analysis.homogeneous import response_time as homogeneous_response_time
 from repro.core.examples import figure1_task
-from repro.core.exceptions import AnalysisError, SimulationError, ValidationError
+from repro.core.exceptions import (
+    AnalysisError,
+    ServiceRequestTooLargeError,
+    SimulationError,
+    ValidationError,
+)
 from repro.extensions.multi_device import MultiDeviceTask
 from repro.extensions.multi_device import response_time as multi_device_response_time
 from repro.extensions.multi_offload import MultiOffloadTask
@@ -191,16 +197,22 @@ def wire():
     reference.close()
 
 
-def _post(port: int, path: str, body) -> tuple[int, dict]:
-    """POST ``body`` (JSON-encoded unless it is ``bytes``)."""
+def _post_raw(port: int, path: str, body) -> tuple[int, bytes]:
+    """POST ``body`` (JSON-encoded unless it is ``bytes``); the raw answer."""
     data = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
     connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
     try:
         connection.request("POST", path, data, {"Content-Type": "application/json"})
         response = connection.getresponse()
-        return response.status, json.loads(response.read())
+        return response.status, response.read()
     finally:
         connection.close()
+
+
+def _post(port: int, path: str, body) -> tuple[int, dict]:
+    """POST ``body`` (JSON-encoded unless it is ``bytes``)."""
+    status, raw = _post_raw(port, path, body)
+    return status, json.loads(raw)
 
 
 def _answered(port: int, status: int, document: dict) -> None:
@@ -425,11 +437,14 @@ def test_regression_row_is_a_400_naming_the_field(wire, row):
         (lambda: analyse_many([figure1_task()], cores={"a": 1}), AnalysisError,
          r"cores .* got \{'a': 1\}"),
         (lambda: analyse_many([figure1_task()], cores="12"), AnalysisError, "cores .* got '12'"),
+        # Was answered: 20 000 counts took 2.28 s and 13 MB for one task.
+        (lambda: analyse_many([figure1_task()], cores=list(range(1, 20_001))),
+         ServiceRequestTooLargeError, "cores has 20000 core counts"),
     ],
     ids=["periodic-period-true", "sporadic-seed-true", "trace-string", "stream-name-list",
          "hom-cores-true", "het-cores-true", "multi-offload-cores-true",
          "multi-device-cores-true", "batch-cores-true", "batch-cores-dict",
-         "batch-cores-string"],
+         "batch-cores-string", "batch-cores-20000"],
 )
 def test_in_process_regression_row_raises_naming_the_field(build, error, name):
     with pytest.raises(error, match=name):
@@ -438,6 +453,47 @@ def test_in_process_regression_row_raises_naming_the_field(build, error, name):
 
 def test_analyses_still_take_any_positive_core_count():
     assert analyse_many([figure1_task()], cores=(1, 10_000))[0].results.keys() == {1, 10_000}
+    counts = list(range(1, MAX_CORE_COUNTS + 1))
+    assert list(analyse_many([figure1_task()], cores=counts)[0].results) == counts
+
+
+def test_too_many_core_counts_is_a_413_naming_cores(wire):
+    """Was a 200: 20 000 distinct counts took 2.28 s and answered 13 MB."""
+    port, _ = wire
+    status, document = _post(port, "/analyse", {"task": FIGURE1, "cores": list(range(1, 20_001))})
+    _answered(port, status, document)
+    assert status == 413, document
+    assert document["error"]["code"] == "payload-too-large"
+    assert "cores has 20000 core counts" in document["error"]["message"]
+    status, document = _post(
+        port, "/analyse", {"task": FIGURE1, "cores": list(range(1, MAX_CORE_COUNTS + 1))}
+    )
+    assert status == 200 and len(document["bounds"]) == MAX_CORE_COUNTS
+
+
+#: Each 400 echoed its refused value in full (a 60 KB message for a 60 KB
+#: value); now each shows it cut short and still names the field.
+LONG_VALUES = {
+    "simulate-cores-list": ("/simulate", {"task": FIGURE1, "cores": [2] * 20_000}, "cores"),
+    "simulate-timeout-string": ("/simulate", {"task": FIGURE1, "timeout": "5" * 60_000},
+                                "timeout"),
+    "simulate-policy_seed-list": ("/simulate", {"task": FIGURE1, "policy": "random",
+                                                "policy_seed": [1] * 20_000}, "policy_seed"),
+    "simulate-unknown-field": ("/simulate", {"task": FIGURE1, "x" * 60_000: 1}, "unknown field"),
+    "analyse-cores-dict": ("/analyse", {"task": FIGURE1, "cores": {"a" * 60_000: 1}}, "cores"),
+    "makespan-method-string": ("/makespan", {"task": FIGURE1, "method": "x" * 60_000}, "method"),
+    "workload-times-string": ("/workload", _arrivals_of({**TRACE, "times": "x" * 60_000}),
+                              "times"),
+}
+
+
+@pytest.mark.parametrize("row", sorted(LONG_VALUES))
+def test_a_long_refused_value_is_shown_short(wire, row):
+    port, _ = wire
+    path, body, name = LONG_VALUES[row]
+    status, raw = _post_raw(port, path, body)
+    assert len(raw) < 1024, raw[:200]
+    _refused(port, status, json.loads(raw), name)
 
 
 # ----------------------------------------------------------------------
