@@ -7,8 +7,9 @@ injected failures --
 * ``service.batch:hang`` -- the first executor flush wedges for a second,
   so a concurrent burst piles up behind it and overflows the bounded
   admission queue (deterministic HTTP 429 shedding);
-* ``parallel.chunk:kill`` (token-gated) -- exactly one simulation pool
-  worker hard-exits mid-batch, forcing a pool respawn;
+* ``parallel.chunk:kill`` (token-gated) -- exactly one worker of the
+  ``/makespan`` oracle pool (``--jobs 2``) hard-exits mid-batch, forcing a
+  pool respawn;
 * ``oracle.solve:hang`` -- an exact-makespan solve outlives the oracle
   budget, degrading the rest of its batch to verified bounds;
 

@@ -38,6 +38,10 @@ and are recorded the same way:
   ``tests/data/scheduler_ablation_paper_golden.json``.
 
 Run with:  python benchmarks/run_paper_scale.py [--figure 6|7|6-upper|ablation|all] [--jobs N]
+
+``--jobs`` spreads figure 7's exact-makespan oracles over worker processes;
+the other runs are in process, where the C kernel runs its lanes on every
+CPU.
 """
 
 from __future__ import annotations
@@ -67,12 +71,12 @@ def _publish(result) -> None:
     print(f"results written to {RESULTS_DIR / result.name}.{{json,csv,txt}}")
 
 
-def run_figure6(jobs) -> None:
+def run_figure6() -> None:
     from repro.experiments.config import paper_scale
     from repro.experiments.figure6 import run_figure6
 
     t0 = time.perf_counter()
-    result = run_figure6(scale=paper_scale(), jobs=jobs)
+    result = run_figure6(scale=paper_scale())
     print(f"figure 6 at paper scale: {time.perf_counter() - t0:.1f}s")
     _publish(result)
 
@@ -89,7 +93,7 @@ def run_figure7(jobs) -> None:
     _publish(result)
 
 
-def run_figure6_upper(jobs) -> None:
+def run_figure6_upper() -> None:
     from repro.experiments.config import paper_scale
     from repro.experiments.figure6 import run_figure6
     from repro.generator.presets import LARGE_TASKS_UPPER_RANGE
@@ -98,7 +102,6 @@ def run_figure6_upper(jobs) -> None:
     result = run_figure6(
         scale=paper_scale(),
         generator_config=LARGE_TASKS_UPPER_RANGE,
-        jobs=jobs,
     )
     result.name = "figure6_upper_range"
     result.title += " (upper task-size range)"
@@ -106,12 +109,12 @@ def run_figure6_upper(jobs) -> None:
     _publish(result)
 
 
-def run_ablation(jobs) -> None:
+def run_ablation() -> None:
     from repro.experiments.ablations import run_scheduler_ablation_service
     from repro.experiments.config import paper_scale
 
     t0 = time.perf_counter()
-    result = run_scheduler_ablation_service(scale=paper_scale(), jobs=jobs)
+    result = run_scheduler_ablation_service(scale=paper_scale())
     result.name = "scheduler_ablation_paper"
     print(
         f"seven-policy ablation at paper scale (via the service queue): "
@@ -127,16 +130,21 @@ def main() -> None:
         choices=["6", "7", "6-upper", "ablation", "all"],
         default="all",
     )
-    parser.add_argument("--jobs", type=int, default=None)
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        help="worker processes for figure 7's exact-makespan oracles",
+    )
     args = parser.parse_args()
     if args.figure in ("6", "all"):
-        run_figure6(args.jobs)
+        run_figure6()
     if args.figure in ("7", "all"):
         run_figure7(args.jobs)
     if args.figure in ("6-upper", "all"):
-        run_figure6_upper(args.jobs)
+        run_figure6_upper()
     if args.figure in ("ablation", "all"):
-        run_ablation(args.jobs)
+        run_ablation()
 
 
 if __name__ == "__main__":

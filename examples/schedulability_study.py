@@ -15,10 +15,9 @@ per-task bounds.
 
 The acceptance study uses the batched analysis layer
 (:func:`repro.analysis.analyse_many`): every application is transformed once
-and analysed for all host sizes in one pass, optionally across worker
-processes.
+and analysed for all host sizes in one pass.
 
-Run with:  python examples/schedulability_study.py [--jobs N]
+Run with:  python examples/schedulability_study.py
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ def generate_applications(
     return applications
 
 
-def acceptance_study(jobs: int | None = None) -> None:
+def acceptance_study() -> None:
     print("Acceptance ratio (fraction of applications certified schedulable)")
     print()
     header = (
@@ -87,10 +86,8 @@ def acceptance_study(jobs: int | None = None) -> None:
     for share in (0.05, 0.15, 0.30, 0.45):
         applications = generate_applications(share, seed=int(share * 1000))
         # One batched pass: each application is transformed once and analysed
-        # for every host size (optionally across --jobs worker processes).
-        analyses = analyse_many(
-            applications, cores=(2, 4, 8, 16), include_naive=False, jobs=jobs
-        )
+        # for every host size.
+        analyses = analyse_many(applications, cores=(2, 4, 8, 16), include_naive=False)
         cells = []
         for cores in (2, 4, 8, 16):
             hom = sum(
@@ -143,18 +140,11 @@ def federated_demo() -> None:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for the batched analysis (default: serial)",
-    )
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
     print("=" * 72)
     print("System-level schedulability study")
     print("=" * 72)
-    acceptance_study(jobs=args.jobs)
+    acceptance_study()
     federated_demo()
 
 

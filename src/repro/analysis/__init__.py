@@ -6,8 +6,8 @@
   the transformed task, plus the naive unsafe bound of Section 3.2.
 * :mod:`repro.analysis.comparison` -- percentage-change helpers used by the
   evaluation figures.
-* :mod:`repro.analysis.batch` -- batched (and optionally process-parallel)
-  analysis of task ensembles, transforming each task exactly once.
+* :mod:`repro.analysis.batch` -- batched analysis of task ensembles,
+  transforming each task exactly once.
 * :mod:`repro.analysis.schedulability` -- deadline tests, core dimensioning
   and federated task-set partitioning built on top of the bounds.
 """

@@ -8,11 +8,8 @@ call.  :func:`analyse_many` is the batched entry point that
 
 * transforms each heterogeneous task exactly once (sharing the
   :class:`~repro.core.transformation.TransformedTask` and its memoised
-  metrics across all requested core counts),
-* reuses the graph kernel caches for every bound of the same task, and
-* optionally distributes the per-task work over a process pool
-  (``jobs=N``) with bit-identical results to the serial path -- the
-  analyses are deterministic, so chunking changes nothing.
+  metrics across all requested core counts), and
+* reuses the graph kernel caches for every bound of the same task.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ from typing import Iterable, Optional, Sequence, Union
 from ..core.exceptions import ServiceRequestTooLargeError, ValidationError, short_repr
 from ..core.task import DagTask
 from ..core.transformation import TransformedTask, transform
-from ..parallel import parallel_map
 from .heterogeneous import naive_unsafe_response_time
 from .heterogeneous import response_time as heterogeneous_response_time
 from .homogeneous import check_cores
@@ -92,9 +88,10 @@ def normalise_cores(cores: Union[int, Sequence[int]]) -> tuple[int, ...]:
     return tuple(check_cores(count) for count in counts)
 
 
-def _analyse_one(args: tuple[DagTask, tuple[int, ...], bool]) -> TaskAnalysis:
-    """Worker: analyse one task for every requested core count."""
-    task, core_counts, include_naive = args
+def _analyse_one(
+    task: DagTask, core_counts: tuple[int, ...], include_naive: bool
+) -> TaskAnalysis:
+    """Analyse one task for every requested core count."""
     transformed = transform(task) if task.is_heterogeneous else None
     analysis = TaskAnalysis(task=task, transformed=transformed)
     for cores in core_counts:
@@ -113,7 +110,6 @@ def analyse_many(
     tasks: Iterable[DagTask],
     cores: Union[int, Sequence[int]] = 2,
     include_naive: bool = True,
-    jobs: Optional[int] = None,
 ) -> list[TaskAnalysis]:
     """Analyse a batch of tasks, transforming each one exactly once.
 
@@ -126,10 +122,6 @@ def analyse_many(
     include_naive:
         Also compute the unsafe naive bound of Section 3.2 for heterogeneous
         tasks (matching :func:`repro.analysis.heterogeneous.analyse`).
-    jobs:
-        Process count for parallel evaluation; ``None``/``0``/``1`` run
-        serially, negative uses every CPU.  Results are bit-identical to the
-        serial path.
 
     Returns
     -------
@@ -137,5 +129,4 @@ def analyse_many(
         One entry per task, aligned with the input order.
     """
     core_counts = normalise_cores(cores)
-    work = [(task, core_counts, include_naive) for task in tasks]
-    return parallel_map(_analyse_one, work, jobs=jobs)
+    return [_analyse_one(task, core_counts, include_naive) for task in tasks]

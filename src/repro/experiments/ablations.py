@@ -30,9 +30,9 @@ from ..generator.config import OffloadConfig
 from ..generator.presets import LARGE_TASKS_FIG6, SMALL_TASKS
 from ..generator.sweep import chunked_offload_fraction_sweep
 from ..ilp.batch import minimum_makespans_many
-from ..ilp.branch_and_bound import BranchAndBoundResult, branch_and_bound_makespan
+from ..ilp.branch_and_bound import branch_and_bound_makespan
 from ..ilp.makespan import MakespanMethod
-from ..parallel import parallel_map, spawn_seeds
+from ..parallel import spawn_seeds
 from ..simulation.platform import Platform
 from ..simulation.schedulers import (
     BreadthFirstPolicy,
@@ -68,16 +68,14 @@ def run_scheduler_ablation(
     scale: Optional[ExperimentScale] = None,
     cores: int = 4,
     policies: Optional[Sequence[SchedulingPolicy]] = None,
-    jobs: Optional[int] = None,
 ) -> ExperimentResult:
     """Figure 6 repeated under several work-conserving scheduling policies.
 
     Each policy re-runs the rewired Figure 6 driver, so the sweep inherits
-    its chunked parallel generation and the batched simulator
+    its chunk-seeded generation and the batched simulator
     (:func:`repro.simulation.batch.simulate_many` -- one compile per task
     variant serves every sweep cell, and every registered policy family
-    runs through the compiled C kernel); ``jobs`` is forwarded
-    with bit-identical results.
+    runs through the compiled C kernel).
 
     Returns
     -------
@@ -101,7 +99,7 @@ def run_scheduler_ablation(
         metadata={"cores": cores, "policies": [policy.name for policy in policies]},
     )
     for policy in policies:
-        figure = run_figure6(scale=scale, policy=policy, jobs=jobs)
+        figure = run_figure6(scale=scale, policy=policy)
         series = figure.series_by_label(f"m={cores}")
         series.label = policy.name
         result.add_series(series)
@@ -112,7 +110,6 @@ def run_scheduler_ablation_service(
     scale: Optional[ExperimentScale] = None,
     cores: int = 4,
     policy_names: Sequence[str] = ABLATION_POLICY_NAMES,
-    jobs: Optional[int] = None,
     threads: int = 32,
 ) -> ExperimentResult:
     """The seven-policy Figure 6 ablation served through the batch queue.
@@ -146,7 +143,6 @@ def run_scheduler_ablation_service(
         generator_config=LARGE_TASKS_FIG6,
         offload_config=OffloadConfig(),
         root_seed=scale.seed,
-        jobs=jobs,
     )
     point_seeds = spawn_seeds(scale.seed, len(points))
     platform = Platform(host_cores=cores, accelerators=1)
@@ -171,7 +167,7 @@ def run_scheduler_ablation_service(
                         )
                     requests.append((point_index, variant, policy, task, seed))
 
-    with EvaluationService(jobs=jobs) as service:
+    with EvaluationService() as service:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             values = list(
                 pool.map(
@@ -227,22 +223,10 @@ def run_scheduler_ablation_service(
     return result
 
 
-def _solve_bnb_pair(
-    args: tuple,
-) -> tuple[BranchAndBoundResult, BranchAndBoundResult]:
-    """Worker: pruned and unpruned-reference branch-and-bound of one task."""
-    task, cores = args
-    return (
-        branch_and_bound_makespan(task, cores),
-        branch_and_bound_makespan(task, cores, pruning=False),
-    )
-
-
 def run_ilp_ablation(
     scale: Optional[ExperimentScale] = None,
     cores: int = 2,
     task_count: int = 10,
-    jobs: Optional[int] = None,
 ) -> ExperimentResult:
     """Cross-check the two optimal-makespan oracles on small random tasks.
 
@@ -252,8 +236,7 @@ def run_ilp_ablation(
     HiGHS genuinely solves every instance (the warm start shares its
     incumbent with the branch-and-bound, which would make the agreement
     check vacuous); and both branch-and-bound engines (pruned and unpruned
-    reference) are dispatched per task.  All three stages honour ``jobs=N``
-    with bit-identical results.
+    reference) run on every task.
 
     Returns
     -------
@@ -277,7 +260,6 @@ def run_ilp_ablation(
         generator_config=generator_config,
         offload_config=OffloadConfig(),
         root_seed=scale.seed + 42,
-        jobs=jobs,
     )
     tasks = [
         task.with_offloaded_wcet(max(1.0, round(task.offloaded_wcet)))
@@ -289,12 +271,15 @@ def run_ilp_ablation(
         cores,
         method=MakespanMethod.ILP,
         time_limit=scale.ilp_time_limit,
-        jobs=jobs,
         warm_start=False,
     )
-    bnb_pairs = parallel_map(
-        _solve_bnb_pair, [(task, cores) for task in tasks], jobs=jobs
-    )
+    bnb_pairs = [
+        (
+            branch_and_bound_makespan(task, cores),
+            branch_and_bound_makespan(task, cores, pruning=False),
+        )
+        for task in tasks
+    ]
 
     ilp_series = ExperimentSeries(label="ilp")
     bnb_series = ExperimentSeries(label="bnb")

@@ -30,7 +30,7 @@ from ..core.transformation import transform
 from ..generator.config import GeneratorConfig, OffloadConfig
 from ..generator.presets import LARGE_TASKS_FIG6
 from ..generator.sweep import chunked_offload_fraction_sweep
-from ..parallel import parallel_map, spawn_seeds
+from ..parallel import spawn_seeds
 from ..simulation.batch import simulate_many
 from ..simulation.platform import Platform
 from ..simulation.schedulers import BreadthFirstPolicy, SchedulingPolicy
@@ -41,9 +41,12 @@ __all__ = ["run_figure6"]
 
 
 def _evaluate_point(
-    args: tuple[list[DagTask], tuple[int, ...], SchedulingPolicy, int]
+    tasks: list[DagTask],
+    core_counts: tuple[int, ...],
+    policy: SchedulingPolicy,
+    policy_seed: int,
 ) -> list[tuple[float, float]]:
-    """Worker: simulate one sweep point for every host size.
+    """Simulate one sweep point for every host size.
 
     The tasks are transformed once (Algorithm 1 does not depend on ``m``)
     and both variants run through
@@ -55,7 +58,6 @@ def _evaluate_point(
     ``(average original, average transformed)`` makespan pair per core
     count.
     """
-    tasks, core_counts, policy, policy_seed = args
     transformed_tasks = [transform(task).task for task in tasks]
     platforms = [Platform(host_cores=cores, accelerators=1) for cores in core_counts]
     makespans = simulate_many(
@@ -75,7 +77,6 @@ def run_figure6(
     scale: Optional[ExperimentScale] = None,
     generator_config: GeneratorConfig = LARGE_TASKS_FIG6,
     policy: Optional[SchedulingPolicy] = None,
-    jobs: Optional[int] = None,
 ) -> ExperimentResult:
     """Reproduce Figure 6 of the paper.
 
@@ -89,15 +90,8 @@ def run_figure6(
     policy:
         Scheduling policy used for both tasks; defaults to the GOMP-style
         breadth-first policy.  The scheduler ablation benchmark passes other
-        policies here.
-    jobs:
-        Number of worker processes; ``None``/``1`` runs serially.  Both
-        stages honour it with bit-identical results: generation uses the
-        chunked seeded scheme
-        (:func:`~repro.generator.sweep.chunked_offload_fraction_sweep`,
-        draw-identical for any worker count), and the simulation sweep
-        distributes one chunk per point, each point receiving its own policy
-        via :meth:`~repro.simulation.schedulers.SchedulingPolicy.spawned`
+        policies here.  Each sweep point simulates with its own
+        :meth:`~repro.simulation.schedulers.SchedulingPolicy.spawned` copy
         (deterministic policies: a plain copy; ``RandomPolicy``: reseeded
         per point).
 
@@ -116,7 +110,6 @@ def run_figure6(
         generator_config=generator_config,
         offload_config=OffloadConfig(),
         root_seed=scale.seed,
-        jobs=jobs,
     )
 
     result = ExperimentResult(
@@ -136,13 +129,12 @@ def run_figure6(
     core_counts = tuple(scale.core_counts)
     # Each sweep point gets its own policy instance (deterministic policies:
     # a plain copy; RandomPolicy: reseeded from a spawned child seed so the
-    # points draw independent streams in any execution order); the same
-    # child seed roots the point's simulate_many chunk spawning.
-    work = [
-        (point.tasks, core_counts, policy.spawned(seed), seed)
+    # points draw independent streams); the same child seed roots the
+    # point's simulate_many chunk spawning.
+    rows_per_point = [
+        _evaluate_point(point.tasks, core_counts, policy.spawned(seed), seed)
         for point, seed in zip(points, spawn_seeds(scale.seed, len(points)))
     ]
-    rows_per_point = parallel_map(_evaluate_point, work, jobs=jobs)
 
     for core_index, cores in enumerate(core_counts):
         series = ExperimentSeries(label=f"m={cores}")

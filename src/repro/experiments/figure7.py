@@ -64,9 +64,10 @@ def run_figure7(
     Parameters
     ----------
     jobs:
-        Worker-process count for the exact-makespan solves and the batched
-        bound analysis (task generation stays serial, so results are
-        bit-identical to the serial path).
+        Worker-process count for the exact-makespan solves
+        (:func:`~repro.ilp.batch.minimum_makespans_many`); task generation
+        and the bound analysis stay serial, so results are bit-identical to
+        the serial path.
 
     Returns
     -------
@@ -145,7 +146,7 @@ def run_figure7(
         result.metadata["non_optimal_oracle_results"] = result.metadata.get(
             "non_optimal_oracle_results", 0
         ) + sum(1 for entry in optima if not entry.optimal)
-        analyses = analyse_many(flat_tasks, cores=cores, include_naive=False, jobs=jobs)
+        analyses = analyse_many(flat_tasks, cores=cores, include_naive=False)
         cursor = 0
         for point, point_tasks in zip(points, rounded):
             hom_increments = []

@@ -27,7 +27,6 @@ from ..core.transformation import transform
 from ..generator.config import GeneratorConfig, OffloadConfig
 from ..generator.presets import LARGE_TASKS_FIG6
 from ..generator.sweep import chunked_offload_fraction_sweep
-from ..parallel import parallel_map
 from .base import ExperimentResult, ExperimentSeries
 from .config import ExperimentScale, quick_scale
 
@@ -41,14 +40,13 @@ _SCENARIO_LABELS = {
 
 
 def _classify_point(
-    args: tuple[list[DagTask], tuple[int, ...]]
+    tasks: list[DagTask], core_counts: tuple[int, ...]
 ) -> dict[int, dict[Scenario, int]]:
-    """Worker: classify one sweep point's tasks for every host size.
+    """Classify one sweep point's tasks for every host size.
 
     Each task is transformed once (Algorithm 1 does not depend on ``m``);
     the per-core classifications then reuse the memoised ``R_hom(G_par)``.
     """
-    tasks, core_counts = args
     transformed_tasks = [transform(task) for task in tasks]
     counts_by_cores: dict[int, dict[Scenario, int]] = {}
     for cores in core_counts:
@@ -62,18 +60,8 @@ def _classify_point(
 def run_figure8(
     scale: Optional[ExperimentScale] = None,
     generator_config: GeneratorConfig = LARGE_TASKS_FIG6,
-    jobs: Optional[int] = None,
 ) -> ExperimentResult:
     """Reproduce Figure 8 of the paper.
-
-    Parameters
-    ----------
-    jobs:
-        Worker-process count; results are bit-identical to the serial path.
-        Both stages honour it: generation uses the chunked seeded scheme
-        (:func:`~repro.generator.sweep.chunked_offload_fraction_sweep`,
-        draw-identical for any worker count) and the deterministic
-        classification is distributed per sweep point.
 
     Returns
     -------
@@ -89,7 +77,6 @@ def run_figure8(
         generator_config=generator_config,
         offload_config=OffloadConfig(),
         root_seed=scale.seed + 8,
-        jobs=jobs,
     )
 
     result = ExperimentResult(
@@ -104,9 +91,7 @@ def run_figure8(
     )
 
     core_counts = tuple(scale.core_counts)
-    counts_per_point = parallel_map(
-        _classify_point, [(point.tasks, core_counts) for point in points], jobs=jobs
-    )
+    counts_per_point = [_classify_point(point.tasks, core_counts) for point in points]
 
     for cores in core_counts:
         series_by_scenario = {

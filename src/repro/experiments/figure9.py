@@ -29,7 +29,6 @@ from ..core.transformation import transform
 from ..generator.config import GeneratorConfig, OffloadConfig
 from ..generator.presets import LARGE_TASKS_FIG6
 from ..generator.sweep import chunked_offload_fraction_sweep
-from ..parallel import parallel_map
 from .base import ExperimentResult, ExperimentSeries
 from .config import ExperimentScale, quick_scale
 
@@ -37,14 +36,13 @@ __all__ = ["run_figure9"]
 
 
 def _compare_point(
-    args: tuple[list[DagTask], tuple[int, ...]]
+    tasks: list[DagTask], core_counts: tuple[int, ...]
 ) -> dict[int, tuple[float, float]]:
-    """Worker: compare the two bounds over one sweep point for every ``m``.
+    """Compare the two bounds over one sweep point for every ``m``.
 
     Transforms each task once and returns ``(mean gain, max gain)`` per host
     size; means and maxima compose across points without loss.
     """
-    tasks, core_counts = args
     pairs = [(task, transform(task)) for task in tasks]
     stats: dict[int, tuple[float, float]] = {}
     for cores in core_counts:
@@ -56,18 +54,8 @@ def _compare_point(
 def run_figure9(
     scale: Optional[ExperimentScale] = None,
     generator_config: GeneratorConfig = LARGE_TASKS_FIG6,
-    jobs: Optional[int] = None,
 ) -> ExperimentResult:
     """Reproduce Figure 9 of the paper.
-
-    Parameters
-    ----------
-    jobs:
-        Worker-process count; results are bit-identical to the serial path.
-        Both stages honour it: generation uses the chunked seeded scheme
-        (:func:`~repro.generator.sweep.chunked_offload_fraction_sweep`,
-        draw-identical for any worker count) and the deterministic bound
-        comparison is distributed per sweep point.
 
     Returns
     -------
@@ -84,7 +72,6 @@ def run_figure9(
         generator_config=generator_config,
         offload_config=OffloadConfig(),
         root_seed=scale.seed + 9,
-        jobs=jobs,
     )
 
     result = ExperimentResult(
@@ -99,9 +86,7 @@ def run_figure9(
     )
 
     core_counts = tuple(scale.core_counts)
-    stats_per_point = parallel_map(
-        _compare_point, [(point.tasks, core_counts) for point in points], jobs=jobs
-    )
+    stats_per_point = [_compare_point(point.tasks, core_counts) for point in points]
 
     for cores in core_counts:
         series = ExperimentSeries(label=f"m={cores}")

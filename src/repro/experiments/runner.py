@@ -8,11 +8,12 @@ harness are thin wrappers around these functions.
 
 Parallel execution
 ------------------
-The figure drivers accept a ``jobs`` argument (surfaced here and as the
-CLI's ``--jobs`` flag) that distributes their sweep evaluation over a
-:class:`~concurrent.futures.ProcessPoolExecutor`.  Random task generation
-always happens serially up front from the scale's root seed, and only the
-deterministic evaluation is chunked (one chunk per sweep point), so
+A driver that takes a ``jobs`` argument (surfaced here and as the CLI's
+``--jobs`` flag) spreads items heavy enough to pay for a process over a
+:func:`~repro.parallel.parallel_map` pool: figure 7's exact-makespan oracles
+and the workload-schedulability cells (:func:`parallel_experiments`).  The
+other drivers run in process, where the C kernel already runs its lanes on
+every CPU.  Random inputs are drawn before any work is distributed, so
 ``jobs=N`` produces bit-identical results to the serial path -- the
 test-suite asserts this with
 :meth:`~repro.experiments.base.ExperimentResult.identical_to`.
@@ -20,6 +21,7 @@ test-suite asserts this with
 
 from __future__ import annotations
 
+import inspect
 from typing import Callable, Optional
 
 from .ablations import run_ilp_ablation, run_scheduler_ablation
@@ -32,7 +34,13 @@ from .figure9 import run_figure9
 from .worked_example import run_worked_example
 from .workload import run_workload_schedulability
 
-__all__ = ["EXPERIMENTS", "run_experiment", "run_all", "available_experiments"]
+__all__ = [
+    "EXPERIMENTS",
+    "run_experiment",
+    "run_all",
+    "available_experiments",
+    "parallel_experiments",
+]
 
 #: Mapping of experiment names to their driver functions.
 EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
@@ -46,24 +54,19 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     "workload-schedulability": run_workload_schedulability,
 }
 
-#: Experiments whose drivers support process-parallel sweeps.  The worked
-#: example is a single closed-form evaluation and the scheduler ablation is
-#: dominated by tiny instances; parallelising it would buy nothing.
-_SUPPORTS_JOBS = frozenset(
-    {
-        "figure6",
-        "figure7",
-        "figure8",
-        "figure9",
-        "ablation-ilp",
-        "workload-schedulability",
-    }
-)
-
 
 def available_experiments() -> list[str]:
     """Names accepted by :func:`run_experiment`, in canonical order."""
     return list(EXPERIMENTS)
+
+
+def parallel_experiments() -> list[str]:
+    """Names whose drivers take ``jobs``, in canonical order."""
+    return [
+        name
+        for name, driver in EXPERIMENTS.items()
+        if "jobs" in inspect.signature(driver).parameters
+    ]
 
 
 def run_experiment(
@@ -80,18 +83,16 @@ def run_experiment(
     scale:
         Sampling effort; ``None`` uses the quick (seconds-scale) preset.
     jobs:
-        Worker-process count for the figure sweeps (``None``/``1`` = serial;
-        negative = all CPUs).  Ignored by experiments that do not support
-        parallel execution; results never depend on it.
+        Worker-process count (``None``/``1`` = serial; negative = all CPUs),
+        forwarded only to the drivers of :func:`parallel_experiments`;
+        results never depend on it.
     """
     try:
         driver = EXPERIMENTS[name]
     except KeyError:
         valid = ", ".join(available_experiments())
         raise KeyError(f"unknown experiment {name!r}; valid names: {valid}") from None
-    if name == "worked-example":
-        return driver()
-    if name in _SUPPORTS_JOBS:
+    if name in parallel_experiments():
         return driver(scale=scale, jobs=jobs)
     return driver(scale=scale)
 
@@ -110,7 +111,7 @@ def run_all(
     names:
         Subset of :func:`available_experiments`; ``None`` runs everything.
     jobs:
-        Worker-process count forwarded to each driver that supports it; the
+        Worker-process count forwarded to each driver that takes it; the
         results are bit-identical to ``jobs=None``.
     """
     selected = names if names is not None else available_experiments()

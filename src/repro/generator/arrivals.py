@@ -21,9 +21,8 @@ Generation is *chunked* exactly like the library's task generator: draw
 ``k`` of chunk ``c`` always comes from chunk ``c``'s child seed, the
 ``c``-th child ``SeedSequence(seed, spawn_key=(c,))`` that
 ``spawn_seeds(seed, c + 1)[c]`` also yields, built in O(1) without its
-siblings.  No draw comes from a sequential stream, so a parallel ``jobs=N``
-generation is bit-identical to the serial one and the test-suite asserts
-it.
+siblings.  No draw comes from a sequential stream, so growing the horizon
+never changes a release already drawn, and the test-suite asserts it.
 """
 
 from __future__ import annotations
@@ -32,14 +31,13 @@ import bisect
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from ..core.exceptions import ValidationError, short_repr
 from ..core.task import check_number, check_seed
 from ..io.json_io import REQUIRED, read_fields
-from ..parallel import parallel_map
 
 __all__ = [
     "ArrivalProcess",
@@ -57,23 +55,20 @@ __all__ = [
 ARRIVAL_CHUNK = 64
 
 
-def _draw_chunk(args: tuple[int, int, int]) -> np.ndarray:
-    """Uniform draws for one chunk (module-level: must pickle for jobs=N)."""
-    seed, chunk, count = args
+def _draw_chunk(seed: int, chunk: int, count: int) -> np.ndarray:
+    """``count`` uniform draws of chunk ``chunk``, from its child seed."""
     child = np.random.SeedSequence(seed, spawn_key=(chunk,))
     return np.random.default_rng(
         int(child.generate_state(1, dtype="uint64")[0])
     ).random(count)
 
 
-def _chunked_uniform(
-    seed: int, count: int, jobs: Optional[int] = None
-) -> np.ndarray:
+def _chunked_uniform(seed: int, count: int) -> np.ndarray:
     """``count`` uniform [0, 1) draws, chunk ``c`` from child seed ``c``.
 
-    The value of draw ``k`` depends only on ``(seed, k)`` -- not on ``count``
-    (children of a :class:`~numpy.random.SeedSequence` are independent of how
-    many siblings are spawned) and not on ``jobs``.
+    The value of draw ``k`` depends only on ``(seed, k)``, not on ``count``:
+    children of a :class:`~numpy.random.SeedSequence` are independent of how
+    many siblings are spawned.
     """
     if count <= 0:
         return np.empty(0, dtype=np.float64)
@@ -82,11 +77,7 @@ def _chunked_uniform(
         min(ARRIVAL_CHUNK, count - chunk * ARRIVAL_CHUNK)
         for chunk in range(n_chunks)
     ]
-    chunks = parallel_map(
-        _draw_chunk,
-        [(seed, chunk, size) for chunk, size in enumerate(sizes)],
-        jobs=jobs,
-    )
+    chunks = [_draw_chunk(seed, chunk, size) for chunk, size in enumerate(sizes)]
     return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
 
 
@@ -95,14 +86,8 @@ class ArrivalProcess:
 
     kind: str = "arrivals"
 
-    def release_times(
-        self, horizon: float, jobs: Optional[int] = None
-    ) -> np.ndarray:
-        """Sorted float64 release times in ``[0, horizon)``.
-
-        ``jobs`` parallelises the chunked draws without changing a single
-        bit of the result; deterministic processes ignore it.
-        """
+    def release_times(self, horizon: float) -> np.ndarray:
+        """Sorted float64 release times in ``[0, horizon)``."""
         raise NotImplementedError
 
     def max_releases(self, horizon: float) -> float:
@@ -152,17 +137,13 @@ class PeriodicArrivals(ArrivalProcess):
     def max_releases(self, horizon: float) -> float:
         return _steps_before(horizon, self.offset, self.period)
 
-    def release_times(
-        self, horizon: float, jobs: Optional[int] = None
-    ) -> np.ndarray:
+    def release_times(self, horizon: float) -> np.ndarray:
         horizon = check_number("horizon", horizon)
         count = int(self.max_releases(horizon))
         base = self.offset + np.arange(count, dtype=np.float64) * self.period
         base = base[base < horizon]
         if self.jitter > 0 and base.size:
-            base = base + self.jitter * _chunked_uniform(
-                self.seed, base.size, jobs=jobs
-            )
+            base = base + self.jitter * _chunked_uniform(self.seed, base.size)
             base = np.sort(base[base < horizon])
         return base
 
@@ -202,14 +183,12 @@ class SporadicArrivals(ArrivalProcess):
     def max_releases(self, horizon: float) -> float:
         return _steps_before(horizon, self.offset, self.min_gap)
 
-    def release_times(
-        self, horizon: float, jobs: Optional[int] = None
-    ) -> np.ndarray:
+    def release_times(self, horizon: float) -> np.ndarray:
         # Upper-bound the number of gaps that can fit before the horizon and
         # draw them all at once: gap k always comes from chunk k // CHUNK, so
         # the (deliberately generous) count never changes any draw.
         count = int(self.max_releases(horizon))
-        draws = _chunked_uniform(self.seed, count, jobs=jobs)
+        draws = _chunked_uniform(self.seed, count)
         gaps = self.min_gap + (self.max_gap - self.min_gap) * draws
         releases = self.offset + np.cumsum(gaps)
         return releases[releases < horizon]
@@ -245,9 +224,7 @@ class TraceArrivals(ArrivalProcess):
     def max_releases(self, horizon: float) -> float:
         return float(bisect.bisect_left(self.times, check_number("horizon", horizon)))
 
-    def release_times(
-        self, horizon: float, jobs: Optional[int] = None
-    ) -> np.ndarray:
+    def release_times(self, horizon: float) -> np.ndarray:
         count = int(self.max_releases(horizon))
         return np.asarray(self.times[:count], dtype=np.float64)
 

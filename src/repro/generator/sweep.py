@@ -19,12 +19,12 @@ substantially reduces the sampling noise of the reproduced curves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..core.task import DagTask
-from ..parallel import parallel_map, spawn_seeds
+from ..parallel import spawn_seeds
 from .config import GeneratorConfig, OffloadConfig
 from .offload import pin_offloaded_fraction, select_offloaded_node
 from .random_dag import DagStructureGenerator
@@ -146,42 +146,20 @@ def offload_fraction_sweep(
     return points
 
 
-def _generate_chunk(
-    args: tuple[int, int, int, GeneratorConfig, OffloadConfig]
-) -> list[DagTask]:
-    """Worker: generate one chunk of base tasks from its own child seed."""
-    child_seed, count, start_index, generator_config, offload_config = args
-    rng = np.random.default_rng(child_seed)
-    structure_generator = DagStructureGenerator(generator_config, rng)
-    return [
-        select_offloaded_node(
-            structure_generator.generate_task(name=f"tau_{start_index + index}"),
-            offload_config,
-            rng,
-        )
-        for index in range(count)
-    ]
-
-
 def chunked_offload_fraction_sweep(
     fractions: Sequence[float] | Iterable[float],
     dags_per_point: int,
     generator_config: GeneratorConfig,
     offload_config: OffloadConfig = OffloadConfig(),
     root_seed: int = 0,
-    jobs: Optional[int] = None,
     chunk_size: int = 8,
 ) -> list[SweepPoint]:
-    """Paired offload-fraction sweep with chunked (parallelisable) generation.
+    """Paired offload-fraction sweep with chunk-seeded generation.
 
     The ``dags_per_point`` base structures are generated in fixed chunks of
     ``chunk_size`` tasks; every chunk draws from its own child seed derived
     via :func:`repro.parallel.spawn_seeds`, so the drawn ensemble depends
-    only on ``(root_seed, dags_per_point, chunk_size, configs)`` -- never on
-    the worker count.  ``jobs=N`` therefore produces *draw-identical*
-    results to the serial path while parallelising the generation itself
-    (the sequential-RNG :func:`offload_fraction_sweep` can only parallelise
-    downstream evaluation).
+    only on ``(root_seed, dags_per_point, chunk_size, configs)``.
 
     The fraction grid is then applied exactly like the paired design of
     :func:`offload_fraction_sweep`: the same structures and ``v_off``
@@ -194,17 +172,13 @@ def chunked_offload_fraction_sweep(
         min(chunk_size, dags_per_point - start)
         for start in range(0, dags_per_point, chunk_size)
     ]
-    seeds = spawn_seeds(root_seed, len(chunk_counts))
-    starts = [sum(chunk_counts[:index]) for index in range(len(chunk_counts))]
-    chunks = parallel_map(
-        _generate_chunk,
-        [
-            (seed, count, start, generator_config, offload_config)
-            for seed, count, start in zip(seeds, chunk_counts, starts)
-        ],
-        jobs=jobs,
-    )
-    base_tasks = [task for chunk in chunks for task in chunk]
+    base_tasks = []
+    for seed, count in zip(spawn_seeds(root_seed, len(chunk_counts)), chunk_counts):
+        rng = np.random.default_rng(seed)
+        structure_generator = DagStructureGenerator(generator_config, rng)
+        for _ in range(count):
+            task = structure_generator.generate_task(name=f"tau_{len(base_tasks)}")
+            base_tasks.append(select_offloaded_node(task, offload_config, rng))
 
     points = []
     for fraction in fraction_list:

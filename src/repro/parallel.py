@@ -1,9 +1,13 @@
 """Deterministic process-based parallelism helpers.
 
-The experiment sweeps and the batched analyses are embarrassingly parallel:
-thousands of independent (task, platform) evaluations whose inputs are drawn
-*before* any work is distributed.  This module provides the small shared
-substrate:
+A process pool pays off only where each item is heavy: pickling the inputs
+and starting workers costs more than the C kernel, which already runs its
+lanes on every CPU, takes for a whole figure sweep.  Two callers keep a
+pool: the exact-makespan oracles
+(:func:`repro.ilp.batch.minimum_makespans_many`, behind figure 7,
+``/makespan`` and ``repro serve --jobs``) and the workload-schedulability
+cells (:func:`repro.experiments.workload.run_workload_schedulability`).
+This module provides their small shared substrate:
 
 * :func:`parallel_map` -- an order-preserving ``map`` over a
   :class:`~concurrent.futures.ProcessPoolExecutor` that survives worker
@@ -22,12 +26,12 @@ substrate:
 Determinism contract
 --------------------
 Workers receive *pickled copies* of their inputs, so a worker can never
-mutate shared state.  Every driver built on this module generates its random
-inputs serially (single RNG stream) and only distributes the deterministic
-evaluation, which is why ``jobs=N`` produces bit-identical results to
-``jobs=1`` -- and why retrying a lost chunk after a worker crash is sound:
-re-evaluating a pure function of pickled inputs yields the same values the
-dead worker would have produced.
+mutate shared state.  Every caller draws its random inputs before it
+distributes anything and only distributes deterministic evaluation, which
+is why ``jobs=N`` produces bit-identical results to ``jobs=1`` -- and why
+retrying a lost chunk after a worker crash is sound: re-evaluating a pure
+function of pickled inputs yields the same values the dead worker would
+have produced.
 """
 
 from __future__ import annotations

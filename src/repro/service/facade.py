@@ -337,9 +337,10 @@ class EvaluationService:
     max_batch:
         Pending-request count that triggers an immediate flush.
     jobs:
-        Worker-process count forwarded to the batched engines (``None``
-        keeps them serial; the C kernel usually saturates a core per batch
-        already).
+        Worker-process count for the exact-makespan oracle batches of
+        :meth:`submit_makespan` (``None`` keeps them serial).  Simulation,
+        analysis and workload batches always run in process: the C kernel
+        already runs its lanes on every CPU.
     default_timeout:
         Per-request deadline in seconds applied when a submission does not
         pass its own ``timeout`` (``None`` = wait forever).  The deadline
@@ -1280,7 +1281,6 @@ class EvaluationService:
                     platforms,
                     policies,
                     offload_enabled=params["offload_enabled"],
-                    jobs=self._jobs,
                     engine="auto",
                 )
             engine_span.set("engine", engine)
@@ -1294,9 +1294,7 @@ class EvaluationService:
 
     def _evaluate_workload(self, params: dict) -> dict:
         """One workload request end to end (build, couple, fold metrics)."""
-        instances = build_workload(
-            params["streams"], params["horizon"], jobs=self._jobs
-        )
+        instances = build_workload(params["streams"], params["horizon"])
         policy = build_policy(params["policy"], params["policy_seed"], None)
         result = simulate_workload(
             instances,
@@ -1344,7 +1342,6 @@ class EvaluationService:
                 [request.task for request in requests],
                 cores=params["cores"],
                 include_naive=params["include_naive"],
-                jobs=self._jobs,
             )
         self._count_engine_call(len(requests))
         for request, analysis in zip(requests, analyses):

@@ -932,7 +932,7 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         "-j",
         type=int,
         default=None,
-        help="worker processes forwarded to the batched engines "
+        help="worker processes for /makespan's exact-makespan oracle batches "
         "(default: serial; -1 = all cores)",
     )
     parser.add_argument(

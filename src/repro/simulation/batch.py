@@ -18,14 +18,13 @@ transformed).  :func:`simulate_many` is the batch entry point that
   kernel cannot be built, and every cell under ``engine="dense"`` (the
   benchmark baseline); ``makespans_only=False`` runs the trace-producing
   reference engine instead;
-* distributes fixed-size task chunks over a process pool; chunk boundaries
-  and the per-chunk policy instances depend only on ``(tasks, chunk_size,
-  root_seed)`` -- never on the worker count -- so ``jobs=N`` is
-  **bit-identical** to the serial path.  Each chunk receives its own policy
-  instances via :meth:`~repro.simulation.schedulers.SchedulingPolicy.spawned`
-  with :func:`repro.parallel.spawn_seeds`-derived child seeds (a plain copy
-  for deterministic policies, an independently seeded stream for
-  ``RandomPolicy``).
+* splits the tasks into fixed-size chunks that seed the stochastic
+  policies: every chunk receives its own policy instances via
+  :meth:`~repro.simulation.schedulers.SchedulingPolicy.spawned` with
+  :func:`repro.parallel.spawn_seeds`-derived child seeds (a plain copy for
+  deterministic policies, an independently seeded stream for
+  ``RandomPolicy``), so the draws depend only on ``(tasks, chunk_size,
+  root_seed)``.
 
 Engine-equivalence contract
 ---------------------------
@@ -33,22 +32,22 @@ Every path produces bit-identical makespans: the C kernel and the dense
 engine both reproduce ``simulate(...).makespan()`` exactly (enforced by
 ``tests/test_vectorized_engine.py`` / ``tests/test_dense_engine.py``), and
 the kernel's per-lane results do not depend on how cells are grouped into
-calls -- which is why the serial path may batch a whole column while
-``jobs=N`` batches per chunk, without breaking the determinism contract.
-Stochastic policies are the one subtlety: ``RandomPolicy`` draws are
-consumed per chunk in ``(task, platform)`` cell order on every path, so the
-chunk-seeded streams match the dense path draw for draw.
+calls -- which is why a deterministic policy's whole column may be one call
+while ``RandomPolicy`` runs chunk by chunk.  ``RandomPolicy`` draws are
+consumed per chunk in ``(task, platform)`` cell order on every engine and
+in trace mode, so the chunk-seeded streams match the dense path draw for
+draw.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from ..core.compiled import compile_task
 from ..core.task import DagTask
-from ..parallel import parallel_map, resolve_jobs, spawn_seeds
+from ..parallel import spawn_seeds
 from .engine import _as_platform, simulate
 from .platform import Platform
 from .schedulers import (
@@ -62,9 +61,8 @@ from .vectorized_compiled import resolve_engine
 
 __all__ = ["simulate_many", "resolve_engine"]
 
-#: Tasks per dispatched chunk.  Fixed (never derived from the worker count)
-#: so that chunk boundaries -- and therefore the spawned policy streams --
-#: are identical for any ``jobs``.
+#: Tasks per policy-seeding chunk: chunk boundaries root the spawned
+#: ``RandomPolicy`` streams, so changing it changes the draws.
 DEFAULT_CHUNK_SIZE = 16
 
 
@@ -81,44 +79,6 @@ def _dense_column(entries, platforms, policy, offload_enabled) -> np.ndarray:
     return out
 
 
-def _simulate_columns(
-    entries, platforms, policies, offload_enabled, engine
-) -> np.ndarray:
-    """Simulate one task chunk over the platform x policy grid (makespans)."""
-    out = np.empty(
-        (len(entries), len(platforms), len(policies)), dtype=np.float64
-    )
-    for q, policy in enumerate(policies):
-        if engine == "compiled" and policy_vector_kind(policy) is not None:
-            out[:, :, q] = simulate_column_vectorized(
-                entries, platforms, policy, offload_enabled
-            )
-        else:
-            out[:, :, q] = _dense_column(
-                entries, platforms, policy, offload_enabled
-            )
-    return out
-
-
-def _simulate_chunk(args: tuple) -> np.ndarray | list:
-    """Worker: simulate one task chunk over the full platform x policy grid."""
-    entries, platforms, policies, offload_enabled, makespans_only, engine = args
-    if makespans_only:
-        return _simulate_columns(
-            entries, platforms, policies, offload_enabled, engine
-        )
-    return [
-        [
-            [
-                simulate(task, platform, policy, offload_enabled)
-                for policy in policies
-            ]
-            for platform in platforms
-        ]
-        for task, _ in entries
-    ]
-
-
 def simulate_many(
     tasks: Sequence[DagTask],
     platforms: Union[Platform, int, Sequence[Union[Platform, int]]],
@@ -126,7 +86,6 @@ def simulate_many(
     *,
     offload_enabled: bool = True,
     makespans_only: bool = True,
-    jobs: Optional[int] = None,
     root_seed: int = 0,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     engine: str = "auto",
@@ -137,8 +96,7 @@ def simulate_many(
     ----------
     tasks:
         The DAG tasks to simulate.  Each is compiled once; the compiled view
-        is reused for every ``(platform, policy)`` cell and shipped with the
-        task to worker processes (the view is picklable).
+        is reused for every ``(platform, policy)`` cell.
     platforms:
         One platform -- or a sequence of platforms -- as :class:`Platform`
         objects or integer host-core counts (one accelerator assumed).
@@ -149,7 +107,7 @@ def simulate_many(
         ``policy.spawned(child_seed)`` instances, the child seeds derived
         from ``root_seed`` via :func:`repro.parallel.spawn_seeds` (one per
         ``(chunk, policy)`` pair), so stochastic policies draw independent
-        per-chunk streams in any execution order.
+        per-chunk streams.
     offload_enabled:
         Forwarded to the engine (``False`` models a homogeneous execution).
     makespans_only:
@@ -158,19 +116,13 @@ def simulate_many(
         C kernel (dense engine per cell where it cannot serve).
         ``False``: return the analogous nested list of
         :class:`~repro.simulation.trace.ExecutionTrace` objects from the
-        reference engine (useful for inspection; much slower).
-    jobs:
-        Worker-process count; ``None``/``0``/``1`` runs serially with
-        results bit-identical to any parallel run.  The serial path batches
-        whole policy columns through the C kernel; parallel workers batch
-        per chunk -- the kernel's per-lane results do not depend on batch
-        composition, so the results agree bit for bit.
+        reference engine (useful for inspection; much slower), with the
+        same per-chunk policy streams.
     root_seed:
         Root of the spawned per-chunk policy seeds.
     chunk_size:
-        Tasks per chunk.  Part of the determinism contract: results depend
-        on it (chunk boundaries seed the spawned policies) but never on
-        ``jobs``.
+        Tasks per chunk.  Part of the determinism contract: stochastic
+        results depend on it (chunk boundaries seed the spawned policies).
     engine:
         ``"auto"`` (default): the C kernel for vectorisable policies when
         it can be built on this host, the dense engine otherwise (see
@@ -207,69 +159,55 @@ def simulate_many(
     if not task_list:
         return np.empty(shape, dtype=np.float64) if makespans_only else []
 
-    # One compile per task; cached on the graph, shared across every cell
-    # (and pickled to the workers instead of being rebuilt there).  The
-    # trace mode runs the reference engine, which never touches the view.
-    if makespans_only:
-        entries = [(task, compile_task(task)) for task in task_list]
-    else:
-        entries = [(task, None) for task in task_list]
-    chunks = [
-        entries[start : start + chunk_size]
-        for start in range(0, len(entries), chunk_size)
-    ]
-    seeds = spawn_seeds(root_seed, len(chunks) * len(policy_list))
+    starts = range(0, len(task_list), chunk_size)
+    seeds = spawn_seeds(root_seed, len(starts) * len(policy_list))
 
-    if makespans_only and resolve_jobs(jobs) == 1:
-        # Serial fast path: batch whole policy columns through the C
-        # kernel instead of dispatching chunk-sized batches.  Deterministic
-        # policies behave identically through any spawned copy, so one
-        # instance serves the whole column; RandomPolicy keeps the chunked
-        # per-instance streams of the determinism contract, so its column
-        # is evaluated chunk by chunk (matching the dense path draw for
-        # draw).  Custom policies take the dense per-cell fallback.
-        out = np.empty(shape, dtype=np.float64)
-        for q, policy in enumerate(policy_list):
-            kind = policy_vector_kind(policy) if engine == "compiled" else None
-            per_chunk = kind is None or kind == VECTOR_RANDOM
-            if not per_chunk:
-                out[:, :, q] = simulate_column_vectorized(
-                    entries,
-                    platform_list,
-                    policy.spawned(seeds[q]),
-                    offload_enabled,
-                )
-                continue
-            row = 0
-            for c, chunk in enumerate(chunks):
-                spawned = policy.spawned(seeds[c * len(policy_list) + q])
-                if kind is None:
-                    block = _dense_column(
-                        chunk, platform_list, spawned, offload_enabled
-                    )
-                else:
-                    block = simulate_column_vectorized(
-                        chunk, platform_list, spawned, offload_enabled
-                    )
-                out[row : row + len(chunk), :, q] = block
-                row += len(chunk)
-        return out
-
-    work = [
-        (
-            chunk,
-            platform_list,
-            [
+    if not makespans_only:
+        # The reference engine, chunk by chunk: each chunk's spawned
+        # policies see their cells in (task, platform) order, as the
+        # makespan path's chunked columns do.
+        traces = []
+        for c, start in enumerate(starts):
+            spawned = [
                 policy.spawned(seeds[c * len(policy_list) + q])
                 for q, policy in enumerate(policy_list)
-            ],
-            offload_enabled,
-            makespans_only,
-            engine,
-        )
-        for c, chunk in enumerate(chunks)
-    ]
-    results = parallel_map(_simulate_chunk, work, jobs=jobs)
-    if makespans_only:
-        return np.concatenate(results, axis=0).reshape(shape)
-    return [row for chunk_result in results for row in chunk_result]
+            ]
+            traces.extend(
+                [
+                    [
+                        simulate(task, platform, policy, offload_enabled)
+                        for policy in spawned
+                    ]
+                    for platform in platform_list
+                ]
+                for task in task_list[start : start + chunk_size]
+            )
+        return traces
+
+    # One compile per task; cached on the graph, shared across every cell.
+    entries = [(task, compile_task(task)) for task in task_list]
+    # Deterministic policies behave identically through any spawned copy,
+    # so one instance serves a whole column in one kernel call;
+    # RandomPolicy keeps the chunked per-instance streams of the
+    # determinism contract, so its column runs chunk by chunk (matching
+    # the dense path draw for draw).  Custom policies take the dense
+    # per-cell fallback.
+    out = np.empty(shape, dtype=np.float64)
+    for q, policy in enumerate(policy_list):
+        kind = policy_vector_kind(policy) if engine == "compiled" else None
+        if kind is not None and kind != VECTOR_RANDOM:
+            out[:, :, q] = simulate_column_vectorized(
+                entries, platform_list, policy.spawned(seeds[q]), offload_enabled
+            )
+            continue
+        for c, start in enumerate(starts):
+            chunk = entries[start : start + chunk_size]
+            spawned = policy.spawned(seeds[c * len(policy_list) + q])
+            if kind is None:
+                block = _dense_column(chunk, platform_list, spawned, offload_enabled)
+            else:
+                block = simulate_column_vectorized(
+                    chunk, platform_list, spawned, offload_enabled
+                )
+            out[start : start + len(chunk), :, q] = block
+    return out

@@ -34,9 +34,9 @@ Semantics of the counters (uniform across engines):
 
 Collectors are thread-local: the facade wraps each engine call of a batch
 in one collector and hands the merged profile to the trace span and the
-metrics registry.  Worker *processes* (``jobs=N``) do not propagate their
-collectors back — the facade serves requests serially per batch, so the
-service path is always covered.
+metrics registry.  The engines always run in the calling process (only the
+exact-makespan oracles use worker processes, and they record no kernel
+batches), so every engine call of the service path is covered.
 """
 
 from __future__ import annotations

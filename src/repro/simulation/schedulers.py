@@ -151,7 +151,7 @@ class SchedulingPolicy(abc.ABC):
         )
 
     def spawned(self, seed: int) -> "SchedulingPolicy":
-        """An independent instance of this policy for one parallel work chunk.
+        """An independent instance of this policy for one work chunk.
 
         Deterministic policies return a plain deep copy, which is
         indistinguishable from sharing the instance.  Stochastic policies
@@ -323,7 +323,7 @@ class RandomPolicy(SchedulingPolicy):
         self._rng = np.random.default_rng(rng)
 
     def spawned(self, seed: int) -> "RandomPolicy":
-        """Reseeded copy: parallel chunks must not replay the same stream."""
+        """Reseeded copy: chunks must not replay the same stream."""
         return RandomPolicy(seed)
 
     def priority(self, node: NodeId, ready_time: float, arrival_index: int) -> tuple:

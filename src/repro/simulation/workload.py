@@ -158,12 +158,7 @@ class JobStream:
             return float(self.task.period)
         return None
 
-    def instances(
-        self,
-        horizon: float,
-        stream: int = 0,
-        jobs: Optional[int] = None,
-    ) -> list[JobInstance]:
+    def instances(self, horizon: float, stream: int = 0) -> list[JobInstance]:
         """Unroll the stream over ``[0, horizon)`` (releases past it drop)."""
         relative = self.relative_deadline()
         return [
@@ -174,16 +169,12 @@ class JobStream:
                 stream=stream,
                 index=index,
             )
-            for index, release in enumerate(
-                self.arrivals.release_times(horizon, jobs=jobs)
-            )
+            for index, release in enumerate(self.arrivals.release_times(horizon))
         ]
 
 
 def build_workload(
-    streams: Sequence[JobStream],
-    horizon: float,
-    jobs: Optional[int] = None,
+    streams: Sequence[JobStream], horizon: float
 ) -> list[JobInstance]:
     """Flatten ``streams`` over ``[0, horizon)`` into simulation order.
 
@@ -195,7 +186,7 @@ def build_workload(
     instances = [
         instance
         for stream_index, stream in enumerate(streams)
-        for instance in stream.instances(horizon, stream=stream_index, jobs=jobs)
+        for instance in stream.instances(horizon, stream=stream_index)
     ]
     instances.sort(key=lambda job: (job.release, job.stream, job.index))
     return instances

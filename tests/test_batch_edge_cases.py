@@ -3,8 +3,8 @@
 ``simulate_many`` and ``chunked_offload_fraction_sweep`` sit under every
 sweep driver; these tests pin their behaviour on the degenerate inputs a
 driver can produce -- empty ensembles, chunk sizes larger than the
-ensemble, more workers than work, single-policy batches, zero-node graphs
--- so refactors of the batching layers cannot silently change them.
+ensemble, single-policy batches, zero-node graphs -- so refactors of the
+batching layers cannot silently change them.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.generator.presets import SMALL_TASKS
 from repro.generator.sweep import chunked_offload_fraction_sweep
 from repro.simulation.batch import simulate_many
 from repro.simulation.engine import simulate
-from repro.simulation.schedulers import BreadthFirstPolicy, RandomPolicy
+from repro.simulation.schedulers import BreadthFirstPolicy
 
 from strategies import make_random_heterogeneous_task
 
@@ -31,11 +31,7 @@ def _wcet_tables(point):
 class TestSimulateManyEdgeCases:
     def test_empty_ensemble(self):
         assert simulate_many([], [2]).shape == (0, 1, 1)
-        assert simulate_many([], [2, 4], [BreadthFirstPolicy()], jobs=4).shape == (
-            0,
-            2,
-            1,
-        )
+        assert simulate_many([], [2, 4], [BreadthFirstPolicy()]).shape == (0, 2, 1)
         assert simulate_many([], [2], makespans_only=False) == []
 
     def test_chunk_size_larger_than_ensemble(self):
@@ -47,14 +43,6 @@ class TestSimulateManyEdgeCases:
         assert np.array_equal(small, huge)
         for t, task in enumerate(tasks):
             assert huge[t, 0, 0] == simulate(task, 2).makespan()
-
-    def test_jobs_greater_than_cell_count(self):
-        task = make_random_heterogeneous_task(5, 0.3, n_max=15)
-        serial = simulate_many([task], [2], RandomPolicy(7), root_seed=3)
-        oversubscribed = simulate_many(
-            [task], [2], RandomPolicy(7), root_seed=3, jobs=16
-        )
-        assert np.array_equal(serial, oversubscribed)
 
     def test_single_policy_batch_accepts_scalar_arguments(self):
         task = make_random_heterogeneous_task(2, 0.2, n_max=15)
@@ -107,11 +95,6 @@ class TestChunkedSweepEdgeCases:
         # must be internally deterministic.
         assert _wcet_tables(oversized[0]) == _wcet_tables(self._sweep(chunk_size=500)[0])
         assert len(reference[0]) == len(oversized[0]) == 3
-
-    def test_jobs_greater_than_chunk_count_draw_identical(self):
-        serial = self._sweep(chunk_size=2)
-        parallel = self._sweep(chunk_size=2, jobs=16)
-        assert _wcet_tables(serial[0]) == _wcet_tables(parallel[0])
 
     def test_invalid_chunk_size(self):
         with pytest.raises(ValueError):

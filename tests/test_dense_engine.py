@@ -23,6 +23,8 @@ from repro.core.graph import DirectedAcyclicGraph
 from repro.core.task import DagTask
 from repro.core.transformation import transform
 from repro.generator.offload import pin_offloaded_fraction
+from repro.parallel import spawn_seeds
+from repro.simulation import _kernels
 from repro.simulation.batch import simulate_many
 from repro.simulation.dense import simulate_makespan_dense
 from repro.simulation.engine import simulate, simulate_makespan
@@ -179,11 +181,48 @@ class TestSimulateMany:
                 reference = simulate(task, platform, BreadthFirstPolicy()).makespan()
                 assert makespans[t, p, 0] == reference
 
-    def test_serial_vs_jobs_bit_identical(self):
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            "dense",
+            pytest.param(
+                "compiled",
+                marks=pytest.mark.skipif(
+                    not _kernels.compiled_available(),
+                    reason="compiled kernel unavailable: "
+                    f"{_kernels.compiled_unavailable_reason()}",
+                ),
+            ),
+        ],
+    )
+    def test_random_policy_draws_one_stream_per_chunk(self, engine):
+        # The chunk-seeding contract written out: chunk c of the tasks gets
+        # one RandomPolicy(3).spawned(spawn_seeds(11, n_chunks)[c]), which
+        # sees its cells in (task, platform) order.
         tasks = self._tasks()
-        serial = simulate_many(tasks, [2, 8], RandomPolicy(3), root_seed=11, chunk_size=3)
-        parallel = simulate_many(tasks, [2, 8], RandomPolicy(3), root_seed=11, chunk_size=3, jobs=2)
-        assert np.array_equal(serial, parallel)
+        starts = range(0, len(tasks), 3)
+        expected = np.empty((len(tasks), 2, 1))
+        for start, seed in zip(starts, spawn_seeds(11, len(starts))):
+            policy = RandomPolicy(3).spawned(seed)
+            for t in range(start, min(start + 3, len(tasks))):
+                for p, cores in enumerate((2, 8)):
+                    expected[t, p, 0] = simulate_makespan(tasks[t], cores, policy)
+        makespans = simulate_many(
+            tasks, [2, 8], RandomPolicy(3), root_seed=11, chunk_size=3, engine=engine
+        )
+        assert np.array_equal(makespans, expected)
+        traces = simulate_many(
+            tasks,
+            [2, 8],
+            RandomPolicy(3),
+            root_seed=11,
+            chunk_size=3,
+            makespans_only=False,
+            engine=engine,
+        )
+        assert [
+            [[trace.makespan() for trace in cell] for cell in row] for row in traces
+        ] == expected.tolist()
 
     def test_multiple_policies_and_scalar_platform(self):
         tasks = self._tasks(count=3)

@@ -1,54 +1,61 @@
-"""Chunked parallel DAG-ensemble generation (`repro.generator.sweep`).
+"""Chunk-seeded DAG-ensemble generation (`repro.generator.sweep`).
 
 The chunked scheme derives one child seed per fixed-size chunk via
 ``repro.parallel.spawn_seeds``, so the drawn ensemble is a pure function of
-``(root_seed, dags_per_point, chunk_size, configs)`` -- the worker count
-must never influence a single draw.
+``(root_seed, dags_per_point, chunk_size, configs)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.generator.config import OffloadConfig
+from repro.generator.offload import pin_offloaded_fraction, select_offloaded_node
 from repro.generator.presets import SMALL_TASKS
+from repro.generator.random_dag import DagStructureGenerator
 from repro.generator.sweep import chunked_offload_fraction_sweep
 from repro.parallel import spawn_seeds
 
 CONFIG = replace(SMALL_TASKS, n_min=4, n_max=12, c_max=20)
 
 
-def _sweep(jobs, chunk_size=4, dags=10, root_seed=321):
+def _sweep(chunk_size=4, dags=10, root_seed=321):
     return chunked_offload_fraction_sweep(
         fractions=[0.05, 0.2, 0.4],
         dags_per_point=dags,
         generator_config=CONFIG,
         offload_config=OffloadConfig(),
         root_seed=root_seed,
-        jobs=jobs,
         chunk_size=chunk_size,
     )
 
 
 class TestChunkedGeneration:
-    def test_parallel_draws_identical_to_serial(self):
-        serial = _sweep(jobs=1)
-        parallel = _sweep(jobs=3)
-        assert len(serial) == len(parallel) == 3
-        for point_serial, point_parallel in zip(serial, parallel):
-            assert point_serial.fraction == point_parallel.fraction
-            assert len(point_serial.tasks) == len(point_parallel.tasks) == 10
-            for task_serial, task_parallel in zip(
-                point_serial.tasks, point_parallel.tasks
-            ):
-                assert task_serial.graph == task_parallel.graph
-                assert task_serial.offloaded_node == task_parallel.offloaded_node
-                assert task_serial.name == task_parallel.name
+    def test_chunk_draws_come_from_the_spawned_child_seed(self):
+        # The chunk-seeding contract written out: chunk c of 4 tasks draws
+        # its structures and v_off selections from spawn_seeds(321, 3)[c].
+        points = _sweep()
+        assert len(points) == 3
+        for c, seed in enumerate(spawn_seeds(321, 3)):
+            rng = np.random.default_rng(seed)
+            generator = DagStructureGenerator(CONFIG, rng)
+            for index in range(4 * c, min(4 * c + 4, 10)):
+                task = generator.generate_task(name=f"tau_{index}")
+                base = select_offloaded_node(task, OffloadConfig(), rng)
+                for point in points:
+                    expected = pin_offloaded_fraction(
+                        base, point.fraction, OffloadConfig().minimum_wcet
+                    )
+                    drawn = point.tasks[index]
+                    assert drawn.graph == expected.graph
+                    assert drawn.offloaded_node == expected.offloaded_node
+                    assert drawn.name == expected.name
 
     def test_paired_design_shares_structures_across_fractions(self):
-        points = _sweep(jobs=2)
+        points = _sweep()
         first, second = points[0], points[1]
         for task_a, task_b in zip(first.tasks, second.tasks):
             assert task_a.offloaded_node == task_b.offloaded_node
@@ -61,16 +68,16 @@ class TestChunkedGeneration:
     def test_chunk_size_changes_draws_but_not_structure_of_result(self):
         # The chunk partition is part of the determinism contract: a
         # different chunk size is a different (still reproducible) ensemble.
-        small_chunks = _sweep(jobs=1, chunk_size=2)
-        large_chunks = _sweep(jobs=1, chunk_size=10)
+        small_chunks = _sweep(chunk_size=2)
+        large_chunks = _sweep(chunk_size=10)
         assert [p.fraction for p in small_chunks] == [
             p.fraction for p in large_chunks
         ]
         assert all(len(p.tasks) == 10 for p in small_chunks + large_chunks)
 
     def test_root_seed_changes_draws(self):
-        a = _sweep(jobs=1, root_seed=1)
-        b = _sweep(jobs=1, root_seed=2)
+        a = _sweep(root_seed=1)
+        b = _sweep(root_seed=2)
         assert any(
             task_a.graph != task_b.graph
             for task_a, task_b in zip(a[0].tasks, b[0].tasks)
@@ -78,7 +85,7 @@ class TestChunkedGeneration:
 
     def test_invalid_chunk_size_rejected(self):
         with pytest.raises(ValueError):
-            _sweep(jobs=1, chunk_size=0)
+            _sweep(chunk_size=0)
 
     def test_spawn_seeds_partition_is_scheduling_independent(self):
         # The child seeds only depend on (root, count).

@@ -1,9 +1,9 @@
-"""Serial/parallel equivalence of the experiment runner and batched analysis.
+"""Serial/parallel equivalence of the experiment runner, and batched analysis.
 
 The acceptance contract of the parallel layer is strict: ``jobs=N`` must
-produce *bit-identical* results to the serial path, for every figure driver
-and for the batched analysis.  These tests run each driver both ways at a
-tiny scale and compare the full result documents.
+produce *bit-identical* results to the serial path, for every driver that
+takes ``jobs``.  These tests run each such driver both ways at a tiny scale
+and compare the full result documents.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import pytest
 
 from repro.analysis import analyse, analyse_many
 from repro.experiments.config import ExperimentScale
-from repro.experiments.runner import run_all, run_experiment
+from repro.experiments.runner import parallel_experiments, run_all, run_experiment
 from repro.generator.config import OffloadConfig
 from repro.generator.presets import SMALL_TASKS
 from repro.generator.sweep import offload_fraction_sweep
@@ -81,17 +81,21 @@ class TestParallelHelpers:
 
 
 class TestRunnerJobs:
-    @pytest.mark.parametrize("name", ["figure6", "figure7", "figure8", "figure9"])
-    def test_figures_bit_identical_serial_vs_parallel(self, name):
+    def test_jobs_reaches_the_oracle_and_workload_drivers(self):
+        assert parallel_experiments() == ["figure7", "workload-schedulability"]
+
+    @pytest.mark.parametrize("name", parallel_experiments())
+    def test_bit_identical_serial_vs_parallel(self, name):
         serial = run_experiment(name, TINY)
         parallel = run_experiment(name, TINY, jobs=2)
         assert serial.identical_to(parallel)
         assert serial.to_dict() == parallel.to_dict()
 
-    def test_run_all_forwards_jobs(self):
-        results = run_all(TINY, names=["worked-example", "figure8"], jobs=2)
-        assert set(results) == {"worked-example", "figure8"}
-        reference = run_all(TINY, names=["worked-example", "figure8"])
+    def test_run_all_forwards_jobs_only_where_taken(self):
+        names = ["worked-example", "figure8", "workload-schedulability"]
+        results = run_all(TINY, names=names, jobs=2)
+        assert set(results) == set(names)
+        reference = run_all(TINY, names=names)
         for name, result in results.items():
             assert result.identical_to(reference[name])
 
@@ -115,15 +119,6 @@ class TestAnalyseMany:
                 for method, result in reference.items():
                     assert analysis.results[cores][method].bound == result.bound
                     assert analysis.results[cores][method].scenario == result.scenario
-
-    def test_parallel_bit_identical(self):
-        tasks = _tasks()
-        serial = analyse_many(tasks, cores=(2, 8))
-        parallel = analyse_many(tasks, cores=(2, 8), jobs=2)
-        for a, b in zip(serial, parallel):
-            for cores in (2, 8):
-                for method in a.results[cores]:
-                    assert a.results[cores][method].bound == b.results[cores][method].bound
 
     def test_int_cores_and_helpers(self):
         tasks = _tasks(count=2)

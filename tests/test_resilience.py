@@ -55,7 +55,6 @@ from repro.resilience import (
     retry_call,
 )
 from repro.service import EvaluationService, MicroBatcher, ServiceClient, start_server
-from repro.simulation.batch import simulate_many
 
 from strategies import (
     make_random_heterogeneous_task,
@@ -426,16 +425,24 @@ class TestParallelRespawn:
         with pytest.raises(ValueError, match="not a crash"):
             parallel_map(_refuse, range(4), jobs=2)
 
-    def test_simulation_draws_identical_across_worker_death(self, tmp_path):
-        tasks = small_tasks(6)
-        reference = simulate_many(tasks, [2, 3], jobs=1)
-        token = tmp_path / "kill-sim-worker"
+    def test_oracle_results_identical_across_worker_death(self, tmp_path):
+        tasks = small_solver_tasks(6, start_seed=340)
+        reference = minimum_makespans_many(tasks, 2, use_cache=False)
+        token = tmp_path / "kill-oracle-worker"
         token.write_text("x")
+        before = worker_respawn_count()
         with FAULTS.armed(
             "parallel.chunk", "kill", times=None, token=str(token)
         ):
-            survived = simulate_many(tasks, [2, 3], jobs=2, chunk_size=2)
-        assert (survived == reference).all()
+            survived = minimum_makespans_many(tasks, 2, jobs=2, use_cache=False)
+        assert [result.makespan for result in survived] == [
+            result.makespan for result in reference
+        ]
+        assert [result.optimal for result in survived] == [
+            result.optimal for result in reference
+        ]
+        assert not token.exists()
+        assert worker_respawn_count() == before + 1
 
 
 # ----------------------------------------------------------------------

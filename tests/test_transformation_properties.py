@@ -21,7 +21,6 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.batch import analyse_many
 from repro.core import transformation
 from repro.core.compiled import stack_compiled
 from repro.core.graph import DirectedAcyclicGraph
@@ -511,12 +510,3 @@ def test_transformed_task_pickles_before_and_after_reading_gpar():
     again = pickle.loads(pickle.dumps(unread))
     assert _result_view(again) == _result_view(unread)
 
-
-def test_parallel_analyses_return_the_serial_gpar():
-    tasks = [make_random_heterogeneous_task(seed, 0.3) for seed in range(4)]
-    serial = analyse_many(tasks, cores=(2, 4))
-    parallel = analyse_many(tasks, cores=(2, 4), jobs=2)
-    for task, one, other in zip(tasks, serial, parallel):
-        assert one.results == other.results
-        _assert_gpar_is_induced(task, other.transformed)
-        assert _result_view(one.transformed) == _result_view(other.transformed)

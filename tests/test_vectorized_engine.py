@@ -375,15 +375,6 @@ class TestSimulateManyEngines:
         )
         assert np.array_equal(auto, dense)
 
-    def test_serial_vs_jobs_bit_identical(self):
-        tasks = self._tasks()
-        policies = [BreadthFirstPolicy(), RandomPolicy(3)]
-        serial = simulate_many(tasks, [2, 8], policies, root_seed=11, chunk_size=3)
-        parallel = simulate_many(
-            tasks, [2, 8], policies, root_seed=11, chunk_size=3, jobs=2
-        )
-        assert np.array_equal(serial, parallel)
-
     def test_matches_reference_engine_per_cell(self):
         tasks = self._tasks(count=3)
         platforms = [Platform(2, 1), Platform(4, 1)]
@@ -538,35 +529,6 @@ class TestBackendBitIdentity:
                         )
                     )
         assert list(simulate_makespans_vectorized(cells)) == references
-
-    def test_simulate_many_engine_and_jobs2(self, backend):
-        tasks = [
-            make_random_heterogeneous_task(seed, 0.2, n_max=18)
-            for seed in range(6)
-        ]
-        tasks += [transform(task).task for task in tasks[:3]]
-        policies = [
-            BreadthFirstPolicy(),
-            policy_by_name("critical-path-first"),
-            RandomPolicy(5),
-        ]
-        dense = simulate_many(
-            tasks, [2, 4], policies, root_seed=7, chunk_size=4, engine="dense"
-        )
-        serial = simulate_many(
-            tasks, [2, 4], policies, root_seed=7, chunk_size=4, engine=backend
-        )
-        parallel = simulate_many(
-            tasks,
-            [2, 4],
-            policies,
-            root_seed=7,
-            chunk_size=4,
-            engine=backend,
-            jobs=2,
-        )
-        assert np.array_equal(serial, dense)
-        assert np.array_equal(parallel, dense)
 
 
 class TestCompiledBackendPlumbing:
