@@ -17,9 +17,10 @@ from repro.core.task import DagTask
 from repro.generator.config import OffloadConfig
 from repro.generator.presets import SMALL_TASKS
 from repro.generator.sweep import chunked_offload_fraction_sweep
+from repro.parallel import spawn_seeds
 from repro.simulation.batch import simulate_many
-from repro.simulation.engine import simulate
-from repro.simulation.schedulers import BreadthFirstPolicy
+from repro.simulation.engine import simulate, simulate_makespan
+from repro.simulation.schedulers import BreadthFirstPolicy, RandomPolicy
 
 from strategies import make_random_heterogeneous_task
 
@@ -58,6 +59,21 @@ class TestSimulateManyEdgeCases:
         assert grid[0].tolist() == [[0.0], [0.0]]
         assert grid[1, 0, 0] == simulate(task, 2).makespan()
 
+    def test_zero_node_lane_in_a_random_chunk(self):
+        # The empty lane shares its chunk's one spawned RandomPolicy with
+        # the task after it, whose cells must see the stream the reference
+        # engine gives them.
+        empty = DagTask(graph=DirectedAcyclicGraph())
+        task = make_random_heterogeneous_task(5, 0.3, n_max=15)
+        policy = RandomPolicy(7).spawned(spawn_seeds(3, 1)[0])
+        expected = [
+            [[simulate_makespan(each, cores, policy)] for cores in (2, 4)]
+            for each in (empty, task)
+        ]
+        grid = simulate_many([empty, task], [2, 4], RandomPolicy(7), root_seed=3)
+        assert grid[0].tolist() == [[0.0], [0.0]]
+        assert grid.tolist() == expected
+
     def test_invalid_arguments(self):
         task = make_random_heterogeneous_task(1, 0.2, n_max=10)
         with pytest.raises(ValueError):
@@ -95,6 +111,17 @@ class TestChunkedSweepEdgeCases:
         # must be internally deterministic.
         assert _wcet_tables(oversized[0]) == _wcet_tables(self._sweep(chunk_size=500)[0])
         assert len(reference[0]) == len(oversized[0]) == 3
+
+    def test_growing_the_ensemble_keeps_the_drawn_prefix(self):
+        # Chunk c draws from the c-th spawned child seed whatever the chunk
+        # count, and a chunk draws its tasks in order, so a larger ensemble
+        # (here ending on a partial chunk) starts with the smaller one.
+        small = self._sweep(dags_per_point=3, chunk_size=2)
+        large = self._sweep(dags_per_point=5, chunk_size=2)
+        assert _wcet_tables(large[0])[:3] == _wcet_tables(small[0])
+        assert [task.name for task in large[0].tasks][:3] == [
+            task.name for task in small[0].tasks
+        ]
 
     def test_invalid_chunk_size(self):
         with pytest.raises(ValueError):

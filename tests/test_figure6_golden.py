@@ -14,11 +14,14 @@ Regenerate the golden file (after an *intentional* pipeline change) with::
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
+from repro.experiments import figure6
 from repro.experiments.config import ExperimentScale
 from repro.experiments.figure6 import run_figure6
+from repro.simulation.batch import simulate_many
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "figure6_golden.json"
 
@@ -42,6 +45,15 @@ def _run() -> dict:
 
 class TestFigure6Golden:
     def test_matches_golden_curve(self):
+        golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+        assert _run() == golden
+
+    def test_dense_engine_matches_golden_curve(self, monkeypatch):
+        # The default engine is the C kernel where it builds; the dense
+        # per-cell engine must draw the same golden curve.
+        monkeypatch.setattr(
+            figure6, "simulate_many", functools.partial(simulate_many, engine="dense")
+        )
         golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
         assert _run() == golden
 

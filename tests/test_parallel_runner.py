@@ -91,6 +91,15 @@ class TestRunnerJobs:
         assert serial.identical_to(parallel)
         assert serial.to_dict() == parallel.to_dict()
 
+    @pytest.mark.parametrize("name", ["figure6", "figure8", "figure9"])
+    def test_serial_drivers_give_the_serial_result_under_jobs(self, name):
+        # ``repro experiment NAME --jobs 2`` is accepted for every name; a
+        # driver that takes no jobs must not be forwarded it.
+        assert name not in parallel_experiments()
+        serial = run_experiment(name, TINY)
+        with_jobs = run_experiment(name, TINY, jobs=2)
+        assert serial.to_dict() == with_jobs.to_dict()
+
     def test_run_all_forwards_jobs_only_where_taken(self):
         names = ["worked-example", "figure8", "workload-schedulability"]
         results = run_all(TINY, names=names, jobs=2)
@@ -119,6 +128,25 @@ class TestAnalyseMany:
                 for method, result in reference.items():
                     assert analysis.results[cores][method].bound == result.bound
                     assert analysis.results[cores][method].scenario == result.scenario
+
+    def test_mixed_batch_from_an_iterator_keeps_input_order(self):
+        heterogeneous = _tasks(count=3)
+        tasks = [heterogeneous[0], heterogeneous[1].as_homogeneous(), heterogeneous[2]]
+        batch = analyse_many(iter(tasks), cores=(2, 8))
+        assert [analysis.task for analysis in batch] == tasks
+        assert [analysis.transformed is None for analysis in batch] == [
+            False,
+            True,
+            False,
+        ]
+        for analysis, task in zip(batch, tasks):
+            for cores in (2, 8):
+                reference = analyse(task, cores)
+                assert {
+                    method: result.bound
+                    for method, result in analysis.results[cores].items()
+                } == {method: result.bound for method, result in reference.items()}
+        assert analyse_many([], cores=(2, 8)) == []
 
     def test_int_cores_and_helpers(self):
         tasks = _tasks(count=2)

@@ -21,6 +21,7 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.batch import analyse_many
 from repro.core import transformation
 from repro.core.compiled import stack_compiled
 from repro.core.graph import DirectedAcyclicGraph
@@ -510,3 +511,9 @@ def test_transformed_task_pickles_before_and_after_reading_gpar():
     again = pickle.loads(pickle.dumps(unread))
     assert _result_view(again) == _result_view(unread)
 
+
+def test_batched_analyses_return_the_induced_gpar():
+    tasks = [make_random_heterogeneous_task(seed, 0.3) for seed in range(4)]
+    for task, analysis in zip(tasks, analyse_many(tasks, cores=(2, 4))):
+        _assert_gpar_is_induced(task, analysis.transformed)
+        assert _result_view(analysis.transformed) == _result_view(transform(task))

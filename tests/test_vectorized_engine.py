@@ -27,10 +27,11 @@ from repro.core.compiled import stack_compiled
 from repro.core.exceptions import SimulationError
 from repro.core.task import DagTask
 from repro.core.transformation import transform
+from repro.parallel import spawn_seeds
 from repro.simulation import _kernels
 from repro.simulation.batch import resolve_engine, simulate_many
 from repro.simulation.dense import simulate_makespan_dense
-from repro.simulation.engine import simulate
+from repro.simulation.engine import simulate, simulate_makespan
 from repro.simulation.kernel_stats import collect_kernel_stats
 from repro.simulation.platform import Platform
 from repro.simulation.schedulers import (
@@ -375,6 +376,26 @@ class TestSimulateManyEngines:
         )
         assert np.array_equal(auto, dense)
 
+    def test_mixed_policies_seed_each_chunk_then_policy(self):
+        # Chunk c's policy q is spawned from spawn_seeds(11, chunks *
+        # policies)[c * policies + q], so a RandomPolicy column next to a
+        # second policy draws a different stream than it does alone.
+        tasks = self._tasks()
+        policies = [BreadthFirstPolicy(), RandomPolicy(3)]
+        starts = range(0, len(tasks), 3)
+        seeds = spawn_seeds(11, len(starts) * len(policies))
+        expected = np.empty((len(tasks), 2, len(policies)))
+        for c, start in enumerate(starts):
+            for q, policy in enumerate(policies):
+                spawned = policy.spawned(seeds[c * len(policies) + q])
+                for t in range(start, min(start + 3, len(tasks))):
+                    for p, cores in enumerate((2, 8)):
+                        expected[t, p, q] = simulate_makespan(tasks[t], cores, spawned)
+        makespans = simulate_many(tasks, [2, 8], policies, root_seed=11, chunk_size=3)
+        assert np.array_equal(makespans, expected)
+        alone = simulate_many(tasks, [2, 8], RandomPolicy(3), root_seed=11, chunk_size=3)
+        assert not np.array_equal(alone[:, :, 0], makespans[:, :, 1])
+
     def test_matches_reference_engine_per_cell(self):
         tasks = self._tasks(count=3)
         platforms = [Platform(2, 1), Platform(4, 1)]
@@ -529,6 +550,25 @@ class TestBackendBitIdentity:
                         )
                     )
         assert list(simulate_makespans_vectorized(cells)) == references
+
+    def test_simulate_many_engine_equals_dense(self, backend):
+        tasks = [
+            make_random_heterogeneous_task(seed, 0.2, n_max=18)
+            for seed in range(6)
+        ]
+        tasks += [transform(task).task for task in tasks[:3]]
+        policies = [
+            BreadthFirstPolicy(),
+            policy_by_name("critical-path-first"),
+            RandomPolicy(5),
+        ]
+        dense = simulate_many(
+            tasks, [2, 4], policies, root_seed=7, chunk_size=4, engine="dense"
+        )
+        kernel = simulate_many(
+            tasks, [2, 4], policies, root_seed=7, chunk_size=4, engine=backend
+        )
+        assert np.array_equal(kernel, dense)
 
 
 class TestCompiledBackendPlumbing:

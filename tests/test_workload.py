@@ -119,6 +119,27 @@ class TestArrivalProcesses:
             long = arrivals.release_times(400.0)
             assert long[: len(short)].tolist() == short.tolist()
 
+    def test_release_times_concatenate_the_chunk_draws_in_order(self):
+        # Both random kinds written out over several ARRIVAL_CHUNK chunks:
+        # draw k is uniform k of the concatenated child-seed chunks.
+        from repro.generator.arrivals import ARRIVAL_CHUNK
+        from repro.parallel import spawn_seeds
+
+        def uniforms(seed, count):
+            seeds = spawn_seeds(seed, -(-count // ARRIVAL_CHUNK))
+            return np.concatenate(
+                [np.random.default_rng(child).random(ARRIVAL_CHUNK) for child in seeds]
+            )[:count]
+
+        periodic = np.sort(np.arange(400) * 1.5 + 0.75 * uniforms(9, 400))
+        sporadic = np.cumsum(0.5 + 1.5 * uniforms(9, 1200))
+        for arrivals, expected in (
+            (PeriodicArrivals(period=1.5, jitter=0.75, seed=9), periodic),
+            (SporadicArrivals(min_gap=0.5, max_gap=2.0, seed=9), sporadic),
+        ):
+            drawn = arrivals.release_times(600.0)
+            assert drawn.tolist() == expected[expected < 600.0].tolist()
+
     def test_chunk_draws_come_from_the_spawned_child_seed(self):
         from repro.generator.arrivals import ARRIVAL_CHUNK, _draw_chunk
         from repro.parallel import spawn_seeds
@@ -233,6 +254,23 @@ class TestStreamsAndAssembly:
             (2.0, 1, 1),
             (6.0, 0, 1),
         ]
+
+    def test_build_workload_merges_each_streams_seeded_releases(self):
+        tasks = [make_random_host_task(s, n_max=8) for s in (5, 6)]
+        streams = [
+            JobStream(tasks[0], PeriodicArrivals(period=1.0, jitter=0.5, seed=1)),
+            JobStream(tasks[1], SporadicArrivals(min_gap=0.5, max_gap=1.5, seed=2)),
+        ]
+        workload = build_workload(streams, 300.0)
+        keys = [(job.release, job.stream, job.index) for job in workload]
+        assert keys == sorted(keys)
+        for s, stream in enumerate(streams):
+            jobs = [job for job in workload if job.stream == s]
+            assert all(job.task is stream.task for job in jobs)
+            assert [job.index for job in jobs] == list(range(len(jobs)))
+            assert [job.release for job in jobs] == (
+                stream.arrivals.release_times(300.0).tolist()
+            )
 
     def test_releases_at_or_past_horizon_are_dropped(self):
         task = make_random_host_task(7, n_max=8)
