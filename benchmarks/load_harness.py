@@ -21,7 +21,7 @@ presents:
   thinning the load.
 
 While the window runs, a sampler polls ``/stats`` and derives the
-cache-hit-ratio and batch-occupancy trajectories from counter deltas; at
+cache-hit-ratio and mean-batch-size trajectories from counter deltas; at
 the end the harness cross-checks ``/metrics`` against ``/stats`` and the
 client-side dispatch ledger (zero lost requests, counter reconciliation).
 
@@ -250,12 +250,6 @@ def _sample_trajectory(
             point["mean_batch_size"] = (
                 d_batched / d_batches if d_batches else None
             )
-            occupancy = (
-                d_batched / d_batches / batching["max_batch"]
-                if d_batches
-                else None
-            )
-            point["batch_occupancy"] = occupancy
         result.trajectory.append(point)
         previous = point
 
@@ -639,7 +633,6 @@ def _boot_server(tmp: Path) -> tuple[subprocess.Popen, int]:
             sys.executable, "-m", "repro", "serve",
             "--port", "0",
             "--port-file", str(port_file),
-            "--flush-interval", "0.02",
             # Keep every trace: the stage breakdown reconciles per-request
             # truth against the histograms, so nothing may be sampled out
             # or evicted during the window.
@@ -764,7 +757,7 @@ def main(argv: list[str] | None = None) -> int:
                 "per-endpoint rates compiled into an LCM-hyperperiod "
                 "dispatch programme, latency measured from scheduled due "
                 "times (coordinated-omission-free), with cache-hit and "
-                "batch-occupancy trajectories sampled from /stats and a "
+                "mean-batch-size trajectories sampled from /stats and a "
                 "final /metrics vs /stats reconciliation "
                 "(benchmarks/load_harness.py; see docs/service.md)."
             ),

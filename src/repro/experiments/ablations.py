@@ -148,8 +148,8 @@ def run_scheduler_ablation_service(
     platform = Platform(host_cores=cores, accelerators=1)
 
     # One request per (point, variant, task, policy), task-major so a flush
-    # window holds every policy of the tasks it covers (dense 3-axis grids
-    # for the coalescer).  The stochastic policy gets an explicit seed per
+    # holds every policy of the tasks it covers (dense 3-axis grids for the
+    # coalescer).  The stochastic policy gets an explicit seed per
     # cell -- derived only from the sampling parameters, never from batch
     # composition -- which the solo path replays exactly.
     requests = []

@@ -12,7 +12,7 @@ This module provides their small shared substrate:
 * :func:`parallel_map` -- an order-preserving ``map`` over a
   :class:`~concurrent.futures.ProcessPoolExecutor` that survives worker
   death: a crashed worker breaks the pool, so the pool is respawned and
-  only the chunks whose results were lost are retried.  Falls back to a
+  only the items whose results were lost are retried.  Falls back to a
   plain serial loop for ``jobs <= 1`` so that callers have a single code
   path;
 * :func:`spawn_seeds` -- deterministic per-chunk child seeds derived from a
@@ -29,7 +29,7 @@ Workers receive *pickled copies* of their inputs, so a worker can never
 mutate shared state.  Every caller draws its random inputs before it
 distributes anything and only distributes deterministic evaluation, which
 is why ``jobs=N`` produces bit-identical results to ``jobs=1`` -- and why
-retrying a lost chunk after a worker crash is sound: re-evaluating a pure
+retrying a lost item after a worker crash is sound: re-evaluating a pure
 function of pickled inputs yields the same values the dead worker would
 have produced.
 """
@@ -54,6 +54,10 @@ __all__ = [
 
 _ItemT = TypeVar("_ItemT")
 _ResultT = TypeVar("_ResultT")
+
+#: Fresh pools :func:`parallel_map` starts after worker crashes before it
+#: gives up with :class:`~repro.core.exceptions.WorkerCrashError`.
+MAX_RESPAWNS = 2
 
 _respawn_lock = threading.Lock()
 _respawn_count = 0
@@ -97,36 +101,30 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def _apply_chunk(payload: tuple) -> list:
-    """Worker entry point: apply ``fn`` to one chunk of items, in order."""
-    fn, chunk = payload
-    results = []
-    for item in chunk:
-        fault_point("parallel.chunk")
-        results.append(fn(item))
-    return results
+def _apply(fn: Callable[[_ItemT], _ResultT], item: _ItemT) -> _ResultT:
+    """Worker entry point: apply ``fn`` to one item."""
+    fault_point("parallel.chunk")
+    return fn(item)
 
 
 def parallel_map(
     fn: Callable[[_ItemT], _ResultT],
     items: Iterable[_ItemT],
     jobs: Optional[int] = None,
-    chunksize: int = 1,
-    max_respawns: int = 2,
 ) -> list[_ResultT]:
     """Apply ``fn`` to every item, preserving order, surviving worker death.
 
     With ``jobs <= 1`` (or fewer than two items) this is a plain serial loop
-    -- no processes, no pickling.  Otherwise the items are split into chunks
-    of ``chunksize`` and each chunk is submitted as one future to a
-    :class:`~concurrent.futures.ProcessPoolExecutor`; ``fn`` must be a
-    module-level callable and both items and results must be picklable.
+    -- no processes, no pickling.  Otherwise each item is submitted as one
+    future to a :class:`~concurrent.futures.ProcessPoolExecutor`; ``fn``
+    must be a module-level callable and both items and results must be
+    picklable.
 
     When a worker dies (OOM kill, segfault, hard ``os._exit``), the pool
     breaks and every unfinished future fails with
-    :class:`~concurrent.futures.BrokenExecutor`.  Completed chunks are
-    keepers; the pool is respawned and only the lost chunks are retried, up
-    to ``max_respawns`` fresh pools, after which
+    :class:`~concurrent.futures.BrokenExecutor`.  Completed items are
+    keepers; the pool is respawned and only the lost items are retried, up
+    to :data:`MAX_RESPAWNS` fresh pools, after which
     :class:`~repro.core.exceptions.WorkerCrashError` is raised.  Exceptions
     raised by ``fn`` itself are *not* crashes and propagate on first
     occurrence, exactly as in the serial path.
@@ -136,10 +134,8 @@ def parallel_map(
     if workers == 1 or len(work) <= 1:
         return [fn(item) for item in work]
 
-    size = max(1, chunksize)
-    chunks = [work[start : start + size] for start in range(0, len(work), size)]
-    chunk_results: list[Optional[list]] = [None] * len(chunks)
-    pending = list(range(len(chunks)))
+    results: list = [None] * len(work)
+    pending = list(range(len(work)))
     respawns = 0
     while pending:
         lost: list[int] = []
@@ -147,26 +143,26 @@ def parallel_map(
             futures = {}
             for index in pending:
                 try:
-                    futures[pool.submit(_apply_chunk, (fn, chunks[index]))] = index
+                    futures[pool.submit(_apply, fn, work[index])] = index
                 except BrokenExecutor:
                     lost.append(index)
             for future, index in futures.items():
                 try:
-                    chunk_results[index] = future.result()
+                    results[index] = future.result()
                 except BrokenExecutor:
                     lost.append(index)
         if not lost:
             break
         respawns += 1
-        if respawns > max_respawns:
+        if respawns > MAX_RESPAWNS:
             raise WorkerCrashError(
-                f"parallel workers kept dying: {len(lost)} chunk(s) still "
-                f"unfinished after {max_respawns} pool respawn(s)"
+                f"parallel workers kept dying: {len(lost)} item(s) still "
+                f"unfinished after {MAX_RESPAWNS} pool respawn(s)"
             )
         _note_respawn()
         pending = sorted(lost)
 
-    return [result for chunk in chunk_results for result in chunk]  # type: ignore[union-attr]
+    return results
 
 
 def spawn_seeds(root_seed: int, count: int) -> list[int]:

@@ -10,7 +10,7 @@ RNG most retry helpers reach for.
 Retrying is only sound against idempotent operations.  Every consumer in
 this repository qualifies by construction: service requests are keyed on
 content fingerprints (re-asking is a cache hit, never a duplicated side
-effect) and parallel chunks are pure functions of their pickled inputs.
+effect) and parallel items are pure functions of their pickled inputs.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ Modules
     Counters, gauges and fixed-bucket latency histograms with p50/p95/p99
     estimation; JSON + Prometheus text rendering.
 :mod:`~repro.service.batching`
-    Deadline/size-triggered micro-batching request queue.
+    Micro-batching request queue, flushed whenever its worker is free.
 :mod:`~repro.service.facade`
     :class:`EvaluationService` -- the synchronous in-process API.
 :mod:`~repro.service.tracing`

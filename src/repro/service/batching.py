@@ -7,20 +7,17 @@ underneath it (:func:`~repro.simulation.batch.simulate_many`,
 *batches*: one compile per distinct task, one C kernel call per policy
 column, one deduplicated oracle dispatch.  :class:`MicroBatcher`
 bridges the two shapes the way a model-inference server does: concurrent
-in-flight requests are parked in a pending list and flushed to an executor
-callback as one batch when either
+in-flight requests are parked in a pending list, and the worker thread
+takes *every* pending request as one batch as soon as it is free:
 
-* the queue goes **quiet** -- no new request arrived for ``quiet_interval``
-  seconds (a burst keeps arriving back-to-back, so this trigger lets the
-  whole burst accumulate while adding at most one quiet window of latency
-  to a lone request), or
-* the **deadline** expires -- ``flush_interval`` seconds after the oldest
-  pending request arrived (bounds the latency a steady trickle of arrivals
-  could otherwise add by endlessly postponing the quiet trigger), or
-* the **size trigger** fires -- ``max_batch`` requests are pending (bounded
-  batch memory), or
-* the batcher is **closed** -- the queue drains every parked request before
-  the worker exits, so ``close()`` never abandons a caller.
+* a request that finds the worker idle is flushed at once (a **ready**
+  flush), so a lone request pays no batching delay;
+* whatever arrives while a flush runs parks and becomes the next batch, so
+  a burst coalesces into as many batches as the flushes it overlaps, with
+  no timer and no size trigger;
+* once the batcher is **closed**, the worker drains every parked request
+  (a **close** flush) before it exits, so ``close()`` never abandons a
+  caller.
 
 Admission is bounded: ``max_pending`` caps the parked-request count and
 ``max_pending_cost`` caps their summed ``cost`` (the facade uses node
@@ -57,14 +54,12 @@ from ..core.exceptions import (
     ServiceTimeoutError,
 )
 from ..resilience import Deadline, fault_point
-from .metrics import (
-    BATCH_SIZE_BUCKETS,
-    LATENCY_BUCKETS,
-    OCCUPANCY_BUCKETS,
-    MetricsRegistry,
-)
+from .metrics import BATCH_SIZE_BUCKETS, LATENCY_BUCKETS, MetricsRegistry
 
 __all__ = ["BatchRequest", "MicroBatcher"]
+
+#: Seconds a shed request is told to wait (``retry_after``) before retrying.
+RETRY_AFTER = 0.05
 
 
 @dataclass
@@ -143,21 +138,15 @@ class BatchRequest:
 
 
 class MicroBatcher:
-    """Deadline/size-triggered request coalescer (see module docstring).
+    """Request coalescer that flushes whenever its worker is free.
+
+    See the module docstring for the flush and admission rules.
 
     Parameters
     ----------
     execute:
         Callback receiving each flushed batch (a list of
         :class:`BatchRequest`); it must resolve or fail every request.
-    flush_interval:
-        Hard deadline in seconds: a pending request never waits longer than
-        this for companions (the latency cap of the coalescing trade).
-    quiet_interval:
-        Quiescence window in seconds: flush as soon as no new request
-        arrived for this long.  Must not exceed ``flush_interval``.
-    max_batch:
-        Pending-request count that triggers an immediate flush.
     max_pending, max_pending_cost:
         Admission bounds (``None`` = unbounded).  A request that would push
         the parked queue past either bound is shed with
@@ -174,34 +163,22 @@ class MicroBatcher:
         Worker-thread name (visible in diagnostics).
     metrics:
         Optional :class:`~repro.service.metrics.MetricsRegistry`.  When
-        given, the batcher publishes its queue-wait histogram, batch-size
-        and occupancy histograms, flush-trigger breakdown and shed count
-        there, updated in the same locked sections as the ``stats()``
-        counters so the two views cannot drift apart.
+        given, the batcher publishes its queue-wait and batch-size
+        histograms, flush-trigger breakdown and shed count there, updated
+        in the same locked sections as the ``stats()`` counters so the two
+        views cannot drift apart.
     """
 
     def __init__(
         self,
         execute: Callable[[list[BatchRequest]], None],
         *,
-        flush_interval: float = 0.05,
-        quiet_interval: float = 0.002,
-        max_batch: int = 512,
         max_pending: Optional[int] = None,
         max_pending_cost: Optional[int] = None,
         on_abandon: Optional[Callable[[BatchRequest, BaseException], None]] = None,
         name: str = "repro-service-batcher",
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if flush_interval < 0:
-            raise ValueError(f"flush_interval must be >= 0, got {flush_interval}")
-        if not 0 <= quiet_interval <= flush_interval:
-            raise ValueError(
-                f"quiet_interval must be in [0, flush_interval], got "
-                f"{quiet_interval} (flush_interval {flush_interval})"
-            )
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_pending is not None and max_pending < 1:
             raise ValueError(f"max_pending must be >= 1 or None, got {max_pending}")
         if max_pending_cost is not None and max_pending_cost < 1:
@@ -209,23 +186,18 @@ class MicroBatcher:
                 f"max_pending_cost must be >= 1 or None, got {max_pending_cost}"
             )
         self._execute = execute
-        self.flush_interval = flush_interval
-        self.quiet_interval = quiet_interval
-        self.max_batch = max_batch
         self.max_pending = max_pending
         self.max_pending_cost = max_pending_cost
         self._on_abandon = on_abandon
         self._condition = threading.Condition()
         self._pending: list[BatchRequest] = []
         self._pending_cost = 0
-        self._oldest: float = 0.0
-        self._latest: float = 0.0
         self._closed = False
         self._submitted = 0
         self._shed = 0
         self._batches = 0
         self._largest_batch = 0
-        self._flushes = {"quiet": 0, "deadline": 0, "size": 0, "close": 0}
+        self._flushes = {"ready": 0, "close": 0}
         if metrics is not None:
             self._metric_queue_wait = metrics.histogram(
                 "repro_service_queue_wait_seconds",
@@ -238,14 +210,9 @@ class MicroBatcher:
                 "Requests per flushed batch.",
                 buckets=BATCH_SIZE_BUCKETS,
             )
-            self._metric_occupancy = metrics.histogram(
-                "repro_service_batch_occupancy_ratio",
-                "Flushed batch size as a fraction of max_batch.",
-                buckets=OCCUPANCY_BUCKETS,
-            )
             self._metric_flushes = metrics.counter(
                 "repro_service_batch_flushes_total",
-                "Flushed batches by trigger (quiet/deadline/size/close).",
+                "Flushed batches by trigger (ready/close).",
                 labels=("trigger",),
             )
             self._metric_shed = metrics.counter(
@@ -256,7 +223,6 @@ class MicroBatcher:
         else:
             self._metric_queue_wait = None
             self._metric_batch_size = None
-            self._metric_occupancy = None
             self._metric_flushes = None
             self._metric_shed = None
         self._worker = threading.Thread(target=self._run, name=name, daemon=True)
@@ -287,7 +253,6 @@ class MicroBatcher:
                 raise ServiceClosedError(
                     "evaluation service is closed; no further requests accepted"
                 )
-            retry_after = max(self.flush_interval, 0.05)
             if (
                 self.max_pending is not None
                 and len(self._pending) >= self.max_pending
@@ -298,7 +263,7 @@ class MicroBatcher:
                 raise ServiceOverloadedError(
                     f"evaluation service overloaded: {len(self._pending)} "
                     f"requests pending (max_pending={self.max_pending})",
-                    retry_after=retry_after,
+                    retry_after=RETRY_AFTER,
                 )
             if (
                 self.max_pending_cost is not None
@@ -312,13 +277,9 @@ class MicroBatcher:
                     f"evaluation service overloaded: pending cost "
                     f"{self._pending_cost} + {request.cost} exceeds "
                     f"max_pending_cost={self.max_pending_cost}",
-                    retry_after=retry_after,
+                    retry_after=RETRY_AFTER,
                 )
-            now = time.monotonic()
-            if not self._pending:
-                self._oldest = now
-            self._latest = now
-            request.enqueued_at = now
+            request.enqueued_at = time.monotonic()
             self._pending.append(request)
             self._pending_cost += request.cost
             self._submitted += 1
@@ -363,34 +324,21 @@ class MicroBatcher:
             request.fail(error)
 
     def _take_batch(self) -> tuple[list[BatchRequest], Optional[str]]:
-        """Wait for a flush trigger; return ``(batch, reason)``.
+        """Wait until a request is pending; return ``(batch, reason)``.
 
-        Returns ``([], None)`` when the batcher is closed and drained.
+        The batch is every pending request, and ``reason`` is ``"close"``
+        once the batcher is closed, ``"ready"`` before.  Returns
+        ``([], None)`` when the batcher is closed and drained.
         """
         with self._condition:
-            while True:
-                if self._pending:
-                    now = time.monotonic()
-                    until_deadline = self._oldest + self.flush_interval - now
-                    until_quiet = self._latest + self.quiet_interval - now
-                    if self._closed:
-                        reason = "close"
-                    elif len(self._pending) >= self.max_batch:
-                        reason = "size"
-                    elif until_quiet <= 0:
-                        reason = "quiet"
-                    elif until_deadline <= 0:
-                        reason = "deadline"
-                    else:
-                        self._condition.wait(min(until_deadline, until_quiet))
-                        continue
-                    batch = self._pending
-                    self._pending = []
-                    self._pending_cost = 0
-                    return batch, reason
+            while not self._pending:
                 if self._closed:
                     return [], None
                 self._condition.wait()
+            batch = self._pending
+            self._pending = []
+            self._pending_cost = 0
+            return batch, "close" if self._closed else "ready"
 
     def _run(self) -> None:
         try:
@@ -418,9 +366,6 @@ class MicroBatcher:
                         now = time.monotonic()
                         self._metric_flushes.inc(trigger=reason)
                         self._metric_batch_size.observe(len(batch))
-                        self._metric_occupancy.observe(
-                            len(batch) / self.max_batch
-                        )
                         for request in batch:
                             self._metric_queue_wait.observe(
                                 max(0.0, now - request.enqueued_at)
@@ -479,9 +424,6 @@ class MicroBatcher:
                 "pending": len(self._pending),
                 "pending_cost": self._pending_cost,
                 "flushes": dict(self._flushes),
-                "flush_interval": self.flush_interval,
-                "quiet_interval": self.quiet_interval,
-                "max_batch": self.max_batch,
                 "max_pending": self.max_pending,
                 "max_pending_cost": self.max_pending_cost,
             }

@@ -326,16 +326,6 @@ class EvaluationService:
     cache_bytes:
         Byte cap of the fingerprint-keyed result store (``0`` disables
         memoisation entirely -- every payload is rejected by the cap).
-    flush_interval:
-        Micro-batching hard deadline in seconds: the longest a request
-        waits for companions before its batch is flushed.
-    quiet_interval:
-        Quiescence flush window in seconds: a batch is flushed as soon as
-        no new request arrived for this long, so a back-to-back burst
-        coalesces fully while a lone request only pays one quiet window of
-        latency.
-    max_batch:
-        Pending-request count that triggers an immediate flush.
     jobs:
         Worker-process count for the exact-makespan oracle batches of
         :meth:`submit_makespan` (``None`` keeps them serial).  Simulation,
@@ -385,9 +375,6 @@ class EvaluationService:
         self,
         *,
         cache_bytes: int = 64 * 1024 * 1024,
-        flush_interval: float = 0.05,
-        quiet_interval: float = 0.002,
-        max_batch: int = 512,
         jobs: Optional[int] = None,
         default_timeout: Optional[float] = None,
         max_pending: Optional[int] = None,
@@ -491,9 +478,6 @@ class EvaluationService:
         )
         self._batcher = MicroBatcher(
             self._execute_batch,
-            flush_interval=flush_interval,
-            quiet_interval=quiet_interval,
-            max_batch=max_batch,
             max_pending=max_pending,
             max_pending_cost=max_pending_cost,
             on_abandon=self._abort,

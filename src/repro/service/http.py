@@ -942,24 +942,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         help="byte cap of the fingerprint-keyed result cache (0 disables)",
     )
     parser.add_argument(
-        "--flush-interval",
-        type=float,
-        default=0.05,
-        help="micro-batching hard deadline in seconds",
-    )
-    parser.add_argument(
-        "--quiet-interval",
-        type=float,
-        default=0.002,
-        help="flush as soon as no new request arrived for this many seconds",
-    )
-    parser.add_argument(
-        "--max-batch",
-        type=int,
-        default=512,
-        help="pending-request count that triggers an immediate flush",
-    )
-    parser.add_argument(
         "--default-timeout",
         type=float,
         default=None,
@@ -1061,9 +1043,6 @@ def serve_from_args(args: argparse.Namespace) -> int:
         )
         service = EvaluationService(
             cache_bytes=args.cache_bytes,
-            flush_interval=args.flush_interval,
-            quiet_interval=args.quiet_interval,
-            max_batch=args.max_batch,
             jobs=args.jobs,
             default_timeout=args.default_timeout,
             max_pending=args.max_pending,
@@ -1112,8 +1091,7 @@ def serve_from_args(args: argparse.Namespace) -> int:
     )
     print(
         f"repro evaluation service listening on http://{args.host}:{server.port} "
-        f"(cache {args.cache_bytes} bytes, flush {args.flush_interval * 1000:g} ms, "
-        f"max batch {args.max_batch}, tracing {tracing_state})",
+        f"(cache {args.cache_bytes} bytes, tracing {tracing_state})",
         flush=True,
     )
     if FAULTS.enabled:

@@ -57,13 +57,12 @@ LATENCY_BUCKETS: tuple[float, ...] = (
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
 )
 
-#: Batch-size buckets (requests per flush), powers of two up to the default
-#: ``max_batch``.
+#: Batch-size buckets (requests per flush), powers of two.
 BATCH_SIZE_BUCKETS: tuple[float, ...] = (
     1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024,
 )
 
-#: Occupancy-ratio buckets (batch size / ``max_batch``), linear-ish in the
+#: Occupancy-ratio buckets (a fraction in [0, 1]), linear-ish in the
 #: interesting low range.
 OCCUPANCY_BUCKETS: tuple[float, ...] = (
     0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0,

@@ -31,7 +31,7 @@ class TestParser:
             ["makespan", "task.json", "--method", "bnb"],
             ["generate", "-o", "out", "--count", "2"],
             ["experiment", "figure9", "--scale", "quick"],
-            ["serve", "--port", "0", "--max-batch", "8"],
+            ["serve", "--port", "0", "--max-pending", "8"],
         ):
             namespace = parser.parse_args(args)
             assert callable(namespace.func)
@@ -147,10 +147,10 @@ class TestCommands:
         assert main(["experiment", "figure9", "--dags", "3", "--seed", "1"]) == 0
         assert "m=2" in capsys.readouterr().out
 
-    def test_serve_rejects_bad_flush_intervals(self, capsys):
-        # quiet_interval defaults to 0.002 and must not exceed the deadline.
-        assert main(["serve", "--port", "0", "--flush-interval", "0.0001"]) == 1
-        assert "error" in capsys.readouterr().err
+    def test_serve_rejects_a_bad_queue_bound(self, capsys):
+        # The batcher refuses max_pending < 1 before anything binds.
+        assert main(["serve", "--port", "0", "--max-pending", "0"]) == 1
+        assert "max_pending" in capsys.readouterr().err
 
     def test_serve_reports_bind_failures(self, capsys):
         import socket

@@ -37,6 +37,7 @@ from repro.simulation.engine import simulate_makespan
 from repro.simulation.platform import Platform
 from repro.simulation.schedulers import policy_by_name
 
+from batcher_plug import Plug
 from strategies import make_random_heterogeneous_task
 from test_metrics import parse_prometheus
 
@@ -46,13 +47,11 @@ if _BENCHMARKS not in sys.path:
 
 import load_harness  # noqa: E402  (benchmarks/ is not a package)
 
-FAST_BATCHING = dict(flush_interval=0.05, quiet_interval=0.001)
-
 
 @pytest.fixture()
 def served():
     """A fresh service + HTTP server + client (clean counters per test)."""
-    service = EvaluationService(**FAST_BATCHING)
+    service = EvaluationService()
     server, thread = start_server(service, port=0)
     client = ServiceClient(port=server.port, timeout=120)
     yield service, server, client
@@ -271,7 +270,8 @@ class TestHealthLifecycle:
             for request in batch:
                 request.resolve(0.0)
 
-        batcher = MicroBatcher(execute, flush_interval=30.0, quiet_interval=30.0)
+        batcher = MicroBatcher(execute)
+        Plug(batcher)  # the request below parks until close() flushes it
         try:
             batcher.submit(
                 BatchRequest(

@@ -56,15 +56,11 @@ from repro.resilience import (
 )
 from repro.service import EvaluationService, MicroBatcher, ServiceClient, start_server
 
+from batcher_plug import Plug
 from strategies import (
     make_random_heterogeneous_task,
     make_random_integer_heterogeneous_task,
 )
-
-#: Batching windows so long that flushes only happen on close() -- the
-#: standard idiom for deterministically coalescing a known request set.
-PARKED_BATCHING = dict(flush_interval=30.0, quiet_interval=10.0)
-FAST_BATCHING = dict(flush_interval=0.05, quiet_interval=0.001)
 
 
 @pytest.fixture(autouse=True)
@@ -411,7 +407,7 @@ class TestParallelRespawn:
         with FAULTS.armed(
             "parallel.chunk", "kill", times=None, token=str(token)
         ):
-            survived = parallel_map(_double, range(24), jobs=2, chunksize=3)
+            survived = parallel_map(_double, range(24), jobs=2)
         assert survived == serial
         assert not token.exists()  # exactly one worker consumed the kill
         assert worker_respawn_count() == before + 1
@@ -419,7 +415,7 @@ class TestParallelRespawn:
     def test_persistent_worker_death_raises_worker_crash(self):
         with FAULTS.armed("parallel.chunk", "kill", times=None):
             with pytest.raises(WorkerCrashError, match="respawn"):
-                parallel_map(_double, range(8), jobs=2, max_respawns=1)
+                parallel_map(_double, range(8), jobs=2)
 
     def test_function_exceptions_are_not_crashes(self):
         with pytest.raises(ValueError, match="not a crash"):
@@ -558,7 +554,7 @@ class TestBatcherHardening:
         "ignore::pytest.PytestUnhandledThreadExceptionWarning"
     )
     def test_worker_death_fails_parked_requests_and_closes(self):
-        batcher = _DyingWorkerBatcher(_resolve_all, **PARKED_BATCHING)
+        batcher = _DyingWorkerBatcher(_resolve_all)
         request = batcher.submit(_request(0))
         with pytest.raises(ServiceError, match="abandoned"):
             request.wait(5.0)
@@ -581,8 +577,7 @@ class TestBatcherHardening:
             on_abandon=lambda request, error: abandoned.append(
                 (request.fingerprint, type(error).__name__)
             ),
-            **FAST_BATCHING,
-        )
+                    )
         request = batcher.submit(_request(7))
         with pytest.raises(RuntimeError, match="executor exploded"):
             request.wait(5.0)
@@ -590,7 +585,8 @@ class TestBatcherHardening:
         assert abandoned == [("fp-0007", "RuntimeError")]
 
     def test_admission_bounds_shed_with_retry_after(self):
-        batcher = MicroBatcher(_resolve_all, max_pending=2, **PARKED_BATCHING)
+        batcher = MicroBatcher(_resolve_all, max_pending=2)
+        Plug(batcher)
         first, second = batcher.submit(_request(0)), batcher.submit(_request(1))
         with pytest.raises(ServiceOverloadedError, match="max_pending") as info:
             batcher.submit(_request(2))
@@ -601,7 +597,8 @@ class TestBatcherHardening:
         assert second.result == {"value": 1}
 
     def test_cost_bound_sheds_but_single_oversized_request_is_served(self):
-        batcher = MicroBatcher(_resolve_all, max_pending_cost=10, **PARKED_BATCHING)
+        batcher = MicroBatcher(_resolve_all, max_pending_cost=10)
+        Plug(batcher)
         huge = _request(0)
         huge.cost = 50
         batcher.submit(huge)  # oversized but alone: must stay servable
@@ -618,9 +615,7 @@ class TestBatcherHardening:
         # rejected with ServiceClosedError -- never accepted-and-lost,
         # never hung.
         for round_no in range(20):
-            batcher = MicroBatcher(
-                _resolve_all, flush_interval=0.005, quiet_interval=0.0005
-            )
+            batcher = MicroBatcher(_resolve_all)
             accepted: list = []
             rejected: list = []
             lock = threading.Lock()
@@ -679,9 +674,8 @@ class TestServiceChaos:
     def test_solver_hang_degrades_trips_breaker_and_is_not_cached(self):
         oracle_cache_clear()
         tasks = small_solver_tasks(3, start_seed=400)
-        service = EvaluationService(
-            oracle_budget=0.15, breaker_threshold=1, **PARKED_BATCHING
-        )
+        service = EvaluationService(oracle_budget=0.15, breaker_threshold=1)
+        plug = Plug(service)
         outcomes: list = []
         try:
             # One hang longer than the whole batch budget: the first
@@ -689,7 +683,7 @@ class TestServiceChaos:
             # the batch must degrade instead of queueing behind the hang.
             FAULTS.arm("oracle.solve", "hang", delay=0.3, times=1)
             threads = self._submit_all(service, tasks, outcomes)
-            time.sleep(0.3)  # all three parked in one close-flushed batch
+            plug.wait_parked(3)  # all three parked in one close-flushed batch
             service.close()
             for thread in threads:
                 thread.join(timeout=10.0)
@@ -714,7 +708,7 @@ class TestServiceChaos:
 
         # Degraded answers were not cached as exact: a fresh service serving
         # the same fingerprints recomputes and returns the true optimum.
-        verify = EvaluationService(**FAST_BATCHING)
+        verify = EvaluationService()
         try:
             for task, payload in payloads:
                 fresh = verify.submit_makespan(task, 2)
@@ -730,7 +724,7 @@ class TestServiceChaos:
 
     def test_executor_fault_fails_cleanly_without_poisoning(self):
         task = figure1_task(period=20, deadline=15)
-        service = EvaluationService(**FAST_BATCHING)
+        service = EvaluationService()
         try:
             with FAULTS.armed("service.batch", "raise"):
                 with pytest.raises(FaultInjectedError):
@@ -743,14 +737,15 @@ class TestServiceChaos:
 
     def test_mid_drain_fault_still_resolves_every_request(self):
         tasks = small_tasks(4, start_seed=420)
-        service = EvaluationService(**PARKED_BATCHING)
+        service = EvaluationService()
+        plug = Plug(service)
         outcomes: list = []
         try:
             FAULTS.arm(
                 "service.drain", "raise", times=None, message="drain interrupted"
             )
             threads = self._submit_all(service, tasks, outcomes, kind="simulate")
-            time.sleep(0.3)  # everyone parked; only close() can flush
+            plug.wait_parked(4)  # everyone parked; only close() can flush
             service.close()
             for thread in threads:
                 thread.join(timeout=10.0)
@@ -768,7 +763,8 @@ class TestServiceChaos:
 
     def test_queue_deadline_expiry_times_out_before_any_engine_runs(self):
         task = figure1_task(period=20, deadline=15)
-        service = EvaluationService(**PARKED_BATCHING)
+        service = EvaluationService()
+        Plug(service)
         try:
             with pytest.raises(ServiceTimeoutError):
                 service.submit_simulation(task, 2, timeout=0.05)
@@ -782,7 +778,8 @@ class TestServiceChaos:
 
     def test_default_timeout_applies_when_call_passes_none(self):
         task = figure1_task(period=20, deadline=15)
-        service = EvaluationService(default_timeout=0.05, **PARKED_BATCHING)
+        service = EvaluationService(default_timeout=0.05)
+        Plug(service)
         try:
             with pytest.raises(ServiceTimeoutError):
                 service.submit_simulation(task, 2)
@@ -791,7 +788,8 @@ class TestServiceChaos:
 
     def test_shedding_rejects_excess_but_resolves_the_accepted(self):
         tasks = small_tasks(6, start_seed=440)
-        service = EvaluationService(max_pending=2, **PARKED_BATCHING)
+        service = EvaluationService(max_pending=2)
+        Plug(service)
         outcomes: list = []
         threads = self._submit_all(service, tasks, outcomes, kind="simulate")
         time.sleep(0.4)  # let all six race admission; two park, four shed
@@ -815,7 +813,7 @@ class TestServiceChaos:
 # ----------------------------------------------------------------------
 @pytest.fixture()
 def http_service():
-    service = EvaluationService(**FAST_BATCHING)
+    service = EvaluationService()
     server, thread = start_server(service, port=0)
     try:
         yield service, server
@@ -909,7 +907,8 @@ class TestHTTPResilience:
         assert sleeps == [0.1]  # Retry-After floored the 0.01 backoff
 
     def test_client_timeout_deadline_maps_to_504(self):
-        service = EvaluationService(**PARKED_BATCHING)
+        service = EvaluationService()
+        Plug(service)
         server, thread = start_server(service, port=0)
         client = ServiceClient(port=server.port, timeout=30, retries=0)
         try:

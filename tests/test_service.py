@@ -62,12 +62,12 @@ from repro.simulation.engine import simulate_makespan
 from repro.simulation.platform import Platform
 from repro.simulation.schedulers import RandomPolicy, policy_by_name
 
+from batcher_plug import Plug
 from strategies import make_random_heterogeneous_task
 
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
-FAST_BATCHING = dict(flush_interval=0.05, quiet_interval=0.001)
 
 
 def permuted_copy(task: DagTask) -> DagTask:
@@ -233,7 +233,7 @@ class TestMicroBatcher:
             for request in batch:
                 request.resolve(len(batch))
 
-        batcher = MicroBatcher(execute, **FAST_BATCHING)
+        batcher = MicroBatcher(execute)
         requests = [_request(i) for i in range(60)]
         with ThreadPoolExecutor(30) as pool:
             sizes = list(
@@ -249,7 +249,7 @@ class TestMicroBatcher:
         def execute(batch):
             raise RuntimeError("engine exploded")
 
-        batcher = MicroBatcher(execute, **FAST_BATCHING)
+        batcher = MicroBatcher(execute)
         request = batcher.submit(_request(0))
         with pytest.raises(RuntimeError, match="engine exploded"):
             request.wait(timeout=30)
@@ -259,9 +259,11 @@ class TestMicroBatcher:
         def execute(batch):
             batch[0].resolve("served")  # forget the rest
 
-        batcher = MicroBatcher(execute, **FAST_BATCHING)
+        batcher = MicroBatcher(execute)
+        plug = Plug(batcher)
         first = batcher.submit(_request(0))
         second = batcher.submit(_request(1))
+        plug.release()  # both flush in one batch
         assert first.wait(timeout=30) == "served"
         with pytest.raises(ServiceError, match="unresolved"):
             second.wait(timeout=30)
@@ -275,29 +277,59 @@ class TestMicroBatcher:
                 served.append(request.fingerprint)
                 request.resolve(True)
 
-        # Long quiet/deadline windows: the requests are still parked when
+        # The plug holds the worker: the requests are still parked when
         # close() runs, so the drain path must serve them.
-        batcher = MicroBatcher(execute, flush_interval=30.0, quiet_interval=10.0)
+        batcher = MicroBatcher(execute)
+        Plug(batcher)
         requests = [batcher.submit(_request(i)) for i in range(10)]
         assert batcher.stats()["pending"] == 10
         batcher.close(timeout=30)
         assert all(request.wait(timeout=1) for request in requests)
         assert len(served) == 10
-        assert batcher.stats()["flushes"]["close"] == 1
+        assert batcher.stats()["flushes"] == {"ready": 1, "close": 1}
         with pytest.raises(ServiceClosedError):
             batcher.submit(_request(99))
 
-    def test_lone_request_flushes_on_quiet_not_deadline(self):
+    def test_lone_request_is_flushed_at_once(self):
         def execute(batch):
             for request in batch:
-                request.resolve(True)
+                request.resolve(len(batch))
 
-        batcher = MicroBatcher(execute, flush_interval=30.0, quiet_interval=0.002)
-        start = time.perf_counter()
-        assert batcher.submit(_request(0)).wait(timeout=30)
-        elapsed = time.perf_counter() - start
+        batcher = MicroBatcher(execute)
+        # An idle worker takes the request as soon as it parks: no window,
+        # no deadline, nothing else to wait for.
+        assert batcher.submit(_request(0)).wait(timeout=30) == 1
+        stats = batcher.stats()
         batcher.close()
-        assert elapsed < 5.0  # quiet trigger, not the 30 s deadline
+        assert stats["batches"] == 1
+        assert stats["flushes"] == {"ready": 1, "close": 0}
+
+    def test_requests_submitted_during_a_flush_form_the_next_batch(self):
+        flushed: list[list[str]] = []
+        flushing = threading.Event()
+        release = threading.Event()
+
+        def execute(batch):
+            flushed.append([request.fingerprint for request in batch])
+            if len(flushed) == 1:
+                flushing.set()
+                assert release.wait(timeout=30)
+            for request in batch:
+                request.resolve(len(batch))
+
+        batcher = MicroBatcher(execute)
+        first = batcher.submit(_request(0))
+        assert flushing.wait(timeout=30)  # the worker is inside that flush
+        rest = [batcher.submit(_request(i)) for i in range(1, 6)]
+        release.set()
+        assert first.wait(timeout=30) == 1
+        assert [request.wait(timeout=30) for request in rest] == [5] * 5
+        stats = batcher.stats()
+        batcher.close()
+        assert flushed == [["request-0"], [f"request-{i}" for i in range(1, 6)]]
+        assert stats["batches"] == 2
+        assert stats["largest_batch"] == 5
+        assert stats["flushes"] == {"ready": 2, "close": 0}
 
 
 # ----------------------------------------------------------------------
@@ -373,9 +405,7 @@ def _fire_burst(service: EvaluationService, requests, pool) -> list:
 class TestEvaluationServiceBurst:
     def test_threaded_burst_matches_sequential_and_caches(self, burst_workload):
         requests = burst_workload
-        with EvaluationService(**FAST_BATCHING) as service, ThreadPoolExecutor(
-            32
-        ) as pool:
+        with EvaluationService() as service, ThreadPoolExecutor(32) as pool:
             list(pool.map(lambda x: x, range(64)))  # spawn the pool threads
             start = time.perf_counter()
             cold = _fire_burst(service, requests, pool)
@@ -416,7 +446,7 @@ class TestEvaluationServiceBurst:
 
     def test_duplicate_requests_coalesce_to_one_evaluation(self):
         task = make_random_heterogeneous_task(99, 0.3, n_max=40)
-        with EvaluationService(**FAST_BATCHING) as service:
+        with EvaluationService() as service:
             with ThreadPoolExecutor(25) as pool:
                 results = list(
                     pool.map(
@@ -436,7 +466,7 @@ class TestEvaluationServiceBurst:
 class TestEvaluationServiceSemantics:
     def test_makespan_requests_use_the_exact_oracles(self):
         task = figure1_task(period=20, deadline=15)
-        with EvaluationService(**FAST_BATCHING) as service:
+        with EvaluationService() as service:
             payload = service.submit_makespan(task, 2, timeout=300)
             reference = makespan_payload(minimum_makespan(task, 2))
             assert payload["makespan"] == reference["makespan"] == 8.0
@@ -445,13 +475,13 @@ class TestEvaluationServiceSemantics:
             assert service.submit_makespan(task, 2, timeout=300) == payload
 
     def test_random_policy_requires_a_seed(self):
-        with EvaluationService(**FAST_BATCHING) as service:
+        with EvaluationService() as service:
             with pytest.raises(ValueError, match="policy_seed"):
                 service.submit_simulation(figure1_task(), 2, policy="random")
 
     def test_seeded_random_policy_matches_one_shot_and_caches(self):
         task = make_random_heterogeneous_task(5, 0.2, n_max=40)
-        with EvaluationService(**FAST_BATCHING) as service:
+        with EvaluationService() as service:
             value = service.submit_simulation(
                 task, 2, policy="random", policy_seed=42, timeout=120
             )
@@ -473,7 +503,7 @@ class TestEvaluationServiceSemantics:
     def test_fixed_priority_table_round_trip(self):
         task = figure1_task()
         table = {node: float(i) for i, node in enumerate(task.graph.nodes())}
-        with EvaluationService(**FAST_BATCHING) as service:
+        with EvaluationService() as service:
             value = service.submit_simulation(
                 task, 2, policy="fixed-priority", priorities=table, timeout=120
             )
@@ -513,7 +543,7 @@ class TestEvaluationServiceSemantics:
             task, Platform(2), FixedPriorityPolicy(str_table)
         )
         assert int_expected != str_expected  # the specs genuinely differ
-        with EvaluationService(**FAST_BATCHING) as service:
+        with EvaluationService() as service:
             int_value = service.submit_simulation(
                 task, 2, policy="fixed-priority", priorities=int_table, timeout=120
             )
@@ -525,7 +555,7 @@ class TestEvaluationServiceSemantics:
 
     def test_seed_is_normalised_for_deterministic_policies(self):
         task = make_random_heterogeneous_task(31, 0.2, n_max=30)
-        with EvaluationService(**FAST_BATCHING) as service:
+        with EvaluationService() as service:
             seeded = service.submit_simulation(
                 task, 2, policy="breadth-first", policy_seed=7, timeout=120
             )
@@ -541,7 +571,7 @@ class TestEvaluationServiceSemantics:
 
     def test_returned_payloads_are_copies(self):
         task = make_random_heterogeneous_task(17, 0.2, n_max=30)
-        with EvaluationService(**FAST_BATCHING) as service:
+        with EvaluationService() as service:
             payload = service.submit_analysis(task, 2, timeout=120)
             payload["bounds"].clear()  # vandalise the caller's copy
             fresh = service.submit_analysis(task, 2, timeout=120)
@@ -549,7 +579,7 @@ class TestEvaluationServiceSemantics:
 
     def test_cache_disabled_still_correct(self):
         task = make_random_heterogeneous_task(23, 0.2, n_max=30)
-        with EvaluationService(cache_bytes=0, **FAST_BATCHING) as service:
+        with EvaluationService(cache_bytes=0) as service:
             first = service.submit_simulation(task, 2, timeout=120)
             second = service.submit_simulation(task, 2, timeout=120)
             assert first == second == simulate_makespan(
@@ -558,7 +588,7 @@ class TestEvaluationServiceSemantics:
             assert service.stats()["cache"]["entries"] == 0
 
     def test_unknown_policy_and_method_rejected(self):
-        with EvaluationService(**FAST_BATCHING) as service:
+        with EvaluationService() as service:
             with pytest.raises(KeyError):
                 service.submit_simulation(figure1_task(), 2, policy="no-such")
             with pytest.raises(ValueError):
@@ -569,7 +599,7 @@ class TestEvaluationServiceSemantics:
         # race), concurrent duplicates parked on its in-flight entry must
         # receive the failure instead of waiting forever.
         task = figure1_task()
-        with EvaluationService(**FAST_BATCHING) as service:
+        with EvaluationService() as service:
             entered = threading.Event()
             release = threading.Event()
 
@@ -610,7 +640,8 @@ class TestEvaluationServiceSemantics:
 
         hetero = make_random_heterogeneous_task(1, 0.2, n_max=20)
         plain = make_random_host_task(2, n_max=20)
-        service = EvaluationService(flush_interval=30.0, quiet_interval=10.0)
+        service = EvaluationService()
+        plug = Plug(service)
         with ThreadPoolExecutor(2) as pool:
             first = pool.submit(
                 service.submit_simulation, hetero, Platform(2, 1), timeout=60
@@ -618,8 +649,7 @@ class TestEvaluationServiceSemantics:
             second = pool.submit(
                 service.submit_simulation, plain, Platform(4, 0), timeout=60
             )
-            while service.stats()["batching"]["pending"] < 2:
-                time.sleep(0.001)
+            plug.wait_parked(2)
             service.close(timeout=60)
             policy = policy_by_name("breadth-first")
             assert first.result(60) == simulate_makespan(
@@ -643,7 +673,8 @@ class TestEvaluationServiceSemantics:
 
         bad_task = make_random_heterogeneous_task(3, 0.2, n_max=20)
         good_task = make_random_heterogeneous_task(4, 0.2, n_max=20)
-        service = EvaluationService(flush_interval=30.0, quiet_interval=10.0)
+        service = EvaluationService()
+        plug = Plug(service)
         with ThreadPoolExecutor(2) as pool:
             bad = pool.submit(
                 service.submit_simulation, bad_task, Platform(2, 0), timeout=60
@@ -651,8 +682,7 @@ class TestEvaluationServiceSemantics:
             good = pool.submit(
                 service.submit_simulation, good_task, Platform(2, 1), timeout=60
             )
-            while service.stats()["batching"]["pending"] < 2:
-                time.sleep(0.001)
+            plug.wait_parked(2)
             service.close(timeout=60)
             assert good.result(60) == simulate_makespan(
                 good_task, Platform(2, 1), policy_by_name("breadth-first")
@@ -662,15 +692,16 @@ class TestEvaluationServiceSemantics:
 
     def test_close_drains_and_rejects_afterwards(self):
         tasks = [make_random_heterogeneous_task(s, 0.2, n_max=30) for s in range(8)]
-        # Long quiet window: requests are still parked when close() runs.
-        service = EvaluationService(flush_interval=30.0, quiet_interval=10.0)
+        # The plug holds the worker: requests are still parked when close()
+        # runs.
+        service = EvaluationService()
+        plug = Plug(service)
         with ThreadPoolExecutor(8) as pool:
             futures = [
                 pool.submit(service.submit_simulation, task, 2, timeout=120)
                 for task in tasks
             ]
-            while service.stats()["batching"]["pending"] < len(tasks):
-                time.sleep(0.001)
+            plug.wait_parked(len(tasks))
             service.close(timeout=60)
             results = [future.result(timeout=60) for future in futures]
         expected = [
@@ -704,7 +735,7 @@ class TestEngineSelectionAndThreshold:
         # Every grid runs on the engine "auto" resolves to on this host:
         # the C kernel, or the dense engine without a C compiler.
         engine = resolve_engine("auto")
-        with EvaluationService(**FAST_BATCHING) as service:
+        with EvaluationService() as service:
             values = burst(service)
             by_engine = service.stats()["engine"]["by_engine"]
             assert by_engine[engine] >= 1
@@ -728,7 +759,8 @@ class TestEngineSelectionAndThreshold:
         ]
         policies = ["breadth-first", "shortest-first", "longest-first"]
         platform = Platform(2, 1)
-        service = EvaluationService(flush_interval=30.0, quiet_interval=10.0)
+        service = EvaluationService()
+        plug = Plug(service)
         with ThreadPoolExecutor(9) as pool:
             futures = {
                 (index, name): pool.submit(
@@ -741,8 +773,7 @@ class TestEngineSelectionAndThreshold:
                 for index, task in enumerate(tasks)
                 for name in policies
             }
-            while service.stats()["batching"]["pending"] < 9:
-                time.sleep(0.001)
+            plug.wait_parked(9)
             service.close(timeout=60)
             for index, task in enumerate(tasks):
                 for name in policies:
@@ -750,7 +781,7 @@ class TestEngineSelectionAndThreshold:
                         simulate_makespan(task, platform, policy_by_name(name))
                     )
         stats = service.stats()
-        assert stats["batching"]["batches"] == 1
+        assert stats["batching"]["batches"] == 2  # the plug's, then the grid
         assert stats["engine"]["evaluated_cells"] == 9  # 3 tasks x 1 x 3 policies
         assert stats["engine"]["batches"] == 1
 
@@ -760,7 +791,7 @@ class TestEngineSelectionAndThreshold:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def property_service():
-    with EvaluationService(**FAST_BATCHING) as service:
+    with EvaluationService() as service:
         yield service
 
 
@@ -792,7 +823,7 @@ class TestCachedUncachedAgreement:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def http_service():
-    service = EvaluationService(**FAST_BATCHING)
+    service = EvaluationService()
     server, thread = start_server(service, port=0)
     client = ServiceClient(port=server.port, timeout=120)
     yield service, server, client
@@ -992,7 +1023,7 @@ class TestHTTPTransport:
 @pytest.fixture
 def connection_server():
     """A server over a fresh service, so its connection counts start at 0."""
-    service = EvaluationService(**FAST_BATCHING)
+    service = EvaluationService()
     server, thread = start_server(service, port=0)
     yield server
     server.shutdown()
@@ -1279,9 +1310,6 @@ class TestPriorityTableWireBinding:
 # ----------------------------------------------------------------------
 # PR 6 resilience: failure counters and lifecycle races
 # ----------------------------------------------------------------------
-PARKED_BATCHING = dict(flush_interval=30.0, quiet_interval=10.0)
-
-
 class TestServiceResilience:
     def test_submit_vs_close_race_never_loses_a_request(self):
         # Hammer the submit()/close() race at the service level: every
@@ -1292,9 +1320,7 @@ class TestServiceResilience:
             task, Platform(2), policy_by_name("breadth-first")
         )
         for _ in range(10):
-            service = EvaluationService(
-                flush_interval=0.002, quiet_interval=0.0005
-            )
+            service = EvaluationService()
             outcomes: list = []
             lock = threading.Lock()
             start = threading.Barrier(5)
@@ -1337,11 +1363,9 @@ class TestServiceResilience:
             for seed in (500, 501, 502)
         ]
         service = EvaluationService(
-            max_pending=2,
-            oracle_budget=0.0,
-            breaker_threshold=1,
-            **PARKED_BATCHING,
+            max_pending=2, oracle_budget=0.0, breaker_threshold=1
         )
+        plug = Plug(service)
         outcome: dict = {}
 
         def background(task=tasks[0]):
@@ -1349,12 +1373,7 @@ class TestServiceResilience:
 
         worker = threading.Thread(target=background)
         worker.start()
-        deadline = time.monotonic() + 10.0
-        while (
-            service.stats()["batching"]["pending"] < 1
-            and time.monotonic() < deadline
-        ):
-            time.sleep(0.005)
+        plug.wait_parked(1)
         with pytest.raises(ServiceTimeoutError):
             service.submit_makespan(tasks[1], 2, timeout=0.05)
         with pytest.raises(ServiceOverloadedError) as shed_info:
@@ -1412,7 +1431,7 @@ def fresh_server():
     started = []
 
     def start():
-        service = EvaluationService(**FAST_BATCHING)
+        service = EvaluationService()
         server, thread = start_server(service, port=0)
         started.append((service, server, thread))
         return service, server.port
@@ -1560,7 +1579,7 @@ class TestDocumentHits:
         document = task_to_dict(make_random_heterogeneous_task(77, 0.2))
         original = service_http.task_from_dict
         builds = []
-        with EvaluationService(**FAST_BATCHING) as service:
+        with EvaluationService() as service:
 
             def held_build(decoded):
                 # Hold the leader's build until the duplicate has joined it.
@@ -1594,7 +1613,7 @@ class TestDocumentHits:
 
     def test_failed_build_fails_the_joined_duplicate_too(self):
         document = self._variant(lambda d: d["edges"].append(["d", "a"]))
-        with EvaluationService(**FAST_BATCHING) as service:
+        with EvaluationService() as service:
             with ThreadPoolExecutor(max_workers=2) as pool:
                 futures = [
                     pool.submit(
@@ -1903,7 +1922,7 @@ class TestMalformedRequests:
     def test_timeout_outside_the_wait_limit_raises_in_process(self, timeout):
         with pytest.raises(ValueError, match="timeout"):
             EvaluationService(default_timeout=timeout)
-        with EvaluationService(**FAST_BATCHING) as service:
+        with EvaluationService() as service:
             task = figure1_task(period=20, deadline=15)
             with pytest.raises(ValueError, match="timeout"):
                 service.submit_simulation(task, 2, timeout=timeout)

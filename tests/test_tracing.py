@@ -55,9 +55,9 @@ from repro.service.tracing import (
 )
 from repro.simulation.platform import Platform
 
+from batcher_plug import Plug
 from strategies import make_random_heterogeneous_task
 
-FAST_BATCHING = dict(flush_interval=0.05, quiet_interval=0.001)
 
 #: Monotonic-clock readings taken on different threads can disagree by a
 #: hair; span-nesting assertions allow this much slack (milliseconds).
@@ -67,7 +67,7 @@ CLOCK_SLACK_MS = 1.0
 @pytest.fixture()
 def served():
     """A fresh traced service + HTTP server + client per test."""
-    service = EvaluationService(**FAST_BATCHING)
+    service = EvaluationService()
     server, thread = start_server(service, port=0)
     client = ServiceClient(port=server.port, timeout=120)
     yield service, server, client
@@ -464,9 +464,10 @@ class TestHTTPTracing:
 # ----------------------------------------------------------------------
 class TestCoalescedFlushSpan:
     def test_members_of_one_batch_link_the_same_flush_span(self):
-        # A long flush interval plus a short quiet window: four distinct
-        # requests released together land in a single coalesced batch.
-        service = EvaluationService(flush_interval=1.0, quiet_interval=0.05)
+        # Four distinct requests parked behind the plug land in a single
+        # coalesced batch once it is released.
+        service = EvaluationService()
+        plug = Plug(service)
         tracer = service.tracer
         tasks = [
             make_random_heterogeneous_task(seed, 0.2) for seed in range(4)
@@ -493,6 +494,8 @@ class TestCoalescedFlushSpan:
         try:
             for thread in threads:
                 thread.start()
+            plug.wait_parked(len(tasks))
+            plug.release()
             for thread in threads:
                 thread.join(timeout=30.0)
                 assert not thread.is_alive()
@@ -631,7 +634,7 @@ class TestErrorEnvelopeTraceIds:
 # ----------------------------------------------------------------------
 class TestTracingDisabled:
     def test_untraced_service_serves_without_header_or_ring(self):
-        service = EvaluationService(tracing=False, **FAST_BATCHING)
+        service = EvaluationService(tracing=False)
         server, thread = start_server(service, port=0)
         client = ServiceClient(port=server.port, timeout=120)
         try:

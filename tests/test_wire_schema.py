@@ -186,8 +186,8 @@ def _named(entry) -> tuple:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def wire():
-    service = EvaluationService(flush_interval=0.02, quiet_interval=0.0005)
-    reference = EvaluationService(flush_interval=0.02, quiet_interval=0.0005)
+    service = EvaluationService()
+    reference = EvaluationService()
     server, thread = start_server(service)
     yield server.port, reference
     server.shutdown()
@@ -521,7 +521,7 @@ def test_offloading_task_without_accelerator_is_refused_on_every_endpoint(wire):
 
 
 def test_oracle_sandwich_holds_on_every_platform_the_service_accepts():
-    with EvaluationService(flush_interval=0.02, quiet_interval=0.0005) as service:
+    with EvaluationService() as service:
         for document in TASKS:
             task = task_from_dict(document)
             for cores in (1, 2, 3, 4):

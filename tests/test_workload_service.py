@@ -13,7 +13,6 @@ Covers two layers and two fixed bugs:
 from __future__ import annotations
 
 import json
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -32,9 +31,8 @@ from repro.simulation.workload import (
     simulate_workload,
 )
 
+from batcher_plug import Plug
 from strategies import make_random_heterogeneous_task, make_random_host_task
-
-FAST_BATCHING = dict(flush_interval=0.05, quiet_interval=0.001)
 
 
 def _streams():
@@ -57,7 +55,7 @@ def _streams():
 class TestFacadeWorkload:
     def test_matches_direct_simulation(self):
         streams = _streams()
-        with EvaluationService(**FAST_BATCHING) as service:
+        with EvaluationService() as service:
             payload = service.submit_workload(streams, 150.0, Platform(2, 1))
         workload = build_workload(streams, 150.0)
         direct = simulate_workload(
@@ -79,7 +77,7 @@ class TestFacadeWorkload:
 
     def test_identical_requests_hit_the_cache(self):
         streams = _streams()
-        with EvaluationService(**FAST_BATCHING) as service:
+        with EvaluationService() as service:
             first = service.submit_workload(streams, 150.0, 2)
             second = service.submit_workload(streams, 150.0, 2)
             stats = service.stats()
@@ -90,7 +88,7 @@ class TestFacadeWorkload:
 
     def test_random_policy_requires_seed(self):
         streams = _streams()
-        with EvaluationService(**FAST_BATCHING) as service:
+        with EvaluationService() as service:
             with pytest.raises(ValueError):
                 service.submit_workload(streams, 100.0, 2, policy="random")
             seeded = service.submit_workload(
@@ -99,7 +97,7 @@ class TestFacadeWorkload:
             assert seeded["instances"] > 0
 
     def test_validation_errors(self):
-        with EvaluationService(**FAST_BATCHING) as service:
+        with EvaluationService() as service:
             with pytest.raises(ValueError):
                 service.submit_workload([], 100.0, 2)
             with pytest.raises(ValueError):
@@ -111,7 +109,7 @@ class TestFacadeWorkload:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def http_service():
-    service = EvaluationService(**FAST_BATCHING)
+    service = EvaluationService()
     server, thread = start_server(service, port=0)
     client = ServiceClient(port=server.port, timeout=120)
     yield service, server, client
@@ -206,7 +204,8 @@ class TestEngineSelectionCountsPolicyAxis:
             "longest-first",
         ]
         platform = Platform(2, 1)
-        service = EvaluationService(flush_interval=30.0, quiet_interval=10.0)
+        service = EvaluationService()
+        plug = Plug(service)
         with ThreadPoolExecutor(len(policies)) as pool:
             futures = {
                 name: pool.submit(
@@ -218,8 +217,7 @@ class TestEngineSelectionCountsPolicyAxis:
                 )
                 for name in policies
             }
-            while service.stats()["batching"]["pending"] < len(policies):
-                time.sleep(0.001)
+            plug.wait_parked(len(policies))
             service.close(timeout=60)
             for name in policies:
                 assert futures[name].result(60) == simulate_makespan(
@@ -259,7 +257,8 @@ class TestSparseGridFallback:
             (tasks[1], platforms[2]),
             (tasks[2], platforms[2]),
         ]
-        service = EvaluationService(flush_interval=30.0, quiet_interval=10.0)
+        service = EvaluationService()
+        plug = Plug(service)
         with ThreadPoolExecutor(len(burst)) as pool:
             futures = [
                 pool.submit(
@@ -267,8 +266,7 @@ class TestSparseGridFallback:
                 )
                 for task, platform in burst
             ]
-            while service.stats()["batching"]["pending"] < len(burst):
-                time.sleep(0.001)
+            plug.wait_parked(len(burst))
             service.close(timeout=60)
             results = [future.result(60) for future in futures]
         expected = [
@@ -277,6 +275,6 @@ class TestSparseGridFallback:
         ]
         assert results == expected
         stats = service.stats()
-        assert stats["batching"]["batches"] == 1
+        assert stats["batching"]["batches"] == 2  # the plug's, then the burst
         # The whole point of the fallback: no wasted grid cells.
         assert stats["engine"]["evaluated_cells"] == len(burst)
