@@ -77,6 +77,8 @@ from repro.simulation.kernel_stats import record_kernel_batch  # noqa: E402
 from repro.simulation.platform import Platform  # noqa: E402
 from repro.simulation.schedulers import (  # noqa: E402
     BreadthFirstPolicy,
+    FixedPriorityPolicy,
+    ShortestFirstPolicy,
     policy_by_name,
 )
 from repro.simulation.workload import (  # noqa: E402
@@ -348,6 +350,42 @@ def run_oracle(smoke: bool) -> Measurement:
 # ----------------------------------------------------------------------
 # simulation-dense: reference trace engine vs the dense paths
 # ----------------------------------------------------------------------
+class _ReversedShortestFirst(ShortestFirstPolicy):
+    """Longest-first written as a subclass: it has no priority family, so
+    the dense engine reads it through ``priority()``."""
+
+    def priority(self, node, ready_time, arrival_index):
+        return (-self._wcet.get(node, 0.0), arrival_index)
+
+
+def _family_policies(tasks: list, seed: int) -> dict[str, Callable]:
+    """A fresh-policy factory per built-in policy, the fixed-priority one
+    with a table over every node, and the subclass without a family."""
+    nodes = sorted({node for task in tasks for node in task.graph.nodes()}, key=str)
+    table = {node: rank % 7 for rank, node in enumerate(nodes)}
+    policies = {
+        name: (lambda name=name: policy_by_name(name, rng=seed))
+        for name in (
+            "depth-first",
+            "critical-path-first",
+            "shortest-first",
+            "longest-first",
+            "random",
+        )
+    }
+    policies["fixed-priority"] = lambda: FixedPriorityPolicy(table)
+    policies["subclass"] = _ReversedShortestFirst
+    return policies
+
+
+def _reference_makespans(cells: list, policy) -> list:
+    return [simulate(task, platform, policy).makespan() for task, platform in cells]
+
+
+def _dense_makespans(cells: list, policy) -> list:
+    return [simulate_makespan_dense(task, platform, policy) for task, platform in cells]
+
+
 def run_simulation_dense(smoke: bool) -> Measurement:
     scale = quick_scale()
     tasks = _figure6_tasks(
@@ -358,12 +396,8 @@ def run_simulation_dense(smoke: bool) -> Measurement:
     policy = BreadthFirstPolicy()
     cells = [(task, platform) for task in tasks for platform in platforms]
 
-    reference_s, reference = best_of(
-        lambda: [simulate(t, p, policy).makespan() for t, p in cells], 3
-    )
-    dense_s, dense = best_of(
-        lambda: [simulate_makespan_dense(t, p, policy) for t, p in cells], 3
-    )
+    reference_s, reference = best_of(lambda: _reference_makespans(cells, policy), 3)
+    dense_s, dense = best_of(lambda: _dense_makespans(cells, policy), 3)
     # engine="dense" pins the dense batched path, not the C kernel.
     batched_s, grid = best_of(
         lambda: simulate_many(tasks, platforms, BreadthFirstPolicy(), engine="dense"),
@@ -376,7 +410,20 @@ def run_simulation_dense(smoke: bool) -> Measurement:
         "per_call_speedup": reference_s / max(dense_s, 1e-9),
         "batched_speedup": reference_s / max(batched_s, 1e-9),
     }
-    return metrics, {"makespans_identical": reference == dense == batched}
+    # The other families, each policy built fresh per pass so that the
+    # random one replays its stream on both engines.
+    families_identical = True
+    for name, make in _family_policies(tasks, scale.seed).items():
+        reference_s, reference_family = best_of(
+            lambda: _reference_makespans(cells, make()), 3
+        )
+        dense_s, dense_family = best_of(lambda: _dense_makespans(cells, make()), 3)
+        metrics[f"per_call_speedup[{name}]"] = reference_s / max(dense_s, 1e-9)
+        families_identical &= reference_family == dense_family
+    return metrics, {
+        "makespans_identical": reference == dense == batched,
+        "families_identical": families_identical,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -1010,12 +1057,14 @@ CASES: tuple[Case, ...] = (
         name="simulation-dense",
         layer="simulation engines",
         workload="quick-scale Figure 6 tasks, original + transformed "
-        "(C_off 0.2 x 6 DAGs smoke / 3 fractions x 12 DAGs), m in {2, 8}",
+        "(C_off 0.2 x 6 DAGs smoke / 3 fractions x 12 DAGs), m in {2, 8}, "
+        "breadth-first; per call also under the six other built-in "
+        "policies and a subclass without a priority family",
         candidate="dense batched simulate_many",
         baseline="reference trace engine",
         run=run_simulation_dense,
         gates=(Gate("batched_speedup", ">=", 3.0),),
-        checks=("makespans_identical",),
+        checks=("makespans_identical", "families_identical"),
     ),
     Case(
         name="simulation-compiled",
@@ -1162,15 +1211,15 @@ def print_record(record: dict) -> None:
     for gate in record["gates"]:
         verdict = "PASS" if gate["passed"] else "FAIL"
         print(
-            f"  {gate['metric']:<34} {_format(gate['value']):>10}  "
+            f"  {gate['metric']:<40} {_format(gate['value']):>10}  "
             f"{gate['comparison']} {_format(gate['threshold']):<8} {verdict}"
         )
     for name, passed in record["checks"].items():
-        print(f"  {name:<34} {'check':>10}  {'':<11} {'PASS' if passed else 'FAIL'}")
+        print(f"  {name:<40} {'check':>10}  {'':<11} {'PASS' if passed else 'FAIL'}")
     gated = {gate["metric"] for gate in record["gates"]}
     for name, value in record["metrics"].items():
         if name not in gated:
-            print(f"  {name:<34} {_format(value):>10}  (reported)")
+            print(f"  {name:<40} {_format(value):>10}  (reported)")
     if "error" in record:
         print(record["error"], end="")
     verdict = "PASS" if record["passed"] else "FAIL"

@@ -57,7 +57,6 @@ so it misses, and the build on the miss rejects it.
 
 from __future__ import annotations
 
-import math
 import threading
 from collections.abc import Mapping, Sequence
 from typing import Optional, Union
@@ -95,6 +94,7 @@ from ..simulation.schedulers import (
     SchedulingPolicy,
     policy_by_name,
     policy_class,
+    priority_table,
 )
 from .batching import BatchRequest, MicroBatcher
 from .cache import ResultCache
@@ -155,10 +155,11 @@ def check_policy_spec(
     and the ``random`` policy needs one (an unseeded one draws fresh OS
     entropy per evaluation, which no cached answer could describe);
     ``priorities`` only go with ``fixed-priority``, as a table of finite
-    numbers.  Deterministic policies run with ``None``, so specs that
+    numbers (:func:`~repro.simulation.schedulers.priority_table`, the
+    check :class:`FixedPriorityPolicy` makes too).  Deterministic policies run with ``None``, so specs that
     differ only in an ignored seed share a cache entry and batch group.
 
-    Runs on every submission, cache hits included, so it builds nothing.
+    Runs on every submission, cache hits included, so it builds no policy.
     """
     cls = policy_class(name)
     if seed is not None:
@@ -174,12 +175,7 @@ def check_policy_spec(
                 f"priorities are only supported by "
                 f"{FixedPriorityPolicy.name!r} policies, not {short_repr(name)}"
             )
-        if not isinstance(priorities, Mapping):
-            raise ValidationError(
-                f"priorities must map node names to numbers, got {short_repr(priorities)}"
-            )
-        for node, value in priorities.items():
-            check_number(f"priorities[{short_repr(node)}]", value, -math.inf, strict=True)
+        priority_table(priorities)
     return seed if cls is RandomPolicy else None
 
 

@@ -16,8 +16,7 @@ transformed).  :func:`simulate_many` is the batch entry point that
   (:func:`~repro.simulation.dense.simulate_makespan_dense`): custom or
   subclassed policies without a vector kind, every cell on a host where the
   kernel cannot be built, and every cell under ``engine="dense"`` (the
-  benchmark baseline); ``makespans_only=False`` runs the trace-producing
-  reference engine instead;
+  benchmark baseline);
 * splits the tasks into fixed-size chunks that seed the stochastic
   policies: every chunk receives its own policy instances via
   :meth:`~repro.simulation.schedulers.SchedulingPolicy.spawned` with
@@ -34,9 +33,8 @@ engine both reproduce ``simulate(...).makespan()`` exactly (enforced by
 the kernel's per-lane results do not depend on how cells are grouped into
 calls -- which is why a deterministic policy's whole column may be one call
 while ``RandomPolicy`` runs chunk by chunk.  ``RandomPolicy`` draws are
-consumed per chunk in ``(task, platform)`` cell order on every engine and
-in trace mode, so the chunk-seeded streams match the dense path draw for
-draw.
+consumed per chunk in ``(task, platform)`` cell order on every engine, so
+the chunk-seeded streams match the dense path draw for draw.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ import numpy as np
 from ..core.compiled import compile_task
 from ..core.task import DagTask
 from ..parallel import spawn_seeds
-from .engine import _as_platform, simulate
+from .engine import _as_platform
 from .platform import Platform
 from .schedulers import (
     VECTOR_RANDOM,
@@ -85,7 +83,6 @@ def simulate_many(
     policies: Union[SchedulingPolicy, Sequence[SchedulingPolicy], None] = None,
     *,
     offload_enabled: bool = True,
-    makespans_only: bool = True,
     root_seed: int = 0,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     engine: str = "auto",
@@ -110,14 +107,6 @@ def simulate_many(
         per-chunk streams.
     offload_enabled:
         Forwarded to the engine (``False`` models a homogeneous execution).
-    makespans_only:
-        ``True`` (default): return a ``float64`` array of shape
-        ``(len(tasks), len(platforms), len(policies))`` computed by the
-        C kernel (dense engine per cell where it cannot serve).
-        ``False``: return the analogous nested list of
-        :class:`~repro.simulation.trace.ExecutionTrace` objects from the
-        reference engine (useful for inspection; much slower), with the
-        same per-chunk policy streams.
     root_seed:
         Root of the spawned per-chunk policy seeds.
     chunk_size:
@@ -134,9 +123,10 @@ def simulate_many(
 
     Returns
     -------
-    numpy.ndarray or list
-        Makespans (``makespans_only=True``) or traces, indexed
-        ``[task][platform][policy]``.
+    numpy.ndarray
+        ``float64`` makespans of shape ``(len(tasks), len(platforms),
+        len(policies))``, indexed ``[task, platform, policy]``.  A cell's
+        schedule comes from :func:`~repro.simulation.engine.simulate`.
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -157,32 +147,10 @@ def simulate_many(
 
     shape = (len(task_list), len(platform_list), len(policy_list))
     if not task_list:
-        return np.empty(shape, dtype=np.float64) if makespans_only else []
+        return np.empty(shape, dtype=np.float64)
 
     starts = range(0, len(task_list), chunk_size)
     seeds = spawn_seeds(root_seed, len(starts) * len(policy_list))
-
-    if not makespans_only:
-        # The reference engine, chunk by chunk: each chunk's spawned
-        # policies see their cells in (task, platform) order, as the
-        # makespan path's chunked columns do.
-        traces = []
-        for c, start in enumerate(starts):
-            spawned = [
-                policy.spawned(seeds[c * len(policy_list) + q])
-                for q, policy in enumerate(policy_list)
-            ]
-            traces.extend(
-                [
-                    [
-                        simulate(task, platform, policy, offload_enabled)
-                        for policy in spawned
-                    ]
-                    for platform in platform_list
-                ]
-                for task in task_list[start : start + chunk_size]
-            )
-        return traces
 
     # One compile per task; cached on the graph, shared across every cell.
     entries = [(task, compile_task(task)) for task in task_list]

@@ -18,10 +18,15 @@ the integer dense indices of the task's compiled view
   indices are insertion ranks), computed once per *task* instead of one
   ``repr`` sort per completed node per simulation;
 * zero-WCET ("instant") nodes resolve through a :class:`collections.deque`;
-* policies are consulted through the dense protocol
-  (:meth:`~repro.simulation.schedulers.SchedulingPolicy.prepare_dense` /
-  ``dense_priority``), with a shim keeping object-keyed custom policies
-  working.
+* a built-in policy is keyed by its family, as in the C kernel
+  (:func:`~repro.simulation.schedulers.policy_vector_kind`): flat heap
+  entries ``(ready, i)`` for breadth-first, ``(-arrival, i)`` for
+  depth-first, ``(key[i], arrival, i)`` with the keys of
+  :meth:`~repro.simulation.schedulers.SchedulingPolicy.vector_keys`, and
+  ``(draw, arrival, i)`` with the draws of
+  :meth:`~repro.simulation.schedulers.RandomPolicy.vector_draws`.  A policy
+  without a family (custom, or a subclass of a built-in) is read through
+  its ``prepare``/``priority`` pair, the reference engine's protocol.
 
 Bit-identity contract
 ---------------------
@@ -49,9 +54,13 @@ from .engine import _as_platform, _device_assignment
 from .kernel_stats import record_kernel_batch
 from .platform import Platform
 from .schedulers import (
+    VECTOR_FIFO,
+    VECTOR_LIFO,
+    VECTOR_RANDOM,
+    VECTOR_STATIC,
     BreadthFirstPolicy,
     SchedulingPolicy,
-    policy_supports_dense,
+    policy_vector_kind,
 )
 
 __all__ = ["simulate_makespan_dense"]
@@ -84,24 +93,27 @@ def simulate_makespan_dense(
     policy = policy if policy is not None else BreadthFirstPolicy()
     if compiled is None:
         compiled = compile_task(task)  # raises CycleError on cyclic graphs
-    if policy_supports_dense(policy):
-        policy.prepare_dense(compiled)
-        dense_priority = policy.dense_priority
-    else:
-        # Object-keyed policy (or a subclass whose priority()/prepare()
-        # override outdates an inherited dense implementation): run the
-        # object-keyed pair through an index adapter, which is bit-identical
-        # by construction.
+    kind = policy_vector_kind(policy)
+    if kind is None:
         policy.prepare(task.graph)
-        nodes = compiled.nodes
-        object_priority = policy.priority
-
-        def dense_priority(i: int, ready: float, arrival: int) -> tuple:
-            return object_priority(nodes[i], ready, arrival)
+    priority = policy.priority
+    fifo = kind == VECTOR_FIFO
+    lifo = kind == VECTOR_LIFO
+    slot = 1 if fifo or lifo else 2
+    nodes = compiled.nodes
+    wcet = compiled.wcet_list
+    keys = policy.vector_keys(compiled).tolist() if kind == VECTOR_STATIC else None
 
     assignment = _device_assignment(task, platform, offload_enabled, device_assignment)
     index = compiled.index
-    n = len(compiled.nodes)
+    n = len(nodes)
+    # One draw per non-instant node (each is enqueued exactly once), in
+    # arrival order: the same stream as one priority() call per arrival.
+    draws = (
+        policy.vector_draws(n - wcet.count(0.0)).tolist()
+        if kind == VECTOR_RANDOM
+        else None
+    )
 
     # Per-index device assignment (-1 = host), replacing the reference
     # engine's per-arrival dictionary membership test.
@@ -109,7 +121,6 @@ def simulate_makespan_dense(
     for node, device in assignment.items():
         assigned[index[node]] = device
 
-    wcet = compiled.wcet_list
     succ_ptr = compiled.succ_ptr
     succ_idx = compiled.succ_idx
     in_degree = list(compiled.in_degree)
@@ -120,99 +131,86 @@ def simulate_makespan_dense(
     device_count = platform.accelerators
     device_free = [True] * device_count
 
-    # Ready queues are heaps of (priority tuple, arrival index, dense index);
-    # the arrival index is unique, so comparisons never reach the node index.
-    ready_host: list[tuple[tuple, int, int]] = []
-    ready_device: list[list[tuple[tuple, int, int]]] = [
-        [] for _ in range(device_count)
-    ]
+    # Ready queues are heaps of flat entries whose last item, at `slot`, is
+    # the dense index: every entry is unique before it (the index itself
+    # for breadth-first, the arrival stamp for the others), so the order is
+    # the reference engine's.  The slot is positive because CPython
+    # specialises tuple indexing for non-negative indices only.
+    ready_host: list[tuple] = []
+    ready_device: list[list[tuple]] = [[] for _ in range(device_count)]
     # Running heap: (finish time, start sequence, dense index, device or -1).
     running: list[tuple[float, int, int, int]] = []
 
-    arrival_counter = 0
+    arrival = 0
     start_counter = 0
     retire_windows = 0
     makespan = 0.0
     heappush = heapq.heappush
     heappop = heapq.heappop
 
-    # The GOMP-style breadth-first policy is the paper's scheduler and the
-    # default of every sweep driver.  Its priority key (ready time, index,
-    # arrival) is already a unique, totally ordered heap entry, so the loop
-    # pushes it flat -- one tuple per arrival instead of a nested
-    # (key, arrival, index) entry plus a method call -- and reads the node
-    # index from slot 1 instead of slot 2.  The total order is unchanged:
-    # the generic entry's tie-breakers are never reached (keys are unique).
-    flat_breadth_first = type(policy) is BreadthFirstPolicy
-    node_slot = 1 if flat_breadth_first else 2
+    def arrivals_of(ready: list[int]) -> list[int]:
+        """The nodes ``ready`` brings to the ready queues, in stamp order.
 
-    # Ready nodes are always enqueued at their ready time, so the propagation
-    # path passes bare indices and reads ready_time[] at the point of use
-    # (the value is final once the in-degree hits zero: every predecessor has
-    # retired).  The completion scan visits successors in CSR (creation)
-    # order and runs to completion before any newly ready node is enqueued;
-    # the reference engine does the same, and the relative order feeds the
-    # arrival counter that policies use for tie-breaking.  The scan and the
-    # non-instant push are inlined in the retirement loop -- the hottest code
-    # of the sweep drivers.
-
-    def enqueue(i: int) -> None:
-        """Add a ready index to the right queue, resolving instant nodes.
-
-        FIFO cascade identical to the reference engine's pending queue; the
-        retirement loop below inlines the same logic.
+        Each node's zero-WCET descendants resolve through the reference
+        engine's FIFO cascade before the next node of ``ready`` is taken.
         """
-        nonlocal arrival_counter, remaining, makespan
-        pending: deque[int] = deque((i,))
-        while pending:
-            current = pending.popleft()
-            if wcet[current] != 0.0:
-                arrival_counter += 1
-                if flat_breadth_first:
-                    entry = (ready_time[current], current, arrival_counter)
-                else:
-                    entry = (
-                        dense_priority(current, ready_time[current], arrival_counter),
-                        arrival_counter,
-                        current,
-                    )
-                device = assigned[current]
-                if device < 0:
-                    heappush(ready_host, entry)
-                else:
-                    heappush(ready_device[device], entry)
-                continue
-            when = ready_time[current]
-            if when > makespan:
-                makespan = when
-            remaining -= 1
-            # Appending mid-scan preserves the reference order: nothing else
-            # touches `pending` until the scan of `current` completes.
-            for s in succ_idx[succ_ptr[current] : succ_ptr[current + 1]]:
-                if when > ready_time[s]:
-                    ready_time[s] = when
-                in_degree[s] -= 1
-                if in_degree[s] == 0:
-                    pending.append(s)
+        nonlocal remaining, makespan
+        arrivals = []
+        for i in ready:
+            pending: deque[int] = deque((i,))
+            while pending:
+                current = pending.popleft()
+                if wcet[current] != 0.0:
+                    arrivals.append(current)
+                    continue
+                when = ready_time[current]
+                if when > makespan:
+                    makespan = when
+                remaining -= 1
+                for s in succ_idx[succ_ptr[current] : succ_ptr[current + 1]]:
+                    if when > ready_time[s]:
+                        ready_time[s] = when
+                    in_degree[s] -= 1
+                    if in_degree[s] == 0:
+                        pending.append(s)
+        return arrivals
 
     # Seed with the source indices, snapshotted before any instant-node
     # cascade mutates the in-degree array (same rationale as the reference
     # engine's source snapshot).  Source ready times are the initial 0.0.
-    for i in [i for i in range(n) if in_degree[i] == 0]:
-        enqueue(i)
+    newly_ready = arrivals_of([i for i in range(n) if in_degree[i] == 0])
 
     current_time = 0.0
-    while remaining > 0:
+    while True:
+        # Stamp and queue the nodes that became ready, in the reference
+        # engine's order.  Inlined: this is the hottest code of the sweeps.
+        for s in newly_ready:
+            arrival += 1
+            if fifo:
+                entry = (ready_time[s], s)
+            elif keys is not None:
+                entry = (keys[s], arrival, s)
+            elif lifo:
+                entry = (-arrival, s)
+            elif draws is not None:
+                entry = (draws[arrival - 1], arrival, s)
+            else:
+                entry = (priority(nodes[s], ready_time[s], arrival), arrival, s)
+            target = assigned[s]
+            if target < 0:
+                heappush(ready_host, entry)
+            else:
+                heappush(ready_device[target], entry)
         # Start nodes while compatible resources are free (work conserving).
         while free_cores and ready_host:
-            i = heappop(ready_host)[node_slot]
+            i = heappop(ready_host)[slot]
             free_cores -= 1
             start_counter += 1
             heappush(running, (current_time + wcet[i], start_counter, i, -1))
         for device in range(device_count):
             queue = ready_device[device]
             while device_free[device] and queue:
-                i = heappop(queue)[node_slot]
+                i = heappop(queue)[slot]
                 device_free[device] = False
                 start_counter += 1
                 heappush(
@@ -227,10 +225,14 @@ def simulate_makespan_dense(
             )
 
         # Advance time to the earliest completion and retire every node that
-        # finishes at that instant.
+        # finishes at that instant.  Each retired node's successors are
+        # scanned in CSR (creation) order to completion before its instant
+        # successors cascade, as in the reference engine; the stamps wait
+        # for the end of the window, which keeps their order.
         retire_windows += 1
         current_time = running[0][0]
         threshold = current_time + 1e-12
+        newly_ready = []
         while running and running[0][0] <= threshold:
             finish, _, i, device = heappop(running)
             if finish > makespan:
@@ -240,33 +242,18 @@ def simulate_makespan_dense(
                 free_cores += 1
             else:
                 device_free[device] = True
-            newly_ready = []
+            mark = len(newly_ready)
+            cascade = False
             for s in succ_idx[succ_ptr[i] : succ_ptr[i + 1]]:
                 if finish > ready_time[s]:
                     ready_time[s] = finish
                 in_degree[s] -= 1
                 if in_degree[s] == 0:
                     newly_ready.append(s)
-            for s in newly_ready:
-                # Inlined enqueue() fast path (instant nodes take the
-                # cascade); must stay in lock-step with enqueue() above.
-                if wcet[s] != 0.0:
-                    arrival_counter += 1
-                    if flat_breadth_first:
-                        entry = (ready_time[s], s, arrival_counter)
-                    else:
-                        entry = (
-                            dense_priority(s, ready_time[s], arrival_counter),
-                            arrival_counter,
-                            s,
-                        )
-                    target = assigned[s]
-                    if target < 0:
-                        heappush(ready_host, entry)
-                    else:
-                        heappush(ready_device[target], entry)
-                else:
-                    enqueue(s)
+                    if wcet[s] == 0.0:
+                        cascade = True
+            if cascade:
+                newly_ready[mark:] = arrivals_of(newly_ready[mark:])
 
     # One lane advanced per retire window, as in the C kernel.
     record_kernel_batch(

@@ -20,12 +20,15 @@ from __future__ import annotations
 
 import abc
 import copy
+import math
+from collections.abc import Mapping
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ..core.exceptions import short_repr
+from ..core.exceptions import ValidationError, short_repr
 from ..core.graph import DirectedAcyclicGraph, NodeId
+from ..core.task import check_number
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..core.compiled import CompiledTask
@@ -41,8 +44,8 @@ __all__ = [
     "FixedPriorityPolicy",
     "policy_by_name",
     "policy_class",
-    "policy_supports_dense",
     "policy_vector_kind",
+    "priority_table",
     "VECTOR_FIFO",
     "VECTOR_LIFO",
     "VECTOR_STATIC",
@@ -60,37 +63,23 @@ VECTOR_RANDOM = "random"  # key (seeded draw per arrival, arrival)
 class SchedulingPolicy(abc.ABC):
     """Interface of a ready-queue ordering policy.
 
-    The trace-producing simulator calls :meth:`prepare` once per simulation
-    with the graph being scheduled, then :meth:`priority` for every node when
-    it becomes ready.  Nodes with *smaller* priority tuples are started
-    first.
+    The trace-producing reference engine (:mod:`repro.simulation.engine`)
+    calls :meth:`prepare` once per simulation with the graph being
+    scheduled, then :meth:`priority` for every node when it becomes ready.
+    Nodes with *smaller* priority tuples are started first.
 
-    The dense fast path (:mod:`repro.simulation.dense`) uses the *dense
-    protocol* instead: :meth:`prepare_dense` once per simulation with the
-    :class:`~repro.core.compiled.CompiledTask` view, then
-    :meth:`dense_priority` with integer node indices.  The protocol is
-    opt-in: dense-native policies override both methods (vectorised
-    per-index keys, no ``NodeId`` hashing) and declare it via
-    :attr:`supports_dense`; every other policy -- including custom
-    subclasses that override only the object-keyed pair -- is adapted by
-    the dense engine internally (it calls :meth:`prepare` and routes
-    :meth:`priority` through the index->node table), so custom policies
-    keep working unmodified.  A dense override must return priority keys
-    numerically equal to :meth:`priority` -- the dense engine is required
-    to be bit-identical to the reference engine.
+    Every other engine -- the dense engine, the C kernel and both workload
+    engines -- keys a built-in policy by its family
+    (:func:`policy_vector_kind`) instead: static per-node keys from
+    :meth:`vector_keys`, seeded draws from :meth:`RandomPolicy.vector_draws`.
+    A policy without a family (a custom policy, or any subclass of a
+    built-in) is simulated by the reference engine and by the dense engine,
+    which calls its :meth:`prepare`/:meth:`priority` pair through an
+    index -> node table; so custom policies keep working unmodified.
     """
 
     #: Human-readable policy name used in traces and experiment reports.
     name: str = "policy"
-
-    #: ``True`` when :meth:`prepare_dense`/:meth:`dense_priority` are native
-    #: (index-based) overrides; the dense engine then skips :meth:`prepare`.
-    #: Inherited by subclasses -- the dense engine therefore consults
-    #: :func:`policy_supports_dense`, which additionally rejects subclasses
-    #: whose object-keyed ``priority()``/``prepare()`` override is *newer*
-    #: than the inherited dense implementation (a stale dense pair would
-    #: silently ignore the override).
-    supports_dense: bool = False
 
     def prepare(self, graph: DirectedAcyclicGraph) -> None:
         """Pre-compute per-graph data (called once before the simulation)."""
@@ -112,39 +101,15 @@ class SchedulingPolicy(abc.ABC):
             it as a final tie-breaker makes every policy deterministic.
         """
 
-    def prepare_dense(self, compiled: "CompiledTask") -> None:
-        """Pre-compute per-index data for the dense engine.
-
-        Only called for dense-native policies (those passing
-        :func:`policy_supports_dense`); object-keyed policies never reach
-        this hook -- the dense engine adapts their
-        :meth:`prepare`/:meth:`priority` pair internally.  Overrides must be
-        paired with a :meth:`dense_priority` override.
-        """
-
-    def dense_priority(
-        self, index: int, ready_time: float, arrival_index: int
-    ) -> tuple:
-        """Sort key of the ready node with dense index ``index``.
-
-        Only called for dense-native policies; must return keys numerically
-        equal to :meth:`priority` for the same node.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} sets supports_dense but does not "
-            "implement the dense protocol"
-        )
-
     def vector_keys(self, compiled: "CompiledTask") -> np.ndarray:
-        """Per-node primary priority values for the C kernel.
+        """Per-node primary priority values of the ``static`` family.
 
         Only meaningful for policies of the ``static`` vector kind (see
         :func:`policy_vector_kind`): the returned ``float64`` array holds,
-        for every dense index, the first component of the policy's priority
-        tuple -- numerically identical to what :meth:`dense_priority` (and
-        therefore :meth:`priority`) would return, with the arrival index as
-        the tie-breaker.  The array may share storage with the compiled
-        view and must not be mutated.
+        for every dense index, the first component of the policy's
+        :meth:`priority` tuple, with the arrival index as the tie-breaker.
+        The array may share storage with the compiled view or a memo and
+        must not be mutated.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not provide static vector keys"
@@ -174,21 +139,12 @@ class BreadthFirstPolicy(SchedulingPolicy):
     """
 
     name = "breadth-first"
-    supports_dense = True
 
     def prepare(self, graph: DirectedAcyclicGraph) -> None:
         self._creation_order = {node: index for index, node in enumerate(graph.nodes())}
 
     def priority(self, node: NodeId, ready_time: float, arrival_index: int) -> tuple:
         return (ready_time, self._creation_order.get(node, 0), arrival_index)
-
-    def prepare_dense(self, compiled: "CompiledTask") -> None:
-        """Nothing to prepare: dense indices *are* creation ranks."""
-
-    def dense_priority(
-        self, index: int, ready_time: float, arrival_index: int
-    ) -> tuple:
-        return (ready_time, index, arrival_index)
 
 
 class DepthFirstPolicy(SchedulingPolicy):
@@ -200,17 +156,8 @@ class DepthFirstPolicy(SchedulingPolicy):
     """
 
     name = "depth-first"
-    supports_dense = True
 
     def priority(self, node: NodeId, ready_time: float, arrival_index: int) -> tuple:
-        return (-arrival_index,)
-
-    def prepare_dense(self, compiled: "CompiledTask") -> None:
-        """Stateless: the key only depends on the arrival index."""
-
-    def dense_priority(
-        self, index: int, ready_time: float, arrival_index: int
-    ) -> tuple:
         return (-arrival_index,)
 
 
@@ -223,7 +170,6 @@ class CriticalPathFirstPolicy(SchedulingPolicy):
     """
 
     name = "critical-path-first"
-    supports_dense = True
 
     def prepare(self, graph: DirectedAcyclicGraph) -> None:
         self._bottom_level = graph.longest_tail_lengths()
@@ -231,11 +177,14 @@ class CriticalPathFirstPolicy(SchedulingPolicy):
     def priority(self, node: NodeId, ready_time: float, arrival_index: int) -> tuple:
         return (-self._bottom_level.get(node, 0.0), arrival_index)
 
-    def prepare_dense(self, compiled: "CompiledTask") -> None:
-        # Memoised on the (immutable) compiled view: batch drivers prepare
-        # the same task once per (platform, policy) grid cell.
-        if getattr(self, "_dense_for", None) is compiled:
-            return
+    def vector_keys(self, compiled: "CompiledTask") -> np.ndarray:
+        # Memoised on the (immutable) compiled view: batch drivers key the
+        # same task once per (platform, policy) grid cell.  The pair is
+        # published in one assignment, so a reader never sees the keys of
+        # another view.
+        memo = getattr(self, "_keys", None)
+        if memo is not None and memo[0] is compiled:
+            return memo[1]
         # Same recurrence as DirectedAcyclicGraph.longest_tail_lengths(),
         # evaluated over the compiled arrays (numerically identical values).
         wcet = compiled.wcet_list
@@ -247,38 +196,21 @@ class CriticalPathFirstPolicy(SchedulingPolicy):
                 if tail[s] > longest:
                     longest = tail[s]
             tail[i] = longest + wcet[i]
-        self._dense_tail = tail
-        self._dense_for = compiled
-
-    def dense_priority(
-        self, index: int, ready_time: float, arrival_index: int
-    ) -> tuple:
-        return (-self._dense_tail[index], arrival_index)
-
-    def vector_keys(self, compiled: "CompiledTask") -> np.ndarray:
-        self.prepare_dense(compiled)
-        return -np.asarray(self._dense_tail, dtype=np.float64)
+        keys = -np.asarray(tail, dtype=np.float64)
+        self._keys = (compiled, keys)
+        return keys
 
 
 class ShortestFirstPolicy(SchedulingPolicy):
     """Smallest WCET first (SJF-like, tends to increase the makespan)."""
 
     name = "shortest-first"
-    supports_dense = True
 
     def prepare(self, graph: DirectedAcyclicGraph) -> None:
         self._wcet = graph.wcets()
 
     def priority(self, node: NodeId, ready_time: float, arrival_index: int) -> tuple:
         return (self._wcet.get(node, 0.0), arrival_index)
-
-    def prepare_dense(self, compiled: "CompiledTask") -> None:
-        self._dense_wcet = compiled.wcet_list
-
-    def dense_priority(
-        self, index: int, ready_time: float, arrival_index: int
-    ) -> tuple:
-        return (self._dense_wcet[index], arrival_index)
 
     def vector_keys(self, compiled: "CompiledTask") -> np.ndarray:
         return compiled.wcet
@@ -288,21 +220,12 @@ class LongestFirstPolicy(SchedulingPolicy):
     """Largest WCET first (LPT-like)."""
 
     name = "longest-first"
-    supports_dense = True
 
     def prepare(self, graph: DirectedAcyclicGraph) -> None:
         self._wcet = graph.wcets()
 
     def priority(self, node: NodeId, ready_time: float, arrival_index: int) -> tuple:
         return (-self._wcet.get(node, 0.0), arrival_index)
-
-    def prepare_dense(self, compiled: "CompiledTask") -> None:
-        self._dense_wcet = compiled.wcet_list
-
-    def dense_priority(
-        self, index: int, ready_time: float, arrival_index: int
-    ) -> tuple:
-        return (-self._dense_wcet[index], arrival_index)
 
     def vector_keys(self, compiled: "CompiledTask") -> np.ndarray:
         return -compiled.wcet
@@ -317,7 +240,6 @@ class RandomPolicy(SchedulingPolicy):
     """
 
     name = "random"
-    supports_dense = True
 
     def __init__(self, rng: np.random.Generator | int | None = None) -> None:
         self._rng = np.random.default_rng(rng)
@@ -329,104 +251,74 @@ class RandomPolicy(SchedulingPolicy):
     def priority(self, node: NodeId, ready_time: float, arrival_index: int) -> tuple:
         return (float(self._rng.random()), arrival_index)
 
-    def prepare_dense(self, compiled: "CompiledTask") -> None:
-        """Stateless per graph; the RNG stream carries across simulations."""
-
-    def dense_priority(
-        self, index: int, ready_time: float, arrival_index: int
-    ) -> tuple:
-        # One draw per ready-queue insertion, exactly like priority(): the
-        # dense engine enqueues in the same order as the reference engine,
-        # so both consume the identical stream.
-        return (float(self._rng.random()), arrival_index)
-
     def vector_draws(self, count: int) -> np.ndarray:
         """Consume ``count`` draws from the policy's stream as one array.
 
         ``Generator.random(count)`` consumes the underlying bit stream
-        exactly like ``count`` successive scalar ``random()`` calls, so the
-        C kernel can pre-draw one simulation's priority values (one
-        per non-instant node, assigned in arrival order) and stay
-        bit-identical to the per-arrival draws of the other engines.
+        exactly like ``count`` successive scalar ``random()`` calls, so an
+        engine can pre-draw one simulation's priority values (one per
+        non-instant node, assigned in arrival order) and stay bit-identical
+        to the per-arrival draws of :meth:`priority`.
         """
         return self._rng.random(count)
+
+
+def priority_table(priorities: Mapping) -> dict[NodeId, float]:
+    """A fixed-priority table with every value as the float64 it is compared as.
+
+    Every engine compares priorities as float64 (the C kernel cannot do
+    otherwise), so integers that share a float64 value tie.  Each value must
+    be a finite real number, not a boolean (:func:`check_number`).
+
+    Raises
+    ------
+    ValidationError
+        If ``priorities`` is not a mapping or a value is refused, naming it.
+    """
+    if not isinstance(priorities, Mapping):
+        raise ValidationError(
+            f"priorities must map node names to numbers, got {short_repr(priorities)}"
+        )
+    return {
+        node: check_number(f"priorities[{short_repr(node)}]", value, -math.inf, strict=True)
+        for node, value in priorities.items()
+    }
 
 
 class FixedPriorityPolicy(SchedulingPolicy):
     """Explicit per-node priorities (smaller value = higher priority).
 
-    The exhaustive worst-case search enumerates permutations of node
-    priorities through this policy.
+    The table is checked by :func:`priority_table` and held as float64
+    values; a node missing from it has priority ``+inf``.  The exhaustive
+    worst-case search enumerates permutations of node priorities through
+    this policy.
     """
 
     name = "fixed-priority"
-    supports_dense = True
 
-    def __init__(self, priorities: Optional[dict[NodeId, float]] = None) -> None:
-        self._priorities = dict(priorities) if priorities is not None else {}
+    def __init__(self, priorities: Optional[Mapping[NodeId, float]] = None) -> None:
+        self._priorities = priority_table(priorities) if priorities is not None else {}
 
     def priority(self, node: NodeId, ready_time: float, arrival_index: int) -> tuple:
-        return (self._priorities.get(node, float("inf")), arrival_index)
-
-    def prepare_dense(self, compiled: "CompiledTask") -> None:
-        if getattr(self, "_dense_for", None) is compiled:
-            return
-        missing = float("inf")
-        get = self._priorities.get
-        self._dense_priorities = [get(node, missing) for node in compiled.nodes]
-        self._dense_for = compiled
-
-    def dense_priority(
-        self, index: int, ready_time: float, arrival_index: int
-    ) -> tuple:
-        return (self._dense_priorities[index], arrival_index)
+        return (self._priorities.get(node, math.inf), arrival_index)
 
     def vector_keys(self, compiled: "CompiledTask") -> np.ndarray:
-        self.prepare_dense(compiled)
-        return np.asarray(self._dense_priorities, dtype=np.float64)
-
-
-def _providing_class(cls: type, name: str) -> type:
-    """The class in ``cls``'s MRO whose ``__dict__`` defines ``name``."""
-    for klass in cls.__mro__:
-        if name in klass.__dict__:
-            return klass
-    return SchedulingPolicy
-
-
-def policy_supports_dense(policy: SchedulingPolicy) -> bool:
-    """``True`` when the dense engine may use the policy's dense protocol.
-
-    Requires :attr:`SchedulingPolicy.supports_dense` *and* that neither
-    object-keyed method is overridden below the class providing its dense
-    counterpart: a subclass of a built-in policy that overrides only
-    ``priority()`` (or only ``prepare()``) would otherwise inherit a stale
-    dense implementation and the dense engine would silently ignore the
-    override.  Such policies fall back to the object-keyed path, which the
-    dense engine adapts internally -- bit-identity is preserved either way.
-    """
-    if not policy.supports_dense:
-        return False
-    cls = type(policy)
-    for object_name, dense_name in (
-        ("prepare", "prepare_dense"),
-        ("priority", "dense_priority"),
-    ):
-        object_provider = _providing_class(cls, object_name)
-        dense_provider = _providing_class(cls, dense_name)
-        if dense_provider is not object_provider and issubclass(
-            object_provider, dense_provider
-        ):
-            return False
-    return True
+        # Memoised per compiled view and published in one assignment, as in
+        # CriticalPathFirstPolicy.vector_keys.
+        memo = getattr(self, "_keys", None)
+        if memo is not None and memo[0] is compiled:
+            return memo[1]
+        get = self._priorities.get
+        keys = np.array([get(node, math.inf) for node in compiled.nodes], dtype=np.float64)
+        self._keys = (compiled, keys)
+        return keys
 
 
 #: Exact-type map of the built-in policies onto the C kernel's
 #: priority families.  Keyed by concrete class on purpose: a subclass may
-#: override ``priority()``/``prepare()`` in ways the kernel cannot see, so
-#: anything that is not literally one of the seven built-ins falls back to
-#: the dense (or object-keyed) engine -- mirroring the conservative rule of
-#: :func:`policy_supports_dense`.
+#: override ``priority()``/``prepare()`` in ways no family can express, so
+#: anything that is not literally one of the seven built-ins has no family
+#: and takes the object-keyed path of the reference and dense engines.
 _VECTOR_KINDS: dict[type, str] = {
     BreadthFirstPolicy: VECTOR_FIFO,
     DepthFirstPolicy: VECTOR_LIFO,
@@ -439,12 +331,13 @@ _VECTOR_KINDS: dict[type, str] = {
 
 
 def policy_vector_kind(policy: SchedulingPolicy) -> Optional[str]:
-    """Vector-kind label of ``policy`` for the C kernel, or ``None``.
+    """Vector-kind label of ``policy`` (its priority family), or ``None``.
 
-    ``None`` means the vectorised engine must not simulate this policy (a
-    custom or subclassed policy whose behaviour is only defined by its
-    object-keyed methods); callers fall back to the dense engine, which
-    adapts any policy and is bit-identical by contract.  The four families:
+    ``None`` means no engine but the reference and dense ones can simulate
+    this policy (a custom or subclassed policy whose behaviour is only
+    defined by its object-keyed methods); the dense engine adapts it
+    bit-identically.  The four families, read by the dense engine, the C
+    kernel and both workload engines:
 
     * :data:`VECTOR_FIFO` -- priority ``(ready time, creation index)``
       (:class:`BreadthFirstPolicy`); needs no arrival bookkeeping because

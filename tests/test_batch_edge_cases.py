@@ -33,7 +33,6 @@ class TestSimulateManyEdgeCases:
     def test_empty_ensemble(self):
         assert simulate_many([], [2]).shape == (0, 1, 1)
         assert simulate_many([], [2, 4], [BreadthFirstPolicy()]).shape == (0, 2, 1)
-        assert simulate_many([], [2], makespans_only=False) == []
 
     def test_chunk_size_larger_than_ensemble(self):
         tasks = [make_random_heterogeneous_task(seed, 0.2, n_max=15) for seed in range(3)]

@@ -46,7 +46,7 @@ CHECKS = {
         "warm_start_makespans_identical",
         "memoised_pass_stable",
     ),
-    "simulation-dense": ("makespans_identical",),
+    "simulation-dense": ("makespans_identical", "families_identical"),
     "simulation-compiled": (
         "kernel_built",
         "makespans_identical",

@@ -19,11 +19,13 @@ from hypothesis import strategies as st
 
 from repro.core.compiled import CompiledTask, compile_task, stack_compiled
 from repro.core.examples import figure1_task, figure3_task
+from repro.core.exceptions import ValidationError
 from repro.core.graph import DirectedAcyclicGraph
 from repro.core.task import DagTask
 from repro.core.transformation import transform
 from repro.generator.offload import pin_offloaded_fraction
 from repro.parallel import spawn_seeds
+from repro.service import EvaluationService
 from repro.simulation import _kernels
 from repro.simulation.batch import simulate_many
 from repro.simulation.dense import simulate_makespan_dense
@@ -35,12 +37,22 @@ from repro.simulation.schedulers import (
     FixedPriorityPolicy,
     LongestFirstPolicy,
     RandomPolicy,
+    SchedulingPolicy,
     ShortestFirstPolicy,
     policy_by_name,
-    policy_supports_dense,
+    policy_vector_kind,
 )
+from repro.simulation.vectorized import VectorCell, simulate_makespans_vectorized
+from repro.simulation.workload import JobInstance, simulate_workload
 
 from strategies import make_random_heterogeneous_task
+
+#: Skips a case that runs the C kernel where it cannot be built.
+requires_kernel = pytest.mark.skipif(
+    not _kernels.compiled_available(),
+    reason="compiled kernel unavailable: "
+    f"{_kernels.compiled_unavailable_reason()}",
+)
 
 _SEEDS = st.integers(min_value=0, max_value=4_000)
 _FRACTIONS = st.floats(min_value=0.01, max_value=0.6, allow_nan=False)
@@ -63,9 +75,14 @@ def _policy_factories(task: DagTask, seed: int):
     for name in _POLICY_NAMES:
         yield name, lambda name=name: policy_by_name(name, rng=seed)
     # fixed-priority via the registry has an empty table; also exercise a
-    # populated one (the worst-case search's usage pattern).
+    # populated one (the worst-case search's usage pattern) and distinct
+    # integers near 2**60, which share float64 values.
     yield "fixed-priority(populated)", lambda: FixedPriorityPolicy(
         {node: (seed + rank) % 5 for rank, node in enumerate(task.graph.nodes())}
+    )
+    yield "fixed-priority(wide integers)", lambda: FixedPriorityPolicy(
+        {node: 2**60 + (seed + 37 * rank) % 601 - 300
+         for rank, node in enumerate(task.graph.nodes())}
     )
 
 
@@ -187,11 +204,7 @@ class TestSimulateMany:
             "dense",
             pytest.param(
                 "compiled",
-                marks=pytest.mark.skipif(
-                    not _kernels.compiled_available(),
-                    reason="compiled kernel unavailable: "
-                    f"{_kernels.compiled_unavailable_reason()}",
-                ),
+                marks=requires_kernel,
             ),
         ],
     )
@@ -211,18 +224,6 @@ class TestSimulateMany:
             tasks, [2, 8], RandomPolicy(3), root_seed=11, chunk_size=3, engine=engine
         )
         assert np.array_equal(makespans, expected)
-        traces = simulate_many(
-            tasks,
-            [2, 8],
-            RandomPolicy(3),
-            root_seed=11,
-            chunk_size=3,
-            makespans_only=False,
-            engine=engine,
-        )
-        assert [
-            [[trace.makespan() for trace in cell] for cell in row] for row in traces
-        ] == expected.tolist()
 
     def test_multiple_policies_and_scalar_platform(self):
         tasks = self._tasks(count=3)
@@ -234,15 +235,6 @@ class TestSimulateMany:
                 assert makespans[t, 0, q] == simulate(
                     task, 2, policy_by_name(name)
                 ).makespan()
-
-    def test_traces_mode_matches_makespans(self):
-        tasks = self._tasks(count=3)
-        makespans = simulate_many(tasks, [2], BreadthFirstPolicy())
-        traces = simulate_many(tasks, [2], BreadthFirstPolicy(), makespans_only=False)
-        for t in range(len(tasks)):
-            trace = traces[t][0][0]
-            trace.validate()
-            assert trace.makespan() == makespans[t, 0, 0]
 
     def test_offload_disabled_forwarded(self):
         tasks = self._tasks(count=2)
@@ -471,15 +463,14 @@ class TestStackCompiled:
 
 class TestDenseProtocolGuards:
     def test_subclass_overriding_only_priority_is_honoured(self):
-        # A subclass of a dense-native policy that overrides only the
-        # object-keyed priority() must not be served the parent's stale
-        # dense implementation: both public entry points must honour the
-        # override and agree.
+        # A subclass of a built-in that overrides only priority() has no
+        # family, so the dense engine reads the override instead of the
+        # parent's static keys: both public entry points honour it and agree.
         class ReversedShortestFirst(ShortestFirstPolicy):
             def priority(self, node, ready_time, arrival_index):
                 return (-self._wcet.get(node, 0.0), arrival_index)
 
-        assert not policy_supports_dense(ReversedShortestFirst())
+        assert policy_vector_kind(ReversedShortestFirst()) is None
         task = make_random_heterogeneous_task(7, 0.3, n_max=20)
         via_trace = simulate(task, 2, ReversedShortestFirst()).makespan()
         via_dense = simulate_makespan_dense(task, 2, ReversedShortestFirst())
@@ -495,52 +486,41 @@ class TestDenseProtocolGuards:
                     node: 2.0 * tail for node, tail in self._bottom_level.items()
                 }
 
-        assert not policy_supports_dense(DoubledTails())
+        assert policy_vector_kind(DoubledTails()) is None
         task = make_random_heterogeneous_task(11, 0.2, n_max=20)
         assert simulate_makespan_dense(task, 2, DoubledTails()) == (
             simulate(task, 2, DoubledTails()).makespan()
         )
 
-    def test_subclass_overriding_both_pairs_stays_dense(self):
-        class Both(ShortestFirstPolicy):
-            def priority(self, node, ready_time, arrival_index):
-                return (-self._wcet.get(node, 0.0), arrival_index)
-
-            def dense_priority(self, index, ready_time, arrival_index):
-                return (-self._dense_wcet[index], arrival_index)
-
-        assert policy_supports_dense(Both())
-        task = make_random_heterogeneous_task(13, 0.2, n_max=20)
-        assert simulate_makespan_dense(task, 2, Both()) == (
-            simulate(task, 2, Both()).makespan()
-        )
-
-    def test_builtins_are_dense_native_and_custom_policies_are_not(self):
+    def test_builtins_have_a_family_and_custom_policies_do_not(self):
         for name in _POLICY_NAMES:
-            assert policy_supports_dense(policy_by_name(name)), name
+            assert policy_vector_kind(policy_by_name(name)) is not None, name
 
-        class Custom(BreadthFirstPolicy.__mro__[1]):  # SchedulingPolicy
+        class Custom(SchedulingPolicy):
             def priority(self, node, ready_time, arrival_index):
                 return (arrival_index,)
 
-        assert not policy_supports_dense(Custom())
+        assert policy_vector_kind(Custom()) is None
         task = make_random_heterogeneous_task(17, 0.2, n_max=20)
         assert simulate_makespan_dense(task, 2, Custom()) == (
             simulate(task, 2, Custom()).makespan()
         )
 
-    def test_prepare_dense_is_memoised_per_compiled_view(self):
+    @pytest.mark.parametrize("name", ["critical-path-first", "fixed-priority"])
+    def test_static_keys_are_memoised_per_compiled_view(self, name):
         task = make_random_heterogeneous_task(19, 0.2, n_max=20)
+        policy = (
+            FixedPriorityPolicy({node: rank for rank, node in enumerate(task.graph.nodes())})
+            if name == "fixed-priority"
+            else CriticalPathFirstPolicy()
+        )
         compiled = task.compiled()
-        policy = CriticalPathFirstPolicy()
-        policy.prepare_dense(compiled)
-        first = policy._dense_tail
-        policy.prepare_dense(compiled)
-        assert policy._dense_tail is first  # same view: no recomputation
+        first = policy.vector_keys(compiled)
+        assert policy.vector_keys(compiled) is first  # same view: no recomputation
         task.graph.set_wcet(task.offloaded_node, task.offloaded_wcet + 1)
         recompiled = task.compiled()
-        policy.prepare_dense(recompiled)
-        assert policy._dense_tail is not first  # new view: recomputed
+        assert policy.vector_keys(recompiled) is not first  # new view: recomputed
+        assert policy.vector_keys(compiled) is not first  # only the last view is held
 
 
 class TestFixedPriorityRegistration:
@@ -554,3 +534,106 @@ class TestFixedPriorityRegistration:
         assert simulate_makespan_dense(task, 2, policy_by_name("fixed-priority")) == (
             simulate(task, 2, policy_by_name("fixed-priority")).makespan()
         )
+
+
+#: Fork s -> {a, b, x}, b -> c, join at t: on 2 host cores a and b start
+#: first, and when b ends x and c (readied in that order) compete for the
+#: free core.  The table gives c < b < x < a as integers, but all four
+#: share the float64 value 2**60, so the arrival order decides: x runs
+#: before c and the makespan is 15.0 (11.0 with exact integer compares).
+_COLLIDING_TASK = DagTask.from_wcets(
+    {"s": 0, "a": 5, "b": 1, "x": 5, "c": 10, "t": 0},
+    [("s", "a"), ("s", "b"), ("s", "x"), ("b", "c"), ("a", "t"), ("x", "t"), ("c", "t")],
+)
+_COLLIDING_TABLE = {"c": 2**60 - 1, "b": 2**60, "x": 2**60 + 1, "a": 2**60 + 2}
+
+
+def _colliding_policy() -> FixedPriorityPolicy:
+    return FixedPriorityPolicy(_COLLIDING_TABLE)
+
+
+def _many(engine: str) -> float:
+    grid = simulate_many(
+        [_COLLIDING_TASK], [2], _colliding_policy(), offload_enabled=False, engine=engine
+    )
+    return float(grid[0, 0, 0])
+
+
+def _workload(backend: str) -> float:
+    result = simulate_workload(
+        [JobInstance(task=_COLLIDING_TASK, release=0.0)],
+        2,
+        _colliding_policy(),
+        offload_enabled=False,
+        backend=backend,
+    )
+    return float(result.completions[0])
+
+
+def _facade() -> float:
+    with EvaluationService() as service:
+        return service.submit_simulation(
+            _COLLIDING_TASK,
+            2,
+            policy="fixed-priority",
+            priorities=_COLLIDING_TABLE,
+            offload_enabled=False,
+            timeout=120,
+        )
+
+
+_COLLIDING_ENGINES = {
+    "simulate": lambda: simulate(
+        _COLLIDING_TASK, 2, _colliding_policy(), offload_enabled=False
+    ).makespan(),
+    "simulate_makespan": lambda: simulate_makespan(
+        _COLLIDING_TASK, 2, _colliding_policy(), offload_enabled=False
+    ),
+    "dense": lambda: simulate_makespan_dense(
+        _COLLIDING_TASK, 2, _colliding_policy(), offload_enabled=False
+    ),
+    "simulate_many-auto": lambda: _many("auto"),
+    "simulate_many-dense": lambda: _many("dense"),
+    "simulate_many-compiled": lambda: _many("compiled"),
+    "vectorized": lambda: float(
+        simulate_makespans_vectorized(
+            [VectorCell(_COLLIDING_TASK, 2, _colliding_policy(), offload_enabled=False)]
+        )[0]
+    ),
+    "workload-reference": lambda: _workload("reference"),
+    "workload-numpy": lambda: _workload("numpy"),
+    "facade": _facade,
+}
+
+
+class TestFloat64PriorityTable:
+    """One float64 priority table for every engine."""
+
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            pytest.param(name, marks=requires_kernel)
+            if name in ("simulate_many-compiled", "vectorized")
+            else name
+            for name in _COLLIDING_ENGINES
+        ],
+    )
+    def test_integers_sharing_a_float64_value_tie_on_every_engine(self, engine):
+        assert _COLLIDING_ENGINES[engine]() == 15.0
+
+    def test_table_holds_the_float64_values(self):
+        policy = _colliding_policy()
+        keys = policy.vector_keys(_COLLIDING_TASK.compiled()).tolist()
+        assert keys == [float("inf"), *[2.0**60] * 4, float("inf")]
+        assert policy.priority("c", 0.0, 7) == (2.0**60, 7)
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), -float("inf"), True, "1", None, 2**1024]
+    )
+    def test_a_value_without_a_finite_float64_is_refused(self, value):
+        with pytest.raises(ValidationError, match=r"priorities\['b'\]"):
+            FixedPriorityPolicy({"a": 1, "b": value})
+
+    def test_a_table_that_is_not_a_mapping_is_refused(self):
+        with pytest.raises(ValidationError, match="priorities"):
+            FixedPriorityPolicy([("a", 1)])

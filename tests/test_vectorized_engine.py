@@ -84,9 +84,14 @@ def _policy_factories(task: DagTask, seed: int):
     for name in _POLICY_NAMES:
         yield name, lambda name=name: policy_by_name(name, rng=seed)
     # fixed-priority via the registry has an empty table; also exercise a
-    # populated one (the worst-case search's usage pattern).
+    # populated one (the worst-case search's usage pattern) and distinct
+    # integers near 2**60, which share float64 values.
     yield "fixed-priority(populated)", lambda: FixedPriorityPolicy(
         {node: (seed + rank) % 5 for rank, node in enumerate(task.graph.nodes())}
+    )
+    yield "fixed-priority(wide integers)", lambda: FixedPriorityPolicy(
+        {node: 2**60 + (seed + 37 * rank) % 601 - 300
+         for rank, node in enumerate(task.graph.nodes())}
     )
 
 
@@ -348,12 +353,16 @@ class TestLockstepBitIdentity:
     def test_static_keys_match_dense_priorities(self):
         task = make_random_heterogeneous_task(7, 0.25, n_max=20)
         compiled = task.compiled()
-        for name in ("critical-path-first", "shortest-first", "longest-first"):
-            policy = policy_by_name(name)
+        table = {node: 2**60 + rank for rank, node in enumerate(compiled.nodes[::2])}
+        for policy in (
+            *(policy_by_name(name) for name in
+              ("critical-path-first", "shortest-first", "longest-first")),
+            FixedPriorityPolicy(table),
+        ):
             keys = policy.vector_keys(compiled)
-            policy.prepare_dense(compiled)
-            for index in range(len(compiled.nodes)):
-                assert keys[index] == policy.dense_priority(index, 0.0, 1)[0]
+            policy.prepare(task.graph)
+            for index, node in enumerate(compiled.nodes):
+                assert keys[index] == policy.priority(node, 0.0, 1)[0]
 
 
 class TestSimulateManyEngines:

@@ -59,7 +59,9 @@ from repro.ilp.bounds import list_schedule_upper_bound, makespan_lower_bound
 from repro.io.json_io import REQUIRED, task_from_dict, task_to_dict
 from repro.service import EvaluationService, start_server
 from repro.service.http import REQUESTS, STREAM
+from repro.simulation.engine import simulate_makespan
 from repro.simulation.platform import Platform
+from repro.simulation.schedulers import FixedPriorityPolicy
 from repro.simulation.workload import JobStream
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -536,6 +538,31 @@ def test_oracle_sandwich_holds_on_every_platform_the_service_accepts():
                     lower = makespan_lower_bound(task, cores, accelerators)
                     upper = list_schedule_upper_bound(task, cores, accelerators)
                     assert lower - 1e-9 <= exact <= upper + 1e-9
+
+
+# ----------------------------------------------------------------------
+# Priorities are compared as float64
+# ----------------------------------------------------------------------
+#: c < b < x < a as integers, one float64 value 2**60: the arrival order
+#: decides, x runs before c, and every engine reads 15.0 (11.0 with exact
+#: integer compares).  Was answered 15.0 here and 11.0 by simulate_makespan.
+COLLIDING = {
+    "task": {"nodes": {"s": 0, "a": 5, "b": 1, "x": 5, "c": 10, "t": 0},
+             "edges": [["s", "a"], ["s", "b"], ["s", "x"], ["b", "c"], ["a", "t"],
+                       ["x", "t"], ["c", "t"]]},
+    "cores": 2,
+    "offload_enabled": False,
+    "policy": "fixed-priority",
+    "priorities": {"c": 2**60 - 1, "b": 2**60, "x": 2**60 + 1, "a": 2**60 + 2},
+}
+
+
+def test_priorities_sharing_a_float64_value_tie_as_in_process(wire):
+    port, _ = wire
+    assert _post(port, "/simulate", COLLIDING) == (200, {"makespan": 15.0})
+    task = task_from_dict(COLLIDING["task"])
+    policy = FixedPriorityPolicy(COLLIDING["priorities"])
+    assert simulate_makespan(task, 2, policy, offload_enabled=False) == 15.0
 
 
 # ----------------------------------------------------------------------
