@@ -24,9 +24,15 @@ job-stream engines.  The view exposes
   in-degree of every node;
 * ``succ_ptr_array``, ``succ_idx_array`` and ``in_degree_array`` -- the same
   data as ``int64`` arrays, built on first use once per structure;
-* ``wcet`` -- the WCET vector as a ``numpy.float64`` array (``wcet_list`` is
-  the same vector as plain Python floats, the faster representation for the
-  pure-Python event loop).
+* ``wcet`` -- the WCET vector as a ``numpy.float64`` array, filled in one
+  pass over the graph's weight map (which lists the nodes in the
+  structure's order);
+* ``wcet_list`` -- the same vector as plain Python floats, built on first
+  read and then kept.  Its readers are the pure-Python loops: the dense
+  engine, the static keys of critical-path-first
+  (:meth:`~repro.simulation.schedulers.CriticalPathFirstPolicy.vector_keys`)
+  and :meth:`CompiledTask.fingerprint`.  The C kernel reads ``wcet`` only,
+  so a Figure 6 pass builds no list.
 
 All but the WCETs are references to the shared structure.  Compilation is
 cached on the owning graph's ``(structure, weights)`` generation stamp:
@@ -90,7 +96,7 @@ def _shared_array(position: int, name: str) -> property:
 class CompiledTask:
     """A shared dense structure plus one WCET vector (see module docstring)."""
 
-    __slots__ = ("structure", "wcet", "wcet_list", "generation", "_fingerprint")
+    __slots__ = ("structure", "wcet", "generation", "_wcet_list", "_fingerprint")
 
     nodes = _shared("nodes")
     index = _shared("index")
@@ -114,17 +120,24 @@ class CompiledTask:
     ) -> None:
         self.structure = structure
         self.wcet = wcet
-        self.wcet_list = wcet.tolist()
         self.generation = generation
+        self._wcet_list: list[float] | None = None
         self._fingerprint: str | None = None
+
+    @property
+    def wcet_list(self) -> list[float]:
+        """``wcet`` as plain Python floats, built on first read."""
+        if self._wcet_list is None:
+            self._wcet_list = self.wcet.tolist()
+        return self._wcet_list
 
     @property
     def node_count(self) -> int:
         """Number of nodes of the compiled view."""
-        return len(self.wcet_list)
+        return len(self.wcet)
 
     def __len__(self) -> int:
-        return len(self.wcet_list)
+        return len(self.wcet)
 
     # ------------------------------------------------------------------
     # Content fingerprint
@@ -155,7 +168,7 @@ class CompiledTask:
                 self.wcet_list,
                 (
                     (src, dst)
-                    for src in range(len(self.wcet_list))
+                    for src in range(len(self.wcet))
                     for dst in succ_idx[succ_ptr[src] : succ_ptr[src + 1]]
                 ),
             )
@@ -326,7 +339,8 @@ def compile_graph(graph: DirectedAcyclicGraph) -> CompiledTask:
     """Compile ``graph`` into a :class:`CompiledTask`, cached per generation.
 
     The structure is the graph's shared dense kernel; only the WCET vector
-    is new.
+    is new, read in one pass from the weight map, which lists the nodes in
+    the structure's order (see ``_Structure`` in :mod:`repro.core.graph`).
 
     Raises
     ------
@@ -336,11 +350,7 @@ def compile_graph(graph: DirectedAcyclicGraph) -> CompiledTask:
 
     def build() -> CompiledTask:
         structure = graph._kernel()
-        wcet = np.fromiter(
-            map(graph._wcet.__getitem__, structure.nodes),
-            dtype=np.float64,
-            count=len(structure.nodes),
-        )
+        wcet = np.fromiter(graph._wcet.values(), np.float64, count=len(structure.nodes))
         return CompiledTask(structure, wcet, graph.cache_generation)
 
     return graph._weighted("compiled_task", build)

@@ -186,6 +186,18 @@ class _DenseKernel:
             self._anc_masks = masks
         return self._anc_masks
 
+    def reach_masks(self, i: int) -> tuple[int, int]:
+        """Bitmasks of the (strict) ancestors and descendants of node ``i``.
+
+        One walk from ``i`` in each direction, for a caller that needs one
+        node's entries of :meth:`ancestor_masks` and :meth:`descendant_masks`
+        without the tables of every node.
+        """
+        return (
+            _walk(i, self.pred_ptr, self.pred_idx),
+            _walk(i, self.succ_ptr, self.succ_idx),
+        )
+
     @staticmethod
     def bits(mask: int) -> Iterator[int]:
         """Indices of the set bits of ``mask``, ascending."""
@@ -195,13 +207,29 @@ class _DenseKernel:
             mask ^= low
 
 
+def _walk(start: int, ptr: list[int], idx: list[int]) -> int:
+    """Bitmask of the nodes reachable from ``start`` (excluded) over the CSR
+    lists ``ptr``/``idx``."""
+    mask = 0
+    stack = [start]
+    while stack:
+        i = stack.pop()
+        for j in idx[ptr[i] : ptr[i + 1]]:
+            if not mask >> j & 1:
+                mask |= 1 << j
+                stack.append(j)
+    return mask
+
+
 class _Structure:
     """Node order and adjacency of a graph, with the caches derived from them.
 
     The adjacency has two forms, and a structure holds one or both: the
     dense ``kernel`` and the ``succ``/``pred`` maps of node sets.  Both list
     the nodes in insertion order, the order of the WCET map of every graph
-    that holds the structure.  A graph built from index rows is born as its
+    that holds the structure: :meth:`DirectedAcyclicGraph._sharing` requires
+    it, and :func:`repro.core.compiled.compile_graph` reads the WCET vector
+    off the map in that order.  A graph built from index rows is born as its
     kernel and builds the maps on first access; a graph built node by node
     holds the maps and builds the kernel on first use.  Graphs share one
     structure copy-on-write: it is mutated only through a graph that holds it
@@ -497,10 +525,25 @@ class DirectedAcyclicGraph:
             rows[src].append(dst)
         for row in rows:
             row.sort()
+        return cls._from_rows(nodes, wcets, rows)
+
+    @classmethod
+    def _from_rows(
+        cls, nodes: list[NodeId], wcets: list[float], rows: list[list[int]]
+    ) -> "DirectedAcyclicGraph":
+        """The graph whose node ``i`` is ``nodes[i]`` with WCET ``wcets[i]``
+        and the successors ``rows[i]``, trusted as given: valid WCETs and
+        ascending rows without self loops or duplicates.
+
+        :meth:`_from_indices` ends here after its checks; callers whose rows
+        come from an already validated kernel (Algorithm 1's ``G'``,
+        :meth:`_induced`) start here.  The graph is born as its dense
+        kernel; a graph with a cycle is kept as adjacency sets without one.
+        """
         kernel = _DenseKernel(nodes, rows)
         graph = cls.__new__(cls)
         graph._wcet = dict(zip(nodes, wcets))
-        if len(kernel.topo) == count:
+        if len(kernel.topo) == len(nodes):
             graph._structure = _Structure(kernel=kernel)
         else:
             graph._structure = _Structure(*kernel.adjacency())
@@ -518,15 +561,11 @@ class DirectedAcyclicGraph:
         position = [-1] * len(nodes)
         for new, old in enumerate(keep):
             position[old] = new
-        return DirectedAcyclicGraph._from_indices(
+        # Positions ascend with the old indices, so every row stays sorted.
+        return DirectedAcyclicGraph._from_rows(
             [nodes[i] for i in keep],
             [wcets[i] for i in keep],
-            (
-                (new, position[s])
-                for new, old in enumerate(keep)
-                for s in rows[old]
-                if position[s] >= 0
-            ),
+            [[position[s] for s in rows[old] if position[s] >= 0] for old in keep],
         )
 
     def _sharing(self, wcet: dict[NodeId, float]) -> "DirectedAcyclicGraph":

@@ -23,10 +23,10 @@ the parallel sub-DAG ``G_par`` and all intermediate sets, so that analyses,
 tests and experiments can introspect every aspect of the transformation.
 
 The algorithm runs in the index space of the task's dense kernel: ``Pred``
-and ``Succ`` are the kernel's cached ancestor and descendant bitmasks, lines
+and ``Succ`` are two bitmasks from one walk each way from ``v_off``, lines
 3-13 edit successor index rows, and ``tau'``'s graph and ``G_par`` (a node
-mask over the original rows) are born as their kernels through the graph's
-one builder from index rows, without per-node adjacency sets.  Transitive
+mask over the original rows) are born as their kernels from those trusted
+rows, without per-node adjacency sets or a second validation.  Transitive
 edges of ``G'`` are found from its descendant bitmasks.  ``G_par`` is built
 only when a caller reads it: Figure 6 simulates ``tau'`` alone.
 """
@@ -302,8 +302,7 @@ def _algorithm1(
         return sorted(indices, key=lambda i: repr(nodes[i]))
 
     # Line 1: compute Pred(v_off) and Succ(v_off).
-    predecessors = kernel.ancestor_masks()[off]
-    successors = kernel.descendant_masks()[off]
+    predecessors, successors = kernel.reach_masks(off)
 
     # Line 2: V' = V u {v_sync}; E' = E; directPred = empty set.  Row i of
     # E' lists node i's successors.
@@ -337,10 +336,10 @@ def _algorithm1(
         rows[i] = [j for j in rows[i] if predecessors >> j & 1]
     rows.append(sorted(sync_row))
 
-    transformed = DirectedAcyclicGraph._from_indices(
-        [*nodes, sync_node],
-        [*graph._wcet.values(), 0],
-        ((i, j) for i, row in enumerate(rows) for j in row),
+    # The rows come from a validated kernel and stay ascending (v_sync has
+    # the largest index), so G' skips the builder's edge checks.
+    transformed = DirectedAcyclicGraph._from_rows(
+        [*nodes, sync_node], [*graph._wcet.values(), 0], rows
     )
     if reduce_transitive:
         transformed = transformed.transitive_reduction()

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..core.task import DagTask
-from ..parallel import spawn_seeds
+from ..parallel import check_chunk_size, spawn_seeds
 from .config import GeneratorConfig, OffloadConfig
 from .offload import pin_offloaded_fraction, select_offloaded_node
 from .random_dag import DagStructureGenerator
@@ -165,8 +165,7 @@ def chunked_offload_fraction_sweep(
     :func:`offload_fraction_sweep`: the same structures and ``v_off``
     selections are reused for every fraction with only ``C_off`` re-pinned.
     """
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    chunk_size = check_chunk_size(chunk_size)
     fraction_list = [float(value) for value in fractions]
     chunk_counts = [
         min(chunk_size, dags_per_point - start)

@@ -45,7 +45,7 @@ import numpy as np
 
 from ..core.compiled import compile_task
 from ..core.task import DagTask
-from ..parallel import spawn_seeds
+from ..parallel import check_chunk_size, spawn_seeds
 from .engine import _as_platform
 from .platform import Platform
 from .schedulers import (
@@ -128,8 +128,7 @@ def simulate_many(
         len(policies))``, indexed ``[task, platform, policy]``.  A cell's
         schedule comes from :func:`~repro.simulation.engine.simulate`.
     """
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    chunk_size = check_chunk_size(chunk_size)
     engine = resolve_engine(engine)
     task_list = list(tasks)
     if isinstance(platforms, (Platform, int)):
@@ -145,12 +144,11 @@ def simulate_many(
     if not policy_list:
         raise ValueError("simulate_many needs at least one policy")
 
+    starts = range(0, len(task_list), chunk_size)
+    seeds = spawn_seeds(root_seed, len(starts) * len(policy_list))
     shape = (len(task_list), len(platform_list), len(policy_list))
     if not task_list:
         return np.empty(shape, dtype=np.float64)
-
-    starts = range(0, len(task_list), chunk_size)
-    seeds = spawn_seeds(root_seed, len(starts) * len(policy_list))
 
     # One compile per task; cached on the graph, shared across every cell.
     entries = [(task, compile_task(task)) for task in task_list]

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..core.exceptions import ValidationError, short_repr
 from ..core.graph import DirectedAcyclicGraph, NodeId
-from ..core.task import check_number
+from ..core.task import check_number, check_seed
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..core.compiled import CompiledTask
@@ -242,6 +242,11 @@ class RandomPolicy(SchedulingPolicy):
     name = "random"
 
     def __init__(self, rng: np.random.Generator | int | None = None) -> None:
+        """``rng`` is a :class:`numpy.random.Generator`, ``None`` (fresh OS
+        entropy) or a seed, an integer >= 0 that is not a boolean
+        (:func:`~repro.core.task.check_seed`)."""
+        if rng is not None and not isinstance(rng, np.random.Generator):
+            rng = check_seed("rng", rng)
         self._rng = np.random.default_rng(rng)
 
     def spawned(self, seed: int) -> "RandomPolicy":

@@ -93,7 +93,7 @@ class _TaskLanes:
     compiled: CompiledTask
     kind: str
     platforms: Sequence[Platform]
-    assigned: np.ndarray  # (n,) device per node, -1 = host
+    assigned: np.ndarray  # (n,) device per node, -1 = host; shared, read only
     static_keys: Optional[np.ndarray] = None  # static kind
     draws: Optional[list[np.ndarray]] = None  # random kind, one per platform
 
@@ -111,6 +111,14 @@ def _vector_kind(policy: Optional[SchedulingPolicy]) -> str:
     return kind
 
 
+def _assigned_array(compiled: CompiledTask, assignment: Mapping[NodeId, int]) -> np.ndarray:
+    """The device of every dense index of ``compiled`` (-1 = host)."""
+    assigned = np.full(len(compiled.nodes), -1, dtype=np.int64)
+    for node, device in assignment.items():
+        assigned[compiled.index[node]] = device
+    return assigned
+
+
 def _task_lanes(
     task: DagTask,
     compiled: Optional[CompiledTask],
@@ -126,6 +134,9 @@ def _task_lanes(
     built once and shared by every lane; a random policy draws each lane's
     pool in turn, one draw per non-instant node (each is enqueued exactly
     once), which preserves the stream semantics of the scalar engines.
+    Without an explicit ``device_assignment`` the array depends on the
+    structure and the offloaded node only, so it is memoised on the
+    structure and every copy of a shape shares it.
     """
     if compiled is None:
         compiled = compile_task(task)
@@ -141,9 +152,13 @@ def _task_lanes(
         task, platforms[0], offload_enabled, device_assignment
     )
     max_device = max(assignment.values(), default=-1)
-    assigned = np.full(len(compiled.nodes), -1, dtype=np.int64)
-    for node, device in assignment.items():
-        assigned[compiled.index[node]] = device
+    if device_assignment is None:
+        assigned = task.graph._structural(
+            ("assigned", task.offloaded_node if offload_enabled else None),
+            lambda: _assigned_array(compiled, assignment),
+        )
+    else:
+        assigned = _assigned_array(compiled, assignment)
     for platform in platforms:
         if max_device >= platform.accelerators:
             _device_assignment(task, platform, offload_enabled, device_assignment)

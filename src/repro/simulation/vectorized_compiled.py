@@ -6,12 +6,13 @@ engine otherwise.  :func:`run_lanes_compiled` is the bridge between the
 lane groups of :mod:`repro.simulation.vectorized` (one ``_TaskLanes`` per
 task: compiled view, priority family, platforms, device-assignment array,
 optional static keys / pre-consumed draws) and the C step loop in
-:mod:`repro.simulation._kernels`.  It stores each distinct object once --
-structures and WCET vectors through
+:mod:`repro.simulation._kernels`.  Its packing half, :func:`pack_lanes`,
+stores each distinct object once -- structures and WCET vectors through
 :func:`repro.core.compiled.stack_compiled`, each group's assignment and
-static keys, each lane's draws -- writes one record of offsets, resources
-and family code per lane, and runs every lane in **one** native call
-(mixed families are fine; the kernel switches per lane).
+static keys, each lane's draws -- and builds the table of one record of
+offsets, resources and family code per lane with numpy (a group's shared
+offsets repeated over its platforms); every lane then runs in **one**
+native call (mixed families are fine; the kernel switches per lane).
 
 It deliberately imports nothing from ``vectorized`` so the dependency chain
 stays a straight line (``vectorized`` -> here -> ``_kernels``); groups are
@@ -27,7 +28,13 @@ import numpy as np
 from ..core.compiled import concat_distinct, stack_compiled
 from . import _kernels
 
-__all__ = ["ENGINES", "resolve_backend", "resolve_engine", "run_lanes_compiled"]
+__all__ = [
+    "ENGINES",
+    "pack_lanes",
+    "resolve_backend",
+    "resolve_engine",
+    "run_lanes_compiled",
+]
 
 #: Engine names :func:`repro.simulation.batch.simulate_many` accepts.
 ENGINES = ("auto", "dense", "compiled")
@@ -69,6 +76,15 @@ def run_lanes_compiled(groups: Sequence) -> np.ndarray:
     """
     if not groups:
         return np.empty(0, dtype=np.float64)
+    return _kernels.run_lanes(*pack_lanes(groups))
+
+
+def pack_lanes(groups: Sequence) -> tuple[np.ndarray, ...]:
+    """The arguments of :func:`repro.simulation._kernels.run_lanes` for the
+    lanes of ``groups`` (at least one): the shared tables, each distinct
+    object once, then the lane records, group by group, each group's lanes
+    in platform order.
+    """
     stack = stack_compiled([group.compiled for group in groups])
     assigned, assigned_off = concat_distinct(
         [group.assigned for group in groups], np.int64
@@ -84,21 +100,23 @@ def run_lanes_compiled(groups: Sequence) -> np.ndarray:
         ],
         np.float64,
     )
-    draw_offsets = iter(draw_off)
-    records: list[int] = []  # LANE_FIELDS per lane, in that order
-    for group, shared in zip(
-        groups, zip(stack.structure, stack.wcet_off, assigned_off, key_off)
-    ):
-        kind = _kernels.KIND_CODES[group.kind]
-        for platform in group.platforms:
-            records += (
-                *shared,
-                next(draw_offsets),
-                platform.host_cores,
-                platform.accelerators,
-                kind,
-            )
-    return _kernels.run_lanes(
+    # One record of LANE_FIELDS per lane: a group's four offsets (struct,
+    # wcet, assigned, key) and its family code (kind) repeated over its
+    # platforms, then each lane's draw offset, cores and accelerators.
+    kinds = [_kernels.KIND_CODES[group.kind] for group in groups]
+    shared = np.array(
+        [stack.structure, stack.wcet_off, assigned_off, key_off, kinds], dtype=np.int64
+    )
+    lanes = [len(group.platforms) for group in groups]
+    records = np.empty((sum(lanes), len(_kernels.LANE_FIELDS)), dtype=np.int64)
+    records[:, [0, 1, 2, 3, 7]] = np.repeat(shared.T, lanes, axis=0)
+    records[:, 4] = draw_off
+    records[:, 5:7] = [
+        (platform.host_cores, platform.accelerators)
+        for group in groups
+        for platform in group.platforms
+    ]
+    return (
         stack.node_off,
         stack.succ_ptr,
         stack.succ_idx,
@@ -107,5 +125,5 @@ def run_lanes_compiled(groups: Sequence) -> np.ndarray:
         assigned,
         keys,
         draws,
-        np.array(records, dtype=np.int64),
+        records,
     )

@@ -4,7 +4,8 @@
 sweep driver; these tests pin their behaviour on the degenerate inputs a
 driver can produce -- empty ensembles, chunk sizes larger than the
 ensemble, single-policy batches, zero-node graphs -- so refactors of the
-batching layers cannot silently change them.
+batching layers cannot silently change them.  The last class pins the one
+domain check of seeds and chunk sizes at the batch boundary.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.exceptions import ValidationError
 from repro.core.graph import DirectedAcyclicGraph
 from repro.core.task import DagTask
 from repro.generator.config import OffloadConfig
@@ -125,3 +127,69 @@ class TestChunkedSweepEdgeCases:
     def test_invalid_chunk_size(self):
         with pytest.raises(ValueError):
             self._sweep(chunk_size=0)
+
+
+#: Values that are not seeds: numpy's SeedSequence took ``True`` as 1 and
+#: refused the others with its own text.
+_NOT_SEEDS = {"True": True, "-1": -1, "2.5": 2.5, "str": "3"}
+#: Values that are not chunk sizes: ``True`` ran as 1, 2.5 reached range().
+_NOT_CHUNK_SIZES = {"True": True, "2.5": 2.5, "0": 0}
+
+
+def _simulate_many(**kwargs):
+    task = make_random_heterogeneous_task(1, 0.2, n_max=10)
+    return simulate_many([task], [2], **kwargs)
+
+
+def _sweep(**kwargs):
+    return chunked_offload_fraction_sweep(
+        fractions=[0.1], dags_per_point=2, generator_config=SMALL_TASKS, **kwargs
+    )
+
+
+class TestSeedAndChunkSizeDomain:
+    """One check each, raising :class:`ValidationError` (a ``ValueError``)
+    that names the argument, whatever the entry point."""
+
+    @pytest.mark.parametrize("value", _NOT_SEEDS.values(), ids=_NOT_SEEDS.keys())
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda seed: _simulate_many(root_seed=seed),
+            lambda seed: simulate_many([], [2], root_seed=seed),
+            lambda seed: _sweep(root_seed=seed),
+            lambda seed: spawn_seeds(seed, 1),
+        ],
+        ids=["simulate_many", "simulate_many-empty", "sweep", "spawn_seeds"],
+    )
+    def test_root_seed_is_checked(self, call, value):
+        with pytest.raises(ValidationError, match=r"^root_seed must be an integer >= 0, got "):
+            call(value)
+
+    @pytest.mark.parametrize("value", _NOT_SEEDS.values(), ids=_NOT_SEEDS.keys())
+    def test_random_policy_seed_is_checked(self, value):
+        with pytest.raises(ValidationError, match=r"^rng must be an integer >= 0, got "):
+            RandomPolicy(value)
+
+    @pytest.mark.parametrize("value", _NOT_CHUNK_SIZES.values(), ids=_NOT_CHUNK_SIZES.keys())
+    @pytest.mark.parametrize(
+        "call",
+        [lambda size: _simulate_many(chunk_size=size), lambda size: _sweep(chunk_size=size)],
+        ids=["simulate_many", "sweep"],
+    )
+    def test_chunk_size_is_checked(self, call, value):
+        with pytest.raises(ValidationError, match=r"^chunk_size must be an integer >= 1, got "):
+            call(value)
+
+    def test_valid_values_pass_unchanged(self):
+        generator = np.random.default_rng(5)
+        assert RandomPolicy(generator)._rng is generator
+        assert RandomPolicy(None).vector_draws(1).shape == (1,)
+        assert RandomPolicy(np.int64(7)).vector_draws(3).tolist() == (
+            RandomPolicy(7).vector_draws(3).tolist()
+        )
+        assert spawn_seeds(np.uint64(3), 2) == spawn_seeds(3, 2)
+        assert np.array_equal(
+            _simulate_many(root_seed=np.int64(4), chunk_size=np.int64(2)),
+            _simulate_many(root_seed=4, chunk_size=2),
+        )

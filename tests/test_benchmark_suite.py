@@ -52,6 +52,7 @@ CHECKS = {
         "makespans_identical",
         "threads_identical",
         "families_identical",
+        "views_identical",
     ),
     "service": ("payloads_identical", "document_hits_identical"),
     "faults": (

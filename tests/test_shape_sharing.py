@@ -1,0 +1,431 @@
+"""What a paired ``C_off`` sweep builds once per DAG shape, and what per copy.
+
+A Figure 6 pass re-weights a few shapes into many copies.  Per copy it
+builds one WCET vector, read in one pass off the weight map; per shape it
+builds the structure, Algorithm 1's result and the default device map of
+the kernel lanes.  These tests pin the invariants that sharing rests on
+and hold each shortcut to the longer way it replaced:
+
+* every graph's weight map lists its nodes in its structure's order,
+  whichever builder or mutation made it, so the one-pass vector is the
+  per-node lookup vector; ``wcet_list`` is built on first read and kept;
+* the copies of one shape share one device-assignment array, which equals
+  a fresh build, and every error is raised as before;
+* the lane table built with numpy equals one tuple per lane;
+* Algorithm 1's single-source ``Pred``/``Succ`` masks equal the all-node
+  tables' entries, and graphs built from trusted rows equal graphs built
+  through the checking builder.
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.compiled import compile_graph, concat_distinct, stack_compiled
+from repro.core.exceptions import SimulationError
+from repro.core.graph import DirectedAcyclicGraph
+from repro.core.task import DagTask
+from repro.core.transformation import transform
+from repro.generator.offload import pin_offloaded_fraction
+from repro.simulation import _kernels
+from repro.simulation.engine import _device_assignment
+from repro.simulation.platform import Platform
+from repro.simulation.schedulers import (
+    BreadthFirstPolicy,
+    CriticalPathFirstPolicy,
+    DepthFirstPolicy,
+    RandomPolicy,
+    ShortestFirstPolicy,
+    policy_vector_kind,
+)
+from repro.simulation.vectorized import _task_lanes
+from repro.simulation.vectorized_compiled import pack_lanes
+
+from strategies import make_random_heterogeneous_task
+
+
+# ----------------------------------------------------------------------
+# The weight map lists the nodes in the structure's order
+# ----------------------------------------------------------------------
+@st.composite
+def _shapes(draw, forward_only: bool = True) -> tuple[dict, list]:
+    """WCETs over mixed identifiers (insertion order is not sorted order)
+    and distinct edges; forward edges only, so a DAG, unless told so."""
+    count = draw(st.integers(min_value=1, max_value=8), label="nodes")
+    ids = [i if i % 3 == 1 else f"v{count - i}" for i in range(count)]
+    wcets = {node: draw(st.sampled_from([0, 1, 2.5, 7]), label="wcet") for node in ids}
+    pairs = [
+        (ids[i], ids[j])
+        for i in range(count)
+        for j in range(count)
+        if i < j or (i != j and not forward_only)
+    ]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
+    return wcets, edges
+
+
+def _edge_by_edge(wcets: dict, edges: list) -> DirectedAcyclicGraph:
+    graph = DirectedAcyclicGraph()
+    for node, wcet in wcets.items():
+        graph.add_node(node, wcet)
+    for src, dst in edges:
+        graph.add_edge(src, dst)
+    return graph
+
+
+def _index_pairs(wcets: dict, edges: list) -> tuple[list, list, list]:
+    nodes = list(wcets)
+    index = {node: i for i, node in enumerate(nodes)}
+    return nodes, list(wcets.values()), [(index[src], index[dst]) for src, dst in edges]
+
+
+def _rows(count: int, pairs: list) -> list[list[int]]:
+    rows: list[list[int]] = [[] for _ in range(count)]
+    for src, dst in pairs:
+        rows[src].append(dst)
+    return [sorted(row) for row in rows]
+
+
+def _removed_and_readded(wcets, edges, data):
+    graph = _edge_by_edge(wcets, edges)
+    node = data.draw(st.sampled_from(list(wcets)), label="removed")
+    incident = [(src, dst) for src, dst in edges if node in (src, dst)]
+    graph.remove_node(node)
+    graph.add_node(node, wcets[node])
+    for src, dst in incident:
+        graph.add_edge(src, dst)
+    return graph
+
+
+def _reweighted_copy(wcets, edges, data):
+    graph = DirectedAcyclicGraph.from_dict(wcets, edges)
+    graph.compiled()  # a cached view the copy must not reuse
+    clone = graph.copy()
+    clone.set_wcet(data.draw(st.sampled_from(list(wcets)), label="node"), 3.25)
+    return clone
+
+
+def _transformed(wcets, edges, data, gpar: bool = False):
+    graph = DirectedAcyclicGraph.from_dict(wcets, edges)
+    task = DagTask(graph=graph, offloaded_node=data.draw(st.sampled_from(list(wcets))))
+    result = transform(task)
+    return result.gpar if gpar else result.graph
+
+
+def _subgraph(wcets, edges, data):
+    graph = DirectedAcyclicGraph.from_dict(wcets, edges)
+    return graph.subgraph(data.draw(st.sets(st.sampled_from(list(wcets))), label="kept"))
+
+
+def _reduced(wcets, edges, data):
+    # Every implied edge added, then removed again by the reduction.
+    closure = DirectedAcyclicGraph.from_dict(wcets, edges).transitive_closure()
+    implied = [
+        (src, dst) for src, reach in closure.items() for dst in reach if (src, dst) not in edges
+    ]
+    return DirectedAcyclicGraph.from_dict(wcets, edges + implied).transitive_reduction()
+
+
+def _invalidated(wcets, edges, data):
+    graph = DirectedAcyclicGraph.from_dict(wcets, edges)
+    graph.compiled()
+    graph.invalidate_caches()
+    return graph
+
+
+#: Every way a graph comes about: its builders, mutations and round trips.
+_PATHS = {
+    "add_node-add_edge": lambda wcets, edges, data: _edge_by_edge(wcets, edges),
+    "remove_node-readd": _removed_and_readded,
+    "from_dict": lambda wcets, edges, data: DirectedAcyclicGraph.from_dict(wcets, edges),
+    "_from_indices": lambda wcets, edges, data: DirectedAcyclicGraph._from_indices(
+        *_index_pairs(wcets, edges)
+    ),
+    "_from_rows": lambda wcets, edges, data: DirectedAcyclicGraph._from_rows(
+        list(wcets), list(wcets.values()), _rows(len(wcets), _index_pairs(wcets, edges)[2])
+    ),
+    "copy-set_wcet": _reweighted_copy,
+    "transform": _transformed,
+    "transform-gpar": lambda wcets, edges, data: _transformed(wcets, edges, data, gpar=True),
+    "subgraph": _subgraph,
+    "transitive_reduction": _reduced,
+    "pickle": lambda wcets, edges, data: pickle.loads(
+        pickle.dumps(_edge_by_edge(wcets, edges))
+    ),
+    "pickle-kernel-born": lambda wcets, edges, data: pickle.loads(
+        pickle.dumps(DirectedAcyclicGraph.from_dict(wcets, edges))
+    ),
+    "invalidate_caches": _invalidated,
+}
+
+
+@pytest.mark.parametrize("path", _PATHS.values(), ids=_PATHS.keys())
+@settings(max_examples=60, deadline=None)
+@given(shape=_shapes(), data=st.data())
+def test_the_weight_map_lists_the_structure_order(path, shape, data):
+    graph = path(*shape, data)
+    kernel = graph._kernel()
+    assert list(graph._wcet) == kernel.nodes
+    view = compile_graph(graph)
+    lookup = np.array([graph.wcet(node) for node in kernel.nodes], dtype=np.float64)
+    assert view.wcet.dtype == np.float64
+    assert view.wcet.tolist() == lookup.tolist()
+    assert view.node_count == len(view) == len(kernel.nodes)
+    # The list is built on first read, equals the vector, and is kept.
+    assert view._wcet_list is None
+    first = view.wcet_list
+    assert first == view.wcet.tolist()
+    assert view.wcet_list is first
+
+
+def test_a_pickled_view_builds_its_list_on_first_read():
+    task = make_random_heterogeneous_task(3, 0.3, n_max=20)
+    view = task.graph.compiled()
+    read = view.wcet_list
+    clone = pickle.loads(pickle.dumps(view))
+    assert clone._wcet_list is None
+    assert clone.wcet_list == read
+    assert clone.fingerprint() == view.fingerprint()
+
+
+# ----------------------------------------------------------------------
+# One device map per shape
+# ----------------------------------------------------------------------
+def _reference_assigned(task, platform, offload_enabled=True, device_assignment=None):
+    """The device array built per call, as before it was memoised."""
+    compiled = compile_graph(task.graph)
+    assigned = np.full(len(compiled.nodes), -1, dtype=np.int64)
+    resolved = _device_assignment(task, platform, offload_enabled, device_assignment)
+    for node, device in resolved.items():
+        assigned[compiled.index[node]] = device
+    return assigned
+
+
+def _lanes(task, platforms, offload_enabled=True, device_assignment=None):
+    return _task_lanes(
+        task,
+        None,
+        platforms,
+        BreadthFirstPolicy(),
+        policy_vector_kind(BreadthFirstPolicy()),
+        offload_enabled,
+        device_assignment,
+    )
+
+
+@pytest.fixture
+def copies():
+    """A heterogeneous task and two re-weighted copies of its shape."""
+    task = make_random_heterogeneous_task(11, 0.2, n_max=30)
+    return [task] + [pin_offloaded_fraction(task, fraction) for fraction in (0.4, 0.6)]
+
+
+class TestDeviceMapPerShape:
+    PLATFORMS = [Platform(2, 1), Platform(4, 1), Platform(8, 2)]
+
+    def test_copies_of_one_shape_share_one_array(self, copies):
+        originals = [_lanes(task, self.PLATFORMS).assigned for task in copies]
+        transformed = [_lanes(transform(task).task, self.PLATFORMS).assigned for task in copies]
+        for arrays in (originals, transformed):
+            assert all(array is arrays[0] for array in arrays)
+        assert originals[0] is not transformed[0]
+        table, offsets = concat_distinct(originals + transformed, np.int64)
+        assert len(table) == len(originals[0]) + len(transformed[0])
+        assert offsets == [0] * 3 + [len(originals[0])] * 3
+
+    @pytest.mark.parametrize(
+        "case",
+        ["default", "another-offloaded-node", "offload-disabled", "explicit", "no-offload"],
+    )
+    def test_arrays_match_a_fresh_build(self, copies, case):
+        task = copies[0]
+        offload_enabled, explicit = True, None
+        if case == "another-offloaded-node":
+            other = next(node for node in task.graph.nodes() if node != task.offloaded_node)
+            task = task.with_offloaded_node(other)
+        elif case == "offload-disabled":
+            offload_enabled = False
+        elif case == "explicit":
+            other = task.graph.nodes()[0]
+            explicit = {task.offloaded_node: 1, other: 0}
+        elif case == "no-offload":
+            task = task.as_homogeneous()
+        platforms = [Platform(2, 2), Platform(4, 2)]
+        for _ in range(2):  # cold, then from the memo
+            group = _lanes(task, platforms, offload_enabled, explicit)
+            for platform in platforms:
+                expected = _reference_assigned(task, platform, offload_enabled, explicit)
+                assert group.assigned.tolist() == expected.tolist()
+        if explicit is not None:
+            # Explicit assignments are built per call, never memoised.
+            assert group.assigned is not _lanes(task, platforms, True, explicit).assigned
+
+    def test_offload_and_plain_copies_do_not_share_a_key(self, copies):
+        task = copies[0]
+        offloaded = _lanes(task, self.PLATFORMS).assigned
+        disabled = _lanes(task, self.PLATFORMS, offload_enabled=False).assigned
+        other = next(node for node in task.graph.nodes() if node != task.offloaded_node)
+        moved = _lanes(task.with_offloaded_node(other), self.PLATFORMS).assigned
+        assert disabled.tolist() == [-1] * len(offloaded)
+        assert sorted(offloaded.tolist()) == sorted(moved.tolist())
+        assert offloaded.tolist() != moved.tolist()
+        assert _lanes(task.as_homogeneous(), self.PLATFORMS).assigned is disabled
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["default", "explicit"])
+    def test_every_platform_is_validated_per_call(self, copies, explicit):
+        task = copies[0]
+        assignment = {task.offloaded_node: 1} if explicit else None
+        valid = [Platform(2, 2)]
+        _lanes(task, valid, device_assignment=assignment)  # warms any memo
+        for invalid in (Platform(4, 0), Platform(4, 1)) if explicit else (Platform(4, 0),):
+            with pytest.raises(SimulationError) as raised:
+                _lanes(task, valid + [invalid], device_assignment=assignment)
+            with pytest.raises(SimulationError) as expected:
+                _device_assignment(task, invalid, True, assignment)
+            assert str(raised.value) == str(expected.value)
+        # A 0-accelerator platform is fine once offloading is off.
+        group = _lanes(task, [Platform(4, 0)], offload_enabled=False)
+        assert group.assigned.tolist() == [-1] * task.node_count
+
+    def test_a_structural_mutation_drops_the_memo(self, copies):
+        shared = _lanes(copies[0], self.PLATFORMS).assigned
+        # A copy that mutates takes a private structure; the others keep
+        # the memoised array.
+        mutated = copies[1]
+        sink = mutated.graph.sinks()[0]
+        mutated.graph.add_node("extra", 1.0)
+        mutated.graph.add_edge(sink, "extra")
+        rebuilt = _lanes(mutated, self.PLATFORMS).assigned
+        assert rebuilt is not shared
+        assert rebuilt.tolist() == _reference_assigned(mutated, self.PLATFORMS[0]).tolist()
+        assert _lanes(copies[2], self.PLATFORMS).assigned is shared
+        # A graph that holds its structure alone drops the memo in place.
+        memo = mutated.graph._structure.memo
+        assert ("assigned", mutated.offloaded_node) in memo
+        mutated.graph.remove_node("extra")
+        assert ("assigned", mutated.offloaded_node) not in memo
+        again = _lanes(mutated, self.PLATFORMS).assigned
+        assert again is not rebuilt and again.tolist() == shared.tolist()
+
+
+# ----------------------------------------------------------------------
+# Lane records as one array
+# ----------------------------------------------------------------------
+def _tuple_records(groups) -> np.ndarray:
+    """The lane table as one tuple per lane, the layout it replaced."""
+    stack = stack_compiled([group.compiled for group in groups])
+    _, assigned_off = concat_distinct([group.assigned for group in groups], np.int64)
+    _, key_off = concat_distinct([group.static_keys for group in groups], np.float64)
+    _, draw_off = concat_distinct(
+        [pool for group in groups for pool in (group.draws or [None] * len(group.platforms))],
+        np.float64,
+    )
+    draw_offsets = iter(draw_off)
+    records: list[int] = []
+    for group, shared in zip(groups, zip(stack.structure, stack.wcet_off, assigned_off, key_off)):
+        kind = _kernels.KIND_CODES[group.kind]
+        for platform in group.platforms:
+            records += (
+                *shared,
+                next(draw_offsets),
+                platform.host_cores,
+                platform.accelerators,
+                kind,
+            )
+    return np.array(records, dtype=np.int64).reshape(-1, len(_kernels.LANE_FIELDS))
+
+
+def test_the_array_lane_table_equals_one_tuple_per_lane(copies):
+    tasks = copies + [transform(task).task for task in copies]
+    policies = [
+        BreadthFirstPolicy(),
+        DepthFirstPolicy(),
+        CriticalPathFirstPolicy(),
+        ShortestFirstPolicy(),
+        RandomPolicy(5),
+    ]
+    wide = [Platform(2, 1), Platform(4, 1), Platform(8, 2)]
+    groups = []
+    for t, task in enumerate(tasks):
+        for q, policy in enumerate(policies):
+            platforms = wide if (t + q) % 2 else [Platform(1 + t, 1)]
+            groups.append(
+                _task_lanes(task, None, platforms, policy, policy_vector_kind(policy), True)
+            )
+    groups.append(groups[0])  # a repeated group shares every offset
+    records = pack_lanes(groups)[-1]
+    assert records.dtype == np.int64 and records.flags.c_contiguous
+    assert records.tolist() == _tuple_records(groups).tolist()
+    assert len(records) == sum(len(group.platforms) for group in groups)
+    assert records[-1].tolist() == records[0].tolist()
+
+
+# ----------------------------------------------------------------------
+# Algorithm 1 from one source; graphs from trusted rows
+# ----------------------------------------------------------------------
+@settings(max_examples=200, deadline=None)
+@given(shape=_shapes())
+def test_single_source_masks_equal_the_all_node_tables(shape):
+    kernel = DirectedAcyclicGraph.from_dict(*shape)._kernel()
+    walked = [kernel.reach_masks(i) for i in range(len(kernel.nodes))]
+    assert kernel._anc_masks is None and kernel._desc_masks is None
+    assert walked == list(zip(kernel.ancestor_masks(), kernel.descendant_masks()))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_algorithm1_builds_no_all_node_tables(seed):
+    task = make_random_heterogeneous_task(seed, 0.3)
+    kernel = task.graph._kernel()
+    result = transform(task)
+    assert kernel._anc_masks is None and kernel._desc_masks is None
+    # The tables stay available to the other readers, and agree.
+    assert result.predecessors == task.graph.ancestors(task.offloaded_node)
+    assert result.successors == task.graph.descendants(task.offloaded_node)
+
+
+def _kernel_lists(graph: DirectedAcyclicGraph):
+    kernel = graph._structure.kernel
+    if kernel is None:
+        return None, graph._structure.succ
+    return (
+        kernel.nodes,
+        kernel.index,
+        kernel.succ_ptr,
+        kernel.succ_idx,
+        kernel.pred_ptr,
+        kernel.pred_idx,
+        kernel.in_degree,
+        kernel.topo,
+    ), None
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=_shapes(forward_only=False))
+def test_trusted_rows_build_the_checked_builders_graph(shape):
+    nodes, wcets, pairs = _index_pairs(*shape)
+    checked = DirectedAcyclicGraph._from_indices(nodes, wcets, pairs)
+    trusted = DirectedAcyclicGraph._from_rows(nodes, wcets, _rows(len(nodes), pairs))
+    # List for list, topological order included; a cycle falls back to sets.
+    assert _kernel_lists(trusted) == _kernel_lists(checked)
+    assert list(trusted._wcet.items()) == list(checked._wcet.items())
+    acyclic = _edge_by_edge(*shape).is_acyclic()
+    assert (trusted._structure.kernel is not None) == acyclic == trusted.is_acyclic()
+    assert trusted == checked
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_transform_and_subgraph_match_the_checked_builder(seed):
+    task = make_random_heterogeneous_task(seed, 0.3)
+
+    def rebuilt(graph: DirectedAcyclicGraph) -> DirectedAcyclicGraph:
+        return DirectedAcyclicGraph.from_dict(graph.wcets(), graph.edges())
+
+    result = transform(task, reduce_transitive=False)
+    kept = task.graph.nodes()[::2]
+    for graph in (result.graph, result.gpar, task.graph.subgraph(kept)):
+        assert _kernel_lists(graph) == _kernel_lists(rebuilt(graph))
