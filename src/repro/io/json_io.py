@@ -137,6 +137,8 @@ class TaskDocument:
 
 #: The types :func:`json.loads` gives a JSON number.
 _NUMBER_TYPES = frozenset((int, float))
+#: The types an edge entry may have (:func:`json.loads` gives lists).
+_PAIR_TYPES = frozenset((list, tuple))
 _FLOAT_MAX = sys.float_info.max
 
 #: JSON names of the types :func:`json.loads` gives that are not numbers.
@@ -146,6 +148,17 @@ _JSON_TYPES = {bool: "boolean", str: "string", list: "array", dict: "object", ty
 def _json_type(value: object) -> str:
     """The JSON name of ``value``'s type (the Python name for other values)."""
     return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def _refuse_edges(raw_edges: Union[list, tuple], index: Mapping[str, int]) -> None:
+    """Raise for the first entry of ``raw_edges`` that is not a ``[src, dst]``
+    pair of known node names."""
+    for edge in raw_edges:
+        if type(edge) not in _PAIR_TYPES or len(edge) != 2:
+            raise SerializationError(f"invalid edge entry {short_repr(edge)}")
+        src, dst = edge
+        if str(src) not in index or str(dst) not in index:
+            raise SerializationError(f"edge {short_repr(edge)} references an unknown node")
 
 
 def decode_task(data: Mapping) -> TaskDocument:
@@ -192,17 +205,14 @@ def decode_task(data: Mapping) -> TaskDocument:
     raw_edges = data.get("edges", [])
     if not isinstance(raw_edges, (list, tuple)):
         raise SerializationError("task document 'edges' must be a list of pairs")
-    edges = []
-    for edge in raw_edges:
-        if type(edge) not in (list, tuple) or len(edge) != 2:
-            raise SerializationError(f"invalid edge entry {short_repr(edge)}")
-        src, dst = edge
-        try:
-            edges.append((index[str(src)], index[str(dst)]))
-        except KeyError:
-            raise SerializationError(
-                f"edge {short_repr(edge)} references an unknown node"
-            ) from None
+    # Every entry a list or tuple, then one pass; a pass that fails takes
+    # the per-edge check, which names the first bad entry.
+    try:
+        if not _PAIR_TYPES.issuperset(map(type, raw_edges)):
+            raise TypeError
+        edges = [(index[str(src)], index[str(dst)]) for src, dst in raw_edges]
+    except (TypeError, ValueError, KeyError):
+        _refuse_edges(raw_edges, index)
     offloaded = data.get("offloaded_node")
     if offloaded is not None:
         offloaded = str(offloaded)

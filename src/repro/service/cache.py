@@ -16,6 +16,14 @@ hands copies to its callers so external mutation cannot poison the store.
 
 Hit/miss/eviction counters are maintained for tests, the ``/stats``
 endpoint and capacity tuning (see ``docs/service.md``).
+
+The same LRU also holds *aliases*: the SHA-256 digest of an answered HTTP
+request (``bytes``) mapped to the fingerprint its payload is stored under,
+so a byte-identical repeat is answered without parsing its body.  Aliases
+share the byte cap and the recency order with the payloads, but they are
+not entries: ``entries``, ``len()``, iteration and the eviction count
+describe payloads only, and reading an alias counts neither a hit nor a
+miss.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from __future__ import annotations
 import sys
 import threading
 from collections import OrderedDict
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Union
 
 __all__ = ["estimate_size", "ResultCache"]
 
@@ -75,10 +83,13 @@ class ResultCache:
     max_bytes:
         Upper bound on the estimated bytes held (keys + values + per-entry
         overhead).  Inserting beyond the bound evicts least-recently-used
-        entries; a single entry larger than the whole cap is rejected
-        outright (counted in ``rejected``) rather than flushing the store.
+        entries and aliases; a single entry larger than the whole cap is
+        rejected outright (counted in ``rejected``) rather than flushing the
+        store.
 
-    All operations are thread-safe; reads refresh recency.
+    A key is a fingerprint (``str``) or a body digest (``bytes``, see
+    :meth:`put_alias`).  All operations are thread-safe; reads refresh
+    recency.
     """
 
     def __init__(self, max_bytes: int = 64 * 1024 * 1024) -> None:
@@ -86,7 +97,8 @@ class ResultCache:
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
         self.max_bytes = max_bytes
         self._lock = threading.Lock()
-        self._entries: OrderedDict[str, tuple[object, int]] = OrderedDict()
+        self._entries: OrderedDict[Union[str, bytes], tuple[object, int]] = OrderedDict()
+        self._aliases = 0
         self._bytes = 0
         self._hits = 0
         self._misses = 0
@@ -96,9 +108,22 @@ class ResultCache:
     # ------------------------------------------------------------------
     # Lookup / insertion
     # ------------------------------------------------------------------
-    def get(self, key: str, default: Optional[object] = None) -> Optional[object]:
-        """Return the payload stored under ``key`` (refreshing recency)."""
+    def get(
+        self, key: Union[str, bytes], default: Optional[object] = None
+    ) -> Optional[object]:
+        """Return the payload stored under ``key`` (refreshing recency).
+
+        A digest reads the payload of the fingerprint it aliases, refreshing
+        both; while the alias or that payload is missing it returns
+        ``default`` and counts nothing, not a miss.
+        """
         with self._lock:
+            if isinstance(key, bytes):
+                fingerprint = self._target(key)
+                if fingerprint is None:
+                    return default
+                self._entries.move_to_end(key)
+                key = fingerprint
             entry = self._entries.get(key)
             if entry is None:
                 self._misses += 1
@@ -130,33 +155,64 @@ class ResultCache:
             if size > self.max_bytes:
                 self._rejected += 1
                 return False
-            previous = self._entries.pop(key, None)
-            if previous is not None:
-                self._bytes -= previous[1]
-            while self._bytes + size > self.max_bytes and self._entries:
-                _, (_, evicted_size) = self._entries.popitem(last=False)
-                self._bytes -= evicted_size
-                self._evictions += 1
-            self._entries[key] = (value, size)
-            self._bytes += size
+            self._store(key, value, size)
             return True
 
-    def __contains__(self, key: str) -> bool:
+    def put_alias(self, digest: bytes, fingerprint: str) -> bool:
+        """Alias ``digest`` to ``fingerprint``, so :meth:`get` of the digest
+        reads that fingerprint's payload.  Refused (``False``) unless the
+        payload is held: an answer the store does not keep gets no alias."""
+        size = estimate_size(digest) + estimate_size(fingerprint) + _ENTRY_OVERHEAD
         with self._lock:
+            if fingerprint not in self._entries or size > self.max_bytes:
+                return False
+            self._store(digest, fingerprint, size)
+            return True
+
+    def _store(self, key: Union[str, bytes], value: object, size: int) -> None:
+        """Insert under the lock, evicting from the LRU end to make room."""
+        previous = self._entries.pop(key, None)
+        if previous is not None:
+            self._bytes -= previous[1]
+        elif isinstance(key, bytes):
+            self._aliases += 1
+        while self._bytes + size > self.max_bytes and self._entries:
+            evicted, (_, evicted_size) = self._entries.popitem(last=False)
+            self._bytes -= evicted_size
+            if isinstance(evicted, bytes):
+                self._aliases -= 1
+            else:
+                self._evictions += 1
+        self._entries[key] = (value, size)
+        self._bytes += size
+
+    def _target(self, digest: bytes) -> Optional[str]:
+        """The fingerprint ``digest`` aliases, while both are held (lock held)."""
+        entry = self._entries.get(digest)
+        if entry is None or entry[0] not in self._entries:
+            return None
+        return entry[0]
+
+    def __contains__(self, key: Union[str, bytes]) -> bool:
+        """Whether :meth:`get` would find a payload for ``key``."""
+        with self._lock:
+            if isinstance(key, bytes):
+                return self._target(key) is not None
             return key in self._entries
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return len(self._entries) - self._aliases
 
     def __iter__(self) -> Iterator[str]:
         with self._lock:
-            return iter(list(self._entries))
+            return iter([key for key in self._entries if not isinstance(key, bytes)])
 
     def clear(self) -> None:
-        """Drop every entry (counters are preserved)."""
+        """Drop every entry and alias (counters are preserved)."""
         with self._lock:
             self._entries.clear()
+            self._aliases = 0
             self._bytes = 0
 
     # ------------------------------------------------------------------
@@ -164,7 +220,7 @@ class ResultCache:
     # ------------------------------------------------------------------
     @property
     def bytes_used(self) -> int:
-        """Estimated bytes currently held."""
+        """Estimated bytes currently held, aliases included."""
         with self._lock:
             return self._bytes
 
@@ -172,7 +228,7 @@ class ResultCache:
         """Counters and occupancy for tests, metrics and ``/stats``."""
         with self._lock:
             return {
-                "entries": len(self._entries),
+                "entries": len(self._entries) - self._aliases,
                 "bytes": self._bytes,
                 "max_bytes": self.max_bytes,
                 "hits": self._hits,

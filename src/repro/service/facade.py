@@ -53,12 +53,20 @@ wire never builds one.  A document the full decode would reject is never
 answered from the cache: its fingerprint cannot equal that of a task the
 build accepted (see :func:`~repro.service.fingerprint.task_fingerprint`),
 so it misses, and the build on the miss rejects it.
+
+A request answered over HTTP also aliases the digest of its body to its
+fingerprint (:func:`body_digest`), and :meth:`EvaluationService.answer_repeat`
+answers a byte-identical repeat from that digest before the transport
+parses it: no JSON parse, no document decode, no fingerprint.  A refused
+request is never aliased, and neither is an answer the cache does not keep.
 """
 
 from __future__ import annotations
 
 import threading
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Optional, Union
 
 from ..analysis.batch import TaskAnalysis, analyse_many, normalise_cores
@@ -112,8 +120,17 @@ from .fingerprint import (
 #: refused before anything is unrolled.
 _MAX_WORKLOAD_NODES = 1 << 20
 
+#: The digest of the HTTP request body being answered in full, set by the
+#: transport (:func:`body_digest`): once ``_submit`` has the answer it
+#: aliases the digest to the request's fingerprint, so a byte-identical
+#: repeat is answered by :meth:`EvaluationService.answer_repeat`.
+_BODY_DIGEST: ContextVar[Optional[bytes]] = ContextVar(
+    "repro_body_digest", default=None
+)
+
 __all__ = [
     "EvaluationService",
+    "body_digest",
     "build_policy",
     "check_policy_spec",
     "simulation_payload",
@@ -206,6 +223,17 @@ def _build_task(document: TaskDocument) -> DagTask:
     from . import http  # imported here: http imports this module
 
     return http.task_from_dict(document)
+
+
+@contextmanager
+def body_digest(digest: bytes) -> Iterator[None]:
+    """Answer the requests submitted in this block as the HTTP body that
+    hashed to ``digest`` (see :meth:`EvaluationService.answer_repeat`)."""
+    token = _BODY_DIGEST.set(digest)
+    try:
+        yield
+    finally:
+        _BODY_DIGEST.reset(token)
 
 
 def _copy_payload(value):
@@ -412,6 +440,11 @@ class EvaluationService:
             "repro_service_requests_total",
             "Requests admitted past the closed check, by kind.",
             labels=("kind",),
+        )
+        self._repeats = self.metrics.counter(
+            "repro_service_cache_repeats_total",
+            "Requests answered from the digest of a byte-identical body "
+            "answered before, without parsing it (each also a cache hit).",
         )
         self._inflight_joins = self.metrics.counter(
             "repro_service_inflight_joins_total",
@@ -816,7 +849,7 @@ class EvaluationService:
         ``batching.batches`` vs ``requests.total`` is the coalescing proof
         the acceptance tests assert on (batches << requests under a burst);
         ``cache`` carries the hit/miss/eviction counters of the result
-        store.
+        store, and ``repeats``: the hits answered from a body digest.
         """
         requests = {
             kind: self._requests.value(kind=kind)
@@ -841,9 +874,11 @@ class EvaluationService:
         resilience["breaker"] = self._oracle_breaker.stats()
         resilience["worker_respawns"] = worker_respawn_count()
         resilience["faults"] = FAULTS.stats()
+        cache = self.cache.stats()
+        cache["repeats"] = self._repeats.value()
         return {
             "requests": requests,
-            "cache": self.cache.stats(),
+            "cache": cache,
             "batching": self._batcher.stats(),
             "engine": engine,
             "resilience": resilience,
@@ -856,6 +891,54 @@ class EvaluationService:
     # ------------------------------------------------------------------
     # Request plumbing
     # ------------------------------------------------------------------
+    def answer_repeat(self, kind: str, digest: bytes) -> Optional[dict]:
+        """The payload of a ``kind`` request whose HTTP body hashed to
+        ``digest``, when a byte-identical body was answered before and its
+        payload is still cached; ``None`` otherwise, and the caller serves
+        the request in full.
+
+        A digest is a pure function of the path and the body bytes, so the
+        payload is the one the full path would answer: every endpoint's
+        response is its request's payload.  Counts a hit and a repeat.
+        """
+        if digest not in self.cache:
+            return None
+        with self._lookup(kind, digest) as (_, payload):
+            if payload is not None:
+                self._repeats.inc()
+            return payload
+
+    @contextmanager
+    def _lookup(
+        self, kind: str, key: Union[str, bytes]
+    ) -> Iterator[tuple[object, Optional[dict]]]:
+        """The cache lookup of one request, by fingerprint or body digest.
+
+        Under a ``facade.submit`` span: the closed check, one counted cache
+        get in a ``cache.lookup`` span and the request count.  Yields the
+        submit span and a copy of the cached payload, ``None`` on a miss.
+        A digest whose payload was evicted since :meth:`answer_repeat`
+        checked it counts no request: the full path that follows does.
+        """
+        with self.tracer.span(
+            "facade.submit", attributes={"kind": kind}
+        ) as submit_span:
+            with self._lock:
+                if self._closed:
+                    raise ServiceClosedError(
+                        "evaluation service is closed; no further requests "
+                        "accepted"
+                    )
+            with self.tracer.span("cache.lookup") as cache_span:
+                cached = self.cache.get(key)
+                cache_span.set("hit", cached is not None)
+            if cached is not None:
+                submit_span.set("cache_hit", True)
+                cached = _copy_payload(cached)
+            if cached is not None or isinstance(key, str):
+                self._requests.inc(kind=kind)
+            yield submit_span, cached
+
     def _submit(
         self,
         kind: str,
@@ -871,82 +954,86 @@ class EvaluationService:
         A decoded document is built into its task only here, once the
         request turned out to be new: a cache hit and an in-flight join
         never build a graph.  A build failure fails the new request, so
-        duplicates that joined it meanwhile get the same error.
+        duplicates that joined it meanwhile get the same error.  Once
+        answered, a request sent over HTTP aliases its body digest to its
+        fingerprint (see :meth:`answer_repeat`).
         """
-        with self.tracer.span(
-            "facade.submit", attributes={"kind": kind}
-        ) as submit_span:
-            with self._lock:
-                if self._closed:
-                    raise ServiceClosedError(
-                        "evaluation service is closed; no further requests "
-                        "accepted"
-                    )
-            self._requests.inc(kind=kind)
-            deadline = Deadline.after(
-                self._default_timeout
-                if timeout is None
-                else _check_timeout(timeout)
-            )
-            with self.tracer.span("cache.lookup") as cache_span:
-                cached = self.cache.get(fingerprint)
-                cache_span.set("hit", cached is not None)
-            if cached is not None:
-                submit_span.set("cache_hit", True)
-                return _copy_payload(cached)
-            with self._lock:
-                leader = self._inflight.get(fingerprint)
-                if leader is None:
-                    request = BatchRequest(
-                        kind=kind,
-                        fingerprint=fingerprint,
-                        group_key=group_key,
-                        task=task,
-                        params=params,
-                        deadline=deadline,
-                        cost=max(1, task.node_count) if cost is None else cost,
-                    )
-                    self._inflight[fingerprint] = request
-                else:
-                    self._inflight_joins.inc()
-            if leader is not None:
-                # Dedupe join: this trace did no engine work of its own --
-                # it waited on the leader's, so link the leader's trace.
-                submit_span.set("inflight_join", True)
-                trace = current_trace()
-                leader_ctx = leader.trace
-                if trace is not None and isinstance(
-                    leader_ctx, RequestTraceContext
-                ):
-                    trace.link_trace(
-                        leader_ctx.trace.trace_id, kind="dedupe-leader"
-                    )
-                return _copy_payload(self._wait(leader, deadline))
-            if isinstance(task, TaskDocument):
-                try:
-                    request.task = _build_task(task)
-                except BaseException as error:
-                    self._abort(request, error)
-                    raise
-            queue_span = self.tracer.start_span("batcher.queue")
-            if queue_span:
-                request.trace = RequestTraceContext(current_trace(), queue_span)
+        deadline = Deadline.after(
+            self._default_timeout if timeout is None else _check_timeout(timeout)
+        )
+        with self._lookup(kind, fingerprint) as (submit_span, payload):
+            if payload is None:
+                payload = self._evaluate(
+                    kind, fingerprint, group_key, task, params, deadline, cost,
+                    submit_span,
+                )
+        digest = _BODY_DIGEST.get()
+        if digest is not None:
+            self.cache.put_alias(digest, fingerprint)
+        return payload
+
+    def _evaluate(
+        self,
+        kind: str,
+        fingerprint: str,
+        group_key: tuple,
+        task: Union[DagTask, TaskDocument],
+        params: dict,
+        deadline: Deadline,
+        cost: Optional[int],
+        submit_span,
+    ) -> dict:
+        """A missed request's payload: join its in-flight twin, or build its
+        task, park it in the batcher and wait for the flush."""
+        with self._lock:
+            leader = self._inflight.get(fingerprint)
+            if leader is None:
+                request = BatchRequest(
+                    kind=kind,
+                    fingerprint=fingerprint,
+                    group_key=group_key,
+                    task=task,
+                    params=params,
+                    deadline=deadline,
+                    cost=max(1, task.node_count) if cost is None else cost,
+                )
+                self._inflight[fingerprint] = request
+            else:
+                self._inflight_joins.inc()
+        if leader is not None:
+            # Dedupe join: this trace did no engine work of its own --
+            # it waited on the leader's, so link the leader's trace.
+            submit_span.set("inflight_join", True)
+            trace = current_trace()
+            leader_ctx = leader.trace
+            if trace is not None and isinstance(leader_ctx, RequestTraceContext):
+                trace.link_trace(leader_ctx.trace.trace_id, kind="dedupe-leader")
+            return _copy_payload(self._wait(leader, deadline))
+        if isinstance(task, TaskDocument):
             try:
-                self._batcher.submit(request)
+                request.task = _build_task(task)
             except BaseException as error:
-                if isinstance(error, ServiceOverloadedError):
-                    self._shed.inc()
-                    queue_span.set("shed", True)
-                queue_span.set_error()
-                queue_span.finish()
-                # Fail the request before retiring it: concurrent duplicates
-                # may already be parked on its event and would otherwise
-                # wait forever.
-                request.fail(error)
-                with self._lock:
-                    self._inflight.pop(fingerprint, None)
+                self._abort(request, error)
                 raise
-            return _copy_payload(self._wait(request, deadline))
+        queue_span = self.tracer.start_span("batcher.queue")
+        if queue_span:
+            request.trace = RequestTraceContext(current_trace(), queue_span)
+        try:
+            self._batcher.submit(request)
+        except BaseException as error:
+            if isinstance(error, ServiceOverloadedError):
+                self._shed.inc()
+                queue_span.set("shed", True)
+            queue_span.set_error()
+            queue_span.finish()
+            # Fail the request before retiring it: concurrent duplicates
+            # may already be parked on its event and would otherwise
+            # wait forever.
+            request.fail(error)
+            with self._lock:
+                self._inflight.pop(fingerprint, None)
+            raise
+        return _copy_payload(self._wait(request, deadline))
 
     def _wait(self, request: BatchRequest, deadline: Deadline) -> object:
         """Await ``request`` under the caller's deadline, counting timeouts.

@@ -8,7 +8,10 @@ the wire in the exact on-disk JSON form of :mod:`repro.io.json_io`
 file can talk to the service.  ``/simulate``, ``/analyse`` and ``/makespan``
 hand the facade the decoded document (``decode_task``), not a built task:
 the facade fingerprints it and builds the task, through this module's
-``task_from_dict``, only on a cache miss.
+``task_from_dict``, only on a cache miss.  Before any of that, a POST body
+is hashed with its path (SHA-256): a byte-identical repeat of a body
+answered before is answered from that digest
+(:meth:`~repro.service.facade.EvaluationService.answer_repeat`), unparsed.
 
 Endpoints
 ---------
@@ -57,6 +60,7 @@ routed through :func:`main`) run this transport as a long-lived process.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import logging
 import math
@@ -85,7 +89,7 @@ from ..io.json_io import REQUIRED, decode_task, read_fields, task_from_dict
 from ..resilience import FAULTS
 from ..simulation.platform import Platform, processor_count
 from ..simulation.workload import JobStream
-from .facade import EvaluationService
+from .facade import EvaluationService, body_digest, simulation_payload
 from .tracing import TRACE_HEADER, chrome_trace, configure_logging
 
 _LOG = logging.getLogger("repro.service.http")
@@ -483,7 +487,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
             )
         return self.rfile.read(length) if length else b""
 
-    def _read_document(self) -> object:
+    def _read_body(self) -> bytes:
+        """The request body: framed by ``Content-Length`` or chunked,
+        counted in the request bytes."""
         encoding = self.headers.get("Transfer-Encoding", "")
         codings = [
             token.strip().lower()
@@ -511,17 +517,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 close=True,
             ) from None
         self._request_bytes = len(body)
-        if not body:
-            raise ValueError(
-                "request body is empty; send a JSON document with a "
-                "Content-Length header or chunked transfer-encoding"
-            )
-        try:
-            return json.loads(body, parse_constant=_reject_constant)
-        except (json.JSONDecodeError, RecursionError) as error:
-            # A body nested past the interpreter's recursion limit is
-            # refused like any other JSON the server cannot read.
-            raise ValueError(f"invalid JSON body: {error}") from error
+        return body
 
     def _send_not_found(self) -> None:
         self._send_error(
@@ -652,12 +648,23 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     def _handle_post(self) -> None:
         try:
-            document = self._read_document()
-            if self.path not in REQUESTS:
+            body = self._read_body()
+            path = self.path
+            if path not in REQUESTS:
+                _parse_body(body)  # a body that is not JSON is a 400 first
                 self._send_not_found()
                 return
-            request = read_fields(REQUESTS[self.path], document, "the request document")
-            self._send_json(200, _submit(self.server.service, self.path, request))
+            # A body answered before is answered from its digest, unparsed.
+            digest = hashlib.sha256(path.encode() + b"\0" + body).digest()
+            service = self.server.service
+            payload = service.answer_repeat(path[1:], digest)
+            if payload is None:
+                request = read_fields(
+                    REQUESTS[path], _parse_body(body), "the request document"
+                )
+                with body_digest(digest):
+                    payload = _submit(service, path, request)
+            self._send_json(200, payload)
         except _HTTPRequestError as error:
             if error.close:
                 self.close_connection = True
@@ -706,9 +713,12 @@ class _RequestHandler(BaseHTTPRequestHandler):
 def _submit(service: EvaluationService, path: str, request: dict) -> dict:
     """Answer one walked request with its facade call.
 
-    A task document is decoded here but not built: the facade builds it
-    only on a cache miss.  Every task's size is checked before any task is
-    decoded.
+    The answer is the request's payload; ``/simulate`` answers
+    :func:`~repro.service.facade.simulation_payload` of its makespan, the
+    payload the result cache holds, so a repeat answered from the cache
+    gets the same document.  A task document is decoded here but not
+    built: the facade builds it only on a cache miss.  Every task's size is
+    checked before any task is decoded.
     """
     if "task" in request:
         _check_task_size(request["task"], "task")
@@ -722,7 +732,8 @@ def _submit(service: EvaluationService, path: str, request: dict) -> dict:
         processor_count("accelerators", request.pop("accelerators"), 0),
     )
     if path == "/simulate":
-        return {"makespan": service.submit_simulation(platform=platform, **request)}
+        makespan = service.submit_simulation(platform=platform, **request)
+        return simulation_payload(makespan)
     request["streams"] = _streams(request["streams"])
     return service.submit_workload(platform=platform, **request)
 
@@ -766,6 +777,21 @@ def _check_task_size(task: object, where: str) -> None:
                 f"{where} has {len(items)} {key}, over the cap of {cap} "
                 f"{key} per task document"
             )
+
+
+def _parse_body(body: bytes) -> object:
+    """The JSON document of a request body."""
+    if not body:
+        raise ValueError(
+            "request body is empty; send a JSON document with a "
+            "Content-Length header or chunked transfer-encoding"
+        )
+    try:
+        return json.loads(body, parse_constant=_reject_constant)
+    except (json.JSONDecodeError, RecursionError) as error:
+        # A body nested past the interpreter's recursion limit is
+        # refused like any other JSON the server cannot read.
+        raise ValueError(f"invalid JSON body: {error}") from error
 
 
 def _reject_constant(name: str) -> float:

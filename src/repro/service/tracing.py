@@ -487,6 +487,7 @@ class Tracer:
         self._by_id: Dict[str, Dict[str, Any]] = {}
         self._ring_total = 0
         self._durations: deque = deque(maxlen=512)
+        self._finished = 0
         self._slow_ms = float("inf")
         self.started = 0
         self.kept = 0
@@ -542,12 +543,11 @@ class Tracer:
         )
         with self._lock:
             self._durations.append(duration_ms)
-            if len(self._durations) >= 32 and (len(self._durations) % 16) == 0:
-                window = sorted(self._durations)
-                index = min(
-                    int(len(window) * self.slow_percentile), len(window) - 1
-                )
-                self._slow_ms = window[index]
+            self._finished += 1
+            # Counted in finished traces: the window's length stops at its
+            # maxlen.
+            if self._finished >= 32 and self._finished % 16 == 0:
+                self._update_slow_threshold()
             if not keep:
                 self.sampled_out += 1
                 return
@@ -567,6 +567,12 @@ class Tracer:
             self._by_id[trace.trace_id] = payload
             self._ring_total += nbytes
             self.kept += 1
+
+    def _update_slow_threshold(self) -> None:
+        """Set the slow threshold to the percentile of the recent window."""
+        window = sorted(self._durations)
+        index = min(int(len(window) * self.slow_percentile), len(window) - 1)
+        self._slow_ms = window[index]
 
     def _is_slow(self, duration_ms: float) -> bool:
         return duration_ms >= self._slow_ms

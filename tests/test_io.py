@@ -144,6 +144,40 @@ class TestJsonTasks:
         "deadline-past-period": {"nodes": {"a": 1}, "period": 5, "deadline": 9},
     }
 
+    # Edge lists the one-pass decode maps, or refuses naming the first bad
+    # entry in document order, with the per-edge loop's message.
+    EDGE_ENTRIES = {
+        "dict-with-two-keys": (
+            [["a", "b"], {"a": 1, "b": 2}],
+            "invalid edge entry {'a': 1, 'b': 2}",
+        ),
+        "two-character-string": ([["a", "b"], "ab"], "invalid edge entry 'ab'"),
+        "wrong-length": ([["a", "b", "a"]], "invalid edge entry ['a', 'b', 'a']"),
+        "integer-endpoints": ([[1, 2], [2, "1"]], [(0, 1), (1, 0)]),
+        "unknown-node": (
+            [["b", "a"], ["a", "c"]],
+            "edge ['a', 'c'] references an unknown node",
+        ),
+        "first-bad-entry-wins": (
+            [["a", "z"], "ab"],
+            "edge ['a', 'z'] references an unknown node",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EDGE_ENTRIES))
+    def test_edge_entries_decode_in_one_pass(self, name):
+        edges, outcome = self.EDGE_ENTRIES[name]
+        nodes = {"1": 2, "2": 3.5} if name == "integer-endpoints" else {"a": 1, "b": 2}
+        document = {"nodes": nodes, "edges": edges}
+        if isinstance(outcome, str):
+            with pytest.raises(SerializationError) as refused:
+                decode_task(document)
+            assert str(refused.value) == outcome
+        else:
+            assert decode_task(document) == TaskDocument(
+                names=list(nodes), wcets=[2.0, 3.5], edges=outcome
+            )
+
     @pytest.mark.parametrize("name", sorted(MALFORMED))
     def test_malformed_shape_rejected_by_the_decode(self, name):
         with pytest.raises(SerializationError):

@@ -197,6 +197,71 @@ class TestResultCache:
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
 
+    def test_alias_reads_its_payload_and_counts_as_no_lookup(self):
+        cache = ResultCache()
+        digest = b"\x01" * 32
+        assert not cache.put_alias(digest, "fp")  # no payload, no alias
+        assert cache.get(digest) is None and digest not in cache
+        cache.put("fp", {"makespan": 1.0})
+        assert cache.put_alias(digest, "fp")
+        assert digest in cache
+        assert cache.stats()["hits"] == 0 and cache.stats()["misses"] == 0
+        assert cache.get(digest) == {"makespan": 1.0}
+        stats = cache.stats()
+        # The alias is held in bytes but is not an entry: entries count answers.
+        assert (stats["hits"], stats["misses"], stats["entries"]) == (1, 0, 1)
+        assert len(cache) == 1 and list(cache) == ["fp"]
+        assert cache.bytes_used > estimate_size("fp") + estimate_size(
+            {"makespan": 1.0}
+        ) + 128
+
+    def test_alias_of_an_evicted_payload_counts_nothing(self):
+        payload = {"makespan": 1.0}
+        entry = estimate_size("k0") + estimate_size(payload) + 128
+        alias = estimate_size(b"\x00" * 32) + estimate_size("k0") + 128
+        cache = ResultCache(max_bytes=2 * entry + alias)
+        cache.put("k0", dict(payload))
+        cache.put_alias(b"\x00" * 32, "k0")
+        cache.put("k1", dict(payload))
+        cache.put("k2", dict(payload))  # evicts k0, the least recent
+        assert "k0" not in cache and "k1" in cache and "k2" in cache
+        before = cache.stats()
+        assert b"\x00" * 32 not in cache
+        assert cache.get(b"\x00" * 32) is None
+        after = cache.stats()
+        assert (after["hits"], after["misses"]) == (before["hits"], before["misses"])
+        assert after["evictions"] == 1 and after["entries"] == 2
+
+    def test_alias_bookkeeping_holds_under_threads(self):
+        # A cap of a few entries keeps every insertion evicting; the alias
+        # count must stay the number of aliases held, or len() drifts from
+        # the fingerprints iteration lists.
+        cache = ResultCache(max_bytes=4_000)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+
+            def worker(seed: int) -> None:
+                for step in range(3_000):
+                    key = f"k{(seed * 31 + step * 17) % 24}"
+                    action = (seed + step) % 3
+                    if action == 0:
+                        cache.put(key, {"makespan": float(step)})
+                    elif action == 1:
+                        cache.put_alias(key.encode().ljust(32, b"."), key)
+                    else:
+                        cache.get(key.encode().ljust(32, b"."))
+
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for future in [pool.submit(worker, seed) for seed in range(8)]:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        stats = cache.stats()
+        assert stats["evictions"] > 0
+        assert len(cache) == len(list(cache)) == stats["entries"]
+        assert 0 < cache.bytes_used <= cache.max_bytes
+
     def test_threaded_access_is_safe(self):
         cache = ResultCache(max_bytes=1 << 16)
 
@@ -1430,8 +1495,8 @@ def fresh_server():
     """Start servers over fresh services; all are stopped afterwards."""
     started = []
 
-    def start():
-        service = EvaluationService()
+    def start(**options):
+        service = EvaluationService(**options)
         server, thread = start_server(service, port=0)
         started.append((service, server, thread))
         return service, server.port
@@ -1842,12 +1907,12 @@ class TestMalformedRequests:
             cap = http_module._MAX_TASK_EDGES
             task = _two_layer_document(cap + 1)
         stream = {"task": task, "arrivals": {"kind": "trace", "times": [0.0]}}
-        for path, body in (
+        for seed, (path, body) in enumerate((
             ("/simulate", {"task": task, "cores": 2}),
             ("/analyse", {"task": task, "cores": 2}),
             ("/makespan", {"task": task, "cores": 2}),
             ("/workload", {"streams": [stream], "horizon": 10.0, "cores": 2}),
-        ):
+        ), start=60 if key == "nodes" else 64):
             text = json.dumps(body)
             decodes.clear()
             started = time.monotonic()
@@ -1859,7 +1924,10 @@ class TestMalformedRequests:
             assert document["error"]["retryable"] is False
             message = document["error"]["message"]
             assert f"{cap + 1} {key}" in message and f"cap of {cap}" in message
-            canary = make_random_heterogeneous_task(60, 0.2)
+            # A fresh canary each time (the server is shared by both keys):
+            # a byte-identical resend would be answered from its body
+            # digest, without a decode to count.
+            canary = make_random_heterogeneous_task(seed, 0.2)
             assert client.simulate(canary, cores=2, timeout=5) == simulate_makespan(
                 canary, Platform(2), policy_by_name("breadth-first")
             )
@@ -1930,3 +1998,216 @@ class TestMalformedRequests:
             service.submit_simulation(task, 2, timeout=threading.TIMEOUT_MAX)
             with pytest.raises(ValueError, match="timeout"):
                 service.submit_simulation(task, 2, timeout=timeout)
+
+
+# ----------------------------------------------------------------------
+# Repeats: a byte-identical body is answered from its digest, unparsed
+# ----------------------------------------------------------------------
+def _exchange(
+    port: int, path: str, body: bytes, *, chunked: bool = False, headers=None
+) -> tuple[int, bytes]:
+    """POST ``body`` as it is, sized or chunked; ``(status, response bytes)``."""
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    try:
+        if chunked:
+            half = len(body) // 2
+            connection.request(
+                "POST",
+                path,
+                iter([body[:half], body[half:]]),
+                {"Content-Type": "application/json", **(headers or {})},
+                encode_chunked=True,
+            )
+        else:
+            connection.request(
+                "POST",
+                path,
+                body,
+                {"Content-Type": "application/json", **(headers or {})},
+            )
+        response = connection.getresponse()
+        return response.status, response.read()
+    finally:
+        connection.close()
+
+
+def _small_task_body(path: str, seed: int = 3) -> bytes:
+    """A valid request body for ``path`` around one small random task
+    (integer WCETs, which the exact-makespan oracle needs)."""
+    task = task_to_dict(make_random_heterogeneous_task(seed, 0.2, n_max=12))
+    task["nodes"] = {node: math.ceil(wcet) for node, wcet in task["nodes"].items()}
+    if path == "/workload":
+        stream = {"task": task, "arrivals": {"kind": "trace", "times": [0.0, 5.0]}}
+        return json.dumps({"streams": [stream], "horizon": 20.0}).encode()
+    return json.dumps({"task": task, "cores": 2}).encode()
+
+
+@pytest.fixture
+def counted_parses(monkeypatch):
+    """Count the transport's body parses and task decodes."""
+    calls: list[str] = []
+    for attribute in ("_parse_body", "decode_task", "task_from_dict"):
+        original = getattr(http_module, attribute)
+
+        def counted(*args, _original=original, _name=attribute, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(http_module, attribute, counted)
+    return calls
+
+
+class TestRepeatAnswers:
+    @pytest.mark.parametrize("chunked", [False, True], ids=["sized", "chunked"])
+    @pytest.mark.parametrize("path", ["/simulate", "/analyse", "/makespan", "/workload"])
+    def test_repeat_returns_the_first_answers_bytes(
+        self, fresh_server, counted_parses, path, chunked
+    ):
+        service, port = fresh_server()
+        body = _small_task_body(path)
+        status, first = _exchange(port, path, body, chunked=chunked)
+        assert status == 200, first
+        assert counted_parses and counted_parses[0] == "_parse_body"
+        before = service.stats()
+        counted_parses.clear()
+        for _ in range(2):
+            assert _exchange(port, path, body, chunked=chunked) == (200, first)
+        assert counted_parses == []  # neither parsed nor decoded
+        after = service.stats()
+        assert after["cache"]["repeats"] == before["cache"]["repeats"] + 2
+        assert after["cache"]["hits"] == before["cache"]["hits"] + 2
+        assert after["cache"]["misses"] == before["cache"]["misses"]
+        assert after["requests"]["total"] == before["requests"]["total"] + 2
+        kind = path[1:]
+        assert after["requests"][kind] == before["requests"][kind] + 2
+
+    def test_same_body_on_another_path_is_not_aliased(
+        self, fresh_server, counted_parses
+    ):
+        service, port = fresh_server()
+        body = _small_task_body("/simulate")
+        answers = {}
+        for path in ("/simulate", "/analyse", "/makespan"):
+            counted_parses.clear()
+            status, answers[path] = _exchange(port, path, body)
+            assert status == 200, answers[path]
+            assert "_parse_body" in counted_parses, path
+        assert len(set(answers.values())) == 3
+        assert service.stats()["cache"]["repeats"] == 0
+        assert service.stats()["cache"]["misses"] == 3
+
+    def test_refused_body_stays_refused(self, fresh_server, counted_parses):
+        service, port = fresh_server()
+        cyclic = {"nodes": {"a": 1, "b": 2}, "edges": [["a", "b"], ["b", "a"]]}
+        bodies = {
+            "build": json.dumps({"task": cyclic, "cores": 2}).encode(),
+            "field": json.dumps(
+                {"task": task_to_dict(figure1_task()), "core": 2}
+            ).encode(),
+            "json": b'{"task": ',
+        }
+        for name, body in bodies.items():
+            errors = set()
+            for _ in range(3):
+                counted_parses.clear()
+                status, answer = _exchange(port, "/simulate", body)
+                assert status == 400, (name, answer)
+                assert "_parse_body" in counted_parses, name
+                errors.add(json.loads(answer)["error"]["message"])
+            assert len(errors) == 1, (name, errors)
+        assert service.stats()["cache"]["repeats"] == 0
+
+    def test_repeat_after_its_payload_was_evicted_recomputes(self, fresh_server):
+        # Size a cache that keeps one answer and its alias but not two.
+        body = _small_task_body("/simulate", seed=3)
+        other = _small_task_body("/simulate", seed=4)
+        probe, probe_port = fresh_server()
+        assert _exchange(probe_port, "/simulate", body)[0] == 200
+        one = probe.cache.bytes_used
+        service, port = fresh_server(cache_bytes=one + one // 2)
+        status, first = _exchange(port, "/simulate", body)
+        assert status == 200
+        assert _exchange(port, "/simulate", other)[0] == 200
+        assert service.cache.stats()["evictions"] == 1  # the first payload
+        before = service.stats()["cache"]
+        assert _exchange(port, "/simulate", body) == (200, first)
+        after = service.stats()["cache"]
+        assert after["misses"] == before["misses"] + 1
+        assert (after["hits"], after["repeats"]) == (before["hits"], before["repeats"])
+        # Answered again, the body is aliased again.
+        assert _exchange(port, "/simulate", body) == (200, first)
+        assert service.stats()["cache"]["repeats"] == after["repeats"] + 1
+
+    def test_repeat_of_a_request_in_flight_joins_it(self, fresh_server):
+        service, port = fresh_server()
+        plug = Plug(service)
+        body = _small_task_body("/simulate")
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            first = pool.submit(_exchange, port, "/simulate", body)
+            plug.wait_parked(1)
+            second = pool.submit(_exchange, port, "/simulate", body)
+            deadline = time.monotonic() + 30
+            while service.stats()["engine"]["inflight_joins"] < 1:
+                assert time.monotonic() < deadline, "the resend never joined"
+                time.sleep(0.005)
+            plug.release()
+            assert first.result(60)[0] == 200
+            assert second.result(60) == first.result(60)
+        cache = service.stats()["cache"]
+        assert (cache["misses"], cache["hits"], cache["repeats"]) == (2, 0, 0)
+
+    def test_draining_service_answers_a_repeat_503(self, fresh_server):
+        service, port = fresh_server()
+        body = _small_task_body("/simulate")
+        assert _exchange(port, "/simulate", body)[0] == 200
+        service.close()
+        status, answer = _exchange(port, "/simulate", body)
+        assert status == 503, answer
+        assert json.loads(answer)["error"]["code"] == "closed"
+
+    def test_stats_equal_the_full_paths_plus_repeats(
+        self, fresh_server, monkeypatch
+    ):
+        full, full_port = fresh_server()
+        monkeypatch.setattr(full, "answer_repeat", lambda kind, digest: None)
+        served, served_port = fresh_server()
+        a = _small_task_body("/simulate", seed=3)
+        b = _small_task_body("/simulate", seed=4)
+        c = _small_task_body("/analyse", seed=5)
+        sequence = [
+            ("/simulate", a), ("/simulate", a), ("/simulate", b),
+            ("/analyse", c), ("/simulate", a), ("/analyse", c),
+            ("/makespan", a), ("/simulate", b),
+        ]
+        for port in (full_port, served_port):
+            for path, body in sequence:
+                assert _exchange(port, path, body)[0] == 200
+        expected, actual = full.stats(), served.stats()
+        for key in ("hits", "misses", "entries"):
+            assert actual["cache"][key] == expected["cache"][key], key
+        assert actual["requests"] == expected["requests"]
+        assert (expected["cache"]["repeats"], actual["cache"]["repeats"]) == (0, 4)
+        [series] = served.metrics.render_json()["counters"][
+            "repro_service_cache_repeats_total"
+        ]["series"]
+        assert series["value"] == 4
+
+    def test_repeat_trace_has_the_lookup_spans(self, fresh_server):
+        service, port = fresh_server()
+        body = _small_task_body("/simulate")
+        assert _exchange(port, "/simulate", body)[0] == 200
+        trace_id = "repeat-trace-0001"
+        status, _ = _exchange(
+            port, "/simulate", body, headers={"X-Repro-Trace-Id": trace_id}
+        )
+        assert status == 200
+        deadline = time.monotonic() + 5.0
+        while (payload := service.tracer.get_trace(trace_id)) is None:
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        spans = {span["name"]: span for span in payload["spans"]}
+        assert set(spans) == {"http.request", "facade.submit", "cache.lookup"}
+        assert spans["http.request"]["parent_id"] is None
+        assert spans["facade.submit"]["parent_id"] == spans["http.request"]["span_id"]
+        assert spans["cache.lookup"]["parent_id"] == spans["facade.submit"]["span_id"]
+        assert spans["cache.lookup"]["attributes"]["hit"] is True

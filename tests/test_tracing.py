@@ -24,6 +24,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -152,6 +153,44 @@ class TestTracerUnit:
         assert tracer.get_trace(error_id)["error"] is True
         only_errors = tracer.list_traces(errors=True)
         assert [t["trace_id"] for t in only_errors] == [error_id]
+
+    def test_slow_threshold_recomputed_every_16th_finished_trace(
+        self, monkeypatch
+    ):
+        # The duration window holds the last 512 traces; once it is full its
+        # length stays 512, so a recompute keyed on the length ran on every
+        # trace.  Keyed on finished traces: 31 over the first 512, 63 over
+        # 1 024.
+        recomputes = []
+        original = Tracer._update_slow_threshold
+
+        def counted(self):
+            recomputes.append(self._finished)
+            original(self)
+
+        monkeypatch.setattr(Tracer, "_update_slow_threshold", counted)
+        tracer = Tracer(sample=0.0)  # keeps only the slow traces
+        window: deque = deque(maxlen=512)
+        threshold = float("inf")
+        expected = []
+        for position in range(1024):
+            trace_id = f"trace-{position:04d}"
+            trace = tracer.start_trace("req", trace_id=trace_id)
+            trace.root.end = trace.root.start + ((position * 7919) % 1000) / 1e5
+            duration_ms = (trace.root.end - trace.root.start) * 1e3
+            tracer.finish_trace(trace)
+            # The rule, written out: a trace is slow at or above the 95th
+            # percentile of the window, recomputed after every 16th trace.
+            if duration_ms >= threshold:
+                expected.append(trace_id)
+            window.append(duration_ms)
+            if position + 1 >= 32 and (position + 1) % 16 == 0:
+                threshold = sorted(window)[int(len(window) * 0.95)]
+        assert len([count for count in recomputes if count <= 512]) == 31
+        assert len(recomputes) == 63
+        kept = [t["trace_id"] for t in tracer.list_traces(limit=2048)]
+        assert kept[::-1] == expected
+        assert expected
 
     def test_ring_byte_cap_evicts_oldest_first(self):
         tracer = Tracer(ring_bytes=4096)
