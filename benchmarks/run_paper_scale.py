@@ -33,8 +33,8 @@ and are recorded the same way:
 * **Seven-policy scheduler ablation** (``--figure ablation``) -- every
   registered policy family over the Figure 6 sweep at paper scale,
   submitted request-by-request through the evaluation service's
-  micro-batch queue (the grid executor coalesces the bursts into task x
-  platform x policy grids); frozen as
+  micro-batch queue (each burst is one engine call per (platform,
+  policy) column); frozen as
   ``tests/data/scheduler_ablation_paper_golden.json``.
 
 Run with:  python benchmarks/run_paper_scale.py [--figure 6|7|6-upper|ablation|all] [--jobs N]

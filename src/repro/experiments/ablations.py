@@ -118,10 +118,10 @@ def run_scheduler_ablation_service(
     directly), this driver submits every ``(task, variant, policy)`` cell as
     an individual request to a live :class:`~repro.service.facade.
     EvaluationService` from a thread pool -- the shape of a sweep client
-    hitting the HTTP facade.  The micro-batcher coalesces the bursts into
-    task x platform x policy grids for the batched engine (the grid
-    executor's policy axis), while the stochastic policy takes the solo
-    path with an explicit per-request seed, so the resulting figures are
+    hitting the HTTP facade.  The micro-batcher coalesces each burst into
+    one batched-engine call per policy (one ``(platform, policy)`` column,
+    one lane per task), while the stochastic policy takes the solo path
+    with an explicit per-request seed, so the resulting figures are
     deterministic and independent of batch composition -- the documents
     can be frozen as goldens.
 
@@ -148,8 +148,8 @@ def run_scheduler_ablation_service(
     platform = Platform(host_cores=cores, accelerators=1)
 
     # One request per (point, variant, task, policy), task-major so a flush
-    # holds every policy of the tasks it covers (dense 3-axis grids for the
-    # coalescer).  The stochastic policy gets an explicit seed per
+    # holds every policy of the tasks it covers (one column per policy for
+    # the coalescer).  The stochastic policy gets an explicit seed per
     # cell -- derived only from the sampling parameters, never from batch
     # composition -- which the solo path replays exactly.
     requests = []

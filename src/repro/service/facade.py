@@ -19,8 +19,10 @@ service amortises the work across them:
    batched-engine call -- :func:`~repro.simulation.batch.simulate_many`,
    :func:`~repro.analysis.batch.analyse_many` or
    :func:`~repro.ilp.batch.minimum_makespans_many` -- so a burst of N
-   single-cell requests costs one vectorised-kernel batch, not N Python
-   event loops.
+   single-cell requests costs one vectorised-kernel batch per group, not N
+   Python event loops.  A simulate group is one ``(offload, platform,
+   policy)`` column: its call has one lane per request, and no lane that
+   nobody asked for.
 
 Correctness contract
 --------------------
@@ -452,18 +454,20 @@ class EvaluationService:
         )
         self._engine_batches = self.metrics.counter(
             "repro_service_engine_batches_total",
-            "Batched-engine invocations (grid, group or solo).",
+            "Batched-engine invocations (one per group, or per solo "
+            "request).",
         )
         self._sim_engines = self.metrics.counter(
             "repro_service_sim_engine_total",
-            "Simulation grid/solo evaluations by the concrete engine that "
-            "served them (dense or compiled; lockstep counts /workload "
-            "requests).",
+            "Simulation engine calls (one per column or solo request) by "
+            "the concrete engine that served them (dense or compiled; "
+            "lockstep counts /workload requests).",
             labels=("engine",),
         )
         self._evaluated_cells = self.metrics.counter(
             "repro_service_evaluated_cells_total",
-            "Grid cells evaluated across all engine invocations.",
+            "Cells (requests, workload instances) evaluated across all "
+            "engine invocations.",
         )
         self._solo_evaluations = self.metrics.counter(
             "repro_service_solo_evaluations_total",
@@ -623,40 +627,40 @@ class EvaluationService:
         -- see the module docstring for why coalescing cannot change it.
         ``task`` may be a decoded document instead of a task (as for every
         ``submit_*`` method); its task is then built only on a cache miss.
+        An offloading task on a platform without an accelerator is refused
+        here, before it is counted or parked.
         """
         platform = _as_platform(platform)
         policy_seed = check_policy_spec(policy, policy_seed, priorities)
         offload_enabled = _check_flag("offload_enabled", offload_enabled)
+        check_offload(
+            offload_enabled and task.offloaded_node is not None,
+            platform.accelerators,
+        )
         policy_fp = policy_fingerprint(policy, policy_seed, priorities)
-        task_fp = task_fingerprint(task)
         fingerprint = request_fingerprint(
             "simulate",
-            task_fp,
+            task_fingerprint(task),
             platform_fingerprint(platform),
             policy_fp,
             offload_enabled,
         )
-        # The stochastic family consumes an RNG stream across the cells of a
-        # batch, so only a solo evaluation matches the one-shot semantics.
-        # Deterministic policies group across *platforms and policies* too:
-        # a flush covering an ablation-shaped burst (every task at every
-        # host size under every policy) becomes one task x platform x
-        # policy grid for one batched-engine call.
-        solo = policy == RandomPolicy.name
+        # One batch group per (offload, platform, policy) column: a flush
+        # serves it with one simulate_many call over its tasks, so every
+        # lane is a requested cell and no request's lanes depend on its
+        # flush-mates.
         payload = self._submit(
             kind="simulate",
             fingerprint=fingerprint,
-            group_key=(offload_enabled, solo),
+            group_key=(offload_enabled, platform, policy_fp),
             task=task,
             params={
                 "platform": platform,
-                "task_fp": task_fp,
                 "policy": policy,
-                "policy_fp": policy_fp,
                 "policy_seed": policy_seed,
                 "priorities": priorities,
                 "offload_enabled": offload_enabled,
-                "solo": solo,
+                "solo": policy == RandomPolicy.name,
             },
             timeout=timeout,
         )
@@ -755,7 +759,9 @@ class EvaluationService:
         Its admission cost is the task nodes it may release, bounded from
         the arrival specs before anything is unrolled; a request that may
         release more than ``_MAX_WORKLOAD_NODES`` raises
-        :class:`~repro.core.exceptions.ServiceRequestTooLargeError`.
+        :class:`~repro.core.exceptions.ServiceRequestTooLargeError`.  A
+        stream whose task offloads on a platform without an accelerator is
+        refused before the request is counted or parked.
         """
         if not streams:
             raise ValueError("streams must hold at least one job stream")
@@ -772,6 +778,11 @@ class EvaluationService:
             )
         policy_seed = check_policy_spec(policy, policy_seed, None)
         offload_enabled = _check_flag("offload_enabled", offload_enabled)
+        for stream in streams:
+            check_offload(
+                offload_enabled and stream.task.offloaded_node is not None,
+                platform.accelerators,
+            )
         policy_fp = policy_fingerprint(policy, policy_seed, None)
         stream_specs = [
             [
@@ -900,6 +911,9 @@ class EvaluationService:
         A digest is a pure function of the path and the body bytes, so the
         payload is the one the full path would answer: every endpoint's
         response is its request's payload.  Counts a hit and a repeat.
+
+        The payload is the cached object itself, not a copy: the caller
+        must not mutate it (the transport only encodes it).
         """
         if digest not in self.cache:
             return None
@@ -916,7 +930,7 @@ class EvaluationService:
 
         Under a ``facade.submit`` span: the closed check, one counted cache
         get in a ``cache.lookup`` span and the request count.  Yields the
-        submit span and a copy of the cached payload, ``None`` on a miss.
+        submit span and the cached payload itself, ``None`` on a miss.
         A digest whose payload was evicted since :meth:`answer_repeat`
         checked it counts no request: the full path that follows does.
         """
@@ -934,7 +948,6 @@ class EvaluationService:
                 cache_span.set("hit", cached is not None)
             if cached is not None:
                 submit_span.set("cache_hit", True)
-                cached = _copy_payload(cached)
             if cached is not None or isinstance(key, str):
                 self._requests.inc(kind=kind)
             yield submit_span, cached
@@ -967,6 +980,8 @@ class EvaluationService:
                     kind, fingerprint, group_key, task, params, deadline, cost,
                     submit_span,
                 )
+            else:
+                payload = _copy_payload(payload)
         digest = _BODY_DIGEST.get()
         if digest is not None:
             self.cache.put_alias(digest, fingerprint)
@@ -1133,11 +1148,11 @@ class EvaluationService:
                 try:
                     self._run_group(kind, requests, flush_span)
                 except BaseException:  # noqa: BLE001 - isolate per request
-                    # One bad request (or an infeasible *unrequested* grid
-                    # cell) must not fail its coalesced group-mates: fall
-                    # back to sequential per-request evaluation -- exactly
-                    # the semantics the batch is contracted to reproduce --
-                    # so only genuinely failing requests error.
+                    # One bad request must not fail its coalesced
+                    # group-mates: fall back to sequential per-request
+                    # evaluation -- exactly the semantics the batch is
+                    # contracted to reproduce -- so only genuinely failing
+                    # requests error.
                     self._run_group_solo(requests, flush_span)
         except BaseException as error:  # noqa: BLE001 - fan out whole batch
             flush_span.set_error()
@@ -1179,11 +1194,9 @@ class EvaluationService:
             if not request.params.get("solo"):
                 self._solo_evaluations.inc()
 
-    def _count_engine_call(self, cells: int, solo: bool = False) -> None:
+    def _count_engine_call(self, cells: int) -> None:
         self._engine_batches.inc()
         self._evaluated_cells.inc(cells)
-        if solo:
-            self._solo_evaluations.inc()
 
     def _record_kernel_stats(self, collector, span) -> None:
         """Feed one engine call's kernel batches to /metrics and its span.
@@ -1204,160 +1217,57 @@ class EvaluationService:
         if merged is not None and span:
             span.set("kernel", merged)
 
-    #: A grid call may evaluate at most this factor more cells than were
-    #: actually requested before the group falls back to per-policy /
-    #: per-platform sub-grids (which are dense by construction).
-    _GRID_WASTE_LIMIT = 2.0
-
     def _run_simulation_group(
         self, requests: list[BatchRequest], flush_span=NULL_SPAN
     ) -> None:
-        params = requests[0].params
-        offload_enabled = params["offload_enabled"]
-        if params["solo"]:
-            # Stochastic policies: fresh instance per request, one cell per
-            # evaluation -- batch composition must not influence the draws.
-            with self.tracer.shared_child(
-                flush_span,
-                "engine.simulate",
-                attributes={"engine": "dense", "solo": True,
-                            "lanes": len(requests)},
-            ) as engine_span:
-                with collect_kernel_stats() as kstats:
-                    for request in requests:
-                        spec = request.params
-                        policy = build_policy(
-                            spec["policy"], spec["policy_seed"], spec["priorities"]
-                        )
-                        value = simulate_makespan(
-                            request.task, spec["platform"], policy, offload_enabled
-                        )
-                        self._count_engine_call(1, solo=True)
-                        self._sim_engines.inc(engine="dense")
-                        self._finish(request, simulation_payload(value))
-                self._record_kernel_stats(kstats, engine_span)
-            return
-        # Try the full task x platform x policy grid of the flush first:
-        # an ablation-shaped burst (every task at every host size under
-        # every policy) forms an exactly dense 3-axis grid and becomes one
-        # ``simulate_many`` call.  When the combined grid would waste more
-        # cells than it coalesces, fall back to per-policy sub-groups
-        # (each re-checked against the per-platform waste limit).
-        by_policy: dict[str, list[BatchRequest]] = {}
-        for request in requests:
-            by_policy.setdefault(request.params["policy_fp"], []).append(
-                request
-            )
-        if len(by_policy) > 1:
-            tasks, platforms, policies, cells = self._assemble_grid(requests)
-            total = len(tasks) * len(platforms) * len(policies)
-            if total <= self._GRID_WASTE_LIMIT * len(requests):
-                self._run_simulation_grid(
-                    tasks, platforms, policies, requests, cells, flush_span
-                )
-                return
-        for subset in by_policy.values():
-            self._run_policy_group(subset, flush_span)
+        """One ``(offload, platform, policy)`` column: one ``simulate_many``
+        call with a lane per request.
 
-    @staticmethod
-    def _assemble_grid(
-        requests: list[BatchRequest],
-    ) -> tuple[list, list, list, list]:
-        """Dedupe the flush into task rows x platform cols x policy slabs.
-
-        Requests are unique by fingerprint (in-flight dedupe), so every
-        ``(task, platform, policy)`` cell appears at most once.
+        The stochastic family would draw one RNG stream across the lanes of
+        a call, so a ``random`` column runs its requests solo instead, each
+        with a fresh seeded instance: the one-shot
+        :func:`~repro.simulation.engine.simulate_makespan`.
         """
-        tasks: list[DagTask] = []
-        task_rows: dict[str, int] = {}
-        platforms: list[Platform] = []
-        platform_cols: dict[Platform, int] = {}
-        policies: list[SchedulingPolicy] = []
-        policy_slabs: dict[str, int] = {}
-        cells: list[tuple[BatchRequest, int, int, int]] = []
-        for request in requests:
-            spec = request.params
-            row = task_rows.get(spec["task_fp"])
-            if row is None:
-                row = task_rows[spec["task_fp"]] = len(tasks)
-                tasks.append(request.task)
-            col = platform_cols.get(spec["platform"])
-            if col is None:
-                col = platform_cols[spec["platform"]] = len(platforms)
-                platforms.append(spec["platform"])
-            slab = policy_slabs.get(spec["policy_fp"])
-            if slab is None:
-                slab = policy_slabs[spec["policy_fp"]] = len(policies)
-                policies.append(
-                    build_policy(
-                        spec["policy"], spec["policy_seed"], spec["priorities"]
-                    )
-                )
-            cells.append((request, row, col, slab))
-        return tasks, platforms, policies, cells
+        spec = requests[0].params
+        solo = spec["solo"]
+        engine = "dense" if solo else resolve_engine("auto")
+        tasks = [request.task for request in requests]
 
-    def _run_policy_group(
-        self, requests: list[BatchRequest], flush_span=NULL_SPAN
-    ) -> None:
-        """One policy's requests: task x platform grid, waste-checked."""
-        tasks, platforms, policies, cells = self._assemble_grid(requests)
-        if len(tasks) * len(platforms) > self._GRID_WASTE_LIMIT * len(requests):
-            # Sparse grid: evaluating it would waste more cells than it
-            # coalesces.  Split by platform and re-assemble each subset --
-            # the per-platform sub-grids are dense by construction, and
-            # reusing _assemble_grid keeps the task-row dedupe (a task
-            # requested under two platforms lands in two subsets but must
-            # never occupy two rows of one) instead of hand-building a
-            # row-per-request mapping that silently assumed uniqueness.
-            by_platform: dict[Platform, list[BatchRequest]] = {}
-            for request, _, _, _ in cells:
-                by_platform.setdefault(request.params["platform"], []).append(
-                    request
-                )
-            for subset in by_platform.values():
-                sub = self._assemble_grid(subset)
-                self._run_simulation_grid(
-                    sub[0], sub[1], sub[2], subset, sub[3], flush_span
-                )
-            return
-        self._run_simulation_grid(
-            tasks, platforms, policies, requests, cells, flush_span
-        )
+        def policy() -> SchedulingPolicy:
+            return build_policy(
+                spec["policy"], spec["policy_seed"], spec["priorities"]
+            )
 
-    def _run_simulation_grid(
-        self,
-        tasks: list[DagTask],
-        platforms: list[Platform],
-        policies: list[SchedulingPolicy],
-        requests: list[BatchRequest],
-        cells: list[tuple[BatchRequest, int, int, int]],
-        flush_span=NULL_SPAN,
-    ) -> None:
-        params = requests[0].params
-        # Every (task, platform, policy) cell is one lane of the batched
-        # engine: an ablation-shaped burst (1 task x 1 platform x 7
-        # policies) is a 7-lane call.
-        lanes = len(tasks) * len(platforms) * len(policies)
-        engine = resolve_engine("auto")
         with self.tracer.shared_child(
-            flush_span, "engine.simulate"
+            flush_span,
+            "engine.simulate",
+            attributes={"engine": engine, "solo": solo, "lanes": len(tasks)},
         ) as engine_span:
             with collect_kernel_stats() as kstats:
-                grid = simulate_many(
-                    tasks,
-                    platforms,
-                    policies,
-                    offload_enabled=params["offload_enabled"],
-                    engine="auto",
-                )
-            engine_span.set("engine", engine)
-            engine_span.set("lanes", lanes)
-            engine_span.set("requests", len(requests))
+                if solo:
+                    makespans = [
+                        simulate_makespan(
+                            task, spec["platform"], policy(),
+                            spec["offload_enabled"],
+                        )
+                        for task in tasks
+                    ]
+                else:
+                    makespans = simulate_many(
+                        tasks,
+                        spec["platform"],
+                        policy(),
+                        offload_enabled=spec["offload_enabled"],
+                    )[:, 0, 0]
             self._record_kernel_stats(kstats, engine_span)
-        self._count_engine_call(lanes)
-        self._sim_engines.inc(engine=engine)
-        for request, row, col, slab in cells:
-            self._finish(request, simulation_payload(grid[row, col, slab]))
+        calls = len(tasks) if solo else 1
+        self._engine_batches.inc(calls)
+        self._evaluated_cells.inc(len(tasks))
+        self._sim_engines.inc(calls, engine=engine)
+        if solo:
+            self._solo_evaluations.inc(calls)
+        for request, makespan in zip(requests, makespans):
+            self._finish(request, simulation_payload(makespan))
 
     def _evaluate_workload(self, params: dict) -> dict:
         """One workload request end to end (build, couple, fold metrics)."""

@@ -27,7 +27,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.batch import analyse_many
@@ -38,6 +38,7 @@ from repro.core.exceptions import (
     ServiceError,
     ServiceOverloadedError,
     ServiceTimeoutError,
+    SimulationError,
 )
 from repro.core.task import DagTask
 from repro.ilp.makespan import minimum_makespan
@@ -58,12 +59,13 @@ from repro.service import (
 )
 from repro.service import http as http_module
 from repro.service.cache import estimate_size
+from repro.service.facade import build_policy
 from repro.simulation.engine import simulate_makespan
 from repro.simulation.platform import Platform
 from repro.simulation.schedulers import RandomPolicy, policy_by_name
 
 from batcher_plug import Plug
-from strategies import make_random_heterogeneous_task
+from strategies import make_random_heterogeneous_task, make_random_host_task
 
 # ----------------------------------------------------------------------
 # Helpers
@@ -487,9 +489,9 @@ class TestEvaluationServiceBurst:
             # Coalescing proof: batches << requests.
             assert stats["batching"]["batches"] * 4 <= total
             assert stats["batching"]["largest_batch"] > 1
-            # Grid coalescing may evaluate a few unrequested cells, but the
-            # waste is bounded by the facade's 2x grid-density limit.
-            assert stats["engine"]["evaluated_cells"] <= 2 * total
+            # Every lane is a requested cell: a simulate group is one
+            # (offload, platform, policy) column, with one lane per request.
+            assert stats["engine"]["evaluated_cells"] <= total
 
             # Second identical burst: pure cache hits, >= 10x faster.
             warm_s = float("inf")
@@ -697,12 +699,10 @@ class TestEvaluationServiceSemantics:
 
     def test_infeasible_unrequested_grid_cell_does_not_fail_group_mates(self):
         # Hetero task on an accelerator platform + homogeneous task on an
-        # accelerator-less one: both fine sequentially, but one flush grids
-        # {both tasks} x {both platforms} and the *unrequested* cell
-        # (hetero task, no accelerator) is infeasible.  The group must fall
-        # back to per-request evaluation, not fail both clients.
-        from strategies import make_random_host_task
-
+        # accelerator-less one: both fine sequentially.  A task x platform
+        # grid of the flush would hold the infeasible *unrequested* cell
+        # (hetero task, no accelerator); one column per platform never
+        # does, so the two share no call and need no solo fallback.
         hetero = make_random_heterogeneous_task(1, 0.2, n_max=20)
         plain = make_random_host_task(2, n_max=20)
         service = EvaluationService()
@@ -723,19 +723,20 @@ class TestEvaluationServiceSemantics:
             assert second.result(60) == simulate_makespan(
                 plain, Platform(4, 0), policy
             )
-        # Each request ran as a one-request grid on the engine "auto"
-        # resolves to, and counts as one solo evaluation.
+        # Each request ran as a one-lane column on the engine "auto"
+        # resolves to.
         from repro.simulation.batch import resolve_engine
 
         engine = service.stats()["engine"]
         assert engine["by_engine"][resolve_engine("auto")] == 2
-        assert engine["solo_evaluations"] == 2
+        assert engine["batches"] == engine["evaluated_cells"] == 2
+        assert engine["solo_evaluations"] == 0
 
     def test_invalid_request_fails_alone_in_a_coalesced_group(self):
         # A genuinely invalid request (offloading task, accelerator-less
-        # platform) coalesced with a valid one: only the offender errors.
-        from repro.core.exceptions import SimulationError
-
+        # platform) submitted alongside a valid one: the offender is refused
+        # at submission, so only the valid request parks and its flush
+        # needs no per-request fallback.
         bad_task = make_random_heterogeneous_task(3, 0.2, n_max=20)
         good_task = make_random_heterogeneous_task(4, 0.2, n_max=20)
         service = EvaluationService()
@@ -747,13 +748,66 @@ class TestEvaluationServiceSemantics:
             good = pool.submit(
                 service.submit_simulation, good_task, Platform(2, 1), timeout=60
             )
-            plug.wait_parked(2)
+            with pytest.raises(SimulationError, match="accelerators"):
+                bad.result(10)
+            plug.wait_parked(1)
             service.close(timeout=60)
             assert good.result(60) == simulate_makespan(
                 good_task, Platform(2, 1), policy_by_name("breadth-first")
             )
-            with pytest.raises(SimulationError):
-                bad.result(60)
+        stats = service.stats()
+        assert stats["batching"]["submitted"] == 2  # the plug's, the good one
+        assert stats["engine"]["solo_evaluations"] == 0
+
+    def test_offload_without_accelerator_is_refused_before_it_parks(self):
+        # A host-only and an offloading task on one accelerator-less
+        # platform share a column.  Were both parked, the offloader would
+        # fail the column's call and send the host-only request through the
+        # solo fallback; refused at submission, it never parks.
+        host = make_random_host_task(5, n_max=20)
+        offloading = make_random_heterogeneous_task(6, 0.2, n_max=20)
+        platform = Platform(2, 0)
+        service = EvaluationService()
+        plug = Plug(service)
+        with ThreadPoolExecutor(2) as pool:
+            good = pool.submit(
+                service.submit_simulation, host, platform, timeout=60
+            )
+            bad = pool.submit(
+                service.submit_simulation, offloading, platform, timeout=60
+            )
+            with pytest.raises(SimulationError, match="accelerators"):
+                bad.result(10)
+            plug.wait_parked(1)
+            service.close(timeout=60)
+            assert good.result(60) == simulate_makespan(
+                host, platform, policy_by_name("breadth-first")
+            )
+        stats = service.stats()
+        assert stats["engine"]["solo_evaluations"] == 0
+        assert stats["engine"]["evaluated_cells"] == 1
+        # A request refused by a domain check is not counted.
+        assert stats["requests"]["simulate"] == 1
+
+    def test_workload_offloading_without_accelerator_is_refused(self):
+        from repro.generator.arrivals import TraceArrivals
+        from repro.simulation.workload import JobStream
+
+        streams = [
+            JobStream(make_random_host_task(7, n_max=12), TraceArrivals([0.0])),
+            JobStream(
+                make_random_heterogeneous_task(8, 0.2, n_max=12),
+                TraceArrivals([1.0]),
+            ),
+        ]
+        with EvaluationService() as service:
+            with pytest.raises(SimulationError, match="accelerators"):
+                service.submit_workload(streams, 10.0, Platform(2, 0))
+            assert service.stats()["requests"]["workload"] == 0
+            served = service.submit_workload(
+                streams, 10.0, Platform(2, 0), offload_enabled=False
+            )
+            assert served["instances"] == 2
 
     def test_close_drains_and_rejects_afterwards(self):
         tasks = [make_random_heterogeneous_task(s, 0.2, n_max=30) for s in range(8)]
@@ -815,10 +869,11 @@ class TestEngineSelectionAndThreshold:
             simulate_makespan_dense(task, Platform(2, 1), policy) for task in tasks
         ]
 
-    def test_multi_policy_burst_coalesces_into_one_grid(self):
+    def test_multi_policy_burst_runs_one_call_per_policy(self):
         # An ablation-shaped burst (every task under every deterministic
-        # policy on one platform) must flush as a single task x platform x
-        # policy grid: one batch, zero wasted cells.
+        # policy on one platform) flushes as one batch of three (offload,
+        # platform, policy) columns: one engine call of three lanes each,
+        # zero unrequested cells.
         tasks = [
             make_random_heterogeneous_task(40 + s, 0.2, n_max=30) for s in range(3)
         ]
@@ -846,9 +901,96 @@ class TestEngineSelectionAndThreshold:
                         simulate_makespan(task, platform, policy_by_name(name))
                     )
         stats = service.stats()
-        assert stats["batching"]["batches"] == 2  # the plug's, then the grid
+        assert stats["batching"]["batches"] == 2  # the plug's, then the burst
         assert stats["engine"]["evaluated_cells"] == 9  # 3 tasks x 1 x 3 policies
-        assert stats["engine"]["batches"] == 1
+        assert stats["engine"]["batches"] == 3  # one column per policy
+
+
+# ----------------------------------------------------------------------
+# Property: one engine call per (offload, platform, policy) column
+# ----------------------------------------------------------------------
+_COLUMN_TASKS = (
+    make_random_heterogeneous_task(60, 0.2, n_max=15),
+    make_random_heterogeneous_task(61, 0.4, n_max=15),
+    make_random_host_task(62, n_max=15),
+)
+#: One fixed-priority table for every task (later nodes first), so the
+#: policy is one column per (offload, platform), as any shared spec is.
+_COLUMN_TABLE = {f"v{index}": -index for index in range(1, 16)}
+_COLUMN_POLICIES = {
+    "breadth-first": (None, None),
+    "shortest-first": (None, None),
+    "fixed-priority": (None, _COLUMN_TABLE),
+    "random": (11, None),
+}
+
+
+class TestColumnRule:
+    @given(
+        cells=st.lists(
+            st.tuples(
+                st.integers(0, len(_COLUMN_TASKS) - 1),
+                st.sampled_from([2, 4, 8]),
+                st.sampled_from([0, 1]),
+                st.booleans(),
+                st.sampled_from(sorted(_COLUMN_POLICIES)),
+            ),
+            min_size=1,
+            max_size=10,
+            unique=True,
+        )
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_plugged_burst_runs_one_call_per_column(self, cells):
+        # An offloading task on an accelerator-less platform is refused at
+        # submission (tested above); every other cell is a request.
+        cells = [
+            (index, cores, accelerators, offload, policy)
+            for index, cores, accelerators, offload, policy in cells
+            if not (
+                offload
+                and accelerators == 0
+                and _COLUMN_TASKS[index].offloaded_node is not None
+            )
+        ]
+        assume(cells)
+        service = EvaluationService()
+        plug = Plug(service)
+        with ThreadPoolExecutor(len(cells)) as pool:
+            futures = [
+                pool.submit(
+                    service.submit_simulation,
+                    _COLUMN_TASKS[index],
+                    Platform(cores, accelerators),
+                    policy=policy,
+                    policy_seed=_COLUMN_POLICIES[policy][0],
+                    priorities=_COLUMN_POLICIES[policy][1],
+                    offload_enabled=offload,
+                    timeout=60,
+                )
+                for index, cores, accelerators, offload, policy in cells
+            ]
+            plug.wait_parked(len(cells))
+            service.close(timeout=60)
+            answers = [future.result(60) for future in futures]
+        assert answers == [
+            simulate_makespan(
+                _COLUMN_TASKS[index],
+                Platform(cores, accelerators),
+                build_policy(policy, *_COLUMN_POLICIES[policy]),
+                offload,
+            )
+            for index, cores, accelerators, offload, policy in cells
+        ]
+        columns = {
+            (offload, cores, accelerators, policy)
+            for _, cores, accelerators, offload, policy in cells
+            if policy != "random"
+        }
+        solo = sum(1 for cell in cells if cell[-1] == "random")
+        engine = service.stats()["engine"]
+        assert engine["evaluated_cells"] == len(cells)
+        assert engine["batches"] == len(columns) + solo
 
 
 # ----------------------------------------------------------------------
@@ -2155,6 +2297,35 @@ class TestRepeatAnswers:
             assert second.result(60) == first.result(60)
         cache = service.stats()["cache"]
         assert (cache["misses"], cache["hits"], cache["repeats"]) == (2, 0, 0)
+
+    def test_repeat_copies_no_payload_and_an_in_process_hit_copies_one(
+        self, fresh_server, monkeypatch
+    ):
+        import copy
+
+        from repro.service import facade
+
+        copies = []
+
+        def counted(value):
+            copies.append(value)
+            return copy.deepcopy(value)
+
+        monkeypatch.setattr(facade, "_copy_payload", counted)
+        service, port = fresh_server()
+        body = _small_task_body("/analyse", seed=6)
+        status, first = _exchange(port, "/analyse", body)
+        assert status == 200, first
+        copies.clear()
+        assert _exchange(port, "/analyse", body) == (200, first)
+        assert copies == []  # the transport only encodes the cached payload
+        request = json.loads(body)
+        task = task_from_dict(request["task"])
+        payload = service.submit_analysis(task, request["cores"])
+        assert len(copies) == 1 and payload == json.loads(first)
+        payload["bounds"].clear()  # the caller's private copy
+        assert service.submit_analysis(task, request["cores"]) == json.loads(first)
+        assert _exchange(port, "/analyse", body) == (200, first)
 
     def test_draining_service_answers_a_repeat_503(self, fresh_server):
         service, port = fresh_server()

@@ -1,13 +1,13 @@
-"""Service-layer workload requests plus the PR's bugfix regressions.
+"""Service-layer workload requests plus the simulate batching regressions.
 
-Covers two layers and two fixed bugs:
+Covers two layers and two batching rules:
 
 * ``submit_workload`` through the micro-batch facade (fingerprint cache,
   per-instance payload, metrics accounting);
 * the ``POST /workload`` HTTP endpoint and ``ServiceClient.workload``;
-* regression tests for multi-policy grids (the policy axis was once
-  dropped from the lane count, so such bursts never reached the batched
-  engine) and the sparse-grid fallback (rebuilt per-platform sub-grids).
+* regression tests for multi-policy bursts (they must reach the batched
+  engine) and sparse multi-platform bursts (one column per platform, so
+  no unrequested cell is evaluated).
 """
 
 from __future__ import annotations
@@ -187,14 +187,14 @@ class TestWorkloadHTTP:
 
 
 # ----------------------------------------------------------------------
-# Regression: the policy axis counts towards a grid's lanes
+# Regression: a multi-policy burst reaches the batched engine
 # ----------------------------------------------------------------------
 class TestEngineSelectionCountsPolicyAxis:
     def test_ablation_shaped_burst_picks_batched_engine(self):
-        # 1 task x 1 platform x 5 policies: the burst is one 5-lane call of
-        # the engine "auto" resolves to on this host.  (The regressed lane
-        # count was len(tasks) * len(platforms) == 1, which once kept such
-        # bursts on the dense engine below the old crossover threshold.)
+        # 1 task x 1 platform x 5 policies: five (offload, platform, policy)
+        # columns, each a 1-lane call of the engine "auto" resolves to on
+        # this host.  (A lane count that once dropped the policy axis kept
+        # such bursts on the dense engine below an old crossover threshold.)
         task = make_random_heterogeneous_task(44, 0.2, n_max=25)
         policies = [
             "breadth-first",
@@ -231,6 +231,7 @@ class TestEngineSelectionCountsPolicyAxis:
             count == 0 for name, count in by_engine.items() if name != batched
         )
         assert stats["engine"]["evaluated_cells"] == len(policies)
+        assert stats["engine"]["batches"] == len(policies)
         rendered = service.metrics.render_prometheus()
         assert (
             f'repro_service_sim_engine_total{{engine="{batched}"}}' in rendered
@@ -238,14 +239,14 @@ class TestEngineSelectionCountsPolicyAxis:
 
 
 # ----------------------------------------------------------------------
-# Regression: sparse-grid fallback rebuilds dense per-platform sub-grids
+# Regression: a sparse multi-platform burst evaluates only requested cells
 # ----------------------------------------------------------------------
 class TestSparseGridFallback:
     def test_fallback_wastes_no_cells_and_keeps_answers(self):
-        # A diagonal-ish burst under one policy: 3 task rows x 3 platform
-        # columns for only 4 requests (9 > 2x4) forces the per-platform
-        # fallback.  Re-assembling each subset keeps the task-row dedupe
-        # and evaluates exactly one cell per request.
+        # A diagonal-ish burst under one policy: 3 tasks x 3 platforms
+        # hold 9 cells for only 4 requests.  One column per platform
+        # evaluates exactly one lane per request, and a task requested on
+        # two platforms lands in two columns.
         tasks = [
             make_random_heterogeneous_task(50 + s, 0.2, n_max=20)
             for s in range(3)
@@ -276,5 +277,6 @@ class TestSparseGridFallback:
         assert results == expected
         stats = service.stats()
         assert stats["batching"]["batches"] == 2  # the plug's, then the burst
-        # The whole point of the fallback: no wasted grid cells.
+        # No unrequested cells: one call per platform column.
         assert stats["engine"]["evaluated_cells"] == len(burst)
+        assert stats["engine"]["batches"] == len(platforms)
