@@ -460,7 +460,7 @@ def check_consistency(client: ServiceClient, summary: dict) -> dict:
     # and the per-engine sum never exceeds the overall batch count (which
     # also covers analyse/makespan groups).
     engine_stats = stats["engine"]["by_engine"]
-    for name in ("dense", "lockstep", "compiled"):
+    for name in ("dense", "compiled"):
         checks[f"sim_engine_{name}"] = (
             engine_stats.get(name, 0) == sim_engines.get(name, 0)
         )

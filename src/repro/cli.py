@@ -384,10 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
         "-j",
         type=int,
         default=None,
-        help="worker processes for figure 7's exact-makespan oracles and the "
-        "workload-schedulability cells (default: serial; -1 = all cores); "
-        "the other experiments run in process; results are bit-identical to "
-        "the serial run",
+        help="worker processes for figure 7's exact-makespan oracles "
+        "(default: serial; -1 = all cores); the other experiments run in "
+        "process; results are bit-identical to the serial run",
     )
     experiment_cmd.add_argument("--csv", default=None)
     experiment_cmd.add_argument("--json", default=None)

@@ -11,10 +11,11 @@ already-compiled shape builds.
 
 The simulation stack reads the view: the dense engine
 (:mod:`repro.simulation.dense`) runs on integer indices and preallocated
-lists, and :func:`stack_compiled` lays many views out for the C kernel's
-lanes with each distinct structure and WCET vector once, from which
-:meth:`StackedViews.global_space` derives the one global node space of the
-job-stream engines.  The view exposes
+lists, for one job or a stream of released jobs, and :func:`stack_compiled`
+lays many views out for the C kernel's lanes with each distinct structure
+and WCET vector once, from which :meth:`StackedViews.global_space` derives
+the one global node space of the job-stream reference engine.  The view
+exposes
 
 * ``nodes`` / ``index`` -- the dense index <-> :data:`NodeId` maps (indices
   are insertion ranks, so index order *is* node-creation order);
@@ -24,6 +25,8 @@ job-stream engines.  The view exposes
   in-degree of every node;
 * ``succ_ptr_array``, ``succ_idx_array`` and ``in_degree_array`` -- the same
   data as ``int64`` arrays, built on first use once per structure;
+* ``succ_rows`` -- each node's successor list, built on first use once per
+  structure for the dense engine, so that every job of a shape shares them;
 * ``wcet`` -- the WCET vector as a ``numpy.float64`` array, filled in one
   pass over the graph's weight map (which lists the nodes in the
   structure's order);
@@ -82,6 +85,18 @@ def _int64_arrays(structure: _DenseKernel) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+def _succ_rows(structure: _DenseKernel) -> list[list[int]]:
+    """Each node's successors of ``structure``, built once and cached on
+    the structure."""
+    rows = structure.succ_rows
+    if rows is None:
+        ptr, idx = structure.succ_ptr, structure.succ_idx
+        rows = structure.succ_rows = [
+            idx[ptr[i] : ptr[i + 1]] for i in range(len(structure.nodes))
+        ]
+    return rows
+
+
 def _shared(name: str) -> property:
     return property(attrgetter(f"structure.{name}"), doc=f"``structure.{name}``.")
 
@@ -111,6 +126,10 @@ class CompiledTask:
     succ_ptr_array = _shared_array(0, "succ_ptr")
     succ_idx_array = _shared_array(1, "succ_idx")
     in_degree_array = _shared_array(2, "in_degree")
+    succ_rows = property(
+        lambda view: _succ_rows(view.structure),
+        doc="Each node's successor list, shared by the structure.",
+    )
 
     def __init__(
         self,
@@ -236,8 +255,9 @@ class StackedViews(NamedTuple):
         Returns ``(node_off, wcet, succ_ptr, succ_idx, in_degree)``: view
         ``k`` owns the global nodes ``node_off[k]:node_off[k + 1]``, and the
         successor CSR is rebased onto global node and edge indices.  The
-        job-stream engines (:mod:`repro.simulation.workload`) read this
-        layout.  The arrays are fresh, so callers may keep or modify them.
+        job-stream reference engine (:mod:`repro.simulation.workload`)
+        reads this layout.  The arrays are fresh, so callers may keep or
+        modify them.
         """
         rows = self.node_off.tolist()
         first_edge = self.succ_ptr[self.node_off].tolist()
@@ -289,8 +309,8 @@ def stack_compiled(views: Sequence[CompiledTask]) -> StackedViews:
     in-degrees once, and a view repeated in ``views`` its WCET vector once.
     The C kernel's lanes (:mod:`repro.simulation.vectorized_compiled`) read
     this form; :meth:`StackedViews.global_space` derives the global node
-    space of the job-stream engines from it.  The arrays are fresh, so
-    callers may keep or modify them.
+    space of the job-stream reference engine from it.  The arrays are
+    fresh, so callers may keep or modify them.
     """
     index: dict[int, int] = {}
     tables: list[tuple[np.ndarray, ...]] = []

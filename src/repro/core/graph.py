@@ -87,7 +87,8 @@ class _DenseKernel:
     neighbour indices sorted ascending, i.e. by insertion order), from which
     the rest derives (``topo`` comes out short on a cycle).  Every compiled
     view of the shape shares the kernel; its caches (reachability bitmasks,
-    the ``int64`` ``arrays`` of :mod:`repro.core.compiled`) are never pickled.
+    the ``int64`` ``arrays`` and the ``succ_rows`` of
+    :mod:`repro.core.compiled`) are never pickled.
     """
 
     __slots__ = (
@@ -100,6 +101,7 @@ class _DenseKernel:
         "in_degree",
         "topo",
         "arrays",
+        "succ_rows",
         "_desc_masks",
         "_anc_masks",
     )
@@ -132,6 +134,7 @@ class _DenseKernel:
                 if not in_degree[s]:
                     self.topo.append(s)
         self.arrays: Optional[tuple] = None
+        self.succ_rows: Optional[list[list[int]]] = None
         self._desc_masks: Optional[list[int]] = None
         self._anc_masks: Optional[list[int]] = None
 

@@ -11,12 +11,11 @@ Parallel execution
 A driver that takes a ``jobs`` argument (surfaced here and as the CLI's
 ``--jobs`` flag) spreads items heavy enough to pay for a process over a
 :func:`~repro.parallel.parallel_map` pool: figure 7's exact-makespan oracles
-and the workload-schedulability cells (:func:`parallel_experiments`).  The
-other drivers run in process, where the C kernel already runs its lanes on
-every CPU.  Random inputs are drawn before any work is distributed, so
-``jobs=N`` produces bit-identical results to the serial path -- the
-test-suite asserts this with
-:meth:`~repro.experiments.base.ExperimentResult.identical_to`.
+(:func:`parallel_experiments`).  The other drivers run in process, where
+the C kernel already runs its lanes on every CPU.  Random inputs are
+drawn before any work is distributed, so ``jobs=N`` produces
+bit-identical results to the serial path -- the test-suite asserts this
+with :meth:`~repro.experiments.base.ExperimentResult.identical_to`.
 """
 
 from __future__ import annotations

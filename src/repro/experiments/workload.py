@@ -5,7 +5,7 @@ isolation.  This driver asks the online question instead: a fixed set of
 periodic job streams shares one platform, the streams' periods are scaled
 so the *offered host utilisation* sweeps a grid, and every released
 instance contends for the same core/accelerator pool under the
-shared-capacity coupled simulator
+shared-capacity simulator
 (:func:`repro.simulation.workload.simulate_workload`).  The reported curve
 is the deadline-miss ratio per utilisation point -- the classic
 schedulability-under-load shape: flat near zero while the platform keeps
@@ -23,9 +23,9 @@ Construction, all seeded from the scale's root seed:
   multiple of the mean period so every point simulates a comparable number
   of instances.
 
-Each (utilisation, policy) cell is deterministic, so the sweep is
-distributed over worker processes with bit-identical results
-(``jobs=N`` == serial; the golden test pins this).
+Each (utilisation, policy) cell is a deterministic seeded simulation run
+in process: a paper-scale sweep takes about 0.1 s, less than a pool of
+worker processes costs to start (docs/performance.md, section 29).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from ..generator.config import OffloadConfig
 from ..generator.offload import make_heterogeneous
 from ..generator.presets import SMALL_TASKS
 from ..generator.random_dag import DagStructureGenerator
-from ..parallel import parallel_map, spawn_seeds
+from ..parallel import spawn_seeds
 from ..simulation.platform import Platform
 from ..simulation.schedulers import policy_by_name
 from ..simulation.workload import JobStream, build_workload, simulate_workload
@@ -114,10 +114,9 @@ def _streams_for(
 
 
 def _evaluate_point(
-    args: tuple[list[DagTask], float, str, int]
+    tasks: list[DagTask], utilisation: float, policy_name: str, seed: int
 ) -> dict[str, float]:
-    """Worker: simulate one (utilisation, policy) cell of the sweep."""
-    tasks, utilisation, policy_name, seed = args
+    """Simulate one (utilisation, policy) cell of the sweep."""
     streams, horizon = _streams_for(tasks, utilisation, seed)
     workload = build_workload(streams, horizon)
     result = simulate_workload(
@@ -136,7 +135,6 @@ def _evaluate_point(
 
 def run_workload_schedulability(
     scale: Optional[ExperimentScale] = None,
-    jobs: Optional[int] = None,
 ) -> ExperimentResult:
     """Deadline-miss ratio vs offered utilisation on one shared platform.
 
@@ -145,9 +143,6 @@ def run_workload_schedulability(
     scale:
         Sampling effort; only ``dags_per_point`` (stream count) and ``seed``
         are consulted.  ``None`` uses the quick preset.
-    jobs:
-        Worker-process count for the sweep; results are bit-identical to
-        the serial path (each cell is a deterministic seeded simulation).
 
     Returns
     -------
@@ -157,12 +152,11 @@ def run_workload_schedulability(
     """
     scale = scale or quick_scale()
     tasks = _stream_tasks(scale)
-    cells = [
-        (tasks, utilisation, policy, scale.seed + 23)
+    metrics = [
+        _evaluate_point(tasks, utilisation, policy, scale.seed + 23)
         for policy in POLICIES
         for utilisation in UTILISATION_GRID
     ]
-    metrics = parallel_map(_evaluate_point, cells, jobs=jobs)
 
     result = ExperimentResult(
         name="workload-schedulability",

@@ -2,12 +2,11 @@
 
 A process pool pays off only where each item is heavy: pickling the inputs
 and starting workers costs more than the C kernel, which already runs its
-lanes on every CPU, takes for a whole figure sweep.  Two callers keep a
+lanes on every CPU, takes for a whole figure sweep.  One caller keeps a
 pool: the exact-makespan oracles
 (:func:`repro.ilp.batch.minimum_makespans_many`, behind figure 7,
-``/makespan`` and ``repro serve --jobs``) and the workload-schedulability
-cells (:func:`repro.experiments.workload.run_workload_schedulability`).
-This module provides their small shared substrate:
+``/makespan`` and ``repro serve --jobs``).  This module provides its small
+substrate:
 
 * :func:`parallel_map` -- an order-preserving ``map`` over a
   :class:`~concurrent.futures.ProcessPoolExecutor` that survives worker

@@ -461,7 +461,7 @@ class EvaluationService:
             "repro_service_sim_engine_total",
             "Simulation engine calls (one per column or solo request) by "
             "the concrete engine that served them (dense or compiled; "
-            "lockstep counts /workload requests).",
+            "a /workload request counts under dense).",
             labels=("engine",),
         )
         self._evaluated_cells = self.metrics.counter(
@@ -748,7 +748,7 @@ class EvaluationService:
 
         The streams are unrolled over ``[0, horizon)`` and all released
         instances contend for the platform's core/accelerator pool under the
-        shared-capacity coupled simulator
+        shared-capacity simulator
         (:func:`repro.simulation.workload.simulate_workload`).  The payload
         carries the aggregate schedulability metrics plus per-instance
         response times and deadline flags.
@@ -874,7 +874,7 @@ class EvaluationService:
             "inflight_joins": self._inflight_joins.value(),
             "by_engine": {
                 name: self._sim_engines.value(engine=name)
-                for name in ("dense", "lockstep", "compiled")
+                for name in ("dense", "compiled")
             },
         }
         resilience = {
@@ -1270,7 +1270,7 @@ class EvaluationService:
             self._finish(request, simulation_payload(makespan))
 
     def _evaluate_workload(self, params: dict) -> dict:
-        """One workload request end to end (build, couple, fold metrics)."""
+        """One workload request end to end (build, simulate, fold metrics)."""
         instances = build_workload(params["streams"], params["horizon"])
         policy = build_policy(params["policy"], params["policy_seed"], None)
         result = simulate_workload(
@@ -1285,11 +1285,10 @@ class EvaluationService:
     def _run_workload_group(
         self, requests: list[BatchRequest], flush_span=NULL_SPAN
     ) -> None:
-        """Workload requests: one coupled simulation per request.
+        """Workload requests: one dense-loop simulation per request.
 
-        Each request is already a whole multi-instance batch for the
-        coupled engine -- its instances *are* the lanes -- so there is
-        nothing further to coalesce across requests.
+        Each request is already one shared-platform simulation of all its
+        instances, so there is nothing further to coalesce across requests.
         """
         for request in requests:
             if request.resolved:
@@ -1299,11 +1298,11 @@ class EvaluationService:
             ) as engine_span:
                 with collect_kernel_stats() as kstats:
                     payload = self._evaluate_workload(request.params)
-                engine_span.set("engine", "lockstep")
+                engine_span.set("engine", "dense")
                 engine_span.set("instances", payload["instances"])
                 self._record_kernel_stats(kstats, engine_span)
             self._count_engine_call(max(1, payload["instances"]))
-            self._sim_engines.inc(engine="lockstep")
+            self._sim_engines.inc(engine="dense")
             self._finish(request, payload)
 
     def _run_analysis_group(

@@ -534,13 +534,16 @@ class Tracer:
         duration_ms = (trace.root.end - trace.root.start) * 1e3
         with trace._lock:
             trace.finished = True
-        payload = _trace_payload(trace)
         keep = (
             trace.error
             or trace.degraded
             or self._is_slow(duration_ms)
             or self._sampled_in(trace.trace_id)
         )
+        # Only a kept trace is built and sized, and outside the ring's lock.
+        if keep:
+            payload = _trace_payload(trace)
+            nbytes = len(json.dumps(payload, separators=(",", ":"), default=str))
         with self._lock:
             self._durations.append(duration_ms)
             self._finished += 1
@@ -551,9 +554,6 @@ class Tracer:
             if not keep:
                 self.sampled_out += 1
                 return
-            nbytes = len(
-                json.dumps(payload, separators=(",", ":"), default=str)
-            )
             if nbytes > self.ring_bytes:
                 self.sampled_out += 1
                 return

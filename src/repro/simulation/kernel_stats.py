@@ -1,7 +1,7 @@
 """Per-batch kernel step profiles (thread-local, near-zero cost when off).
 
-The engines (dense, compiled C step loop, workload reference and coupled
-engines) each run an event/step loop whose shape — how many steps
+The engines (the dense event loop, the compiled C step loop and the
+workload reference) each run an event/step loop whose shape — how many steps
 it took, how many node retirements it processed, how full the lanes were —
 is exactly the information a latency trace needs at its leaves and the
 `/metrics` endpoint needs to aggregate.  This module is the collection
@@ -13,11 +13,13 @@ disarmed-cheapness contract the PR 6 fault points follow.
 Semantics of the counters (uniform across engines):
 
 ``steps``
-    Iterations of the engine's main loop.  For the dense engine and the
-    compiled C kernel that is the number of retire windows (summed over
-    lanes: both advance one lane at a time, and the dense engine records
-    one single-lane batch per simulation); for the workload engines it is
-    the number of event batches (coupled) or heap events (reference).
+    Iterations of the engine's main loop.  For the compiled C kernel that
+    is the number of retire windows, summed over lanes (it advances one
+    lane at a time).  The dense engine and the workload reference run one
+    event loop per call and record one single-lane batch for it; a step is
+    an iteration that advances time to the next completion or release.  A
+    single job's dense call so takes its retire windows plus one step, its
+    release at 0, and a non-empty workload at least one step.
 ``events``
     Node retirements processed (every node retires exactly once, so for a
     complete run this equals the total node count of the batch).
@@ -60,7 +62,7 @@ _STATE = threading.local()
 class KernelBatchStats:
     """Step profile of one kernel batch run."""
 
-    engine: str  # "dense" | "compiled" | "workload.numpy" | ...
+    engine: str  # "dense" | "compiled" | "workload.reference"
     lanes: int
     steps: int
     events: int

@@ -18,16 +18,15 @@ Model
   :class:`JobInstance` records ordered by ``(release, stream, index)``.
   Releases at or past the horizon are dropped.
 * The simulator is the natural multi-instance extension of the single-job
-  reference engine (:mod:`repro.simulation.engine`): every instance is a
-  block of nodes in one *shared global node space*, and all instances feed
-  one work-conserving scheduler over a **shared capacity pool** -- they
-  contend for the same host cores and accelerator devices instead of
-  simulating independently.
+  engines: every instance is a block of nodes at its own offset in one
+  *global node space*, and all instances feed one work-conserving
+  scheduler over a **shared capacity pool** -- they contend for the same
+  host cores and accelerator devices instead of simulating independently.
 
 Event-loop specification (both engines implement it exactly)
 ------------------------------------------------------------
 Each step advances time to the earliest pending event, then processes the
-three phases in a fixed order:
+phases in a fixed order:
 
 1. **advance** ``t`` to ``min(earliest running finish, next release)``;
 2. **retire** every running node with ``finish <= t + 1e-12`` in
@@ -48,23 +47,26 @@ earlier stream, goes first); *lifo* by ``(-arrival,)``; *static* by
 ``(per-node key, arrival)``; *random* by ``(seeded draw, arrival)``, where
 arrival stamps count non-instant enqueues across the whole workload and the
 draw pool is pre-drawn once (``Generator.random(k)`` consumes the bit
-stream exactly like ``k`` scalar draws).
+stream exactly like ``k`` scalar draws).  An instance completes at its
+last node's finish, or at its release if its task has no nodes.
 
 Engines
 -------
-:func:`simulate_workload_reference` is the scalar reference: a heap-based
-Python event loop, deliberately written like
-:func:`repro.simulation.engine.simulate` so a single-instance workload
-released at 0 reproduces ``simulate_makespan`` bit for bit.
+:func:`simulate_workload` runs the dense engine's event loop
+(:func:`repro.simulation.dense.run_jobs`), the loop that also serves single
+jobs (:func:`~repro.simulation.dense.simulate_makespan_dense` releases one
+job at 0).  Every job points into per-task tables shared by all jobs of
+the task, the depth-first queues are plain stacks (the ``-arrival`` keys
+only fall), and one step costs the nodes it retires and starts, whatever
+the platform's width.
 
-:func:`simulate_workload` is the coupled lockstep path: the numpy engine
-advances the whole shared node space per step with grouped propagation and
-vectorised selection (``backend="auto"`` serves it today; a compiled-C
-shared-platform mode is an explicit follow-on and ``backend="compiled"``
-says so).  Its results are
-**bit-identical** to the reference -- the same cross-engine contract every
-other layer of the repo obeys, enforced by the hypothesis harness in
-``tests/test_workload.py``.
+:func:`simulate_workload_reference` is the scalar reference: a heap-based
+Python event loop over the rebased global node space, deliberately written
+like :func:`repro.simulation.engine.simulate` so a single-instance
+workload released at 0 reproduces ``simulate_makespan`` bit for bit.  The
+two engines' results are **bit-identical** -- the same cross-engine
+contract every other layer of the repo obeys, enforced by the hypothesis
+harness in ``tests/test_workload.py``.
 """
 
 from __future__ import annotations
@@ -81,6 +83,7 @@ from ..core.compiled import compile_task, stack_compiled
 from ..core.exceptions import SimulationError, ValidationError, short_repr
 from ..core.task import DagTask, check_number
 from ..generator.arrivals import ArrivalProcess
+from .dense import JobTables, job_tables, run_jobs
 from .engine import _as_platform, _device_assignment
 from .kernel_stats import record_kernel_batch
 from .platform import Platform
@@ -99,17 +102,12 @@ __all__ = [
     "JobStream",
     "WorkloadResult",
     "build_workload",
-    "resolve_workload_backend",
     "simulate_workload",
     "simulate_workload_reference",
 ]
 
 #: Same completion-coincidence tolerance as every other engine in the repo.
 _TIE = 1e-12
-
-#: Backends of :func:`simulate_workload`.  ``auto`` resolves to ``numpy``
-#: today; the compiled-C shared-platform mode is a documented follow-on.
-WORKLOAD_BACKENDS = ("auto", "numpy", "reference")
 
 
 # ----------------------------------------------------------------------
@@ -282,15 +280,15 @@ class WorkloadResult:
 # Shared problem preparation (input canonicalisation, no scheduling logic)
 # ----------------------------------------------------------------------
 class _WorkloadProblem:
-    """The concatenated global node space of one workload.
+    """The validated input of one workload simulation.
 
-    Pure data: the instances' compiled views in one global node space
-    (:meth:`~repro.core.compiled.StackedViews.global_space` of
-    :func:`~repro.core.compiled.stack_compiled`), the shared platform's
-    capacity, per-node device targets, the policy's key family and -- for
-    the stochastic family -- the pre-drawn priority pool.  Both engines
-    consume this and nothing else, so their agreement is about the event
-    loops, not about input parsing.
+    Pure data: the shared platform, the policy's key family, the tables
+    the instances of a task share
+    (:class:`~repro.simulation.dense.JobTables`), the stochastic family's
+    pre-drawn priority pool, and the releases and absolute deadlines.
+    Both engines consume this and nothing else and both fold their
+    completions through :meth:`result`, so their agreement is about the
+    event loops, not about input parsing.
     """
 
     def __init__(
@@ -310,53 +308,6 @@ class _WorkloadProblem:
             )
         self.kind = kind
         self.instances = list(workload)
-        self.cores = self.platform.host_cores
-        self.devices = self.platform.accelerators
-
-        compiled = [compile_task(job.task) for job in self.instances]
-        (
-            self.node_off,
-            self.wcet,
-            self.succ_ptr,
-            self.succ_idx,
-            self.in_degree0,
-        ) = stack_compiled(compiled).global_space()
-        total = self.total_nodes = int(self.node_off[-1])
-
-        self.device = np.full(total, -1, dtype=np.int64)
-        static_parts: list[np.ndarray] = []
-        for job, view, base in zip(
-            self.instances, compiled, self.node_off[:-1].tolist()
-        ):
-            assignment = _device_assignment(
-                job.task, self.platform, offload_enabled, None
-            )
-            for node, dev in assignment.items():
-                self.device[base + view.index[node]] = dev
-            if kind == VECTOR_STATIC:
-                static_parts.append(
-                    np.asarray(self.policy.vector_keys(view), dtype=np.float64)
-                )
-        self.instant = self.wcet == 0.0
-        # Whole-problem fast-path flags: most workloads have no instant
-        # nodes and many are host-only, which lets the coupled engine skip
-        # the cascade guards and the per-device pool plumbing per step.
-        self.has_instant = bool(self.instant.any())
-        self.all_host = not bool((self.device >= 0).any())
-        self.static_keys = (
-            np.concatenate(static_parts)
-            if static_parts
-            else np.empty(0, np.float64)
-        )
-        # One draw per non-instant node, assigned in arrival-stamp order --
-        # identical to per-arrival scalar draws (see vector_draws).
-        if kind == VECTOR_RANDOM:
-            self.draw_pool = self.policy.vector_draws(
-                int(np.count_nonzero(self.wcet))
-            )
-        else:
-            self.draw_pool = np.empty(0, dtype=np.float64)
-
         self.releases = np.array(
             [job.release for job in self.instances], dtype=np.float64
         )
@@ -372,16 +323,39 @@ class _WorkloadProblem:
             ],
             dtype=np.float64,
         )
-        # Per-instance source nodes (in-degree 0), in global node order.
-        self.sources = np.flatnonzero(self.in_degree0 == 0)
 
-    def result(self, finish: np.ndarray) -> WorkloadResult:
-        """Fold per-node finish times into the per-instance result."""
-        count = len(self.instances)
-        if count:
-            completions = np.maximum.reduceat(finish, self.node_off[:-1])
-        else:
-            completions = np.empty(0, dtype=np.float64)
+        shared: dict[int, JobTables] = {}
+        self.tables: list[JobTables] = []
+        for job in self.instances:
+            tables = shared.get(id(job.task))
+            if tables is None:
+                view = compile_task(job.task)
+                keys = (
+                    self.policy.vector_keys(view).tolist()
+                    if kind == VECTOR_STATIC
+                    else None
+                )
+                assignment = _device_assignment(
+                    job.task, self.platform, offload_enabled, None
+                )
+                tables = shared[id(job.task)] = job_tables(view, assignment, keys)
+            self.tables.append(tables)
+        # One draw per non-instant node, assigned in arrival-stamp order --
+        # identical to per-arrival scalar draws (see vector_draws).
+        self.draws = (
+            self.policy.vector_draws(
+                sum(len(t.wcet) - t.wcet.count(0.0) for t in self.tables)
+            ).tolist()
+            if kind == VECTOR_RANDOM
+            else None
+        )
+
+    def result(self, completions: Sequence[float]) -> WorkloadResult:
+        """Fold per-instance completions into the result; an instance
+        without nodes (completion ``-inf``) completes at its release."""
+        completions = np.array(completions, dtype=np.float64)
+        empty = completions == -math.inf
+        completions[empty] = self.releases[empty]
         return WorkloadResult(
             releases=self.releases.copy(),
             completions=completions,
@@ -398,27 +372,37 @@ class _WorkloadProblem:
 # ----------------------------------------------------------------------
 # Scalar reference engine
 # ----------------------------------------------------------------------
-def _reference_finish_times(problem: _WorkloadProblem) -> np.ndarray:
-    """Heap-based scalar event loop over the shared global node space."""
+def _reference_completions(problem: _WorkloadProblem) -> np.ndarray:
+    """Heap-based scalar event loop over one global node space: the
+    instances' compiled views one after the other
+    (:meth:`~repro.core.compiled.StackedViews.global_space`)."""
     kind = problem.kind
-    wcet = problem.wcet
-    succ_ptr, succ_idx = problem.succ_ptr, problem.succ_idx
-    device = problem.device
-    static_keys = problem.static_keys
-    draw_pool = problem.draw_pool
+    node_off, wcet, succ_ptr, succ_idx, in_degree0 = stack_compiled(
+        [compile_task(job.task) for job in problem.instances]
+    ).global_space()
+    device = np.array(
+        [target for tables in problem.tables for target in tables.device],
+        dtype=np.int64,
+    )
+    static_keys = (
+        np.array([key for tables in problem.tables for key in tables.keys])
+        if kind == VECTOR_STATIC
+        else None
+    )
+    draw_pool = problem.draws
     releases = problem.releases
-    node_off = problem.node_off
+    devices = problem.platform.accelerators
 
-    total = problem.total_nodes
-    in_degree = problem.in_degree0.copy()
+    total = int(node_off[-1])
+    in_degree = in_degree0.copy()
     ready_time = np.zeros(total, dtype=np.float64)
     finish_time = np.zeros(total, dtype=np.float64)
     remaining = total
 
-    free_cores = problem.cores
-    device_free = [True] * problem.devices
+    free_cores = problem.platform.host_cores
+    device_free = [True] * devices
     ready_host: list[tuple] = []
-    ready_device: list[list[tuple]] = [[] for _ in range(problem.devices)]
+    ready_device: list[list[tuple]] = [[] for _ in range(devices)]
     running: list[tuple] = []  # (finish, start_seq, node, device or -1)
 
     arrival = 0
@@ -465,7 +449,7 @@ def _reference_finish_times(problem: _WorkloadProblem) -> np.ndarray:
             free_cores -= 1
             start_seq += 1
             heapq.heappush(running, (now + wcet[node], start_seq, node, -1))
-        for dev in range(problem.devices):
+        for dev in range(devices):
             queue = ready_device[dev]
             while device_free[dev] and queue:
                 _, node, _ = heapq.heappop(queue)
@@ -516,7 +500,7 @@ def _reference_finish_times(problem: _WorkloadProblem) -> np.ndarray:
             base, stop = node_off[release_ptr], node_off[release_ptr + 1]
             release = releases[release_ptr]
             for node in range(base, stop):
-                if problem.in_degree0[node] == 0:
+                if in_degree0[node] == 0:
                     ready_time[node] = release
                     enqueue(int(node), float(release))
             release_ptr += 1
@@ -529,385 +513,19 @@ def _reference_finish_times(problem: _WorkloadProblem) -> np.ndarray:
         events=total,
         lane_steps=steps,
     )
-    return finish_time
-
-
-# ----------------------------------------------------------------------
-# Coupled numpy engine
-# ----------------------------------------------------------------------
-class _CoupledEngine:
-    """Vectorised event loop over the shared node space.
-
-    One lockstep "lane group": grouped successor propagation with
-    decisive-edge readiness per step, batched release seeding and lexsort
-    selection over the shared capacity pool.  Steps whose newly-ready set
-    contains an instant node fall back -- for the *stamped* families only,
-    FIFO keys are insensitive to cascade interleaving -- to a scalar replay
-    of that step, executed from the still-uncommitted state so the stamp
-    interleaving matches the reference exactly.
-    """
-
-    def __init__(self, problem: _WorkloadProblem) -> None:
-        p = problem
-        self.p = p
-        self.kind = p.kind
-        self.in_degree = p.in_degree0.copy()
-        self.ready_time = np.zeros(p.total_nodes, dtype=np.float64)
-        self.finish_time = np.zeros(p.total_nodes, dtype=np.float64)
-        self.remaining = p.total_nodes
-        self.arrival = 0
-        self.start_seq = 0
-
-        slots = p.cores + p.devices
-        self.slot_finish = np.full(slots, math.inf, dtype=np.float64)
-        self.slot_node = np.full(slots, -1, dtype=np.int64)
-        self.slot_seq = np.zeros(slots, dtype=np.int64)
-        self.free_host = list(range(p.cores - 1, -1, -1))
-
-        # Ready pools: parallel arrays (node, primary key, secondary key).
-        # Selection lexsorts (secondary within primary), which realises the
-        # exact tuple order of the reference heaps for every key family.
-        self.host_pool: list[np.ndarray] = [
-            np.empty(0, np.int64),
-            np.empty(0, np.float64),
-            np.empty(0, np.float64),
-        ]
-        self.device_pools = [
-            [
-                np.empty(0, np.int64),
-                np.empty(0, np.float64),
-                np.empty(0, np.float64),
-            ]
-            for _ in range(p.devices)
-        ]
-
-    # -- pool plumbing -------------------------------------------------
-    def _keys_for(self, nodes: np.ndarray, stamps: np.ndarray) -> tuple:
-        p = self.p
-        if self.kind == VECTOR_FIFO:
-            return self.ready_time[nodes], nodes.astype(np.float64)
-        if self.kind == VECTOR_LIFO:
-            return -stamps.astype(np.float64), np.zeros(len(nodes))
-        if self.kind == VECTOR_STATIC:
-            return p.static_keys[nodes], stamps.astype(np.float64)
-        return p.draw_pool[stamps - 1], stamps.astype(np.float64)
-
-    def _push(self, nodes: np.ndarray) -> None:
-        """Append non-instant ready nodes to their pools, stamping arrivals.
-
-        ``nodes`` must already be in the enqueue order of the reference
-        engine for this phase (decisive-edge order for retirements, global
-        node order for releases) -- the stamps are assigned along it.
-        """
-        if not len(nodes):
-            return
-        stamps = self.arrival + 1 + np.arange(len(nodes), dtype=np.int64)
-        self.arrival += len(nodes)
-        prim, sec = self._keys_for(nodes, stamps)
-        if self.p.all_host:
-            pool = self.host_pool
-            pool[0] = np.concatenate([pool[0], nodes])
-            pool[1] = np.concatenate([pool[1], prim])
-            pool[2] = np.concatenate([pool[2], sec])
-            return
-        on_device = self.p.device[nodes]
-        for dev in (-1, *range(self.p.devices)):
-            mask = on_device == dev
-            if not np.any(mask):
-                continue
-            pool = self.host_pool if dev < 0 else self.device_pools[dev]
-            pool[0] = np.concatenate([pool[0], nodes[mask]])
-            pool[1] = np.concatenate([pool[1], prim[mask]])
-            pool[2] = np.concatenate([pool[2], sec[mask]])
-
-    def _take(self, pool: list[np.ndarray], count: int) -> np.ndarray:
-        """Remove and return the ``count`` smallest-key nodes of ``pool``."""
-        size = len(pool[0])
-        if size == 0 or count <= 0:
-            return np.empty(0, dtype=np.int64)
-        order = np.lexsort((pool[2], pool[1]))
-        take = order[: min(count, size)]
-        nodes = pool[0][take]
-        keep = np.ones(size, dtype=bool)
-        keep[take] = False
-        pool[0], pool[1], pool[2] = pool[0][keep], pool[1][keep], pool[2][keep]
-        return nodes
-
-    # -- event-loop phases ---------------------------------------------
-    def _scalar_enqueue(self, node: int, when: float) -> None:
-        """Reference-identical enqueue-with-cascade for fallback steps."""
-        p = self.p
-        pending = deque(((node, when),))
-        while pending:
-            current, at = pending.popleft()
-            if p.wcet[current] == 0.0:
-                self.finish_time[current] = at
-                self.remaining -= 1
-                newly = []
-                for s in p.succ_idx[
-                    p.succ_ptr[current] : p.succ_ptr[current + 1]
-                ]:
-                    if at > self.ready_time[s]:
-                        self.ready_time[s] = at
-                    self.in_degree[s] -= 1
-                    if self.in_degree[s] == 0:
-                        newly.append((int(s), self.ready_time[s]))
-                pending.extend(newly)
-                continue
-            node_arr = np.array([current], dtype=np.int64)
-            self._push(node_arr)
-
-    def _propagate_batch(self, nodes: np.ndarray, fins: np.ndarray) -> None:
-        """Grouped propagation of retired ``nodes`` (in retirement order).
-
-        Computes the newly-ready set read-only first; if a stamped family
-        would cascade (an instant node among the newly ready), the whole
-        step is replayed scalar so stamp interleaving matches the
-        reference.  Otherwise updates commit vectorised and stamps follow
-        decisive-edge order.
-        """
-        p = self.p
-        starts = p.succ_ptr[nodes]
-        counts = p.succ_ptr[nodes + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return
-        # Ragged gather of every (edge target, source finish) in retirement-
-        # major CSR order -- the enqueue order of the reference engine.
-        offsets = np.repeat(np.cumsum(counts) - counts, counts)
-        flat = np.arange(total, dtype=np.int64) - offsets + np.repeat(starts, counts)
-        targets = p.succ_idx[flat]
-        fsrc = np.repeat(fins, counts)
-
-        order = np.argsort(targets, kind="stable")
-        tsorted = targets[order]
-        boundary = np.ones(len(tsorted), dtype=bool)
-        boundary[1:] = tsorted[1:] != tsorted[:-1]
-        group_start = np.flatnonzero(boundary)
-        uniq = tsorted[group_start]
-        group_counts = np.diff(np.append(group_start, len(tsorted)))
-        newly_mask = self.in_degree[uniq] == group_counts
-        newly = uniq[newly_mask]
-
-        if (
-            p.has_instant
-            and self.kind != VECTOR_FIFO
-            and len(newly)
-            and np.any(p.instant[newly])
-        ):
-            # Stamped family + instant cascade: replay the retirements
-            # scalar from the uncommitted state (reference semantics).
-            for node, fin in zip(nodes.tolist(), fins.tolist()):
-                step_newly = []
-                for s in p.succ_idx[p.succ_ptr[node] : p.succ_ptr[node + 1]]:
-                    if fin > self.ready_time[s]:
-                        self.ready_time[s] = fin
-                    self.in_degree[s] -= 1
-                    if self.in_degree[s] == 0:
-                        step_newly.append((int(s), self.ready_time[s]))
-                for ready_node, when in step_newly:
-                    self._scalar_enqueue(ready_node, when)
-            return
-
-        # Commit: ready-time maxima and in-degree decrements are order-free.
-        fmax = np.maximum.reduceat(fsrc[order], group_start)
-        np.maximum.at(self.ready_time, uniq, fmax)
-        np.subtract.at(self.in_degree, uniq, group_counts)
-        if not len(newly):
-            return
-        # Decisive-edge order: a node becomes ready at its *last* incoming
-        # edge of the step; sort newly nodes by that edge's flat position.
-        last_index = np.append(group_start[1:], len(tsorted)) - 1
-        last_pos = order[last_index]
-        newly_order = np.argsort(last_pos[newly_mask], kind="stable")
-        newly = newly[newly_order]
-        if self.kind == VECTOR_FIFO:
-            self._fifo_wave(newly)
-        else:
-            self._push(newly)
-
-    def _fifo_wave(self, newly: np.ndarray) -> None:
-        """Resolve instant nodes breadth-wise (FIFO keys are cascade-
-        insensitive: readiness maxima and in-degree countdowns are
-        order-free, and the (ready, index) key carries no stamp)."""
-        p = self.p
-        if not p.has_instant:
-            self._push(newly)
-            return
-        while len(newly):
-            instant = newly[p.instant[newly]]
-            self._push(newly[~p.instant[newly]])
-            if not len(instant):
-                return
-            self.finish_time[instant] = self.ready_time[instant]
-            self.remaining -= len(instant)
-            starts = p.succ_ptr[instant]
-            counts = p.succ_ptr[instant + 1] - starts
-            total = int(counts.sum())
-            if total == 0:
-                return
-            offsets = np.repeat(np.cumsum(counts) - counts, counts)
-            flat = (
-                np.arange(total, dtype=np.int64)
-                - offsets
-                + np.repeat(starts, counts)
-            )
-            targets = p.succ_idx[flat]
-            fsrc = np.repeat(self.ready_time[instant], counts)
-            order = np.argsort(targets, kind="stable")
-            tsorted = targets[order]
-            boundary = np.ones(len(tsorted), dtype=bool)
-            boundary[1:] = tsorted[1:] != tsorted[:-1]
-            group_start = np.flatnonzero(boundary)
-            uniq = tsorted[group_start]
-            group_counts = np.diff(np.append(group_start, len(tsorted)))
-            fmax = np.maximum.reduceat(fsrc[order], group_start)
-            np.maximum.at(self.ready_time, uniq, fmax)
-            np.subtract.at(self.in_degree, uniq, group_counts)
-            newly = uniq[self.in_degree[uniq] == 0]
-
-    def _release_batch(self, first: int, stop: int) -> None:
-        """Seed the sources of instances ``first:stop`` (workload order)."""
-        p = self.p
-        lo, hi = p.node_off[first], p.node_off[stop]
-        sources = p.sources[
-            np.searchsorted(p.sources, lo) : np.searchsorted(p.sources, hi)
-        ]
-        # Each source's ready time is its own instance's release.
-        instance_of = np.searchsorted(p.node_off[1:], sources, side="right")
-        self.ready_time[sources] = p.releases[instance_of]
-        if (
-            p.has_instant
-            and self.kind != VECTOR_FIFO
-            and np.any(p.instant[sources])
-        ):
-            # Instant sources cascade; stamped families replay the seeding
-            # scalar (instance order, then creation order -- which is
-            # exactly the global node order ``sources`` already has).
-            for node in sources.tolist():
-                self._scalar_enqueue(int(node), float(self.ready_time[node]))
-            return
-        if self.kind == VECTOR_FIFO:
-            self._fifo_wave(sources)
-        else:
-            self._push(sources)
-
-    def _start_ready(self, now: float) -> None:
-        p = self.p
-        if self.free_host and len(self.host_pool[0]):
-            nodes = self._take(self.host_pool, len(self.free_host))
-            count = len(nodes)
-            if count:
-                # Slots are claimed in stack-pop order and sequence numbers
-                # in selection order -- exactly the scalar start loop.
-                slots = np.array(
-                    self.free_host[: -count - 1 : -1], dtype=np.int64
-                )
-                del self.free_host[-count:]
-                self.slot_finish[slots] = now + p.wcet[nodes]
-                self.slot_node[slots] = nodes
-                self.slot_seq[slots] = self.start_seq + 1 + np.arange(count)
-                self.start_seq += count
-        if p.all_host:
-            return
-        for dev in range(p.devices):
-            slot = p.cores + dev
-            if math.isinf(self.slot_finish[slot]) and len(
-                self.device_pools[dev][0]
-            ):
-                node = int(self._take(self.device_pools[dev], 1)[0])
-                self.start_seq += 1
-                self.slot_finish[slot] = now + p.wcet[node]
-                self.slot_node[slot] = node
-                self.slot_seq[slot] = self.start_seq
-
-    def run(self) -> np.ndarray:
-        p = self.p
-        release_ptr = 0
-        instance_count = len(p.instances)
-        steps = 0
-        retire_width = 0
-        while self.remaining > 0:
-            steps += 1
-            next_finish = float(self.slot_finish.min()) if len(
-                self.slot_finish
-            ) else math.inf
-            next_release = (
-                p.releases[release_ptr]
-                if release_ptr < instance_count
-                else math.inf
-            )
-            now = min(next_finish, next_release)
-            if math.isinf(now):
-                raise SimulationError(
-                    "workload simulation deadlocked: nodes remain but "
-                    "nothing is running and no release is pending"
-                )
-            done = np.flatnonzero(self.slot_finish <= now + _TIE)
-            retire_width += len(done)
-            if len(done):
-                order = np.lexsort(
-                    (self.slot_seq[done], self.slot_finish[done])
-                )
-                done = done[order]
-                nodes = self.slot_node[done]
-                fins = self.slot_finish[done].copy()
-                self.finish_time[nodes] = fins
-                self.remaining -= len(nodes)
-                for slot in done.tolist():
-                    if slot < p.cores:
-                        self.free_host.append(slot)
-                self.slot_finish[done] = math.inf
-                self.slot_node[done] = -1
-                self._propagate_batch(nodes, fins)
-            stop = release_ptr
-            while (
-                stop < instance_count and p.releases[stop] <= now + _TIE
-            ):
-                stop += 1
-            if stop > release_ptr:
-                self._release_batch(release_ptr, stop)
-                release_ptr = stop
-            self._start_ready(now)
-        # lane_steps carries the summed retire-batch widths: occupancy is
-        # the mean batch width over the in-flight slot capacity.
-        record_kernel_batch(
-            "workload.numpy",
-            lanes=max(len(self.slot_finish), 1),
-            steps=steps,
-            events=p.total_nodes,
-            lane_steps=retire_width,
+    # Each instance's latest finish; -inf for an instance without nodes.
+    completions = np.full(instance_count, -math.inf)
+    filled = node_off[1:] > node_off[:-1]
+    if filled.any():
+        completions[filled] = np.maximum.reduceat(
+            finish_time, node_off[:-1][filled]
         )
-        return self.finish_time
+    return completions
 
 
 # ----------------------------------------------------------------------
 # Public entry points
 # ----------------------------------------------------------------------
-def resolve_workload_backend(backend: str = "auto") -> str:
-    """Concrete backend ``simulate_workload`` will use for ``backend``.
-
-    ``auto`` resolves to the coupled numpy engine.  A compiled-C
-    shared-platform mode (one pool across a lane group inside the PR 8 C
-    step loop) is a documented follow-on; requesting ``compiled``
-    explicitly says so instead of silently downgrading.
-    """
-    if backend == "auto":
-        return "numpy"
-    if backend == "compiled":
-        raise SimulationError(
-            "the compiled backend has no shared-platform (multi-instance) "
-            "mode yet -- it simulates independent lanes only; use "
-            "backend='auto' (numpy coupled engine) for workloads"
-        )
-    if backend not in WORKLOAD_BACKENDS:
-        valid = ", ".join(WORKLOAD_BACKENDS)
-        raise ValueError(
-            f"unknown workload backend {backend!r}; valid backends: {valid}"
-        )
-    return backend
-
-
 def simulate_workload_reference(
     workload: Sequence[JobInstance],
     platform: Union[Platform, int],
@@ -916,13 +534,13 @@ def simulate_workload_reference(
 ) -> WorkloadResult:
     """Scalar reference simulation of a multi-instance workload.
 
-    The validation anchor of the coupled engine: a heap-based Python event
-    loop implementing the module's event-loop specification verbatim.  A
-    single-instance workload released at 0 reproduces
+    The validation anchor of :func:`simulate_workload`: a heap-based Python
+    event loop implementing the module's event-loop specification verbatim.
+    A single-instance workload released at 0 reproduces
     :func:`~repro.simulation.engine.simulate_makespan` bit for bit.
     """
     problem = _WorkloadProblem(workload, platform, policy, offload_enabled)
-    return problem.result(_reference_finish_times(problem))
+    return problem.result(_reference_completions(problem))
 
 
 def simulate_workload(
@@ -937,12 +555,20 @@ def simulate_workload(
     All instances contend for the same ``m`` host cores and accelerator
     devices under one work-conserving scheduler; the result carries
     per-instance completion times and the derived response-time /
-    deadline-miss / backlog metrics.  Bit-identical to
-    :func:`simulate_workload_reference` for every backend (the repo-wide
-    cross-engine contract; hypothesis-enforced).
+    deadline-miss / backlog metrics.  The dense engine's event loop
+    (:func:`~repro.simulation.dense.run_jobs`) runs it, bit-identical to
+    :func:`simulate_workload_reference` (hypothesis-enforced).  ``backend``
+    accepts ``"auto"`` only; the reference engine is
+    :func:`simulate_workload_reference`.
     """
-    resolved = resolve_workload_backend(backend)
+    if backend != "auto":
+        raise ValueError(
+            f"unknown workload backend {short_repr(backend)}; the only "
+            "backend is 'auto' (simulate_workload_reference is the "
+            "reference engine)"
+        )
     problem = _WorkloadProblem(workload, platform, policy, offload_enabled)
-    if resolved == "reference":
-        return problem.result(_reference_finish_times(problem))
-    return problem.result(_CoupledEngine(problem).run())
+    jobs = list(zip(problem.releases.tolist(), problem.tables))
+    return problem.result(
+        run_jobs(jobs, problem.platform, problem.kind, problem.draws)
+    )

@@ -43,7 +43,11 @@ from repro.simulation.schedulers import (
     policy_vector_kind,
 )
 from repro.simulation.vectorized import VectorCell, simulate_makespans_vectorized
-from repro.simulation.workload import JobInstance, simulate_workload
+from repro.simulation.workload import (
+    JobInstance,
+    simulate_workload,
+    simulate_workload_reference,
+)
 
 from strategies import make_random_heterogeneous_task
 
@@ -559,13 +563,12 @@ def _many(engine: str) -> float:
     return float(grid[0, 0, 0])
 
 
-def _workload(backend: str) -> float:
-    result = simulate_workload(
+def _workload(simulate_jobs) -> float:
+    result = simulate_jobs(
         [JobInstance(task=_COLLIDING_TASK, release=0.0)],
         2,
         _colliding_policy(),
         offload_enabled=False,
-        backend=backend,
     )
     return float(result.completions[0])
 
@@ -600,8 +603,8 @@ _COLLIDING_ENGINES = {
             [VectorCell(_COLLIDING_TASK, 2, _colliding_policy(), offload_enabled=False)]
         )[0]
     ),
-    "workload-reference": lambda: _workload("reference"),
-    "workload-numpy": lambda: _workload("numpy"),
+    "workload-reference": lambda: _workload(simulate_workload_reference),
+    "workload": lambda: _workload(simulate_workload),
     "facade": _facade,
 }
 

@@ -154,6 +154,31 @@ class TestTracerUnit:
         only_errors = tracer.list_traces(errors=True)
         assert [t["trace_id"] for t in only_errors] == [error_id]
 
+    def test_only_kept_traces_are_built_and_sized(self, monkeypatch):
+        from repro.service import tracing
+
+        built = []
+
+        def counted(trace):
+            payload = original(trace)
+            built.append(payload)
+            return payload
+
+        original = tracing._trace_payload
+        monkeypatch.setattr(tracing, "_trace_payload", counted)
+        tracer = Tracer(sample=0.0)
+        for _ in range(10):
+            _finished_trace(tracer, spans=["a", "b", "c"])
+        assert built == []  # sampled out: never built
+        kept = [_finished_trace(tracer, error=True) for _ in range(3)]
+        assert [payload["trace_id"] for payload in built] == kept
+        stats = tracer.ring_stats()
+        assert stats["sampled_out"] == 10 and stats["kept"] == 3
+        assert stats["ring_bytes"] == sum(
+            len(json.dumps(payload, separators=(",", ":"), default=str))
+            for payload in built
+        )
+
     def test_slow_threshold_recomputed_every_16th_finished_trace(
         self, monkeypatch
     ):

@@ -1,10 +1,10 @@
 """Online multi-instance workloads: arrival processes, metrics, engines.
 
-The load-bearing contract is bit-identity: the shared-capacity coupled
-lockstep engine (``backend="numpy"``) must produce *exactly* the same
-per-instance completion times as the scalar reference event loop, for
-every policy family, arrival pattern, platform shape and seed -- enforced
-here with a hypothesis harness.  A single instance released at time zero
+The load-bearing contract is bit-identity: ``simulate_workload`` (the
+dense engine's event loop) must produce *exactly* the same per-instance
+completion times as the scalar reference event loop, for every policy
+family, arrival pattern, platform shape and seed -- enforced here with a
+hypothesis harness.  A single instance released at time zero
 must in turn reproduce :func:`repro.simulation.engine.simulate_makespan`
 bit-for-bit, anchoring the whole subsystem to the engines already pinned
 by the rest of the suite.
@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.exceptions import SimulationError, ValidationError
+from repro.core.task import DagTask
 from repro.core.transformation import transform
 from repro.generator.arrivals import (
     PeriodicArrivals,
@@ -30,13 +31,13 @@ from repro.generator.arrivals import (
     arrival_to_dict,
 )
 from repro.simulation.engine import simulate_makespan
+from repro.simulation.kernel_stats import collect_kernel_stats
 from repro.simulation.platform import Platform
 from repro.simulation.schedulers import policy_by_name
 from repro.simulation.workload import (
     JobInstance,
     JobStream,
     build_workload,
-    resolve_workload_backend,
     simulate_workload,
     simulate_workload_reference,
 )
@@ -338,13 +339,50 @@ class TestWorkloadMetrics:
 # ----------------------------------------------------------------------
 class TestEngineContracts:
     def test_backend_resolution(self):
-        assert resolve_workload_backend("auto") == "numpy"
-        assert resolve_workload_backend("numpy") == "numpy"
-        assert resolve_workload_backend("reference") == "reference"
-        with pytest.raises(SimulationError):
-            resolve_workload_backend("compiled")
-        with pytest.raises(ValueError):
-            resolve_workload_backend("cuda")
+        task = make_random_host_task(10, n_max=8)
+        jobs = [JobInstance(task=task, release=0.0)]
+        assert simulate_workload(jobs, 2, None, backend="auto").count == 1
+        # One engine: the reference is simulate_workload_reference, and
+        # every other backend name is refused with the one valid value.
+        for backend in ("numpy", "reference", "compiled", "cuda"):
+            with pytest.raises(ValueError, match="'auto'"):
+                simulate_workload(jobs, 2, None, backend=backend)
+
+    def test_one_dense_batch_per_call(self):
+        tasks = [_task(seed, True) for seed in (24, 25)]
+        streams = [
+            JobStream(tasks[0], PeriodicArrivals(period=20.0, jitter=3.0, seed=1)),
+            JobStream(tasks[1], PeriodicArrivals(period=35.0, offset=2.0)),
+        ]
+        workload = build_workload(streams, 200.0)
+        with collect_kernel_stats() as stats:
+            simulate_workload(workload, Platform(2, 1), None)
+        (batch,) = stats.batches
+        assert batch.engine == "dense"
+        assert batch.lanes == 1
+        assert batch.events == sum(len(job.task.graph) for job in workload)
+        assert batch.steps >= 1 and batch.lane_steps == batch.steps
+        # A lone all-instant job still takes a step: its release.
+        lone = DagTask.from_wcets({"a": 0.0, "b": 0.0}, [("a", "b")])
+        with collect_kernel_stats() as stats:
+            result = simulate_workload([JobInstance(lone, 3.0)], 2, None)
+        (batch,) = stats.batches
+        assert (batch.steps, batch.events) == (1, 2)
+        assert result.completions.tolist() == [3.0]
+
+    def test_instance_without_nodes_completes_at_its_release(self):
+        empty = DagTask.from_wcets({}, [])
+        task = make_random_host_task(12, n_max=8)
+        jobs = [
+            JobInstance(task=empty, release=0.0, index=0),
+            JobInstance(task=task, release=1.0, index=1),
+            JobInstance(task=empty, release=2.0, index=2),
+        ]
+        reference = simulate_workload_reference(jobs, 2, None)
+        result = simulate_workload(jobs, 2, None)
+        assert result.completions.tolist() == reference.completions.tolist()
+        assert result.completions[0] == 0.0 and result.completions[2] == 2.0
+        assert result.completions[1] == 1.0 + simulate_makespan(task, 2)
 
     def test_unsorted_workload_rejected(self):
         task = make_random_host_task(10, n_max=8)
@@ -377,10 +415,8 @@ class TestEngineContracts:
             jobs = [JobInstance(task=task, release=0.0)]
             platform = Platform(2, 1)
             expected = simulate_makespan(task, platform, _policy(policy_name, 7))
-            for backend in ("reference", "numpy"):
-                result = simulate_workload(
-                    jobs, platform, _policy(policy_name, 7), backend=backend
-                )
+            for simulate_jobs in (simulate_workload_reference, simulate_workload):
+                result = simulate_jobs(jobs, platform, _policy(policy_name, 7))
                 assert result.completions[0] == expected
 
     @pytest.mark.parametrize("policy_name", _POLICY_NAMES)
@@ -391,14 +427,12 @@ class TestEngineContracts:
             for k in range(6)
         ]
         reference = simulate_workload_reference(jobs, 2, _policy(policy_name, 3))
-        coupled = simulate_workload(
-            jobs, 2, _policy(policy_name, 3), backend="numpy"
-        )
-        assert reference.completions.tolist() == coupled.completions.tolist()
+        dense = simulate_workload(jobs, 2, _policy(policy_name, 3))
+        assert reference.completions.tolist() == dense.completions.tolist()
 
 
 # ----------------------------------------------------------------------
-# The hypothesis harness: coupled lockstep == scalar reference, exactly
+# The hypothesis harness: the dense loop == scalar reference, exactly
 # ----------------------------------------------------------------------
 @st.composite
 def zeroed_tasks(draw, seed: int):
@@ -467,21 +501,21 @@ def workload_cases(draw):
     return streams, horizon, policy_name, policy_seed, Platform(cores, accelerators)
 
 
-class TestCoupledBitIdentity:
+class TestDenseLoopBitIdentity:
     @given(case=workload_cases())
     @settings(max_examples=60, deadline=None)
-    def test_coupled_lockstep_matches_scalar_reference(self, case):
+    def test_dense_loop_matches_scalar_reference(self, case):
         streams, horizon, policy_name, policy_seed, platform = case
         workload = build_workload(streams, horizon)
         reference = simulate_workload_reference(
             workload, platform, _policy(policy_name, policy_seed)
         )
-        coupled = simulate_workload(
-            workload, platform, _policy(policy_name, policy_seed), backend="numpy"
+        dense = simulate_workload(
+            workload, platform, _policy(policy_name, policy_seed)
         )
-        assert reference.completions.tolist() == coupled.completions.tolist()
-        assert reference.releases.tolist() == coupled.releases.tolist()
-        assert reference.miss_ratio() == coupled.miss_ratio()
+        assert reference.completions.tolist() == dense.completions.tolist()
+        assert reference.releases.tolist() == dense.releases.tolist()
+        assert reference.miss_ratio() == dense.miss_ratio()
 
     @given(case=workload_cases())
     @settings(max_examples=15, deadline=None)
@@ -494,11 +528,10 @@ class TestCoupledBitIdentity:
             _policy(policy_name, policy_seed),
             offload_enabled=False,
         )
-        coupled = simulate_workload(
+        dense = simulate_workload(
             workload,
             platform,
             _policy(policy_name, policy_seed),
             offload_enabled=False,
-            backend="numpy",
         )
-        assert reference.completions.tolist() == coupled.completions.tolist()
+        assert reference.completions.tolist() == dense.completions.tolist()

@@ -1,15 +1,23 @@
-"""Golden regression test for the schedulability-under-load curve.
+"""Golden regression tests for the schedulability-under-load curve.
 
-The expected curve is committed under
+The expected quick-scale curve is committed under
 ``benchmarks/results/workload_schedulability.json``.  The sweep exercises
 the whole online-workload stack -- seeded stream-task generation, jittered
 periodic arrivals, ``build_workload`` unrolling, and the shared-capacity
-coupled lockstep simulator -- so a bit-identical golden pins all of it:
-any change to draws, event ordering, or float evaluation order shows up
-here.  The sweep must also be bit-identical under ``--jobs`` (each
-(utilisation, policy) cell is a deterministic seeded simulation).
+simulator -- so a bit-identical golden pins all of it: any change to
+draws, event ordering, or float evaluation order shows up here.
 
-Regenerate the golden file (after an *intentional* change) with::
+The paper-scale curve (``tests/data/workload_schedulability_paper_golden.json``,
+8 streams and 111 jittered heterogeneous instances per cell) was written by
+the coupled numpy engine that ``simulate_workload`` ran before the dense
+event loop replaced it, with::
+
+    PYTHONPATH=src python -m repro experiment workload-schedulability \
+        --scale paper --json tests/data/workload_schedulability_paper_golden.json
+
+so it anchors the loop at scale to an independent implementation.
+
+Regenerate the quick golden file (after an *intentional* change) with::
 
     PYTHONPATH=src python tests/test_workload_golden.py --regenerate
 """
@@ -19,6 +27,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.experiments.config import paper_scale
 from repro.experiments.workload import (
     POLICIES,
     UTILISATION_GRID,
@@ -31,10 +40,13 @@ GOLDEN_PATH = (
     / "results"
     / "workload_schedulability.json"
 )
+PAPER_GOLDEN_PATH = (
+    Path(__file__).parent / "data" / "workload_schedulability_paper_golden.json"
+)
 
 
-def _run(jobs=None) -> dict:
-    return run_workload_schedulability(jobs=jobs).to_dict()
+def _run() -> dict:
+    return run_workload_schedulability().to_dict()
 
 
 class TestWorkloadGolden:
@@ -42,9 +54,14 @@ class TestWorkloadGolden:
         golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
         assert _run() == golden
 
-    def test_bit_identical_under_jobs(self):
-        golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-        assert _run(jobs=2) == golden
+    def test_paper_scale_matches_golden_bytes(self):
+        # The document the CLI's --json writes, byte for byte.
+        result = run_workload_schedulability(paper_scale())
+        expected = PAPER_GOLDEN_PATH.read_text(encoding="utf-8")
+        assert result.to_json() + "\n" == expected
+        metadata = json.loads(expected)["metadata"]
+        assert metadata["streams"] == 8
+        assert metadata["instances_per_point"] == [111.0] * 8
 
     def test_curve_shape(self):
         """Structural sanity of the committed curve itself.

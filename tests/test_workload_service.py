@@ -84,7 +84,20 @@ class TestFacadeWorkload:
             assert first == second
             assert stats["requests"]["workload"] == 2
             assert stats["cache"]["hits"] >= 1
-            assert stats["engine"]["by_engine"]["lockstep"] >= 1
+            assert stats["engine"]["by_engine"]["dense"] >= 1
+
+    def test_workload_counts_one_dense_engine_call(self):
+        with EvaluationService() as service:
+            service.submit_workload(_streams(), 150.0, 2)
+            stats = service.stats()
+            assert stats["engine"]["by_engine"] == {"dense": 1, "compiled": 0}
+            rendered = service.metrics.render_prometheus()
+            assert 'repro_service_sim_engine_total{engine="dense"} 1' in rendered
+            kernel = service.metrics.render_json()["counters"]
+            assert [
+                series["labels"]
+                for series in kernel["repro_kernel_events_total"]["series"]
+            ] == [{"engine": "dense"}]
 
     def test_random_policy_requires_seed(self):
         streams = _streams()
