@@ -171,9 +171,7 @@ class CompiledTask:
         stamp.  The serving layer (:mod:`repro.service.fingerprint`) keys
         its memoised results on this value, which is why it lives on the
         compiled view: the stamp-cached compile and the result-cache key
-        agree, so an unmutated task hashes exactly once.  A decoded task
-        document (:class:`repro.io.json_io.TaskDocument`) hashes through
-        the same function and so equals the task built from it.
+        agree, so an unmutated task hashes exactly once.
 
         Node identifiers are stringified the same way as the JSON codec
         (:func:`repro.io.json_io.task_to_dict`); identifiers whose ``str``

@@ -7,9 +7,6 @@
 
 from .dot import load_dot, save_dot, task_from_dot, task_to_dot, transformed_to_dot
 from .json_io import (
-    TaskDocument,
-    build_task,
-    decode_task,
     load_task,
     load_taskset,
     save_task,
@@ -23,9 +20,6 @@ from .json_io import (
 )
 
 __all__ = [
-    "TaskDocument",
-    "decode_task",
-    "build_task",
     "task_to_dict",
     "task_from_dict",
     "task_to_json",

@@ -16,15 +16,12 @@ between runs of the experiment harness::
 
 Task sets are stored as ``{"name": ..., "tasks": [<task>, ...]}``.
 
-:func:`task_from_dict` runs two steps.  :func:`decode_task` checks the
-document's shape and converts its values into a :class:`TaskDocument`
-without building a graph (a WCET must be a JSON number, never a boolean or
-a string); :func:`build_task` builds the graph and the task, with the
-checks that need the graph.  The build goes through
-:meth:`~repro.core.graph.DirectedAcyclicGraph.from_dict`, so the graph is
-born as its dense kernel and its acyclicity check costs nothing more.  The
-evaluation service fingerprints the decoded document and builds the task
-only when the result cache has no answer for it.
+:func:`task_from_dict` checks the document's shape (a WCET must be a JSON
+number, never a boolean or a string), then builds the graph straight from
+the edges' index pairs, so it is born as its dense kernel and its
+acyclicity check costs nothing more.  It is the one decode of a task: the
+evaluation service's HTTP transport builds each request's task with it
+before the service sees the request.
 
 :func:`read_fields` reads a JSON object through a table of its fields: the
 service's request documents and the arrival specs are read that way.
@@ -36,20 +33,17 @@ import json
 import math
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from numbers import Real
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from ..core.exceptions import SerializationError, ValidationError, short_repr
+from ..core.graph import DirectedAcyclicGraph
 from ..core.task import DagTask, TaskSet
 
 __all__ = [
     "REQUIRED",
     "read_fields",
-    "TaskDocument",
-    "decode_task",
-    "build_task",
     "task_to_dict",
     "task_from_dict",
     "task_to_json",
@@ -106,43 +100,22 @@ def task_to_dict(task: DagTask) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class TaskDocument:
-    """A task document decoded to plain values, before any graph is built.
-
-    :func:`decode_task` produces it with every shape check and conversion
-    of the on-disk format applied; :func:`build_task` turns it into a
-    :class:`~repro.core.task.DagTask`.  Node ``i`` is ``names[i]`` with WCET
-    ``wcets[i]`` (document order), and ``edges`` are ``(src, dst)`` index
-    pairs into ``names``.  ``deadline`` already defaults to ``period``, as
-    in the built task.  The checks that need the graph -- duplicate edges,
-    self loops, cycles, WCETs outside ``[0, inf)``, ``deadline > period``
-    -- are left to the build.
-    """
-
-    names: list[str]
-    wcets: list[float]
-    edges: list[tuple[int, int]]
-    offloaded_node: Optional[str] = None
-    period: Optional[float] = None
-    deadline: Optional[float] = None
-    name: str = "tau"
-    metadata: dict = field(default_factory=dict)
-
-    @property
-    def node_count(self) -> int:
-        """Number of nodes (as :attr:`DagTask.node_count` of the build)."""
-        return len(self.names)
-
-
 #: The types :func:`json.loads` gives a JSON number.
 _NUMBER_TYPES = frozenset((int, float))
 #: The types an edge entry may have (:func:`json.loads` gives lists).
 _PAIR_TYPES = frozenset((list, tuple))
 _FLOAT_MAX = sys.float_info.max
 
-#: JSON names of the types :func:`json.loads` gives that are not numbers.
-_JSON_TYPES = {bool: "boolean", str: "string", list: "array", dict: "object", type(None): "null"}
+#: JSON names of the types :func:`json.loads` gives.
+_JSON_TYPES = {
+    bool: "boolean",
+    int: "number",
+    float: "number",
+    str: "string",
+    list: "array",
+    dict: "object",
+    type(None): "null",
+}
 
 
 def _json_type(value: object) -> str:
@@ -161,18 +134,24 @@ def _refuse_edges(raw_edges: Union[list, tuple], index: Mapping[str, int]) -> No
             raise SerializationError(f"edge {short_repr(edge)} references an unknown node")
 
 
-def decode_task(data: Mapping) -> TaskDocument:
-    """Check the shape of a task document and convert its values.
+def task_from_dict(data: Mapping) -> DagTask:
+    """Inverse of :func:`task_to_dict`.
 
-    A WCET must be a JSON number (a boolean is not one); whether it is
-    finite and ``>= 0`` is checked by the build.
+    The document's shape is checked first: a WCET must be a JSON number (a
+    boolean is not one), and ``name`` a JSON string.  The graph is then
+    built from the edges' index pairs, with the checks of
+    :meth:`~repro.core.graph.DirectedAcyclicGraph._from_indices` (WCETs in
+    ``[0, inf)``, no self loop or duplicate edge), then the task's timing
+    checks, then acyclicity.
 
     Raises
     ------
     SerializationError
         If the document is not an object, mandatory keys are missing, a
-        value has the wrong shape or type, or an edge or the offloaded node
-        names an unknown node.
+        value has the wrong shape or type, an edge or the offloaded node
+        names an unknown node, or the graph or the timing parameters
+        violate the task model (duplicate edge, self loop, cycle, invalid
+        WCET, ``D > T``).
     """
     if not isinstance(data, Mapping):
         raise SerializationError("a task document must be a JSON object")
@@ -223,60 +202,24 @@ def decode_task(data: Mapping) -> TaskDocument:
     metadata = data.get("metadata", {})
     if not isinstance(metadata, Mapping):
         raise SerializationError("task document 'metadata' must be a JSON object")
-    period = data.get("period")
-    deadline = data.get("deadline")
-    return TaskDocument(
-        names=list(wcet_of),
-        wcets=list(wcet_of.values()),
-        edges=edges,
-        offloaded_node=offloaded,
-        period=period,
-        deadline=period if deadline is None else deadline,
-        name=str(data.get("name", "tau")),
-        metadata=dict(metadata),
-    )
-
-
-def build_task(document: TaskDocument) -> DagTask:
-    """Build the task of a decoded document, graph checks included.
-
-    Raises
-    ------
-    SerializationError
-        If the graph or the timing parameters violate the task model
-        (duplicate edge, self loop, cycle, invalid WCET, ``D > T``).
-    """
-    names = document.names
+    name = data.get("name", "tau")
+    if not isinstance(name, str):
+        raise SerializationError(
+            f"task document 'name' must be a JSON string, got {_json_type(name)}"
+        )
     try:
-        task = DagTask.from_wcets(
-            dict(zip(names, document.wcets)),
-            [(names[src], names[dst]) for src, dst in document.edges],
-            offloaded_node=document.offloaded_node,
-            period=document.period,
-            deadline=document.deadline,
-            name=document.name,
+        task = DagTask(
+            DirectedAcyclicGraph._from_indices(list(wcet_of), list(wcet_of.values()), edges),
+            offloaded_node=offloaded,
+            period=data.get("period"),
+            deadline=data.get("deadline"),
+            name=name,
         )
         task.graph.check_acyclic()
     except Exception as error:  # noqa: BLE001 - wrap as serialisation problem
         raise SerializationError(f"cannot build task from document: {error}") from error
-    task.metadata.update(document.metadata)
+    task.metadata.update(metadata)
     return task
-
-
-def task_from_dict(data: Union[dict, TaskDocument]) -> DagTask:
-    """Inverse of :func:`task_to_dict`: :func:`decode_task`, then :func:`build_task`.
-
-    ``data`` may also be a :class:`TaskDocument` that was decoded already.
-
-    Raises
-    ------
-    SerializationError
-        If the document is malformed (see :func:`decode_task`) or describes
-        no valid task (see :func:`build_task`).
-    """
-    if not isinstance(data, TaskDocument):
-        data = decode_task(data)
-    return build_task(data)
 
 
 def task_to_json(task: DagTask, indent: int = 2) -> str:

@@ -47,19 +47,15 @@ Policies are accepted *declaratively* (name + optional seed + optional
 fixed-priority table), never as live instances: a live instance can carry
 consumed RNG state that no stable cache key could describe.
 
-Tasks are accepted built (:class:`~repro.core.task.DagTask`) or as decoded
-task documents (:class:`~repro.io.json_io.TaskDocument`, what the HTTP
-transport passes).  A document is fingerprinted without building a graph
-and built only when its request is new (step 4), so a cache hit from the
-wire never builds one.  A document the full decode would reject is never
-answered from the cache: its fingerprint cannot equal that of a task the
-build accepted (see :func:`~repro.service.fingerprint.task_fingerprint`),
-so it misses, and the build on the miss rejects it.
+Tasks are accepted built (:class:`~repro.core.task.DagTask`): the HTTP
+transport builds a request's task where it decodes it, so a task the
+decode refuses never reaches the cache, and a request is fingerprinted
+from the built task's compiled view.
 
 A request answered over HTTP also aliases the digest of its body to its
 fingerprint (:func:`body_digest`), and :meth:`EvaluationService.answer_repeat`
 answers a byte-identical repeat from that digest before the transport
-parses it: no JSON parse, no document decode, no fingerprint.  A refused
+parses it: no JSON parse, no task build, no fingerprint.  A refused
 request is never aliased, and neither is an answer the cache does not keep.
 """
 
@@ -85,7 +81,6 @@ from ..core.task import DagTask, check_number, check_seed
 from ..generator.arrivals import arrival_to_dict
 from ..ilp.batch import minimum_makespans_many
 from ..ilp.makespan import MakespanMethod, MakespanResult
-from ..io.json_io import TaskDocument
 from ..parallel import worker_respawn_count
 from ..resilience import FAULTS, CircuitBreaker, Deadline, fault_point
 from ..simulation.batch import resolve_engine, simulate_many
@@ -213,18 +208,6 @@ def _check_timeout(timeout: Optional[float]) -> Optional[float]:
     return None if timeout is None else check_number(
         "timeout", timeout, high=threading.TIMEOUT_MAX
     )
-
-
-def _build_task(document: TaskDocument) -> DagTask:
-    """The task of a decoded document: the one graph build of a miss.
-
-    Goes through ``repro.service.http.task_from_dict``, so the task decode
-    layer has one entry point however the document arrived (the traced
-    benchmark, ``perfbench/serve_launcher.py``, times the layer there).
-    """
-    from . import http  # imported here: http imports this module
-
-    return http.task_from_dict(document)
 
 
 @contextmanager
@@ -611,7 +594,7 @@ class EvaluationService:
     # ------------------------------------------------------------------
     def submit_simulation(
         self,
-        task: Union[DagTask, TaskDocument],
+        task: DagTask,
         platform: Union[Platform, int] = 2,
         *,
         policy: str = "breadth-first",
@@ -625,8 +608,6 @@ class EvaluationService:
         Returns exactly ``simulate_makespan(task, platform,
         build_policy(policy, policy_seed, priorities), offload_enabled)``
         -- see the module docstring for why coalescing cannot change it.
-        ``task`` may be a decoded document instead of a task (as for every
-        ``submit_*`` method); its task is then built only on a cache miss.
         An offloading task on a platform without an accelerator is refused
         here, before it is counted or parked.
         """
@@ -668,7 +649,7 @@ class EvaluationService:
 
     def submit_analysis(
         self,
-        task: Union[DagTask, TaskDocument],
+        task: DagTask,
         cores: Union[int, Sequence[int]] = 2,
         *,
         include_naive: bool = True,
@@ -691,7 +672,7 @@ class EvaluationService:
 
     def submit_makespan(
         self,
-        task: Union[DagTask, TaskDocument],
+        task: DagTask,
         cores: int = 2,
         *,
         accelerators: int = 1,
@@ -957,19 +938,15 @@ class EvaluationService:
         kind: str,
         fingerprint: str,
         group_key: tuple,
-        task: Union[DagTask, TaskDocument],
+        task: DagTask,
         params: dict,
         timeout: Optional[float],
         cost: Optional[int] = None,
     ) -> dict:
         """Serve one fingerprinted request: cache, in-flight join or batch.
 
-        A decoded document is built into its task only here, once the
-        request turned out to be new: a cache hit and an in-flight join
-        never build a graph.  A build failure fails the new request, so
-        duplicates that joined it meanwhile get the same error.  Once
-        answered, a request sent over HTTP aliases its body digest to its
-        fingerprint (see :meth:`answer_repeat`).
+        Once answered, a request sent over HTTP aliases its body digest to
+        its fingerprint (see :meth:`answer_repeat`).
         """
         deadline = Deadline.after(
             self._default_timeout if timeout is None else _check_timeout(timeout)
@@ -992,14 +969,14 @@ class EvaluationService:
         kind: str,
         fingerprint: str,
         group_key: tuple,
-        task: Union[DagTask, TaskDocument],
+        task: DagTask,
         params: dict,
         deadline: Deadline,
         cost: Optional[int],
         submit_span,
     ) -> dict:
-        """A missed request's payload: join its in-flight twin, or build its
-        task, park it in the batcher and wait for the flush."""
+        """A missed request's payload: join its in-flight twin, or park it
+        in the batcher and wait for the flush."""
         with self._lock:
             leader = self._inflight.get(fingerprint)
             if leader is None:
@@ -1024,12 +1001,6 @@ class EvaluationService:
             if trace is not None and isinstance(leader_ctx, RequestTraceContext):
                 trace.link_trace(leader_ctx.trace.trace_id, kind="dedupe-leader")
             return _copy_payload(self._wait(leader, deadline))
-        if isinstance(task, TaskDocument):
-            try:
-                request.task = _build_task(task)
-            except BaseException as error:
-                self._abort(request, error)
-                raise
         queue_span = self.tracer.start_span("batcher.queue")
         if queue_span:
             request.trace = RequestTraceContext(current_trace(), queue_span)

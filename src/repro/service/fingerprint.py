@@ -9,15 +9,13 @@ hex digest over a canonical JSON document, except the graph part:
 * **graph** -- :func:`repro.core.compiled.graph_digest`, a SHA-256 digest
   over a binary form of the content: the sorted node names, their WCETs in
   name order as packed doubles, and the sorted edge list as pairs of name
-  ranks.  A built task reaches it through (and caches it on)
+  ranks.  A task reaches it through (and caches it on)
   :meth:`repro.core.compiled.CompiledTask.fingerprint`; because the compile
   is stamp-cached on the graph's ``(structure, weights)`` generation, an
-  unmutated task is hashed exactly once.  A decoded task document
-  (:class:`repro.io.json_io.TaskDocument`, what the HTTP transport hands
-  the facade) goes straight to the digest without building a graph, so a
-  cache hit from the wire costs the JSON decode and one digest.  Both
-  paths hash equal for equal content, and two structurally identical DAGs
-  built in different node-insertion orders hash equal;
+  unmutated task is hashed exactly once, and two structurally identical
+  DAGs built in different node-insertion orders hash equal.  A task from
+  the wire is built by the HTTP transport before it is fingerprinted, so
+  every task takes this one path;
 * **task** -- the graph fingerprint together with the behavioural fields of
   the :func:`~repro.io.json_io.task_to_dict` form (``offloaded_node``,
   ``period``, ``deadline``).  The task *name* and free-form ``metadata``
@@ -42,10 +40,9 @@ import hashlib
 import json
 from typing import Optional, Union
 
-from ..core.compiled import CompiledTask, compile_task, graph_digest
+from ..core.compiled import CompiledTask, compile_task
 from ..core.graph import DirectedAcyclicGraph
 from ..core.task import DagTask
-from ..io.json_io import TaskDocument
 from ..simulation.platform import Platform
 
 __all__ = [
@@ -91,24 +88,18 @@ def graph_fingerprint(
     return compiled.fingerprint()
 
 
-def task_fingerprint(task: Union[DagTask, TaskDocument]) -> str:
+def task_fingerprint(task: DagTask) -> str:
     """Content hash of a task: graph content + behavioural timing fields.
 
     Derived from the :func:`~repro.io.json_io.task_to_dict` JSON form minus
     the purely descriptive fields (``name``, ``metadata``), which no engine
-    reads -- see the module docstring.  A decoded task document hashes
-    without building a graph and equals the hash of the task
-    :func:`~repro.io.json_io.task_from_dict` builds from it.
+    reads -- see the module docstring.
     """
-    if isinstance(task, TaskDocument):
-        graph = graph_digest(task.names, task.wcets, task.edges)
-    else:
-        graph = graph_fingerprint(task)
     offloaded = task.offloaded_node
     return fingerprint_document(
         [
             "task",
-            graph,
+            graph_fingerprint(task),
             None if offloaded is None else str(offloaded),
             task.period,
             task.deadline,

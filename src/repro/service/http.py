@@ -5,12 +5,11 @@ A thin :mod:`http.server` facade over
 framework, matching the repository's no-new-dependencies rule.  Tasks cross
 the wire in the exact on-disk JSON form of :mod:`repro.io.json_io`
 (``task_to_dict`` / ``task_from_dict``), so anything that can author a task
-file can talk to the service.  ``/simulate``, ``/analyse`` and ``/makespan``
-hand the facade the decoded document (``decode_task``), not a built task:
-the facade fingerprints it and builds the task, through this module's
-``task_from_dict``, only on a cache miss.  Before any of that, a POST body
-is hashed with its path (SHA-256): a byte-identical repeat of a body
-answered before is answered from that digest
+file can talk to the service.  Every endpoint builds its tasks where it
+decodes them, through this module's ``task_from_dict``, and hands the
+facade built tasks only.  Before any of that, a POST body is hashed with
+its path (SHA-256): a byte-identical repeat of a body answered before is
+answered from that digest
 (:meth:`~repro.service.facade.EvaluationService.answer_repeat`), unparsed.
 
 Endpoints
@@ -85,7 +84,7 @@ from ..core.exceptions import (
     short_repr,
 )
 from ..generator.arrivals import arrival_from_dict
-from ..io.json_io import REQUIRED, decode_task, read_fields, task_from_dict
+from ..io.json_io import REQUIRED, read_fields, task_from_dict
 from ..resilience import FAULTS
 from ..simulation.platform import Platform, processor_count
 from ..simulation.workload import JobStream
@@ -716,13 +715,13 @@ def _submit(service: EvaluationService, path: str, request: dict) -> dict:
     The answer is the request's payload; ``/simulate`` answers
     :func:`~repro.service.facade.simulation_payload` of its makespan, the
     payload the result cache holds, so a repeat answered from the cache
-    gets the same document.  A task document is decoded here but not
-    built: the facade builds it only on a cache miss.  Every task's size is
-    checked before any task is decoded.
+    gets the same document.  The task is built here, so a task the decode
+    refuses is never counted or looked up.  Every task's size is checked
+    before any task is decoded.
     """
     if "task" in request:
         _check_task_size(request["task"], "task")
-        request["task"] = decode_task(request["task"])
+        request["task"] = task_from_dict(request["task"])
     if path == "/analyse":
         return service.submit_analysis(**request)
     if path == "/makespan":
@@ -765,8 +764,8 @@ def _streams(specs: object) -> list[JobStream]:
 def _check_task_size(task: object, where: str) -> None:
     """Refuse a task document over the node or edge cap (413).
 
-    Counts only the containers ``decode_task`` would iterate; a document
-    of the wrong shape is left for it to refuse.
+    Counts only the containers ``task_from_dict`` would iterate; a
+    document of the wrong shape is left for it to refuse.
     """
     if not isinstance(task, dict):
         return

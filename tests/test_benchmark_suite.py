@@ -28,7 +28,7 @@ GATES = [
     ("simulation-compiled", "crossover_lanes", "<=", 16),
     ("service", "batching_speedup", ">=", 2.0),
     ("service", "hit_speedup", ">=", 10.0),
-    ("service", "document_hit_speedup", ">=", 2.0),
+    ("service", "repeat_hit_speedup", ">=", 2.0),
     ("faults", "fault_point_disabled_ns", "<=", 1000.0),
     ("faults", "degraded_speedup", ">=", 2.0),
     ("workload", "coupled_speedup", ">=", 2.0),
@@ -54,7 +54,7 @@ CHECKS = {
         "families_identical",
         "views_identical",
     ),
-    "service": ("payloads_identical", "document_hits_identical"),
+    "service": ("payloads_identical", "repeat_hits_identical"),
     "faults": (
         "all_degraded_flagged",
         "bound_sandwich_holds",

@@ -10,9 +10,6 @@ from repro.core.task import TaskSet
 from repro.core.transformation import transform
 from repro.io.dot import load_dot, save_dot, task_from_dot, task_to_dot, transformed_to_dot
 from repro.io.json_io import (
-    TaskDocument,
-    build_task,
-    decode_task,
     load_task,
     load_taskset,
     save_task,
@@ -102,46 +99,134 @@ class TestJsonTasks:
             # D > T violates the model and is caught while building the task.
             task_from_dict({"nodes": {"a": 1}, "edges": [], "period": 5, "deadline": 9})
 
-    # Documents the decode step itself refuses: wrong shapes and types,
-    # and references to nodes the mapping does not have.
+    # Documents refused by the shape checks, each with its message: wrong
+    # shapes and types, and references to nodes the mapping does not have.
     MALFORMED = {
-        "task-not-object": [["a", 1]],
-        "nodes-string": {"nodes": "abc", "edges": []},
-        "nodes-list-of-pairs": {"nodes": [["a", 1]], "edges": []},
-        "nodes-null": {"nodes": None},
-        "edges-number": {"nodes": {"a": 1}, "edges": 5},
-        "edges-string": {"nodes": {"a": 1, "b": 2}, "edges": "ab"},
-        "edges-object": {"nodes": {"a": 1, "b": 2}, "edges": {"a": "b"}},
-        "edge-string": {"nodes": {"a": 1, "b": 2}, "edges": ["ab"]},
-        "edge-number": {"nodes": {"a": 1, "b": 2}, "edges": [5]},
-        "edge-triple": {"nodes": {"a": 1, "b": 2}, "edges": [["a", "b", "a"]]},
-        "edge-object": {"nodes": {"a": 1, "b": 2}, "edges": [{"a": 1, "b": 2}]},
-        "unknown-endpoint": {"nodes": {"a": 1}, "edges": [["a", "b"]]},
-        "unknown-offloaded-node": {"nodes": {"a": 1}, "offloaded_node": "x"},
-        "wcet-not-a-number": {"nodes": {"a": [1]}},
+        "task-not-object": ([["a", 1]], "a task document must be a JSON object"),
+        "nodes-string": (
+            {"nodes": "abc", "edges": []},
+            "task document 'nodes' must map node names to WCETs",
+        ),
+        "nodes-list-of-pairs": (
+            {"nodes": [["a", 1]], "edges": []},
+            "task document 'nodes' must map node names to WCETs",
+        ),
+        "nodes-null": ({"nodes": None}, "task document 'nodes' must map node names to WCETs"),
+        "edges-number": (
+            {"nodes": {"a": 1}, "edges": 5},
+            "task document 'edges' must be a list of pairs",
+        ),
+        "edges-string": (
+            {"nodes": {"a": 1, "b": 2}, "edges": "ab"},
+            "task document 'edges' must be a list of pairs",
+        ),
+        "edges-object": (
+            {"nodes": {"a": 1, "b": 2}, "edges": {"a": "b"}},
+            "task document 'edges' must be a list of pairs",
+        ),
+        "edge-string": ({"nodes": {"a": 1, "b": 2}, "edges": ["ab"]}, "invalid edge entry 'ab'"),
+        "edge-number": ({"nodes": {"a": 1, "b": 2}, "edges": [5]}, "invalid edge entry 5"),
+        "edge-triple": (
+            {"nodes": {"a": 1, "b": 2}, "edges": [["a", "b", "a"]]},
+            "invalid edge entry ['a', 'b', 'a']",
+        ),
+        "edge-object": (
+            {"nodes": {"a": 1, "b": 2}, "edges": [{"a": 1, "b": 2}]},
+            "invalid edge entry {'a': 1, 'b': 2}",
+        ),
+        "unknown-endpoint": (
+            {"nodes": {"a": 1}, "edges": [["a", "b"]]},
+            "edge ['a', 'b'] references an unknown node",
+        ),
+        "unknown-offloaded-node": (
+            {"nodes": {"a": 1}, "offloaded_node": "x"},
+            "offloaded node 'x' is not part of the node mapping",
+        ),
+        "wcet-not-a-number": (
+            {"nodes": {"a": [1]}},
+            "WCET of node 'a' must be a JSON number, got array",
+        ),
         # A WCET must be a JSON number: neither a boolean nor a string, not
         # even one float() would read.
-        "wcet-true": {"nodes": {"a": True}},
-        "wcet-null": {"nodes": {"a": None}},
-        "wcet-numeric-string": {"nodes": {"a": "3"}},
-        "wcet-nan-string": {"nodes": {"a": "nan"}},
-        "wcet-inf-string": {"nodes": {"a": "inf"}},
-        "metadata-number": {"nodes": {"a": 1}, "metadata": 5},
-        "metadata-list": {"nodes": {"a": 1}, "metadata": [["k", "v"]]},
+        "wcet-true": ({"nodes": {"a": True}}, "WCET of node 'a' must be a JSON number, got boolean"),
+        "wcet-null": ({"nodes": {"a": None}}, "WCET of node 'a' must be a JSON number, got null"),
+        "wcet-numeric-string": (
+            {"nodes": {"a": "3"}},
+            "WCET of node 'a' must be a JSON number, got string",
+        ),
+        "wcet-nan-string": (
+            {"nodes": {"a": "nan"}},
+            "WCET of node 'a' must be a JSON number, got string",
+        ),
+        "wcet-inf-string": (
+            {"nodes": {"a": "inf"}},
+            "WCET of node 'a' must be a JSON number, got string",
+        ),
+        "metadata-number": (
+            {"nodes": {"a": 1}, "metadata": 5},
+            "task document 'metadata' must be a JSON object",
+        ),
+        "metadata-list": (
+            {"nodes": {"a": 1}, "metadata": [["k", "v"]]},
+            "task document 'metadata' must be a JSON object",
+        ),
+        # A name was once read with str(), so ["x"] named the task "['x']".
+        "name-array": (
+            {"nodes": {"a": 1}, "name": ["x"]},
+            "task document 'name' must be a JSON string, got array",
+        ),
+        "name-number": (
+            {"nodes": {"a": 1}, "name": 5},
+            "task document 'name' must be a JSON string, got number",
+        ),
+        "name-null": (
+            {"nodes": {"a": 1}, "name": None},
+            "task document 'name' must be a JSON string, got null",
+        ),
     }
 
     # Well-shaped documents whose graph or timing breaks the task model:
-    # the decode step passes them, the build refuses them.
+    # the shape checks pass them, the build refuses them.
     INVALID_TASKS = {
-        "duplicate-edge": {"nodes": {"a": 1, "b": 2}, "edges": [["a", "b"], ["a", "b"]]},
-        "self-loop": {"nodes": {"a": 1, "b": 2}, "edges": [["a", "a"]]},
-        "cycle": {"nodes": {"a": 1, "b": 2}, "edges": [["a", "b"], ["b", "a"]]},
-        "negative-wcet": {"nodes": {"a": -1}},
-        "nan-wcet": {"nodes": {"a": float("nan")}},
-        "infinite-wcet": {"nodes": {"a": float("inf")}},
+        "duplicate-edge": (
+            {"nodes": {"a": 1, "b": 2}, "edges": [["a", "b"], ["a", "b"]]},
+            "edge ('a', 'b') already exists",
+        ),
+        "self-loop": (
+            {"nodes": {"a": 1, "b": 2}, "edges": [["a", "a"]]},
+            "self loop on node 'a' is not allowed",
+        ),
+        "cycle": (
+            {"nodes": {"a": 1, "b": 2}, "edges": [["a", "b"], ["b", "a"]]},
+            "graph contains a cycle",
+        ),
+        "negative-wcet": ({"nodes": {"a": -1}}, "WCET of node 'a' must be finite and >= 0, got -1.0"),
+        "nan-wcet": (
+            {"nodes": {"a": float("nan")}},
+            "WCET of node 'a' must be finite and >= 0, got nan",
+        ),
+        "infinite-wcet": (
+            {"nodes": {"a": float("inf")}},
+            "WCET of node 'a' must be finite and >= 0, got inf",
+        ),
         # Past the float range: read as infinite, like the literal 1e999.
-        "huge-integer-wcet": {"nodes": {"a": 10**400}},
-        "deadline-past-period": {"nodes": {"a": 1}, "period": 5, "deadline": 9},
+        "huge-integer-wcet": (
+            {"nodes": {"a": 10**400}},
+            "WCET of node 'a' must be finite and >= 0, got inf",
+        ),
+        "deadline-past-period": (
+            {"nodes": {"a": 1}, "period": 5, "deadline": 9},
+            "constrained deadline required: D=9 > T=5",
+        ),
+        # The checks run in order: shape, WCETs and edges, timing, cycles.
+        "edge-checks-before-timing": (
+            {"nodes": {"a": 1}, "edges": [["a", "a"]], "period": -1},
+            "self loop on node 'a' is not allowed",
+        ),
+        "timing-before-cycles": (
+            {"nodes": {"a": 1, "b": 2}, "edges": [["a", "b"], ["b", "a"]], "period": 0},
+            "period must be a finite number in (0, inf), got 0",
+        ),
     }
 
     # Edge lists the one-pass decode maps, or refuses naming the first bad
@@ -153,7 +238,7 @@ class TestJsonTasks:
         ),
         "two-character-string": ([["a", "b"], "ab"], "invalid edge entry 'ab'"),
         "wrong-length": ([["a", "b", "a"]], "invalid edge entry ['a', 'b', 'a']"),
-        "integer-endpoints": ([[1, 2], [2, "1"]], [(0, 1), (1, 0)]),
+        "integer-endpoints": ([[1, 2], [2, "3"]], [("1", "2"), ("2", "3")]),
         "unknown-node": (
             [["b", "a"], ["a", "c"]],
             "edge ['a', 'c'] references an unknown node",
@@ -167,31 +252,33 @@ class TestJsonTasks:
     @pytest.mark.parametrize("name", sorted(EDGE_ENTRIES))
     def test_edge_entries_decode_in_one_pass(self, name):
         edges, outcome = self.EDGE_ENTRIES[name]
-        nodes = {"1": 2, "2": 3.5} if name == "integer-endpoints" else {"a": 1, "b": 2}
+        if name == "integer-endpoints":
+            nodes = {"1": 2, "2": 3.5, "3": 0}
+        else:
+            nodes = {"a": 1, "b": 2}
         document = {"nodes": nodes, "edges": edges}
         if isinstance(outcome, str):
             with pytest.raises(SerializationError) as refused:
-                decode_task(document)
+                task_from_dict(document)
             assert str(refused.value) == outcome
         else:
-            assert decode_task(document) == TaskDocument(
-                names=list(nodes), wcets=[2.0, 3.5], edges=outcome
-            )
+            graph = task_from_dict(document).graph
+            assert sorted(graph.edges()) == outcome
+            assert [graph.wcet(node) for node in graph.nodes()] == [2.0, 3.5, 0.0]
 
     @pytest.mark.parametrize("name", sorted(MALFORMED))
     def test_malformed_shape_rejected_by_the_decode(self, name):
-        with pytest.raises(SerializationError):
-            decode_task(self.MALFORMED[name])
-        with pytest.raises(SerializationError):
-            task_from_dict(self.MALFORMED[name])
+        document, message = self.MALFORMED[name]
+        with pytest.raises(SerializationError) as refused:
+            task_from_dict(document)
+        assert str(refused.value) == message
 
     @pytest.mark.parametrize("name", sorted(INVALID_TASKS))
     def test_invalid_task_rejected_by_the_build(self, name):
-        document = decode_task(self.INVALID_TASKS[name])
-        with pytest.raises(SerializationError):
-            build_task(document)
-        with pytest.raises(SerializationError):
-            task_from_dict(self.INVALID_TASKS[name])
+        document, message = self.INVALID_TASKS[name]
+        with pytest.raises(SerializationError) as refused:
+            task_from_dict(document)
+        assert str(refused.value) == f"cannot build task from document: {message}"
 
     @pytest.mark.parametrize(
         "wcet, kind", [("true", "boolean"), ('"3"', "string"), ("[1]", "array"), ("null", "null")]
@@ -203,27 +290,19 @@ class TestJsonTasks:
         with pytest.raises(SerializationError, match=message):
             load_task(path)
 
-    def test_decode_then_build_equals_task_from_dict(self):
-        task = figure1_task(period=50, deadline=40)
-        task.metadata["origin"] = "unit-test"
-        document = task_to_dict(task)
-        decoded = decode_task(document)
-        assert isinstance(decoded, TaskDocument)
-        assert decoded.node_count == task.node_count
-        for rebuilt in (build_task(decoded), task_from_dict(decoded)):
-            assert rebuilt.graph == task.graph
-            assert rebuilt.offloaded_node == task.offloaded_node
-            assert (rebuilt.period, rebuilt.deadline) == (50, 40)
-            assert rebuilt.metadata == {"origin": "unit-test"}
+    def test_graph_is_born_as_its_kernel(self):
+        task = task_from_dict(task_to_dict(figure1_task(period=50, deadline=40)))
+        assert task.graph._structure.kernel is not None
+        assert task.graph._structure._maps is None
 
     def test_decode_converts_endpoints_and_defaults_the_deadline(self):
-        decoded = decode_task(
-            {"nodes": {"1": 2, "2": 3.5}, "edges": [[1, 2]], "period": 9}
+        task = task_from_dict(
+            {"nodes": {"1": 2, "2": 3.5}, "edges": [[1, 2]], "period": 9, "name": "t"}
         )
-        assert decoded.names == ["1", "2"]
-        assert decoded.wcets == [2.0, 3.5]
-        assert decoded.edges == [(0, 1)]
-        assert (decoded.period, decoded.deadline) == (9, 9)
+        assert list(task.graph.nodes()) == ["1", "2"]
+        assert [task.graph.wcet(node) for node in task.graph.nodes()] == [2.0, 3.5]
+        assert list(task.graph.edges()) == [("1", "2")]
+        assert (task.period, task.deadline, task.name) == (9, 9, "t")
 
 
 class TestJsonTaskSets:

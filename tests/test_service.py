@@ -33,7 +33,6 @@ from hypothesis import strategies as st
 from repro.analysis.batch import analyse_many
 from repro.core.examples import figure1_task
 from repro.core.exceptions import (
-    SerializationError,
     ServiceClosedError,
     ServiceError,
     ServiceOverloadedError,
@@ -42,7 +41,7 @@ from repro.core.exceptions import (
 )
 from repro.core.task import DagTask
 from repro.ilp.makespan import minimum_makespan
-from repro.io.json_io import decode_task, task_from_dict, task_to_dict
+from repro.io.json_io import task_from_dict, task_to_dict
 from repro.service import (
     BatchRequest,
     EvaluationService,
@@ -1612,7 +1611,7 @@ class TestServiceResilience:
 
 
 # ----------------------------------------------------------------------
-# Decoded task documents: a hit is answered without building a graph
+# Task documents: the transport builds the task, the cache keys its content
 # ----------------------------------------------------------------------
 def _post(port: int, path: str, body: dict | str) -> tuple[int, dict]:
     """POST ``body`` as JSON (a ``str`` is sent as it is); ``(status,
@@ -1692,24 +1691,27 @@ def task_documents(draw):
     return document
 
 
-class TestTaskDocumentFingerprint:
+def _reversed_keys(value):
+    """``value`` with the keys of every JSON object in reverse order."""
+    if isinstance(value, dict):
+        return {key: _reversed_keys(value[key]) for key in reversed(list(value))}
+    if isinstance(value, list):
+        return [_reversed_keys(item) for item in value]
+    return value
+
+
+class TestDocumentFingerprint:
     @given(document=task_documents())
     @settings(max_examples=60, deadline=None)
-    def test_document_hashes_like_the_task_built_from_it(self, document):
-        decoded = decode_task(document)
-        assert task_fingerprint(decoded) == task_fingerprint(
-            task_from_dict(document)
-        )
-        # The shipped form of the same task hashes equal as well.
+    def test_reserialised_documents_hash_like_the_document(self, document):
+        # The cache key of a task does not depend on how its document was
+        # written: the task_to_dict round trip and the same JSON with its
+        # keys (nodes included) in another order hash as the document does.
+        expected = task_fingerprint(task_from_dict(document))
         shipped = json.loads(json.dumps(task_to_dict(task_from_dict(document))))
-        assert task_fingerprint(decode_task(shipped)) == task_fingerprint(decoded)
-
-    def test_duplicate_edge_changes_the_document_hash(self):
-        document = task_to_dict(figure1_task(period=20, deadline=15))
-        duplicated = dict(document, edges=document["edges"] + document["edges"][:1])
-        assert task_fingerprint(decode_task(duplicated)) != task_fingerprint(
-            decode_task(document)
-        )
+        reordered = _reversed_keys(json.loads(json.dumps(document)))
+        assert task_fingerprint(task_from_dict(shipped)) == expected
+        assert task_fingerprint(task_from_dict(reordered)) == expected
 
 
 class TestDocumentHits:
@@ -1727,8 +1729,8 @@ class TestDocumentHits:
         change(document)
         return document
 
-    # Documents the full decode rejects; none may be answered from a cache
-    # primed with BASE.
+    # Documents the decode rejects; none may be answered from a cache primed
+    # with BASE.
     REJECTED = {
         "duplicate-edge": lambda d: d["edges"].append(["a", "b"]),
         "self-loop": lambda d: d["edges"].append(["b", "b"]),
@@ -1765,7 +1767,7 @@ class TestDocumentHits:
             "task_from_dict",
             lambda document: builds.append(document) or original(document),
         )
-        hits = service.stats()["cache"]["hits"]
+        before = service.stats()["cache"]
 
         def reorder(document):
             document["edges"].reverse()
@@ -1777,66 +1779,71 @@ class TestDocumentHits:
             port, "/simulate", {"task": self._variant(reorder), "cores": 2}
         )
         assert (status, second) == (200, first)
-        assert service.stats()["cache"]["hits"] == hits + 1
-        assert builds == []
-
-    def test_concurrent_identical_documents_build_once(self, monkeypatch):
-        from repro.service import http as service_http
-
-        document = task_to_dict(make_random_heterogeneous_task(77, 0.2))
-        original = service_http.task_from_dict
-        builds = []
-        with EvaluationService() as service:
-
-            def held_build(decoded):
-                # Hold the leader's build until the duplicate has joined it.
-                builds.append(decoded)
-                deadline = time.monotonic() + 30
-                while (
-                    service.stats()["engine"]["inflight_joins"] < 1
-                    and time.monotonic() < deadline
-                ):
-                    time.sleep(0.001)
-                return original(decoded)
-
-            monkeypatch.setattr(service_http, "task_from_dict", held_build)
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                answers = list(
-                    pool.map(
-                        lambda _: service.submit_simulation(
-                            decode_task(json.loads(json.dumps(document))),
-                            2,
-                            timeout=60,
-                        ),
-                        range(2),
-                    )
-                )
-            assert service.stats()["engine"]["inflight_joins"] == 1
+        # Another body, so no repeat: the task is built once and hits by
+        # its fingerprint.
+        after = service.stats()["cache"]
+        assert after["hits"] == before["hits"] + 1
+        assert after["repeats"] == before["repeats"]
+        assert after["misses"] == before["misses"]
         assert len(builds) == 1
+
+    def test_concurrent_identical_documents_are_evaluated_once(
+        self, fresh_server, counted_parses
+    ):
+        # Two identical bodies at once: each builds its own task, and the
+        # second joins the first in flight, so one evaluation serves both.
+        service, port = fresh_server()
+        document = task_to_dict(make_random_heterogeneous_task(77, 0.2))
+        body = json.dumps({"task": document, "cores": 2}).encode()
+        plug = Plug(service)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            first = pool.submit(_exchange, port, "/simulate", body)
+            plug.wait_parked(1)
+            second = pool.submit(_exchange, port, "/simulate", body)
+            deadline = time.monotonic() + 30
+            while (
+                service.stats()["engine"]["inflight_joins"] < 1
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.001)
+            plug.release()
+            answers = [first.result(60), second.result(60)]
+        stats = service.stats()
+        assert stats["engine"]["inflight_joins"] == 1
+        assert stats["engine"]["evaluated_cells"] == 1
+        # Both looked the request up before it was answered.
+        assert (stats["cache"]["misses"], stats["cache"]["hits"]) == (2, 0)
+        assert counted_parses.count("task_from_dict") == 2
         expected = simulate_makespan(
             task_from_dict(document), Platform(2), policy_by_name("breadth-first")
         )
-        assert answers == [expected, expected]
+        assert answers[0] == answers[1] and answers[0][0] == 200, answers
+        assert json.loads(answers[0][1]) == {"makespan": expected}
 
-    def test_failed_build_fails_the_joined_duplicate_too(self):
-        document = self._variant(lambda d: d["edges"].append(["d", "a"]))
-        with EvaluationService() as service:
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                futures = [
-                    pool.submit(
-                        service.submit_simulation, decode_task(document), 2, timeout=60
-                    )
-                    for _ in range(2)
-                ]
-                for future in futures:
-                    with pytest.raises(SerializationError, match="cycle"):
-                        future.result()
-            # Nothing stays in flight: the valid task is served afterwards.
-            assert service.submit_simulation(
-                decode_task(self.BASE), 2, timeout=60
-            ) == simulate_makespan(
-                task_from_dict(self.BASE), Platform(2), policy_by_name("breadth-first")
-            )
+    def test_cyclic_task_is_refused_before_it_is_counted_or_parked(self, fresh_server):
+        service, port = fresh_server()
+        cyclic = self._variant(lambda d: d["edges"].append(["d", "a"]))
+        status, answer = _post(port, "/simulate", {"task": cyclic, "cores": 2})
+        assert status == 400, answer
+        assert answer["error"]["message"] == (
+            "cannot build task from document: graph contains a cycle"
+        )
+        stats = service.stats()
+        assert stats["requests"]["total"] == 0
+        assert stats["batching"]["submitted"] == 0
+        assert (stats["cache"]["misses"], stats["cache"]["hits"]) == (0, 0)
+        # The valid task is served afterwards.
+        status, answer = _post(port, "/simulate", {"task": self.BASE, "cores": 2})
+        assert (status, answer) == (
+            200,
+            {
+                "makespan": simulate_makespan(
+                    task_from_dict(self.BASE),
+                    Platform(2),
+                    policy_by_name("breadth-first"),
+                )
+            },
+        )
 
 
 # ----------------------------------------------------------------------
@@ -1855,6 +1862,9 @@ MALFORMED_TASKS = {
     "wcet-string": {"nodes": {"a": "3", "b": 2}, "edges": [["a", "b"]]},
     "wcet-list": {"nodes": {"a": [1], "b": 2}, "edges": [["a", "b"]]},
     "wcet-null": {"nodes": {"a": None, "b": 2}, "edges": [["a", "b"]]},
+    # A task name was once read with str(), so ["x"] named the task "['x']".
+    "name-array": {"nodes": {"a": 1, "b": 2}, "edges": [["a", "b"]], "name": ["x"]},
+    "name-number": {"nodes": {"a": 1, "b": 2}, "edges": [["a", "b"]], "name": 7},
 }
 
 #: The JSON type the 400 of each ``wcet-*`` row of MALFORMED_TASKS names.
@@ -1926,10 +1936,12 @@ class TestMalformedRequests:
             status, document = _post(server.port, path, body)
             assert status == 400, (path, document)
             assert document["error"]["code"] == "bad-request"
+            message = document["error"]["message"]
             if name in WCET_TYPES:
-                message = document["error"]["message"]
                 assert "WCET of node 'a' must be a JSON number" in message, message
                 assert message.endswith(f"got {WCET_TYPES[name]}"), message
+            if name.startswith("name-"):
+                assert "task document 'name' must be a JSON string" in message, message
             assert client.simulate(valid, cores=3) == simulate_makespan(
                 valid, Platform(3), policy_by_name("breadth-first")
             )
@@ -2034,14 +2046,13 @@ class TestMalformedRequests:
         # server runs in this process, so the decodes are counted.
         _, server, client = http_service
         decodes: list[str] = []
-        for attribute in ("decode_task", "task_from_dict"):
-            original = getattr(http_module, attribute)
+        original = http_module.task_from_dict
 
-            def counted(*args, _original=original, _name=attribute, **kwargs):
-                decodes.append(_name)
-                return _original(*args, **kwargs)
+        def counted(*args, **kwargs):
+            decodes.append("task_from_dict")
+            return original(*args, **kwargs)
 
-            monkeypatch.setattr(http_module, attribute, counted)
+        monkeypatch.setattr(http_module, "task_from_dict", counted)
         if key == "nodes":
             cap = http_module._MAX_TASK_NODES
             task = _chain_document(cap + 1)
@@ -2188,7 +2199,7 @@ def _small_task_body(path: str, seed: int = 3) -> bytes:
 def counted_parses(monkeypatch):
     """Count the transport's body parses and task decodes."""
     calls: list[str] = []
-    for attribute in ("_parse_body", "decode_task", "task_from_dict"):
+    for attribute in ("_parse_body", "task_from_dict"):
         original = getattr(http_module, attribute)
 
         def counted(*args, _original=original, _name=attribute, **kwargs):
