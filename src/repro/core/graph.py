@@ -31,18 +31,19 @@ splits its state in two (see ``docs/performance.md``):
   results (``transitive_closure``, Algorithm 1's weight-independent part).
   Whichever copy builds them first serves every copy; a structural mutation
   first takes a private copy of a shared structure;
-* the adjacency has two forms: the dense-index kernel (node identifiers
-  interned into indices ``0..n-1`` in insertion order, CSR-style adjacency
-  arrays, topological order) and per-node ``succ``/``pred`` sets.  The
-  generator, :meth:`~DirectedAcyclicGraph.from_dict` (and so the JSON task
-  decode), :meth:`~DirectedAcyclicGraph.subgraph` and Algorithm 1 build a
-  graph from index rows through one builder, and such a graph is *born as
-  its kernel*: the read-only queries read the kernel, and the sets are built
-  from it only when a caller asks for them (a mutation, ``has_edge``,
-  ``==``).  A graph built node by node holds the sets and builds the kernel
-  on first use.  A structural mutation edits the sets and drops the kernel;
-  so does :meth:`~DirectedAcyclicGraph.invalidate_caches`, after building
-  the sets;
+* the adjacency lives in index space alone: node identifiers are interned
+  into indices ``0..n-1`` in insertion order, and a structure holds each
+  node's successor indices as ascending *rows*, the dense-index kernel
+  built from them (CSR-style adjacency arrays in both directions,
+  topological order), or both.  The generator,
+  :meth:`~DirectedAcyclicGraph.from_dict` (and so the JSON task decode),
+  :meth:`~DirectedAcyclicGraph.subgraph` and Algorithm 1 build a graph from
+  index rows through one builder, and such a graph is *born as its
+  kernel*, without rows.  A structural mutation turns the kernel back into
+  rows and edits them (so does
+  :meth:`~DirectedAcyclicGraph.invalidate_caches`), mutations and
+  ``has_edge`` read the rows, and every other query reads the kernel,
+  rebuilt from the rows on first use;
 * the WCETs and the weight-dependent metrics (``volume``,
   ``critical_path_length``, ``earliest_finish_times``, ...) stay per graph,
   stamped with two generation counters: one bumped by structural mutation
@@ -50,17 +51,18 @@ splits its state in two (see ``docs/performance.md``):
   re-weighting a node preserves the structural caches.
 
 All cached state is an implementation detail: mutating a returned container
-never corrupts the cache (mutable results are copied on return), pickling
-drops the caches (a structure with a kernel travels as its CSR), and cyclic
-graphs -- which never hold a kernel -- transparently fall back to the
-original breadth-first algorithms.
+never corrupts the cache (mutable results are copied on return), and
+pickling drops the caches (a structure travels as its kernel's CSR).  A
+graph with a cycle holds a kernel too, whose topological order comes out
+short: the queries that need one raise :class:`CycleError`, and
+reachability walks the CSR from each node instead of sweeping an order.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from collections.abc import Collection, Hashable, Iterable, Iterator, Mapping
+from bisect import insort
+from collections.abc import Hashable, Iterable, Iterator, Mapping
 from itertools import accumulate
 from typing import Optional
 
@@ -150,44 +152,43 @@ class _DenseKernel:
         # it); the derived lists are rebuilt and the caches dropped.
         return (_DenseKernel.of_csr, (self.nodes, self.succ_ptr, self.succ_idx))
 
-    def adjacency(self) -> tuple[dict[NodeId, set[NodeId]], dict[NodeId, set[NodeId]]]:
-        """Fresh ``(succ, pred)`` maps of node sets, in node order."""
-        nodes = self.nodes
-        succ = {node: {nodes[s] for s in self.successors_of(i)} for i, node in enumerate(nodes)}
-        pred = {node: {nodes[p] for p in self.predecessors_of(i)} for i, node in enumerate(nodes)}
-        return succ, pred
-
     def successors_of(self, i: int) -> list[int]:
         return self.succ_idx[self.succ_ptr[i] : self.succ_ptr[i + 1]]
 
     def predecessors_of(self, i: int) -> list[int]:
         return self.pred_idx[self.pred_ptr[i] : self.pred_ptr[i + 1]]
 
+    @property
+    def acyclic(self) -> bool:
+        """Whether every node has its place in ``topo``."""
+        return len(self.topo) == len(self.nodes)
+
     def descendant_masks(self) -> list[int]:
-        """Bitmask of (strict) descendants per dense index, built once."""
+        """Bitmask of the descendants per dense index, built once."""
         if self._desc_masks is None:
-            masks = [0] * len(self.nodes)
-            ptr, idx = self.succ_ptr, self.succ_idx
-            for i in reversed(self.topo):
-                acc = 0
-                for s in idx[ptr[i] : ptr[i + 1]]:
-                    acc |= masks[s] | (1 << s)
-                masks[i] = acc
-            self._desc_masks = masks
+            self._desc_masks = self._masks(reversed(self.topo), self.succ_ptr, self.succ_idx)
         return self._desc_masks
 
     def ancestor_masks(self) -> list[int]:
-        """Bitmask of (strict) ancestors per dense index, built once."""
+        """Bitmask of the ancestors per dense index, built once."""
         if self._anc_masks is None:
-            masks = [0] * len(self.nodes)
-            ptr, idx = self.pred_ptr, self.pred_idx
-            for i in self.topo:
-                acc = 0
-                for p in idx[ptr[i] : ptr[i + 1]]:
-                    acc |= masks[p] | (1 << p)
-                masks[i] = acc
-            self._anc_masks = masks
+            self._anc_masks = self._masks(self.topo, self.pred_ptr, self.pred_idx)
         return self._anc_masks
+
+    def _masks(self, order: Iterable[int], ptr: list[int], idx: list[int]) -> list[int]:
+        """Per node, the bitmask of the nodes it reaches over the CSR lists
+        ``ptr``/``idx``: one sweep of ``order``, in which every node comes
+        after the nodes it reaches, or, without a topological order, one
+        :func:`_walk` per node (a node on a cycle then reaches itself)."""
+        if not self.acyclic:
+            return [_walk(i, ptr, idx) for i in range(len(self.nodes))]
+        masks = [0] * len(self.nodes)
+        for i in order:
+            acc = 0
+            for s in idx[ptr[i] : ptr[i + 1]]:
+                acc |= masks[s] | (1 << s)
+            masks[i] = acc
+        return masks
 
     def reach_masks(self, i: int) -> tuple[int, int]:
         """Bitmasks of the (strict) ancestors and descendants of node ``i``.
@@ -227,77 +228,77 @@ def _walk(start: int, ptr: list[int], idx: list[int]) -> int:
 class _Structure:
     """Node order and adjacency of a graph, with the caches derived from them.
 
-    The adjacency has two forms, and a structure holds one or both: the
-    dense ``kernel`` and the ``succ``/``pred`` maps of node sets.  Both list
-    the nodes in insertion order, the order of the WCET map of every graph
-    that holds the structure: :meth:`DirectedAcyclicGraph._sharing` requires
-    it, and :func:`repro.core.compiled.compile_graph` reads the WCET vector
-    off the map in that order.  A graph built from index rows is born as its
-    kernel and builds the maps on first access; a graph built node by node
-    holds the maps and builds the kernel on first use.  Graphs share one
-    structure copy-on-write: it is mutated only through a graph that holds it
-    alone, which edits the maps and drops ``kernel`` and ``memo`` as it does
-    (:meth:`drop_caches`).
+    The adjacency lives in index space.  Node ``i`` is ``nodes[i]``, and
+    ``index`` maps it back; the nodes are listed in insertion order, the
+    order of the WCET map of every graph that holds the structure:
+    :meth:`DirectedAcyclicGraph._sharing` requires it, and
+    :func:`repro.core.compiled.compile_graph` reads the WCET vector off the
+    map in that order.  A structure holds the successor ``rows`` (indices
+    ascending), the dense ``kernel`` built from them, or both.  Builders
+    store the kernel alone.  A structural mutation turns the kernel back
+    into rows and edits them (:meth:`drop_caches`); the next read rebuilds
+    the kernel from the rows (:meth:`dense`).  Graphs share one structure
+    copy-on-write: it is edited only through a graph that holds it alone,
+    so a reader of a shared structure at most publishes a kernel, in one
+    assignment.
     """
 
-    __slots__ = ("_maps", "kernel", "memo")
+    __slots__ = ("nodes", "index", "rows", "kernel", "memo")
 
     def __init__(
         self,
-        succ: Optional[dict[NodeId, set[NodeId]]] = None,
-        pred: Optional[dict[NodeId, set[NodeId]]] = None,
+        nodes: list[NodeId],
+        index: dict[NodeId, int],
+        rows: Optional[list[list[int]]] = None,
         kernel: Optional[_DenseKernel] = None,
     ) -> None:
-        self._maps = None if succ is None else (succ, pred)
+        self.nodes = nodes
+        self.index = index
+        self.rows = rows
         self.kernel = kernel
         #: Weight-independent results, memoised under any hashable key.
         self.memo: dict[Hashable, object] = {}
 
-    def maps(self) -> tuple[dict[NodeId, set[NodeId]], dict[NodeId, set[NodeId]]]:
-        """``(succ, pred)``, built from the kernel on first access.
+    @classmethod
+    def of_kernel(cls, kernel: _DenseKernel) -> "_Structure":
+        """The structure born as ``kernel``, without rows."""
+        return cls(kernel.nodes, kernel.index, kernel=kernel)
 
-        Threads share structures, so both maps are built before one
-        assignment publishes them together; two threads that race here
-        build equal maps, and either pair serves.
-        """
-        maps = self._maps
-        if maps is None:
-            maps = self._maps = self.kernel.adjacency()
-        return maps
+    def dense(self) -> _DenseKernel:
+        """The kernel, built from the rows on the first read after a
+        mutation; ``topo`` comes out short on a cycle."""
+        kernel = self.kernel
+        if kernel is None:
+            # The rows' node list is edited in place; the kernel gets a copy.
+            kernel = self.kernel = _DenseKernel(list(self.nodes), self.rows)
+        return kernel
 
-    @property
-    def succ(self) -> dict[NodeId, set[NodeId]]:
-        return self.maps()[0]
-
-    @property
-    def pred(self) -> dict[NodeId, set[NodeId]]:
-        return self.maps()[1]
+    def successors_of(self, i: int) -> list[int]:
+        """Node ``i``'s successors, ascending, read from the rows when there
+        are any (do not mutate)."""
+        if self.rows is None:
+            return self.kernel.successors_of(i)
+        return self.rows[i]
 
     def drop_caches(self) -> None:
-        """Drop the kernel and the memo; the maps are built first, so the
-        adjacency outlives its kernel."""
-        if self.kernel is not None:
-            self.maps()
-            self.kernel = None
+        """Keep the adjacency as rows, then drop the kernel and the memo."""
+        if self.rows is None:
+            self.nodes, self.index, self.rows = self._copy()
+        self.kernel = None
         self.memo.clear()
 
     def clone(self) -> "_Structure":
-        """A private copy of the maps, with empty caches."""
-        if self._maps is None:
-            return _Structure(*self.kernel.adjacency())
-        succ, pred = self._maps
-        return _Structure(
-            {node: set(nbrs) for node, nbrs in succ.items()},
-            {node: set(nbrs) for node, nbrs in pred.items()},
-        )
+        """A private copy of the rows, with empty caches."""
+        return _Structure(*self._copy())
+
+    def _copy(self) -> tuple[list[NodeId], dict[NodeId, int], list[list[int]]]:
+        rows = [list(self.successors_of(i)) for i in range(len(self.nodes))]
+        return list(self.nodes), dict(self.index), rows
 
     def __reduce__(self) -> tuple:
         # Only the adjacency is pickled (the parallel experiment runner ships
-        # graphs between processes): the kernel's CSR where there is one, as
-        # it is the compact form, the maps otherwise.  Caches are dropped.
-        if self.kernel is not None:
-            return (_Structure, (None, None, self.kernel))
-        return (_Structure, self._maps)
+        # graphs between processes), as the kernel's CSR, its compact form.
+        return (_Structure.of_kernel, (self.dense(),))
 
 
 def _check_wcet(node_id: NodeId, wcet: float) -> None:
@@ -316,12 +317,13 @@ class DirectedAcyclicGraph:
     WCET.  Edges are ordered pairs ``(src, dst)`` meaning that ``src`` must
     complete before ``dst`` may start.
 
-    The class maintains adjacency in both directions so that predecessor and
-    successor queries are O(out-degree)/O(in-degree), and caches the derived
-    metrics (see the module docstring) so that repeated queries between
-    mutations cost a dictionary lookup.  Acyclicity is *not* enforced on
-    every mutation (generators build graphs incrementally); call
-    :meth:`check_acyclic` or :meth:`topological_order` to verify it.
+    The dense kernel lists the adjacency in both directions so that
+    predecessor and successor queries are O(out-degree)/O(in-degree), and
+    the class caches the derived metrics (see the module docstring) so that
+    repeated queries between mutations cost a dictionary lookup.
+    Acyclicity is *not* enforced on every mutation (generators build graphs
+    incrementally); call :meth:`check_acyclic` or :meth:`topological_order`
+    to verify it.
 
     Examples
     --------
@@ -337,7 +339,7 @@ class DirectedAcyclicGraph:
 
     def __init__(self) -> None:
         self._wcet: dict[NodeId, float] = {}
-        self._structure = _Structure({}, {})
+        self._structure = _Structure([], {}, [])
         #: ``False`` while another graph may hold ``_structure`` too; the
         #: next structural mutation then takes a private copy first.
         self._owns_structure = True
@@ -357,8 +359,9 @@ class DirectedAcyclicGraph:
     def _mutable_structure(self) -> _Structure:
         """The structure, held by this graph alone, for a structural mutation.
 
-        Copies a structure that other graphs may share and drops the
-        structure's caches; the caller mutates it next.
+        Copies the rows of a structure that other graphs may share, or turns
+        this graph's own structure into rows and drops its caches; the
+        caller edits the rows next.
         """
         structure = self._structure
         if not self._owns_structure:
@@ -384,7 +387,7 @@ class DirectedAcyclicGraph:
         Normal code never needs this -- mutations invalidate automatically.
         The micro-benchmarks call it to measure the uncached baseline.  The
         structural caches are dropped for every copy sharing the structure;
-        a graph born as its kernel builds its adjacency sets first.
+        a graph born as its kernel turns it back into index rows first.
         """
         self._structure_generation += 1
         self._weights_generation += 1
@@ -419,33 +422,18 @@ class DirectedAcyclicGraph:
         Raises
         ------
         CycleError
-            If the graph contains a cycle (nothing is cached in that case).
+            If the graph contains a cycle (the kernel stays cached, for the
+            queries that answer on a cycle too).
         """
-        structure = self._structure
-        kernel = structure.kernel
-        if kernel is None:
-            kernel = _DenseKernel(*self._index_rows())
-            if len(kernel.topo) != len(kernel.nodes):
-                raise CycleError("graph contains a cycle", cycle=self.find_cycle())
-            structure.kernel = kernel
+        kernel = self._structure.dense()
+        if not kernel.acyclic:
+            raise CycleError("graph contains a cycle", cycle=self.find_cycle())
         return kernel
 
     def _index_rows(self) -> tuple[list[NodeId], list[list[int]]]:
         """The node order and, per node, its successors' indices ascending."""
-        kernel = self._structure.kernel
-        if kernel is not None:
-            return kernel.nodes, [kernel.successors_of(i) for i in range(len(kernel.nodes))]
-        nodes = list(self._wcet)
-        index = {node: i for i, node in enumerate(nodes)}
-        succ = self._structure.succ
-        return nodes, [sorted(index[s] for s in succ[node]) for node in nodes]
-
-    def _acyclic_kernel(self) -> Optional[_DenseKernel]:
-        """The kernel, or ``None`` when the graph currently has a cycle."""
-        try:
-            return self._kernel()
-        except CycleError:
-            return None
+        kernel = self._structure.dense()
+        return kernel.nodes, [kernel.successors_of(i) for i in range(len(kernel.nodes))]
 
     def __getstate__(self) -> dict:
         # Copies pickled together keep sharing one structure: pickle
@@ -505,11 +493,10 @@ class DirectedAcyclicGraph:
         pairs of ``edges``.
 
         The one builder from index space: the graph is born as its dense
-        kernel, without adjacency sets.  It checks what :meth:`add_node`
-        and :meth:`add_edge` check, in their order: every WCET, then every
-        edge as ``edges`` yields it (a self loop or a duplicate raises
-        :class:`EdgeError`).  A graph with a cycle is kept as adjacency
-        sets without a kernel, as if built edge by edge.
+        kernel, without rows.  It checks what :meth:`add_node` and
+        :meth:`add_edge` check, in their order: every WCET, then every edge
+        as ``edges`` yields it (a self loop or a duplicate raises
+        :class:`EdgeError`).
         """
         for node, wcet in zip(nodes, wcets):
             _check_wcet(node, wcet)
@@ -541,15 +528,11 @@ class DirectedAcyclicGraph:
         :meth:`_from_indices` ends here after its checks; callers whose rows
         come from an already validated kernel (Algorithm 1's ``G'``,
         :meth:`_induced`) start here.  The graph is born as its dense
-        kernel; a graph with a cycle is kept as adjacency sets without one.
+        kernel, a graph with a cycle too (its ``topo`` comes out short).
         """
-        kernel = _DenseKernel(nodes, rows)
         graph = cls.__new__(cls)
         graph._wcet = dict(zip(nodes, wcets))
-        if len(kernel.topo) == len(nodes):
-            graph._structure = _Structure(kernel=kernel)
-        else:
-            graph._structure = _Structure(*kernel.adjacency())
+        graph._structure = _Structure.of_kernel(_DenseKernel(nodes, rows))
         graph._owns_structure = True
         graph._init_caches()
         return graph
@@ -620,18 +603,22 @@ class DirectedAcyclicGraph:
         _check_wcet(node_id, wcet)
         structure = self._mutable_structure()
         self._wcet[node_id] = wcet
-        structure.succ[node_id] = set()
-        structure.pred[node_id] = set()
+        structure.index[node_id] = len(structure.nodes)
+        structure.nodes.append(node_id)
+        structure.rows.append([])
         self._weights_generation += 1
 
     def remove_node(self, node_id: NodeId) -> None:
         """Remove a node together with all its incident edges."""
         self._require(node_id)
         structure = self._mutable_structure()
-        for succ in structure.succ.pop(node_id):
-            structure.pred[succ].discard(node_id)
-        for pred in structure.pred.pop(node_id):
-            structure.succ[pred].discard(node_id)
+        gone = structure.index[node_id]
+        del structure.nodes[gone], structure.rows[gone]
+        # Every later node moves down one index; the rows stay ascending.
+        structure.rows = [
+            [s if s < gone else s - 1 for s in row if s != gone] for row in structure.rows
+        ]
+        structure.index = {node: i for i, node in enumerate(structure.nodes)}
         del self._wcet[node_id]
         self._weights_generation += 1
 
@@ -645,28 +632,26 @@ class DirectedAcyclicGraph:
         EdgeError
             If the edge is a self loop or already present.
         """
-        succ = self._structure.succ
-        if src not in succ:
+        index = self._structure.index
+        if src not in index:
             raise NodeNotFoundError(src)
-        if dst not in succ:
+        if dst not in index:
             raise NodeNotFoundError(dst)
         if src == dst:
             raise EdgeError(f"self loop on node {short_repr(src)} is not allowed")
-        if dst in succ[src]:
+        i, j = index[src], index[dst]
+        if j in self._structure.successors_of(i):
             raise EdgeError(f"edge ({short_repr(src)}, {short_repr(dst)}) already exists")
-        structure = self._mutable_structure()
-        structure.succ[src].add(dst)
-        structure.pred[dst].add(src)
+        insort(self._mutable_structure().rows[i], j)
 
     def remove_edge(self, src: NodeId, dst: NodeId) -> None:
         """Remove the edge ``src -> dst``."""
         self._require(src)
         self._require(dst)
-        if dst not in self._structure.succ[src]:
+        if not self.has_edge(src, dst):
             raise EdgeError(f"edge ({src!r}, {dst!r}) does not exist")
         structure = self._mutable_structure()
-        structure.succ[src].discard(dst)
-        structure.pred[dst].discard(src)
+        structure.rows[structure.index[src]].remove(structure.index[dst])
 
     def set_wcet(self, node_id: NodeId, wcet: float) -> None:
         """Update the WCET of an existing node.
@@ -709,10 +694,7 @@ class DirectedAcyclicGraph:
     @property
     def edge_count(self) -> int:
         """Number of edges in the graph."""
-        kernel = self._structure.kernel
-        if kernel is not None:
-            return len(kernel.succ_idx)
-        return sum(len(nbrs) for nbrs in self._structure.succ.values())
+        return len(self._structure.dense().succ_idx)
 
     def nodes(self) -> list[NodeId]:
         """Return the node identifiers in insertion order."""
@@ -737,17 +719,23 @@ class DirectedAcyclicGraph:
         return dict(self._wcet)
 
     def has_edge(self, src: NodeId, dst: NodeId) -> bool:
-        """Return ``True`` if the edge ``src -> dst`` exists."""
-        succ = self._structure.succ
-        return src in succ and dst in succ[src]
+        """Return ``True`` if the edge ``src -> dst`` exists.
 
-    def _adjacent(self, node_id: NodeId, forward: bool) -> Collection[NodeId]:
-        """The direct successors (``forward``) or predecessors of a node, read
-        from the kernel when there is one (do not mutate)."""
+        Read from the rows when there are any, so that a caller alternating
+        ``has_edge`` and :meth:`add_edge` never rebuilds the kernel.
+        """
+        structure = self._structure
+        index = structure.index
+        return (
+            src in index
+            and dst in index
+            and index[dst] in structure.successors_of(index[src])
+        )
+
+    def _adjacent(self, node_id: NodeId, forward: bool) -> list[NodeId]:
+        """The direct successors (``forward``) or predecessors of a node."""
         self._require(node_id)
-        kernel = self._structure.kernel
-        if kernel is None:
-            return (self._structure.succ if forward else self._structure.pred)[node_id]
+        kernel = self._structure.dense()
         i = kernel.index[node_id]
         row = kernel.successors_of(i) if forward else kernel.predecessors_of(i)
         return [kernel.nodes[j] for j in row]
@@ -770,20 +758,14 @@ class DirectedAcyclicGraph:
 
     def sources(self) -> list[NodeId]:
         """Nodes without incoming edges, in insertion order."""
-        kernel = self._structure.kernel
-        if kernel is not None:
-            return [node for node, degree in zip(kernel.nodes, kernel.in_degree) if not degree]
-        pred = self._structure.pred
-        return [node for node in self._wcet if not pred[node]]
+        kernel = self._structure.dense()
+        return [node for node, degree in zip(kernel.nodes, kernel.in_degree) if not degree]
 
     def sinks(self) -> list[NodeId]:
         """Nodes without outgoing edges, in insertion order."""
-        kernel = self._structure.kernel
-        if kernel is not None:
-            ptr = kernel.succ_ptr
-            return [node for i, node in enumerate(kernel.nodes) if ptr[i] == ptr[i + 1]]
-        succ = self._structure.succ
-        return [node for node in self._wcet if not succ[node]]
+        kernel = self._structure.dense()
+        ptr = kernel.succ_ptr
+        return [node for i, node in enumerate(kernel.nodes) if ptr[i] == ptr[i + 1]]
 
     # ------------------------------------------------------------------
     # Ordering and reachability
@@ -822,7 +804,7 @@ class DirectedAcyclicGraph:
 
     def is_acyclic(self) -> bool:
         """Return ``True`` if the graph contains no directed cycle."""
-        return self._acyclic_kernel() is not None
+        return self._structure.dense().acyclic
 
     def check_acyclic(self) -> None:
         """Raise :class:`CycleError` if the graph contains a cycle."""
@@ -832,83 +814,66 @@ class DirectedAcyclicGraph:
         """Return one directed cycle as a list of nodes, or ``None``.
 
         The returned list contains the nodes of the cycle in order; the edge
-        from the last element back to the first closes the cycle.
+        from the last element back to the first closes the cycle.  The
+        depth-first search starts from the nodes in insertion order and
+        visits each node's successors in ``repr`` order of their identifiers.
         """
-        if self._structure.kernel is not None:
+        kernel = self._structure.dense()
+        if kernel.acyclic:
             return None
-        WHITE, GREY, BLACK = 0, 1, 2
-        colour = {node: WHITE for node in self._wcet}
-        parent: dict[NodeId, NodeId] = {}
-        adjacency = self._structure.succ
+        nodes = kernel.nodes
 
-        for start in self._wcet:
+        def successors_by_repr(i: int) -> Iterator[int]:
+            return iter(sorted(kernel.successors_of(i), key=lambda j: repr(nodes[j])))
+
+        WHITE, GREY, BLACK = 0, 1, 2
+        colour = [WHITE] * len(nodes)
+        parent = [-1] * len(nodes)
+        for start in range(len(nodes)):
             if colour[start] != WHITE:
                 continue
-            stack: list[tuple[NodeId, Iterator[NodeId]]] = [
-                (start, iter(sorted(adjacency[start], key=repr)))
-            ]
+            stack = [(start, successors_by_repr(start))]
             colour[start] = GREY
             while stack:
-                node, neighbours = stack[-1]
-                advanced = False
-                for succ in neighbours:
-                    if colour[succ] == WHITE:
-                        colour[succ] = GREY
-                        parent[succ] = node
-                        stack.append((succ, iter(sorted(adjacency[succ], key=repr))))
-                        advanced = True
+                i, pending = stack[-1]
+                for j in pending:
+                    if colour[j] == WHITE:
+                        colour[j] = GREY
+                        parent[j] = i
+                        stack.append((j, successors_by_repr(j)))
                         break
-                    if colour[succ] == GREY:
-                        cycle = [succ]
-                        cursor = node
-                        while cursor != succ:
+                    if colour[j] == GREY:
+                        cycle = [j]
+                        cursor = i
+                        while cursor != j:
                             cycle.append(cursor)
                             cursor = parent[cursor]
-                        cycle.reverse()
-                        return cycle
-                if not advanced:
-                    colour[node] = BLACK
+                        return [nodes[k] for k in reversed(cycle)]
+                else:
+                    colour[i] = BLACK
                     stack.pop()
         return None
 
     def descendants(self, node_id: NodeId) -> set[NodeId]:
         """All nodes reachable from ``node_id`` (``Succ(v)`` in the paper).
 
-        The node itself is *not* included.  Served from the cached bitmask
-        reachability table on acyclic graphs.
+        The node itself is *not* included, unless it lies on a cycle.
+        Served from the cached bitmask reachability table.
         """
         self._require(node_id)
-        kernel = self._acyclic_kernel()
-        if kernel is None:
-            return self._reach(node_id, self._structure.succ)
+        kernel = self._structure.dense()
         mask = kernel.descendant_masks()[kernel.index[node_id]]
         return {kernel.nodes[i] for i in _DenseKernel.bits(mask)}
 
     def ancestors(self, node_id: NodeId) -> set[NodeId]:
         """All nodes from which ``node_id`` is reachable (``Pred(v)``).
 
-        The node itself is *not* included.
+        The node itself is *not* included, unless it lies on a cycle.
         """
         self._require(node_id)
-        kernel = self._acyclic_kernel()
-        if kernel is None:
-            return self._reach(node_id, self._structure.pred)
+        kernel = self._structure.dense()
         mask = kernel.ancestor_masks()[kernel.index[node_id]]
         return {kernel.nodes[i] for i in _DenseKernel.bits(mask)}
-
-    def _reach(
-        self, start: NodeId, adjacency: Mapping[NodeId, set[NodeId]]
-    ) -> set[NodeId]:
-        """Breadth-first reachability; fallback for graphs with cycles."""
-        seen: set[NodeId] = set()
-        frontier = deque(adjacency[start])
-        while frontier:
-            node = frontier.popleft()
-            if node in seen:
-                continue
-            seen.add(node)
-            frontier.extend(adjacency[node] - seen)
-        return seen
 
     def has_path(self, src: NodeId, dst: NodeId) -> bool:
         """Return ``True`` if there is a directed path from ``src`` to ``dst``."""
@@ -916,9 +881,7 @@ class DirectedAcyclicGraph:
         self._require(dst)
         if src == dst:
             return True
-        kernel = self._acyclic_kernel()
-        if kernel is None:
-            return dst in self._reach(src, self._structure.succ)
+        kernel = self._structure.dense()
         masks = kernel.descendant_masks()
         return bool(masks[kernel.index[src]] >> kernel.index[dst] & 1)
 
@@ -1079,9 +1042,7 @@ class DirectedAcyclicGraph:
         validators detect violations and :meth:`transitive_reduction` remove
         them.
         """
-        kernel = self._acyclic_kernel()
-        if kernel is None:
-            return self._transitive_edges_bfs()
+        kernel = self._structure.dense()
         masks = kernel.descendant_masks()
         redundant: list[tuple[NodeId, NodeId]] = []
         for i in range(len(kernel.nodes)):
@@ -1089,28 +1050,14 @@ class DirectedAcyclicGraph:
             if len(direct) < 2:
                 continue
             # A direct edge (src, dst) is transitive iff dst is reachable
-            # from one of src's *other* direct successors.
+            # from one of src's *other* direct successors (or, on a cycle,
+            # from dst itself).
             reachable_via_others = 0
             for mid in direct:
                 reachable_via_others |= masks[mid]
             for dst in direct:
                 if reachable_via_others >> dst & 1:
                     redundant.append((kernel.nodes[i], kernel.nodes[dst]))
-        return redundant
-
-    def _transitive_edges_bfs(self) -> list[tuple[NodeId, NodeId]]:
-        redundant: list[tuple[NodeId, NodeId]] = []
-        succ = self._structure.succ
-        for src in self._wcet:
-            direct = succ[src]
-            if len(direct) < 2:
-                continue
-            reachable_via_others: set[NodeId] = set()
-            for mid in direct:
-                reachable_via_others |= self._reach(mid, succ)
-            for dst in direct:
-                if dst in reachable_via_others:
-                    redundant.append((src, dst))
         return redundant
 
     def transitive_reduction(self) -> "DirectedAcyclicGraph":
@@ -1131,18 +1078,11 @@ class DirectedAcyclicGraph:
         return {node: set(descendants) for node, descendants in closure.items()}
 
     def _compute_closure(self) -> dict[NodeId, frozenset[NodeId]]:
-        kernel = self._acyclic_kernel()
-        if kernel is None:
-            return {
-                node: frozenset(self._reach(node, self._structure.succ))
-                for node in self._wcet
-            }
-        masks = kernel.descendant_masks()
+        kernel = self._structure.dense()
+        nodes = kernel.nodes
         return {
-            node: frozenset(
-                kernel.nodes[i] for i in _DenseKernel.bits(masks[kernel.index[node]])
-            )
-            for node in self._wcet
+            node: frozenset(nodes[j] for j in _DenseKernel.bits(mask))
+            for node, mask in zip(nodes, kernel.descendant_masks())
         }
 
     # ------------------------------------------------------------------
@@ -1187,12 +1127,13 @@ class DirectedAcyclicGraph:
         system model of the paper prescribes.
         """
         result = self.copy()
-        sources = result.sources()
+        # Both read before the first mutation, from the shared kernel.
+        sources = self.sources()
+        sinks = [node for node in self.sinks() if node != source_id]
         if len(sources) != 1:
             result.add_node(source_id, 0)
             for node in sources:
                 result.add_edge(source_id, node)
-        sinks = [node for node in result.sinks() if node != source_id]
         if len(sinks) != 1:
             result.add_node(sink_id, 0)
             for node in sinks:
@@ -1205,7 +1146,14 @@ class DirectedAcyclicGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DirectedAcyclicGraph):
             return NotImplemented
-        return self._wcet == other._wcet and self._structure.succ == other._structure.succ
+        if self._wcet != other._wcet:
+            return False
+        nodes, rows = self._index_rows()
+        other_nodes, other_rows = other._index_rows()
+        if nodes == other_nodes:
+            return rows == other_rows
+        # The same nodes, inserted in another order.
+        return set(self.edges()) == set(other.edges())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

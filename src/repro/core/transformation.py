@@ -26,9 +26,9 @@ The algorithm runs in the index space of the task's dense kernel: ``Pred``
 and ``Succ`` are two bitmasks from one walk each way from ``v_off``, lines
 3-13 edit successor index rows, and ``tau'``'s graph and ``G_par`` (a node
 mask over the original rows) are born as their kernels from those trusted
-rows, without per-node adjacency sets or a second validation.  Transitive
-edges of ``G'`` are found from its descendant bitmasks.  ``G_par`` is built
-only when a caller reads it: Figure 6 simulates ``tau'`` alone.
+rows, without a second validation.  Transitive edges of ``G'`` are found
+from its descendant bitmasks.  ``G_par`` is built only when a caller reads
+it: Figure 6 simulates ``tau'`` alone.
 """
 
 from __future__ import annotations

@@ -105,6 +105,9 @@ class LayeredDagGenerator:
         # guaranteeing at least one predecessor and one successor per node.
         previous = ["source"]
         for layer in layers:
+            # The nodes of the previous layer given a successor so far: their
+            # only successors are in this layer.
+            linked: set[str] = set()
             for node in layer:
                 predecessors = [
                     candidate
@@ -115,12 +118,11 @@ class LayeredDagGenerator:
                     predecessors = [previous[int(rng.integers(0, len(previous)))]]
                 for candidate in predecessors:
                     graph.add_edge(candidate, node)
+                linked.update(predecessors)
             # Every node of the previous layer needs at least one successor.
             for candidate in previous:
-                if not graph.successors(candidate):
-                    target = layer[int(rng.integers(0, len(layer)))]
-                    if not graph.has_edge(candidate, target):
-                        graph.add_edge(candidate, target)
+                if candidate not in linked:
+                    graph.add_edge(candidate, layer[int(rng.integers(0, len(layer)))])
             previous = layer
         for node in previous:
             graph.add_edge(node, "sink")

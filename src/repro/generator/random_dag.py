@@ -23,10 +23,10 @@ keeping the structure distribution fixed.
 
 A draw records its edges as index pairs in creation order, and the accepted
 draw becomes a graph born as its dense kernel (node ``i`` is named
-``v{i + 1}``), without per-node adjacency sets.  At paper scale about four
-of every five draws are rejected, so the rejection loop runs in the compiled
-kernel where it can: it replays numpy's PCG64 draws exactly, and the numpy
-expansion below is its fallback and its test oracle.
+``v{i + 1}``).  At paper scale about four of every five draws are rejected,
+so the rejection loop runs in the compiled kernel where it can: it replays
+numpy's PCG64 draws exactly, and the numpy expansion below is its fallback
+and its test oracle.
 """
 
 from __future__ import annotations

@@ -123,6 +123,16 @@ def _json_type(value: object) -> str:
     return _JSON_TYPES.get(type(value), type(value).__name__)
 
 
+def _document_name(data: Mapping, kind: str, default: str) -> str:
+    """The ``name`` of a ``kind`` document, ``default`` when it has none."""
+    name = data.get("name", default)
+    if not isinstance(name, str):
+        raise SerializationError(
+            f"{kind} document 'name' must be a JSON string, got {_json_type(name)}"
+        )
+    return name
+
+
 def _refuse_edges(raw_edges: Union[list, tuple], index: Mapping[str, int]) -> None:
     """Raise for the first entry of ``raw_edges`` that is not a ``[src, dst]``
     pair of known node names."""
@@ -202,11 +212,7 @@ def task_from_dict(data: Mapping) -> DagTask:
     metadata = data.get("metadata", {})
     if not isinstance(metadata, Mapping):
         raise SerializationError("task document 'metadata' must be a JSON object")
-    name = data.get("name", "tau")
-    if not isinstance(name, str):
-        raise SerializationError(
-            f"task document 'name' must be a JSON string, got {_json_type(name)}"
-        )
+    name = _document_name(data, "task", "tau")
     try:
         task = DagTask(
             DirectedAcyclicGraph._from_indices(list(wcet_of), list(wcet_of.values()), edges),
@@ -255,8 +261,9 @@ def taskset_to_dict(tasks: TaskSet) -> dict:
 
 def taskset_from_dict(data: dict) -> TaskSet:
     """Inverse of :func:`taskset_to_dict`."""
+    name = _document_name(data, "task set", "taskset")
     tasks = [task_from_dict(entry) for entry in data.get("tasks", [])]
-    return TaskSet(tasks=tasks, name=str(data.get("name", "taskset")))
+    return TaskSet(tasks=tasks, name=name)
 
 
 def save_taskset(tasks: TaskSet, path: Union[str, Path]) -> Path:

@@ -18,7 +18,9 @@ hex digest over a canonical JSON document, except the graph part:
   every task takes this one path;
 * **task** -- the graph fingerprint together with the behavioural fields of
   the :func:`~repro.io.json_io.task_to_dict` form (``offloaded_node``,
-  ``period``, ``deadline``).  The task *name* and free-form ``metadata``
+  ``period``, ``deadline``); the timing fields are hashed as floats, so a
+  period written ``40`` and one written ``40.0`` share a key, as the WCETs
+  do.  The task *name* and free-form ``metadata``
   are deliberately excluded: no engine reads them, and excluding them lets
   e.g. a sweep of generated tasks that only differ in their labels share
   results;
@@ -93,7 +95,8 @@ def task_fingerprint(task: DagTask) -> str:
 
     Derived from the :func:`~repro.io.json_io.task_to_dict` JSON form minus
     the purely descriptive fields (``name``, ``metadata``), which no engine
-    reads -- see the module docstring.
+    reads -- see the module docstring.  ``period`` and ``deadline`` are
+    hashed as floats (``None`` as ``None``).
     """
     offloaded = task.offloaded_node
     return fingerprint_document(
@@ -101,8 +104,8 @@ def task_fingerprint(task: DagTask) -> str:
             "task",
             graph_fingerprint(task),
             None if offloaded is None else str(offloaded),
-            task.period,
-            task.deadline,
+            None if task.period is None else float(task.period),
+            None if task.deadline is None else float(task.deadline),
         ]
     )
 

@@ -63,7 +63,6 @@ import hashlib
 import json
 import logging
 import math
-import os
 import signal
 import socket
 import sys
@@ -807,15 +806,6 @@ def _query_flag(query: dict, name: str) -> bool:
     return values[-1].strip().lower() not in ("0", "false", "no")
 
 
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() not in (
-        "",
-        "0",
-        "false",
-        "no",
-    )
-
-
 class ServiceHTTPServer(ThreadingHTTPServer):
     """A :class:`ThreadingHTTPServer` bound to one evaluation service.
 
@@ -1017,17 +1007,14 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--access-log",
         action="store_true",
-        default=_env_flag("REPRO_ACCESS_LOG"),
         help="emit one JSON log line per HTTP request (method, path, "
-        "status, duration, bytes, trace id); env REPRO_ACCESS_LOG=1 "
-        "also enables it",
+        "status, duration, bytes, trace id)",
     )
     parser.add_argument(
         "--log-level",
-        default=os.environ.get("REPRO_LOG_LEVEL", "warning"),
+        default="warning",
         help="level of the repro.service JSON loggers: debug, info, "
-        "warning, error or critical (env REPRO_LOG_LEVEL; the access "
-        "log needs at least info)",
+        "warning, error or critical (the access log needs at least info)",
     )
     parser.add_argument(
         "--no-tracing",
@@ -1038,17 +1025,16 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace-sample",
         type=float,
-        default=None,
+        default=1.0,
         help="probability in [0, 1] of keeping an unremarkable trace in "
         "the ring; error, degraded and slow-percentile traces are always "
-        "kept (default 1.0; env REPRO_TRACE_SAMPLE)",
+        "kept (default 1.0)",
     )
     parser.add_argument(
         "--trace-ring-bytes",
         type=int,
-        default=None,
-        help="byte cap of the completed-trace ring (default 4 MiB; "
-        "env REPRO_TRACE_RING_BYTES)",
+        default=4 << 20,
+        help="byte cap of the completed-trace ring (default 4 MiB)",
     )
 
 
@@ -1056,16 +1042,6 @@ def serve_from_args(args: argparse.Namespace) -> int:
     """Run the HTTP service until interrupted; returns the exit code."""
     try:
         configure_logging(args.log_level)
-        trace_sample = (
-            args.trace_sample
-            if args.trace_sample is not None
-            else float(os.environ.get("REPRO_TRACE_SAMPLE") or 1.0)
-        )
-        trace_ring_bytes = (
-            args.trace_ring_bytes
-            if args.trace_ring_bytes is not None
-            else int(os.environ.get("REPRO_TRACE_RING_BYTES") or (4 << 20))
-        )
         service = EvaluationService(
             cache_bytes=args.cache_bytes,
             jobs=args.jobs,
@@ -1076,8 +1052,8 @@ def serve_from_args(args: argparse.Namespace) -> int:
             breaker_threshold=args.breaker_threshold,
             breaker_reset=args.breaker_reset,
             tracing=not args.no_tracing,
-            trace_sample=trace_sample,
-            trace_ring_bytes=trace_ring_bytes,
+            trace_sample=args.trace_sample,
+            trace_ring_bytes=args.trace_ring_bytes,
         )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -1112,7 +1088,7 @@ def serve_from_args(args: argparse.Namespace) -> int:
     if args.port_file:
         Path(args.port_file).write_text(f"{server.port}\n", encoding="utf-8")
     tracing_state = (
-        "off" if args.no_tracing else f"on (sample {trace_sample:g})"
+        "off" if args.no_tracing else f"on (sample {args.trace_sample:g})"
     )
     print(
         f"repro evaluation service listening on http://{args.host}:{server.port} "

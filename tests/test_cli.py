@@ -36,6 +36,23 @@ class TestParser:
             namespace = parser.parse_args(args)
             assert callable(namespace.func)
 
+    def test_serve_flag_defaults_ignore_the_environment(self, monkeypatch):
+        # The serving flags have no environment-variable twins.
+        for name, value in (
+            ("REPRO_TRACE_SAMPLE", "0.5"),
+            ("REPRO_TRACE_RING_BYTES", "1024"),
+            ("REPRO_LOG_LEVEL", "debug"),
+            ("REPRO_ACCESS_LOG", "1"),
+        ):
+            monkeypatch.setenv(name, value)
+        namespace = build_parser().parse_args(["serve"])
+        assert (
+            namespace.trace_sample,
+            namespace.trace_ring_bytes,
+            namespace.log_level,
+            namespace.access_log,
+        ) == (1.0, 4 << 20, "warning", False)
+
     def test_unknown_experiment_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "figure42"])

@@ -11,8 +11,9 @@ orderings the unit tests missed.
 
 The last tests hold graphs born as their dense kernel (``from_dict`` and
 the other builders from index space) to graphs built through ``add_node``
-and ``add_edge``: the same answers and the same exceptions, through
-mutation, cache invalidation, copies, pickling and threads.
+and ``add_edge``, which hold index rows: the same answers and the same
+exceptions, through mutation, cache invalidation, copies, pickling and
+threads.
 """
 
 from __future__ import annotations
@@ -299,7 +300,7 @@ def _outcome(build, *args) -> tuple:
 
 
 def _structure_view(graph: DirectedAcyclicGraph) -> dict:
-    """Every structural answer; the kernel's read first, then the sets'."""
+    """Every structural answer, read through the kernel and the rows."""
     view = {
         "edges": graph.edges(),
         "edge_count": graph.edge_count,
@@ -377,17 +378,17 @@ def test_from_dict_behaves_like_add_node_and_add_edge(inputs):
     built, built_error = _outcome(_edge_by_edge, wcets, edges)
     assert born_error == built_error
     if born is not None:
-        # Acyclic graphs are born as their kernel, without adjacency sets.
-        acyclic = built.is_acyclic()
-        assert (born._structure.kernel is not None) == acyclic
-        assert (born._structure._maps is None) == acyclic
+        # Every graph, one with a cycle too, is born as its kernel without
+        # rows; the graph built edge by edge holds its rows.
+        assert born._structure.kernel is not None and born._structure.rows is None
+        assert built._structure.rows is not None
         assert _structure_view(born) == _structure_view(built)
         assert born == built
 
 
 def _kernel_born(wcets: dict, edges: list) -> DirectedAcyclicGraph:
     graph = DirectedAcyclicGraph.from_dict(wcets, edges)
-    assert graph._structure._maps is None
+    assert graph._structure.rows is None
     return graph
 
 
@@ -441,15 +442,18 @@ def test_kernel_born_graphs_mutate_like_graphs_built_edge_by_edge(inputs, data):
     assert sibling == _kernel_born(wcets, edges)
 
 
-def test_invalidate_caches_builds_the_sets_before_dropping_the_kernel():
+def test_invalidate_caches_turns_the_kernel_into_rows_before_dropping_it():
     graph = _kernel_born({"a": 1, "b": 2, "c": 3}, [("a", "b"), ("a", "c")])
     sibling = graph.copy()
+    kernel = graph._kernel()
     before = _snapshot(graph)
     graph.invalidate_caches()
-    # Dropped for every sharer: the sets are all the structure has left.
-    assert graph._structure is sibling._structure
-    assert graph._structure.kernel is None
-    assert graph._structure._maps is not None
+    # Dropped for every sharer: the rows are all the structure has left.
+    structure = graph._structure
+    assert structure is sibling._structure
+    assert structure.kernel is None
+    assert structure.rows == [[1, 2], [], []]
+    assert structure.nodes is not kernel.nodes and structure.nodes == kernel.nodes
     assert _snapshot(graph) == before
     assert _snapshot(sibling) == before
 
@@ -463,8 +467,8 @@ def test_pickled_kernel_born_copies_share_one_structure():
     loaded = pickle.loads(pickle.dumps(copies))
     structure = loaded[0]._structure
     assert all(copy._structure is structure for copy in loaded)
-    # The kernel's CSR travels, not adjacency sets.
-    assert structure.kernel is not None and structure._maps is None
+    # The kernel's CSR travels, not rows.
+    assert structure.kernel is not None and structure.rows is None
     assert [_snapshot(copy) for copy in loaded] == [_snapshot(copy) for copy in copies]
     assert [copy.wcets() for copy in loaded] == [copy.wcets() for copy in copies]
     loaded[0].add_edge("b", "c")
@@ -473,10 +477,11 @@ def test_pickled_kernel_born_copies_share_one_structure():
     _assert_matches_fresh(loaded[0])
 
 
-def test_threads_build_the_adjacency_sets_of_one_shared_structure():
-    """Threads make a kernel-born structure build its adjacency sets at
-    once (``has_edge`` reads the sets); every thread sees both sets
-    complete, and a thread that mutates its copy leaves the others alone."""
+def test_threads_read_and_mutate_copies_of_one_shared_structure():
+    """Threads read copies of one kernel-born structure at once, through
+    the queries that read rows (``has_edge``) and the kernel; the shared
+    structure stays the kernel alone, and a thread that mutates its copy
+    leaves the others alone."""
     import sys
     import threading
 
@@ -484,8 +489,9 @@ def test_threads_build_the_adjacency_sets_of_one_shared_structure():
     wcets = {f"n{i}": i % 7 for i in range(count)}
     edges = [(f"n{i}", f"n{j}") for i in range(count) for j in (2 * i + 1, 2 * i + 2) if j < count]
     base = _kernel_born(wcets, edges)
+    shared = base._structure
     expected = _edge_by_edge(wcets, edges)
-    answers = expected._structure.maps()
+    answers = _structure_view(expected)
     threads_count = 8
     copies = [base.copy() for _ in range(threads_count)]
     views: list = [None] * threads_count
@@ -497,7 +503,7 @@ def test_threads_build_the_adjacency_sets_of_one_shared_structure():
             graph = copies[index]
             barrier.wait(timeout=60)
             assert graph.has_edge(*edges[index]) and not graph.has_edge(*edges[index][::-1])
-            views[index] = graph._structure.maps()
+            views[index] = _structure_view(graph)
             if index % 2:
                 graph.add_node(f"extra{index}", 1)
                 graph.add_edge("n0", f"extra{index}")
@@ -517,10 +523,11 @@ def test_threads_build_the_adjacency_sets_of_one_shared_structure():
         sys.setswitchinterval(interval)
     assert not errors, errors
     assert all(view == answers for view in views)
-    assert base._structure.maps() == answers
-    assert _structure_view(base) == _structure_view(expected)
+    assert base._structure is shared and shared.rows is None
+    assert _structure_view(base) == answers
     for index, graph in enumerate(copies):
         assert graph.has_edge("n0", f"extra{index}") == bool(index % 2)
+        assert (graph._structure is shared) == (not index % 2)
 
 
 #: The generator's preset names (``repro.generator.presets.preset_by_name``).

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import pickle
+
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.exceptions import CycleError
 from repro.core.graph import DirectedAcyclicGraph
 
 from strategies import make_random_host_task
@@ -131,3 +135,88 @@ def test_are_parallel_is_symmetric_and_consistent(seed):
                 not graph.has_path(first, second)
                 and not graph.has_path(second, first)
             )
+
+
+@st.composite
+def _cyclic_inputs(draw) -> tuple[dict, list]:
+    """A WCET mapping and an edge list with at least one directed cycle;
+    identifiers mix integers and strings, so ``repr`` order is not
+    insertion order."""
+    count = draw(st.integers(min_value=2, max_value=8), label="nodes")
+    ids = [i if i % 3 == 1 else f"v{count - i}" for i in range(count)]
+    pairs = [(a, b) for a in ids for b in ids if a != b]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=16), label="edges")
+    loop = draw(st.lists(st.sampled_from(ids), min_size=2, unique=True), label="cycle")
+    for edge in zip(loop, loop[1:] + loop[:1]):
+        if edge not in edges:
+            edges.insert(draw(st.integers(0, len(edges)), label="position"), edge)
+    wcets = {node: draw(st.integers(0, 9), label="wcet") for node in ids}
+    return wcets, edges
+
+
+def _built_edge_by_edge(wcets: dict, edges: list) -> DirectedAcyclicGraph:
+    graph = DirectedAcyclicGraph()
+    for node, wcet in wcets.items():
+        graph.add_node(node, wcet)
+    for src, dst in edges:
+        graph.add_edge(src, dst)
+    return graph
+
+
+_CYCLIC_BUILDS = {
+    "from_dict": lambda wcets, edges: DirectedAcyclicGraph.from_dict(wcets, edges),
+    "edge_by_edge": _built_edge_by_edge,
+    "pickled_copy": lambda wcets, edges: pickle.loads(
+        pickle.dumps(DirectedAcyclicGraph.from_dict(wcets, edges).copy())
+    ),
+}
+
+
+@pytest.mark.parametrize("build", sorted(_CYCLIC_BUILDS))
+@settings(max_examples=150, deadline=None)
+@given(inputs=_cyclic_inputs())
+def test_reachability_on_graphs_with_cycles_matches_networkx(build, inputs):
+    """A node on a cycle counts among its own descendants and ancestors; an
+    edge ``(u, v)`` out of a node with two or more successors is transitive
+    when ``v`` is reachable from one of them (itself included, by a
+    cycle)."""
+    wcets, edges = inputs
+    graph = _CYCLIC_BUILDS[build](wcets, edges)
+    oracle = nx.DiGraph()
+    oracle.add_nodes_from(wcets)
+    oracle.add_edges_from(edges)
+    on_cycle = {
+        node
+        for component in nx.strongly_connected_components(oracle)
+        if len(component) > 1
+        for node in component
+    }
+
+    def reach(node, forward: bool = True) -> set:
+        found = nx.descendants(oracle, node) if forward else nx.ancestors(oracle, node)
+        return found | ({node} & on_cycle)
+
+    assert not graph.is_acyclic()
+    with pytest.raises(CycleError):
+        graph.topological_order()
+    closure = graph.transitive_closure()
+    assert list(closure) == list(wcets)
+    for node in wcets:
+        assert graph.descendants(node) == reach(node) == closure[node]
+        assert graph.ancestors(node) == reach(node, forward=False)
+        assert graph.successors(node) == set(oracle.successors(node))
+        assert graph.predecessors(node) == set(oracle.predecessors(node))
+        for other in wcets:
+            assert graph.has_path(node, other) == nx.has_path(oracle, node, other)
+    transitive = graph.transitive_edges()
+    assert len(transitive) == len(set(transitive))
+    assert set(transitive) == {
+        (src, dst)
+        for src in wcets
+        if oracle.out_degree(src) >= 2
+        for dst in oracle.successors(src)
+        if any(dst in reach(mid) for mid in oracle.successors(src))
+    }
+    cycle = graph.find_cycle()
+    assert len(cycle) >= 2 and len(set(cycle)) == len(cycle)
+    assert all(oracle.has_edge(*edge) for edge in zip(cycle, cycle[1:] + cycle[:1]))

@@ -293,7 +293,7 @@ class TestJsonTasks:
     def test_graph_is_born_as_its_kernel(self):
         task = task_from_dict(task_to_dict(figure1_task(period=50, deadline=40)))
         assert task.graph._structure.kernel is not None
-        assert task.graph._structure._maps is None
+        assert task.graph._structure.rows is None
 
     def test_decode_converts_endpoints_and_defaults_the_deadline(self):
         task = task_from_dict(
@@ -316,6 +316,23 @@ class TestJsonTaskSets:
         assert rebuilt[0].graph == tasks[0].graph
         path = save_taskset(tasks, tmp_path / "set.json")
         assert len(load_taskset(path)) == 2
+
+    @pytest.mark.parametrize(
+        "name, kind",
+        [(["x"], "array"), (3, "number"), (None, "null"), (True, "boolean"), ({}, "object")],
+    )
+    def test_taskset_name_that_is_not_a_json_string_is_refused(self, name, kind):
+        document = taskset_to_dict(TaskSet([figure1_task(period=100)], name="system"))
+        document["name"] = name
+        message = f"task set document 'name' must be a JSON string, got {kind}"
+        with pytest.raises(SerializationError) as refused:
+            taskset_from_dict(document)
+        assert str(refused.value) == message
+
+    def test_taskset_without_a_name_is_named_taskset(self):
+        document = taskset_to_dict(TaskSet([figure1_task(period=100)], name="system"))
+        del document["name"]
+        assert taskset_from_dict(document).name == "taskset"
 
     def test_invalid_taskset_file(self, tmp_path):
         path = tmp_path / "broken.json"

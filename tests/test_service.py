@@ -1705,13 +1705,24 @@ class TestDocumentFingerprint:
     @settings(max_examples=60, deadline=None)
     def test_reserialised_documents_hash_like_the_document(self, document):
         # The cache key of a task does not depend on how its document was
-        # written: the task_to_dict round trip and the same JSON with its
-        # keys (nodes included) in another order hash as the document does.
+        # written: the task_to_dict round trip, the same JSON with its keys
+        # (nodes included) in another order, and the same JSON with every
+        # integer timing field as a float and every float one that is whole
+        # as an integer hash as the document does.
         expected = task_fingerprint(task_from_dict(document))
         shipped = json.loads(json.dumps(task_to_dict(task_from_dict(document))))
         reordered = _reversed_keys(json.loads(json.dumps(document)))
+        retyped = {
+            key: (
+                (float(value) if isinstance(value, int) else int(value))
+                if key in ("period", "deadline") and float(value).is_integer()
+                else value
+            )
+            for key, value in document.items()
+        }
         assert task_fingerprint(task_from_dict(shipped)) == expected
         assert task_fingerprint(task_from_dict(reordered)) == expected
+        assert task_fingerprint(task_from_dict(retyped)) == expected
 
 
 class TestDocumentHits:

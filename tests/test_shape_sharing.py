@@ -389,9 +389,7 @@ def test_algorithm1_builds_no_all_node_tables(seed):
 
 
 def _kernel_lists(graph: DirectedAcyclicGraph):
-    kernel = graph._structure.kernel
-    if kernel is None:
-        return None, graph._structure.succ
+    kernel = graph._structure.dense()
     return (
         kernel.nodes,
         kernel.index,
@@ -401,7 +399,7 @@ def _kernel_lists(graph: DirectedAcyclicGraph):
         kernel.pred_idx,
         kernel.in_degree,
         kernel.topo,
-    ), None
+    )
 
 
 @settings(max_examples=200, deadline=None)
@@ -410,11 +408,11 @@ def test_trusted_rows_build_the_checked_builders_graph(shape):
     nodes, wcets, pairs = _index_pairs(*shape)
     checked = DirectedAcyclicGraph._from_indices(nodes, wcets, pairs)
     trusted = DirectedAcyclicGraph._from_rows(nodes, wcets, _rows(len(nodes), pairs))
-    # List for list, topological order included; a cycle falls back to sets.
+    # List for list, topological order included (short on a cycle).
+    assert trusted._structure.rows is None
     assert _kernel_lists(trusted) == _kernel_lists(checked)
     assert list(trusted._wcet.items()) == list(checked._wcet.items())
-    acyclic = _edge_by_edge(*shape).is_acyclic()
-    assert (trusted._structure.kernel is not None) == acyclic == trusted.is_acyclic()
+    assert _edge_by_edge(*shape).is_acyclic() == trusted.is_acyclic()
     assert trusted == checked
 
 
