@@ -83,10 +83,8 @@ from repro.simulation.schedulers import (  # noqa: E402
     FixedPriorityPolicy,
     ShortestFirstPolicy,
     policy_by_name,
-    policy_vector_kind,
 )
-from repro.simulation.vectorized import _task_lanes  # noqa: E402
-from repro.simulation.vectorized_compiled import pack_lanes  # noqa: E402
+from repro.simulation.vectorized_compiled import pack_column  # noqa: E402
 from repro.simulation.workload import (  # noqa: E402
     JobStream,
     build_workload,
@@ -469,12 +467,9 @@ def _paper_point(fraction: float = 0.2) -> tuple[list, Callable[[], list]]:
 
 def _pack_point(tasks: list, platforms: list) -> tuple:
     """Tasks to kernel lane tables, breadth-first, without the kernel call:
-    compile, lane groups (device maps), stacking and the lane records."""
-    policy = BreadthFirstPolicy()
-    kind = policy_vector_kind(policy)
-    return pack_lanes(
-        [_task_lanes(task, compile_task(task), platforms, policy, kind, True) for task in tasks]
-    )
+    compile, device maps, stacking and the lane records."""
+    entries = [(task, compile_task(task)) for task in tasks]
+    return pack_column(entries, platforms, BreadthFirstPolicy(), True)
 
 
 def _views_identical(tasks: list) -> bool:

@@ -98,20 +98,25 @@ def response_time(task: DagTask, cores: int) -> ResponseTimeResult:
 homogeneous_response_time = response_time
 
 
-def makespan_lower_bound(task: DagTask, cores: int) -> float:
-    """A simple lower bound on the makespan of any schedule of the task.
+def makespan_lower_bound(task: DagTask, cores: int, accelerators: int = 1) -> float:
+    """A lower bound on the makespan of any schedule of the task.
 
-    Used to sanity-check simulators and exact solvers:
+    Used to sanity-check simulators and to bound the exact solvers
+    (:mod:`repro.ilp`):
 
-    * no schedule can finish before the critical path completes, and
-    * the host workload cannot be processed faster than ``m`` cores allow
-      while the offloaded workload needs the (single) accelerator.
+    * no schedule can finish before the critical path completes,
+    * the host workload cannot be processed faster than ``m`` cores allow,
+      and
+    * the offloaded workload needs the accelerators for ``C_off /
+      accelerators``; with no accelerator it runs on the host instead.
 
-    Returns ``max(len(G), host_volume / m, C_off)``.
+    Returns ``max(len(G), host_volume / m, C_off / accelerators)``.
     """
     cores = check_cores(cores)
-    return max(
-        task.critical_path_length,
-        task.host_volume() / cores,
-        task.offloaded_wcet,
-    )
+    host_volume = task.host_volume()
+    accelerator_load = 0.0
+    if task.is_heterogeneous and accelerators > 0:
+        accelerator_load = task.offloaded_wcet / accelerators
+    elif task.is_heterogeneous:
+        host_volume += task.offloaded_wcet
+    return max(task.critical_path_length, host_volume / cores, accelerator_load)

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..core.task import DagTask
-from ..parallel import check_chunk_size, spawn_seeds
+from ..parallel import spawn_seeds
 from .config import GeneratorConfig, OffloadConfig
 from .offload import pin_offloaded_fraction, select_offloaded_node
 from .random_dag import DagStructureGenerator
@@ -35,6 +35,11 @@ __all__ = [
     "chunked_offload_fraction_sweep",
     "default_fraction_grid",
 ]
+
+#: Base structures per generation chunk of
+#: :func:`chunked_offload_fraction_sweep`: chunk boundaries root the spawned
+#: generator streams, so changing it changes the drawn ensemble.
+CHUNK_SIZE = 8
 
 
 @dataclass
@@ -152,24 +157,22 @@ def chunked_offload_fraction_sweep(
     generator_config: GeneratorConfig,
     offload_config: OffloadConfig = OffloadConfig(),
     root_seed: int = 0,
-    chunk_size: int = 8,
 ) -> list[SweepPoint]:
     """Paired offload-fraction sweep with chunk-seeded generation.
 
     The ``dags_per_point`` base structures are generated in fixed chunks of
-    ``chunk_size`` tasks; every chunk draws from its own child seed derived
-    via :func:`repro.parallel.spawn_seeds`, so the drawn ensemble depends
-    only on ``(root_seed, dags_per_point, chunk_size, configs)``.
+    :data:`CHUNK_SIZE` tasks; every chunk draws from its own child seed
+    derived via :func:`repro.parallel.spawn_seeds`, so the drawn ensemble
+    depends only on ``(root_seed, dags_per_point, configs)``.
 
     The fraction grid is then applied exactly like the paired design of
     :func:`offload_fraction_sweep`: the same structures and ``v_off``
     selections are reused for every fraction with only ``C_off`` re-pinned.
     """
-    chunk_size = check_chunk_size(chunk_size)
     fraction_list = [float(value) for value in fractions]
     chunk_counts = [
-        min(chunk_size, dags_per_point - start)
-        for start in range(0, dags_per_point, chunk_size)
+        min(CHUNK_SIZE, dags_per_point - start)
+        for start in range(0, dags_per_point, CHUNK_SIZE)
     ]
     base_tasks = []
     for seed, count in zip(spawn_seeds(root_seed, len(chunk_counts)), chunk_counts):

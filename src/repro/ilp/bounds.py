@@ -14,6 +14,7 @@ accelerator:
 
 from __future__ import annotations
 
+from ..analysis.homogeneous import makespan_lower_bound
 from ..core.graph import NodeId
 from ..core.task import DagTask
 from ..simulation.platform import Platform
@@ -24,26 +25,6 @@ __all__ = [
     "list_schedule_upper_bound",
     "best_list_schedule",
 ]
-
-
-def makespan_lower_bound(task: DagTask, cores: int, accelerators: int = 1) -> float:
-    """A valid lower bound on the makespan of any schedule of the task.
-
-    The bound is ``max(len(G), host_volume / m, C_off / accelerators)``:
-
-    * no schedule finishes before the critical path does,
-    * the host workload needs at least ``host_volume / m`` time on ``m``
-      cores, and
-    * the offloaded workload needs the accelerator for ``C_off``.
-    """
-    host_volume = task.host_volume()
-    accelerator_load = 0.0
-    if task.is_heterogeneous and accelerators > 0:
-        accelerator_load = task.offloaded_wcet / accelerators
-    elif task.is_heterogeneous:
-        # Without accelerator the offloaded node runs on the host.
-        host_volume += task.offloaded_wcet
-    return max(task.critical_path_length, host_volume / cores, accelerator_load)
 
 
 def best_list_schedule(

@@ -16,8 +16,7 @@ substrate:
   path;
 * :func:`spawn_seeds` -- deterministic per-chunk child seeds derived from a
   root seed via :class:`numpy.random.SeedSequence`, so that splitting work
-  into chunks never changes the random draws, and :func:`check_chunk_size`,
-  the one domain check of the chunk sizes that split it;
+  into chunks never changes the random draws;
 * :func:`resolve_jobs` -- normalisation of the user-facing ``--jobs`` flag
   (``None``/``0``/``1`` mean serial, negative values mean "all cores");
 * :func:`available_cpus` -- the CPUs this process may run on, which sizes
@@ -39,16 +38,14 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from numbers import Integral
 from typing import Callable, Iterable, Optional, TypeVar
 
-from .core.exceptions import ValidationError, WorkerCrashError, short_repr
+from .core.exceptions import WorkerCrashError
 from .core.task import check_seed
 from .resilience import fault_point
 
 __all__ = [
     "available_cpus",
-    "check_chunk_size",
     "parallel_map",
     "resolve_jobs",
     "spawn_seeds",
@@ -186,16 +183,3 @@ def spawn_seeds(root_seed: int, count: int) -> list[int]:
         int(child.generate_state(1, dtype="uint64")[0])
         for child in SeedSequence(root_seed).spawn(count)
     ]
-
-
-def check_chunk_size(chunk_size: object) -> int:
-    """``chunk_size`` as an ``int``, if it is a number of items per chunk:
-    an integer >= 1, not a boolean.
-
-    Raises :class:`~repro.core.exceptions.ValidationError` (a ``ValueError``).
-    """
-    if isinstance(chunk_size, bool) or not isinstance(chunk_size, Integral) or chunk_size < 1:
-        raise ValidationError(
-            f"chunk_size must be an integer >= 1, got {short_repr(chunk_size)}"
-        )
-    return int(chunk_size)

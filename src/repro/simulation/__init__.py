@@ -7,12 +7,12 @@
   (trace-producing reference implementation);
 * :mod:`repro.simulation.dense` -- the trace-free dense-index fast path
   (bit-identical makespans, no ``NodeExecution`` churn);
-* :mod:`repro.simulation.vectorized` -- many simulations per call of the
-  compiled C kernel (bit-identical makespans, the default of
-  ``simulate_many`` where a C compiler is available); a single cell is
-  ``simulate_makespans_vectorized([VectorCell(...)])[0]``;
 * :mod:`repro.simulation.batch` -- batched ``simulate_many`` over
-  task x platform x policy grids with one compile per task;
+  task x platform x policy grids with one compile per task; each policy
+  column with a priority family runs as the lanes of one call of the
+  compiled C kernel (bit-identical makespans, the default where a C
+  compiler is available), packed by
+  :mod:`repro.simulation.vectorized_compiled`;
 * :mod:`repro.simulation.trace` -- execution traces with legality validation;
 * :mod:`repro.simulation.worst_case` -- exhaustive / randomised worst-case
   makespan search over work-conserving schedules;
@@ -38,7 +38,6 @@ from .schedulers import (
     policy_by_name,
 )
 from .trace import ExecutionTrace, NodeExecution
-from .vectorized import VectorCell, simulate_makespans_vectorized
 from .workload import (
     JobInstance,
     JobStream,
@@ -57,8 +56,6 @@ __all__ = [
     "simulate",
     "simulate_makespan",
     "simulate_makespan_dense",
-    "simulate_makespans_vectorized",
-    "VectorCell",
     "simulate_many",
     "ExecutionTrace",
     "NodeExecution",

@@ -4,26 +4,26 @@ The figure 6 sweep (and the scheduler ablation built on it) evaluates the
 same tasks on every host size and for both task variants (original and
 transformed).  :func:`simulate_many` is the batch entry point that
 
+* resolves the engine and normalises the platforms once per call;
 * compiles each task **once** (:func:`repro.core.compiled.compile_task`) and
   reuses the compiled view across every ``(platform, policy)`` cell -- one
   compile serves all ``m`` values and both variants of a sweep point;
-* runs every vectorisable policy column through the **compiled C kernel**
-  (:func:`~repro.simulation.vectorized.simulate_column_vectorized`): all
+* runs every policy column with a priority family through the **compiled C
+  kernel** (:func:`~repro.simulation.vectorized_compiled.run_column`): all
   cells of a column are lanes of one native call, which is what makes the
   paper-scale figure 6 sweep (100 DAGs x 15 fractions x 4 host sizes x 2
   variants) a few kernel calls instead of thousands of Python event loops;
 * serves everything else with the trace-free dense engine
   (:func:`~repro.simulation.dense.simulate_makespan_dense`): custom or
-  subclassed policies without a vector kind, every cell on a host where the
+  subclassed policies without a family, every cell on a host where the
   kernel cannot be built, and every cell under ``engine="dense"`` (the
   benchmark baseline);
-* splits the tasks into fixed-size chunks that seed the stochastic
-  policies: every chunk receives its own policy instances via
+* splits the tasks into chunks of :data:`CHUNK_SIZE` that seed the
+  stochastic policies: every chunk receives its own policy instances via
   :meth:`~repro.simulation.schedulers.SchedulingPolicy.spawned` with
   :func:`repro.parallel.spawn_seeds`-derived child seeds (a plain copy for
   deterministic policies, an independently seeded stream for
-  ``RandomPolicy``), so the draws depend only on ``(tasks, chunk_size,
-  root_seed)``.
+  ``RandomPolicy``), so the draws depend only on ``(tasks, root_seed)``.
 
 Engine-equivalence contract
 ---------------------------
@@ -45,7 +45,7 @@ import numpy as np
 
 from ..core.compiled import compile_task
 from ..core.task import DagTask
-from ..parallel import check_chunk_size, spawn_seeds
+from ..parallel import spawn_seeds
 from .engine import _as_platform
 from .platform import Platform
 from .schedulers import (
@@ -54,14 +54,13 @@ from .schedulers import (
     SchedulingPolicy,
     policy_vector_kind,
 )
-from .vectorized import simulate_column_vectorized
-from .vectorized_compiled import resolve_engine
+from .vectorized_compiled import resolve_engine, run_column
 
 __all__ = ["simulate_many", "resolve_engine"]
 
 #: Tasks per policy-seeding chunk: chunk boundaries root the spawned
 #: ``RandomPolicy`` streams, so changing it changes the draws.
-DEFAULT_CHUNK_SIZE = 16
+CHUNK_SIZE = 16
 
 
 def _dense_column(entries, platforms, policy, offload_enabled) -> np.ndarray:
@@ -84,7 +83,6 @@ def simulate_many(
     *,
     offload_enabled: bool = True,
     root_seed: int = 0,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     engine: str = "auto",
 ):
     """Simulate every task on every platform under every policy.
@@ -96,22 +94,20 @@ def simulate_many(
         is reused for every ``(platform, policy)`` cell.
     platforms:
         One platform -- or a sequence of platforms -- as :class:`Platform`
-        objects or integer host-core counts (one accelerator assumed).
+        objects or integer host-core counts (``int`` or numpy integer; one
+        accelerator assumed).
     policies:
         One policy or a sequence; defaults to the GOMP-style
         :class:`~repro.simulation.schedulers.BreadthFirstPolicy`.  Policies
-        are never used directly: every chunk simulates with its own
-        ``policy.spawned(child_seed)`` instances, the child seeds derived
-        from ``root_seed`` via :func:`repro.parallel.spawn_seeds` (one per
-        ``(chunk, policy)`` pair), so stochastic policies draw independent
-        per-chunk streams.
+        are never used directly: every chunk of :data:`CHUNK_SIZE` tasks
+        simulates with its own ``policy.spawned(child_seed)`` instances,
+        the child seeds derived from ``root_seed`` via
+        :func:`repro.parallel.spawn_seeds` (one per ``(chunk, policy)``
+        pair), so stochastic policies draw independent per-chunk streams.
     offload_enabled:
         Forwarded to the engine (``False`` models a homogeneous execution).
     root_seed:
         Root of the spawned per-chunk policy seeds.
-    chunk_size:
-        Tasks per chunk.  Part of the determinism contract: stochastic
-        results depend on it (chunk boundaries seed the spawned policies).
     engine:
         ``"auto"`` (default): the C kernel for vectorisable policies when
         it can be built on this host, the dense engine otherwise (see
@@ -128,10 +124,9 @@ def simulate_many(
         len(policies))``, indexed ``[task, platform, policy]``.  A cell's
         schedule comes from :func:`~repro.simulation.engine.simulate`.
     """
-    chunk_size = check_chunk_size(chunk_size)
     engine = resolve_engine(engine)
     task_list = list(tasks)
-    if isinstance(platforms, (Platform, int)):
+    if isinstance(platforms, (Platform, int, np.integer)):
         platforms = [platforms]
     platform_list = [_as_platform(platform) for platform in platforms]
     if policies is None:
@@ -144,7 +139,7 @@ def simulate_many(
     if not policy_list:
         raise ValueError("simulate_many needs at least one policy")
 
-    starts = range(0, len(task_list), chunk_size)
+    starts = range(0, len(task_list), CHUNK_SIZE)
     seeds = spawn_seeds(root_seed, len(starts) * len(policy_list))
     shape = (len(task_list), len(platform_list), len(policy_list))
     if not task_list:
@@ -162,18 +157,15 @@ def simulate_many(
     for q, policy in enumerate(policy_list):
         kind = policy_vector_kind(policy) if engine == "compiled" else None
         if kind is not None and kind != VECTOR_RANDOM:
-            out[:, :, q] = simulate_column_vectorized(
+            out[:, :, q] = run_column(
                 entries, platform_list, policy.spawned(seeds[q]), offload_enabled
             )
             continue
+        column = _dense_column if kind is None else run_column
         for c, start in enumerate(starts):
-            chunk = entries[start : start + chunk_size]
+            chunk = entries[start : start + CHUNK_SIZE]
             spawned = policy.spawned(seeds[c * len(policy_list) + q])
-            if kind is None:
-                block = _dense_column(chunk, platform_list, spawned, offload_enabled)
-            else:
-                block = simulate_column_vectorized(
-                    chunk, platform_list, spawned, offload_enabled
-                )
-            out[start : start + len(chunk), :, q] = block
+            out[start : start + len(chunk), :, q] = column(
+                chunk, platform_list, spawned, offload_enabled
+            )
     return out

@@ -2,10 +2,10 @@
 
 ``simulate_many`` and ``chunked_offload_fraction_sweep`` sit under every
 sweep driver; these tests pin their behaviour on the degenerate inputs a
-driver can produce -- empty ensembles, chunk sizes larger than the
-ensemble, single-policy batches, zero-node graphs -- so refactors of the
-batching layers cannot silently change them.  The last class pins the one
-domain check of seeds and chunk sizes at the batch boundary.
+sweep can produce -- empty ensembles, chunks larger than the ensemble,
+single-policy batches, scalar and numpy-integer platforms, zero-node graphs
+-- so refactors of the batching layers cannot silently change them.  The
+last class pins the one domain check of seeds at the batch boundary.
 """
 
 from __future__ import annotations
@@ -16,10 +16,12 @@ import pytest
 from repro.core.exceptions import ValidationError
 from repro.core.graph import DirectedAcyclicGraph
 from repro.core.task import DagTask
+from repro.generator import sweep
 from repro.generator.config import OffloadConfig
 from repro.generator.presets import SMALL_TASKS
 from repro.generator.sweep import chunked_offload_fraction_sweep
 from repro.parallel import spawn_seeds
+from repro.simulation import batch
 from repro.simulation.batch import simulate_many
 from repro.simulation.engine import simulate, simulate_makespan
 from repro.simulation.schedulers import BreadthFirstPolicy, RandomPolicy
@@ -36,19 +38,24 @@ class TestSimulateManyEdgeCases:
         assert simulate_many([], [2]).shape == (0, 1, 1)
         assert simulate_many([], [2, 4], [BreadthFirstPolicy()]).shape == (0, 2, 1)
 
-    def test_chunk_size_larger_than_ensemble(self):
+    def test_chunk_size_larger_than_ensemble(self, monkeypatch):
         tasks = [make_random_heterogeneous_task(seed, 0.2, n_max=15) for seed in range(3)]
-        small = simulate_many(tasks, [2], chunk_size=2)
-        huge = simulate_many(tasks, [2], chunk_size=500)
+        huge = simulate_many(tasks, [2])
+        assert batch.CHUNK_SIZE > len(tasks)
+        monkeypatch.setattr(batch, "CHUNK_SIZE", 2)
+        small = simulate_many(tasks, [2])
         # Chunking is part of the determinism contract only through spawned
         # policy streams; a deterministic policy must not see it at all.
         assert np.array_equal(small, huge)
         for t, task in enumerate(tasks):
             assert huge[t, 0, 0] == simulate(task, 2).makespan()
 
-    def test_single_policy_batch_accepts_scalar_arguments(self):
+    # Platform and processor_count take numpy integers as core counts, so
+    # a numpy integer is one platform here too.
+    @pytest.mark.parametrize("cores", [2, np.int64(2), np.uint8(2)], ids=["int", "int64", "uint8"])
+    def test_single_policy_batch_accepts_scalar_arguments(self, cores):
         task = make_random_heterogeneous_task(2, 0.2, n_max=15)
-        grid = simulate_many([task], 2, BreadthFirstPolicy())
+        grid = simulate_many([task], cores, BreadthFirstPolicy())
         assert grid.shape == (1, 1, 1)
         assert grid[0, 0, 0] == simulate(task, 2).makespan()
 
@@ -78,8 +85,6 @@ class TestSimulateManyEdgeCases:
     def test_invalid_arguments(self):
         task = make_random_heterogeneous_task(1, 0.2, n_max=10)
         with pytest.raises(ValueError):
-            simulate_many([task], [2], chunk_size=0)
-        with pytest.raises(ValueError):
             simulate_many([task], [])
         with pytest.raises(ValueError):
             simulate_many([task], [2], [])
@@ -104,36 +109,33 @@ class TestChunkedSweepEdgeCases:
         assert [len(point) for point in points] == [0]
         assert self._sweep(fractions=[]) == []
 
-    def test_chunk_size_larger_than_ensemble(self):
-        reference = self._sweep(chunk_size=1)
-        oversized = self._sweep(chunk_size=500)
+    def test_chunk_size_larger_than_ensemble(self, monkeypatch):
         # Chunk boundaries seed the generator streams, so the draws are
         # allowed to differ between chunk sizes -- but each configuration
         # must be internally deterministic.
-        assert _wcet_tables(oversized[0]) == _wcet_tables(self._sweep(chunk_size=500)[0])
+        assert sweep.CHUNK_SIZE > 3
+        oversized = self._sweep()
+        assert _wcet_tables(oversized[0]) == _wcet_tables(self._sweep()[0])
+        monkeypatch.setattr(sweep, "CHUNK_SIZE", 1)
+        reference = self._sweep()
         assert len(reference[0]) == len(oversized[0]) == 3
 
-    def test_growing_the_ensemble_keeps_the_drawn_prefix(self):
+    def test_growing_the_ensemble_keeps_the_drawn_prefix(self, monkeypatch):
         # Chunk c draws from the c-th spawned child seed whatever the chunk
         # count, and a chunk draws its tasks in order, so a larger ensemble
         # (here ending on a partial chunk) starts with the smaller one.
-        small = self._sweep(dags_per_point=3, chunk_size=2)
-        large = self._sweep(dags_per_point=5, chunk_size=2)
+        monkeypatch.setattr(sweep, "CHUNK_SIZE", 2)
+        small = self._sweep(dags_per_point=3)
+        large = self._sweep(dags_per_point=5)
         assert _wcet_tables(large[0])[:3] == _wcet_tables(small[0])
         assert [task.name for task in large[0].tasks][:3] == [
             task.name for task in small[0].tasks
         ]
 
-    def test_invalid_chunk_size(self):
-        with pytest.raises(ValueError):
-            self._sweep(chunk_size=0)
-
 
 #: Values that are not seeds: numpy's SeedSequence took ``True`` as 1 and
 #: refused the others with its own text.
 _NOT_SEEDS = {"True": True, "-1": -1, "2.5": 2.5, "str": "3"}
-#: Values that are not chunk sizes: ``True`` ran as 1, 2.5 reached range().
-_NOT_CHUNK_SIZES = {"True": True, "2.5": 2.5, "0": 0}
 
 
 def _simulate_many(**kwargs):
@@ -147,7 +149,7 @@ def _sweep(**kwargs):
     )
 
 
-class TestSeedAndChunkSizeDomain:
+class TestSeedDomain:
     """One check each, raising :class:`ValidationError` (a ``ValueError``)
     that names the argument, whatever the entry point."""
 
@@ -171,16 +173,6 @@ class TestSeedAndChunkSizeDomain:
         with pytest.raises(ValidationError, match=r"^rng must be an integer >= 0, got "):
             RandomPolicy(value)
 
-    @pytest.mark.parametrize("value", _NOT_CHUNK_SIZES.values(), ids=_NOT_CHUNK_SIZES.keys())
-    @pytest.mark.parametrize(
-        "call",
-        [lambda size: _simulate_many(chunk_size=size), lambda size: _sweep(chunk_size=size)],
-        ids=["simulate_many", "sweep"],
-    )
-    def test_chunk_size_is_checked(self, call, value):
-        with pytest.raises(ValidationError, match=r"^chunk_size must be an integer >= 1, got "):
-            call(value)
-
     def test_valid_values_pass_unchanged(self):
         generator = np.random.default_rng(5)
         assert RandomPolicy(generator)._rng is generator
@@ -190,6 +182,5 @@ class TestSeedAndChunkSizeDomain:
         )
         assert spawn_seeds(np.uint64(3), 2) == spawn_seeds(3, 2)
         assert np.array_equal(
-            _simulate_many(root_seed=np.int64(4), chunk_size=np.int64(2)),
-            _simulate_many(root_seed=4, chunk_size=2),
+            _simulate_many(root_seed=np.int64(4)), _simulate_many(root_seed=4)
         )

@@ -26,7 +26,7 @@ from repro.core.transformation import transform
 from repro.generator.offload import pin_offloaded_fraction
 from repro.parallel import spawn_seeds
 from repro.service import EvaluationService
-from repro.simulation import _kernels
+from repro.simulation import _kernels, batch
 from repro.simulation.batch import simulate_many
 from repro.simulation.dense import simulate_makespan_dense
 from repro.simulation.engine import simulate, simulate_makespan
@@ -42,7 +42,6 @@ from repro.simulation.schedulers import (
     policy_by_name,
     policy_vector_kind,
 )
-from repro.simulation.vectorized import VectorCell, simulate_makespans_vectorized
 from repro.simulation.workload import (
     JobInstance,
     simulate_workload,
@@ -212,10 +211,11 @@ class TestSimulateMany:
             ),
         ],
     )
-    def test_random_policy_draws_one_stream_per_chunk(self, engine):
+    def test_random_policy_draws_one_stream_per_chunk(self, engine, monkeypatch):
         # The chunk-seeding contract written out: chunk c of the tasks gets
         # one RandomPolicy(3).spawned(spawn_seeds(11, n_chunks)[c]), which
         # sees its cells in (task, platform) order.
+        monkeypatch.setattr(batch, "CHUNK_SIZE", 3)
         tasks = self._tasks()
         starts = range(0, len(tasks), 3)
         expected = np.empty((len(tasks), 2, 1))
@@ -224,9 +224,7 @@ class TestSimulateMany:
             for t in range(start, min(start + 3, len(tasks))):
                 for p, cores in enumerate((2, 8)):
                     expected[t, p, 0] = simulate_makespan(tasks[t], cores, policy)
-        makespans = simulate_many(
-            tasks, [2, 8], RandomPolicy(3), root_seed=11, chunk_size=3, engine=engine
-        )
+        makespans = simulate_many(tasks, [2, 8], RandomPolicy(3), root_seed=11, engine=engine)
         assert np.array_equal(makespans, expected)
 
     def test_multiple_policies_and_scalar_platform(self):
@@ -250,8 +248,6 @@ class TestSimulateMany:
 
     def test_empty_tasks_and_bad_arguments(self):
         assert simulate_many([], [2]).shape == (0, 1, 1)
-        with pytest.raises(ValueError):
-            simulate_many(self._tasks(count=1), [2], chunk_size=0)
         with pytest.raises(ValueError):
             simulate_many(self._tasks(count=1), [])
         with pytest.raises(ValueError):
@@ -598,11 +594,6 @@ _COLLIDING_ENGINES = {
     "simulate_many-auto": lambda: _many("auto"),
     "simulate_many-dense": lambda: _many("dense"),
     "simulate_many-compiled": lambda: _many("compiled"),
-    "vectorized": lambda: float(
-        simulate_makespans_vectorized(
-            [VectorCell(_COLLIDING_TASK, 2, _colliding_policy(), offload_enabled=False)]
-        )[0]
-    ),
     "workload-reference": lambda: _workload(simulate_workload_reference),
     "workload": lambda: _workload(simulate_workload),
     "facade": _facade,
@@ -616,7 +607,7 @@ class TestFloat64PriorityTable:
         "engine",
         [
             pytest.param(name, marks=requires_kernel)
-            if name in ("simulate_many-compiled", "vectorized")
+            if name == "simulate_many-compiled"
             else name
             for name in _COLLIDING_ENGINES
         ],

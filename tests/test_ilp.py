@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.examples import figure1_task
-from repro.core.exceptions import SolverError
+from repro.analysis import homogeneous
+from repro.core.exceptions import AnalysisError, SolverError
 from repro.core.task import DagTask
 from repro.core.transformation import transform
 from repro.ilp.bounds import list_schedule_upper_bound, makespan_lower_bound
@@ -34,6 +35,18 @@ class TestBounds:
         task = figure1_task()
         # Offloaded work is folded back onto the host.
         assert makespan_lower_bound(task, 1, accelerators=0) == 18
+
+    def test_one_lower_bound_serves_both_names(self):
+        assert makespan_lower_bound is homogeneous.makespan_lower_bound
+
+    @pytest.mark.parametrize(
+        "cores", [0, -1, True, 2.5, "2", None], ids=["0", "-1", "True", "2.5", "str", "None"]
+    )
+    def test_lower_bound_refuses_a_core_count_that_is_not_one(self, cores):
+        # The host load is divided by the core count: 0 divided by zero, a
+        # boolean ran as one core and a fraction as a wider host.
+        with pytest.raises(AnalysisError, match=r"^cores must be a positive integer, got "):
+            makespan_lower_bound(figure1_task(), cores)
 
     def test_upper_bound_is_a_real_schedule(self):
         task = figure1_task()

@@ -1,8 +1,9 @@
 """Chunk-seeded DAG-ensemble generation (`repro.generator.sweep`).
 
-The chunked scheme derives one child seed per fixed-size chunk via
-``repro.parallel.spawn_seeds``, so the drawn ensemble is a pure function of
-``(root_seed, dags_per_point, chunk_size, configs)``.
+The chunked scheme derives one child seed per chunk of
+``repro.generator.sweep.CHUNK_SIZE`` tasks via ``repro.parallel.spawn_seeds``,
+so the drawn ensemble is a pure function of ``(root_seed, dags_per_point,
+configs)``.
 """
 
 from __future__ import annotations
@@ -10,8 +11,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
+from repro.generator import sweep
 from repro.generator.config import OffloadConfig
 from repro.generator.offload import pin_offloaded_fraction, select_offloaded_node
 from repro.generator.presets import SMALL_TASKS
@@ -22,21 +23,21 @@ from repro.parallel import spawn_seeds
 CONFIG = replace(SMALL_TASKS, n_min=4, n_max=12, c_max=20)
 
 
-def _sweep(chunk_size=4, dags=10, root_seed=321):
+def _sweep(dags=10, root_seed=321):
     return chunked_offload_fraction_sweep(
         fractions=[0.05, 0.2, 0.4],
         dags_per_point=dags,
         generator_config=CONFIG,
         offload_config=OffloadConfig(),
         root_seed=root_seed,
-        chunk_size=chunk_size,
     )
 
 
 class TestChunkedGeneration:
-    def test_chunk_draws_come_from_the_spawned_child_seed(self):
+    def test_chunk_draws_come_from_the_spawned_child_seed(self, monkeypatch):
         # The chunk-seeding contract written out: chunk c of 4 tasks draws
         # its structures and v_off selections from spawn_seeds(321, 3)[c].
+        monkeypatch.setattr(sweep, "CHUNK_SIZE", 4)
         points = _sweep()
         assert len(points) == 3
         for c, seed in enumerate(spawn_seeds(321, 3)):
@@ -65,15 +66,21 @@ class TestChunkedGeneration:
             host_b = {n: task_b.graph.wcet(n) for n in task_b.host_nodes()}
             assert host_a == host_b
 
-    def test_chunk_size_changes_draws_but_not_structure_of_result(self):
+    def test_chunk_size_changes_draws_but_not_structure_of_result(self, monkeypatch):
         # The chunk partition is part of the determinism contract: a
         # different chunk size is a different (still reproducible) ensemble.
-        small_chunks = _sweep(chunk_size=2)
-        large_chunks = _sweep(chunk_size=10)
+        monkeypatch.setattr(sweep, "CHUNK_SIZE", 2)
+        small_chunks = _sweep()
+        monkeypatch.setattr(sweep, "CHUNK_SIZE", 10)
+        large_chunks = _sweep()
         assert [p.fraction for p in small_chunks] == [
             p.fraction for p in large_chunks
         ]
         assert all(len(p.tasks) == 10 for p in small_chunks + large_chunks)
+        assert any(
+            task_a.graph != task_b.graph
+            for task_a, task_b in zip(small_chunks[0].tasks, large_chunks[0].tasks)
+        )
 
     def test_root_seed_changes_draws(self):
         a = _sweep(root_seed=1)
@@ -82,10 +89,6 @@ class TestChunkedGeneration:
             task_a.graph != task_b.graph
             for task_a, task_b in zip(a[0].tasks, b[0].tasks)
         )
-
-    def test_invalid_chunk_size_rejected(self):
-        with pytest.raises(ValueError):
-            _sweep(chunk_size=0)
 
     def test_spawn_seeds_partition_is_scheduling_independent(self):
         # The child seeds only depend on (root, count).

@@ -10,8 +10,9 @@ and hold each shortcut to the longer way it replaced:
   whichever builder or mutation made it, so the one-pass vector is the
   per-node lookup vector; ``wcet_list`` is built on first read and kept;
 * the copies of one shape share one device-assignment array, which equals
-  a fresh build, and every error is raised as before;
-* the lane table built with numpy equals one tuple per lane;
+  a fresh build and is stored once per kernel call, and every error is
+  raised as before;
+* a column's lane table built with numpy equals one tuple per lane;
 * Algorithm 1's single-source ``Pred``/``Succ`` masks equal the all-node
   tables' entries, and graphs built from trusted rows equal graphs built
   through the checking builder.
@@ -26,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.compiled import compile_graph, concat_distinct, stack_compiled
+from repro.core.compiled import compile_graph, compile_task, concat_distinct, stack_compiled
 from repro.core.exceptions import SimulationError
 from repro.core.graph import DirectedAcyclicGraph
 from repro.core.task import DagTask
@@ -43,8 +44,7 @@ from repro.simulation.schedulers import (
     ShortestFirstPolicy,
     policy_vector_kind,
 )
-from repro.simulation.vectorized import _task_lanes
-from repro.simulation.vectorized_compiled import pack_lanes
+from repro.simulation.vectorized_compiled import pack_column
 
 from strategies import make_random_heterogeneous_task
 
@@ -196,26 +196,31 @@ def test_a_pickled_view_builds_its_list_on_first_read():
 # ----------------------------------------------------------------------
 # One device map per shape
 # ----------------------------------------------------------------------
-def _reference_assigned(task, platform, offload_enabled=True, device_assignment=None):
+def _reference_assigned(task, platform, offload_enabled=True):
     """The device array built per call, as before it was memoised."""
     compiled = compile_graph(task.graph)
     assigned = np.full(len(compiled.nodes), -1, dtype=np.int64)
-    resolved = _device_assignment(task, platform, offload_enabled, device_assignment)
-    for node, device in resolved.items():
+    for node, device in _device_assignment(task, platform, offload_enabled, None).items():
         assigned[compiled.index[node]] = device
     return assigned
 
 
-def _lanes(task, platforms, offload_enabled=True, device_assignment=None):
-    return _task_lanes(
-        task,
-        None,
-        platforms,
-        BreadthFirstPolicy(),
-        policy_vector_kind(BreadthFirstPolicy()),
-        offload_enabled,
-        device_assignment,
-    )
+def _pack(tasks, platforms, offload_enabled=True, policy=None):
+    """The kernel tables of a column of ``tasks``, breadth-first by default."""
+    entries = [(task, compile_task(task)) for task in tasks]
+    return pack_column(entries, platforms, policy or BreadthFirstPolicy(), offload_enabled)
+
+
+#: Where :func:`pack_column` puts the device and draw tables and the lane
+#: records (the argument order of ``run_lanes``).
+_ASSIGNED, _DRAWS, _RECORDS = 5, 7, 8
+
+
+def _assigned(task, platforms, offload_enabled=True):
+    """The device array a column of ``task`` reads: its structure's memo."""
+    _pack([task], platforms, offload_enabled)
+    offloaded = task.offloaded_node if offload_enabled else None
+    return task.graph._structure.memo[("assigned", offloaded)]
 
 
 @pytest.fixture
@@ -229,140 +234,150 @@ class TestDeviceMapPerShape:
     PLATFORMS = [Platform(2, 1), Platform(4, 1), Platform(8, 2)]
 
     def test_copies_of_one_shape_share_one_array(self, copies):
-        originals = [_lanes(task, self.PLATFORMS).assigned for task in copies]
-        transformed = [_lanes(transform(task).task, self.PLATFORMS).assigned for task in copies]
-        for arrays in (originals, transformed):
+        transformed = [transform(task).task for task in copies]
+        originals = [_assigned(task, self.PLATFORMS) for task in copies]
+        moved = [_assigned(task, self.PLATFORMS) for task in transformed]
+        for arrays in (originals, moved):
             assert all(array is arrays[0] for array in arrays)
-        assert originals[0] is not transformed[0]
-        table, offsets = concat_distinct(originals + transformed, np.int64)
-        assert len(table) == len(originals[0]) + len(transformed[0])
-        assert offsets == [0] * 3 + [len(originals[0])] * 3
+        assert originals[0] is not moved[0]
+        # One column of all six copies stores each shape's array once.
+        tables = _pack(copies + transformed, self.PLATFORMS)
+        size = len(originals[0])
+        assert tables[_ASSIGNED].tolist() == originals[0].tolist() + moved[0].tolist()
+        assert tables[_RECORDS][:, 2].tolist() == [0] * 9 + [size] * 9
 
     @pytest.mark.parametrize(
-        "case",
-        ["default", "another-offloaded-node", "offload-disabled", "explicit", "no-offload"],
+        "case", ["default", "another-offloaded-node", "offload-disabled", "no-offload"]
     )
     def test_arrays_match_a_fresh_build(self, copies, case):
         task = copies[0]
-        offload_enabled, explicit = True, None
+        offload_enabled = True
         if case == "another-offloaded-node":
             other = next(node for node in task.graph.nodes() if node != task.offloaded_node)
             task = task.with_offloaded_node(other)
         elif case == "offload-disabled":
             offload_enabled = False
-        elif case == "explicit":
-            other = task.graph.nodes()[0]
-            explicit = {task.offloaded_node: 1, other: 0}
         elif case == "no-offload":
             task = task.as_homogeneous()
         platforms = [Platform(2, 2), Platform(4, 2)]
         for _ in range(2):  # cold, then from the memo
-            group = _lanes(task, platforms, offload_enabled, explicit)
+            packed = _pack([task], platforms, offload_enabled)[_ASSIGNED]
             for platform in platforms:
-                expected = _reference_assigned(task, platform, offload_enabled, explicit)
-                assert group.assigned.tolist() == expected.tolist()
-        if explicit is not None:
-            # Explicit assignments are built per call, never memoised.
-            assert group.assigned is not _lanes(task, platforms, True, explicit).assigned
+                expected = _reference_assigned(task, platform, offload_enabled)
+                assert packed.tolist() == expected.tolist()
 
     def test_offload_and_plain_copies_do_not_share_a_key(self, copies):
         task = copies[0]
-        offloaded = _lanes(task, self.PLATFORMS).assigned
-        disabled = _lanes(task, self.PLATFORMS, offload_enabled=False).assigned
+        offloaded = _assigned(task, self.PLATFORMS)
+        disabled = _assigned(task, self.PLATFORMS, offload_enabled=False)
         other = next(node for node in task.graph.nodes() if node != task.offloaded_node)
-        moved = _lanes(task.with_offloaded_node(other), self.PLATFORMS).assigned
+        moved = _assigned(task.with_offloaded_node(other), self.PLATFORMS)
         assert disabled.tolist() == [-1] * len(offloaded)
         assert sorted(offloaded.tolist()) == sorted(moved.tolist())
         assert offloaded.tolist() != moved.tolist()
-        assert _lanes(task.as_homogeneous(), self.PLATFORMS).assigned is disabled
+        assert _assigned(task.as_homogeneous(), self.PLATFORMS) is disabled
 
-    @pytest.mark.parametrize("explicit", [False, True], ids=["default", "explicit"])
-    def test_every_platform_is_validated_per_call(self, copies, explicit):
+    def test_every_platform_is_validated_per_call(self, copies):
         task = copies[0]
-        assignment = {task.offloaded_node: 1} if explicit else None
-        valid = [Platform(2, 2)]
-        _lanes(task, valid, device_assignment=assignment)  # warms any memo
-        for invalid in (Platform(4, 0), Platform(4, 1)) if explicit else (Platform(4, 0),):
+        valid = [Platform(2, 2), Platform(8, 1)]
+        _pack([task], valid)  # warms the memo
+        invalid = Platform(4, 0)
+        with pytest.raises(SimulationError) as expected:
+            _device_assignment(task, invalid, True, None)
+        for platforms in (valid + [invalid], [invalid] + valid, [valid[0], invalid]):
             with pytest.raises(SimulationError) as raised:
-                _lanes(task, valid + [invalid], device_assignment=assignment)
-            with pytest.raises(SimulationError) as expected:
-                _device_assignment(task, invalid, True, assignment)
+                _pack([task.as_homogeneous(), task], platforms)
             assert str(raised.value) == str(expected.value)
-        # A 0-accelerator platform is fine once offloading is off.
-        group = _lanes(task, [Platform(4, 0)], offload_enabled=False)
-        assert group.assigned.tolist() == [-1] * task.node_count
+        # A 0-accelerator platform is fine once offloading is off, or for a
+        # task that offloads nothing.
+        for tasks, offload_enabled in (([task], False), ([task.as_homogeneous()], True)):
+            packed = _pack(tasks, [Platform(4, 0)], offload_enabled)[_ASSIGNED]
+            assert packed.tolist() == [-1] * task.node_count
 
     def test_a_structural_mutation_drops_the_memo(self, copies):
-        shared = _lanes(copies[0], self.PLATFORMS).assigned
+        shared = _assigned(copies[0], self.PLATFORMS)
         # A copy that mutates takes a private structure; the others keep
         # the memoised array.
         mutated = copies[1]
         sink = mutated.graph.sinks()[0]
         mutated.graph.add_node("extra", 1.0)
         mutated.graph.add_edge(sink, "extra")
-        rebuilt = _lanes(mutated, self.PLATFORMS).assigned
+        rebuilt = _assigned(mutated, self.PLATFORMS)
         assert rebuilt is not shared
         assert rebuilt.tolist() == _reference_assigned(mutated, self.PLATFORMS[0]).tolist()
-        assert _lanes(copies[2], self.PLATFORMS).assigned is shared
+        assert _assigned(copies[2], self.PLATFORMS) is shared
         # A graph that holds its structure alone drops the memo in place.
         memo = mutated.graph._structure.memo
         assert ("assigned", mutated.offloaded_node) in memo
         mutated.graph.remove_node("extra")
         assert ("assigned", mutated.offloaded_node) not in memo
-        again = _lanes(mutated, self.PLATFORMS).assigned
+        again = _assigned(mutated, self.PLATFORMS)
         assert again is not rebuilt and again.tolist() == shared.tolist()
 
 
 # ----------------------------------------------------------------------
 # Lane records as one array
 # ----------------------------------------------------------------------
-def _tuple_records(groups) -> np.ndarray:
-    """The lane table as one tuple per lane, the layout it replaced."""
-    stack = stack_compiled([group.compiled for group in groups])
-    _, assigned_off = concat_distinct([group.assigned for group in groups], np.int64)
-    _, key_off = concat_distinct([group.static_keys for group in groups], np.float64)
-    _, draw_off = concat_distinct(
-        [pool for group in groups for pool in (group.draws or [None] * len(group.platforms))],
+def _tuple_records(tasks, platforms, policy) -> np.ndarray:
+    """A column's lane table as one tuple per lane, the layout it replaced.
+
+    ``policy`` is a fresh instance of the packed one: its static keys come
+    out as the same objects, so they are stored alike."""
+    kind = policy_vector_kind(policy)
+    views = [compile_task(task) for task in tasks]
+    stack = stack_compiled(views)
+    _, assigned_off = concat_distinct(
+        [task.graph._structure.memo[("assigned", task.offloaded_node)] for task in tasks],
+        np.int64,
+    )
+    _, key_off = concat_distinct(
+        [policy.vector_keys(view) if kind == "static" else None for view in views],
         np.float64,
     )
-    draw_offsets = iter(draw_off)
+    draw = 0
     records: list[int] = []
-    for group, shared in zip(groups, zip(stack.structure, stack.wcet_off, assigned_off, key_off)):
-        kind = _kernels.KIND_CODES[group.kind]
-        for platform in group.platforms:
+    for view, shared in zip(views, zip(stack.structure, stack.wcet_off, assigned_off, key_off)):
+        for platform in platforms:
             records += (
                 *shared,
-                next(draw_offsets),
+                draw,
                 platform.host_cores,
                 platform.accelerators,
-                kind,
+                _kernels.KIND_CODES[kind],
             )
+            if kind == "random":
+                draw += int(np.count_nonzero(view.wcet))
     return np.array(records, dtype=np.int64).reshape(-1, len(_kernels.LANE_FIELDS))
 
 
-def test_the_array_lane_table_equals_one_tuple_per_lane(copies):
+@pytest.mark.parametrize(
+    "factory",
+    [
+        BreadthFirstPolicy,
+        DepthFirstPolicy,
+        CriticalPathFirstPolicy,
+        ShortestFirstPolicy,
+        lambda: RandomPolicy(5),
+    ],
+    ids=["breadth-first", "depth-first", "critical-path-first", "shortest-first", "random"],
+)
+def test_the_array_lane_table_equals_one_tuple_per_lane(copies, factory):
     tasks = copies + [transform(task).task for task in copies]
-    policies = [
-        BreadthFirstPolicy(),
-        DepthFirstPolicy(),
-        CriticalPathFirstPolicy(),
-        ShortestFirstPolicy(),
-        RandomPolicy(5),
-    ]
-    wide = [Platform(2, 1), Platform(4, 1), Platform(8, 2)]
-    groups = []
-    for t, task in enumerate(tasks):
-        for q, policy in enumerate(policies):
-            platforms = wide if (t + q) % 2 else [Platform(1 + t, 1)]
-            groups.append(
-                _task_lanes(task, None, platforms, policy, policy_vector_kind(policy), True)
-            )
-    groups.append(groups[0])  # a repeated group shares every offset
-    records = pack_lanes(groups)[-1]
+    tasks.append(tasks[0])  # a repeated task shares its structure, WCET and device offsets
+    platforms = [Platform(2, 1), Platform(4, 1), Platform(8, 2)]
+    tables = _pack(tasks, platforms, policy=factory())
+    records = tables[_RECORDS]
     assert records.dtype == np.int64 and records.flags.c_contiguous
-    assert records.tolist() == _tuple_records(groups).tolist()
-    assert len(records) == sum(len(group.platforms) for group in groups)
-    assert records[-1].tolist() == records[0].tolist()
+    assert records.tolist() == _tuple_records(tasks, platforms, factory()).tolist()
+    assert len(records) == len(tasks) * len(platforms)
+    assert records[-3:, :3].tolist() == records[:3, :3].tolist()
+    # A random column draws one pool per lane, in (task, platform) order.
+    stream, pools = factory(), []
+    if isinstance(stream, RandomPolicy):
+        for task in tasks:
+            nonzero = int(np.count_nonzero(compile_task(task).wcet))
+            pools += [stream.vector_draws(nonzero) for _ in platforms]
+    assert tables[_DRAWS].tolist() == [draw for pool in pools for draw in pool.tolist()]
 
 
 # ----------------------------------------------------------------------

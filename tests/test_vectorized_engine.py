@@ -1,14 +1,13 @@
 """Bit-identity of the compiled C kernel against both scalar engines.
 
-The C kernel behind :mod:`repro.simulation.vectorized` and the batched
-:func:`~repro.simulation.batch.simulate_many` fast path must reproduce the
-reference trace engine's makespans *exactly* -- same floats, not
-approximately -- for every registered policy family, platform shape, device
-assignment and offload mode.  These properties mirror
-``tests/test_dense_engine.py`` and drive all three engines over random DAGs
-from the shared strategies, comparing with ``==``.  Tests that run the
-kernel skip cleanly on hosts without a working C compiler (or with
-``REPRO_COMPILED=0``).
+The C kernel's columns (:func:`repro.simulation.vectorized_compiled.run_column`)
+and the batched :func:`~repro.simulation.batch.simulate_many` fast path must
+reproduce the reference trace engine's makespans *exactly* -- same floats,
+not approximately -- for every registered policy family, platform shape and
+offload mode.  These properties mirror ``tests/test_dense_engine.py`` and
+drive all three engines over random DAGs from the shared strategies,
+comparing with ``==``.  Tests that run the kernel skip cleanly on hosts
+without a working C compiler (or with ``REPRO_COMPILED=0``).
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from repro.core.exceptions import SimulationError
 from repro.core.task import DagTask
 from repro.core.transformation import transform
 from repro.parallel import spawn_seeds
-from repro.simulation import _kernels
+from repro.simulation import _kernels, batch
 from repro.simulation.batch import resolve_engine, simulate_many
 from repro.simulation.dense import simulate_makespan_dense
 from repro.simulation.engine import simulate, simulate_makespan
@@ -48,11 +47,7 @@ from repro.simulation.schedulers import (
     policy_by_name,
     policy_vector_kind,
 )
-from repro.simulation.vectorized import (
-    VectorCell,
-    simulate_column_vectorized,
-    simulate_makespans_vectorized,
-)
+from repro.simulation.vectorized_compiled import run_column
 
 from strategies import make_random_heterogeneous_task
 
@@ -95,32 +90,33 @@ def _policy_factories(task: DagTask, seed: int):
     )
 
 
-def _assert_identical(task, platform, factory, offload_enabled=True, assignment=None):
+def _kernel(task, platform, policy, offload_enabled=True) -> float:
+    """One cell on the C kernel: a one-task, one-platform column."""
+    return run_column([(task, task.compiled())], [platform], policy, offload_enabled)[0, 0]
+
+
+def _entries(tasks):
+    return [(task, task.compiled()) for task in tasks]
+
+
+def _reference(task, platform, policy) -> float:
+    return simulate(task, platform, policy).makespan()
+
+
+def _reference_column(tasks, platforms, policy, engine=_reference) -> list:
+    """The cells of a column in ``(task, platform)`` order on a scalar
+    engine, through the one ``policy`` instance (a random stream runs on)."""
+    return [[engine(task, platform, policy) for platform in platforms] for task in tasks]
+
+
+def _assert_identical(task, platform, factory, offload_enabled=True):
     reference = simulate(
-        task,
-        platform,
-        factory(),
-        offload_enabled=offload_enabled,
-        device_assignment=assignment,
+        task, platform, factory(), offload_enabled=offload_enabled
     ).makespan()
     dense = simulate_makespan_dense(
-        task,
-        platform,
-        factory(),
-        offload_enabled=offload_enabled,
-        device_assignment=assignment,
+        task, platform, factory(), offload_enabled=offload_enabled
     )
-    compiled = simulate_makespans_vectorized(
-        [
-            VectorCell(
-                task,
-                platform,
-                factory(),
-                offload_enabled=offload_enabled,
-                device_assignment=assignment,
-            )
-        ]
-    )[0]
+    compiled = _kernel(task, platform, factory(), offload_enabled)
     assert compiled == dense == reference
 
 
@@ -147,26 +143,6 @@ class TestLockstepBitIdentity:
 
     @requires_kernel
     @settings(max_examples=20, deadline=None)
-    @given(
-        seed=_SEEDS,
-        fraction=_FRACTIONS,
-        cores=_CORES,
-        accelerators=st.sampled_from([1, 2, 3, 4]),
-    )
-    def test_multi_offload_assignments_match(self, seed, fraction, cores, accelerators):
-        # Several offloaded regions spread over several devices (the
-        # extensions' usage pattern): an explicit node -> device mapping.
-        task = make_random_heterogeneous_task(seed, fraction, n_max=25)
-        nodes = task.graph.nodes()
-        assignment = {
-            node: rank % accelerators for rank, node in enumerate(nodes[::3])
-        }
-        platform = Platform(cores, accelerators)
-        for name, factory in _policy_factories(task, seed):
-            _assert_identical(task, platform, factory, assignment=assignment)
-
-    @requires_kernel
-    @settings(max_examples=20, deadline=None)
     @given(seed=_SEEDS, fraction=_FRACTIONS, cores=_CORES)
     def test_offload_disabled_matches(self, seed, fraction, cores):
         task = make_random_heterogeneous_task(seed, fraction, n_max=25)
@@ -178,64 +154,45 @@ class TestLockstepBitIdentity:
     @settings(max_examples=15, deadline=None)
     @given(seed=_SEEDS, fraction=_FRACTIONS)
     def test_batched_cells_match_per_cell_runs(self, seed, fraction):
-        # One mixed batch (original + transformed tasks, several platforms,
-        # every policy family) must equal the per-cell sequential runs: the
-        # kernel's per-lane results may not depend on batch composition.
+        # One column per family (original + transformed tasks, several
+        # platforms) must equal the per-cell sequential runs: the kernel's
+        # per-lane results may not depend on the column around them.
         base = make_random_heterogeneous_task(seed, fraction, n_max=20)
         tasks = [base, transform(base).task]
         platforms = [Platform(1, 1), Platform(3, 1)]
-        cells, references = [], []
         for name in _POLICY_NAMES:
-            for task in tasks:
-                for platform in platforms:
-                    cells.append(
-                        VectorCell(
-                            task=task,
-                            platform=platform,
-                            policy=policy_by_name(name, rng=seed),
-                        )
-                    )
-                    references.append(
-                        simulate(
-                            task, platform, policy_by_name(name, rng=seed)
-                        ).makespan()
-                    )
-        assert list(simulate_makespans_vectorized(cells)) == references
+            column = run_column(
+                _entries(tasks), platforms, policy_by_name(name, rng=seed)
+            )
+            assert column.tolist() == _reference_column(
+                tasks, platforms, policy_by_name(name, rng=seed)
+            )
 
     @requires_kernel
     def test_random_policy_shared_stream_matches_cell_order(self):
-        # One RandomPolicy instance serving several cells must consume its
-        # stream in cell order, exactly like sequential per-cell runs.
+        # One RandomPolicy instance serving a column must consume its
+        # stream in (task, platform) order, exactly like sequential
+        # per-cell runs.
         tasks = [make_random_heterogeneous_task(seed, 0.2, n_max=20) for seed in range(4)]
         platforms = [Platform(2, 1), Platform(4, 1)]
-        reference_policy = RandomPolicy(99)
-        references = [
-            simulate(task, platform, reference_policy).makespan()
-            for task in tasks
-            for platform in platforms
+        references = _reference_column(tasks, platforms, RandomPolicy(99))
+        column = run_column(_entries(tasks), platforms, RandomPolicy(99))
+        assert column.tolist() == references
+        # Each lane draws its own pool: the stream does not restart per task.
+        assert references != [
+            _reference_column([task], platforms, RandomPolicy(99))[0] for task in tasks
         ]
-        cells_policy = RandomPolicy(99)
-        cells = [
-            VectorCell(task=task, platform=platform, policy=cells_policy)
-            for task in tasks
-            for platform in platforms
-        ]
-        assert list(simulate_makespans_vectorized(cells)) == references
 
     @requires_kernel
     def test_column_grid_matches_reference(self):
         tasks = [make_random_heterogeneous_task(seed, 0.3, n_max=20) for seed in range(5)]
         platforms = [Platform(2, 1), Platform(5, 1)]
         for name in ("breadth-first", "critical-path-first"):
-            grid = simulate_column_vectorized(
-                [(task, None) for task in tasks], platforms, policy_by_name(name)
-            )
+            grid = run_column(_entries(tasks), platforms, policy_by_name(name))
             assert grid.shape == (len(tasks), len(platforms))
-            for t, task in enumerate(tasks):
-                for p, platform in enumerate(platforms):
-                    assert grid[t, p] == simulate(
-                        task, platform, policy_by_name(name)
-                    ).makespan()
+            assert grid.tolist() == _reference_column(
+                tasks, platforms, policy_by_name(name)
+            )
 
     @requires_kernel
     def test_near_tied_finishes_keep_fifo_order(self):
@@ -260,12 +217,7 @@ class TestLockstepBitIdentity:
                 ]
                 task = DagTask.from_wcets(wcets, edges)
                 reference = simulate(task, cores, BreadthFirstPolicy()).makespan()
-                assert (
-                    simulate_makespans_vectorized(
-                        [VectorCell(task, cores, BreadthFirstPolicy())]
-                    )[0]
-                    == reference
-                )
+                assert _kernel(task, Platform(cores, 1), BreadthFirstPolicy()) == reference
                 assert (
                     simulate_makespan_dense(task, cores, BreadthFirstPolicy())
                     == reference
@@ -280,7 +232,7 @@ class TestLockstepBitIdentity:
         # them (say, after sorting the window's arrivals) starts the wrong
         # node.  1 + 5e-13 puts further completions inside those windows.
         wcets = (1e-13, 1 + 5e-13, 0.5, 1.0, 2.0, 3.0)
-        specs = []
+        tasks = []
         for seed in range(400):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(5, 13))
@@ -295,29 +247,15 @@ class TestLockstepBitIdentity:
                 ],
                 offloaded_node=names[int(rng.integers(n))],
             )
-            second = names[int(rng.integers(n))]
-            for cores in (1, 2, 3):
-                for accelerators in (1, 2):
-                    assignment = None
-                    if accelerators == 2:
-                        assignment = {task.offloaded_node: 0, second: 1}
-                    platform = Platform(cores, accelerators)
-                    specs += [
-                        (task, platform, name, seed, assignment)
-                        for name in _POLICY_NAMES
-                    ]
-        compiled = simulate_makespans_vectorized(
-            [
-                VectorCell(t, p, policy_by_name(n, rng=s), device_assignment=a)
-                for t, p, n, s, a in specs
-            ]
-        )
-        assert compiled.tolist() == [
-            simulate(
-                t, p, policy_by_name(n, rng=s), device_assignment=a
-            ).makespan()
-            for t, p, n, s, a in specs
+            tasks.append(task)
+        platforms = [
+            Platform(cores, accelerators) for cores in (1, 2, 3) for accelerators in (1, 2)
         ]
+        for name in _POLICY_NAMES:
+            column = run_column(_entries(tasks), platforms, policy_by_name(name, rng=7))
+            assert column.tolist() == _reference_column(
+                tasks, platforms, policy_by_name(name, rng=7)
+            )
 
     def test_unsupported_policy_rejected(self):
         class Custom(SchedulingPolicy):
@@ -325,8 +263,8 @@ class TestLockstepBitIdentity:
                 return (arrival_index,)
 
         task = make_random_heterogeneous_task(1, 0.2, n_max=10)
-        with pytest.raises(ValueError):
-            simulate_makespans_vectorized([VectorCell(task, 2, Custom())])[0]
+        with pytest.raises(ValueError, match="has no vector kind"):
+            _kernel(task, Platform(2, 1), Custom())
 
     def test_vector_kind_registry(self):
         assert policy_vector_kind(BreadthFirstPolicy()) == VECTOR_FIFO
@@ -370,7 +308,8 @@ class TestSimulateManyEngines:
         tasks = [make_random_heterogeneous_task(seed, 0.2, n_max=20) for seed in range(count)]
         return tasks + [transform(task).task for task in tasks]
 
-    def test_auto_equals_dense_engine(self):
+    def test_auto_equals_dense_engine(self, monkeypatch):
+        monkeypatch.setattr(batch, "CHUNK_SIZE", 3)
         tasks = self._tasks()
         platforms = [Platform(2, 1), Platform(4, 1)]
         policies = [
@@ -379,16 +318,15 @@ class TestSimulateManyEngines:
             policy_by_name("depth-first"),
             RandomPolicy(5),
         ]
-        auto = simulate_many(tasks, platforms, policies, root_seed=11, chunk_size=3)
-        dense = simulate_many(
-            tasks, platforms, policies, root_seed=11, chunk_size=3, engine="dense"
-        )
+        auto = simulate_many(tasks, platforms, policies, root_seed=11)
+        dense = simulate_many(tasks, platforms, policies, root_seed=11, engine="dense")
         assert np.array_equal(auto, dense)
 
-    def test_mixed_policies_seed_each_chunk_then_policy(self):
+    def test_mixed_policies_seed_each_chunk_then_policy(self, monkeypatch):
         # Chunk c's policy q is spawned from spawn_seeds(11, chunks *
         # policies)[c * policies + q], so a RandomPolicy column next to a
         # second policy draws a different stream than it does alone.
+        monkeypatch.setattr(batch, "CHUNK_SIZE", 3)
         tasks = self._tasks()
         policies = [BreadthFirstPolicy(), RandomPolicy(3)]
         starts = range(0, len(tasks), 3)
@@ -400,9 +338,9 @@ class TestSimulateManyEngines:
                 for t in range(start, min(start + 3, len(tasks))):
                     for p, cores in enumerate((2, 8)):
                         expected[t, p, q] = simulate_makespan(tasks[t], cores, spawned)
-        makespans = simulate_many(tasks, [2, 8], policies, root_seed=11, chunk_size=3)
+        makespans = simulate_many(tasks, [2, 8], policies, root_seed=11)
         assert np.array_equal(makespans, expected)
-        alone = simulate_many(tasks, [2, 8], RandomPolicy(3), root_seed=11, chunk_size=3)
+        alone = simulate_many(tasks, [2, 8], RandomPolicy(3), root_seed=11)
         assert not np.array_equal(alone[:, :, 0], makespans[:, :, 1])
 
     def test_matches_reference_engine_per_cell(self):
@@ -436,28 +374,9 @@ _BACKENDS = [pytest.param("compiled", marks=requires_kernel)]
 class TestBackendBitIdentity:
     """The backend axis: the C kernel equals the scalar engines."""
 
-    def _assert_backend_identical(
-        self, task, platform, factory, backend, offload_enabled=True, assignment=None
-    ):
-        dense = simulate_makespan_dense(
-            task,
-            platform,
-            factory(),
-            offload_enabled=offload_enabled,
-            device_assignment=assignment,
-        )
-        compiled = simulate_makespans_vectorized(
-            [
-                VectorCell(
-                    task,
-                    platform,
-                    factory(),
-                    offload_enabled=offload_enabled,
-                    device_assignment=assignment,
-                )
-            ]
-        )[0]
-        assert compiled == dense
+    def _assert_backend_identical(self, task, platform, factory, backend):
+        dense = simulate_makespan_dense(task, platform, factory())
+        assert _kernel(task, platform, factory()) == dense
 
     def test_all_policies_on_original_and_transformed(self, backend):
         for seed in range(8):
@@ -468,27 +387,6 @@ class TestBackendBitIdentity:
                     for name, factory in _policy_factories(task, seed):
                         self._assert_backend_identical(
                             task, platform, factory, backend
-                        )
-
-    def test_multi_device_assignments(self, backend):
-        for seed in range(6):
-            task = make_random_heterogeneous_task(seed, 0.3, n_max=22)
-            nodes = task.graph.nodes()
-            for accelerators in (2, 3):
-                assignment = {
-                    node: rank % accelerators
-                    for rank, node in enumerate(nodes[::3])
-                }
-                platform = Platform(2, accelerators)
-                for name, factory in _policy_factories(task, seed):
-                    for offload_enabled in (True, False):
-                        self._assert_backend_identical(
-                            task,
-                            platform,
-                            factory,
-                            backend,
-                            offload_enabled=offload_enabled,
-                            assignment=assignment,
                         )
 
     def test_non_uniform_steps(self, backend):
@@ -538,29 +436,18 @@ class TestBackendBitIdentity:
                     )
 
     def test_batch_composition_independent(self, backend):
-        # One mixed batch equals per-cell runs.
+        # One column per family equals the per-cell dense runs.
         base = make_random_heterogeneous_task(11, 0.25, n_max=20)
         tasks = [base, transform(base).task]
         platforms = [Platform(1, 1), Platform(3, 1)]
-        cells, references = [], []
         for name in _POLICY_NAMES:
-            for task in tasks:
-                for platform in platforms:
-                    cells.append(
-                        VectorCell(
-                            task=task,
-                            platform=platform,
-                            policy=policy_by_name(name, rng=11),
-                        )
-                    )
-                    references.append(
-                        simulate_makespan_dense(
-                            task, platform, policy_by_name(name, rng=11)
-                        )
-                    )
-        assert list(simulate_makespans_vectorized(cells)) == references
+            column = run_column(_entries(tasks), platforms, policy_by_name(name, rng=11))
+            assert column.tolist() == _reference_column(
+                tasks, platforms, policy_by_name(name, rng=11), simulate_makespan_dense
+            )
 
-    def test_simulate_many_engine_equals_dense(self, backend):
+    def test_simulate_many_engine_equals_dense(self, backend, monkeypatch):
+        monkeypatch.setattr(batch, "CHUNK_SIZE", 4)
         tasks = [
             make_random_heterogeneous_task(seed, 0.2, n_max=18)
             for seed in range(6)
@@ -571,12 +458,8 @@ class TestBackendBitIdentity:
             policy_by_name("critical-path-first"),
             RandomPolicy(5),
         ]
-        dense = simulate_many(
-            tasks, [2, 4], policies, root_seed=7, chunk_size=4, engine="dense"
-        )
-        kernel = simulate_many(
-            tasks, [2, 4], policies, root_seed=7, chunk_size=4, engine=backend
-        )
+        dense = simulate_many(tasks, [2, 4], policies, root_seed=7, engine="dense")
+        kernel = simulate_many(tasks, [2, 4], policies, root_seed=7, engine=backend)
         assert np.array_equal(kernel, dense)
 
 
@@ -616,9 +499,7 @@ class TestCompiledBackendPlumbing:
             with pytest.raises(RuntimeError, match="disabled"):
                 simulate_many([task], [2], engine="compiled")
             with pytest.raises(RuntimeError, match="disabled"):
-                simulate_makespans_vectorized(
-                    [VectorCell(task, 2, BreadthFirstPolicy())]
-                )[0]
+                _kernel(task, Platform(2, 1), BreadthFirstPolicy())
         finally:
             monkeypatch.delenv("REPRO_COMPILED", raising=False)
             _kernels._reset_for_tests()
@@ -645,46 +526,33 @@ def _reweighted(task: DagTask, seed: int, zero: bool) -> DagTask:
     return copy
 
 
-_CELL_SPECS = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=3),  # task variant
-        st.sampled_from(_POLICY_NAMES),
-        st.integers(min_value=1, max_value=4),  # host cores
-        st.integers(min_value=1, max_value=3),  # accelerators
-        st.sampled_from(["offload", "host-only", "multi-device"]),
+#: One column: its tasks (variant indices), its platforms as (host cores,
+#: accelerators), its policy and whether the offloaded node is offloaded.
+_COLUMN_SPECS = st.tuples(
+    st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=6),
+    st.lists(
+        st.tuples(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=3)),
+        min_size=1,
+        max_size=4,
     ),
-    min_size=1,
-    max_size=24,
+    st.sampled_from(_POLICY_NAMES),
+    st.booleans(),
 )
 
 
-def _grid(variants, specs, seed):
-    """Fresh cells of ``specs`` (fresh policies, so random streams replay)."""
-    cells = []
-    for position, (variant, name, cores, accelerators, mode) in enumerate(specs):
-        task = variants[variant]
-        assignment = None
-        if mode == "multi-device":
-            assignment = {
-                node: rank % accelerators
-                for rank, node in enumerate(task.graph.nodes()[::3])
-            }
-        cells.append(
-            VectorCell(
-                task,
-                Platform(cores, accelerators),
-                policy_by_name(name, rng=seed + position),
-                offload_enabled=mode != "host-only",
-                device_assignment=assignment,
-            )
-        )
-    return cells
+def _column(variants, spec, seed):
+    """The tasks, platforms, fresh policy (so random streams replay) and
+    offload flag of ``spec``."""
+    picks, resources, name, offload_enabled = spec
+    tasks = [variants[variant] for variant in picks]
+    platforms = [Platform(cores, accelerators) for cores, accelerators in resources]
+    return tasks, platforms, policy_by_name(name, rng=seed), offload_enabled
 
 
-def _run_grid(cells, threads: int):
+def _run_column(tasks, platforms, policy, offload_enabled, threads: int):
     with _threads(threads), collect_kernel_stats() as stats:
-        makespans = simulate_makespans_vectorized(cells).tolist()
-    return makespans, stats.merged()
+        makespans = run_column(_entries(tasks), platforms, policy, offload_enabled)
+    return makespans.tolist(), stats.merged()
 
 
 def _lane_tables():
@@ -717,10 +585,10 @@ class TestKernelThreads:
     @given(
         seed=_SEEDS,
         fraction=_FRACTIONS,
-        specs=_CELL_SPECS,
+        spec=_COLUMN_SPECS,
         threads=st.integers(min_value=2, max_value=5),
     )
-    def test_mixed_grids_are_thread_invariant(self, seed, fraction, specs, threads):
+    def test_columns_are_thread_invariant(self, seed, fraction, spec, threads):
         base = make_random_heterogeneous_task(seed, fraction, n_max=25)
         variants = [
             base,
@@ -729,18 +597,16 @@ class TestKernelThreads:
             _reweighted(base, seed + 1, zero=True),
         ]
         assert variants[3].compiled().structure is base.compiled().structure
-        one = _run_grid(_grid(variants, specs, seed), 1)
-        many = _run_grid(_grid(variants, specs, seed), threads)
+        one = _run_column(*_column(variants, spec, seed), 1)
+        many = _run_column(*_column(variants, spec, seed), threads)
         assert one == many
+        tasks, platforms, policy, offload_enabled = _column(variants, spec, seed)
         dense = [
-            simulate_makespan_dense(
-                cell.task,
-                cell.platform,
-                cell.policy,
-                offload_enabled=cell.offload_enabled,
-                device_assignment=cell.device_assignment,
-            )
-            for cell in _grid(variants, specs, seed)
+            [
+                simulate_makespan_dense(task, platform, policy, offload_enabled)
+                for platform in platforms
+            ]
+            for task in tasks
         ]
         assert one[0] == dense
 
@@ -753,18 +619,16 @@ class TestKernelThreads:
         stack = stack_compiled([base.compiled(), other.compiled()])
         assert len(stack.node_off) == 2
         assert stack.wcet_off == [0, base.node_count]
-        cells = [
-            VectorCell(task, Platform(2, 1), policy_by_name(name))
-            for name in ("breadth-first", "critical-path-first")
-            for task in (base, other, base, other)
-        ]
-        dense = [
-            simulate_makespan_dense(cell.task, cell.platform, cell.policy)
-            for cell in cells
-        ]
-        assert dense[0] != dense[1]
-        for threads in (1, 2, 8):
-            assert _run_grid(cells, threads)[0] == dense
+        tasks = [base, other, base, other]
+        platforms = [Platform(2, 1)]
+        for name in ("breadth-first", "critical-path-first"):
+            dense = _reference_column(
+                tasks, platforms, policy_by_name(name), simulate_makespan_dense
+            )
+            assert dense[0] != dense[1]
+            for threads in (1, 2, 8):
+                column = _run_column(tasks, platforms, policy_by_name(name), True, threads)
+                assert column[0] == dense
 
     @requires_kernel
     def test_a_deadlocked_lane_raises_at_every_thread_count(self):
