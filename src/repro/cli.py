@@ -16,7 +16,7 @@ Installed as ``repro-rta`` (see ``pyproject.toml``) and also runnable as
     the trace-producing reference engine.
 ``makespan``
     Compute the optimal makespan via the ILP or the branch-and-bound solver
-    (routed through the batched, memoised oracle layer).
+    (routed through the batched oracle layer).
 ``generate``
     Generate random heterogeneous tasks from the paper's workload presets.
 ``experiment``
@@ -175,8 +175,7 @@ def _cmd_makespan(args: argparse.Namespace) -> int:
         "bnb": MakespanMethod.BRANCH_AND_BOUND,
         "auto": MakespanMethod.AUTO,
     }[args.method]
-    # Routed through the batched oracle layer: deduplication plus the
-    # process-wide memo (repeated CLI calls in one process are free).
+    # Routed through the batched oracle layer, the one path to the solvers.
     result = minimum_makespans_many(
         [task],
         args.cores,

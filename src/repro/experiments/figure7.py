@@ -129,10 +129,10 @@ def run_figure7(
             for point in points
         ]
         flat_tasks = [task for point_tasks in rounded for task in point_tasks]
-        # One deduplicated, memoised oracle batch over the whole sweep: the
-        # paired design re-pins C_off on the same structures, so sweep
-        # points whose rounded C_off coincides (the minimum-WCET floor at
-        # small fractions) are solved exactly once.
+        # One deduplicated oracle batch over the whole sweep: the paired
+        # design re-pins C_off on the same structures, so sweep points
+        # whose rounded C_off coincides (the minimum-WCET floor at small
+        # fractions) are solved exactly once.
         optima = minimum_makespans_many(
             flat_tasks,
             cores,

@@ -131,8 +131,13 @@ class MultiOffloadTask:
         )
 
     def device_volume(self) -> float:
-        """Total WCET of the offloaded nodes."""
-        return sum(self.graph.wcet(node) for node in self.offloaded_nodes)
+        """Total WCET of the offloaded nodes, summed in graph order (a set's
+        order depends on hashing, and so would the float)."""
+        return sum(
+            self.graph.wcet(node)
+            for node in self.graph.nodes()
+            if node in self.offloaded_nodes
+        )
 
     @property
     def volume(self) -> float:

@@ -11,11 +11,12 @@ reproduces that oracle with freely available components:
 * :mod:`repro.ilp.bounds` -- cheap lower/upper bounds shared by both;
 * :mod:`repro.ilp.makespan` -- the unified entry point
   :func:`~repro.ilp.makespan.minimum_makespan`;
-* :mod:`repro.ilp.batch` -- the batched, memoised ensemble oracle
-  :func:`~repro.ilp.batch.minimum_makespans_many` used by the sweeps.
+* :mod:`repro.ilp.batch` -- the batched, deduplicating ensemble oracle
+  :func:`~repro.ilp.batch.minimum_makespans_many`, the one path figure 7,
+  the ILP ablation and the service's ``/makespan`` take.
 """
 
-from .batch import minimum_makespans_many, oracle_cache_clear, oracle_cache_size
+from .batch import minimum_makespans_many
 from .bounds import best_list_schedule, list_schedule_upper_bound, makespan_lower_bound
 from .branch_and_bound import BranchAndBoundResult, branch_and_bound_makespan
 from .formulation import TimeIndexedFormulation, build_formulation
@@ -27,8 +28,6 @@ __all__ = [
     "list_schedule_upper_bound",
     "best_list_schedule",
     "minimum_makespans_many",
-    "oracle_cache_clear",
-    "oracle_cache_size",
     "TimeIndexedFormulation",
     "build_formulation",
     "IlpSolution",

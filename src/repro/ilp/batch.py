@@ -1,24 +1,27 @@
-"""Batched, memoised exact-makespan oracle over task ensembles.
+"""Batched exact-makespan oracle over task ensembles.
 
-Figure 7 and the ILP ablation evaluate the exact oracles over *ensembles*:
-hundreds of ``(task, m)`` instances across sweep points, core counts and --
-within one process -- repeated experiment invocations.  Paired ``C_off``
+Figure 7, the ILP ablation and the service's ``/makespan`` evaluate the
+exact oracles over *batches* of ``(task, m)`` instances.  Paired ``C_off``
 sweeps re-pin the offloaded WCET on the *same* structures, so distinct
 sweep points regularly collapse onto identical instances (small fractions
-all clamp to the ``minimum_wcet`` floor).  This module is the batched entry
-point that exploits this:
+all clamp to the ``minimum_wcet`` floor).  :func:`minimum_makespans_many`
+is the one path through the oracles:
 
 * instances are canonicalised into a structural key (WCETs, edges,
   offloaded designation, platform, solver settings) and **deduplicated
   before any work is dispatched** -- each unique instance is solved exactly
   once per batch;
-* solved instances are kept in a process-wide cache, so later batches
-  (other sweep points, other experiments, repeated runs in one session)
-  reuse them;
-* the unique instances are evaluated through
-  :func:`repro.parallel.parallel_map`, preserving the library-wide
+* one :func:`repro.parallel.parallel_map` call solves the unique
+  instances, serially or in a process pool, preserving the library-wide
   determinism contract: the oracles are exact and deterministic, so
-  ``jobs=N`` is bit-identical to the serial path and to any cache state.
+  ``jobs=N`` is bit-identical to the serial path;
+* each instance checks the batch's time budget when it is taken up: it
+  degrades to the verified bound sandwich once the budget is spent, and
+  otherwise the remaining budget caps its solver's time limit.
+
+Nothing is kept between batches: across requests, the service's
+fingerprint-keyed :class:`~repro.service.cache.ResultCache` is the one
+store of an oracle answer.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from ..core.task import DagTask
-from ..parallel import parallel_map, resolve_jobs
+from ..parallel import parallel_map
 from ..resilience import CircuitBreaker, Deadline, fault_point
 from .makespan import (
     MakespanMethod,
@@ -35,23 +38,7 @@ from .makespan import (
     minimum_makespan,
 )
 
-__all__ = ["oracle_cache_clear", "oracle_cache_size", "minimum_makespans_many"]
-
-#: Process-wide ``instance key -> MakespanResult`` memo.  Bounded by
-#: :data:`_CACHE_LIMIT`; cleared wholesale when the bound is hit (the
-#: entries are cheap to recompute relative to bookkeeping an LRU order).
-_ORACLE_CACHE: dict[tuple, MakespanResult] = {}
-_CACHE_LIMIT = 100_000
-
-
-def oracle_cache_clear() -> None:
-    """Drop every memoised oracle result (results are unaffected)."""
-    _ORACLE_CACHE.clear()
-
-
-def oracle_cache_size() -> int:
-    """Number of currently memoised ``(instance, platform)`` results."""
-    return len(_ORACLE_CACHE)
+__all__ = ["minimum_makespans_many"]
 
 
 def _instance_key(
@@ -64,9 +51,10 @@ def _instance_key(
 ) -> tuple:
     """Canonical structural key of one oracle instance.
 
-    Node identifiers are hashable by contract; ``repr`` keeps the key
-    picklable and insertion order keeps it deterministic for the paired
-    sweeps (re-pinned copies share the construction order).
+    Node identifiers enter by ``repr``, so identifiers that compare equal
+    across types (``1`` and ``1.0``) stay apart, and insertion order keeps
+    the key deterministic for the paired sweeps (re-pinned copies share
+    the construction order).
     """
     graph = task.graph
     return (
@@ -82,10 +70,20 @@ def _instance_key(
 
 
 def _solve_one(
-    args: tuple[DagTask, int, int, MakespanMethod, Optional[float], bool]
+    args: tuple[DagTask, int, int, MakespanMethod, Optional[float], bool, Deadline]
 ) -> MakespanResult:
-    """Worker: solve one deduplicated oracle instance."""
-    task, cores, accelerators, method, time_limit, warm_start = args
+    """Worker: solve one deduplicated instance within the batch budget.
+
+    The budget is checked when the instance is taken up, so no solve
+    starts after it is spent; a solve that started in time is capped by
+    what is left (a running solver cannot be preempted).
+    """
+    task, cores, accelerators, method, time_limit, warm_start, deadline = args
+    if deadline.expired:
+        return degraded_makespan_result(
+            task, cores, accelerators, method=method, reason="budget-exhausted"
+        )
+    time_limit = deadline.cap(time_limit)
     fault_point("oracle.solve")
     return minimum_makespan(
         task,
@@ -97,87 +95,6 @@ def _solve_one(
     )
 
 
-def _solve_pending(
-    pending_work: list[tuple],
-    deadline: Deadline,
-    time_limit: Optional[float],
-    jobs: Optional[int],
-) -> list[MakespanResult]:
-    """Solve the deduplicated instances under a shared time budget.
-
-    Serially, the deadline is consulted *between* instances: the remaining
-    budget caps each solver's ``time_limit``, and once it is exhausted the
-    rest of the batch degrades to the bound sandwich instead of queueing
-    behind a budget that is already gone.  The budgeted parallel path
-    dispatches in worker-sized waves and re-consults the deadline between
-    waves -- a running worker cannot be preempted (its solver is capped by
-    the remaining budget instead), but no *new* solve is ever queued behind
-    a budget that is already spent.  With an unbounded deadline both paths
-    reduce exactly to the pre-budget behaviour (one pool, one dispatch).
-    """
-    workers = resolve_jobs(jobs)
-    if workers == 1 or len(pending_work) <= 1:
-        solutions = []
-        for task, cores, accelerators, method, _limit, warm_start in pending_work:
-            if deadline.expired:
-                solutions.append(
-                    degraded_makespan_result(
-                        task,
-                        cores,
-                        accelerators,
-                        method=method,
-                        reason="budget-exhausted",
-                    )
-                )
-                continue
-            solutions.append(
-                _solve_one(
-                    (
-                        task,
-                        cores,
-                        accelerators,
-                        method,
-                        deadline.cap(time_limit),
-                        warm_start,
-                    )
-                )
-            )
-        return solutions
-    if deadline.unbounded:
-        work = [
-            (task, cores, accelerators, method, time_limit, warm_start)
-            for task, cores, accelerators, method, _limit, warm_start in pending_work
-        ]
-        return parallel_map(_solve_one, work, jobs=jobs)
-    solutions: list[MakespanResult] = []
-    for start in range(0, len(pending_work), workers):
-        wave = pending_work[start : start + workers]
-        if deadline.expired:
-            solutions.extend(
-                degraded_makespan_result(
-                    task,
-                    cores,
-                    accelerators,
-                    method=method,
-                    reason="budget-exhausted",
-                )
-                for task, cores, accelerators, method, _limit, warm_start in wave
-            )
-            continue
-        capped = deadline.cap(time_limit)
-        solutions.extend(
-            parallel_map(
-                _solve_one,
-                [
-                    (task, cores, accelerators, method, capped, warm_start)
-                    for task, cores, accelerators, method, _limit, warm_start in wave
-                ],
-                jobs=jobs,
-            )
-        )
-    return solutions
-
-
 def minimum_makespans_many(
     tasks: Iterable[DagTask],
     cores: int,
@@ -185,7 +102,6 @@ def minimum_makespans_many(
     method: MakespanMethod = MakespanMethod.AUTO,
     time_limit: Optional[float] = None,
     jobs: Optional[int] = None,
-    use_cache: bool = True,
     warm_start: bool = True,
     budget: Optional[float] = None,
     breaker: Optional[CircuitBreaker] = None,
@@ -203,15 +119,13 @@ def minimum_makespans_many(
     jobs:
         Worker-process count for the unique instances; ``None``/``0``/``1``
         run serially.  Results are bit-identical to the serial path.
-    use_cache:
-        Consult and fill the process-wide oracle memo.  ``False`` forces
-        every unique instance to be re-solved (batch-local deduplication
-        still applies).
     budget:
-        Wall-clock seconds for the *whole batch*.  The remaining budget
-        caps each solver's ``time_limit``; instances reached after the
-        budget is spent fall back to the verified bound sandwich
-        (:func:`~repro.ilp.makespan.degraded_makespan_result`) and come
+        Wall-clock seconds for the *whole batch*.  Each instance checks it
+        when it is taken up (between instances serially, as a worker
+        starts it in the pool): the remaining budget caps its solver's
+        ``time_limit``, and an instance taken up after the budget is spent
+        falls back to the verified bound sandwich
+        (:func:`~repro.ilp.makespan.degraded_makespan_result`) and comes
         back flagged ``degraded=True``.  ``None`` (the default) keeps the
         unbudgeted behaviour bit-identical.
     breaker:
@@ -219,13 +133,13 @@ def minimum_makespans_many(
         exact engines.  While open, the batch degrades immediately (no
         solver is invoked); a batch with any degradation or an engine
         exception records a failure, a fully exact batch records a success.
+        An empty batch leaves it untouched.
 
     Returns
     -------
     list[MakespanResult]
         One result per task, aligned with the input order.  Duplicated
-        instances share one result object.  Degraded results are never
-        written to the process-wide memo.
+        instances share one result object.
     """
     task_list = list(tasks)
     keys = [
@@ -233,52 +147,35 @@ def minimum_makespans_many(
         for task in task_list
     ]
     deadline = Deadline.after(budget)
+    unique: dict[tuple, DagTask] = {}
+    for key, task in zip(keys, task_list):
+        unique.setdefault(key, task)
+    if not unique:
+        return []
 
-    resolved: dict[tuple, MakespanResult] = {}
-    pending: list[tuple] = []
-    pending_work: list[tuple] = []
-    for task, key in zip(task_list, keys):
-        if key in resolved:
-            continue
-        if use_cache and key in _ORACLE_CACHE:
-            resolved[key] = _ORACLE_CACHE[key]
-            continue
-        resolved[key] = None  # type: ignore[assignment]  # placeholder
-        pending.append(key)
-        pending_work.append(
-            (task, cores, accelerators, method, time_limit, warm_start)
-        )
-
-    if pending_work:
-        if breaker is not None and not breaker.allow():
-            for key, work in zip(pending, pending_work):
-                resolved[key] = degraded_makespan_result(
-                    work[0], cores, accelerators, method=method, reason="breaker-open"
-                )
-        else:
-            try:
-                solutions = _solve_pending(pending_work, deadline, time_limit, jobs)
-            except BaseException:
-                if breaker is not None:
-                    breaker.record_failure()
-                raise
-            any_degraded = False
-            for key, solution in zip(pending, solutions):
-                resolved[key] = solution
-                if solution.degraded:
-                    any_degraded = True
-                    continue  # a bound sandwich is not an exact answer
-                if use_cache and (budget is None or solution.optimal):
-                    # A budget-capped non-optimal solve ran under a tighter
-                    # effective time limit than its key claims -- keep it
-                    # out of the cross-batch memo.
-                    if len(_ORACLE_CACHE) >= _CACHE_LIMIT:
-                        _ORACLE_CACHE.clear()
-                    _ORACLE_CACHE[key] = solution
+    if breaker is not None and not breaker.allow():
+        solutions = [
+            degraded_makespan_result(
+                task, cores, accelerators, method=method, reason="breaker-open"
+            )
+            for task in unique.values()
+        ]
+    else:
+        work = [
+            (task, cores, accelerators, method, time_limit, warm_start, deadline)
+            for task in unique.values()
+        ]
+        try:
+            solutions = parallel_map(_solve_one, work, jobs=jobs)
+        except BaseException:
             if breaker is not None:
-                if any_degraded:
-                    breaker.record_failure()
-                else:
-                    breaker.record_success()
+                breaker.record_failure()
+            raise
+        if breaker is not None:
+            if any(solution.degraded for solution in solutions):
+                breaker.record_failure()
+            else:
+                breaker.record_success()
 
+    resolved = dict(zip(unique, solutions))
     return [resolved[key] for key in keys]

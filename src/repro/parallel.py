@@ -36,6 +36,7 @@ have produced.
 from __future__ import annotations
 
 import os
+import signal
 import threading
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import Callable, Iterable, Optional, TypeVar
@@ -101,6 +102,16 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
+def _start_worker() -> None:
+    """Worker initialiser: restore SIGTERM's default action.
+
+    Fork copies the parent's handlers, and ``repro serve`` handles SIGTERM
+    (its graceful drain): a worker that kept that handler survived the
+    ``terminate()`` a broken pool sends, so the respawn waited for its item.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def _apply(fn: Callable[[_ItemT], _ResultT], item: _ItemT) -> _ResultT:
     """Worker entry point: apply ``fn`` to one item."""
     fault_point("parallel.chunk")
@@ -139,7 +150,9 @@ def parallel_map(
     respawns = 0
     while pending:
         lost: list[int] = []
-        with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(pending)), initializer=_start_worker
+        ) as pool:
             futures = {}
             for index in pending:
                 try:

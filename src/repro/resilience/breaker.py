@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import threading
 import time
+from numbers import Integral
 from typing import Callable, TypeVar
 
-from ..core.exceptions import CircuitOpenError
+from ..core.exceptions import CircuitOpenError, ValidationError, short_repr
+from ..core.task import check_number
 
 __all__ = ["CircuitBreaker"]
 
@@ -34,9 +36,11 @@ class CircuitBreaker:
     Parameters
     ----------
     failure_threshold:
-        Consecutive :meth:`record_failure` calls that trip the breaker.
+        Consecutive :meth:`record_failure` calls that trip the breaker: an
+        integer >= 1, never a ``bool``.
     reset_timeout:
-        Seconds the breaker stays open before probes are allowed through.
+        Seconds the breaker stays open before probes are allowed through: a
+        finite number >= 0 (a NaN timeout would never let a probe through).
     clock:
         Monotonic time source (injectable for tests).
     name:
@@ -60,14 +64,17 @@ class CircuitBreaker:
         clock: Callable[[], float] = time.monotonic,
         name: str = "breaker",
     ) -> None:
-        if failure_threshold < 1:
-            raise ValueError(
-                f"failure_threshold must be >= 1, got {failure_threshold}"
+        if (
+            isinstance(failure_threshold, bool)
+            or not isinstance(failure_threshold, Integral)
+            or failure_threshold < 1
+        ):
+            raise ValidationError(
+                "failure_threshold must be an integer >= 1, "
+                f"got {short_repr(failure_threshold)}"
             )
-        if reset_timeout < 0:
-            raise ValueError(f"reset_timeout must be >= 0, got {reset_timeout}")
-        self.failure_threshold = failure_threshold
-        self.reset_timeout = reset_timeout
+        self.failure_threshold = int(failure_threshold)
+        self.reset_timeout = check_number("reset_timeout", reset_timeout)
         self.name = name
         self._clock = clock
         self._lock = threading.Lock()

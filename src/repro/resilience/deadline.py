@@ -15,6 +15,7 @@ import time
 from typing import Optional
 
 from ..core.exceptions import DeadlineExceededError
+from ..core.task import check_number
 
 __all__ = ["Deadline"]
 
@@ -34,12 +35,14 @@ class Deadline:
 
     @classmethod
     def after(cls, seconds: Optional[float]) -> "Deadline":
-        """Deadline ``seconds`` from now (``None`` -> never expires)."""
+        """Deadline ``seconds`` from now (``None`` -> never expires).
+
+        ``seconds`` must be a finite number >= 0 (:func:`check_number`): a
+        NaN deadline would never expire.
+        """
         if seconds is None:
             return cls(None)
-        if seconds < 0:
-            raise ValueError(f"deadline seconds must be >= 0, got {seconds}")
-        return cls(time.monotonic() + seconds)
+        return cls(time.monotonic() + check_number("deadline seconds", seconds))
 
     @property
     def unbounded(self) -> bool:

@@ -355,7 +355,8 @@ class EvaluationService:
     oracle_budget:
         Wall-clock seconds each exact-makespan batch may spend before the
         remaining instances degrade to the verified bound sandwich
-        (``None`` = unbudgeted, the exact engines run to completion).
+        (``None`` = unbudgeted, the exact engines run to completion);
+        checked here, a finite number >= 0.
     breaker_threshold, breaker_reset:
         Circuit breaker over the exact-makespan engines: after
         ``breaker_threshold`` consecutive failed/degraded batches the
@@ -409,7 +410,9 @@ class EvaluationService:
             ring_bytes=trace_ring_bytes,
         )
         self._default_timeout = _check_timeout(default_timeout)
-        self._oracle_budget = oracle_budget
+        self._oracle_budget = None if oracle_budget is None else check_number(
+            "oracle_budget", oracle_budget
+        )
         self._oracle_breaker = CircuitBreaker(
             failure_threshold=breaker_threshold,
             reset_timeout=breaker_reset,
@@ -680,7 +683,7 @@ class EvaluationService:
         time_limit: Optional[float] = None,
         timeout: Optional[float] = None,
     ) -> dict:
-        """Exact minimum makespan via the batched, memoised oracle layer.
+        """Exact minimum makespan via the batched oracle layer.
 
         A task with an offloaded node needs an accelerator here, as on the
         simulation endpoints; :func:`~repro.ilp.makespan.minimum_makespan`

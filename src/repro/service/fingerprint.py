@@ -132,7 +132,7 @@ def policy_fingerprint(
     -- because the policy looks nodes up by their raw identity
     (``priorities.get(node)``): a table keyed ``{3: 0.0}`` and one keyed
     ``{"3": 0.0}`` behave differently on an int-noded graph and must not
-    share a cache entry (mirroring the ``repr``-keyed oracle memo of
+    share a cache entry (mirroring the ``repr``-keyed instance dedupe of
     :mod:`repro.ilp.batch`).
     """
     table = (

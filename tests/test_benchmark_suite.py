@@ -44,7 +44,7 @@ CHECKS = {
         "makespans_identical_to_reference",
         "makespans_identical_to_ilp",
         "warm_start_makespans_identical",
-        "memoised_pass_stable",
+        "repeat_pass_identical",
     ),
     "simulation-dense": ("makespans_identical", "families_identical"),
     "simulation-compiled": (
@@ -55,11 +55,7 @@ CHECKS = {
         "views_identical",
     ),
     "service": ("payloads_identical", "repeat_hits_identical"),
-    "faults": (
-        "all_degraded_flagged",
-        "bound_sandwich_holds",
-        "degraded_never_cached",
-    ),
+    "faults": ("all_degraded_flagged", "bound_sandwich_holds"),
     "workload": ("completions_identical",),
     "tracing": (
         "no_trace_from_disabled_hooks",

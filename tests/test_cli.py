@@ -169,6 +169,30 @@ class TestCommands:
         assert main(["serve", "--port", "0", "--max-pending", "0"]) == 1
         assert "max_pending" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("flags", "setting"),
+        [
+            (["--oracle-budget", "-1"], "oracle_budget"),
+            (["--oracle-budget", "nan"], "oracle_budget"),
+            (["--breaker-reset", "nan"], "reset_timeout"),
+            (["--breaker-reset", "inf"], "reset_timeout"),
+        ],
+    )
+    def test_serve_rejects_oracle_settings_outside_their_domain(
+        self, flags, setting, capsys, monkeypatch
+    ):
+        # Refused before anything binds: a negative budget once started a
+        # server whose every /makespan answered 400, a NaN budget never
+        # expired and a NaN breaker reset never let a probe through.
+        from repro.service import http
+
+        def never_bind(*args, **kwargs):
+            raise AssertionError("the service was built and went on to bind")
+
+        monkeypatch.setattr(http, "ServiceHTTPServer", never_bind)
+        assert main(["serve", "--port", "0", *flags]) == 1
+        assert setting in capsys.readouterr().err
+
     def test_serve_reports_bind_failures(self, capsys):
         import socket
 

@@ -90,6 +90,21 @@ class TestMultiOffloadAnalysis:
         assert bound.bound == 15
         assert bound.bound >= homogeneous_response_time(task, 2).bound - 4 / 2
 
+    def test_device_volume_is_summed_in_graph_order(self):
+        # Summed over the offloaded set, the float followed hash order:
+        # {3, 2, 1} iterates 1, 2, 3 and the bound read 0.6.  Summed in
+        # graph order it is the one-device multi-device bound.
+        task = DagTask.from_wcets(
+            {"s": 0.0, 3: 0.1, 2: 0.2, 1: 0.3}, [("s", 3), ("s", 2), ("s", 1)]
+        )
+        multi = MultiOffloadTask(graph=task.graph, offloaded_nodes={3, 2, 1})
+        one_device = MultiDeviceTask(
+            graph=task.graph, device_assignment={3: 0, 2: 0, 1: 0}
+        )
+        bound = multi_offload_response_time(multi, 4).bound
+        assert bound == multi_device_response_time(one_device, 4).bound
+        assert bound == 0.6000000000000001
+
     def test_invalid_core_count_rejected(self):
         with pytest.raises(AnalysisError):
             multi_offload_response_time(two_offload_task(), 0)

@@ -22,7 +22,6 @@ from pathlib import Path
 
 from repro.experiments.config import ExperimentScale
 from repro.experiments.figure7 import run_figure7
-from repro.ilp.batch import oracle_cache_clear
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "figure7_golden.json"
 
@@ -41,7 +40,6 @@ GOLDEN_SCALE = ExperimentScale(
 
 
 def _run(jobs=None) -> dict:
-    oracle_cache_clear()  # the golden must not depend on memo state
     return run_figure7(GOLDEN_SCALE, jobs=jobs).to_dict()
 
 

@@ -134,9 +134,7 @@ class TestPaperScaleReruns:
     def test_figure7_paper_scale_reproduces_golden(self):
         from repro.experiments.config import figure7_paper_scale
         from repro.experiments.figure7 import run_figure7
-        from repro.ilp.batch import oracle_cache_clear
 
-        oracle_cache_clear()
         document = run_figure7(scale=figure7_paper_scale()).to_dict()
         # The recorded run solved every instance optimally well inside the
         # 60 s oracle cap (0 trips -> fully deterministic curves).  On a

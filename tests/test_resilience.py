@@ -22,6 +22,8 @@ faults -- never by timing luck:
 
 from __future__ import annotations
 
+import math
+import signal
 import threading
 import time
 import urllib.request
@@ -39,11 +41,7 @@ from repro.core.exceptions import (
     ServiceTimeoutError,
     WorkerCrashError,
 )
-from repro.ilp.batch import (
-    minimum_makespans_many,
-    oracle_cache_clear,
-    oracle_cache_size,
-)
+from repro.ilp.batch import minimum_makespans_many
 from repro.ilp.makespan import degraded_makespan_result, minimum_makespan
 from repro.parallel import parallel_map, worker_respawn_count
 from repro.resilience import (
@@ -110,6 +108,12 @@ class TestDeadline:
     def test_negative_seconds_rejected(self):
         with pytest.raises(ValueError):
             Deadline.after(-1.0)
+
+    @pytest.mark.parametrize("seconds", [math.nan, math.inf, True, "1"])
+    def test_seconds_outside_the_domain_rejected(self, seconds):
+        # A NaN deadline never expired; a boolean or a string is no time.
+        with pytest.raises(ValueError, match="deadline seconds"):
+            Deadline.after(seconds)
 
     def test_cap_takes_the_tighter_bound(self):
         assert Deadline.after(None).cap(None) is None
@@ -289,6 +293,23 @@ class TestCircuitBreaker:
         assert breaker.stats()["trips"] == 2
         assert not breaker.allow()
 
+    @pytest.mark.parametrize(
+        ("options", "setting"),
+        [
+            ({"failure_threshold": True}, "failure_threshold"),
+            ({"failure_threshold": 2.5}, "failure_threshold"),
+            ({"failure_threshold": "3"}, "failure_threshold"),
+            ({"reset_timeout": math.nan}, "reset_timeout"),
+            ({"reset_timeout": math.inf}, "reset_timeout"),
+            ({"reset_timeout": True}, "reset_timeout"),
+        ],
+    )
+    def test_settings_outside_the_domain_rejected(self, options, setting):
+        # A NaN reset once left a tripped breaker open forever: allow()
+        # stayed False after 1e9 s on a fake clock.
+        with pytest.raises(ValueError, match=setting):
+            CircuitBreaker(**options)
+
     def test_success_heals_consecutive_failures(self):
         breaker = CircuitBreaker(failure_threshold=2)
         breaker.record_failure()
@@ -398,6 +419,10 @@ def _refuse(x: int) -> int:
     raise ValueError("not a crash")
 
 
+def _sigterm_is_default(_item: int) -> bool:
+    return signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+
+
 class TestParallelRespawn:
     def test_single_worker_kill_is_survived_bit_identically(self, tmp_path):
         token = tmp_path / "kill-once"
@@ -421,16 +446,27 @@ class TestParallelRespawn:
         with pytest.raises(ValueError, match="not a crash"):
             parallel_map(_refuse, range(4), jobs=2)
 
+    def test_workers_take_sigterm_under_a_handling_parent(self):
+        # `repro serve` handles SIGTERM (its graceful drain) and fork copies
+        # the handler into pool workers: a broken pool's terminate() then
+        # left a surviving worker running its item, so the respawn waited
+        # out a hung solve.  Workers restore the default action.
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+        try:
+            assert parallel_map(_sigterm_is_default, range(2), jobs=2) == [True, True]
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+
     def test_oracle_results_identical_across_worker_death(self, tmp_path):
         tasks = small_solver_tasks(6, start_seed=340)
-        reference = minimum_makespans_many(tasks, 2, use_cache=False)
+        reference = minimum_makespans_many(tasks, 2)
         token = tmp_path / "kill-oracle-worker"
         token.write_text("x")
         before = worker_respawn_count()
         with FAULTS.armed(
             "parallel.chunk", "kill", times=None, token=str(token)
         ):
-            survived = minimum_makespans_many(tasks, 2, jobs=2, use_cache=False)
+            survived = minimum_makespans_many(tasks, 2, jobs=2)
         assert [result.makespan for result in survived] == [
             result.makespan for result in reference
         ]
@@ -458,26 +494,23 @@ class TestOracleDegradedMode:
         assert degraded.makespan == stats["upper_bound"]
 
     def test_zero_budget_degrades_and_never_caches(self):
-        oracle_cache_clear()
         tasks = small_solver_tasks(4, start_seed=300)
         degraded = minimum_makespans_many(tasks, 2, budget=0.0)
         assert all(result.degraded for result in degraded)
-        assert oracle_cache_size() == 0  # nothing cached as exact
         exact = minimum_makespans_many(tasks, 2)
         assert not any(result.degraded for result in exact)
         for loose, tight in zip(degraded, exact):
             assert loose.engine_stats["lower_bound"] <= tight.makespan
             assert tight.makespan <= loose.makespan
 
-    def test_parallel_batch_degrades_between_waves(self):
-        # jobs >= 2 dispatches in worker-sized waves; a hang that outlives
-        # the budget inside wave 1 must degrade every later wave instead of
-        # queueing more solves behind a budget that is already spent.
+    def test_parallel_batch_degrades_instances_taken_up_late(self):
+        # Each instance checks the batch budget when a pool worker takes it
+        # up: the two workers start the first two inside the budget, and a
+        # hang that outlives it must degrade every later instance instead
+        # of starting more solves behind a budget that is already spent.
         tasks = small_solver_tasks(6, start_seed=380)
         with FAULTS.armed("oracle.solve", "hang", delay=0.3, times=None):
-            results = minimum_makespans_many(
-                tasks, 2, jobs=2, budget=0.15, use_cache=False
-            )
+            results = minimum_makespans_many(tasks, 2, jobs=2, budget=0.15)
         assert [result.degraded for result in results] == [False] * 2 + [True] * 4
         for result in results[2:]:
             assert result.engine_stats["reason"] == "budget-exhausted"
@@ -487,9 +520,9 @@ class TestOracleDegradedMode:
         clock = _FakeClock()
         breaker = CircuitBreaker(failure_threshold=1, reset_timeout=99.0, clock=clock)
         tasks = small_solver_tasks(2, start_seed=320)
-        minimum_makespans_many(tasks, 2, budget=0.0, breaker=breaker, use_cache=False)
+        minimum_makespans_many(tasks, 2, budget=0.0, breaker=breaker)
         assert breaker.state == CircuitBreaker.OPEN  # degraded batch = failure
-        results = minimum_makespans_many(tasks, 2, breaker=breaker, use_cache=False)
+        results = minimum_makespans_many(tasks, 2, breaker=breaker)
         assert all(result.degraded for result in results)
         assert all(
             result.engine_stats["reason"] == "breaker-open" for result in results
@@ -500,9 +533,9 @@ class TestOracleDegradedMode:
         clock = _FakeClock()
         breaker = CircuitBreaker(failure_threshold=1, reset_timeout=5.0, clock=clock)
         tasks = small_solver_tasks(2, start_seed=340)
-        minimum_makespans_many(tasks, 2, budget=0.0, breaker=breaker, use_cache=False)
+        minimum_makespans_many(tasks, 2, budget=0.0, breaker=breaker)
         clock.now = 5.0  # reset timeout elapses -> half-open probe allowed
-        results = minimum_makespans_many(tasks, 2, breaker=breaker, use_cache=False)
+        results = minimum_makespans_many(tasks, 2, breaker=breaker)
         assert not any(result.degraded for result in results)
         assert breaker.state == CircuitBreaker.CLOSED
 
@@ -511,8 +544,7 @@ class TestOracleDegradedMode:
         with FAULTS.armed("oracle.solve", "raise"):
             with pytest.raises(FaultInjectedError):
                 minimum_makespans_many(
-                    small_solver_tasks(1, start_seed=360), 2, breaker=breaker,
-                    use_cache=False,
+                    small_solver_tasks(1, start_seed=360), 2, breaker=breaker
                 )
         assert breaker.state == CircuitBreaker.OPEN
 
@@ -672,7 +704,6 @@ class TestServiceChaos:
         return threads
 
     def test_solver_hang_degrades_trips_breaker_and_is_not_cached(self):
-        oracle_cache_clear()
         tasks = small_solver_tasks(3, start_seed=400)
         service = EvaluationService(oracle_budget=0.15, breaker_threshold=1)
         plug = Plug(service)
@@ -721,6 +752,44 @@ class TestServiceChaos:
                     assert payload["makespan"] == fresh["makespan"]
         finally:
             verify.close()
+
+    def test_degraded_answer_is_solved_again_by_the_same_service(self):
+        # The result cache is the one store of an oracle answer and never
+        # takes a degraded one, so the service that degraded a request
+        # solves it again when it is resent.  The threshold keeps the
+        # breaker closed through the degraded batch.
+        tasks = small_solver_tasks(2, start_seed=420)
+        service = EvaluationService(oracle_budget=0.15, breaker_threshold=100)
+        plug = Plug(service)
+        outcomes: list = []
+        try:
+            # The first instance starts inside the budget and hangs past
+            # it; the second is taken up late and degrades.
+            FAULTS.arm("oracle.solve", "hang", delay=0.3, times=1)
+            threads = self._submit_all(service, tasks, outcomes)
+            plug.wait_parked(2)
+            plug.release()
+            for thread in threads:
+                thread.join(timeout=10.0)
+                assert not thread.is_alive()
+            FAULTS.disarm()
+            degraded = [
+                (task, payload)
+                for status, task, payload in outcomes
+                if status == "ok" and payload["degraded"]
+            ]
+            assert len(outcomes) == 2 and len(degraded) == 1
+            task, loose = degraded[0]
+            misses = service.stats()["cache"]["misses"]
+            again = service.submit_makespan(task, 2)
+            assert service.stats()["cache"]["misses"] == misses + 1
+            assert not again["degraded"] and again["optimal"]
+            assert again["makespan"] == minimum_makespan(task, 2).makespan
+            assert loose["makespan"] >= again["makespan"]
+            assert service.stats()["resilience"]["breaker"]["state"] == "closed"
+        finally:
+            FAULTS.disarm()
+            service.close()
 
     def test_executor_fault_fails_cleanly_without_poisoning(self):
         task = figure1_task(period=20, deadline=15)

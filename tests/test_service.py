@@ -42,6 +42,7 @@ from repro.core.exceptions import (
 from repro.core.task import DagTask
 from repro.ilp.makespan import minimum_makespan
 from repro.io.json_io import task_from_dict, task_to_dict
+from repro.resilience import FAULTS
 from repro.service import (
     BatchRequest,
     EvaluationService,
@@ -652,6 +653,22 @@ class TestEvaluationServiceSemantics:
                 task, Platform(2), policy_by_name("breadth-first")
             )
             assert service.stats()["cache"]["entries"] == 0
+
+    def test_cache_disabled_solves_each_makespan_request(self):
+        # `--cache-bytes 0` disables memoisation for /makespan too: nothing
+        # beside the result cache keeps an oracle answer, so two identical
+        # requests solve twice.  The armed point never fires; its hits
+        # count the solves.
+        task = figure1_task()
+        with EvaluationService(cache_bytes=0) as service:
+            with FAULTS.armed("oracle.solve", "raise", after=10**9):
+                first = service.submit_makespan(task, 2)
+                second = service.submit_makespan(task, 2)
+                solves = FAULTS.stats()["points"]["oracle.solve"]["hits"]
+            assert solves == 2
+            assert first == second
+            assert first["makespan"] == minimum_makespan(task, 2).makespan
+            assert service.stats()["cache"]["misses"] == 2
 
     def test_unknown_policy_and_method_rejected(self):
         with EvaluationService() as service:
@@ -2162,6 +2179,27 @@ class TestMalformedRequests:
             service.submit_simulation(task, 2, timeout=threading.TIMEOUT_MAX)
             with pytest.raises(ValueError, match="timeout"):
                 service.submit_simulation(task, 2, timeout=timeout)
+
+
+    @pytest.mark.parametrize(
+        ("options", "setting"),
+        [
+            ({"oracle_budget": -1.0}, "oracle_budget"),
+            ({"oracle_budget": math.nan}, "oracle_budget"),
+            ({"oracle_budget": math.inf}, "oracle_budget"),
+            ({"oracle_budget": True}, "oracle_budget"),
+            ({"breaker_reset": math.nan}, "reset_timeout"),
+            ({"breaker_threshold": True}, "failure_threshold"),
+        ],
+    )
+    def test_oracle_settings_outside_their_domain_refuse_to_build(
+        self, options, setting
+    ):
+        # The service's own settings are checked when it is built: a
+        # negative budget once built a service whose every makespan
+        # request was refused as the client's fault.
+        with pytest.raises(ValueError, match=setting):
+            EvaluationService(**options)
 
 
 # ----------------------------------------------------------------------
